@@ -10,7 +10,7 @@
 //	GET  /v1/graphs/{id}/dist         ?src=&dst= (pair), ?src= (row), none (matrix)
 //	POST /v1/graphs/{id}/paths:batch  {"queries":[{"src":0,"dst":3},…]}
 //	GET  /v1/strategies               strategy catalog: capabilities + live telemetry
-//	GET  /v1/metrics                  per-strategy, per-transport and admission accounting
+//	GET  /v1/metrics                  per-strategy and admission accounting
 //	GET  /v1/healthz                  liveness
 //	GET  /v1/readyz                   readiness (503 while draining or queue-saturated)
 //
@@ -22,9 +22,7 @@
 // gracefully: readiness flips to 503, queued solves are shed, in-flight
 // ones finish within -drain-timeout.
 //
-// The unprefixed legacy paths still answer identically, marked with a
-// "Deprecation: true" header and a Link to their /v1 successor. Failures
-// share one envelope: {"error":{"code","message","retryable",…}}.
+// Failures share one envelope: {"error":{"code","message","retryable",…}}.
 //
 // Requests that name no strategy fall to the -strategy default, which is
 // "auto": the service's planner picks the best registered strategy viable
@@ -142,7 +140,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("apspd listening on %s (cache=%d graphs=%d max-inflight=%d queue-depth=%d)",
-		*addr, *cacheSize, *maxGraphs, *maxInflight, *queueDepth)
+		ln.Addr(), *cacheSize, *maxGraphs, *maxInflight, *queueDepth)
 	srv := &http.Server{
 		Handler:           serve.NewHandler(svc),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -446,55 +444,20 @@ func selftest(cfg serve.Config) error {
 		return nil
 	}
 
-	// 1. PUT the graph on the /v1 surface, then re-upload through the
-	// legacy unprefixed alias: same content hash, but the alias must mark
-	// itself deprecated and point at its successor.
+	// 1. PUT the graph.
 	var put struct {
 		ID string `json:"id"`
 	}
 	if err := call(http.MethodPut, "/v1/graphs", map[string]any{"n": n, "arcs": arcs}, &put); err != nil {
 		return err
 	}
-	{
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(map[string]any{"n": n, "arcs": arcs}); err != nil {
-			return err
-		}
-		req, err := http.NewRequest(http.MethodPut, base+"/graphs", &buf)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		var legacy struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&legacy)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if legacy.ID != put.ID {
-			return fmt.Errorf("legacy upload hashed to %s, /v1 to %s", legacy.ID, put.ID)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			return fmt.Errorf("legacy alias answered without a Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !bytes.Contains([]byte(link), []byte("/v1/graphs")) {
-			return fmt.Errorf("legacy alias Link header %q does not name the /v1 successor", link)
-		}
-	}
 
-	// 2. Solve fresh on the sharded transport, then re-solve without naming
-	// a backend: the cache is keyed by what was computed, not where, so the
-	// second call must hit — with identical accounting and zero new rounds.
-	solveBody := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": seed, "transport": "sharded"}
+	// 2. Solve fresh, then re-solve: the second call must hit the cache —
+	// with identical accounting and zero new rounds.
+	solveBody := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": seed}
 	var fresh, cached struct {
-		Rounds    int64  `json:"rounds"`
-		Cached    bool   `json:"cached"`
-		Transport string `json:"transport"`
+		Rounds int64 `json:"rounds"`
+		Cached bool  `json:"cached"`
 	}
 	if err := call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &fresh); err != nil {
 		return err
@@ -502,14 +465,10 @@ func selftest(cfg serve.Config) error {
 	if fresh.Cached {
 		return fmt.Errorf("first solve reported cached")
 	}
-	if fresh.Transport != "sharded" {
-		return fmt.Errorf("solve ran on transport %q, want sharded", fresh.Transport)
-	}
 	if fresh.Rounds != want.Rounds {
 		return fmt.Errorf("daemon rounds %d != library rounds %d", fresh.Rounds, want.Rounds)
 	}
-	retrySolve := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": seed}
-	if err := call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", retrySolve, &cached); err != nil {
+	if err := call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &cached); err != nil {
 		return err
 	}
 	if !cached.Cached || cached.Rounds != want.Rounds {
@@ -761,7 +720,7 @@ func selftest(cfg serve.Config) error {
 		} `json:"stages"`
 	}
 	retryBody := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": seed}
-	if err := call(http.MethodPost, "/graphs/"+putDeadline.ID+"/solve", retryBody, &afterDeadline); err != nil {
+	if err := call(http.MethodPost, "/v1/graphs/"+putDeadline.ID+"/solve", retryBody, &afterDeadline); err != nil {
 		return err
 	}
 	if afterDeadline.Cached {
@@ -777,9 +736,7 @@ func selftest(cfg serve.Config) error {
 
 	// 8. Metrics: the main flow ran the exact simulator once, the deadline
 	// probe once more (its timed-out attempt counts as cancelled, not
-	// solved), the per-stage rollup must agree with the charged rounds, and
-	// the per-transport rollup must show the sharded backend moving the main
-	// flow's traffic.
+	// solved), and the per-stage rollup must agree with the charged rounds.
 	var stats struct {
 		Strategies map[string]struct {
 			Solves        int64 `json:"solves"`
@@ -790,21 +747,9 @@ func selftest(cfg serve.Config) error {
 				Rounds int64 `json:"rounds"`
 			} `json:"stages"`
 		} `json:"strategies"`
-		Transports map[string]struct {
-			Solves     int64 `json:"solves"`
-			Deliveries int64 `json:"deliveries"`
-			Messages   int64 `json:"messages"`
-		} `json:"transports"`
 	}
 	if err := call(http.MethodGet, "/v1/metrics", nil, &stats); err != nil {
 		return err
-	}
-	sharded := stats.Transports["sharded"]
-	if sharded.Solves != 1 || sharded.Deliveries == 0 || sharded.Messages == 0 {
-		return fmt.Errorf("sharded transport rollup %+v, want 1 solve with delivered traffic", sharded)
-	}
-	if local := stats.Transports["local"]; local.Solves == 0 {
-		return fmt.Errorf("local transport rollup %+v, want the remaining executions", local)
 	}
 	qs := stats.Strategies["quantum"]
 	if qs.Solves != 2 {

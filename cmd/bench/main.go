@@ -186,19 +186,6 @@ func benchSymmetricDigraph(n int) (*graph.Digraph, error) {
 	}, xrand.New(uint64(n)))
 }
 
-// sweepWorkers is the worker ladder of the transport sweep: the fixed
-// 1/2/4 rungs every host measures identically (so baselines stay
-// machine-portable), plus this host's GOMAXPROCS when it is not already a
-// rung. A GOMAXPROCS-only rung shows up in the report as a new benchmark
-// (a note, not a gate failure) on hosts with other core counts.
-func sweepWorkers() []int {
-	ws := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		ws = append(ws, p)
-	}
-	return ws
-}
-
 // e1Sizes mirrors BenchmarkE1APSPQuantum; quick mode drops the slow tail.
 func e1Sizes(quick bool) []int {
 	if quick {
@@ -237,35 +224,6 @@ func benchConfigs(quick bool) ([]benchConfig, error) {
 			configs = append(configs, benchConfig{
 				name: fmt.Sprintf("E1APSPQuantum/n=%d/workers=4", n),
 				run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params, Workers: 4}, false),
-			})
-		}
-	}
-
-	// E1 transport × workers sweep: the same quantum pipeline on every
-	// delivery backend at each rung of the worker ladder. Rounds are
-	// transport- and worker-invariant by the backend contract — the
-	// transport-parity gate (transportParityFailures) fails the run if the
-	// sharded backend's rounds drift from local's at any rung; ns/op across
-	// the rungs is the scaling evidence the follow-up notes read.
-	sweepN := 32
-	if quick {
-		sweepN = 16
-	}
-	for _, transport := range []string{congest.DefaultTransport, congest.TransportSharded} {
-		for _, w := range sweepWorkers() {
-			if quick && w > 2 {
-				continue
-			}
-			g, err := benchDigraph(sweepN)
-			if err != nil {
-				return nil, err
-			}
-			configs = append(configs, benchConfig{
-				name: fmt.Sprintf("E1TransportSweep/%s/n=%d/workers=%d", transport, sweepN, w),
-				run: solveRun(g, core.Config{
-					Strategy: core.StrategyQuantum, Params: &params,
-					Workers: w, Transport: transport,
-				}, false),
 			})
 		}
 	}
@@ -590,37 +548,6 @@ func approxWinFailures(rep *Report) []string {
 	return failures
 }
 
-// transportParityFailures enforces the transport contract on a measured
-// report: wherever the sweep measured a local/sharded pair at the same n
-// and worker count, the two must charge exactly the same rounds/op — the
-// backends are required to be bit-identical in delivered inboxes, so any
-// rounds drift means the sharded delivery diverged from the
-// single-goroutine reference.
-func transportParityFailures(rep *Report) []string {
-	rounds := make(map[string]float64, len(rep.Benchmarks))
-	for _, r := range rep.Benchmarks {
-		rounds[r.Name] = r.RoundsPerOp
-	}
-	var failures []string
-	for name, local := range rounds {
-		var n, w int
-		if _, err := fmt.Sscanf(name, "E1TransportSweep/local/n=%d/workers=%d", &n, &w); err != nil {
-			continue
-		}
-		shardedName := fmt.Sprintf("E1TransportSweep/sharded/n=%d/workers=%d", n, w)
-		sharded, ok := rounds[shardedName]
-		if !ok {
-			continue
-		}
-		if sharded != local {
-			failures = append(failures, fmt.Sprintf(
-				"%s: rounds/op %.0f != local backend's %.0f (%s) — the sharded transport diverged from the reference delivery",
-				shardedName, sharded, local, name))
-		}
-	}
-	return failures
-}
-
 // chaosPlan is the fixed fault schedule of the -faults mode: a steady mix
 // of recovered link faults plus at most one unrecovered fault (corruption
 // or crash), which every strategy's stage-retry budget must absorb. One
@@ -866,17 +793,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "FAIL:", f)
 		}
 		fmt.Fprintf(os.Stderr, "bench: %d approximate-frontier regression(s)\n", len(failures))
-		os.Exit(1)
-	}
-
-	// So does the transport contract: a sharded backend that charges
-	// different rounds than the local reference is a divergence, whatever
-	// the baseline says.
-	if failures := transportParityFailures(rep); len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "FAIL:", f)
-		}
-		fmt.Fprintf(os.Stderr, "bench: %d transport-parity violation(s)\n", len(failures))
 		os.Exit(1)
 	}
 

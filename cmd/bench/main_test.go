@@ -185,43 +185,6 @@ func TestApproxWinFailures(t *testing.T) {
 	}
 }
 
-func TestTransportParityFailures(t *testing.T) {
-	agreeing := report(
-		Result{Name: "E1TransportSweep/local/n=32/workers=2", RoundsPerOp: 700},
-		Result{Name: "E1TransportSweep/sharded/n=32/workers=2", RoundsPerOp: 700},
-	)
-	if failures := transportParityFailures(agreeing); len(failures) != 0 {
-		t.Fatalf("agreeing report flagged: %v", failures)
-	}
-	diverged := report(
-		Result{Name: "E1TransportSweep/local/n=32/workers=2", RoundsPerOp: 700},
-		Result{Name: "E1TransportSweep/sharded/n=32/workers=2", RoundsPerOp: 701},
-	)
-	if failures := transportParityFailures(diverged); len(failures) != 1 {
-		t.Fatalf("diverged report not flagged: %v", failures)
-	}
-	// Unpaired rungs are not an error (quick mode measures a subset, and a
-	// GOMAXPROCS rung may exist on one transport only mid-edit).
-	unpaired := report(Result{Name: "E1TransportSweep/local/n=32/workers=4", RoundsPerOp: 700})
-	if failures := transportParityFailures(unpaired); len(failures) != 0 {
-		t.Fatalf("unpaired entry flagged: %v", failures)
-	}
-}
-
-func TestSweepWorkersLadder(t *testing.T) {
-	ws := sweepWorkers()
-	if len(ws) < 3 || ws[0] != 1 || ws[1] != 2 || ws[2] != 4 {
-		t.Fatalf("sweepWorkers() = %v, want the fixed 1/2/4 prefix", ws)
-	}
-	seen := map[int]bool{}
-	for _, w := range ws {
-		if seen[w] {
-			t.Fatalf("sweepWorkers() = %v contains duplicate rung %d", ws, w)
-		}
-		seen[w] = true
-	}
-}
-
 func TestE4WorkloadConstructors(t *testing.T) {
 	g, err := benchNonnegDigraph(16)
 	if err != nil {

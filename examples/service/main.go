@@ -119,7 +119,7 @@ func main() {
 	var put struct {
 		ID string `json:"id"`
 	}
-	call(http.MethodPut, "/graphs", gj, &put)
+	call(http.MethodPut, "/v1/graphs", gj, &put)
 	fmt.Printf("uploaded graph, content id %.24s…\n", put.ID)
 
 	solveBody := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": 42}
@@ -127,8 +127,8 @@ func main() {
 		Rounds int64 `json:"rounds"`
 		Cached bool  `json:"cached"`
 	}
-	call(http.MethodPost, "/graphs/"+put.ID+"/solve", solveBody, &s1)
-	call(http.MethodPost, "/graphs/"+put.ID+"/solve", solveBody, &s2)
+	call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &s1)
+	call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &s2)
 	fmt.Printf("daemon solve: %d rounds (cached=%v), re-solve cached=%v\n", s1.Rounds, s1.Cached, s2.Cached)
 
 	batch := map[string]any{
@@ -143,7 +143,7 @@ func main() {
 			Path []int  `json:"path"`
 		} `json:"results"`
 	}
-	call(http.MethodPost, "/graphs/"+put.ID+"/paths:batch", batch, &batchResp)
+	call(http.MethodPost, "/v1/graphs/"+put.ID+"/paths:batch", batch, &batchResp)
 	for _, r := range batchResp.Results {
 		fmt.Printf("daemon path %d→%d: dist %d via %v\n", r.Src, r.Dst, *r.Dist, r.Path)
 	}
@@ -156,14 +156,14 @@ func main() {
 			CacheHits int64 `json:"cache_hits"`
 		} `json:"strategies"`
 	}
-	call(http.MethodGet, "/metrics", nil, &metrics)
+	call(http.MethodGet, "/v1/metrics", nil, &metrics)
 	fmt.Printf("daemon metrics: %d graphs, %d cached results, quantum solves=%d cache_hits=%d\n",
 		metrics.Graphs, metrics.CachedResults,
 		metrics.Strategies["quantum"].Solves, metrics.Strategies["quantum"].CacheHits)
 }
 
 // startDaemon builds cmd/apspd into a temp dir, launches it on a free
-// localhost port and waits for /metrics to answer. Running the built
+// localhost port and waits for /v1/readyz to answer 200. Running the built
 // binary directly (rather than `go run`) ensures stop() kills the actual
 // daemon, not a wrapper that would orphan it.
 func startDaemon() (addr string, stop func(), err error) {
@@ -198,10 +198,12 @@ func startDaemon() (addr string, stop func(), err error) {
 
 	client := &http.Client{Timeout: time.Second}
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
-		resp, err := client.Get("http://" + addr + "/metrics")
+		resp, err := client.Get("http://" + addr + "/v1/readyz")
 		if err == nil {
 			resp.Body.Close()
-			return addr, stop, nil
+			if resp.StatusCode == http.StatusOK {
+				return addr, stop, nil
+			}
 		}
 	}
 	stop()

@@ -90,8 +90,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	n := req.G.N()
 	// Same 3n-clique reduction substrate as the exact quantum pipeline;
 	// only the per-product search is ladder-indexed.
-	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults),
-		congest.WithTransport(req.Transport), congest.WithTransportShards(req.Workers))
+	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +170,7 @@ func (skeletonStrategy) PredictCost(f graph.Features, eps float64) engine.CostPr
 }
 
 func (skeletonStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.Plan, error) {
-	net, err := congest.NewNetwork(req.G.N(), congest.WithFaults(req.Faults),
-		congest.WithTransport(req.Transport), congest.WithTransportShards(req.Workers))
+	net, err := congest.NewNetwork(req.G.N(), congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}

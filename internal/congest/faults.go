@@ -31,8 +31,7 @@ package congest
 // identical fault schedules, identical counters and identical rounds. With
 // a zero (disabled) plan the injector is entirely dormant: no draws, no
 // counter writes, no allocation — fault-free runs stay bit-identical to a
-// network constructed without WithFaults. This file is also the
-// misbehavior contract a future pluggable Transport must satisfy.
+// network constructed without WithFaults.
 
 import (
 	"fmt"

@@ -30,8 +30,8 @@
 // bumps the epoch instead of clearing, so cost is proportional to the links
 // actually touched. (2) Inboxes: the per-destination delivery slices
 // returned by ExchangeDirect/ExchangeBalanced are borrowed from the
-// network's Transport and recycled at the next Exchange call.
-// (3) Payloads: Message.Data slices can be carved from the transport's
+// network's delivery buffer and recycled at the next Exchange call.
+// (3) Payloads: Message.Data slices can be carved from the network's
 // two-generation payload arena via AcquirePayload; each Exchange flips the
 // generation, so payloads follow exactly the inbox borrow contract — valid
 // until the next Exchange on this network — and the arena is recycled at
@@ -39,18 +39,9 @@
 // scratch on top (see internal/triangles.Scratch); together these make a
 // steady-state Solve allocation-free.
 //
-// # Transports
-//
-// Delivery mechanics are pluggable: the Network stays the accounting and
-// fault-injection authority while a Transport backend (selected with
-// WithTransport) owns the inbox and payload storage and moves each phase's
-// message set. Two backends ship: "local", the single-goroutine reference,
-// and "sharded", which partitions nodes across worker shards with batched
-// inter-shard buffers. Backends are required to be bit-identical in
-// delivered inboxes — and therefore in rounds, words, distances, and fault
-// schedules — for every protocol; see transport.go for the contract a
-// backend implementer must follow and the recycling rules from the
-// backend's side.
+// Delivery runs only after a phase has been charged and its fault draws
+// made (see faults.go), so moving messages into inboxes never affects
+// rounds, words or the fault schedule.
 package congest
 
 import (
@@ -179,27 +170,72 @@ type Network struct {
 	// so that recording a phase performs zero heap allocations.
 	sc linkScratch
 
-	// transport is the delivery backend owning the inbox and payload
-	// storage; transportName/transportShards hold the WithTransport /
-	// WithTransportShards requests until NewNetwork resolves them.
-	transport       Transport
-	transportName   string
-	transportShards int
+	// inboxes is the reusable per-destination delivery buffer handed out by
+	// the exchanges; borrowed by the caller until the next exchange.
+	inboxes [][]Message
+
+	// payloads is the two-generation word arena behind AcquirePayload;
+	// payGen indexes the generation currently being carved. Each delivery
+	// flips the generation and recycles the other one, giving payloads the
+	// same lifetime as the inboxes that reference them.
+	payloads [2]payloadArena
+	payGen   int
 
 	// faults is the armed fault injector (see faults.go); nil — the
 	// default — keeps every phase method on its fault-free fast path.
 	faults *faultState
 }
 
+// payloadBlockWords is the minimum block size the payload arena grows by;
+// large single acquisitions get a dedicated block.
+const payloadBlockWords = 1 << 14
+
+// payloadArena is one generation of pooled Message.Data storage: a list of
+// retained backing blocks carved sequentially. Blocks are never moved or
+// grown in place, so previously returned slices stay valid for the whole
+// generation.
+type payloadArena struct {
+	blocks [][]Word
+	bi     int // block currently being carved
+	off    int // words used within blocks[bi]
+}
+
+func (a *payloadArena) reset() { a.bi, a.off = 0, 0 }
+
+// alloc carves a zero-length slice with capacity n.
+func (a *payloadArena) alloc(n int) []Word {
+	for {
+		if a.bi < len(a.blocks) {
+			b := a.blocks[a.bi]
+			if len(b)-a.off >= n {
+				s := b[a.off : a.off : a.off+n]
+				a.off += n
+				return s
+			}
+			a.bi++
+			a.off = 0
+			continue
+		}
+		size := n
+		if size < payloadBlockWords {
+			size = payloadBlockWords
+		}
+		a.blocks = append(a.blocks, make([]Word, size))
+	}
+}
+
 // AcquirePayload returns a zero-length word slice with capacity words,
-// carved from the transport's payload arena, for callers assembling
+// carved from the network's payload arena, for callers assembling
 // Message.Data by append. The slice follows the inbox borrow contract: it
 // is recycled by the second-next Exchange call on this network (the
 // generation flip at each delivery keeps the payloads referenced by the
 // current inboxes intact), so senders build payloads, exchange, and let
 // receivers read them — but must copy anything they need to keep.
 func (nw *Network) AcquirePayload(words int) []Word {
-	return nw.transport.AcquirePayload(words)
+	if words < 0 {
+		words = 0
+	}
+	return nw.payloads[nw.payGen].alloc(words)
 }
 
 // linkScratch is the reusable flat accounting state for one phase: per-link
@@ -312,12 +348,6 @@ func NewNetwork(n int, opts ...Option) (*Network, error) {
 	for _, o := range opts {
 		o(nw)
 	}
-	name, factory, err := lookupTransport(nw.transportName)
-	if err != nil {
-		return nil, err
-	}
-	nw.transportName = name
-	nw.transport = factory(n, nw.transportShards)
 	if nw.faults != nil {
 		if err := nw.faults.plan.Validate(); err != nil {
 			return nil, err
@@ -491,12 +521,30 @@ func balancedRounds(srcLoad, dstLoad, n int64) int64 {
 	return 2 * batches
 }
 
-// deliver hands the phase's message set to the transport backend and waits
-// out its barrier. Accounting and fault injection are already done by the
-// time deliver runs, so the backend only moves data.
+// deliver groups msgs by destination, preserving input order, into the
+// pooled inbox buffer, which the next delivery recycles. Accounting and
+// fault injection are already done by the time deliver runs, so it only
+// moves data.
 func (nw *Network) deliver(msgs []Message) [][]Message {
-	inboxes := nw.transport.Deliver(msgs)
-	nw.transport.Barrier()
+	// Flip the payload generations: slices acquired since the previous
+	// Exchange are now referenced by the inboxes being built, so the
+	// generation recycled here is the one the previous inboxes pointed at.
+	nw.payGen ^= 1
+	nw.payloads[nw.payGen].reset()
+	if nw.inboxes == nil {
+		nw.inboxes = make([][]Message, nw.n)
+	}
+	inboxes := nw.inboxes
+	for i := range inboxes {
+		// Clear before truncating: stale Message values past the new length
+		// would otherwise pin the previous phase's payload arenas at the
+		// largest exchange's high-water mark.
+		clear(inboxes[i])
+		inboxes[i] = inboxes[i][:0]
+	}
+	for _, m := range msgs {
+		inboxes[m.Dst] = append(inboxes[m.Dst], m)
+	}
 	return inboxes
 }
 

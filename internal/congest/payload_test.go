@@ -43,7 +43,7 @@ func TestAcquirePayloadBorrowContract(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		send(Word(100 + i))
 	}
-	for gen, a := range nw.transport.(*localTransport).payloads {
+	for gen, a := range nw.payloads {
 		if len(a.blocks) != 1 {
 			t.Fatalf("generation %d grew to %d blocks; steady state should recycle one", gen, len(a.blocks))
 		}

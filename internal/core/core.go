@@ -112,12 +112,6 @@ type Config struct {
 	// work); <= 0 selects GOMAXPROCS. Dist and Rounds are identical for
 	// every setting — parallelism only changes wall-clock time.
 	Workers int
-	// Transport selects the congest delivery backend by registered name
-	// ("" = "local", the single-goroutine reference; "sharded" partitions
-	// nodes across Workers shards). Backends are bit-identical in Dist,
-	// Rounds and fault schedules by contract — the choice only moves
-	// host-side work. Unknown names fail the solve.
-	Transport string
 	// Epsilon is the multiplicative stretch budget of the approximate
 	// strategies: StrategyApproxQuantum guarantees 1+ε, StrategyApproxSkeleton
 	// 2+ε. It must be > 0 for those strategies and 0 (unset) for the exact
@@ -182,10 +176,6 @@ type Result struct {
 	Rounds int64
 	// Metrics is the aggregate network accounting.
 	Metrics congest.Metrics
-	// Transport is the delivery-backend accounting of the pipeline's main
-	// network: which backend ran, its shard count, and the delivery/message
-	// counters (shard-traffic split included for the sharded backend).
-	Transport congest.TransportStats
 	// Products is the number of distance products (Proposition 3:
 	// ⌈log₂ n⌉).
 	Products int
@@ -269,7 +259,6 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 		Params:    cfg.Params,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
-		Transport: cfg.Transport,
 		Epsilon:   cfg.Epsilon,
 		MX:        &ws.mx,
 		DP:        ws.dp,
@@ -285,7 +274,6 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 			// for faults, how many were injected before the stop.
 			res.Rounds = out.Rounds
 			res.Metrics = out.Metrics
-			res.Transport = out.Transport
 			res.Products = out.Products
 			res.Stages = out.Stages
 			return res, err
@@ -297,7 +285,6 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 	res.FindEdgesCalls = out.FindEdgesCalls
 	res.Rounds = out.Rounds
 	res.Metrics = out.Metrics
-	res.Transport = out.Transport
 	res.Stages = out.Stages
 	if strat.Approximate() {
 		res.ObservedStretch = out.ObservedStretch

@@ -120,8 +120,7 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 	// The reduction runs on tripartite instances with 3n vertices; each
 	// network node simulates three of them (constant-factor overhead),
 	// realized as a 3n-node clique.
-	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults),
-		congest.WithTransport(req.Transport), congest.WithTransportShards(req.Workers))
+	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}
@@ -225,8 +224,7 @@ func (gossipPipeline) PredictCost(f graph.Features, _ float64) engine.CostPrior 
 
 func (gossipPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engine.Plan, error) {
 	n := req.G.N()
-	net, err := congest.NewNetwork(n, congest.WithFaults(req.Faults),
-		congest.WithTransport(req.Transport), congest.WithTransportShards(req.Workers))
+	net, err := congest.NewNetwork(n, congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}

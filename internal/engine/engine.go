@@ -16,8 +16,7 @@
 //
 // Strategies register themselves (see registry.go); the serving layer, the
 // public qclique API and the cmd/ tools enumerate the registry instead of
-// switching on enum values, which is the seam future backends (sharded
-// simulation, real transports) plug into.
+// switching on enum values.
 package engine
 
 import (
@@ -45,11 +44,6 @@ type Request struct {
 	Seed uint64
 	// Workers bounds host-side parallelism of node-local phases.
 	Workers int
-	// Transport selects the congest delivery backend by registered name
-	// ("" = local). Backends are bit-identical in results by contract, so
-	// the choice affects host-side execution only; strategies pass it to
-	// every network they build, with Workers as the shard-count request.
-	Transport string
 	// Epsilon is the stretch budget of the approximate strategies (0 for
 	// exact ones; validated by the caller before the engine runs).
 	Epsilon float64
@@ -86,9 +80,6 @@ type Outcome struct {
 	Rounds int64
 	// Metrics is the aggregate network accounting.
 	Metrics congest.Metrics
-	// Transport is the delivery-backend accounting of the pipeline's
-	// network (deliveries, messages moved, shard traffic split).
-	Transport congest.TransportStats
 	// Stages is the per-stage breakdown, in execution order.
 	Stages []StageStat
 }
@@ -329,8 +320,5 @@ func finish(plan *Plan, out *Outcome) {
 	if plan.Net != nil {
 		out.Rounds = plan.Net.Rounds()
 		out.Metrics = plan.Net.Metrics()
-		out.Transport = plan.Net.TransportStats()
-		// The pipeline is over either way; release the backend's resources.
-		plan.Net.Close()
 	}
 }

@@ -198,7 +198,7 @@ func TestHTTPDeadlineAnswers503WithPartialStages(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(map[string]any{"strategy": "quantum", "preset": "scaled", "timeout_ms": 2})
-	req := httptest.NewRequest(http.MethodPost, "/graphs/"+id+"/solve", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/graphs/"+id+"/solve", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -217,7 +217,7 @@ func TestHTTPDeadlineAnswers503WithPartialStages(t *testing.T) {
 	// Without the deadline the same request succeeds, uncached, and its
 	// stage breakdown sums to the reported rounds.
 	body, _ = json.Marshal(map[string]any{"strategy": "quantum", "preset": "scaled"})
-	req = httptest.NewRequest(http.MethodPost, "/graphs/"+id+"/solve", bytes.NewReader(body))
+	req = httptest.NewRequest(http.MethodPost, "/v1/graphs/"+id+"/solve", bytes.NewReader(body))
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -260,7 +260,7 @@ func TestHTTPAlreadyCancelledRequestAnswers503(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	body, _ := json.Marshal(map[string]any{"strategy": "quantum", "preset": "scaled"})
-	req := httptest.NewRequest(http.MethodPost, "/graphs/"+id+"/solve", bytes.NewReader(body)).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/graphs/"+id+"/solve", bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
 	handler.ServeHTTP(rec, req)
@@ -301,7 +301,7 @@ func TestParseStrategyEnumeratesRegistry(t *testing.T) {
 	}
 }
 
-// TestMetricsRollUpStageRounds pins the /metrics rollup: per-stage rounds
+// TestMetricsRollUpStageRounds pins the /v1/metrics rollup: per-stage rounds
 // accumulated per strategy must sum to RoundsCharged.
 func TestMetricsRollUpStageRounds(t *testing.T) {
 	svc := New(Config{})

@@ -1,6 +1,6 @@
 package serve
 
-// Fuzz smoke over the HTTP graph decoder: the PUT /graphs body is the one
+// Fuzz smoke over the HTTP graph decoder: the PUT /v1/graphs body is the one
 // piece of deeply structured attacker-controlled input the daemon parses,
 // so the decoder must never panic and must uphold the store's invariants
 // (bounded dimension, content-hash determinism) for anything that decodes.

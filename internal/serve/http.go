@@ -32,7 +32,7 @@ type ArcJSON struct {
 	W int64 `json:"w"`
 }
 
-// GraphJSON is the PUT /graphs request body.
+// GraphJSON is the PUT /v1/graphs request body.
 type GraphJSON struct {
 	N    int       `json:"n"`
 	Arcs []ArcJSON `json:"arcs"`
@@ -69,15 +69,11 @@ func (gj GraphJSON) Digraph() (*graph.Digraph, error) {
 // checkpoints between stages and inside its inner loops, and a deadline
 // that expires answers 503 with the partial per-stage telemetry.
 type solveParamsJSON struct {
-	Strategy string  `json:"strategy,omitempty"`
-	Preset   string  `json:"preset,omitempty"`
-	Seed     uint64  `json:"seed,omitempty"`
-	Epsilon  float64 `json:"epsilon,omitempty"`
-	// Transport selects the congest delivery backend ("local", "sharded";
-	// empty = local). Results are bit-identical across backends, so the
-	// choice only moves host-side execution; unknown names answer 400.
-	Transport string `json:"transport,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
+	Strategy  string  `json:"strategy,omitempty"`
+	Preset    string  `json:"preset,omitempty"`
+	Seed      uint64  `json:"seed,omitempty"`
+	Epsilon   float64 `json:"epsilon,omitempty"`
+	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	// Faults arms the solve with a deterministic fault-injection plan
 	// (chaos testing over the wire); absent means no injection.
 	Faults *FaultPlanJSON `json:"faults,omitempty"`
@@ -147,7 +143,7 @@ func (p solveParamsJSON) spec() (SolveSpec, error) {
 	// assembled (query parameters can add epsilon after this point): the
 	// handlers validate explicitly or rely on Service.solve, and
 	// solveStatus maps ErrInvalidSpec to 400.
-	spec := SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Transport: p.Transport, Degrade: p.Degrade}
+	spec := SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Degrade: p.Degrade}
 	if p.Faults != nil {
 		spec.Faults = p.Faults.plan()
 	}
@@ -169,12 +165,7 @@ type SolveJSON struct {
 	FindEdgesCalls    int     `json:"find_edges_calls"`
 	GuaranteedStretch float64 `json:"guaranteed_stretch,omitempty"`
 	ObservedStretch   float64 `json:"observed_stretch,omitempty"`
-	// Transport is the delivery backend that executed the solve producing
-	// this result. Transport choice is excluded from the cache identity
-	// (results are bit-identical across backends), so a cached response
-	// echoes the backend of the original execution, not the request's.
-	Transport string `json:"transport,omitempty"`
-	Cached    bool   `json:"cached"`
+	Cached            bool    `json:"cached"`
 	// Degraded marks a response the degradation ladder answered with a
 	// fallback strategy: Strategy (and GuaranteedStretch) describe the rung
 	// that actually ran, DegradedFrom the one the client asked for.
@@ -271,20 +262,14 @@ func errorCode(status int) string {
 	}
 }
 
-// apiPrefix is the current API version mount point. Legacy unprefixed
-// routes stay mounted as aliases for one release, answering with a
-// Deprecation header and a successor-version Link.
-const apiPrefix = "/v1"
-
-// NewHandler mounts the service's HTTP API under /v1 (legacy unprefixed
-// aliases answer identically plus deprecation headers):
+// NewHandler mounts the service's HTTP API under /v1:
 //
 //	PUT  /v1/graphs                   upload a graph, returns its content id
 //	POST /v1/graphs/{id}/solve        solve (cache-aware), returns round accounting
 //	GET  /v1/graphs/{id}/dist         distances: full matrix, one row (?src=), or one pair (?src=&dst=)
 //	POST /v1/graphs/{id}/paths:batch  many shortest-path queries against one solve
 //	GET  /v1/strategies               the strategy catalog: capabilities + live telemetry
-//	GET  /v1/metrics                  per-strategy, per-transport and admission accounting
+//	GET  /v1/metrics                  per-strategy and admission accounting
 //	GET  /v1/healthz                  liveness (always 200 while the process serves)
 //	GET  /v1/readyz                   readiness (503 while draining or queue-saturated)
 //
@@ -294,18 +279,7 @@ const apiPrefix = "/v1"
 // instead of killing the daemon's connection serving.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	// handle mounts h at /v1+pattern and at the legacy unprefixed pattern;
-	// the legacy alias advertises its successor so clients can migrate
-	// before the unprefixed routes go away.
-	handle := func(method, pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" "+apiPrefix+pattern, h)
-		mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", apiPrefix, r.URL.Path))
-			h(w, r)
-		})
-	}
-	handle("PUT", "/graphs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
 		var gj GraphJSON
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&gj); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -331,7 +305,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("POST", "/graphs/{id}/solve", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/graphs/{id}/solve", func(w http.ResponseWriter, r *http.Request) {
 		var body solveParamsJSON
 		if r.ContentLength != 0 {
 			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&body); err != nil {
@@ -354,11 +328,10 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, solveResponse(res, spec))
 	})
 
-	handle("GET", "/graphs/{id}/dist", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/graphs/{id}/dist", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := solveParamsJSON{
-			Strategy:  r.URL.Query().Get("strategy"),
-			Preset:    r.URL.Query().Get("preset"),
-			Transport: r.URL.Query().Get("transport"),
+			Strategy: r.URL.Query().Get("strategy"),
+			Preset:   r.URL.Query().Get("preset"),
 		}.spec()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -468,7 +441,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("POST", "/graphs/{id}/paths:batch", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/graphs/{id}/paths:batch", func(w http.ResponseWriter, r *http.Request) {
 		var body batchRequestJSON
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&body); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -505,7 +478,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"id": res.GraphID, "cached": res.Cached, "results": out})
 	})
 
-	handle("GET", "/strategies", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/strategies", func(w http.ResponseWriter, r *http.Request) {
 		// The planner's catalog: every registered strategy with its
 		// capability profile and whatever live telemetry has accrued — the
 		// same data the planner ranks with, so clients can predict (and
@@ -513,18 +486,18 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"strategies": s.Catalog()})
 	})
 
-	handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and serving connections. Deliberately
 		// unconditional — a draining or saturated daemon is still alive, and
 		// conflating the two teaches orchestrators to kill a busy process.
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
-	handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		rd := s.Readiness()
 		status := http.StatusOK
 		if !rd.Ready {
@@ -573,7 +546,6 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 		Rounds:         res.Res.Rounds,
 		Products:       res.Res.Products,
 		FindEdgesCalls: res.Res.FindEdgesCalls,
-		Transport:      res.Res.Transport.Transport,
 		Cached:         res.Cached,
 		Stages:         res.Res.Stages,
 	}

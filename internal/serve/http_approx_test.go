@@ -22,7 +22,7 @@ func TestHTTPNegativeCycle422(t *testing.T) {
 	body := map[string]any{"n": 2, "arcs": []map[string]any{
 		{"u": 0, "v": 1, "w": -1}, {"u": 1, "v": 0, "w": 0},
 	}}
-	if resp := doJSON(t, srv, http.MethodPut, "/graphs", body, &put); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", body, &put); resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: status %d", resp.StatusCode)
 	}
 	solve := map[string]any{"strategy": "gossip"}
@@ -30,9 +30,9 @@ func TestHTTPNegativeCycle422(t *testing.T) {
 		method, path string
 		body         any
 	}{
-		{http.MethodPost, "/graphs/" + put.ID + "/solve", solve},
-		{http.MethodGet, "/graphs/" + put.ID + "/dist?strategy=gossip", nil},
-		{http.MethodPost, "/graphs/" + put.ID + "/paths:batch",
+		{http.MethodPost, "/v1/graphs/" + put.ID + "/solve", solve},
+		{http.MethodGet, "/v1/graphs/" + put.ID + "/dist?strategy=gossip", nil},
+		{http.MethodPost, "/v1/graphs/" + put.ID + "/paths:batch",
 			map[string]any{"strategy": "gossip", "queries": []map[string]int{{"src": 0, "dst": 1}}}},
 	} {
 		var e struct {
@@ -59,17 +59,17 @@ func TestHTTPEpsilonValidation(t *testing.T) {
 		ID string `json:"id"`
 	}
 	body := map[string]any{"n": 3, "arcs": []map[string]any{{"u": 0, "v": 1, "w": 2}}}
-	doJSON(t, srv, http.MethodPut, "/graphs", body, &put)
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", body, &put)
 
 	for _, tc := range []struct {
 		name string
 		path string
 		body any
 	}{
-		{"epsilon on exact", "/graphs/" + put.ID + "/solve", map[string]any{"strategy": "gossip", "epsilon": 0.5}},
-		{"approx without epsilon", "/graphs/" + put.ID + "/solve", map[string]any{"strategy": "approx-quantum"}},
-		{"dist epsilon on exact", "/graphs/" + put.ID + "/dist?strategy=gossip&epsilon=0.5", nil},
-		{"dist bad epsilon", "/graphs/" + put.ID + "/dist?epsilon=nope", nil},
+		{"epsilon on exact", "/v1/graphs/" + put.ID + "/solve", map[string]any{"strategy": "gossip", "epsilon": 0.5}},
+		{"approx without epsilon", "/v1/graphs/" + put.ID + "/solve", map[string]any{"strategy": "approx-quantum"}},
+		{"dist epsilon on exact", "/v1/graphs/" + put.ID + "/dist?strategy=gossip&epsilon=0.5", nil},
+		{"dist bad epsilon", "/v1/graphs/" + put.ID + "/dist?epsilon=nope", nil},
 	} {
 		method := http.MethodPost
 		if tc.body == nil {
@@ -97,10 +97,10 @@ func TestHTTPApproxSolve(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		arcs = append(arcs, map[string]any{"u": i, "v": (i + 1) % 8, "w": 2 + i%3})
 	}
-	doJSON(t, srv, http.MethodPut, "/graphs", map[string]any{"n": 8, "arcs": arcs}, &put)
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", map[string]any{"n": 8, "arcs": arcs}, &put)
 
 	var solve SolveJSON
-	resp := doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve",
+	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve",
 		map[string]any{"strategy": "approx-quantum", "preset": "scaled", "epsilon": 0.5}, &solve)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("approx solve: status %d", resp.StatusCode)
@@ -116,7 +116,7 @@ func TestHTTPApproxSolve(t *testing.T) {
 	var e struct {
 		Error ErrorJSON `json:"error"`
 	}
-	resp = doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve",
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve",
 		map[string]any{"strategy": "approx-skeleton", "preset": "scaled", "epsilon": 0.5}, &e)
 	if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Message == "" {
 		t.Errorf("skeleton on asymmetric graph: status %d body %+v, want 422", resp.StatusCode, e.Error)
@@ -124,7 +124,7 @@ func TestHTTPApproxSolve(t *testing.T) {
 
 	// Path queries under an approximate strategy are a client error:
 	// snapped distances cannot be walked into tight-successor paths.
-	resp = doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/paths:batch",
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/paths:batch",
 		map[string]any{"strategy": "approx-quantum", "preset": "scaled", "epsilon": 0.5,
 			"queries": []map[string]int{{"src": 0, "dst": 1}}}, &e)
 	if resp.StatusCode != http.StatusBadRequest || e.Error.Message == "" {
@@ -143,14 +143,14 @@ func TestHTTPBatchPerQueryErrors(t *testing.T) {
 	var put struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, srv, http.MethodPut, "/graphs", map[string]any{
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", map[string]any{
 		"n": 3, "arcs": []map[string]any{{"u": 0, "v": 1, "w": 5}},
 	}, &put)
 
 	var batch struct {
 		Results []PathJSON `json:"results"`
 	}
-	resp := doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/paths:batch", map[string]any{
+	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/paths:batch", map[string]any{
 		"strategy": "gossip",
 		"queries":  []map[string]int{{"src": 0, "dst": 1}, {"src": 0, "dst": 2}},
 	}, &batch)

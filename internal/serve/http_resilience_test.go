@@ -27,14 +27,14 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 			}
 		}
 	}
-	if resp := doJSON(t, srv, http.MethodPut, "/graphs", gj, &put); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", gj, &put); resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: %d", resp.StatusCode)
 	}
 
 	// A recovered-faults plan over the wire: success with fault counters
 	// and a retry count in the body.
 	var sj SolveJSON
-	resp := doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve", solveParamsJSON{
+	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
 		Faults:   &FaultPlanJSON{Seed: 9, DropRate: 1},
 	}, &sj)
@@ -50,7 +50,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 
 	// An outage with degradation enabled: 200 with the degraded marker and
 	// the rung that answered.
-	resp = doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve", solveParamsJSON{
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
 		Degrade:  true,
 		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
@@ -70,7 +70,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	var fail struct {
 		Error ErrorJSON `json:"error"`
 	}
-	resp = doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve", solveParamsJSON{
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
 		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
 	}, &fail)
@@ -91,7 +91,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	}
 
 	// A malformed plan is a 400, not a 503.
-	resp = doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve", solveParamsJSON{
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Faults: &FaultPlanJSON{DropRate: 1.5},
 	}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -114,7 +114,7 @@ func TestHTTPDeadline503CarriesRetryAfter(t *testing.T) {
 	}
 	// A 1ms deadline expires inside the pipeline; the 503 must advertise a
 	// retry.
-	resp := doJSON(t, srv, http.MethodPost, "/graphs/"+id+"/solve", solveParamsJSON{
+	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+id+"/solve", solveParamsJSON{
 		Strategy: "quantum", TimeoutMS: 1,
 	}, &fail)
 	if resp.StatusCode != http.StatusServiceUnavailable {

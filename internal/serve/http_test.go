@@ -50,7 +50,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	// PUT /graphs
+	// PUT /v1/graphs
 	gj := GraphJSON{N: g.N()}
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
@@ -64,15 +64,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 		N    int    `json:"n"`
 		Arcs int    `json:"arcs"`
 	}
-	if resp := doJSON(t, srv, http.MethodPut, "/graphs", gj, &put); resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT /graphs: status %d", resp.StatusCode)
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", gj, &put); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT /v1/graphs: status %d", resp.StatusCode)
 	}
 	if put.ID != HashDigraph(g) || put.N != g.N() || put.Arcs != g.ArcCount() {
 		t.Fatalf("PUT response %+v inconsistent with graph", put)
 	}
 
 	// POST solve — fresh, then cached.
-	solvePath := "/graphs/" + put.ID + "/solve"
+	solvePath := "/v1/graphs/" + put.ID + "/solve"
 	var first, second SolveJSON
 	if resp := doJSON(t, srv, http.MethodPost, solvePath, solveParamsJSON{Strategy: "gossip"}, &first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST solve: status %d", resp.StatusCode)
@@ -91,7 +91,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 			var one struct {
 				Dist *int64 `json:"dist"`
 			}
-			path := fmt.Sprintf("/graphs/%s/dist?strategy=gossip&src=%d&dst=%d", put.ID, src, dst)
+			path := fmt.Sprintf("/v1/graphs/%s/dist?strategy=gossip&src=%d&dst=%d", put.ID, src, dst)
 			if resp := doJSON(t, srv, http.MethodGet, path, nil, &one); resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET dist: status %d", resp.StatusCode)
 			}
@@ -110,7 +110,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		N    int        `json:"n"`
 		Dist [][]*int64 `json:"dist"`
 	}
-	doJSON(t, srv, http.MethodGet, "/graphs/"+put.ID+"/dist?strategy=gossip", nil, &full)
+	doJSON(t, srv, http.MethodGet, "/v1/graphs/"+put.ID+"/dist?strategy=gossip", nil, &full)
 	if full.N != g.N() || len(full.Dist) != g.N() {
 		t.Fatalf("full dist: n=%d rows=%d", full.N, len(full.Dist))
 	}
@@ -126,7 +126,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		Cached  bool       `json:"cached"`
 		Results []PathJSON `json:"results"`
 	}
-	if resp := doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/paths:batch", batch, &batchResp); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/paths:batch", batch, &batchResp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST paths:batch: status %d", resp.StatusCode)
 	}
 	if !batchResp.Cached {
@@ -149,10 +149,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
-	// GET /metrics.
+	// GET /v1/metrics.
 	var stats Stats
-	if resp := doJSON(t, srv, http.MethodGet, "/metrics", nil, &stats); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	if resp := doJSON(t, srv, http.MethodGet, "/v1/metrics", nil, &stats); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: status %d", resp.StatusCode)
 	}
 	gs := stats.Strategies["gossip"]
 	if gs.Solves != 1 {
@@ -169,19 +169,19 @@ func TestHTTPErrors(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	if resp := doJSON(t, srv, http.MethodPost, "/graphs/sha256:nope/solve", solveParamsJSON{}, nil); resp.StatusCode != http.StatusNotFound {
+	if resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/sha256:nope/solve", solveParamsJSON{}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown graph: status %d, want 404", resp.StatusCode)
 	}
-	if resp := doJSON(t, srv, http.MethodPut, "/graphs", GraphJSON{N: 2, Arcs: []ArcJSON{{U: 0, V: 0, W: 1}}}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", GraphJSON{N: 2, Arcs: []ArcJSON{{U: 0, V: 0, W: 1}}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("self-loop: status %d, want 400", resp.StatusCode)
 	}
-	if resp := doJSON(t, srv, http.MethodPost, "/graphs/x/solve", solveParamsJSON{Strategy: "warp"}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/x/solve", solveParamsJSON{Strategy: "warp"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad strategy: status %d, want 400", resp.StatusCode)
 	}
 
 	// A huge vertex count must be rejected before the n² allocation, not
 	// OOM the daemon.
-	if resp := doJSON(t, srv, http.MethodPut, "/graphs", GraphJSON{N: 200000}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", GraphJSON{N: 200000}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized n: status %d, want 400", resp.StatusCode)
 	}
 
@@ -190,8 +190,8 @@ func TestHTTPErrors(t *testing.T) {
 	var put struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, srv, http.MethodPut, "/graphs", cyc, &put)
-	if resp := doJSON(t, srv, http.MethodPost, "/graphs/"+put.ID+"/solve", solveParamsJSON{Strategy: "gossip"}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", cyc, &put)
+	if resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{Strategy: "gossip"}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("negative cycle: status %d, want 422", resp.StatusCode)
 	}
 
@@ -199,11 +199,11 @@ func TestHTTPErrors(t *testing.T) {
 	// before the solve runs (no rounds charged, no cache slot taken).
 	requestsBefore := svc.Stats().Strategies["gossip"].Requests
 	ok := GraphJSON{N: 2, Arcs: []ArcJSON{{0, 1, 1}}}
-	doJSON(t, srv, http.MethodPut, "/graphs", ok, &put)
-	if resp := doJSON(t, srv, http.MethodGet, "/graphs/"+put.ID+"/dist?strategy=gossip&dst=1", nil, nil); resp.StatusCode != http.StatusBadRequest {
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", ok, &put)
+	if resp := doJSON(t, srv, http.MethodGet, "/v1/graphs/"+put.ID+"/dist?strategy=gossip&dst=1", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dst without src: status %d, want 400", resp.StatusCode)
 	}
-	if resp := doJSON(t, srv, http.MethodGet, "/graphs/"+put.ID+"/dist?strategy=gossip&src=99", nil, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := doJSON(t, srv, http.MethodGet, "/v1/graphs/"+put.ID+"/dist?strategy=gossip&src=99", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("src out of range: status %d, want 400", resp.StatusCode)
 	}
 	if got := svc.Stats().Strategies["gossip"].Requests; got != requestsBefore {

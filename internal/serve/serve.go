@@ -182,13 +182,6 @@ type SolveSpec struct {
 	// silently ignoring it would alias distinct cache entries).
 	Epsilon float64
 	Workers int
-	// Transport selects the congest delivery backend by registered name
-	// ("" = "local"). Like Workers it is execution detail only — backends
-	// are bit-identical in results by contract — so it is excluded from the
-	// cache identity: a request may be served from a result another
-	// transport computed, and the result's Transport echo describes the
-	// execution that actually produced it.
-	Transport string
 	// Faults arms the solve's network(s) with a deterministic fault plan
 	// (zero disables injection). It is part of the cache identity: fault
 	// surcharges change the round trajectory, and under an aggressive plan
@@ -249,10 +242,6 @@ func (s SolveSpec) Validate() error {
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
-	if !congest.ValidTransport(s.Transport) {
-		return fmt.Errorf("%w: unknown transport %q (registered: %s)",
-			ErrInvalidSpec, s.Transport, strings.Join(congest.Transports(), ", "))
 	}
 	return nil
 }
@@ -347,10 +336,10 @@ func New(cfg Config) *Service {
 // deadline.
 func (s *Service) BeginDrain() { s.admit.drain() }
 
-// Readiness is the GET /readyz contract: Ready=false (HTTP 503) while the
+// Readiness is the GET /v1/readyz contract: Ready=false (HTTP 503) while the
 // service is draining for shutdown or its admission queue is saturated —
 // the signal a load balancer uses to stop routing before requests start
-// shedding. Liveness (GET /healthz) is unconditional by contrast: a
+// shedding. Liveness (GET /v1/healthz) is unconditional by contrast: a
 // draining daemon is still alive.
 type Readiness struct {
 	Ready bool `json:"ready"`
@@ -766,7 +755,7 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 				if res != nil && errors.As(err, &fe) {
 					// Retry exhaustion: wrap with the partial telemetry (the
 					// FaultError chain stays reachable for the ladder and the
-					// breaker), and land the fault counters in /metrics.
+					// breaker), and land the fault counters in /v1/metrics.
 					s.stats.faultFailure(name, res)
 					return nil, &FaultExhaustedError{Stages: res.Stages, Rounds: res.Rounds, Faults: res.Metrics.Faults, Err: err}
 				}
@@ -809,7 +798,7 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 			if shared && !isCancelled && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 				// The follower's own deadline cut its wait short. Count it
 				// like any other cancellation so Requests = outcomes in
-				// /metrics; there is no stage telemetry to attach — the
+				// /v1/metrics; there is no stage telemetry to attach — the
 				// leader (whose run it was) may still be going.
 				s.stats.cancelled(name)
 				err = &CancelledError{Err: err}
@@ -856,7 +845,6 @@ func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec Solve
 		Seed:      spec.Seed,
 		Epsilon:   spec.Epsilon,
 		Workers:   workers,
-		Transport: spec.Transport,
 		Workspace: ws,
 		Faults:    spec.Faults,
 	})

@@ -69,26 +69,6 @@ type StrategyStats struct {
 	Stages map[string]StageStats `json:"stages,omitempty"`
 }
 
-// TransportUsage is the per-transport rollup of executed solves: which
-// delivery backend ran, how often, and the traffic it moved. Cache hits and
-// deduplicated requests execute nothing and contribute nothing here.
-type TransportUsage struct {
-	// Solves counts simulator executions on this backend (fault-failed
-	// partial runs included — their traffic was moved).
-	Solves int64 `json:"solves"`
-	// Shards is the largest worker-shard count observed (1 for local).
-	Shards int `json:"shards"`
-	// Deliveries/Messages count communication phases with materialized
-	// payloads and the messages they moved.
-	Deliveries int64 `json:"deliveries"`
-	Messages   int64 `json:"messages"`
-	// IntraShard/CrossShard split Messages by shard locality; Flushes
-	// counts inter-shard batch-buffer flushes. All zero on local.
-	IntraShard int64 `json:"intra_shard"`
-	CrossShard int64 `json:"cross_shard"`
-	Flushes    int64 `json:"flushes"`
-}
-
 // AdmissionStats is the service-level overload accounting: the admission
 // controller's configuration and gauges, plus the cumulative counters of
 // the overload-resilience layer.
@@ -156,8 +136,6 @@ type Stats struct {
 	Admission AdmissionStats `json:"admission"`
 	// Strategies maps strategy name to its accounting.
 	Strategies map[string]StrategyStats `json:"strategies"`
-	// Transports maps delivery-backend name to its execution rollup.
-	Transports map[string]TransportUsage `json:"transports,omitempty"`
 	// Planner is the strategy planner's decision and prediction-error
 	// accounting (nil until the first strategy=auto request).
 	Planner *PlannerStats `json:"planner,omitempty"`
@@ -170,36 +148,10 @@ type statsCollector struct {
 	panics           int64
 	planner          PlannerStats
 	byStrategy       map[string]*StrategyStats
-	byTransport      map[string]*TransportUsage
 }
 
 func newStatsCollector() *statsCollector {
-	return &statsCollector{
-		byStrategy:  make(map[string]*StrategyStats),
-		byTransport: make(map[string]*TransportUsage),
-	}
-}
-
-// addTransport rolls a run's delivery-backend accounting into the
-// per-transport usage map. Caller holds the mutex.
-func (s *statsCollector) addTransport(ts congest.TransportStats) {
-	if ts.Transport == "" {
-		return
-	}
-	u, ok := s.byTransport[ts.Transport]
-	if !ok {
-		u = &TransportUsage{}
-		s.byTransport[ts.Transport] = u
-	}
-	u.Solves++
-	if ts.Shards > u.Shards {
-		u.Shards = ts.Shards
-	}
-	u.Deliveries += ts.Deliveries
-	u.Messages += ts.Messages
-	u.IntraShard += ts.IntraShard
-	u.CrossShard += ts.CrossShard
-	u.Flushes += ts.Flushes
+	return &statsCollector{byStrategy: make(map[string]*StrategyStats)}
 }
 
 func (s *statsCollector) forStrategy(name string) *StrategyStats {
@@ -238,7 +190,6 @@ func (s *statsCollector) solved(name string, res *core.Result, wall time.Duratio
 	st.SolveWallNs += wall.Nanoseconds()
 	st.addFaults(res)
 	st.addStages(res)
-	s.addTransport(res.Transport)
 }
 
 // estimate returns the likely service time of one executed solve of the
@@ -370,7 +321,6 @@ func (s *statsCollector) faultFailure(name string, res *core.Result) {
 	if res != nil {
 		st.RoundsCharged += res.Rounds
 		st.addFaults(res)
-		s.addTransport(res.Transport)
 	}
 }
 
@@ -435,12 +385,6 @@ func (s *statsCollector) snapshot(graphs, cached int) Stats {
 			}
 		}
 		out.Strategies[name] = cp
-	}
-	if len(s.byTransport) > 0 {
-		out.Transports = make(map[string]TransportUsage, len(s.byTransport))
-		for name, u := range s.byTransport {
-			out.Transports[name] = *u
-		}
 	}
 	if s.planner.Decisions > 0 {
 		p := s.planner

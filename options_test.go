@@ -7,7 +7,7 @@ import (
 
 // TestOptionsValidate: the consolidated Options struct accepts and refuses
 // exactly what a solve would — epsilon/strategy consistency, fault-plan
-// sanity, transport names, timeout sign — without running any pipeline.
+// sanity, timeout sign — without running any pipeline.
 func TestOptionsValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -16,11 +16,9 @@ func TestOptionsValidate(t *testing.T) {
 		want string
 	}{
 		{"zero value", Options{}, true, ""},
-		{"exact with transport", Options{Strategy: Gossip, Transport: "sharded"}, true, ""},
 		{"approx with epsilon", Options{Strategy: ApproxQuantum, Epsilon: 0.5}, true, ""},
 		{"approx without epsilon", Options{Strategy: ApproxQuantum}, false, "epsilon"},
 		{"epsilon on exact", Options{Strategy: Gossip, Epsilon: 0.5}, false, "epsilon"},
-		{"unknown transport", Options{Transport: "smoke-signal"}, false, "smoke-signal"},
 		{"bad fault plan", Options{Faults: FaultPlan{DropRate: 1.5}}, false, "DropRate"},
 		{"negative timeout", Options{Timeout: -1}, false, "timeout"},
 	} {
@@ -38,64 +36,46 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestWithOptionsAndTransportEcho: WithOptions overlays a whole
-// configuration, later options still override individual fields, and the
-// result echoes the backend that executed the solve.
-func TestWithOptionsAndTransportEcho(t *testing.T) {
+// TestWithOptionsOverlay: WithOptions overlays a whole configuration,
+// replacing options given before it, while later options still override
+// individual fields; SolveAPSP and Solver both run the overlaid
+// configuration.
+func TestWithOptionsOverlay(t *testing.T) {
+	base := Options{Strategy: Gossip, Preset: ScaledConstants, Seed: 7, Workers: 2}
+	if o := buildOptions([]Option{WithWorkers(5), WithOptions(base), WithSeed(9)}); o.Strategy != Gossip ||
+		o.Preset != ScaledConstants || o.Workers != 2 || o.Seed != 9 {
+		t.Errorf("WithWorkers(5), WithOptions(base), WithSeed(9) = %+v, want base with seed 9", o)
+	}
+	// The zero Options overlay still selects the documented defaults.
+	if o := buildOptions([]Option{WithOptions(Options{})}); o.Strategy != Quantum || o.Preset != PaperConstants {
+		t.Errorf("zero overlay = %+v, want Quantum with PaperConstants", o)
+	}
+
 	g := NewDigraph(6)
 	for i := 0; i < 6; i++ {
 		if err := g.SetArc(i, (i+1)%6, int64(1+i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	base := Options{Strategy: Gossip, Preset: ScaledConstants, Seed: 7, Transport: "sharded", Workers: 2}
 	res, err := SolveAPSP(g, WithOptions(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != Gossip || res.Transport != "sharded" {
-		t.Errorf("solve ran strategy=%v transport=%q, want gossip on sharded", res.Strategy, res.Transport)
-	}
-
-	// A later option overrides one field of the overlay; results stay
-	// bit-identical across backends.
-	local, err := SolveAPSP(g, WithOptions(base), WithTransport(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Transport != "local" {
-		t.Errorf("override solve ran on %q, want local", local.Transport)
-	}
-	if local.Rounds != res.Rounds {
-		t.Errorf("rounds differ across transports: local %d, sharded %d", local.Rounds, res.Rounds)
-	}
-	for i := range res.Dist {
-		for j := range res.Dist[i] {
-			if res.Dist[i][j] != local.Dist[i][j] {
-				t.Fatalf("dist[%d][%d] differs across transports: %d vs %d", i, j, res.Dist[i][j], local.Dist[i][j])
-			}
-		}
-	}
-
-	// The zero Options overlay still selects the documented defaults.
-	if _, err := SolveAPSP(g, WithOptions(Options{Preset: ScaledConstants, Strategy: Gossip})); err != nil {
-		t.Fatal(err)
+	if res.Strategy != Gossip {
+		t.Errorf("solve ran strategy %v, want gossip", res.Strategy)
 	}
 
 	// An invalid configuration fails before any pipeline runs.
-	if _, err := SolveAPSP(g, WithTransport("smoke-signal")); err == nil ||
-		!strings.Contains(err.Error(), "smoke-signal") {
-		t.Errorf("unknown transport: err = %v, want a naming rejection", err)
+	if _, err := SolveAPSP(g, WithOptions(base), WithEpsilon(0.5)); err == nil ||
+		!strings.Contains(err.Error(), "epsilon") {
+		t.Errorf("epsilon on gossip: err = %v, want a rejection naming epsilon", err)
 	}
 
-	// Solver methods honor the transport option and echo it.
-	solver := NewSolver(WithOptions(Options{Strategy: Gossip, Preset: ScaledConstants, Transport: "sharded"}))
-	sres, err := solver.Solve(g)
+	sres, err := NewSolver(WithOptions(base)).Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sres.Transport != "sharded" {
-		t.Errorf("solver solve echoed transport %q, want sharded", sres.Transport)
+	if sres.Strategy != Gossip || sres.Rounds != res.Rounds {
+		t.Errorf("solver ran %v in %d rounds, want gossip in %d", sres.Strategy, sres.Rounds, res.Rounds)
 	}
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // productFor dispatches a distance product to the solver selected by the
-// options.
+// options; DistanceProduct has already rejected strategies without one.
 func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
 	if o.Strategy == Gossip {
-		net, err := congest.NewNetwork(maxInt(a.N(), 1),
-			congest.WithTransport(o.Transport), congest.WithTransportShards(o.Workers))
+		net, err := congest.NewNetwork(maxInt(a.N(), 1))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -19,7 +18,6 @@ func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		defer net.Close()
 		return c, net.Rounds(), nil
 	}
 	solver := distprod.SolverQuantum

@@ -290,10 +290,6 @@ type Options struct {
 	OverloadDegrade bool
 	// Timeout bounds the wall-clock time of a solve (0 = no deadline).
 	Timeout time.Duration
-	// Transport selects the congest delivery backend by registered name
-	// ("" = "local"). Backends are bit-identical in results by contract;
-	// the choice only moves host-side execution.
-	Transport string
 	// Faults arms the solve with a deterministic fault-injection plan
 	// (zero disables injection).
 	Faults FaultPlan
@@ -304,10 +300,9 @@ type Options struct {
 
 // Validate rejects configurations no solve can run: an epsilon that
 // disagrees with the strategy class (or falls outside the supported
-// domain), a malformed fault plan, an unknown transport, or a negative
-// timeout. It shares the serving layer's validation, so the library, the
-// Solver, and the HTTP daemon accept and refuse exactly the same
-// configurations.
+// domain), a malformed fault plan, or a negative timeout. It shares the
+// serving layer's validation, so the library, the Solver, and the HTTP
+// daemon accept and refuse exactly the same configurations.
 func (o Options) Validate() error {
 	if o.Timeout < 0 {
 		return fmt.Errorf("qclique: negative timeout %v", o.Timeout)
@@ -372,10 +367,9 @@ func WithEpsilon(eps float64) Option {
 
 // WithWorkers bounds the host-side parallelism used for node-local phases
 // of the simulation (oracle evaluation, Grover state-vector updates, local
-// min-plus work) and, on the sharded transport, its worker-shard count.
-// The default (0) uses GOMAXPROCS. Results — distances and simulated round
-// counts — are identical for every worker count; only wall-clock time
-// changes.
+// min-plus work). The default (0) uses GOMAXPROCS. Results — distances and
+// simulated round counts — are identical for every worker count; only
+// wall-clock time changes.
 func WithWorkers(n int) Option {
 	return func(o *Options) { o.Workers = n }
 }
@@ -426,16 +420,6 @@ func WithOverloadDegrade(on bool) Option {
 // deadline is the earlier of the two.
 func WithTimeout(d time.Duration) Option {
 	return func(o *Options) { o.Timeout = d }
-}
-
-// WithTransport selects the congest delivery backend by registered name
-// ("local" — the single-goroutine reference — or "sharded", which
-// partitions nodes across worker shards; the empty string keeps the
-// default "local"). Backends are bit-identical in distances, rounds, and
-// fault schedules by contract, so the choice only moves host-side
-// execution; unknown names fail the solve before any pipeline runs.
-func WithTransport(name string) Option {
-	return func(o *Options) { o.Transport = name }
 }
 
 // solveCtx applies the timeout option onto the caller's context.
@@ -535,11 +519,6 @@ type APSPResult struct {
 	FindEdgesCalls int
 	// Strategy records which pipeline ran.
 	Strategy Strategy
-	// Transport names the delivery backend that executed the solve ("local",
-	// "sharded"). For cached results this echoes the original execution's
-	// backend — transport choice is excluded from the cache identity because
-	// backends are bit-identical in results.
-	Transport string
 	// Cached reports whether this result was served from a Solver cache
 	// (or deduplicated onto a concurrent identical solve) instead of
 	// running the simulator; cached results charge zero new rounds.
@@ -662,13 +641,12 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 	ctx, cancel := o.solveCtx(ctx)
 	defer cancel()
 	res, err := core.SolveContext(ctx, g.g, core.Config{
-		Strategy:  o.Strategy.toCore(),
-		Params:    o.params(),
-		Seed:      o.Seed,
-		Epsilon:   o.Epsilon,
-		Workers:   o.Workers,
-		Transport: o.Transport,
-		Faults:    o.Faults.toCore(),
+		Strategy: o.Strategy.toCore(),
+		Params:   o.params(),
+		Seed:     o.Seed,
+		Epsilon:  o.Epsilon,
+		Workers:  o.Workers,
+		Faults:   o.Faults.toCore(),
 	})
 	if err != nil {
 		var fe *congest.FaultError
@@ -688,7 +666,6 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 		Products:          res.Products,
 		FindEdgesCalls:    res.FindEdgesCalls,
 		Strategy:          o.Strategy,
-		Transport:         res.Transport.Transport,
 		Epsilon:           res.Epsilon,
 		GuaranteedStretch: res.GuaranteedStretch,
 		ObservedStretch:   res.ObservedStretch,
@@ -719,7 +696,8 @@ type TriangleReport struct {
 // dolev drives its own listing; gossip has no triangle machinery (the
 // dispatch would silently fall back to Dolev listing) and the approximate
 // strategies are APSP-only. A new pipeline with a FindEdges role extends
-// both together.
+// both together, and productFor with them: DistanceProduct accepts exactly
+// these strategies plus Gossip.
 func findEdgesRole(s Strategy) bool {
 	switch s {
 	case Quantum, ClassicalSearch, DolevListing:
@@ -786,16 +764,25 @@ func FindNegativeTriangleEdges(g *Graph, opts ...Option) (*TriangleReport, error
 type ProductResult struct {
 	// C[i][j] = min_k (A[i][k] + B[k][j]); Inf marks "no path".
 	C [][]int64
-	// Rounds is the simulated CONGEST-CLIQUE round count (0 when the
-	// reference implementation is selected via Gossip strategy... see doc).
+	// Rounds is the simulated CONGEST-CLIQUE round count: that of the
+	// Proposition 2 reduction, or n for Gossip's one full broadcast.
 	Rounds int64
 }
 
 // DistanceProduct computes the min-plus product of two n×n matrices given
 // as row-major slices; use Inf for "no entry". The strategy option selects
 // the FindEdges solver of the Proposition 2 reduction (Gossip selects the
-// naive broadcast product).
+// naive broadcast product). The product is exact, so strategies without a
+// FindEdges role other than Gossip, and any epsilon, are rejected rather
+// than silently substituted.
 func DistanceProduct(a, b [][]int64, opts ...Option) (*ProductResult, error) {
+	o := buildOptions(opts)
+	if o.Strategy != Gossip && !findEdgesRole(o.Strategy) {
+		return nil, fmt.Errorf("qclique: strategy %v has no distance-product solver (see StrategyInfo.FindEdges)", o.Strategy)
+	}
+	if o.Epsilon != 0 {
+		return nil, fmt.Errorf("qclique: epsilon %v is not meaningful for DistanceProduct", o.Epsilon)
+	}
 	ma, err := matrix.FromRows(a)
 	if err != nil {
 		return nil, fmt.Errorf("qclique: matrix A: %w", err)
@@ -804,7 +791,6 @@ func DistanceProduct(a, b [][]int64, opts ...Option) (*ProductResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qclique: matrix B: %w", err)
 	}
-	o := buildOptions(opts)
 	c, rounds, err := productFor(ma, mb, o)
 	if err != nil {
 		return nil, err

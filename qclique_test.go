@@ -3,6 +3,7 @@ package qclique
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"qclique/internal/graph"
@@ -187,6 +188,34 @@ func TestDistanceProductPublic(t *testing.T) {
 	}
 	if _, err := DistanceProduct([][]int64{{0, 1}}, a); err == nil {
 		t.Error("ragged matrix must fail")
+	}
+}
+
+// TestDistanceProductRejectsUnsupported: the product is exact and runs on a
+// FindEdges solver or Gossip, so any other strategy, and any epsilon, is
+// refused instead of silently running the exact quantum product.
+func TestDistanceProductRejectsUnsupported(t *testing.T) {
+	a := [][]int64{
+		{0, 2, Inf},
+		{Inf, 0, -1},
+		{4, Inf, 0},
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"approx-skeleton with epsilon", []Option{WithStrategy(ApproxSkeleton), WithEpsilon(0.5)}, ApproxSkeleton.String()},
+		{"approx-quantum", []Option{WithStrategy(ApproxQuantum)}, ApproxQuantum.String()},
+		{"planner", []Option{WithPlanner()}, StrategyAuto.String()},
+		{"quantum with epsilon", []Option{WithStrategy(Quantum), WithEpsilon(0.5)}, "epsilon"},
+	} {
+		res, err := DistanceProduct(a, a, tc.opts...)
+		if err == nil {
+			t.Errorf("%s: accepted, ran %d rounds", tc.name, res.Rounds)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

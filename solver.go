@@ -57,14 +57,13 @@ func (s *Solver) merged(opts []Option) Options {
 func (o Options) spec() serve.SolveSpec {
 	o.normalize()
 	return serve.SolveSpec{
-		Strategy:  o.Strategy.toCore(),
-		Preset:    o.Preset.servePreset(),
-		Seed:      o.Seed,
-		Epsilon:   o.Epsilon,
-		Workers:   o.Workers,
-		Transport: o.Transport,
-		Faults:    o.Faults.toCore(),
-		Degrade:   o.Degrade,
+		Strategy: o.Strategy.toCore(),
+		Preset:   o.Preset.servePreset(),
+		Seed:     o.Seed,
+		Epsilon:  o.Epsilon,
+		Workers:  o.Workers,
+		Faults:   o.Faults.toCore(),
+		Degrade:  o.Degrade,
 	}
 }
 
@@ -85,7 +84,6 @@ func resultFromServe(sr *serve.SolveResult, strategy Strategy) *APSPResult {
 		Products:          sr.Res.Products,
 		FindEdgesCalls:    sr.Res.FindEdgesCalls,
 		Strategy:          strategy,
-		Transport:         sr.Res.Transport.Transport,
 		Cached:            sr.Cached,
 		Epsilon:           sr.Res.Epsilon,
 		GuaranteedStretch: sr.Res.GuaranteedStretch,
