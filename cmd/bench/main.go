@@ -601,7 +601,7 @@ func runFaultMode(label, out string) error {
 	params := triangles.BenchParams()
 	const eps = 0.5
 	type sc struct {
-		strategy core.Strategy
+		strategy string
 		epsilon  float64
 		build    func(n int) (*graph.Digraph, error)
 	}

@@ -53,7 +53,7 @@ func run(args []string) error {
 					role = fmt.Sprintf("apsp-only (stretch %g+ε)", si.Guarantee(0))
 				}
 			}
-			fmt.Printf("  %-18s %s\n", si.Name, role)
+			fmt.Printf("  %-18s %s\n", si.Strategy, role)
 		}
 		return nil
 	}

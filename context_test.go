@@ -114,21 +114,35 @@ func TestAPSPResultStagesSumToRounds(t *testing.T) {
 	}
 }
 
-// TestStrategiesEnumeration pins the public registry surface.
+// TestStrategiesEnumeration pins the public registry surface, and that an
+// alias is canonicalized once: it parses to its strategy's name, and a
+// solve naming it shares that strategy's cache entry and stats key and
+// echoes the canonical name.
 func TestStrategiesEnumeration(t *testing.T) {
 	infos := qclique.Strategies()
 	if len(infos) < 6 {
 		t.Fatalf("Strategies() = %d entries, want at least the 6 built-ins", len(infos))
 	}
-	byName := map[string]qclique.StrategyInfo{}
+	byName := map[qclique.Strategy]qclique.StrategyInfo{}
 	for _, si := range infos {
-		byName[si.Name] = si
+		byName[si.Strategy] = si
 	}
-	if si, ok := byName["approx-skeleton"]; !ok || !si.Approximate || si.Guarantee(0.5) != 2.5 {
+	if si, ok := byName[qclique.ApproxSkeleton]; !ok || !si.Approximate || si.Guarantee(0.5) != 2.5 {
 		t.Fatalf("approx-skeleton info wrong: %+v", si)
 	}
-	if si, ok := byName["quantum"]; !ok || si.Approximate || si.Guarantee(0) != 1 {
+	if si, ok := byName[qclique.Quantum]; !ok || si.Approximate || si.Guarantee(0) != 1 {
 		t.Fatalf("quantum info wrong: %+v", si)
+	}
+	// A weight-symmetric nonnegative ring, so every strategy accepts it.
+	g := qclique.NewDigraph(6)
+	for i := 0; i < 6; i++ {
+		w := int64(1 + i%3)
+		if err := g.SetArc(i, (i+1)%6, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetArc((i+1)%6, i, w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for alias, want := range map[string]qclique.Strategy{
 		"classical":     qclique.ClassicalSearch,
@@ -143,6 +157,28 @@ func TestStrategiesEnumeration(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("ParseStrategy(%q) = %v, want %v", alias, got, want)
+		}
+		var eps []qclique.Option
+		if byName[want].Approximate {
+			eps = []qclique.Option{qclique.WithEpsilon(0.5)}
+		}
+		s := qclique.NewSolver(append(eps, qclique.WithParams(qclique.ScaledConstants))...)
+		byAlias, err := s.Solve(g, qclique.WithStrategy(qclique.Strategy(alias)))
+		if err != nil {
+			t.Fatalf("solve via %q: %v", alias, err)
+		}
+		byConst, err := s.Solve(g, qclique.WithStrategy(want))
+		if err != nil {
+			t.Fatalf("solve via %q: %v", want, err)
+		}
+		if byAlias.Strategy != want || byConst.Strategy != want {
+			t.Errorf("%q: echoed %q and %q, want %q", alias, byAlias.Strategy, byConst.Strategy, want)
+		}
+		if !byConst.Cached {
+			t.Errorf("%q: the canonical solve missed the alias's cache entry", alias)
+		}
+		if st := s.Stats().Strategies; len(st) != 1 || st[string(want)].Requests != 2 {
+			t.Errorf("%q: stats = %+v, want both requests under %q", alias, st, want)
 		}
 	}
 	if _, err := qclique.ParseStrategy("warp-drive"); err == nil {

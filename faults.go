@@ -25,86 +25,14 @@ import (
 // surcharge the simulated round/word accounting with the retransmission
 // traffic. Unrecovered faults — payload corruption and node crashes — fail
 // the pipeline stage they land in, which the engine retries within the
-// strategy's budget (see the Resilience section of the README).
-type FaultPlan struct {
-	// Seed drives the fault schedule (independent of the protocol seed).
-	Seed uint64
-	// DropRate is the per-phase probability (0..1) that a link loses its
-	// message and retransmits.
-	DropRate float64
-	// DupRate is the per-phase probability that a link delivers a
-	// duplicate, which the transport suppresses.
-	DupRate float64
-	// DelayRate is the per-phase probability that a link's delivery is
-	// late; MaxDelayRounds bounds the lateness (default 1).
-	DelayRate      float64
-	MaxDelayRounds int
-	// CorruptRate is the per-phase probability of an unrecoverable payload
-	// corruption, failing the stage.
-	CorruptRate float64
-	// CrashRate is the per-phase probability a node crashes at the phase
-	// boundary, staying down for CrashDownPhases phases (default 1) before
-	// restarting.
-	CrashRate       float64
-	CrashDownPhases int
-	// MaxFaults, when > 0, caps the total number of unrecovered faults
-	// (corruptions + crashes) injected — a transient-outage budget after
-	// which the plan only injects recovered faults.
-	MaxFaults int
-}
+// strategy's budget (see the Resilience section of the README). Enabled
+// reports whether a plan injects anything; Validate rejects rates outside
+// [0, 1] and negative bounds, as Options.Validate does.
+type FaultPlan = congest.FaultPlan
 
-func (p FaultPlan) toCore() congest.FaultPlan {
-	return congest.FaultPlan{
-		Seed:            p.Seed,
-		DropRate:        p.DropRate,
-		DupRate:         p.DupRate,
-		DelayRate:       p.DelayRate,
-		MaxDelayRounds:  p.MaxDelayRounds,
-		CorruptRate:     p.CorruptRate,
-		CrashRate:       p.CrashRate,
-		CrashDownPhases: p.CrashDownPhases,
-		MaxFaults:       p.MaxFaults,
-	}
-}
-
-// FaultCounters tallies the faults a solve's transport injected.
-type FaultCounters struct {
-	// Dropped, Duplicated and Delayed count recovered link faults.
-	Dropped    int64
-	Duplicated int64
-	Delayed    int64
-	// Corrupted and Crashes count unrecovered faults; Restarts counts
-	// crashed nodes coming back up.
-	Corrupted int64
-	Crashes   int64
-	Restarts  int64
-	// RetransmitRounds and DelayRounds are the extra simulated rounds the
-	// recovered faults charged.
-	RetransmitRounds int64
-	DelayRounds      int64
-	// FailedPhases counts communication phases that failed outright
-	// (corruption, or a message addressed to a crashed node).
-	FailedPhases int64
-}
-
-// Injected reports the total number of injected fault events.
-func (c FaultCounters) Injected() int64 {
-	return c.Dropped + c.Duplicated + c.Delayed + c.Corrupted + c.Crashes
-}
-
-func countersFromCore(c congest.FaultCounters) FaultCounters {
-	return FaultCounters{
-		Dropped:          c.Dropped,
-		Duplicated:       c.Duplicated,
-		Delayed:          c.Delayed,
-		Corrupted:        c.Corrupted,
-		Crashes:          c.Crashes,
-		Restarts:         c.Restarts,
-		RetransmitRounds: c.RetransmitRounds,
-		DelayRounds:      c.DelayRounds,
-		FailedPhases:     c.FailedPhases,
-	}
-}
+// FaultCounters tallies the faults a solve's network injected and the
+// extra rounds their recovery charged; Injected totals the fault events.
+type FaultCounters = congest.FaultCounters
 
 // WithFaultPlan arms the solve's simulated network with a deterministic
 // fault schedule. The plan is part of a result's identity: a Solver caches
@@ -185,15 +113,11 @@ func mapServeErr(err error) error {
 	}
 	var fx *serve.FaultExhaustedError
 	if errors.As(err, &fx) {
-		return &FaultExhaustedError{Faults: countersFromCore(fx.Faults), err: err}
+		return &FaultExhaustedError{Faults: fx.Faults, err: err}
 	}
 	var be *serve.BreakerOpenError
 	if errors.As(err, &be) {
-		s, serr := ParseStrategy(be.Strategy)
-		if serr != nil {
-			s = Quantum
-		}
-		return &BreakerOpenError{Strategy: s, RetryAfter: be.RetryAfter}
+		return &BreakerOpenError{Strategy: Strategy(be.Strategy), RetryAfter: be.RetryAfter}
 	}
 	return err
 }

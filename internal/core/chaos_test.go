@@ -17,7 +17,7 @@ import (
 // chaosInput builds the densest input class a strategy accepts: negative
 // weights for the exact pipelines, nonnegative for the (1+ε) chain,
 // symmetric nonnegative for the skeleton.
-func chaosInput(t *testing.T, s Strategy, n int, seed uint64) *graph.Digraph {
+func chaosInput(t *testing.T, s string, n int, seed uint64) *graph.Digraph {
 	t.Helper()
 	rng := xrand.New(seed)
 	var (
@@ -29,7 +29,7 @@ func chaosInput(t *testing.T, s Strategy, n int, seed uint64) *graph.Digraph {
 		g, err = graph.RandomSymmetricDigraph(n, graph.DigraphOpts{
 			ArcProb: 0.3, MinWeight: 1, MaxWeight: 20,
 		}, rng)
-	case s.IsApproximate():
+	case s == StrategyApproxQuantum:
 		g, err = graph.RandomDigraph(n, graph.DigraphOpts{
 			ArcProb: 0.4, MinWeight: 0, MaxWeight: 14,
 		}, rng)
@@ -44,10 +44,10 @@ func chaosInput(t *testing.T, s Strategy, n int, seed uint64) *graph.Digraph {
 	return g
 }
 
-func chaosConfig(s Strategy) Config {
+func chaosConfig(s string) Config {
 	p := triangles.BenchParams()
 	cfg := Config{Strategy: s, Params: &p, Seed: 5}
-	if s.IsApproximate() {
+	if s == StrategyApproxQuantum || s == StrategyApproxSkeleton {
 		cfg.Epsilon = 0.5
 	}
 	return cfg
@@ -61,7 +61,7 @@ func TestChaosDeterminism(t *testing.T) {
 		Seed: 42, DropRate: 0.2, DupRate: 0.1, DelayRate: 0.1, MaxDelayRounds: 2,
 		CorruptRate: 0.05, CrashRate: 0.02, CrashDownPhases: 1, MaxFaults: 1,
 	}
-	for _, s := range []Strategy{StrategyQuantum, StrategyApproxQuantum, StrategyApproxSkeleton} {
+	for _, s := range []string{StrategyQuantum, StrategyApproxQuantum, StrategyApproxSkeleton} {
 		for _, n := range []int{8, 16} {
 			g := chaosInput(t, s, n, uint64(n))
 			cfg := chaosConfig(s)
@@ -94,7 +94,7 @@ func TestChaosDeterminism(t *testing.T) {
 // plan is free — rounds, words and distances match the unarmed solve for
 // every registered strategy.
 func TestZeroPlanKeepsSolvesBitIdentical(t *testing.T) {
-	for _, s := range []Strategy{
+	for _, s := range []string{
 		StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum,
 		StrategyApproxQuantum, StrategyApproxSkeleton,
 	} {
@@ -134,7 +134,7 @@ func TestChaosConvergenceAllStrategies(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{8, 16}
 	}
-	for _, s := range []Strategy{
+	for _, s := range []string{
 		StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum,
 		StrategyApproxQuantum, StrategyApproxSkeleton,
 	} {

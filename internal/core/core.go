@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"qclique/internal/approx"
 	"qclique/internal/congest"
@@ -23,86 +24,51 @@ import (
 	"qclique/internal/triangles"
 )
 
-// Strategy selects the APSP pipeline.
-type Strategy int
-
+// Canonical registry names of the built-in pipelines. A strategy's only
+// identity is its engine registry name: Config.Strategy, Result.Strategy,
+// the serving layer's specs and the public qclique.Strategy all carry it.
 const (
 	// StrategyQuantum is the paper's Õ(n^{1/4}·log W) pipeline (Theorem 1).
-	StrategyQuantum Strategy = iota + 1
+	StrategyQuantum = "quantum"
 	// StrategyClassicalSearch is the same pipeline with the classical
 	// O(√n) Step 3 scan: Õ(√n·log W) rounds.
-	StrategyClassicalSearch
+	StrategyClassicalSearch = "classical-search"
 	// StrategyDolev drives the reductions with Dolev–Lenzen–Peled triangle
 	// listing: Õ(n^{1/3}·log W) rounds, the Censor-Hillel et al.
 	// complexity (the classical state of the art the paper cites).
-	StrategyDolev
+	StrategyDolev = "dolev"
 	// StrategyGossip is the naive baseline: every node broadcasts its row
 	// (O(n) rounds) and solves locally.
-	StrategyGossip
+	StrategyGossip = "gossip"
 	// StrategyApproxQuantum is the (1+ε)-approximate squaring chain: the
 	// quantum pipeline with every distance product snapped onto a geometric
 	// value ladder, cutting the per-product binary-search depth from
 	// ⌈log₂(4M+2)⌉ to ⌈log₂(ladder length)⌉ FindEdges calls. Requires
-	// nonnegative weights and Config.Epsilon > 0.
-	StrategyApproxQuantum
+	// nonnegative weights and Config.Epsilon > 0. Registered by package
+	// approx.
+	StrategyApproxQuantum = "approx-quantum"
 	// StrategyApproxSkeleton is the (2+ε) skeleton strategy in the spirit
 	// of Censor-Hillel et al. (arXiv:1903.05956): exact k-nearest balls, a
 	// sampled-and-patched skeleton solved on the (1+ε/2) ladder, estimates
 	// combined through skeleton hubs. Requires a weight-symmetric
-	// nonnegative graph and Config.Epsilon > 0.
-	StrategyApproxSkeleton
+	// nonnegative graph and Config.Epsilon > 0. Registered by package
+	// approx.
+	StrategyApproxSkeleton = "approx-skeleton"
 	// StrategyAuto defers the pipeline choice to the serving layer's
 	// planner, which resolves it to a concrete registered strategy before
 	// any pipeline runs. It is a request-level sentinel, not a pipeline:
-	// it has no registry entry, AllStrategies excludes it, and Solve
-	// rejects it unresolved.
-	StrategyAuto
+	// it has no registry entry, and Solve rejects it unresolved.
+	StrategyAuto = "auto"
 )
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyQuantum:
-		return "quantum"
-	case StrategyClassicalSearch:
-		return "classical-search"
-	case StrategyDolev:
-		return "dolev"
-	case StrategyGossip:
-		return "gossip"
-	case StrategyApproxQuantum:
-		return "approx-quantum"
-	case StrategyApproxSkeleton:
-		return "approx-skeleton"
-	case StrategyAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// IsApproximate reports whether the strategy trades exactness for rounds
-// (and therefore requires Config.Epsilon > 0). The registered pipeline is
-// the source of truth; enum values without a registered pipeline are
-// treated as exact (Solve rejects them anyway).
-func (s Strategy) IsApproximate() bool {
-	if st, ok := engine.Lookup(s.String()); ok {
-		return st.Approximate()
-	}
-	return false
-}
-
-// Pipeline returns the registered engine strategy backing this enum value.
-func (s Strategy) Pipeline() (engine.Strategy, bool) {
-	return engine.Lookup(s.String())
-}
 
 // ErrNegativeCycle mirrors graph.ErrNegativeCycle at the solver level.
 var ErrNegativeCycle = graph.ErrNegativeCycle
 
 // Config configures an APSP solve.
 type Config struct {
-	// Strategy selects the pipeline; the zero value is StrategyQuantum.
-	Strategy Strategy
+	// Strategy names the pipeline by registry name or alias; empty selects
+	// StrategyQuantum.
+	Strategy string
 	// Params forwards protocol constants (nil = paper constants).
 	Params *triangles.Params
 	// Seed drives all protocol randomness.
@@ -160,8 +126,8 @@ func NewWorkspace() *Workspace {
 	return &Workspace{dp: distprod.NewWorkspace()}
 }
 
-func (c Config) strategy() Strategy {
-	if c.Strategy == 0 {
+func (c Config) strategy() string {
+	if c.Strategy == "" {
 		return StrategyQuantum
 	}
 	return c.Strategy
@@ -182,8 +148,8 @@ type Result struct {
 	// FindEdgesCalls is the total number of FindEdges invocations across
 	// all products (Proposition 2: O(log M) each).
 	FindEdgesCalls int
-	// Strategy records which pipeline ran.
-	Strategy Strategy
+	// Strategy is the canonical registry name of the pipeline that ran.
+	Strategy string
 	// W is the input weight bound observed.
 	W int64
 	// Epsilon echoes Config.Epsilon (0 for exact strategies).
@@ -227,20 +193,20 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 	if g == nil {
 		return nil, errors.New("core: nil graph")
 	}
-	strat, registered := cfg.strategy().Pipeline()
+	strat, registered := engine.Lookup(cfg.strategy())
 	if !registered {
-		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
+		return nil, fmt.Errorf("core: unknown strategy %q (registered: %s)", cfg.Strategy, strings.Join(engine.Names(), ", "))
 	}
 	if strat.Approximate() {
 		if !approx.ValidEpsilon(cfg.Epsilon) {
-			return nil, fmt.Errorf("core: strategy %v: %w (got %v)", cfg.strategy(), approx.ErrBadEpsilon, cfg.Epsilon)
+			return nil, fmt.Errorf("core: strategy %s: %w (got %v)", strat.Name(), approx.ErrBadEpsilon, cfg.Epsilon)
 		}
 	} else if cfg.Epsilon != 0 {
-		return nil, fmt.Errorf("core: Epsilon is only valid for approximate strategies (got %v with %v)", cfg.Epsilon, cfg.strategy())
+		return nil, fmt.Errorf("core: Epsilon is only valid for approximate strategies (got %v with %s)", cfg.Epsilon, strat.Name())
 	}
 	n := g.N()
 	res := &Result{
-		Strategy:          cfg.strategy(),
+		Strategy:          strat.Name(),
 		W:                 g.MaxAbsWeight(),
 		Epsilon:           cfg.Epsilon,
 		GuaranteedStretch: strat.Guarantee(cfg.Epsilon),

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
+	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
@@ -39,12 +42,12 @@ func checkDistances(t *testing.T, g *graph.Digraph, res *Result, label string) {
 
 func TestSolveAllStrategiesExact(t *testing.T) {
 	g := randomAPSPInput(t, 16, 1)
-	for _, s := range []Strategy{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
+	for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
 		res, err := Solve(g, Config{Strategy: s, Seed: 7})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		checkDistances(t, g, res, s.String())
+		checkDistances(t, g, res, s)
 		if res.Strategy != s {
 			t.Errorf("strategy echo = %v", res.Strategy)
 		}
@@ -95,7 +98,7 @@ func TestSolveNegativeCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, s := range []Strategy{StrategyGossip, StrategyDolev} {
+	for _, s := range []string{StrategyGossip, StrategyDolev} {
 		res, err := Solve(g, Config{Strategy: s, Seed: 2})
 		if !errors.Is(err, ErrNegativeCycle) {
 			t.Errorf("%v: err = %v, want ErrNegativeCycle", s, err)
@@ -172,21 +175,35 @@ func TestSolveScaledParams(t *testing.T) {
 }
 
 func TestSolveUnknownStrategy(t *testing.T) {
-	if _, err := Solve(graph.NewDigraph(2), Config{Strategy: Strategy(99)}); err == nil {
-		t.Error("unknown strategy must fail")
+	_, err := Solve(graph.NewDigraph(2), Config{Strategy: "warp-drive"})
+	if err == nil || !strings.Contains(err.Error(), "registered: approx-quantum") {
+		t.Errorf("err = %v, want a rejection listing the registered strategies", err)
 	}
 }
 
+// TestStrategyStrings pins the name constants to the registry: each is the
+// canonical name of a registered pipeline of the right accuracy class, the
+// registry holds exactly these six, and StrategyAuto is no pipeline.
 func TestStrategyStrings(t *testing.T) {
-	for s, want := range map[Strategy]string{
-		StrategyQuantum:         "quantum",
-		StrategyClassicalSearch: "classical-search",
-		StrategyDolev:           "dolev",
-		StrategyGossip:          "gossip",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
+	names := []string{
+		StrategyApproxQuantum, StrategyApproxSkeleton, StrategyClassicalSearch,
+		StrategyDolev, StrategyGossip, StrategyQuantum,
+	}
+	for _, name := range names {
+		st, ok := engine.Lookup(name)
+		if !ok || st.Name() != name {
+			t.Errorf("%q does not resolve to a pipeline of that name", name)
+			continue
 		}
+		if st.Approximate() != (name == StrategyApproxQuantum || name == StrategyApproxSkeleton) {
+			t.Errorf("%q approximate flag mismatch", name)
+		}
+	}
+	if got := engine.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("registry names = %v, want %v", got, names)
+	}
+	if _, ok := engine.Lookup(StrategyAuto); ok {
+		t.Errorf("%q must not be a registered pipeline", StrategyAuto)
 	}
 }
 

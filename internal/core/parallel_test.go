@@ -13,7 +13,7 @@ import (
 // parallel worker pool must produce bit-identical distances and round
 // counts to the serial run.
 func TestParallelWorkersDeterministic(t *testing.T) {
-	for _, strat := range []Strategy{StrategyQuantum, StrategyClassicalSearch, StrategyDolev, StrategyGossip} {
+	for _, strat := range []string{StrategyQuantum, StrategyClassicalSearch, StrategyDolev, StrategyGossip} {
 		for _, n := range []int{5, 9} {
 			g := randomAPSPInput(t, n, uint64(n))
 			params := triangles.BenchParams()

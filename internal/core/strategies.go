@@ -35,35 +35,23 @@ var (
 )
 
 func init() {
-	engine.Register(&searchPipeline{name: "quantum", solver: distprod.SolverQuantum})
-	engine.Register(&searchPipeline{name: "classical-search", solver: distprod.SolverClassicalScan}, "classical")
-	engine.Register(&searchPipeline{name: "dolev", solver: distprod.SolverDolev}, "dolev-listing")
+	engine.Register(&searchPipeline{name: StrategyQuantum, solver: distprod.SolverQuantum})
+	engine.Register(&searchPipeline{name: StrategyClassicalSearch, solver: distprod.SolverClassicalScan}, "classical")
+	engine.Register(&searchPipeline{name: StrategyDolev, solver: distprod.SolverDolev}, "dolev-listing")
 	engine.Register(gossipPipeline{})
 }
 
-// strategyNames maps canonical registry names back to the Strategy enum —
-// built by enumeration so a new enum value cannot silently miss the map.
-var strategyNames = func() map[string]Strategy {
-	m := make(map[string]Strategy)
-	for _, s := range AllStrategies() {
-		m[s.String()] = s
+// FindEdgesSolver returns the FindEdges solver driving the distance
+// products of the named search pipeline (a registry name or alias). ok is
+// false for gossip, the approximate strategies and unregistered names:
+// only the search pipelines have a FindEdges role of their own.
+func FindEdgesSolver(name string) (distprod.Solver, bool) {
+	st, _ := engine.Lookup(name)
+	p, ok := st.(*searchPipeline)
+	if !ok {
+		return 0, false
 	}
-	return m
-}()
-
-// AllStrategies lists every Strategy enum value.
-func AllStrategies() []Strategy {
-	return []Strategy{
-		StrategyQuantum, StrategyClassicalSearch, StrategyDolev, StrategyGossip,
-		StrategyApproxQuantum, StrategyApproxSkeleton,
-	}
-}
-
-// StrategyByName resolves a canonical registry name (a Strategy's String
-// form) back to its enum value.
-func StrategyByName(name string) (Strategy, bool) {
-	s, ok := strategyNames[name]
-	return s, ok
+	return p.solver, true
 }
 
 // searchPipeline is the FindEdges-driven exact pipeline (Theorem 1 and its
@@ -94,9 +82,9 @@ type costAnchor struct {
 // Õ(n^{1/4}) per product) — coarse priors the planner corrects with live
 // telemetry after the first solve.
 var searchAnchors = map[string]costAnchor{
-	"quantum":          {n: 64, prior: engine.CostPrior{Rounds: 615_866, WallNs: 2_240_000_000}, roundsExp: 1.5, wallExp: 3.2},
-	"classical-search": {n: 64, prior: engine.CostPrior{Rounds: 1_400_000, WallNs: 4_000_000_000}, roundsExp: 1.6, wallExp: 3.2},
-	"dolev":            {n: 64, prior: engine.CostPrior{Rounds: 900_000, WallNs: 3_000_000_000}, roundsExp: 1.55, wallExp: 3.2},
+	StrategyQuantum:         {n: 64, prior: engine.CostPrior{Rounds: 615_866, WallNs: 2_240_000_000}, roundsExp: 1.5, wallExp: 3.2},
+	StrategyClassicalSearch: {n: 64, prior: engine.CostPrior{Rounds: 1_400_000, WallNs: 4_000_000_000}, roundsExp: 1.6, wallExp: 3.2},
+	StrategyDolev:           {n: 64, prior: engine.CostPrior{Rounds: 900_000, WallNs: 3_000_000_000}, roundsExp: 1.55, wallExp: 3.2},
 }
 
 func (p *searchPipeline) Capabilities() engine.Capabilities { return engine.Capabilities{} }
@@ -202,7 +190,7 @@ func (st *searchRun) release() {
 // gossip, then local repeated squaring at every node.
 type gossipPipeline struct{}
 
-func (gossipPipeline) Name() string              { return "gossip" }
+func (gossipPipeline) Name() string              { return StrategyGossip }
 func (gossipPipeline) Approximate() bool         { return false }
 func (gossipPipeline) Guarantee(float64) float64 { return 1 }
 

@@ -29,7 +29,7 @@ func TestWorkspaceDeterminism(t *testing.T) {
 	params := triangles.BenchParams()
 	g := workspaceTestGraph(t, 14, 3)
 	ws := NewWorkspace()
-	for _, strat := range []Strategy{StrategyQuantum, StrategyClassicalSearch, StrategyGossip} {
+	for _, strat := range []string{StrategyQuantum, StrategyClassicalSearch, StrategyGossip} {
 		for seed := uint64(0); seed <= 2; seed++ {
 			fresh, err := Solve(g, Config{Strategy: strat, Params: &params, Seed: seed})
 			if err != nil {

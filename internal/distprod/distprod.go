@@ -268,8 +268,9 @@ func (t *tripartiteInstance) ResetThresholdLeg(d *matrix.Matrix) error {
 	return t.g.SetBipartiteBlock(0, t.n, t.n, t.n, t.neg)
 }
 
-// solveFindEdges dispatches one FindEdges call to the configured solver.
-func solveFindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pair]bool, error) {
+// FindEdges dispatches one FindEdges call to the configured solver,
+// charging opts.Net (the solver builds a private network when it is nil).
+func FindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pair]bool, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -440,7 +441,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 	if err != nil {
 		return nil, err
 	}
-	edges, err := solveFindEdges(ti, opts, rng.SplitN("step", 0).Seed())
+	edges, err := FindEdges(ti, opts, rng.SplitN("step", 0).Seed())
 	if err != nil {
 		return nil, fmt.Errorf("distprod: infinity probe: %w", err)
 	}
@@ -511,7 +512,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 		if err != nil {
 			return nil, err
 		}
-		edges, err = solveFindEdges(ti, opts, rng.SplitN("step", step).Seed())
+		edges, err = FindEdges(ti, opts, rng.SplitN("step", step).Seed())
 		if err != nil {
 			return nil, fmt.Errorf("distprod: step %d: %w", step, err)
 		}

@@ -25,7 +25,7 @@ import (
 // all scalars, so the key stays comparable.
 type cacheKey struct {
 	hash     string
-	strategy core.Strategy
+	strategy string
 	preset   Preset
 	seed     uint64
 	epsilon  float64

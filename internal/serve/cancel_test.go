@@ -33,7 +33,7 @@ func TestSolveContextCancelledReturnsCancelledError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := SolveSpec{Strategy: 0, Preset: PresetScaled}
+	spec := SolveSpec{Preset: PresetScaled}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
@@ -290,7 +290,7 @@ func TestParseStrategyEnumeratesRegistry(t *testing.T) {
 			t.Errorf("ParseStrategy(%q): %v", name, err)
 			continue
 		}
-		if s.String() != want {
+		if s != want {
 			t.Errorf("ParseStrategy(%q) = %v, want %s", name, s, want)
 		}
 	}

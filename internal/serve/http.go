@@ -124,10 +124,10 @@ func (p solveParamsJSON) spec() (SolveSpec, error) {
 	if p.TimeoutMS < 0 {
 		return SolveSpec{}, fmt.Errorf("serve: negative timeout_ms %d", p.TimeoutMS)
 	}
-	// An omitted strategy stays zero so Config.DefaultStrategy applies
+	// An omitted strategy stays empty so Config.DefaultStrategy applies
 	// (the daemon may default to the planner); only an explicit name is
 	// parsed.
-	var strat core.Strategy
+	var strat string
 	if p.Strategy != "" {
 		var err error
 		strat, err = ParseStrategy(p.Strategy)
@@ -539,7 +539,7 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 		ID: res.GraphID,
 		// The strategy that actually ran — under degradation this is the
 		// ladder rung that answered, not the one requested.
-		Strategy:       res.Res.Strategy.String(),
+		Strategy:       res.Res.Strategy,
 		Preset:         spec.Preset.String(),
 		Seed:           spec.Seed,
 		Epsilon:        res.Res.Epsilon,
@@ -555,7 +555,7 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 	}
 	if res.Degraded {
 		sj.Degraded = true
-		sj.DegradedFrom = res.DegradedFrom.String()
+		sj.DegradedFrom = res.DegradedFrom
 		sj.DegradeReason = res.DegradeReason
 		// A degraded response always reports its stretch contract, even if
 		// a future exact rung were to answer with stretch 1.

@@ -510,10 +510,10 @@ func TestOverloadDegrade(t *testing.T) {
 	if !res.Degraded || res.DegradeReason != "overload" {
 		t.Fatalf("pressured solve = degraded:%v reason:%q, want overload degradation", res.Degraded, res.DegradeReason)
 	}
-	if got := res.Res.Strategy.String(); got != "approx-skeleton" {
+	if got := res.Res.Strategy; got != "approx-skeleton" {
 		t.Fatalf("degraded rung %q, want approx-skeleton (the cheapest viable)", got)
 	}
-	if res.DegradedFrom.String() != "quantum" {
+	if res.DegradedFrom != "quantum" {
 		t.Fatalf("DegradedFrom = %q, want quantum", res.DegradedFrom)
 	}
 	st := svc.Stats()

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"qclique/internal/approx"
-	"qclique/internal/core"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 )
@@ -58,7 +57,7 @@ type PlanDecision struct {
 
 // candidate is one viable strategy with its guarantee and predicted cost.
 type candidate struct {
-	enum      core.Strategy
+	name      string
 	epsilon   float64
 	guarantee float64
 	predicted engine.CostPrior
@@ -89,8 +88,7 @@ func (s *Service) predict(strat engine.Strategy, f graph.Features, eps float64) 
 func (s *Service) rankCandidates(f graph.Features, eps float64, exactOnly bool) []candidate {
 	var out []candidate
 	for _, ce := range engine.Catalog() {
-		enum, ok := core.StrategyByName(ce.Strategy.Name())
-		if !ok || !ce.Capabilities.Viable(f) {
+		if !ce.Capabilities.Viable(f) {
 			continue
 		}
 		ceps := 0.0
@@ -102,7 +100,7 @@ func (s *Service) rankCandidates(f graph.Features, eps float64, exactOnly bool) 
 		}
 		pred, live := s.predict(ce.Strategy, f, ceps)
 		out = append(out, candidate{
-			enum:      enum,
+			name:      ce.Strategy.Name(),
 			epsilon:   ceps,
 			guarantee: ce.Strategy.Guarantee(ceps),
 			predicted: pred,
@@ -117,7 +115,7 @@ func (s *Service) rankCandidates(f graph.Features, eps float64, exactOnly bool) 
 		if a.predicted.WallNs != b.predicted.WallNs {
 			return a.predicted.WallNs < b.predicted.WallNs
 		}
-		return a.enum.String() < b.enum.String()
+		return a.name < b.name
 	})
 	return out
 }
@@ -171,17 +169,17 @@ func (s *Service) planSolve(ctx context.Context, feats graph.Features, spec Solv
 		}
 	}
 	resolved := spec
-	resolved.Strategy = chosen.enum
+	resolved.Strategy = chosen.name
 	resolved.Epsilon = chosen.epsilon
 	names := make([]string, 0, len(cands))
-	names = append(names, chosen.enum.String())
+	names = append(names, chosen.name)
 	for _, c := range cands {
-		if c.enum != chosen.enum {
-			names = append(names, c.enum.String())
+		if c.name != chosen.name {
+			names = append(names, c.name)
 		}
 	}
 	return resolved, &PlanDecision{
-		Strategy:        chosen.enum.String(),
+		Strategy:        chosen.name,
 		Reason:          reason,
 		Epsilon:         chosen.epsilon,
 		PredictedRounds: chosen.predicted.Rounds,
@@ -204,19 +202,19 @@ func (s *Service) plannerFallbacks(spec SolveSpec, feats graph.Features) []Solve
 		eps = plannerDefaultEpsilon
 	}
 	cur := 1.0
-	if st, ok := engine.Lookup(spec.strategy().String()); ok {
+	if st, ok := engine.Lookup(spec.Strategy); ok {
 		cur = st.Guarantee(spec.Epsilon)
 	}
 	type fallback struct {
-		enum      core.Strategy
+		name      string
 		epsilon   float64
 		guarantee float64
 		wallNs    int64
 	}
 	var fbs []fallback
 	for _, ce := range engine.Catalog() {
-		enum, ok := core.StrategyByName(ce.Strategy.Name())
-		if !ok || enum == spec.strategy() || !ce.Capabilities.Viable(feats) {
+		name := ce.Strategy.Name()
+		if name == spec.Strategy || !ce.Capabilities.Viable(feats) {
 			continue
 		}
 		ceps := 0.0
@@ -228,7 +226,7 @@ func (s *Service) plannerFallbacks(spec SolveSpec, feats graph.Features) []Solve
 			continue
 		}
 		pred, _ := s.predict(ce.Strategy, feats, ceps)
-		fbs = append(fbs, fallback{enum: enum, epsilon: ceps, guarantee: g, wallNs: pred.WallNs})
+		fbs = append(fbs, fallback{name: name, epsilon: ceps, guarantee: g, wallNs: pred.WallNs})
 	}
 	sort.SliceStable(fbs, func(i, j int) bool {
 		a, b := fbs[i], fbs[j]
@@ -238,12 +236,12 @@ func (s *Service) plannerFallbacks(spec SolveSpec, feats graph.Features) []Solve
 		if a.wallNs != b.wallNs {
 			return a.wallNs < b.wallNs
 		}
-		return a.enum.String() < b.enum.String()
+		return a.name < b.name
 	})
 	rungs := make([]SolveSpec, 0, len(fbs))
 	for _, f := range fbs {
 		rs := spec
-		rs.Strategy = f.enum
+		rs.Strategy = f.name
 		rs.Epsilon = f.epsilon
 		rungs = append(rungs, rs)
 	}

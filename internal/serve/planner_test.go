@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qclique/internal/core"
+	"qclique/internal/engine"
 	"qclique/internal/graph"
 )
 
@@ -76,7 +77,7 @@ func TestPlannerDecisionTable(t *testing.T) {
 		g        func(*testing.T, int) *graph.Digraph
 		spec     SolveSpec
 		ctx      context.Context
-		want     core.Strategy
+		want     string
 		wantEps  float64
 		excluded []string
 	}{
@@ -153,7 +154,7 @@ func TestPlannerDecisionTable(t *testing.T) {
 			if resolved.Epsilon != tc.wantEps {
 				t.Fatalf("resolved epsilon %v, want %v", resolved.Epsilon, tc.wantEps)
 			}
-			if plan.Strategy != tc.want.String() || plan.Reason == "" {
+			if plan.Strategy != tc.want || plan.Reason == "" {
 				t.Fatalf("decision %+v does not describe the resolution", plan)
 			}
 			if plan.PredictedRounds <= 0 || plan.PredictedWallNs <= 0 {
@@ -200,7 +201,7 @@ func TestPlannerDeadlinePromotesApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resolved.Strategy.IsApproximate() {
+	if st, ok := engine.Lookup(resolved.Strategy); !ok || st.Approximate() {
 		t.Fatalf("budget-less plan spent stretch anyway: %v (reason %q)", resolved.Strategy, plan.Reason)
 	}
 }
@@ -239,7 +240,7 @@ func TestAutoExplicitBitIdentity(t *testing.T) {
 				if pres.Plan == nil || pres.Plan.Strategy != name {
 					t.Fatalf("planner chose %+v, want %s", pres.Plan, name)
 				}
-				if pres.Res.Strategy.String() != name {
+				if pres.Res.Strategy != name {
 					t.Fatalf("planned solve ran %v, want %s", pres.Res.Strategy, name)
 				}
 
@@ -339,7 +340,7 @@ func TestLadderSkipsInfeasibleRungs(t *testing.T) {
 	if rungs := s.plannerFallbacks(spec, neg); len(rungs) != 0 {
 		names := make([]string, len(rungs))
 		for i, r := range rungs {
-			names[i] = r.strategy().String()
+			names[i] = r.Strategy
 		}
 		t.Fatalf("negative-arc graph was handed fallback rungs %v; no approximate strategy accepts it", names)
 	}
@@ -350,7 +351,7 @@ func TestLadderSkipsInfeasibleRungs(t *testing.T) {
 		t.Fatal("asymmetric nonnegative graph should still have the approx-quantum rung")
 	}
 	for _, r := range rungs {
-		if r.strategy() == core.StrategyApproxSkeleton {
+		if r.Strategy == core.StrategyApproxSkeleton {
 			t.Fatal("asymmetric graph was routed to the skeleton rung")
 		}
 		if r.Epsilon != plannerDefaultEpsilon {
@@ -361,11 +362,11 @@ func TestLadderSkipsInfeasibleRungs(t *testing.T) {
 	sym := symDigraph(t, 8).Features()
 	rungs = s.plannerFallbacks(spec, sym)
 	if len(rungs) != 2 ||
-		rungs[0].strategy() != core.StrategyApproxQuantum ||
-		rungs[1].strategy() != core.StrategyApproxSkeleton {
+		rungs[0].Strategy != core.StrategyApproxQuantum ||
+		rungs[1].Strategy != core.StrategyApproxSkeleton {
 		names := make([]string, len(rungs))
 		for i, r := range rungs {
-			names[i] = r.strategy().String()
+			names[i] = r.Strategy
 		}
 		t.Fatalf("symmetric nonnegative ladder = %v, want [approx-quantum approx-skeleton]", names)
 	}

@@ -82,27 +82,24 @@ func (p Preset) Params() *triangles.Params {
 	return &t
 }
 
-// ParseStrategy parses a strategy name or alias against the engine's
-// strategy registry (empty selects quantum) — new pipelines become
-// servable by registering, with no switch to grow here. "auto" parses to
-// the planner sentinel core.StrategyAuto: the service resolves it to a
-// concrete registered strategy per request.
-func ParseStrategy(s string) (core.Strategy, error) {
-	if s == "" {
+// ParseStrategy resolves a strategy name or alias against the engine's
+// strategy registry to its canonical name (empty selects quantum) — new
+// pipelines become servable by registering, with no switch to grow here.
+// "auto" passes through as the planner sentinel core.StrategyAuto: the
+// service resolves it to a concrete registered strategy per request. An
+// unknown name fails with ErrInvalidSpec and the list of registered names.
+func ParseStrategy(s string) (string, error) {
+	switch s {
+	case "":
 		return core.StrategyQuantum, nil
-	}
-	if s == "auto" {
-		return core.StrategyAuto, nil
+	case core.StrategyAuto:
+		return s, nil
 	}
 	st, ok := engine.Lookup(s)
 	if !ok {
-		return 0, fmt.Errorf("serve: unknown strategy %q (registered: %s)", s, strings.Join(engine.Names(), ", "))
+		return "", fmt.Errorf("%w: unknown strategy %q (registered: %s)", ErrInvalidSpec, s, strings.Join(engine.Names(), ", "))
 	}
-	enum, ok := core.StrategyByName(st.Name())
-	if !ok {
-		return 0, fmt.Errorf("serve: registered strategy %q has no core enum", st.Name())
-	}
-	return enum, nil
+	return st.Name(), nil
 }
 
 // ErrInvalidSpec marks solve specs that are malformed independent of any
@@ -174,7 +171,10 @@ var ErrApproxPaths = fmt.Errorf("%w: path reconstruction requires an exact strat
 // participate in the cache identity. Workers is execution detail only
 // (results are worker-invariant) and is excluded.
 type SolveSpec struct {
-	Strategy core.Strategy // zero value selects quantum
+	// Strategy is a registered strategy name or alias, or "auto"; empty
+	// selects quantum. The service canonicalizes it before the cache key
+	// and the stats are keyed, so an alias shares its strategy's entries.
+	Strategy string
 	Preset   Preset
 	Seed     uint64
 	// Epsilon is the stretch budget of the approximate strategies; it must
@@ -196,58 +196,67 @@ type SolveSpec struct {
 	// Not part of the cache identity — each rung solves, and caches, under
 	// its own spec.
 	Degrade bool
-	// exactPlanning restricts a strategy=auto resolution to exact
-	// candidates — the batch-paths entry points set it, because path
-	// reconstruction requires exact tight-successor structure. Irrelevant
-	// once the spec names a concrete strategy, and excluded from the cache
-	// identity (the resolved spec determines the key).
+	// exactPlanning marks a solve for path reconstruction, which requires
+	// exact tight-successor structure: a strategy=auto resolution is
+	// confined to exact candidates, and a concrete approximate strategy is
+	// rejected with ErrApproxPaths. Excluded from the cache identity (the
+	// resolved spec determines the key).
 	exactPlanning bool
 }
 
-func (s SolveSpec) strategy() core.Strategy {
-	if s.Strategy == 0 {
-		return core.StrategyQuantum
-	}
-	return s.Strategy
-}
-
-// ExactPlanning returns a copy of the spec whose strategy=auto resolution
-// is confined to exact candidates (see the exactPlanning field). The
-// library's path-reconstruction entry points use it; a spec naming a
-// concrete strategy is unaffected.
+// ExactPlanning returns a copy of the spec marked for path reconstruction
+// (see the exactPlanning field). The library's path-reconstruction entry
+// points use it.
 func (s SolveSpec) ExactPlanning() SolveSpec {
 	s.exactPlanning = true
 	return s
 }
 
-// Validate rejects specs whose epsilon disagrees with the strategy class
-// or falls outside the supported [approx.MinEpsilon, approx.MaxEpsilon]
-// domain — before any pipeline (or unbounded ladder construction) runs.
-// For strategy=auto the epsilon is a budget, not a parameter: absent (0)
-// restricts planning to exact candidates, present it must be in the valid
-// domain.
+// Validate rejects specs naming an unregistered strategy, and specs whose
+// epsilon disagrees with the strategy class or falls outside the
+// supported [approx.MinEpsilon, approx.MaxEpsilon] domain — before any
+// pipeline (or unbounded ladder construction) runs. For strategy=auto the
+// epsilon is a budget, not a parameter: absent (0) restricts planning to
+// exact candidates, present it must be in the valid domain.
 func (s SolveSpec) Validate() error {
-	if s.strategy() == core.StrategyAuto {
+	_, err := s.canonical()
+	return err
+}
+
+// canonical validates the spec and returns it with its strategy resolved
+// to the canonical registry name — the one identity the cache key, the
+// stats, the breaker and the planner see.
+func (s SolveSpec) canonical() (SolveSpec, error) {
+	name, err := ParseStrategy(s.Strategy)
+	if err != nil {
+		return s, err
+	}
+	s.Strategy = name
+	st, concrete := engine.Lookup(name)
+	switch {
+	case !concrete: // auto
 		if s.Epsilon != 0 && !approx.ValidEpsilon(s.Epsilon) {
-			return fmt.Errorf("%w: auto-strategy epsilon budget must be 0 or in [%v, %v] (got %v)",
+			return s, fmt.Errorf("%w: auto-strategy epsilon budget must be 0 or in [%v, %v] (got %v)",
 				ErrInvalidSpec, approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
 		}
-	} else if s.strategy().IsApproximate() {
+	case st.Approximate() && s.exactPlanning:
+		return s, ErrApproxPaths
+	case st.Approximate():
 		if !approx.ValidEpsilon(s.Epsilon) {
-			return fmt.Errorf("%w: strategy %q requires epsilon in [%v, %v] (got %v)",
-				ErrInvalidSpec, s.strategy(), approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
+			return s, fmt.Errorf("%w: strategy %q requires epsilon in [%v, %v] (got %v)",
+				ErrInvalidSpec, name, approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
 		}
-	} else if s.Epsilon != 0 {
-		return fmt.Errorf("%w: epsilon %v is only valid for approximate strategies", ErrInvalidSpec, s.Epsilon)
+	case s.Epsilon != 0:
+		return s, fmt.Errorf("%w: epsilon %v is only valid for approximate strategies", ErrInvalidSpec, s.Epsilon)
 	}
 	if err := s.Faults.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+		return s, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	return nil
+	return s, nil
 }
 
 func (s SolveSpec) key(hash string) cacheKey {
-	return cacheKey{hash: hash, strategy: s.strategy(), preset: s.Preset, seed: s.Seed, epsilon: s.Epsilon, faults: s.Faults}
+	return cacheKey{hash: hash, strategy: s.Strategy, preset: s.Preset, seed: s.Seed, epsilon: s.Epsilon, faults: s.Faults}
 }
 
 // Config configures a Service.
@@ -285,11 +294,11 @@ type Config struct {
 	// ladder while the service is under overload pressure, even when the
 	// request itself did not opt into Degrade.
 	OverloadDegrade bool
-	// DefaultStrategy is the strategy a request that names none runs under
-	// (spec.Strategy == 0). The zero value preserves the legacy default,
-	// quantum; core.StrategyAuto makes the planner the default — cmd/apspd
-	// sets exactly that.
-	DefaultStrategy core.Strategy
+	// DefaultStrategy is the strategy (a registered name or alias, or
+	// "auto") a request that names none runs under. The empty value
+	// preserves the legacy default, quantum; core.StrategyAuto makes the
+	// planner the default — cmd/apspd sets exactly that.
+	DefaultStrategy string
 }
 
 // Service is the solve layer. Safe for concurrent use.
@@ -410,9 +419,9 @@ type SolveResult struct {
 	// strategy; Res.Strategy and Res.GuaranteedStretch describe the rung
 	// that actually ran.
 	Degraded bool
-	// DegradedFrom is the originally requested strategy (set only when
-	// Degraded).
-	DegradedFrom core.Strategy
+	// DegradedFrom is the canonical name of the originally requested
+	// strategy (set only when Degraded).
+	DegradedFrom string
 	// DegradeReason is why the ladder stepped down: "retries-exhausted",
 	// "deadline", "breaker-open", or "overload" (the service shed fidelity
 	// under load pressure rather than queueing or refusing the request).
@@ -497,14 +506,15 @@ func (s *Service) SolveGraphContext(ctx context.Context, g *graph.Digraph, spec 
 // executes to completion at the planned rung, the observed rounds and wall
 // are folded into the planner's prediction-error accounting.
 func (s *Service) solve(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	if spec.Strategy == 0 {
+	if spec.Strategy == "" {
 		spec.Strategy = s.cfg.DefaultStrategy
 	}
-	if err := spec.Validate(); err != nil {
+	spec, err := spec.canonical()
+	if err != nil {
 		return nil, err
 	}
 	var plan *PlanDecision
-	if spec.strategy() == core.StrategyAuto {
+	if spec.Strategy == core.StrategyAuto {
 		resolved, decision, err := s.planSolve(ctx, feats, spec)
 		if err != nil {
 			return nil, err
@@ -535,7 +545,6 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		return s.solveAllowed(ctx, id, g, feats, spec)
 	}
 	rungs := s.ladderRungs(spec, feats)
-	primary := spec.strategy().String()
 	var reason string
 	spent := 0
 	for i, rs := range rungs {
@@ -549,9 +558,9 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		if err == nil {
 			if i > 0 {
 				res.Degraded = true
-				res.DegradedFrom = spec.strategy()
+				res.DegradedFrom = spec.Strategy
 				res.DegradeReason = reason
-				s.stats.degraded(primary)
+				s.stats.degraded(spec.Strategy)
 			}
 			return res, nil
 		}
@@ -568,7 +577,7 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		}
 	}
 	// ladderRungs always returns at least the spec itself.
-	return nil, fmt.Errorf("serve: empty degradation ladder for %v", spec.strategy())
+	return nil, fmt.Errorf("serve: empty degradation ladder for %s", spec.Strategy)
 }
 
 // overloadDegrade is the pressure-release valve: while the service is under
@@ -594,9 +603,9 @@ func (s *Service) overloadDegrade(ctx context.Context, id string, g *graph.Digra
 		return nil, false // no cheaper rung is viable for this graph's weights
 	}
 	cheapest := fallbacks[0]
-	cheapestWall := s.estimateFor(cheapest.strategy().String(), feats, cheapest.Epsilon)
+	cheapestWall := s.estimateFor(cheapest.Strategy, feats, cheapest.Epsilon)
 	for _, fb := range fallbacks[1:] {
-		if w := s.estimateFor(fb.strategy().String(), feats, fb.Epsilon); w < cheapestWall {
+		if w := s.estimateFor(fb.Strategy, feats, fb.Epsilon); w < cheapestWall {
 			cheapest, cheapestWall = fb, w
 		}
 	}
@@ -605,9 +614,9 @@ func (s *Service) overloadDegrade(ctx context.Context, id string, g *graph.Digra
 		return nil, false
 	}
 	res.Degraded = true
-	res.DegradedFrom = spec.strategy()
+	res.DegradedFrom = spec.Strategy
 	res.DegradeReason = "overload"
-	s.stats.degraded(spec.strategy().String())
+	s.stats.degraded(spec.Strategy)
 	s.stats.overloadDegraded()
 	return res, true
 }
@@ -678,7 +687,7 @@ func degradeReason(err error, parent context.Context) (string, bool) {
 // feeds the breaker the outcome: fault-retry exhaustion counts against the
 // threshold, any completed solve closes the circuit.
 func (s *Service) solveAllowed(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	name := spec.strategy().String()
+	name := spec.Strategy
 	if remaining, ok := s.breaker.allow(name); !ok {
 		s.stats.breakerSkip(name)
 		return nil, &BreakerOpenError{Strategy: name, RetryAfter: remaining}
@@ -695,7 +704,7 @@ func (s *Service) solveAllowed(ctx context.Context, id string, g *graph.Digraph,
 }
 
 func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	name := spec.strategy().String()
+	name := spec.Strategy
 	s.stats.request(name)
 	key := spec.key(id)
 	if e, ok := s.cache.get(key); ok {
@@ -840,7 +849,7 @@ func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec Solve
 		solveTestHook(spec)
 	}
 	return core.SolveContext(ctx, gc, core.Config{
-		Strategy:  spec.strategy(),
+		Strategy:  spec.Strategy,
 		Params:    spec.Preset.Params(),
 		Seed:      spec.Seed,
 		Epsilon:   spec.Epsilon,
@@ -880,11 +889,8 @@ func (s *Service) PathsBatch(id string, spec SolveSpec, queries []PathQuery) ([]
 // PathsBatchContext is PathsBatch honoring a context for the underlying
 // solve (see SolveContext).
 func (s *Service) PathsBatchContext(ctx context.Context, id string, spec SolveSpec, queries []PathQuery) ([]PathAnswer, *SolveResult, error) {
-	if spec.strategy().IsApproximate() {
-		return nil, nil, ErrApproxPaths
-	}
 	// Path reconstruction needs exact distances: confine a strategy=auto
-	// plan to the exact catalog rather than rejecting it.
+	// plan to the exact catalog, and refuse an approximate strategy.
 	spec.exactPlanning = true
 	res, err := s.SolveContext(ctx, id, spec)
 	if err != nil {
@@ -901,9 +907,6 @@ func (s *Service) PathsBatchGraph(g *graph.Digraph, spec SolveSpec, queries []Pa
 // PathsBatchGraphContext is PathsBatchGraph honoring a context for the
 // underlying solve.
 func (s *Service) PathsBatchGraphContext(ctx context.Context, g *graph.Digraph, spec SolveSpec, queries []PathQuery) ([]PathAnswer, *SolveResult, error) {
-	if spec.strategy().IsApproximate() {
-		return nil, nil, ErrApproxPaths
-	}
 	spec.exactPlanning = true
 	res, err := s.SolveGraphContext(ctx, g, spec)
 	if err != nil {

@@ -314,13 +314,14 @@ func TestNegativeCycleNotCached(t *testing.T) {
 
 // TestParseHelpers pins the accepted strategy/preset names.
 func TestParseHelpers(t *testing.T) {
-	for name, want := range map[string]core.Strategy{
-		"":                 core.StrategyQuantum,
-		"quantum":          core.StrategyQuantum,
-		"classical-search": core.StrategyClassicalSearch,
-		"dolev":            core.StrategyDolev,
-		"dolev-listing":    core.StrategyDolev,
-		"gossip":           core.StrategyGossip,
+	for name, want := range map[string]string{
+		"":                 "quantum",
+		"quantum":          "quantum",
+		"classical-search": "classical-search",
+		"dolev":            "dolev",
+		"dolev-listing":    "dolev",
+		"gossip":           "gossip",
+		"auto":             "auto",
 	} {
 		got, err := ParseStrategy(name)
 		if err != nil || got != want {

@@ -2,6 +2,7 @@ package qclique
 
 import (
 	"qclique/internal/congest"
+	"qclique/internal/core"
 	"qclique/internal/distprod"
 	"qclique/internal/matrix"
 )
@@ -20,16 +21,10 @@ func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
 		}
 		return c, net.Rounds(), nil
 	}
-	solver := distprod.SolverQuantum
-	switch o.Strategy {
-	case ClassicalSearch:
-		solver = distprod.SolverClassicalScan
-	case DolevListing:
-		solver = distprod.SolverDolev
-	}
+	solver, _ := core.FindEdgesSolver(string(o.Strategy))
 	c, stats, err := distprod.Product(a, b, distprod.Options{
 		Solver:  solver,
-		Params:  o.params(),
+		Params:  o.Preset.Params(),
 		Seed:    o.Seed,
 		Workers: o.Workers,
 	})

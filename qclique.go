@@ -28,12 +28,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/core"
+	"qclique/internal/distprod"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
@@ -49,109 +49,55 @@ const Inf = graph.Inf
 // undefined.
 var ErrNegativeCycle = graph.ErrNegativeCycle
 
-// Strategy selects the APSP pipeline.
-type Strategy int
+// Strategy names an APSP pipeline. Its value is the pipeline's canonical
+// engine registry name, so a Strategy prints, parses, caches and reports
+// under the same string everywhere — the library, the Solver's stats, the
+// HTTP API and the CLI tools. Any registered name or alias converts
+// directly (Strategy("classical")); solves canonicalize aliases, and a
+// name that is not registered is rejected with the list of registered
+// names.
+type Strategy string
 
 // Available strategies. The zero value selects Quantum.
 const (
 	// Quantum is the paper's Õ(n^{1/4}·log W) pipeline (Theorem 1).
-	Quantum Strategy = iota + 1
+	Quantum Strategy = core.StrategyQuantum
 	// ClassicalSearch replaces the Grover search with the classical O(√n)
 	// scan in Step 3 of ComputePairs.
-	ClassicalSearch
+	ClassicalSearch Strategy = core.StrategyClassicalSearch
 	// DolevListing drives the reductions with the classical Õ(n^{1/3})
 	// triangle-listing of Dolev, Lenzen and Peled.
-	DolevListing
+	DolevListing Strategy = core.StrategyDolev
 	// Gossip is the naive O(n)-round baseline: full adjacency gossip plus
 	// local computation.
-	Gossip
+	Gossip Strategy = core.StrategyGossip
 	// ApproxQuantum is the (1+ε)-approximate quantum chain: every distance
 	// product is snapped onto a geometric value ladder, cutting the
 	// binary-search depth (and hence rounds) of every product. Requires
 	// nonnegative weights and WithEpsilon(ε > 0); distances satisfy
 	// d ≤ d̂ ≤ (1+ε)·d with reachability preserved exactly.
-	ApproxQuantum
+	ApproxQuantum Strategy = core.StrategyApproxQuantum
 	// ApproxSkeleton is the (2+ε) skeleton strategy (after Censor-Hillel
 	// et al., arXiv:1903.05956): exact k-nearest balls, a sampled skeleton
 	// solved on the (1+ε/2) ladder, estimates combined through skeleton
 	// hubs. Requires a weight-symmetric nonnegative graph and
 	// WithEpsilon(ε > 0).
-	ApproxSkeleton
+	ApproxSkeleton Strategy = core.StrategyApproxSkeleton
 	// StrategyAuto asks the serving layer's planner to choose: the solve is
 	// routed to the best registered strategy viable for the graph's
 	// structural profile (negative arcs, asymmetry) and the request's
 	// stretch budget and deadline. Requires a Solver (or the daemon) — the
 	// planner consumes serving-layer telemetry, so the plain SolveAPSP
 	// entry points reject it. See WithPlanner.
-	StrategyAuto
+	StrategyAuto Strategy = core.StrategyAuto
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case Quantum:
-		return "quantum"
-	case ClassicalSearch:
-		return "classical-search"
-	case DolevListing:
-		return "dolev-listing"
-	case Gossip:
-		return "gossip"
-	case ApproxQuantum:
-		return "approx-quantum"
-	case ApproxSkeleton:
-		return "approx-skeleton"
-	case StrategyAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-func (s Strategy) toCore() core.Strategy {
-	switch s {
-	case ClassicalSearch:
-		return core.StrategyClassicalSearch
-	case DolevListing:
-		return core.StrategyDolev
-	case Gossip:
-		return core.StrategyGossip
-	case ApproxQuantum:
-		return core.StrategyApproxQuantum
-	case ApproxSkeleton:
-		return core.StrategyApproxSkeleton
-	case StrategyAuto:
-		return core.StrategyAuto
-	default:
-		return core.StrategyQuantum
-	}
-}
-
-func fromCore(s core.Strategy) Strategy {
-	switch s {
-	case core.StrategyClassicalSearch:
-		return ClassicalSearch
-	case core.StrategyDolev:
-		return DolevListing
-	case core.StrategyGossip:
-		return Gossip
-	case core.StrategyApproxQuantum:
-		return ApproxQuantum
-	case core.StrategyApproxSkeleton:
-		return ApproxSkeleton
-	case core.StrategyAuto:
-		return StrategyAuto
-	default:
-		return Quantum
-	}
-}
-
 // StrategyInfo describes one registered pipeline, as enumerated from the
-// engine's strategy registry.
+// engine's strategy registry. The Strategy value is the canonical registry
+// name.
 type StrategyInfo struct {
-	// Strategy is the public selector to pass to WithStrategy.
+	// Strategy is the selector to pass to WithStrategy.
 	Strategy Strategy
-	// Name is the canonical registry name ("quantum", "approx-skeleton" …).
-	Name string
 	// Approximate reports whether the pipeline requires WithEpsilon.
 	Approximate bool
 	// FindEdges reports whether the strategy names a FindEdges solver of
@@ -164,7 +110,7 @@ type StrategyInfo struct {
 // guarantees for stretch budget eps: 1 for exact pipelines, 1+ε or 2+ε
 // for the approximate ones.
 func (si StrategyInfo) Guarantee(eps float64) float64 {
-	if st, ok := engine.Lookup(si.Name); ok {
+	if st, ok := engine.Lookup(string(si.Strategy)); ok {
 		return st.Guarantee(eps)
 	}
 	return 1
@@ -177,41 +123,37 @@ func (si StrategyInfo) Guarantee(eps float64) float64 {
 func Strategies() []StrategyInfo {
 	var out []StrategyInfo
 	for _, st := range engine.Strategies() {
-		enum, ok := core.StrategyByName(st.Name())
-		if !ok {
-			continue
-		}
-		pub := fromCore(enum)
-		out = append(out, StrategyInfo{
-			Strategy:    pub,
-			Name:        st.Name(),
-			Approximate: st.Approximate(),
-			FindEdges:   findEdgesRole(pub),
-		})
+		out = append(out, infoFor(st))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// StrategyInfoFor returns the registry entry describing s (false when s
-// has no registered pipeline).
+// StrategyInfoFor returns the registry entry describing s, a registered
+// name or alias (false when s has no registered pipeline).
 func StrategyInfoFor(s Strategy) (StrategyInfo, bool) {
-	for _, si := range Strategies() {
-		if si.Strategy == s {
-			return si, true
-		}
+	st, ok := engine.Lookup(string(s))
+	if !ok {
+		return StrategyInfo{}, false
 	}
-	return StrategyInfo{}, false
+	return infoFor(st), true
 }
 
-// ParseStrategy resolves a registry name or alias ("quantum",
-// "classical", "dolev-listing", "skeleton", …) to its public selector.
+func infoFor(st engine.Strategy) StrategyInfo {
+	s := Strategy(st.Name())
+	return StrategyInfo{Strategy: s, Approximate: st.Approximate(), FindEdges: findEdgesRole(s)}
+}
+
+// ParseStrategy resolves a registry name or alias ("quantum", "classical"
+// for classical-search, "dolev-listing" for dolev, "skeleton" for
+// approx-skeleton, "auto" for the planner, …) to its canonical Strategy;
+// the empty string selects Quantum. An unknown name fails with the list of
+// registered names.
 func ParseStrategy(name string) (Strategy, error) {
 	s, err := serve.ParseStrategy(name)
 	if err != nil {
-		return 0, fmt.Errorf("qclique: %w", err)
+		return "", fmt.Errorf("qclique: %w", err)
 	}
-	return fromCore(s), nil
+	return Strategy(s), nil
 }
 
 // FormatStrategyList renders the strategy catalog as the human-readable
@@ -241,17 +183,19 @@ func FormatStrategyList() string {
 	return b.String()
 }
 
-// ParamPreset selects the protocol-constant preset.
-type ParamPreset int
+// ParamPreset selects the protocol-constant preset; the zero value is
+// PaperConstants. It prints as "paper" or "scaled", the names the HTTP API
+// and the daemon accept.
+type ParamPreset = serve.Preset
 
 // Parameter presets.
 const (
 	// PaperConstants uses the constants exactly as printed in the paper
 	// (10·log n sampling, 90·log n promise, 800·√n·log n slot caps, …).
-	PaperConstants ParamPreset = iota + 1
+	PaperConstants = serve.PresetPaper
 	// ScaledConstants uses ~3× smaller constants with the same asymptotic
 	// shape, keeping message volumes simulable at larger n.
-	ScaledConstants
+	ScaledConstants = serve.PresetScaled
 )
 
 // Options is the full configuration of the public entry points, with every
@@ -260,9 +204,11 @@ const (
 // (a config file, a request body) can instead build an Options directly,
 // check it once with Validate, and pass it through WithOptions.
 type Options struct {
-	// Strategy selects the pipeline (zero value selects Quantum).
+	// Strategy names the pipeline: a registered name or alias (the zero
+	// value selects Quantum). Solves canonicalize aliases, and Validate
+	// rejects a name that is not registered.
 	Strategy Strategy
-	// Preset selects the protocol-constant preset (zero value selects
+	// Preset selects the protocol-constant preset (the zero value is
 	// PaperConstants).
 	Preset ParamPreset
 	// Seed fixes the protocol randomness; equal seeds reproduce.
@@ -298,7 +244,8 @@ type Options struct {
 	Degrade bool
 }
 
-// Validate rejects configurations no solve can run: an epsilon that
+// Validate rejects configurations no solve can run: an unregistered
+// strategy (the error lists the registered names), an epsilon that
 // disagrees with the strategy class (or falls outside the supported
 // domain), a malformed fault plan, or a negative timeout. It shares the
 // serving layer's validation, so the library, the Solver, and the HTTP
@@ -318,9 +265,8 @@ func (o Options) Validate() error {
 type Option func(*Options)
 
 // WithOptions overlays a complete Options value, replacing every knob at
-// once (zero Strategy/Preset still select the Quantum/PaperConstants
-// defaults). Later options in the same call keep overriding individual
-// fields.
+// once (a zero Strategy still selects the Quantum default). Later options
+// in the same call keep overriding individual fields.
 func WithOptions(o Options) Option {
 	return func(dst *Options) {
 		*dst = o
@@ -430,37 +376,22 @@ func (o Options) solveCtx(ctx context.Context) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// normalize maps zero selectors to their documented defaults.
+// normalize resolves the strategy to its canonical registry name (the zero
+// value to Quantum, an alias to the name it stands for). An unregistered
+// name is left as given, for Validate to reject.
 func (o *Options) normalize() {
-	if o.Strategy == 0 {
-		o.Strategy = Quantum
-	}
-	if o.Preset == 0 {
-		o.Preset = PaperConstants
+	if s, err := ParseStrategy(string(o.Strategy)); err == nil {
+		o.Strategy = s
 	}
 }
 
 func buildOptions(opts []Option) Options {
-	o := Options{Strategy: Quantum, Preset: PaperConstants}
+	var o Options
 	for _, fn := range opts {
 		fn(&o)
 	}
 	o.normalize()
 	return o
-}
-
-// servePreset maps the public preset to the serve-layer preset — the one
-// place the public names are translated; the preset→constants mapping
-// itself lives in serve.Preset.Params.
-func (p ParamPreset) servePreset() serve.Preset {
-	if p == ScaledConstants {
-		return serve.PresetScaled
-	}
-	return serve.PresetPaper
-}
-
-func (o Options) params() *triangles.Params {
-	return o.Preset.servePreset().Params()
 }
 
 // Digraph is a weighted directed graph on vertices 0..n-1, the input to
@@ -641,17 +572,17 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 	ctx, cancel := o.solveCtx(ctx)
 	defer cancel()
 	res, err := core.SolveContext(ctx, g.g, core.Config{
-		Strategy: o.Strategy.toCore(),
-		Params:   o.params(),
+		Strategy: string(o.Strategy),
+		Params:   o.Preset.Params(),
 		Seed:     o.Seed,
 		Epsilon:  o.Epsilon,
 		Workers:  o.Workers,
-		Faults:   o.Faults.toCore(),
+		Faults:   o.Faults,
 	})
 	if err != nil {
 		var fe *congest.FaultError
 		if res != nil && errors.As(err, &fe) {
-			return nil, &FaultExhaustedError{Faults: countersFromCore(res.Metrics.Faults), err: err}
+			return nil, &FaultExhaustedError{Faults: res.Metrics.Faults, err: err}
 		}
 		return nil, err
 	}
@@ -665,11 +596,11 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 		Rounds:            res.Rounds,
 		Products:          res.Products,
 		FindEdgesCalls:    res.FindEdgesCalls,
-		Strategy:          o.Strategy,
+		Strategy:          Strategy(res.Strategy),
 		Epsilon:           res.Epsilon,
 		GuaranteedStretch: res.GuaranteedStretch,
 		ObservedStretch:   res.ObservedStretch,
-		Faults:            countersFromCore(res.Metrics.Faults),
+		Faults:            res.Metrics.Faults,
 		Stages:            stagesFromCore(res.Stages),
 		dist:              res.Dist,
 	}, nil
@@ -690,21 +621,14 @@ type TriangleReport struct {
 }
 
 // findEdgesRole reports whether s names a FindEdges solver of its own —
-// the capability StrategyInfo.FindEdges surfaces. It sits next to the
-// FindNegativeTriangleEdges dispatch below, which is the one place the
-// answer is defined: quantum and classical-search drive ComputePairs,
-// dolev drives its own listing; gossip has no triangle machinery (the
-// dispatch would silently fall back to Dolev listing) and the approximate
-// strategies are APSP-only. A new pipeline with a FindEdges role extends
-// both together, and productFor with them: DistanceProduct accepts exactly
-// these strategies plus Gossip.
+// the capability StrategyInfo.FindEdges surfaces. The registered search
+// pipelines define it (core.FindEdgesSolver): quantum and classical-search
+// drive ComputePairs, dolev drives its own listing; gossip has no triangle
+// machinery and the approximate strategies are APSP-only. DistanceProduct
+// accepts exactly these strategies plus Gossip.
 func findEdgesRole(s Strategy) bool {
-	switch s {
-	case Quantum, ClassicalSearch, DolevListing:
-		return true
-	default:
-		return false
-	}
+	_, ok := core.FindEdgesSolver(string(s))
+	return ok
 }
 
 // FindNegativeTriangleEdges solves the FindEdges problem of Section 3:
@@ -713,47 +637,33 @@ func findEdgesRole(s Strategy) bool {
 // (StrategyInfo.FindEdges: Quantum, ClassicalSearch, DolevListing) are
 // accepted — gossip and the approximate strategies are APSP-only and are
 // rejected rather than silently substituted, as is an epsilon (this
-// problem has no stretch knob).
+// problem has no stretch knob) and an unregistered strategy.
 func FindNegativeTriangleEdges(g *Graph, opts ...Option) (*TriangleReport, error) {
 	if g == nil {
 		return nil, errors.New("qclique: nil graph")
 	}
 	o := buildOptions(opts)
-	if !findEdgesRole(o.Strategy) {
-		return nil, fmt.Errorf("qclique: strategy %v has no FindEdges role (see StrategyInfo.FindEdges)", o.Strategy)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
-	if o.Epsilon != 0 {
-		return nil, fmt.Errorf("qclique: epsilon %v is not meaningful for FindNegativeTriangleEdges", o.Epsilon)
+	solver, ok := core.FindEdgesSolver(string(o.Strategy))
+	if !ok {
+		return nil, fmt.Errorf("qclique: strategy %s has no FindEdges role (see StrategyInfo.FindEdges)", o.Strategy)
 	}
-	inst := triangles.Instance{G: g.g}
-	var (
-		edges  map[graph.Pair]bool
-		rounds int64
-	)
-	switch o.Strategy {
-	case DolevListing:
-		rep, err := triangles.DolevFindEdges(inst, nil)
-		if err != nil {
-			return nil, err
-		}
-		edges, rounds = rep.Edges, rep.Rounds
-	default:
-		mode := triangles.SearchQuantum
-		if o.Strategy == ClassicalSearch {
-			mode = triangles.SearchClassicalScan
-		}
-		rep, err := triangles.FindEdges(inst, triangles.Options{
-			Params:  o.params(),
-			Mode:    mode,
-			Seed:    o.Seed,
-			Workers: o.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		edges, rounds = rep.Edges, rep.Rounds
+	net, err := congest.NewNetwork(g.N())
+	if err != nil {
+		return nil, err
 	}
-	out := &TriangleReport{Rounds: rounds}
+	edges, err := distprod.FindEdges(triangles.Instance{G: g.g}, distprod.Options{
+		Solver:  solver,
+		Params:  o.Preset.Params(),
+		Net:     net,
+		Workers: o.Workers,
+	}, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	out := &TriangleReport{Rounds: net.Rounds()}
 	for p := range edges {
 		out.Edges = append(out.Edges, Edge{U: p.U, V: p.V})
 	}
@@ -773,15 +683,15 @@ type ProductResult struct {
 // as row-major slices; use Inf for "no entry". The strategy option selects
 // the FindEdges solver of the Proposition 2 reduction (Gossip selects the
 // naive broadcast product). The product is exact, so strategies without a
-// FindEdges role other than Gossip, and any epsilon, are rejected rather
-// than silently substituted.
+// FindEdges role other than Gossip, any epsilon, and unregistered
+// strategies are rejected rather than silently substituted.
 func DistanceProduct(a, b [][]int64, opts ...Option) (*ProductResult, error) {
 	o := buildOptions(opts)
-	if o.Strategy != Gossip && !findEdgesRole(o.Strategy) {
-		return nil, fmt.Errorf("qclique: strategy %v has no distance-product solver (see StrategyInfo.FindEdges)", o.Strategy)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
-	if o.Epsilon != 0 {
-		return nil, fmt.Errorf("qclique: epsilon %v is not meaningful for DistanceProduct", o.Epsilon)
+	if o.Strategy != Gossip && !findEdgesRole(o.Strategy) {
+		return nil, fmt.Errorf("qclique: strategy %s has no distance-product solver (see StrategyInfo.FindEdges)", o.Strategy)
 	}
 	ma, err := matrix.FromRows(a)
 	if err != nil {

@@ -2,10 +2,12 @@ package qclique
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/xrand"
 )
@@ -205,9 +207,9 @@ func TestDistanceProductRejectsUnsupported(t *testing.T) {
 		opts []Option
 		want string
 	}{
-		{"approx-skeleton with epsilon", []Option{WithStrategy(ApproxSkeleton), WithEpsilon(0.5)}, ApproxSkeleton.String()},
-		{"approx-quantum", []Option{WithStrategy(ApproxQuantum)}, ApproxQuantum.String()},
-		{"planner", []Option{WithPlanner()}, StrategyAuto.String()},
+		{"approx-skeleton with epsilon", []Option{WithStrategy(ApproxSkeleton), WithEpsilon(0.5)}, string(ApproxSkeleton)},
+		{"approx-quantum", []Option{WithStrategy(ApproxQuantum)}, string(ApproxQuantum)},
+		{"planner", []Option{WithPlanner()}, string(StrategyAuto)},
 		{"quantum with epsilon", []Option{WithStrategy(Quantum), WithEpsilon(0.5)}, "epsilon"},
 	} {
 		res, err := DistanceProduct(a, a, tc.opts...)
@@ -235,20 +237,67 @@ func TestScaledConstantsPreset(t *testing.T) {
 	}
 }
 
-func TestStrategyString(t *testing.T) {
-	names := map[Strategy]string{
-		Quantum:         "quantum",
-		ClassicalSearch: "classical-search",
-		DolevListing:    "dolev-listing",
-		Gossip:          "gossip",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+// TestStrategyConstantsAreRegistryNames pins the one identity of a
+// strategy: every exported pipeline constant resolves through the engine
+// registry to itself, Strategies() lists exactly those six, and
+// StrategyAuto is a planner sentinel, not a pipeline.
+func TestStrategyConstantsAreRegistryNames(t *testing.T) {
+	consts := []Strategy{ApproxQuantum, ApproxSkeleton, ClassicalSearch, DolevListing, Gossip, Quantum}
+	for _, s := range consts {
+		if st, ok := engine.Lookup(string(s)); !ok || st.Name() != string(s) {
+			t.Errorf("constant %q does not resolve to itself in the registry", s)
 		}
 	}
-	if Strategy(42).String() == "" {
-		t.Error("unknown strategy should still render")
+	if _, ok := engine.Lookup(string(StrategyAuto)); ok {
+		t.Errorf("%q must not be a registered pipeline", StrategyAuto)
+	}
+	var listed []Strategy
+	for _, si := range Strategies() {
+		listed = append(listed, si.Strategy)
+	}
+	if !reflect.DeepEqual(listed, consts) {
+		t.Errorf("Strategies() = %v, want %v", listed, consts)
+	}
+}
+
+// TestUnregisteredStrategyRejected: a strategy name with no registered
+// pipeline fails every entry point with the registered names listed,
+// instead of silently running quantum.
+func TestUnregisteredStrategyRejected(t *testing.T) {
+	const want = "registered: approx-quantum, approx-skeleton, classical-search, dolev, gossip, quantum"
+	bogus := WithStrategy(Strategy("warp-drive"))
+	d := NewDigraph(4)
+	if err := d.SetArc(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph(4)
+	if err := g.SetEdge(0, 1, -2); err != nil {
+		t.Fatal(err)
+	}
+	m := [][]int64{{0, 1}, {Inf, 0}}
+	calls := map[string]func() error{
+		"Options.Validate": func() error { return Options{Strategy: "warp-drive"}.Validate() },
+		"SolveAPSP": func() error {
+			_, err := SolveAPSP(d, bogus)
+			return err
+		},
+		"Solver.Solve": func() error {
+			_, err := NewSolver().Solve(d, bogus)
+			return err
+		},
+		"FindNegativeTriangleEdges": func() error {
+			_, err := FindNegativeTriangleEdges(g, bogus)
+			return err
+		},
+		"DistanceProduct": func() error {
+			_, err := DistanceProduct(m, m, bogus)
+			return err
+		},
+	}
+	for name, call := range calls {
+		if err := call(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a rejection listing the registered strategies", name, err)
+		}
 	}
 }
 

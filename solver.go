@@ -57,12 +57,12 @@ func (s *Solver) merged(opts []Option) Options {
 func (o Options) spec() serve.SolveSpec {
 	o.normalize()
 	return serve.SolveSpec{
-		Strategy: o.Strategy.toCore(),
-		Preset:   o.Preset.servePreset(),
+		Strategy: string(o.Strategy),
+		Preset:   o.Preset,
 		Seed:     o.Seed,
 		Epsilon:  o.Epsilon,
 		Workers:  o.Workers,
-		Faults:   o.Faults.toCore(),
+		Faults:   o.Faults,
 		Degrade:  o.Degrade,
 	}
 }
@@ -71,8 +71,10 @@ func (o Options) spec() serve.SolveSpec {
 // deliberate: returned rows are the caller's to mutate, and handing out
 // views of the shared cached matrix would let one caller corrupt every
 // other caller's result. At serviceable n this costs microseconds against
-// a pipeline run measured in seconds.
-func resultFromServe(sr *serve.SolveResult, strategy Strategy) *APSPResult {
+// a pipeline run measured in seconds. Strategy is the pipeline that ran:
+// the requested one, the degradation rung that answered, or the planner's
+// choice.
+func resultFromServe(sr *serve.SolveResult) *APSPResult {
 	n := sr.Res.Dist.N()
 	dist := make([][]int64, n)
 	for i := range dist {
@@ -83,29 +85,26 @@ func resultFromServe(sr *serve.SolveResult, strategy Strategy) *APSPResult {
 		Rounds:            sr.Res.Rounds,
 		Products:          sr.Res.Products,
 		FindEdgesCalls:    sr.Res.FindEdgesCalls,
-		Strategy:          strategy,
+		Strategy:          Strategy(sr.Res.Strategy),
 		Cached:            sr.Cached,
 		Epsilon:           sr.Res.Epsilon,
 		GuaranteedStretch: sr.Res.GuaranteedStretch,
 		ObservedStretch:   sr.Res.ObservedStretch,
-		Faults:            countersFromCore(sr.Res.Metrics.Faults),
+		Faults:            sr.Res.Metrics.Faults,
 		Stages:            stagesFromCore(sr.Res.Stages),
 		dist:              sr.Res.Dist,
 	}
 	if sr.Degraded {
-		// The ladder answered with a fallback rung: report the strategy that
-		// actually ran, and the requested one in DegradedFrom.
+		// The ladder answered with a fallback rung; DegradedFrom names the
+		// requested (or, under the planner, the planned) strategy.
 		res.Degraded = true
-		res.Strategy = fromCore(sr.Res.Strategy)
-		res.DegradedFrom = fromCore(sr.DegradedFrom)
+		res.DegradedFrom = Strategy(sr.DegradedFrom)
 		res.DegradeReason = sr.DegradeReason
 	}
 	if sr.Plan != nil {
-		// The planner resolved StrategyAuto: report the pipeline that ran
-		// (under degradation, the rung — DegradedFrom already names the
-		// planned strategy) and the decision's prediction.
+		// The planner resolved StrategyAuto: report the decision's
+		// prediction.
 		res.Planned = true
-		res.Strategy = fromCore(sr.Res.Strategy)
 		res.PlannerReason = sr.Plan.Reason
 		res.PredictedRounds = sr.Plan.PredictedRounds
 		res.PredictedWallNs = sr.Plan.PredictedWallNs
@@ -140,7 +139,7 @@ func (s *Solver) SolveContext(ctx context.Context, g *Digraph, opts ...Option) (
 	if err != nil {
 		return nil, mapServeErr(err)
 	}
-	return resultFromServe(sr, o.Strategy), nil
+	return resultFromServe(sr), nil
 }
 
 // SSSP computes single-source shortest distances from src, sharing the
@@ -161,7 +160,7 @@ func (s *Solver) SSSP(g *Digraph, src int, opts ...Option) ([]int64, *APSPResult
 	if err != nil {
 		return nil, nil, mapServeErr(err)
 	}
-	return sr.Res.Dist.Row(src), resultFromServe(sr, o.Strategy), nil
+	return sr.Res.Dist.Row(src), resultFromServe(sr), nil
 }
 
 // ShortestPath returns one shortest path src→dst and its length, solving
@@ -176,11 +175,9 @@ func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, 
 		return nil, 0, errors.New("qclique: nil graph")
 	}
 	o := s.merged(opts)
-	if o.Strategy.toCore().IsApproximate() {
-		return nil, 0, ErrApproxPaths
-	}
-	// Path reconstruction needs exact tight-successor structure: confine a
-	// planned (StrategyAuto) solve to the exact catalog.
+	// Path reconstruction needs exact tight-successor structure: the serving
+	// layer refuses an approximate strategy and confines a planned
+	// (StrategyAuto) solve to the exact catalog.
 	sr, err := s.svc.SolveGraph(g.g, o.spec().ExactPlanning())
 	if err != nil {
 		return nil, 0, mapServeErr(err)
@@ -236,7 +233,7 @@ func (s *Solver) PathsBatch(g *Digraph, queries []PathQuery, opts ...Option) ([]
 	for i, a := range answers {
 		out[i] = PathAnswer{Src: a.Src, Dst: a.Dst, Dist: a.Dist, Path: a.Path, Err: a.Err}
 	}
-	return out, resultFromServe(sr, o.Strategy), nil
+	return out, resultFromServe(sr), nil
 }
 
 // StrategyStats is the per-strategy accounting of a Solver.
@@ -278,55 +275,19 @@ type StrategyStats struct {
 }
 
 // AdmissionStats is the Solver's overload-resilience accounting: the
-// admission controller's configuration and point-in-time gauges, plus the
-// cumulative overload counters.
-type AdmissionStats struct {
-	// MaxInflight/QueueDepth echo the configured caps (0 = unbounded).
-	MaxInflight int
-	QueueDepth  int
-	// Inflight/QueuedNow are point-in-time gauges of executing and queued
-	// solves.
-	Inflight  int
-	QueuedNow int
-	// Queued counts calls that had to wait for an execution slot;
-	// QueueWaitNs totals the wall time admitted calls spent waiting.
-	Queued      int64
-	QueueWaitNs int64
-	// Shed counts calls refused with an *OverloadError — never counted in
-	// StrategyStats.Cancelled.
-	Shed int64
-	// OverloadDegraded counts solves the overload monitor answered with a
-	// cheaper strategy (DegradeReason "overload"); PanicsRecovered counts
-	// panicking pipelines converted into errors.
-	OverloadDegraded int64
-	PanicsRecovered  int64
-}
+// admission controller's configuration and point-in-time gauges (Draining
+// reports a closed admission gate), plus the cumulative overload counters.
+// Shed calls — refused with an *OverloadError — are never counted in
+// StrategyStats.Cancelled.
+type AdmissionStats = serve.AdmissionStats
 
 // PlannerStats is the Solver's strategy-planner accounting: how many
-// StrategyAuto requests were planned, which strategies the planner chose,
-// and the cumulative prediction error of its cost model against the
-// observed executions (cached and degraded planned solves never run the
-// predicted pipeline, so they count decisions but not observations).
-type PlannerStats struct {
-	// Decisions counts planned (StrategyAuto) solve requests; Chosen maps
-	// strategy name to how often the planner picked it.
-	Decisions int64
-	Chosen    map[string]int64
-	// ObservedSolves counts planned solves that executed the planned
-	// pipeline to completion — the denominator of the error sums below.
-	ObservedSolves int64
-	// PredictedRounds/ObservedRounds/RoundsErrorAbs accumulate the
-	// planner's round predictions, the rounds actually charged, and the
-	// absolute per-decision error.
-	PredictedRounds int64
-	ObservedRounds  int64
-	RoundsErrorAbs  int64
-	// PredictedWallNs/ObservedWallNs/WallErrorNsAbs do the same for
-	// wall-clock time.
-	PredictedWallNs int64
-	ObservedWallNs  int64
-	WallErrorNsAbs  int64
-}
+// StrategyAuto requests were planned, which strategies the planner chose
+// (Chosen, keyed by strategy name), and the cumulative prediction error of
+// its cost model against the observed executions (cached and degraded
+// planned solves never run the predicted pipeline, so they count decisions
+// but not observations).
+type PlannerStats = serve.PlannerStats
 
 // SolverStats is a point-in-time snapshot of a Solver's accounting.
 type SolverStats struct {
@@ -348,39 +309,15 @@ func (s *Solver) Stats() SolverStats {
 	if s == nil || s.svc == nil {
 		return SolverStats{}
 	}
+	// The snapshot is already a deep copy, so the aliased admission and
+	// planner sections pass through as they are.
 	st := s.svc.Stats()
 	out := SolverStats{
 		CachedResults: st.CachedResults,
 		PathQueries:   st.PathQueries,
-		Admission: AdmissionStats{
-			MaxInflight:      st.Admission.MaxInflight,
-			QueueDepth:       st.Admission.QueueDepth,
-			Inflight:         st.Admission.Inflight,
-			QueuedNow:        st.Admission.QueuedNow,
-			Queued:           st.Admission.Queued,
-			QueueWaitNs:      st.Admission.QueueWaitNs,
-			Shed:             st.Admission.Shed,
-			OverloadDegraded: st.Admission.OverloadDegraded,
-			PanicsRecovered:  st.Admission.PanicsRecovered,
-		},
-		Strategies: make(map[string]StrategyStats, len(st.Strategies)),
-	}
-	if st.Planner != nil {
-		p := &PlannerStats{
-			Decisions:       st.Planner.Decisions,
-			Chosen:          make(map[string]int64, len(st.Planner.Chosen)),
-			ObservedSolves:  st.Planner.ObservedSolves,
-			PredictedRounds: st.Planner.PredictedRounds,
-			ObservedRounds:  st.Planner.ObservedRounds,
-			RoundsErrorAbs:  st.Planner.RoundsErrorAbs,
-			PredictedWallNs: st.Planner.PredictedWallNs,
-			ObservedWallNs:  st.Planner.ObservedWallNs,
-			WallErrorNsAbs:  st.Planner.WallErrorNsAbs,
-		}
-		for k, v := range st.Planner.Chosen {
-			p.Chosen[k] = v
-		}
-		out.Planner = p
+		Admission:     st.Admission,
+		Planner:       st.Planner,
+		Strategies:    make(map[string]StrategyStats, len(st.Strategies)),
 	}
 	for name, v := range st.Strategies {
 		ss := StrategyStats{
@@ -394,7 +331,7 @@ func (s *Solver) Stats() SolverStats {
 			Retries:       v.Retries,
 			Degraded:      v.Degraded,
 			BreakerSkips:  v.BreakerSkips,
-			Faults:        countersFromCore(v.Faults),
+			Faults:        v.Faults,
 			RoundsCharged: v.RoundsCharged,
 		}
 		if len(v.Stages) > 0 {
