@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -187,6 +188,33 @@ func TestSolveContextDeadlineInsideStage(t *testing.T) {
 	}
 	if got.Rounds != want.Rounds || !got.Dist.Equal(want.Dist) {
 		t.Fatal("workspace reused after a mid-stage deadline produced a different result")
+	}
+}
+
+// TestStrategyRegistryCoversEveryEnum pins the name constants to the
+// registry: every strategy constant resolves to a registered pipeline of
+// the right accuracy class, the registry holds exactly those six, and
+// StrategyAuto is no pipeline.
+func TestStrategyRegistryCoversEveryEnum(t *testing.T) {
+	names := []string{
+		StrategyApproxQuantum, StrategyApproxSkeleton, StrategyClassicalSearch,
+		StrategyDolev, StrategyGossip, StrategyQuantum,
+	}
+	for _, name := range names {
+		st, ok := engine.Lookup(name)
+		if !ok {
+			t.Errorf("strategy %q has no registered pipeline", name)
+			continue
+		}
+		if st.Approximate() != (name == StrategyApproxQuantum || name == StrategyApproxSkeleton) {
+			t.Errorf("strategy %q approximate flag mismatch", name)
+		}
+	}
+	if got := engine.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("registry names = %v, want %v", got, names)
+	}
+	if _, ok := engine.Lookup(StrategyAuto); ok {
+		t.Errorf("%q must not be a registered pipeline", StrategyAuto)
 	}
 }
 
