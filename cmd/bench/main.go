@@ -2,9 +2,10 @@
 // measurements: full quantum APSP pipeline, FindEdgesWithPromise sweep,
 // truncated multi-search, and the approximate-APSP frontier comparing the
 // (1+ε) chain and (2+ε) skeleton against the exact pipeline on shared
-// graphs) and emits a machine-readable JSON report with ns/op, rounds/op,
-// observed stretch and allocation counts per configuration, so the
-// performance trajectory is tracked across PRs:
+// graphs) plus the gossip baseline's node-local min-plus squaring chain,
+// and emits a machine-readable JSON report with ns/op, rounds/op, observed
+// stretch and allocation counts per configuration, so the performance
+// trajectory is tracked across PRs:
 //
 //	go run ./cmd/bench -label "PR 2" -out BENCH_1.json
 //
@@ -313,6 +314,35 @@ func benchConfigs(quick bool) ([]benchConfig, error) {
 				return runOut{rounds: nw.Rounds()}, nil
 			},
 		})
+	}
+
+	// Gossip: the O(n)-round baseline the serving planner picks for exact
+	// auto solves, i.e. apspd's cache-miss path. Its cost is the min-plus
+	// layer: the node-local squaring chain. The E1 graph reaches the
+	// chain's fixed point after a few squarings; the directed path needs
+	// every squaring of the ⌈log₂ n⌉ budget.
+	if !quick {
+		const n = 256
+		g, err := benchDigraph(n)
+		if err != nil {
+			return nil, err
+		}
+		path := graph.NewDigraph(n)
+		for i := 0; i+1 < n; i++ {
+			if err := path.SetArc(i, i+1, 1); err != nil {
+				return nil, err
+			}
+		}
+		configs = append(configs,
+			benchConfig{
+				name: fmt.Sprintf("GossipAPSP/n=%d", n),
+				run:  solveRun(g, core.Config{Strategy: core.StrategyGossip}, false),
+			},
+			benchConfig{
+				name: fmt.Sprintf("GossipAPSP/path/n=%d", n),
+				run:  solveRun(path, core.Config{Strategy: core.StrategyGossip}, false),
+			},
+		)
 	}
 	return configs, nil
 }
@@ -687,6 +717,10 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// defaultMaxSlowdown is -max-slowdown's default: the wall-clock noise
+// tolerance between a re-measured ns/op and its committed baseline.
+const defaultMaxSlowdown = 2.5
+
 func main() {
 	out := flag.String("out", "", "write the JSON report to this path (default: stdout)")
 	label := flag.String("label", "dev", "label recorded in the report")
@@ -695,7 +729,7 @@ func main() {
 	planner := flag.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
 	check := flag.String("check", "", "compare against this baseline report and exit 1 on regression")
 	faults := flag.Bool("faults", false, "run the chaos matrix (every strategy under the fixed fault plan) instead of E1-E4 and emit a FaultReport")
-	maxSlowdown := flag.Float64("max-slowdown", 2.5, "ns/op regression tolerance for -check")
+	maxSlowdown := flag.Float64("max-slowdown", defaultMaxSlowdown, "ns/op regression tolerance for -check")
 	maxAllocGrowth := flag.Float64("max-alloc-growth", 1.5, "allocs/op regression tolerance for -check")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measurement run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this path")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qclique/internal/engine"
+	"qclique/internal/graph"
 )
 
 func TestWorkloadConstructors(t *testing.T) {
@@ -15,6 +16,40 @@ func TestWorkloadConstructors(t *testing.T) {
 	if _, err := benchTriangleGraph(16); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGossipPriorAnchoredOnBaseline keeps gossip's cost prior on its
+// committed measurement: the planner and cold-start admission price an
+// n=256 gossip solve from BENCH_1.json's GossipAPSP/n=256 entry. Rounds
+// must match exactly; the wall prior must stay within -check's default
+// noise tolerance of the entry's ns/op, so a re-baseline that moves the
+// measurement further than that must move the anchor in internal/core too.
+func TestGossipPriorAnchoredOnBaseline(t *testing.T) {
+	rep, err := loadReport("../../BENCH_1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := engine.Lookup("gossip")
+	if !ok {
+		t.Fatal("gossip is not registered")
+	}
+	prior, ok := engine.PredictCostOf(st, graph.Features{N: 256}, 0)
+	if !ok {
+		t.Fatal("gossip declares no cost prior")
+	}
+	for _, r := range rep.Benchmarks {
+		if r.Name != "GossipAPSP/n=256" {
+			continue
+		}
+		if prior.Rounds != int64(r.RoundsPerOp) {
+			t.Errorf("prior rounds %d, baseline %v", prior.Rounds, r.RoundsPerOp)
+		}
+		if ratio := float64(prior.WallNs) / r.NsPerOp; ratio > defaultMaxSlowdown || ratio < 1/defaultMaxSlowdown {
+			t.Errorf("prior wall %d ns is %.2fx the baseline's %.0f ns/op, beyond the %.1fx tolerance", prior.WallNs, ratio, r.NsPerOp, defaultMaxSlowdown)
+		}
+		return
+	}
+	t.Fatal("BENCH_1.json has no GossipAPSP/n=256 entry")
 }
 
 func TestE1SizesQuickSubset(t *testing.T) {

@@ -142,8 +142,9 @@ type Result struct {
 	Rounds int64
 	// Metrics is the aggregate network accounting.
 	Metrics congest.Metrics
-	// Products is the number of distance products (Proposition 3:
-	// ⌈log₂ n⌉).
+	// Products is the number of distance products: at most ⌈log₂ n⌉
+	// (Proposition 3). The search pipelines run all of them; gossip and
+	// approx-quantum stop at the squaring chain's fixed point.
 	Products int
 	// FindEdgesCalls is the total number of FindEdges invocations across
 	// all products (Proposition 2: O(log M) each).

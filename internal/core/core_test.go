@@ -7,6 +7,7 @@ import (
 
 	"qclique/internal/engine"
 	"qclique/internal/graph"
+	"qclique/internal/matrix"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
 )
@@ -41,6 +42,7 @@ func checkDistances(t *testing.T, g *graph.Digraph, res *Result, label string) {
 
 func TestSolveAllStrategiesExact(t *testing.T) {
 	g := randomAPSPInput(t, 16, 1)
+	budget := matrix.SquaringBudget(16)
 	for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
 		res, err := Solve(g, Config{Strategy: s, Seed: 7})
 		if err != nil {
@@ -52,6 +54,16 @@ func TestSolveAllStrategiesExact(t *testing.T) {
 		}
 		if res.Rounds <= 0 {
 			t.Errorf("%v: no rounds charged", s)
+		}
+		// Gossip's node-local chain stops at its fixed point; the search
+		// pipelines run the whole ⌈log₂ n⌉ budget, because an early exit
+		// there would need a vote that charges rounds.
+		if s == StrategyGossip {
+			if res.Products < 1 || res.Products > budget {
+				t.Errorf("gossip: %d products, want 1..%d", res.Products, budget)
+			}
+		} else if res.Products != budget {
+			t.Errorf("%v: %d products, want the full budget %d", s, res.Products, budget)
 		}
 	}
 }
@@ -105,6 +117,57 @@ func TestSolveNegativeCycle(t *testing.T) {
 		if res == nil || !res.Dist.HasNegativeDiagonal() {
 			t.Errorf("%v: result must carry the negative diagonal", s)
 		}
+	}
+}
+
+// TestGossipStopsAtFixedPoint: on this n=32 input gossip's node-local
+// chain reaches its fixed point after 4 of its 5 squarings, with the
+// full-budget chain's distances bit for bit.
+func TestGossipStopsAtFixedPoint(t *testing.T) {
+	const n = 32
+	g := randomAPSPInput(t, n, 1)
+	want, _, err := matrix.APSPBySquaring(matrix.FromDigraph(g), matrix.DistanceProduct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(g, Config{Strategy: StrategyGossip, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Dist.Equal(want) {
+		t.Error("distances differ from the full-budget chain")
+	}
+	if budget := matrix.SquaringBudget(n); res.Products >= budget {
+		t.Errorf("%d products, want the fixed point before the budget %d", res.Products, budget)
+	}
+}
+
+// TestGossipNegativeCycleAtFixedPoint: a negative 2-cycle whose arcs weigh
+// −Inf/2 saturates to −∞ within two squarings and reaches the end of the
+// tail 1→2→3 at the third; the fourth changes nothing, so gossip stops
+// before its budget of five. The solve must still report ErrNegativeCycle
+// with the full-budget chain's distances.
+func TestGossipNegativeCycleAtFixedPoint(t *testing.T) {
+	const n = 32
+	g := graph.NewDigraph(n)
+	for _, a := range [][3]int64{{0, 1, -graph.Inf / 2}, {1, 0, -graph.Inf / 2}, {1, 2, 1}, {2, 3, 1}} {
+		if err := g.SetArc(int(a[0]), int(a[1]), a[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _, err := matrix.APSPBySquaring(matrix.FromDigraph(g), matrix.DistanceProduct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(g, Config{Strategy: StrategyGossip})
+	if !errors.Is(err, ErrNegativeCycle) {
+		t.Fatalf("err = %v, want ErrNegativeCycle", err)
+	}
+	if !res.Dist.Equal(want) {
+		t.Error("distances differ from the full-budget chain")
+	}
+	if budget := matrix.SquaringBudget(n); res.Products >= budget {
+		t.Errorf("%d products, want the fixed point before the budget %d", res.Products, budget)
 	}
 }
 

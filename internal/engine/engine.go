@@ -69,7 +69,9 @@ type Request struct {
 type Outcome struct {
 	// Dist is the distance matrix (nil when the run was interrupted).
 	Dist *matrix.Matrix
-	// Products is the number of distance products performed.
+	// Products is the number of distance products performed, at most
+	// ⌈log₂ n⌉; fewer when a squaring chain stops at its fixed point
+	// (gossip, approx-quantum).
 	Products int
 	// FindEdgesCalls is the total FindEdges invocations across products.
 	FindEdgesCalls int

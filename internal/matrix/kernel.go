@@ -140,10 +140,36 @@ func mulMinPlusBlocked64(dst, a, b *Matrix, workers int) {
 	})
 }
 
+// relax32 folds one k-row of B into an output tile row:
+// rowC[j] = min(rowC[j], aik + rowB[j]), for a finite (non-inf32) aik.
+func relax32(rowC, rowB []int32, aik int32) {
+	rowB = rowB[:len(rowC)]
+	for j, c := range rowC {
+		rowC[j] = min(c, aik+rowB[j])
+	}
+}
+
+// relax32x4 folds four k-rows of B into an output tile row in one pass:
+// rowC[j] = min(rowC[j], a0+b0[j], a1+b1[j], a2+b2[j], a3+b3[j]), for
+// finite (non-inf32) a0…a3.
+func relax32x4(rowC, b0, b1, b2, b3 []int32, a0, a1, a2, a3 int32) {
+	b0, b1, b2, b3 = b0[:len(rowC)], b1[:len(rowC)], b2[:len(rowC)], b3[:len(rowC)]
+	for j, c := range rowC {
+		rowC[j] = min(c, a0+b0[j], a1+b1[j], a2+b2[j], a3+b3[j])
+	}
+}
+
 // mulMinPlusBlocked32 is the compacted kernel: inputs are narrowed to
 // int32, the inner loop is a plain add-and-min (no saturation branches,
 // half the memory traffic of the int64 kernel), and the result is widened
 // back with entries above maxSum restored to +∞.
+//
+// The inner loop is register-blocked over k: each pass over an output tile
+// row folds in four k-rows of B, so C is loaded and stored once per four
+// terms. Only the finite entries of A's k-tile row are folded (they are
+// gathered first, which is also the ∞-skip), so no group holds an inf32
+// leg and no sum can overflow int32. min is exact, so the fold order
+// changes no result bit.
 func mulMinPlusBlocked32(dst, a, b *Matrix, maxSum int64, workers int) {
 	n := a.n
 	a32 := getI32(n * n)
@@ -170,19 +196,26 @@ func mulMinPlusBlocked32(dst, a, b *Matrix, maxSum int64, workers int) {
 			for j0 := 0; j0 < n; j0 += tileJ {
 				j1 := min(j0+tileJ, n)
 				for i := i0; i < i1; i++ {
-					rowA := a32[i*n+k0 : i*n+k1]
 					rowC := c32[i*n+j0 : i*n+j1]
-					for kk, aik := range rowA {
-						if aik == inf32 {
-							continue
+					// Gather the finite legs: A's entry and B's row offset.
+					var legA [tileK]int32
+					var offB [tileK]int
+					m := 0
+					for kk, aik := range a32[i*n+k0 : i*n+k1] {
+						if aik != inf32 {
+							legA[m], offB[m] = aik, (k0+kk)*n
+							m++
 						}
-						k := k0 + kk
-						rowB := b32[k*n+j0 : k*n+j1]
-						for j, bkj := range rowB {
-							if s := aik + bkj; s < rowC[j] {
-								rowC[j] = s
-							}
-						}
+					}
+					q := 0
+					for ; q+4 <= m; q += 4 {
+						relax32x4(rowC,
+							b32[offB[q]+j0:offB[q]+j1], b32[offB[q+1]+j0:offB[q+1]+j1],
+							b32[offB[q+2]+j0:offB[q+2]+j1], b32[offB[q+3]+j0:offB[q+3]+j1],
+							legA[q], legA[q+1], legA[q+2], legA[q+3])
+					}
+					for ; q < m; q++ {
+						relax32(rowC, b32[offB[q]+j0:offB[q]+j1], legA[q])
 					}
 				}
 			}

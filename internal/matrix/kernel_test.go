@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"testing"
 
 	"qclique/internal/graph"
@@ -52,51 +53,70 @@ func randomKernelMatrix(rng *xrand.Source, n int, maxW int64, infDensity float64
 	return m
 }
 
-// TestBlockedEquivalentToReference is the kernel property test: for every
-// n in 1..65 (crossing each tile and row-block boundary), random seeds, a
-// spread of ∞ densities, negative weights, and weight magnitudes that force
-// the int32 path on some instances and the int64 path (−∞ entries or huge
-// weights) on others, MulMinPlusInto must equal the unblocked reference bit
-// for bit, at several worker counts.
-func TestBlockedEquivalentToReference(t *testing.T) {
-	cases := []struct {
-		maxW       int64
-		infDensity float64
-		negInf     bool
-	}{
-		{maxW: 50, infDensity: 0.2, negInf: false},             // int32 path
-		{maxW: 1000, infDensity: 0.7, negInf: false},           // int32, mostly ∞
-		{maxW: 3, infDensity: 0.0, negInf: false},              // int32, dense
-		{maxW: 50, infDensity: 0.2, negInf: true},              // −∞ forces int64
-		{maxW: int64(1) << 40, infDensity: 0.3, negInf: false}, // magnitude forces int64
-	}
-	for n := 1; n <= 65; n++ {
-		for ci, tc := range cases {
-			rng := xrand.New(uint64(n*100 + ci))
-			a := randomKernelMatrix(rng, n, tc.maxW, tc.infDensity, tc.negInf)
-			b := randomKernelMatrix(rng, n, tc.maxW, tc.infDensity, tc.negInf)
-			want := New(n)
-			mulMinPlusReference(want, a, b)
-			for _, workers := range []int{1, 2, 5} {
-				got := New(n)
-				if err := MulMinPlusInto(got, a, b, workers); err != nil {
-					t.Fatalf("n=%d case=%d workers=%d: %v", n, ci, workers, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("n=%d case=%d workers=%d: blocked product diverges from reference\ngot:\n%swant:\n%s",
-						n, ci, workers, got, want)
-				}
-			}
-			// Squaring (a==b) shares one compacted buffer; cover that too.
-			mulMinPlusReference(want, a, a)
-			got := New(n)
-			if err := MulMinPlusInto(got, a, a, 1); err != nil {
-				t.Fatalf("n=%d case=%d squaring: %v", n, ci, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("n=%d case=%d: blocked squaring diverges from reference", n, ci)
-			}
+// kernelCase is one weight regime of the kernel property test.
+type kernelCase struct {
+	maxW       int64
+	infDensity float64
+	negInf     bool
+}
+
+var kernelCases = []kernelCase{
+	{maxW: 50, infDensity: 0.2, negInf: false},             // int32 path
+	{maxW: 1000, infDensity: 0.7, negInf: false},           // int32, mostly ∞
+	{maxW: 3, infDensity: 0.0, negInf: false},              // int32, dense
+	{maxW: 50, infDensity: 0.2, negInf: true},              // −∞ forces int64
+	{maxW: int64(1) << 40, infDensity: 0.3, negInf: false}, // magnitude forces int64
+}
+
+// checkBlockedAgainstReference draws two n×n matrices of case ci and
+// requires MulMinPlusInto to equal the unblocked reference bit for bit at
+// each worker count, for a product and for a squaring (a==b, where both
+// operands share one compacted buffer).
+func checkBlockedAgainstReference(t *testing.T, n, ci int, workerCounts []int) {
+	t.Helper()
+	tc := kernelCases[ci]
+	rng := xrand.New(uint64(n*100 + ci))
+	a := randomKernelMatrix(rng, n, tc.maxW, tc.infDensity, tc.negInf)
+	b := randomKernelMatrix(rng, n, tc.maxW, tc.infDensity, tc.negInf)
+	want := New(n)
+	mulMinPlusReference(want, a, b)
+	wantSq := New(n)
+	mulMinPlusReference(wantSq, a, a)
+	for _, workers := range workerCounts {
+		got := New(n)
+		if err := MulMinPlusInto(got, a, b, workers); err != nil {
+			t.Fatalf("n=%d case=%d workers=%d: %v", n, ci, workers, err)
 		}
+		if !got.Equal(want) {
+			t.Fatalf("n=%d case=%d workers=%d: blocked product diverges from reference\ngot:\n%swant:\n%s",
+				n, ci, workers, got, want)
+		}
+		if err := MulMinPlusInto(got, a, a, workers); err != nil {
+			t.Fatalf("n=%d case=%d workers=%d squaring: %v", n, ci, workers, err)
+		}
+		if !got.Equal(wantSq) {
+			t.Fatalf("n=%d case=%d workers=%d: blocked squaring diverges from reference", n, ci, workers)
+		}
+	}
+}
+
+// TestBlockedEquivalentToReference is the kernel property test: random
+// seeds, a spread of ∞ densities, negative weights, and weight magnitudes
+// that force the int32 path on some instances and the int64 path (−∞
+// entries or huge weights) on others; MulMinPlusInto must equal the
+// unblocked reference bit for bit, at several worker counts. Every n in
+// 1..65 crosses each rowBlock and tileK boundary and every remainder of
+// the int32 kernel's four-way k fold; n ∈ {127, 128, 129, 256} crosses the
+// tileJ boundary, once on each kernel.
+func TestBlockedEquivalentToReference(t *testing.T) {
+	for n := 1; n <= 65; n++ {
+		for ci := range kernelCases {
+			checkBlockedAgainstReference(t, n, ci, []int{1, 2, 5})
+		}
+	}
+	for _, n := range []int{127, 128, 129, 256} {
+		checkBlockedAgainstReference(t, n, 0, []int{1, 2}) // int32
+		checkBlockedAgainstReference(t, n, 4, []int{1, 2}) // int64
 	}
 }
 
@@ -165,5 +185,36 @@ func TestCompactRoundTripExtremes(t *testing.T) {
 	}
 	if got.At(1, 2) != graph.Inf {
 		t.Errorf("∞-leg sum must decompact to +∞, got %d", got.At(1, 2))
+	}
+}
+
+// BenchmarkMulMinPlus times one n=256 product through the int32 kernel, on
+// a dense random matrix and on the sparse A_G of an E1-style digraph (arc
+// probability 0.4, weights −8…8), the first squaring of the gossip chain.
+func BenchmarkMulMinPlus(b *testing.B) {
+	const n = 256
+	g, err := graph.RandomDigraph(n, graph.DigraphOpts{
+		ArcProb: 0.4, MinWeight: -8, MaxWeight: 8, NoNegativeCycles: true,
+	}, xrand.New(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		m    *Matrix
+	}{
+		{"dense", randomKernelMatrix(xrand.New(1), n, 1000, 0, false)},
+		{"ag", FromDigraph(g)},
+	}
+	for _, in := range inputs {
+		b.Run(fmt.Sprintf("%s/n=%d", in.name, n), func(b *testing.B) {
+			dst := New(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := MulMinPlusInto(dst, in.m, in.m, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

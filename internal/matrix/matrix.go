@@ -267,10 +267,12 @@ func FromDigraph(g *graph.Digraph) *Matrix {
 // FindEdges-based product of Proposition 2.
 type Product func(a, b *Matrix) (*Matrix, error)
 
-// SquaringStats reports what a run of APSPBySquaring did.
+// SquaringStats reports what a run of APSPBySquaring or APSPBySquaringInto
+// did.
 type SquaringStats struct {
-	// Products is the number of distance products performed; Proposition 3
-	// bounds it by ⌈log₂ n⌉ for n ≥ 2.
+	// Products is the number of distance products performed: exactly
+	// ⌈log₂ n⌉ (Proposition 3) for APSPBySquaring, at most that for
+	// APSPBySquaringInto, which stops at the chain's fixed point.
 	Products int
 }
 
@@ -315,9 +317,16 @@ func APSPBySquaring(ag *Matrix, prod Product) (*Matrix, SquaringStats, error) {
 // A ⋆ B into dst (overwriting it entirely) instead of allocating a result.
 type ProductInto func(dst, a, b *Matrix) error
 
-// APSPBySquaringInto is APSPBySquaring over an in-place product: the chain
-// ping-pongs between two workspace matrices, so a steady-state solve
-// performs ⌈log₂ n⌉ squarings with zero per-iteration matrix allocation.
+// APSPBySquaringInto is APSPBySquaring over an in-place product that stops
+// at the chain's fixed point. The chain ping-pongs between two workspace
+// matrices, so a steady-state solve performs its squarings with zero
+// per-iteration matrix allocation. It breaks out after the first squaring
+// that returns its input unchanged: once A⋆A = A every later squaring is
+// the identity, so for a deterministic prod the result is bit-identical to
+// APSPBySquaring's for every input (negative cycles, −∞ and saturating
+// weights included). Products is the index of that squaring, or the full
+// ⌈log₂ n⌉ budget when no squaring within it was a no-op.
+//
 // The returned matrix is one of the two workspace buffers and is therefore
 // owned by the caller: it must not be handed back to ws while the result is
 // alive (the companion buffer is returned automatically).
@@ -341,6 +350,9 @@ func APSPBySquaringInto(ag *Matrix, prod ProductInto, ws *Workspace) (*Matrix, S
 		}
 		stats.Products++
 		cur, next = next, cur
+		if cur.Equal(next) {
+			break
+		}
 	}
 	ws.Put(next)
 	return cur, stats, nil

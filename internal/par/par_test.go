@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -102,10 +103,17 @@ func TestPooledMatchesSerialEveryWorkerCount(t *testing.T) {
 
 func TestPoolReuseAcrossDispatches(t *testing.T) {
 	// Repeated dispatches must keep covering every index exactly once —
-	// this exercises free-list recycling of parked workers.
+	// this exercises free-list recycling of parked workers — and must reuse
+	// those workers instead of growing the pool: without recycling, every
+	// dispatch here would add five goroutines. A worker caught between
+	// wg.Done and re-parking can make a dispatch spawn one more, so only
+	// growth of one goroutine per dispatch or more is a failure.
 	const n = 257
+	const rounds = 50
+	ForEachWorker(6, n, func(int, int) {})
+	before := runtime.NumGoroutine()
 	counts := make([]int32, n)
-	for round := 0; round < 50; round++ {
+	for round := 0; round < rounds; round++ {
 		for i := range counts {
 			counts[i] = 0
 		}
@@ -115,6 +123,9 @@ func TestPoolReuseAcrossDispatches(t *testing.T) {
 				t.Fatalf("round %d: index %d executed %d times", round, i, c)
 			}
 		}
+	}
+	if grown := runtime.NumGoroutine() - before; grown >= rounds {
+		t.Fatalf("pool grew by %d goroutines over %d dispatches: parked workers are not reused", grown, rounds)
 	}
 }
 

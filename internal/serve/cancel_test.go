@@ -160,7 +160,7 @@ func TestCancelledSolvesDoNotLeakGoroutines(t *testing.T) {
 	}
 	spec := SolveSpec{Preset: PresetScaled}
 
-	before := runtime.NumGoroutine()
+	before := requestGoroutines()
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i+1)*time.Millisecond)
 		if _, err := svc.SolveContext(ctx, id, spec); err == nil {
@@ -170,12 +170,13 @@ func TestCancelledSolvesDoNotLeakGoroutines(t *testing.T) {
 		cancel()
 	}
 
-	// Worker-pool goroutines exit once their WaitGroup drains; give the
-	// scheduler a bounded window to reap them.
+	// Per-solve goroutines exit once their work drains; give the scheduler
+	// a bounded window to reap them. The par pool's idle workers are not
+	// counted.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		after := runtime.NumGoroutine()
+		after := requestGoroutines()
 		if after <= before+2 {
 			return
 		}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"qclique/internal/graph"
+	"qclique/internal/par"
 )
 
 // overloadTestGraph is a small nonnegative symmetric graph: fast to solve
@@ -51,6 +52,69 @@ func setSolveHook(t *testing.T, hook func(SolveSpec)) {
 	t.Cleanup(func() { solveTestHook = nil })
 }
 
+// requestGoroutines counts the live goroutines other than the par pool's
+// idle workers, those parked on their job channel between jobs. Pool
+// workers are spawned on first need and never exit, by design, so a test
+// that happens to be the first to need one more would otherwise read it as
+// a leak. A worker that is running, or stuck inside, a job is still counted.
+func requestGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, stack := range bytes.Split(buf, []byte("\n\n")) {
+		header, frames, _ := bytes.Cut(stack, []byte("\n"))
+		idle := bytes.Contains(header, []byte("[chan receive")) &&
+			bytes.HasPrefix(frames, []byte("qclique/internal/par.(*poolWorker).loop("))
+		if !idle {
+			count++
+		}
+	}
+	return count
+}
+
+// TestRequestGoroutinesCountsBusyPoolWorkers: the leak count skips only
+// idle pool workers. While a dispatch is blocked inside its job, both its
+// dispatching goroutine and the pool worker running the other chunk count,
+// so the count drops by two once the job ends and the worker parks again.
+func TestRequestGoroutinesCountsBusyPoolWorkers(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Two single-index chunks: each executor claims one and blocks in
+		// it, so the caller and one pool worker are both inside the job.
+		par.For(2, 2, func(int) {
+			started <- struct{}{}
+			<-release
+		})
+	}()
+	<-started
+	<-started
+	busy := requestGoroutines()
+	close(release)
+	<-done
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		after := requestGoroutines()
+		if after <= busy-2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("requestGoroutines = %d during a blocked dispatch and %d after it, want a drop of 2 (dispatcher + busy worker)", busy, after)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // waitAdmission polls the admission gauges until ok or the deadline.
 func waitAdmission(t *testing.T, svc *Service, what string, ok func(AdmissionStats) bool) {
 	t.Helper()
@@ -73,7 +137,7 @@ func waitAdmission(t *testing.T, svc *Service, what string, ok func(AdmissionSta
 // land in the stats), every request eventually completes, and no goroutines
 // leak. Run under -race this also pins the controller's synchronization.
 func TestAdmissionSaturation(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := requestGoroutines()
 	const cap = 3
 	const total = 10
 	svc := New(Config{MaxInflight: cap, QueueDepth: 16})
@@ -137,11 +201,11 @@ func TestAdmissionSaturation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		if runtime.NumGoroutine() <= before+1 {
+		if requestGoroutines() <= before+1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d now=%d", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines leaked: before=%d now=%d", before, requestGoroutines())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -391,6 +455,70 @@ func TestDeadlineShed(t *testing.T) {
 	}
 	if c := st.Strategies["quantum"].Cancelled; c != 0 {
 		t.Fatalf("Cancelled = %d, want 0", c)
+	}
+}
+
+// TestColdGossipPriorAdmits: before any gossip solve has completed,
+// admission prices a queued gossip request with the strategy's cost prior.
+// At n=256 the solve takes well under a second, so under a 2 s deadline the
+// queued request must be admitted once the slot frees, not shed with a
+// 503. The admitted request cancels itself in the solve hook, which pins
+// the admission decision without timing the solve.
+func TestColdGossipPriorAdmits(t *testing.T) {
+	svc := New(Config{MaxInflight: 1, QueueDepth: 4})
+	occupierID, err := svc.PutGraph(overloadTestGraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedID, err := svc.PutGraph(overloadTestGraph(t, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := svc.estimateFor("gossip", graph.Features{N: 256}, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	gate := make(chan struct{})
+	admitted := false
+	setSolveHook(t, func(spec SolveSpec) {
+		switch spec.Seed {
+		case 1:
+			<-gate
+		case 2:
+			admitted = true
+			cancel()
+		}
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := svc.Solve(occupierID, SolveSpec{Strategy: "gossip", Seed: 1}); err != nil {
+			t.Errorf("occupier: %v", err)
+		}
+	}()
+	waitAdmission(t, svc, "the occupier to hold the slot", func(st AdmissionStats) bool { return st.Inflight == 1 })
+
+	queued := make(chan error, 1)
+	go func() {
+		_, err := svc.SolveContext(ctx, queuedID, SolveSpec{Strategy: "gossip", Seed: 2})
+		queued <- err
+	}()
+	waitAdmission(t, svc, "the n=256 request to queue or shed", func(st AdmissionStats) bool {
+		return st.QueuedNow == 1 || st.Shed > 0
+	})
+	close(gate)
+	wg.Wait()
+	err = <-queued
+
+	var oe *OverloadError
+	if errors.As(err, &oe) {
+		t.Fatalf("queued n=256 gossip solve shed (%s) on the cold prior %v", oe.Reason, prior)
+	}
+	if !admitted {
+		t.Fatalf("queued n=256 gossip solve never reached execution: %v", err)
+	}
+	if st := svc.Stats().Admission; st.Shed != 0 || st.Queued != 1 {
+		t.Fatalf("admission stats %+v, want one queued request and no shed", st)
 	}
 }
 

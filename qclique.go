@@ -444,7 +444,10 @@ type APSPResult struct {
 	// Rounds is the simulated CONGEST-CLIQUE round count of the whole
 	// pipeline.
 	Rounds int64
-	// Products is the number of distance products performed (⌈log₂ n⌉).
+	// Products is the number of distance products performed: at most
+	// ⌈log₂ n⌉. The quantum, classical-search and dolev pipelines run all
+	// ⌈log₂ n⌉; gossip and approx-quantum stop once a squaring returns its
+	// input unchanged (the chain's fixed point).
 	Products int
 	// FindEdgesCalls counts the negative-triangle subproblems solved.
 	FindEdgesCalls int
