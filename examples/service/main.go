@@ -8,8 +8,10 @@
 // Daemon path: the same layer over HTTP — this example launches the real
 // cmd/apspd daemon on a free port and drives it exactly as an external
 // client would (upload by content hash, solve, batched path queries,
-// metrics). The client half uses nothing but net/http and encoding/json,
-// so it can be copied verbatim into code outside this module.
+// metrics). It exits nonzero unless the daemon's solve charges the same
+// rounds as the library handle and its re-solve is a cache hit. The client
+// half uses nothing but net/http and encoding/json, so it can be copied
+// verbatim into code outside this module.
 package main
 
 import (
@@ -130,6 +132,14 @@ func main() {
 	call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &s1)
 	call(http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveBody, &s2)
 	fmt.Printf("daemon solve: %d rounds (cached=%v), re-solve cached=%v\n", s1.Rounds, s1.Cached, s2.Cached)
+	// The daemon runs the same pipeline as the library: same graph, seed and
+	// preset, same rounds; and the identical re-solve is a cache hit.
+	if s1.Rounds != res.Rounds {
+		log.Fatalf("daemon solve charged %d rounds, the library Solver %d", s1.Rounds, res.Rounds)
+	}
+	if !s2.Cached {
+		log.Fatal("daemon re-solve was not served from the cache")
+	}
 
 	batch := map[string]any{
 		"strategy": "quantum", "preset": "scaled", "seed": 42,

@@ -120,9 +120,14 @@ func (p solveParamsJSON) solveCtx(r *http.Request) (context.Context, context.Can
 	return ctx, func() {}
 }
 
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow int64; a larger one would wrap negative and expire before the
+// solve starts.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 func (p solveParamsJSON) spec() (SolveSpec, error) {
-	if p.TimeoutMS < 0 {
-		return SolveSpec{}, fmt.Errorf("serve: negative timeout_ms %d", p.TimeoutMS)
+	if p.TimeoutMS < 0 || p.TimeoutMS > maxTimeoutMS {
+		return SolveSpec{}, fmt.Errorf("serve: timeout_ms %d outside [0, %d]", p.TimeoutMS, maxTimeoutMS)
 	}
 	// An omitted strategy stays empty so Config.DefaultStrategy applies
 	// (the daemon may default to the planner); only an explicit name is
@@ -139,8 +144,7 @@ func (p solveParamsJSON) spec() (SolveSpec, error) {
 	if err != nil {
 		return SolveSpec{}, err
 	}
-	// Epsilon-vs-strategy consistency is checked once the full spec is
-	// assembled (query parameters can add epsilon after this point): the
+	// Epsilon-vs-strategy consistency is left to SolveSpec.Validate: the
 	// handlers validate explicitly or rely on Service.solve, and
 	// solveStatus maps ErrInvalidSpec to 400.
 	spec := SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Degrade: p.Degrade}
@@ -329,38 +333,36 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/graphs/{id}/dist", func(w http.ResponseWriter, r *http.Request) {
-		spec, err := solveParamsJSON{
-			Strategy: r.URL.Query().Get("strategy"),
-			Preset:   r.URL.Query().Get("preset"),
-		}.spec()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if v := r.URL.Query().Get("seed"); v != "" {
+		query := r.URL.Query()
+		params := solveParamsJSON{Strategy: query.Get("strategy"), Preset: query.Get("preset")}
+		if v := query.Get("seed"); v != "" {
 			seed, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad seed: %w", err))
 				return
 			}
-			spec.Seed = seed
+			params.Seed = seed
 		}
-		if v := r.URL.Query().Get("epsilon"); v != "" {
+		if v := query.Get("epsilon"); v != "" {
 			eps, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad epsilon: %w", err))
 				return
 			}
-			spec.Epsilon = eps
+			params.Epsilon = eps
 		}
-		var timeoutMS int64
-		if v := r.URL.Query().Get("timeout_ms"); v != "" {
+		if v := query.Get("timeout_ms"); v != "" {
 			t, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || t < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad timeout_ms %q", v))
+			if err != nil {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad timeout_ms: %w", err))
 				return
 			}
-			timeoutMS = t
+			params.TimeoutMS = t
+		}
+		spec, err := params.spec()
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
 		if err := spec.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -380,7 +382,7 @@ func NewHandler(s *Service) http.Handler {
 		}
 		n := sg.g.N()
 		parseIdx := func(name string) (int, bool, error) {
-			v := r.URL.Query().Get(name)
+			v := query.Get(name)
 			if v == "" {
 				return 0, false, nil
 			}
@@ -404,7 +406,7 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, errors.New("serve: dst requires src"))
 			return
 		}
-		ctx, cancel := solveParamsJSON{TimeoutMS: timeoutMS}.solveCtx(r)
+		ctx, cancel := params.solveCtx(r)
 		defer cancel()
 		res, err := s.SolveContext(ctx, id, spec)
 		if err != nil {

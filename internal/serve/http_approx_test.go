@@ -93,11 +93,18 @@ func TestHTTPApproxSolve(t *testing.T) {
 	var put struct {
 		ID string `json:"id"`
 	}
+	// An 8-cycle plus the isolated vertex 8, so some pairs are unreachable.
+	const n = 9
+	g := graph.NewDigraph(n)
 	arcs := []map[string]any{}
 	for i := 0; i < 8; i++ {
-		arcs = append(arcs, map[string]any{"u": i, "v": (i + 1) % 8, "w": 2 + i%3})
+		w := int64(2 + i%3)
+		if err := g.SetArc(i, (i+1)%8, w); err != nil {
+			t.Fatal(err)
+		}
+		arcs = append(arcs, map[string]any{"u": i, "v": (i + 1) % 8, "w": w})
 	}
-	doJSON(t, srv, http.MethodPut, "/v1/graphs", map[string]any{"n": 8, "arcs": arcs}, &put)
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", map[string]any{"n": n, "arcs": arcs}, &put)
 
 	var solve SolveJSON
 	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve",
@@ -110,6 +117,38 @@ func TestHTTPApproxSolve(t *testing.T) {
 	}
 	if solve.ObservedStretch < 1 || solve.ObservedStretch > solve.GuaranteedStretch {
 		t.Errorf("observed stretch %v outside [1, %v]", solve.ObservedStretch, solve.GuaranteedStretch)
+	}
+
+	// Every distance GET dist answers lies in [exact, 1.5·exact], and the
+	// unreachable pairs are null.
+	exact, err := graph.FloydWarshall(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dist struct {
+		Dist [][]*int64 `json:"dist"`
+	}
+	resp = doJSON(t, srv, http.MethodGet, "/v1/graphs/"+put.ID+"/dist?strategy=approx-quantum&preset=scaled&epsilon=0.5", nil, &dist)
+	if resp.StatusCode != http.StatusOK || len(dist.Dist) != n {
+		t.Fatalf("approx dist: status %d, %d rows", resp.StatusCode, len(dist.Dist))
+	}
+	for i, row := range dist.Dist {
+		if len(row) != n {
+			t.Fatalf("approx dist row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, got := range row {
+			w := exact[i*n+j]
+			switch {
+			case w >= graph.Inf:
+				if got != nil {
+					t.Errorf("approx d(%d,%d) = %d, want null", i, j, *got)
+				}
+			case got == nil:
+				t.Errorf("approx d(%d,%d) = null, want a value in [%d, %v]", i, j, w, 1.5*float64(w))
+			case *got < w || float64(*got) > 1.5*float64(w):
+				t.Errorf("approx d(%d,%d) = %d outside [%d, %v]", i, j, *got, w, 1.5*float64(w))
+			}
+		}
 	}
 
 	// The skeleton strategy rejects this (asymmetric) graph with 422.

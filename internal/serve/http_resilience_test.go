@@ -65,6 +65,22 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 		t.Errorf("degraded rung reporting: strategy=%q stretch=%v", sj.Strategy, sj.GuaranteedStretch)
 	}
 
+	// The same outage under an auto solve: the response names the planned
+	// strategy as the one it degraded from.
+	var auto SolveJSON
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
+		Strategy: "auto",
+		Degrade:  true,
+		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
+	}, &auto)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded auto solve: %d", resp.StatusCode)
+	}
+	if !auto.Degraded || auto.PlannedStrategy == "" || auto.DegradedFrom != auto.PlannedStrategy {
+		t.Fatalf("degraded auto solve: degraded=%v degraded_from=%q planned_strategy=%q, want degraded from the planned strategy",
+			auto.Degraded, auto.DegradedFrom, auto.PlannedStrategy)
+	}
+
 	// The same outage without degradation: 503 with Retry-After, the
 	// retryable envelope, and the partial fault telemetry.
 	var fail struct {

@@ -10,6 +10,7 @@ import (
 
 	"qclique/internal/core"
 	"qclique/internal/graph"
+	"qclique/internal/triangles"
 )
 
 func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, out any) *http.Response {
@@ -85,7 +86,21 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("second solve = %+v, want cached bit-identical", second)
 	}
 
-	// GET dist for every pair.
+	// GET dist for every pair, then the full-matrix form.
+	checkDist := func(form string, src, dst int, got *int64) {
+		t.Helper()
+		w := want.Dist.At(src, dst)
+		switch {
+		case w >= graph.Inf:
+			if got != nil {
+				t.Fatalf("%s d(%d,%d) = %d, want null", form, src, dst, *got)
+			}
+		case got == nil:
+			t.Fatalf("%s d(%d,%d) = null, want %d", form, src, dst, w)
+		case *got != w:
+			t.Fatalf("%s d(%d,%d) = %d, want %d", form, src, dst, *got, w)
+		}
+	}
 	for src := 0; src < g.N(); src++ {
 		for dst := 0; dst < g.N(); dst++ {
 			var one struct {
@@ -95,17 +110,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 			if resp := doJSON(t, srv, http.MethodGet, path, nil, &one); resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET dist: status %d", resp.StatusCode)
 			}
-			w := want.Dist.At(src, dst)
-			if w >= graph.Inf {
-				if one.Dist != nil {
-					t.Fatalf("d(%d,%d) = %d, want null", src, dst, *one.Dist)
-				}
-			} else if one.Dist == nil || *one.Dist != w {
-				t.Fatalf("d(%d,%d) = %v, want %d", src, dst, one.Dist, w)
-			}
+			checkDist("pair", src, dst, one.Dist)
 		}
 	}
-	// Full-matrix form.
 	var full struct {
 		N    int        `json:"n"`
 		Dist [][]*int64 `json:"dist"`
@@ -113,6 +120,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 	doJSON(t, srv, http.MethodGet, "/v1/graphs/"+put.ID+"/dist?strategy=gossip", nil, &full)
 	if full.N != g.N() || len(full.Dist) != g.N() {
 		t.Fatalf("full dist: n=%d rows=%d", full.N, len(full.Dist))
+	}
+	for src, row := range full.Dist {
+		if len(row) != g.N() {
+			t.Fatalf("full dist row %d has %d entries, want %d", src, len(row), g.N())
+		}
+		for dst, got := range row {
+			checkDist("full", src, dst, got)
+		}
 	}
 
 	// POST paths:batch.
@@ -161,6 +176,54 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if stats.PathQueries != int64(len(batch.Queries)) {
 		t.Fatalf("metrics: %d path queries, want %d", stats.PathQueries, len(batch.Queries))
 	}
+
+	// A quantum solve honours the preset and the seed: its rounds equal a
+	// direct core.Solve under the same constants and seed. Gossip's rounds
+	// depend on neither, so the legs above cannot catch a dropped field.
+	scaled := triangles.BenchParams()
+	wantQuantum, err := core.Solve(g, core.Config{Strategy: core.StrategyQuantum, Params: &scaled, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quantum SolveJSON
+	if resp := doJSON(t, srv, http.MethodPost, solvePath, map[string]any{"strategy": "quantum", "preset": "scaled", "seed": 42}, &quantum); resp.StatusCode != http.StatusOK {
+		t.Fatalf("quantum solve: status %d", resp.StatusCode)
+	}
+	if quantum.Rounds != wantQuantum.Rounds {
+		t.Fatalf("quantum solve charged %d rounds, core.Solve %d", quantum.Rounds, wantQuantum.Rounds)
+	}
+
+	// An auto solve echoes the planner's decision, and an explicit request
+	// for the planned strategy is served from the entry it cached.
+	var planned, explicit SolveJSON
+	if resp := doJSON(t, srv, http.MethodPost, solvePath, map[string]any{"strategy": "auto", "seed": 4242}, &planned); resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto solve: status %d", resp.StatusCode)
+	}
+	if planned.PlannedStrategy == "" || planned.PlannedStrategy != planned.Strategy ||
+		planned.PlannerReason == "" || planned.PredictedRounds <= 0 || planned.PredictedWallNs <= 0 {
+		t.Fatalf("auto solve decision telemetry: %+v", planned)
+	}
+	doJSON(t, srv, http.MethodPost, solvePath, map[string]any{"strategy": planned.PlannedStrategy, "seed": 4242}, &explicit)
+	if !explicit.Cached || explicit.Rounds != planned.Rounds {
+		t.Fatalf("explicit %s re-solve = %+v, want cached with rounds %d", planned.PlannedStrategy, explicit, planned.Rounds)
+	}
+
+	// GET /v1/strategies lists every registered strategy with its guarantee.
+	var catalog struct {
+		Strategies []CatalogEntry `json:"strategies"`
+	}
+	if resp := doJSON(t, srv, http.MethodGet, "/v1/strategies", nil, &catalog); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/strategies: status %d", resp.StatusCode)
+	}
+	guarantees := make(map[string]string, len(catalog.Strategies))
+	for _, e := range catalog.Strategies {
+		guarantees[e.Name] = e.Guarantee
+	}
+	for _, name := range []string{"quantum", "classical-search", "dolev", "gossip", "approx-quantum", "approx-skeleton"} {
+		if guarantees[name] == "" {
+			t.Errorf("catalog %v: %q missing or without a guarantee", guarantees, name)
+		}
+	}
 }
 
 // TestHTTPErrors pins the failure statuses.
@@ -208,5 +271,47 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if got := svc.Stats().Strategies["gossip"].Requests; got != requestsBefore {
 		t.Fatalf("malformed dist requests triggered %d solve request(s)", got-requestsBefore)
+	}
+}
+
+// TestHTTPTimeoutMSBound: a timeout_ms whose time.Duration would overflow
+// is a 400 invalid_spec on both solve endpoints, not a retryable 503 that
+// no retry can turn into a success; the largest representable value, and a
+// merely large one, still solve.
+func TestHTTPTimeoutMSBound(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	id, err := svc.PutGraph(testDigraph(t, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		timeoutMS int64
+		want      int
+	}{
+		{10_000_000_000_000, http.StatusBadRequest},
+		{maxTimeoutMS + 1, http.StatusBadRequest},
+		{maxTimeoutMS, http.StatusOK},
+		{1_000_000_000_000, http.StatusOK},
+	} {
+		for _, req := range []struct {
+			method, path string
+			body         any
+		}{
+			{http.MethodPost, "/v1/graphs/" + id + "/solve", solveParamsJSON{Strategy: "gossip", TimeoutMS: tc.timeoutMS}},
+			{http.MethodGet, fmt.Sprintf("/v1/graphs/%s/dist?strategy=gossip&timeout_ms=%d", id, tc.timeoutMS), nil},
+		} {
+			var e struct {
+				Error ErrorJSON `json:"error"`
+			}
+			resp := doJSON(t, srv, req.method, req.path, req.body, &e)
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s timeout_ms=%d: status %d (%+v), want %d", req.method, tc.timeoutMS, resp.StatusCode, e.Error, tc.want)
+			}
+			if tc.want == http.StatusBadRequest && e.Error.Code != "invalid_spec" {
+				t.Errorf("%s timeout_ms=%d: code %q, want invalid_spec", req.method, tc.timeoutMS, e.Error.Code)
+			}
+		}
 	}
 }

@@ -371,6 +371,18 @@ func TestShedOverHTTP(t *testing.T) {
 	launch(2)
 	waitAdmission(t, svc, "the queue seat to fill", func(st AdmissionStats) bool { return st.QueuedNow == 1 })
 
+	readyz := func() (int, Readiness) {
+		t.Helper()
+		var rd Readiness
+		resp := doJSON(t, srv, http.MethodGet, "/v1/readyz", nil, &rd)
+		return resp.StatusCode, rd
+	}
+	if status, rd := readyz(); status != http.StatusServiceUnavailable || rd.Reason != "queue-saturated" {
+		close(gate)
+		wg.Wait()
+		t.Fatalf("saturated readyz = %d %+v, want 503 queue-saturated", status, rd)
+	}
+
 	resp, err := http.Post(srv.URL+"/v1/graphs/"+id+"/solve", "application/json",
 		bytes.NewBufferString(`{"preset":"scaled","seed":3}`))
 	if err != nil {
@@ -385,6 +397,9 @@ func TestShedOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	close(gate)
 	wg.Wait()
+	if status, rd := readyz(); status != http.StatusOK {
+		t.Fatalf("readyz after the gate opened = %d %+v, want 200", status, rd)
+	}
 
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status = %d, want 503", resp.StatusCode)
