@@ -446,10 +446,12 @@ func BenchmarkSolverCachedResolve(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5): measure the design choices in isolation.
 
-// BenchmarkAblationRouting compares Lemma-1 balanced delivery against
-// direct per-link sending on the ComputePairs Step-1-like load pattern
-// (every node sources ~k·n words spread unevenly): the router is what
-// keeps the placement at O(n^{1/4}) rounds.
+// BenchmarkAblationRouting charges one skewed load, in which every node
+// sources about 4n single words, and reports two costs for it. "direct" is
+// the hottest link's word count, read from the phase's MaxLinkLoad: the
+// rounds that sending every word straight to its destination would take.
+// "lemma1-balanced" is the Lemma 1 relay charge, 2·⌈max per-node load / n⌉.
+// On this load direct sending is the cheaper of the two.
 func BenchmarkAblationRouting(b *testing.B) {
 	const n = 64
 	rng := xrand.New(1)
@@ -475,10 +477,10 @@ func BenchmarkAblationRouting(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := nw.ChargeDirect("ablation", loads); err != nil {
+			if err := nw.ChargeBalanced("ablation", loads); err != nil {
 				b.Fatal(err)
 			}
-			rounds = nw.Rounds()
+			rounds = nw.Metrics().MaxLinkLoad
 		}
 		b.ReportMetric(float64(rounds), "rounds/op")
 	})

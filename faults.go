@@ -27,7 +27,8 @@ import (
 // the pipeline stage they land in, which the engine retries within the
 // strategy's budget (see the Resilience section of the README). Enabled
 // reports whether a plan injects anything; Validate rejects rates outside
-// [0, 1] and negative bounds, as Options.Validate does.
+// [0, 1] (NaN included) and negative bounds, as Options.Validate does. A
+// plan encodes to JSON with the HTTP API's keys (seed, drop_rate, …).
 type FaultPlan = congest.FaultPlan
 
 // FaultCounters tallies the faults a solve's network injected and the

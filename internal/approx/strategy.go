@@ -90,7 +90,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	n := req.G.N()
 	// Same 3n-clique reduction substrate as the exact quantum pipeline;
 	// only the per-product search is ladder-indexed.
-	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(3*n, congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"strings"
 	"testing"
 
 	"qclique/internal/xrand"
@@ -31,12 +30,14 @@ func TestExchangeDirectRoundsAreMaxLinkLoad(t *testing.T) {
 		{Src: 3, Dst: 1, Data: []Word{1, 2}},
 		{Src: 0, Dst: 1, Data: []Word{9}}, // (0,1) now 4 words
 	}
-	inboxes, err := nw.ExchangeDirect("t", msgs)
+	inboxes, err := nw.ExchangeBalanced("t", msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Node 1 sinks 6 words: Lemma 1 charges 2·⌈6/4⌉ = 4 rounds, which here
+	// equals the hottest link's 4 words that direct sending would cost.
 	if nw.Rounds() != 4 {
-		t.Errorf("rounds = %d, want 4 (max link load)", nw.Rounds())
+		t.Errorf("rounds = %d, want 4", nw.Rounds())
 	}
 	if len(inboxes[1]) != 3 {
 		t.Errorf("node 1 inbox = %d messages, want 3", len(inboxes[1]))
@@ -56,17 +57,14 @@ func TestExchangeDirectRoundsAreMaxLinkLoad(t *testing.T) {
 
 func TestExchangeRejectsBadEndpoints(t *testing.T) {
 	nw, _ := NewNetwork(3)
-	if _, err := nw.ExchangeDirect("t", []Message{{Src: 0, Dst: 3}}); err == nil {
+	if _, err := nw.ExchangeBalanced("t", []Message{{Src: 0, Dst: 3}}); err == nil {
 		t.Error("out-of-range destination should fail")
 	}
-	if _, err := nw.ExchangeDirect("t", []Message{{Src: -1, Dst: 1}}); err == nil {
+	if _, err := nw.ExchangeBalanced("t", []Message{{Src: -1, Dst: 1}}); err == nil {
 		t.Error("negative source should fail")
 	}
-	if _, err := nw.ExchangeDirect("t", []Message{{Src: 1, Dst: 1}}); err == nil {
-		t.Error("self-message should fail")
-	}
 	if _, err := nw.ExchangeBalanced("t", []Message{{Src: 1, Dst: 1}}); err == nil {
-		t.Error("balanced self-message should fail")
+		t.Error("self-message should fail")
 	}
 }
 
@@ -145,8 +143,8 @@ func TestExchangeBalancedEmpty(t *testing.T) {
 }
 
 func TestChargeModesMatchPayloadModes(t *testing.T) {
-	// ChargeDirect/ChargeBalanced must produce the same rounds as the
-	// payload-carrying equivalents.
+	// ChargeBalanced must produce the same accounting as the
+	// payload-carrying ExchangeBalanced.
 	const n = 6
 	rng := xrand.New(9)
 	var msgs []Message
@@ -161,17 +159,6 @@ func TestChargeModesMatchPayloadModes(t *testing.T) {
 		msgs = append(msgs, Message{Src: s, Dst: d, Data: make([]Word, words)})
 		loads = append(loads, Load{Src: s, Dst: d, Words: int64(words)})
 	}
-	a, _ := NewNetwork(n)
-	b, _ := NewNetwork(n)
-	if _, err := a.ExchangeDirect("x", msgs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ChargeDirect("x", loads); err != nil {
-		t.Fatal(err)
-	}
-	if a.Rounds() != b.Rounds() {
-		t.Errorf("direct: payload %d rounds, charge %d rounds", a.Rounds(), b.Rounds())
-	}
 	c, _ := NewNetwork(n)
 	d, _ := NewNetwork(n)
 	if _, err := c.ExchangeBalanced("x", msgs); err != nil {
@@ -183,15 +170,14 @@ func TestChargeModesMatchPayloadModes(t *testing.T) {
 	if c.Rounds() != d.Rounds() {
 		t.Errorf("balanced: payload %d rounds, charge %d rounds", c.Rounds(), d.Rounds())
 	}
-	am, bm := a.Metrics(), b.Metrics()
-	if am.Words != bm.Words || am.MaxLinkLoad != bm.MaxLinkLoad {
-		t.Error("charge metrics differ from payload metrics")
+	if cm, dm := c.Metrics(), d.Metrics(); cm != dm {
+		t.Errorf("charge metrics %+v differ from payload metrics %+v", dm, cm)
 	}
 }
 
 func TestChargeValidation(t *testing.T) {
 	nw, _ := NewNetwork(3)
-	if err := nw.ChargeDirect("t", []Load{{Src: 0, Dst: 1, Words: -1}}); err == nil {
+	if err := nw.ChargeBalanced("t", []Load{{Src: 0, Dst: 1, Words: -1}}); err == nil {
 		t.Error("negative load should fail")
 	}
 	if err := nw.ChargeBalanced("t", []Load{{Src: 0, Dst: 0, Words: 1}}); err == nil {
@@ -210,7 +196,7 @@ func TestBroadcastCosts(t *testing.T) {
 	if nw.Metrics().Words != 7*4 {
 		t.Errorf("broadcast words = %d, want 28", nw.Metrics().Words)
 	}
-	nw.ResetMetrics()
+	nw, _ = NewNetwork(5)
 	if err := nw.BroadcastAll("g", 3); err != nil {
 		t.Fatal(err)
 	}
@@ -230,65 +216,15 @@ func TestBroadcastCosts(t *testing.T) {
 
 func TestMetricsAccumulationAndReset(t *testing.T) {
 	nw, _ := NewNetwork(3)
-	if _, err := nw.ExchangeDirect("p1", []Message{{Src: 0, Dst: 1}}); err != nil {
+	if _, err := nw.ExchangeBalanced("p1", []Message{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	nw.ChargeLocal("think")
-	if _, err := nw.ExchangeDirect("p2", []Message{{Src: 1, Dst: 2, Data: []Word{1, 2}}}); err != nil {
+	if _, err := nw.ExchangeBalanced("p2", []Message{{Src: 1, Dst: 2, Data: []Word{1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	m := nw.Metrics()
-	if m.Rounds != 3 || m.Phases != 3 || len(m.Trace) != 3 {
-		t.Errorf("metrics = %+v", m)
-	}
-	if m.Trace[1].Kind != PhaseLocal || m.Trace[1].Rounds != 0 {
-		t.Errorf("local phase = %+v", m.Trace[1])
-	}
-	// Metrics() must return a copy.
-	m.Trace[0].Label = "mutated"
-	if nw.Metrics().Trace[0].Label == "mutated" {
-		t.Error("Metrics must copy the trace")
-	}
-	nw.ResetMetrics()
-	if nw.Rounds() != 0 || len(nw.Metrics().Trace) != 0 {
-		t.Error("ResetMetrics incomplete")
-	}
-}
-
-func TestMetricsAdd(t *testing.T) {
-	var a, b Metrics
-	a.record(PhaseStat{Kind: PhaseDirect, Rounds: 3, Words: 5, MaxLinkLoad: 2})
-	b.record(PhaseStat{Kind: PhaseBalanced, Rounds: 2, Words: 9, MaxLinkLoad: 4})
-	a.Add(b)
-	if a.Rounds != 5 || a.Words != 14 || a.MaxLinkLoad != 4 || a.Phases != 2 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
-func TestTraceLimit(t *testing.T) {
-	nw, _ := NewNetwork(3, WithTraceLimit(2))
-	for i := 0; i < 5; i++ {
-		if _, err := nw.ExchangeDirect("p", []Message{{Src: 0, Dst: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := nw.Metrics()
-	if len(m.Trace) != 2 {
-		t.Errorf("trace length = %d, want 2", len(m.Trace))
-	}
-	if m.Rounds != 5 || m.Phases != 5 {
-		t.Errorf("aggregates must still cover all phases: %+v", m)
-	}
-}
-
-func TestPhaseKindString(t *testing.T) {
-	for _, k := range []PhaseKind{PhaseDirect, PhaseBalanced, PhaseBroadcast, PhaseLocal} {
-		if strings.HasPrefix(k.String(), "PhaseKind(") {
-			t.Errorf("missing name for kind %d", k)
-		}
-	}
-	if !strings.HasPrefix(PhaseKind(99).String(), "PhaseKind(") {
-		t.Error("unknown kind should fall back")
+	want := Metrics{Rounds: 4, Phases: 2, Words: 3, MaxLinkLoad: 2}
+	if m := nw.Metrics(); m != want {
+		t.Errorf("metrics = %+v, want %+v", m, want)
 	}
 }
 

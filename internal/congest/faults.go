@@ -3,10 +3,10 @@ package congest
 // Deterministic fault injection on the simulator's communication path.
 //
 // A FaultPlan arms the network with a seed-driven fault schedule consulted
-// at every phase boundary (Exchange, Charge, Broadcast and the textbook
-// primitives; ChargeLocal and ReplayCharge are exempt — the former is
-// node-local, the latter replays a schedule that was measured under the
-// injector). The injector distinguishes two fault classes:
+// at every phase boundary (ExchangeBalanced, ChargeBalanced, Broadcast and
+// BroadcastAll; ReplayCharge is exempt, because it replays a schedule that
+// was measured under the injector). The injector distinguishes two fault
+// classes:
 //
 //   - Recovered faults are absorbed by the link layer and never reach the
 //     protocol: a dropped message is retransmitted (the phase pays a
@@ -85,39 +85,41 @@ func (e *FaultError) Error() string {
 
 // FaultPlan is a deterministic, seed-driven fault schedule. The zero value
 // disables injection entirely. All fields are scalars, so a plan is
-// comparable and can participate in cache identities.
+// comparable and can participate in cache identities; Validate rejects NaN
+// rates, so every accepted plan also equals itself. The JSON keys are the
+// HTTP API's "faults" object.
 type FaultPlan struct {
 	// Seed roots the fault schedule's random stream (independent of the
 	// protocol seed: faults never perturb protocol randomness).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// DropRate is the per-message probability of a drop, recovered by
 	// retransmission (round surcharge, identical delivery).
-	DropRate float64
+	DropRate float64 `json:"drop_rate,omitempty"`
 	// DupRate is the per-message probability of a duplication, recovered by
 	// receiver-side deduplication (word surcharge, identical delivery).
-	DupRate float64
+	DupRate float64 `json:"dup_rate,omitempty"`
 	// DelayRate is the per-message probability of a bounded delay: the
 	// message is re-delivered up to MaxDelayRounds rounds late and the
 	// synchronous phase stretches to cover the straggler.
-	DelayRate float64
+	DelayRate float64 `json:"delay_rate,omitempty"`
 	// MaxDelayRounds bounds the lateness of a delayed message; 0 with a
 	// positive DelayRate is treated as 1.
-	MaxDelayRounds int
+	MaxDelayRounds int `json:"max_delay_rounds,omitempty"`
 	// CorruptRate is the per-phase probability of a payload corruption —
 	// detected by the link CRC, failing the phase (unrecovered).
-	CorruptRate float64
+	CorruptRate float64 `json:"corrupt_rate,omitempty"`
 	// CrashRate is the per-phase probability of a node crash at the round
 	// boundary, failing the phase before traffic flows (unrecovered).
-	CrashRate float64
+	CrashRate float64 `json:"crash_rate,omitempty"`
 	// CrashDownPhases is the number of further phase attempts the crashed
 	// node stays down before restarting; 0 means the immediate retry
 	// already sees the node back up.
-	CrashDownPhases int
+	CrashDownPhases int `json:"crash_down_phases,omitempty"`
 	// MaxFaults, when positive, caps the total unrecovered faults
 	// (corruptions plus crashes) the plan injects — a transient-outage
 	// model; after the budget is spent only recovered faults keep firing.
 	// 0 means unlimited.
-	MaxFaults int
+	MaxFaults int `json:"max_faults,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything.
@@ -125,7 +127,8 @@ func (p FaultPlan) Enabled() bool {
 	return p.DropRate > 0 || p.DupRate > 0 || p.DelayRate > 0 || p.CorruptRate > 0 || p.CrashRate > 0
 }
 
-// Validate rejects malformed plans (rates outside [0,1], negative bounds).
+// Validate rejects malformed plans (rates outside [0,1] or NaN, negative
+// bounds).
 func (p FaultPlan) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -134,7 +137,9 @@ func (p FaultPlan) Validate() error {
 		{"DropRate", p.DropRate}, {"DupRate", p.DupRate}, {"DelayRate", p.DelayRate},
 		{"CorruptRate", p.CorruptRate}, {"CrashRate", p.CrashRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		// Written so that NaN fails too: a NaN plan never equals itself, so
+		// it would miss every cache lookup and never be evicted.
+		if !(r.v >= 0 && r.v <= 1) {
 			return fmt.Errorf("congest: fault plan: %s %v outside [0, 1]", r.name, r.v)
 		}
 	}
@@ -156,7 +161,7 @@ func (p FaultPlan) Validate() error {
 
 // FaultCounters tallies injected faults and their recovery cost. It rides
 // inside Metrics, so per-run (and per-stage delta) fault accounting flows
-// through the same Snapshot/DeltaSince arithmetic as rounds.
+// through the same Metrics/DeltaSince arithmetic as rounds.
 type FaultCounters struct {
 	// Dropped counts messages dropped and recovered by retransmission.
 	Dropped int64 `json:"dropped,omitempty"`
@@ -340,22 +345,22 @@ func (f *faultState) onWords(w int64, c *FaultCounters) {
 	}
 }
 
-// finish folds the phase's fault surcharges into its PhaseStat before it is
+// finish folds the phase's fault surcharges into its cost before it is
 // recorded: retransmission of the largest dropped message (detect + resend),
 // the synchronous stretch to the latest straggler, and the deduplicated
 // duplicate words. A latched corruption counts its failed phase here — the
 // cost was charged, the delivery failed.
-func (f *faultState) finish(st *PhaseStat, c *FaultCounters) {
+func (f *faultState) finish(p *phase, c *FaultCounters) {
 	if f.dropped {
 		retrans := 2 + f.dropMax
-		st.Rounds += retrans
+		p.rounds += retrans
 		c.RetransmitRounds += retrans
 	}
 	if f.maxLate > 0 {
-		st.Rounds += f.maxLate
+		p.rounds += f.maxLate
 		c.DelayRounds += f.maxLate
 	}
-	st.Words += f.dupWords
+	p.words += f.dupWords
 	if f.pendErr != nil {
 		c.FailedPhases++
 	}

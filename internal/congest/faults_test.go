@@ -8,6 +8,7 @@ package congest
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func chatter(t *testing.T, nw *Network) []Word {
 		{Src: 2, Dst: 1, Data: []Word{20}},
 		{Src: 3, Dst: 0, Data: []Word{30, 31}},
 	}
-	inboxes, err := nw.ExchangeDirect("t/direct", msgs)
+	inboxes, err := nw.ExchangeBalanced("t/balanced", msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +32,10 @@ func chatter(t *testing.T, nw *Network) []Word {
 	if err := nw.Broadcast("t/bcast", 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Gather("t/gather", 0, 3); err != nil {
+	if err := nw.BroadcastAll("t/gossip", 3); err != nil {
 		t.Fatal(err)
 	}
 	return got
-}
-
-// metricsEqual compares the scalar accounting (Trace excluded).
-func metricsEqual(a, b Metrics) bool {
-	return a.Rounds == b.Rounds && a.Phases == b.Phases && a.Words == b.Words &&
-		a.MaxLinkLoad == b.MaxLinkLoad && a.Faults == b.Faults
 }
 
 func TestFaultPlanValidate(t *testing.T) {
@@ -53,6 +48,11 @@ func TestFaultPlanValidate(t *testing.T) {
 		{DelayRate: 0.1, MaxDelayRounds: -1},
 		{CrashRate: 0.1, CrashDownPhases: -2},
 		{CorruptRate: 0.1, MaxFaults: -1},
+		{DropRate: math.NaN()},
+		{DupRate: math.NaN()},
+		{DelayRate: math.NaN()},
+		{CorruptRate: math.NaN()},
+		{CrashRate: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -86,7 +86,7 @@ func TestZeroPlanIsBitIdentical(t *testing.T) {
 			t.Fatalf("delivery differs at %d: %v vs %v", i, got, want)
 		}
 	}
-	if !metricsEqual(armed.Metrics(), plain.Metrics()) {
+	if armed.Metrics() != plain.Metrics() {
 		t.Errorf("metrics differ:\narmed %+v\nplain %+v", armed.Metrics(), plain.Metrics())
 	}
 	if f := armed.Metrics().Faults; f != (FaultCounters{}) {
@@ -107,7 +107,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			t.Fatalf("delivery differs between identical runs")
 		}
 	}
-	if !metricsEqual(a.Metrics(), b.Metrics()) {
+	if a.Metrics() != b.Metrics() {
 		t.Errorf("same seed, different metrics:\n%+v\n%+v", a.Metrics(), b.Metrics())
 	}
 	c, _ := NewNetwork(4, WithFaults(FaultPlan{Seed: 43, DropRate: 0.2, DupRate: 0.2, DelayRate: 0.2, MaxDelayRounds: 3}))
@@ -187,7 +187,7 @@ func TestCorruptionFailsPhaseAfterCharging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, xerr := nw.ExchangeDirect("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1, 2}}})
+	_, xerr := nw.ExchangeBalanced("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1, 2}}})
 	var fe *FaultError
 	if !errors.As(xerr, &fe) || fe.Kind != FaultCorrupt {
 		t.Fatalf("want FaultCorrupt, got %v", xerr)
@@ -203,8 +203,8 @@ func TestCorruptionFailsPhaseAfterCharging(t *testing.T) {
 		t.Errorf("corruption counters: %+v", m.Faults)
 	}
 	// Bulk phases fail the same way.
-	if gerr := nw.Gather("t/g", 0, 2); gerr == nil || !errors.As(gerr, &fe) {
-		t.Errorf("Gather under corruption: %v", gerr)
+	if gerr := nw.Broadcast("t/g", 0, 2); gerr == nil || !errors.As(gerr, &fe) {
+		t.Errorf("Broadcast under corruption: %v", gerr)
 	}
 	if berr := nw.BroadcastAll("t/b", 1); berr == nil || !errors.As(berr, &fe) {
 		t.Errorf("BroadcastAll under corruption: %v", berr)
@@ -218,7 +218,7 @@ func TestCrashWindowClearsDeterministically(t *testing.T) {
 	}
 	var fe *FaultError
 	// Attempt 1: the crash itself. No traffic flows, nothing is charged.
-	if _, xerr := nw.ExchangeDirect("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); !errors.As(xerr, &fe) || fe.Kind != FaultCrash {
+	if _, xerr := nw.ExchangeBalanced("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); !errors.As(xerr, &fe) || fe.Kind != FaultCrash {
 		t.Fatalf("want FaultCrash, got %v", xerr)
 	}
 	if fe.Node < 0 || int(fe.Node) >= nw.N() {
@@ -229,7 +229,7 @@ func TestCrashWindowClearsDeterministically(t *testing.T) {
 	}
 	// Attempts 2 and 3: still down.
 	for i := 0; i < 2; i++ {
-		if _, xerr := nw.ExchangeDirect("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); !errors.As(xerr, &fe) {
+		if _, xerr := nw.ExchangeBalanced("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); !errors.As(xerr, &fe) {
 			t.Fatalf("attempt %d during down window: %v", i+2, xerr)
 		}
 	}
@@ -238,7 +238,7 @@ func TestCrashWindowClearsDeterministically(t *testing.T) {
 		t.Errorf("crash counters after window: %+v", m.Faults)
 	}
 	// Attempt 4: restarted, budget spent — the phase succeeds.
-	if _, xerr := nw.ExchangeDirect("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); xerr != nil {
+	if _, xerr := nw.ExchangeBalanced("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1}}}); xerr != nil {
 		t.Fatalf("phase after restart: %v", xerr)
 	}
 	if nw.Rounds() == 0 {
@@ -271,19 +271,19 @@ func TestFaultCountersFlowThroughDeltaAndAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := nw.Snapshot()
-	if _, xerr := nw.ExchangeDirect("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1, 2, 3}}}); xerr != nil {
+	before := nw.Metrics()
+	if _, xerr := nw.ExchangeBalanced("t/x", []Message{{Src: 0, Dst: 1, Data: []Word{1, 2, 3}}}); xerr != nil {
 		t.Fatal(xerr)
 	}
 	d := nw.DeltaSince(before)
 	if d.Faults.Duplicated != 1 {
 		t.Errorf("delta Duplicated = %d, want 1", d.Faults.Duplicated)
 	}
-	var agg Metrics
-	agg.Add(d)
-	agg.Add(d)
-	if agg.Faults.Duplicated != 2 {
-		t.Errorf("Add did not merge fault counters: %+v", agg.Faults)
+	var agg FaultCounters
+	agg.Add(d.Faults)
+	agg.Add(d.Faults)
+	if agg.Duplicated != 2 {
+		t.Errorf("Add did not merge fault counters: %+v", agg)
 	}
 	if (FaultCounters{Dropped: 1, Corrupted: 2}).Injected() != 3 {
 		t.Error("Injected miscounts")
@@ -299,4 +299,44 @@ func TestFaultErrorStrings(t *testing.T) {
 	if FaultCrash.String() != "crash" || FaultCorrupt.String() != "corrupt" {
 		t.Error("FaultKind strings")
 	}
+}
+
+// FuzzFaultPlan checks the two properties a plan needs as a cache key and
+// as a network option: every plan Validate accepts equals itself (a NaN
+// rate would not, so it would never hit or leave a cache), and it arms a
+// network whose balanced exchanges and broadcasts fail, if at all, only
+// with a typed FaultError.
+func FuzzFaultPlan(f *testing.F) {
+	f.Add(uint64(7), 0.1, 0.1, 0.1, 2, 0.05, 0.02, 1, 1)
+	f.Add(uint64(1), 1.0, 0.0, 0.0, 0, 1.0, 0.0, 0, 0)
+	f.Add(uint64(0), math.NaN(), 0.0, 0.0, 0, 0.0, 0.0, 0, 0)
+	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, delay float64, maxDelay int,
+		corrupt, crash float64, down, maxFaults int) {
+		p := FaultPlan{
+			Seed: seed, DropRate: drop, DupRate: dup, DelayRate: delay, MaxDelayRounds: maxDelay,
+			CorruptRate: corrupt, CrashRate: crash, CrashDownPhases: down, MaxFaults: maxFaults,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		if key := map[FaultPlan]bool{p: true}; !key[p] {
+			t.Fatalf("accepted plan %+v does not equal itself", p)
+		}
+		nw, err := NewNetwork(4, WithFaults(p))
+		if err != nil {
+			t.Fatalf("accepted plan %+v rejected by NewNetwork: %v", p, err)
+		}
+		var fe *FaultError
+		for i := 0; i < 3; i++ {
+			_, xerr := nw.ExchangeBalanced("fuzz/x", []Message{
+				{Src: 0, Dst: 1, Data: []Word{1, 2}}, {Src: 2, Dst: 3}, {Src: 3, Dst: 1},
+			})
+			berr := nw.Broadcast("fuzz/b", 2, 3)
+			for _, err := range []error{xerr, berr} {
+				if err != nil && !errors.As(err, &fe) {
+					t.Fatalf("plan %+v: untyped phase failure: %v", p, err)
+				}
+			}
+		}
+	})
 }

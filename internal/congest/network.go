@@ -5,21 +5,23 @@
 //
 // The unit of payload is the Word: one O(log n)-bit message. In one round,
 // every ordered pair of nodes may exchange one word. A communication phase
-// that places load(s,d) words on the directed link (s,d) therefore costs
-// max_{s,d} load(s,d) rounds when sent directly. Balanced delivery via
-// Lemma 1 of the paper (Dolev, Lenzen, Peled 2012) is available through the
-// Router: a message set in which no node sources more than n words and no
-// node sinks more than n words is delivered in two rounds.
+// that places load(s,d) words on the directed link (s,d) would therefore
+// cost max_{s,d} load(s,d) rounds sent directly; Metrics.MaxLinkLoad
+// reports that maximum. The simulator charges a point-to-point phase
+// through Lemma 1 of the paper (Dolev, Lenzen, Peled 2012) instead: a
+// message set in which no node sources more than n words and no node sinks
+// more than n words is delivered in two rounds (see router.go). A
+// broadcast uses every outgoing link of its source in parallel.
 //
 // # Fidelity
 //
 // The simulator supports two interchangeable modes with identical round
-// arithmetic: payload-carrying exchanges (messages are materialized and
-// delivered to per-node inboxes; used by tests and small-n runs) and bulk
-// load charging (only the per-link word counts are accounted; used by
-// large-n scaling benches). Protocols in this repository are written so
-// that every piece of cross-node information flows through an Exchange or
-// is charged through ChargeDirect/ChargeBalanced.
+// arithmetic: payload-carrying exchanges (ExchangeBalanced: messages are
+// materialized and delivered to per-node inboxes) and bulk load charging
+// (ChargeBalanced: only the per-link word counts are accounted). Protocols
+// in this repository are written so that every piece of cross-node
+// information flows through ExchangeBalanced or is charged through
+// ChargeBalanced, Broadcast, BroadcastAll or ReplayCharge.
 //
 // # Memory model of the simulator
 //
@@ -29,8 +31,8 @@
 // epoch-stamped arrays (linkScratch) on the Network — beginning a phase
 // bumps the epoch instead of clearing, so cost is proportional to the links
 // actually touched. (2) Inboxes: the per-destination delivery slices
-// returned by ExchangeDirect/ExchangeBalanced are borrowed from the
-// network's delivery buffer and recycled at the next Exchange call.
+// returned by ExchangeBalanced are borrowed from the network's delivery
+// buffer and recycled at the next Exchange call.
 // (3) Payloads: Message.Data slices can be carved from the network's
 // two-generation payload arena via AcquirePayload; each Exchange flips the
 // generation, so payloads follow exactly the inbox borrow contract — valid
@@ -55,7 +57,8 @@ type NodeID int
 type Word uint64
 
 // Message is a point-to-point message of one or more words. A k-word
-// message occupies its link for k rounds under direct delivery.
+// message adds k words to the load of its link, its source and its
+// destination.
 type Message struct {
 	Src, Dst NodeID
 	Data     []Word
@@ -77,73 +80,21 @@ type Load struct {
 	Words    int64
 }
 
-// PhaseKind labels what produced a phase's cost, for reporting.
-type PhaseKind int
-
-// Phase kinds.
-const (
-	PhaseDirect PhaseKind = iota + 1
-	PhaseBalanced
-	PhaseBroadcast
-	PhaseLocal
-)
-
-func (k PhaseKind) String() string {
-	switch k {
-	case PhaseDirect:
-		return "direct"
-	case PhaseBalanced:
-		return "balanced"
-	case PhaseBroadcast:
-		return "broadcast"
-	case PhaseLocal:
-		return "local"
-	default:
-		return fmt.Sprintf("PhaseKind(%d)", int(k))
-	}
-}
-
-// PhaseStat records one accounting event.
-type PhaseStat struct {
-	Kind        PhaseKind
-	Label       string
-	Rounds      int64
-	Words       int64
-	MaxLinkLoad int64
-}
-
-// Metrics accumulates the cost of a protocol run.
+// Metrics accumulates the cost of a protocol run. It holds only scalar
+// counters, so two runs' metrics compare with ==.
 type Metrics struct {
 	Rounds      int64 // total rounds charged
-	Phases      int64 // number of accounting events
+	Phases      int64 // number of charged phases
 	Words       int64 // total words moved
 	MaxLinkLoad int64 // max words placed on one link within a single phase
 	// Faults tallies injected faults and their recovery surcharges; all
 	// zeros unless the network was armed with WithFaults.
 	Faults FaultCounters
-	Trace  []PhaseStat
 }
 
-func (m *Metrics) record(st PhaseStat) {
-	m.Rounds += st.Rounds
-	m.Phases++
-	m.Words += st.Words
-	if st.MaxLinkLoad > m.MaxLinkLoad {
-		m.MaxLinkLoad = st.MaxLinkLoad
-	}
-	m.Trace = append(m.Trace, st)
-}
-
-// Add merges other into m (used to roll up sub-protocol costs).
-func (m *Metrics) Add(other Metrics) {
-	m.Rounds += other.Rounds
-	m.Phases += other.Phases
-	m.Words += other.Words
-	if other.MaxLinkLoad > m.MaxLinkLoad {
-		m.MaxLinkLoad = other.MaxLinkLoad
-	}
-	m.Faults.Add(other.Faults)
-	m.Trace = append(m.Trace, other.Trace...)
+// phase is the cost of one charged phase before it is folded into Metrics.
+type phase struct {
+	rounds, words, maxLink int64
 }
 
 // Network is a CONGEST-CLIQUE instance with n nodes.
@@ -161,10 +112,6 @@ type Network struct {
 	// that no link carries more than one word per round. Expensive; meant
 	// for tests and small runs.
 	validateSchedules bool
-
-	// traceLimit bounds the retained per-phase trace to avoid unbounded
-	// memory in long runs; 0 keeps everything.
-	traceLimit int
 
 	// sc holds the flat per-phase accounting buffers, reused across phases
 	// so that recording a phase performs zero heap allocations.
@@ -295,17 +242,6 @@ func (sc *linkScratch) addNode(s, d NodeID, w int64) {
 	sc.perDst[d] += w
 }
 
-// maxLink returns the largest per-link total of the phase.
-func (sc *linkScratch) maxLink() int64 {
-	var m int64
-	for _, idx := range sc.touched {
-		if sc.link[idx] > m {
-			m = sc.link[idx]
-		}
-	}
-	return m
-}
-
 // maxNode returns the largest per-source and per-destination totals of the
 // phase (scanning only stamped nodes via the touched link endpoints would
 // double-visit; the touched list is per-link, so recover node maxima from
@@ -333,12 +269,6 @@ func WithScheduleValidation() Option {
 	return func(nw *Network) { nw.validateSchedules = true }
 }
 
-// WithTraceLimit caps the retained phase trace at limit entries (the
-// aggregate counters still cover everything).
-func WithTraceLimit(limit int) Option {
-	return func(nw *Network) { nw.traceLimit = limit }
-}
-
 // NewNetwork creates a CONGEST-CLIQUE network with n nodes.
 func NewNetwork(n int, opts ...Option) (*Network, error) {
 	if n <= 0 {
@@ -360,43 +290,33 @@ func NewNetwork(n int, opts ...Option) (*Network, error) {
 // N returns the node count.
 func (nw *Network) N() int { return nw.n }
 
-// Metrics returns a copy of the accumulated metrics, including a copy of
-// the retained phase trace. Hot paths that only need the aggregate counters
-// (for DeltaSince arithmetic) should use Snapshot, which skips the O(trace)
-// copy.
-func (nw *Network) Metrics() Metrics {
-	m := nw.metrics
-	m.Trace = append([]PhaseStat(nil), nw.metrics.Trace...)
-	return m
-}
-
-// Snapshot returns the aggregate counters without copying the phase trace
-// (Trace is nil in the result). It is the allocation-free companion of
-// Metrics for baseline/delta accounting inside protocol hot loops.
-func (nw *Network) Snapshot() Metrics {
-	m := nw.metrics
-	m.Trace = nil
-	return m
-}
+// Metrics returns the accumulated metrics.
+func (nw *Network) Metrics() Metrics { return nw.metrics }
 
 // Rounds returns the total rounds charged so far.
 func (nw *Network) Rounds() int64 { return nw.metrics.Rounds }
 
-// ResetMetrics clears the accumulated metrics (the topology is unchanged).
-func (nw *Network) ResetMetrics() { nw.metrics = Metrics{} }
-
-func (nw *Network) record(st PhaseStat) {
-	if nw.traceLimit > 0 && len(nw.metrics.Trace) >= nw.traceLimit {
-		// Aggregate without retaining the entry.
-		nw.metrics.Rounds += st.Rounds
-		nw.metrics.Phases++
-		nw.metrics.Words += st.Words
-		if st.MaxLinkLoad > nw.metrics.MaxLinkLoad {
-			nw.metrics.MaxLinkLoad = st.MaxLinkLoad
-		}
-		return
+// record folds one phase into the accumulated metrics.
+func (nw *Network) record(p phase) {
+	nw.metrics.Rounds += p.rounds
+	nw.metrics.Phases++
+	nw.metrics.Words += p.words
+	if p.maxLink > nw.metrics.MaxLinkLoad {
+		nw.metrics.MaxLinkLoad = p.maxLink
 	}
-	nw.metrics.record(st)
+}
+
+// commit folds the phase's fault surcharges into p, records it, and returns
+// the corruption latched for this phase, if any: the traffic was charged,
+// the delivery failed.
+func (nw *Network) commit(fs *faultState, p phase) *FaultError {
+	var fe *FaultError
+	if fs != nil {
+		fs.finish(&p, &nw.metrics.Faults)
+		fe = fs.pendErr
+	}
+	nw.record(p)
+	return fe
 }
 
 // checkEndpoints validates one message's endpoints.
@@ -413,55 +333,17 @@ func (nw *Network) checkEndpoints(src, dst NodeID) error {
 	return nil
 }
 
-// ExchangeDirect delivers msgs with direct (non-relayed) scheduling: the
-// phase costs the maximum per-link word count. It returns per-destination
-// inboxes. Message order within an inbox is deterministic (stable in input
-// order). The returned inboxes are borrowed from the network's delivery
-// buffer and remain valid only until the next Exchange call on this
-// network; callers that need them longer must copy.
-func (nw *Network) ExchangeDirect(label string, msgs []Message) ([][]Message, error) {
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return nil, fmt.Errorf("exchange %q: %w", label, ferr)
-	}
-	nw.sc.begin(nw.n)
-	var total int64
-	for _, m := range msgs {
-		if err := nw.checkEndpoints(m.Src, m.Dst); err != nil {
-			return nil, fmt.Errorf("exchange %q: %w", label, err)
-		}
-		w := m.Words()
-		nw.sc.addLink(nw.n, m.Src, m.Dst, w)
-		total += w
-		if fs != nil {
-			fs.onWords(w, &nw.metrics.Faults)
-		}
-	}
-	maxLink := nw.sc.maxLink()
-	st := PhaseStat{
-		Kind:        PhaseDirect,
-		Label:       label,
-		Rounds:      maxLink,
-		Words:       total,
-		MaxLinkLoad: maxLink,
-	}
-	if fs != nil {
-		fs.finish(&st, &nw.metrics.Faults)
-	}
-	nw.record(st)
-	if fs != nil && fs.pendErr != nil {
-		return nil, fmt.Errorf("exchange %q: %w", label, fs.pendErr)
-	}
-	return nw.deliver(msgs), nil
-}
-
 // ExchangeBalanced delivers msgs using Lemma 1 routing: the message set is
 // split into sub-batches in which every node sources at most n words and
 // sinks at most n words; each sub-batch costs two rounds. The total cost is
 // 2 * ceil(max(maxSourceLoad, maxDestLoad) / n). When schedule validation
 // is enabled, an explicit relay schedule is constructed per sub-batch and
-// verified against the one-word-per-link-per-round constraint. The returned
-// inboxes follow the same borrow contract as ExchangeDirect.
+// verified against the one-word-per-link-per-round constraint.
+//
+// It returns per-destination inboxes. Message order within an inbox is
+// deterministic (stable in input order). The returned inboxes are borrowed
+// from the network's delivery buffer and remain valid only until the next
+// Exchange call on this network; callers that need them longer must copy.
 func (nw *Network) ExchangeBalanced(label string, msgs []Message) ([][]Message, error) {
 	fs, ferr := nw.faultBegin(label)
 	if ferr != nil {
@@ -490,19 +372,8 @@ func (nw *Network) ExchangeBalanced(label string, msgs []Message) ([][]Message, 
 			return nil, fmt.Errorf("exchange %q: schedule validation: %w", label, err)
 		}
 	}
-	st := PhaseStat{
-		Kind:        PhaseBalanced,
-		Label:       label,
-		Rounds:      rounds,
-		Words:       total,
-		MaxLinkLoad: maxLink,
-	}
-	if fs != nil {
-		fs.finish(&st, &nw.metrics.Faults)
-	}
-	nw.record(st)
-	if fs != nil && fs.pendErr != nil {
-		return nil, fmt.Errorf("exchange %q: %w", label, fs.pendErr)
+	if fe := nw.commit(fs, phase{rounds: rounds, words: total, maxLink: maxLink}); fe != nil {
+		return nil, fmt.Errorf("exchange %q: %w", label, fe)
 	}
 	return nw.deliver(msgs), nil
 }
@@ -548,46 +419,6 @@ func (nw *Network) deliver(msgs []Message) [][]Message {
 	return inboxes
 }
 
-// ChargeDirect accounts a bulk phase without materializing payloads.
-func (nw *Network) ChargeDirect(label string, loads []Load) error {
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return fmt.Errorf("charge %q: %w", label, ferr)
-	}
-	nw.sc.begin(nw.n)
-	var total, maxLink int64
-	for _, l := range loads {
-		if err := nw.checkEndpoints(l.Src, l.Dst); err != nil {
-			return fmt.Errorf("charge %q: %w", label, err)
-		}
-		if l.Words < 0 {
-			return fmt.Errorf("charge %q: negative load", label)
-		}
-		if w := nw.sc.addLink(nw.n, l.Src, l.Dst, l.Words); w > maxLink {
-			maxLink = w
-		}
-		total += l.Words
-		if fs != nil {
-			fs.onWords(l.Words, &nw.metrics.Faults)
-		}
-	}
-	st := PhaseStat{
-		Kind:        PhaseDirect,
-		Label:       label,
-		Rounds:      maxLink,
-		Words:       total,
-		MaxLinkLoad: maxLink,
-	}
-	if fs != nil {
-		fs.finish(&st, &nw.metrics.Faults)
-	}
-	nw.record(st)
-	if fs != nil && fs.pendErr != nil {
-		return fmt.Errorf("charge %q: %w", label, fs.pendErr)
-	}
-	return nil
-}
-
 // ChargeBalanced accounts a bulk Lemma-1 phase without materializing
 // payloads.
 func (nw *Network) ChargeBalanced(label string, loads []Load) error {
@@ -614,27 +445,11 @@ func (nw *Network) ChargeBalanced(label string, loads []Load) error {
 		}
 	}
 	srcLoad, dstLoad := nw.sc.maxNode(nw.n)
-	st := PhaseStat{
-		Kind:        PhaseBalanced,
-		Label:       label,
-		Rounds:      balancedRounds(srcLoad, dstLoad, int64(nw.n)),
-		Words:       total,
-		MaxLinkLoad: maxLink,
-	}
-	if fs != nil {
-		fs.finish(&st, &nw.metrics.Faults)
-	}
-	nw.record(st)
-	if fs != nil && fs.pendErr != nil {
-		return fmt.Errorf("charge %q: %w", label, fs.pendErr)
+	rounds := balancedRounds(srcLoad, dstLoad, int64(nw.n))
+	if fe := nw.commit(fs, phase{rounds: rounds, words: total, maxLink: maxLink}); fe != nil {
+		return fmt.Errorf("charge %q: %w", label, fe)
 	}
 	return nil
-}
-
-// ChargeLocal records a zero-round bookkeeping phase (local computation),
-// keeping traces readable.
-func (nw *Network) ChargeLocal(label string) {
-	nw.record(PhaseStat{Kind: PhaseLocal, Label: label})
 }
 
 // Broadcast accounts node src sending the same words-long payload to every
@@ -647,31 +462,23 @@ func (nw *Network) Broadcast(label string, src NodeID, words int64) error {
 	if words < 0 {
 		return fmt.Errorf("broadcast %q: negative word count", label)
 	}
-	return nw.recordBulk(label, PhaseStat{
-		Kind:        PhaseBroadcast,
-		Label:       label,
-		Rounds:      words,
-		Words:       words * int64(nw.n-1),
-		MaxLinkLoad: words,
-	}, words)
+	return nw.recordBulk(label, words, words*int64(nw.n-1))
 }
 
-// recordBulk records a single-payload bulk phase (broadcast, gather,
-// all-to-all, transpose) through the fault injector: the phase consults
-// the crash/corruption draws and its one payload takes the per-message
-// draw.
-func (nw *Network) recordBulk(label string, st PhaseStat, words int64) error {
+// recordBulk records a broadcast phase, in which every link in use carries
+// the same words-long payload in parallel (words rounds, total words
+// moved), through the fault injector: the phase consults the
+// crash/corruption draws and its one payload takes the per-message draw.
+func (nw *Network) recordBulk(label string, words, total int64) error {
 	fs, ferr := nw.faultBegin(label)
 	if ferr != nil {
 		return fmt.Errorf("phase %q: %w", label, ferr)
 	}
 	if fs != nil {
 		fs.onWords(words, &nw.metrics.Faults)
-		fs.finish(&st, &nw.metrics.Faults)
 	}
-	nw.record(st)
-	if fs != nil && fs.pendErr != nil {
-		return fmt.Errorf("phase %q: %w", label, fs.pendErr)
+	if fe := nw.commit(fs, phase{rounds: words, words: total, maxLink: words}); fe != nil {
+		return fmt.Errorf("phase %q: %w", label, fe)
 	}
 	return nil
 }
@@ -685,17 +492,13 @@ func (nw *Network) ReplayCharge(label string, delta Metrics, times int64) {
 	if times <= 0 {
 		return
 	}
-	nw.record(PhaseStat{
-		Kind:        PhaseDirect,
-		Label:       label,
-		Rounds:      delta.Rounds * times,
-		Words:       delta.Words * times,
-		MaxLinkLoad: delta.MaxLinkLoad,
-	})
+	nw.record(phase{rounds: delta.Rounds * times, words: delta.Words * times, maxLink: delta.MaxLinkLoad})
 }
 
 // DeltaSince returns the metrics accumulated after a previously captured
-// baseline (aggregate counters only; the trace is not diffed).
+// baseline. Rounds, Phases, Words and Faults are the window's; MaxLinkLoad
+// is the network's running maximum, not the window's, so a delta cannot
+// isolate one phase's peak — measure that on a network of its own.
 func (nw *Network) DeltaSince(baseline Metrics) Metrics {
 	return Metrics{
 		Rounds:      nw.metrics.Rounds - baseline.Rounds,
@@ -712,11 +515,5 @@ func (nw *Network) BroadcastAll(label string, words int64) error {
 	if words < 0 {
 		return fmt.Errorf("broadcast %q: negative word count", label)
 	}
-	return nw.recordBulk(label, PhaseStat{
-		Kind:        PhaseBroadcast,
-		Label:       label,
-		Rounds:      words,
-		Words:       words * int64(nw.n) * int64(nw.n-1),
-		MaxLinkLoad: words,
-	}, words)
+	return nw.recordBulk(label, words, words*int64(nw.n)*int64(nw.n-1))
 }

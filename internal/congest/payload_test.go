@@ -15,7 +15,7 @@ func TestAcquirePayloadBorrowContract(t *testing.T) {
 	send := func(tag Word) [][]Message {
 		p := nw.AcquirePayload(2)
 		p = append(p, tag, tag+1)
-		inboxes, err := nw.ExchangeDirect("payload", []Message{{Src: 0, Dst: 1, Data: p}})
+		inboxes, err := nw.ExchangeBalanced("payload", []Message{{Src: 0, Dst: 1, Data: p}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,9 +81,9 @@ func TestChaosDeterminism(t *testing.T) {
 				if again.Rounds != first.Rounds {
 					t.Fatalf("%v/n=%d run %d: rounds %d != %d", s, n, run, again.Rounds, first.Rounds)
 				}
-				if again.Metrics.Faults != first.Metrics.Faults {
-					t.Fatalf("%v/n=%d run %d: fault counters diverged: %+v vs %+v",
-						s, n, run, again.Metrics.Faults, first.Metrics.Faults)
+				if again.Metrics != first.Metrics {
+					t.Fatalf("%v/n=%d run %d: metrics diverged: %+v vs %+v",
+						s, n, run, again.Metrics, first.Metrics)
 				}
 			}
 		}
@@ -112,9 +112,9 @@ func TestZeroPlanKeepsSolvesBitIdentical(t *testing.T) {
 		if !armed.Dist.Equal(plain.Dist) {
 			t.Errorf("%v: zero plan changed distances", s)
 		}
-		if armed.Rounds != plain.Rounds || armed.Metrics.Words != plain.Metrics.Words {
-			t.Errorf("%v: zero plan changed accounting: rounds %d/%d words %d/%d",
-				s, armed.Rounds, plain.Rounds, armed.Metrics.Words, plain.Metrics.Words)
+		if armed.Rounds != plain.Rounds || armed.Metrics != plain.Metrics {
+			t.Errorf("%v: zero plan changed accounting: rounds %d/%d metrics %+v/%+v",
+				s, armed.Rounds, plain.Rounds, armed.Metrics, plain.Metrics)
 		}
 		if armed.Metrics.Faults.Injected() != 0 {
 			t.Errorf("%v: zero plan injected faults: %+v", s, armed.Metrics.Faults)

@@ -108,7 +108,7 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 	// The reduction runs on tripartite instances with 3n vertices; each
 	// network node simulates three of them (constant-factor overhead),
 	// realized as a 3n-node clique.
-	net, err := congest.NewNetwork(3*n, congest.WithTraceLimit(4096), congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(3*n, congest.WithFaults(req.Faults))
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,8 @@ func TestWorkspaceDeterminism(t *testing.T) {
 			if fresh.Rounds != pooled.Rounds {
 				t.Errorf("%v seed %d: pooled rounds %d != fresh %d", strat, seed, pooled.Rounds, fresh.Rounds)
 			}
-			if fresh.Metrics.Words != pooled.Metrics.Words {
-				t.Errorf("%v seed %d: pooled words %d != fresh %d", strat, seed, pooled.Metrics.Words, fresh.Metrics.Words)
+			if fresh.Metrics != pooled.Metrics {
+				t.Errorf("%v seed %d: pooled metrics %+v != fresh %+v", strat, seed, pooled.Metrics, fresh.Metrics)
 			}
 			if fresh.FindEdgesCalls != pooled.FindEdgesCalls {
 				t.Errorf("%v seed %d: pooled FindEdges calls %d != fresh %d", strat, seed, pooled.FindEdgesCalls, fresh.FindEdgesCalls)

@@ -369,7 +369,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 		}
 		opts.Net = net
 	}
-	baseline := net.Snapshot()
+	baseline := net.Metrics()
 	rng := xrand.New(opts.Seed)
 
 	m := a.MaxAbsFinite() + b.MaxAbsFinite() // bound on |C[i,j]| for finite entries

@@ -289,7 +289,7 @@ func backoff(ctx context.Context, base time.Duration, attempt int) (time.Duratio
 func runStage(ctx context.Context, net *congest.Network, st Stage) (StageStat, error) {
 	var before congest.Metrics
 	if net != nil {
-		before = net.Snapshot()
+		before = net.Metrics()
 	}
 	mallocs := mallocCount()
 	start := time.Now()

@@ -188,7 +188,7 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 
 	// Execute the fixed schedule once: measures its cost and yields the
 	// truth tables for the local state-vector evolution.
-	baseline := net.Snapshot()
+	baseline := net.Metrics()
 	tables, err := spec.Eval(net)
 	if err != nil {
 		return nil, fmt.Errorf("qsearch: evaluation procedure: %w", err)

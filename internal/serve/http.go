@@ -76,38 +76,11 @@ type solveParamsJSON struct {
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	// Faults arms the solve with a deterministic fault-injection plan
 	// (chaos testing over the wire); absent means no injection.
-	Faults *FaultPlanJSON `json:"faults,omitempty"`
+	Faults *congest.FaultPlan `json:"faults,omitempty"`
 	// Degrade opts the request into the graceful-degradation ladder: on
 	// retry exhaustion, deadline pressure or an open breaker the response
 	// is a degraded approximate result instead of a 503.
 	Degrade bool `json:"degrade,omitempty"`
-}
-
-// FaultPlanJSON is the JSON mirror of congest.FaultPlan.
-type FaultPlanJSON struct {
-	Seed            uint64  `json:"seed,omitempty"`
-	DropRate        float64 `json:"drop_rate,omitempty"`
-	DupRate         float64 `json:"dup_rate,omitempty"`
-	DelayRate       float64 `json:"delay_rate,omitempty"`
-	MaxDelayRounds  int     `json:"max_delay_rounds,omitempty"`
-	CorruptRate     float64 `json:"corrupt_rate,omitempty"`
-	CrashRate       float64 `json:"crash_rate,omitempty"`
-	CrashDownPhases int     `json:"crash_down_phases,omitempty"`
-	MaxFaults       int     `json:"max_faults,omitempty"`
-}
-
-func (f FaultPlanJSON) plan() congest.FaultPlan {
-	return congest.FaultPlan{
-		Seed:            f.Seed,
-		DropRate:        f.DropRate,
-		DupRate:         f.DupRate,
-		DelayRate:       f.DelayRate,
-		MaxDelayRounds:  f.MaxDelayRounds,
-		CorruptRate:     f.CorruptRate,
-		CrashRate:       f.CrashRate,
-		CrashDownPhases: f.CrashDownPhases,
-		MaxFaults:       f.MaxFaults,
-	}
 }
 
 // solveCtx derives the request's solve context: the HTTP request context
@@ -149,7 +122,7 @@ func (p solveParamsJSON) spec() (SolveSpec, error) {
 	// solveStatus maps ErrInvalidSpec to 400.
 	spec := SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Degrade: p.Degrade}
 	if p.Faults != nil {
-		spec.Faults = p.Faults.plan()
+		spec.Faults = *p.Faults
 	}
 	return spec, nil
 }

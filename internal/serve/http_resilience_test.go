@@ -5,9 +5,12 @@ package serve
 // degraded-response shape clients key on.
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"qclique/internal/congest"
 )
 
 func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
@@ -36,7 +39,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	var sj SolveJSON
 	resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
-		Faults:   &FaultPlanJSON{Seed: 9, DropRate: 1},
+		Faults:   &congest.FaultPlan{Seed: 9, DropRate: 1},
 	}, &sj)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered-fault solve: %d", resp.StatusCode)
@@ -53,7 +56,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
 		Degrade:  true,
-		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
+		Faults:   &congest.FaultPlan{Seed: 7, CorruptRate: 1, MaxFaults: 5},
 	}, &sj)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded solve: %d", resp.StatusCode)
@@ -71,7 +74,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "auto",
 		Degrade:  true,
-		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
+		Faults:   &congest.FaultPlan{Seed: 7, CorruptRate: 1, MaxFaults: 5},
 	}, &auto)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded auto solve: %d", resp.StatusCode)
@@ -88,7 +91,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	}
 	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
 		Strategy: "quantum",
-		Faults:   &FaultPlanJSON{Seed: 7, CorruptRate: 1, MaxFaults: 5},
+		Faults:   &congest.FaultPlan{Seed: 7, CorruptRate: 1, MaxFaults: 5},
 	}, &fail)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("exhausted solve: %d, want 503", resp.StatusCode)
@@ -106,9 +109,23 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 		t.Errorf("503 without fault telemetry: %+v", fail.Error)
 	}
 
+	// The same plan as raw request text: the wire keys, not the Go field
+	// names, must arm the outage.
+	var raw struct {
+		Error ErrorJSON `json:"error"`
+	}
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve",
+		json.RawMessage(`{"strategy":"quantum","faults":{"seed":7,"corrupt_rate":1,"max_faults":5}}`), &raw)
+	if resp.StatusCode != http.StatusServiceUnavailable || raw.Error.Code != "fault_exhausted" {
+		t.Fatalf("raw-text plan: %d %q, want 503 fault_exhausted", resp.StatusCode, raw.Error.Code)
+	}
+	if raw.Error.Faults == nil || *raw.Error.Faults != *fail.Error.Faults {
+		t.Errorf("raw-text plan injected %+v, want %+v", raw.Error.Faults, fail.Error.Faults)
+	}
+
 	// A malformed plan is a 400, not a 503.
 	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{
-		Faults: &FaultPlanJSON{DropRate: 1.5},
+		Faults: &congest.FaultPlan{DropRate: 1.5},
 	}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed plan: %d, want 400", resp.StatusCode)

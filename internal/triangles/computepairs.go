@@ -188,9 +188,7 @@ type Report struct {
 	// Rounds is the total CONGEST-CLIQUE rounds charged, including aborted
 	// attempts.
 	Rounds int64
-	// Metrics holds the aggregate network accounting (counters only; the
-	// per-phase trace stays on the caller's Network to keep this snapshot
-	// allocation-free on the hot path).
+	// Metrics holds the aggregate network accounting.
 	Metrics congest.Metrics
 	// Retries counts aborted attempts (covering imbalance, IdentifyClass
 	// overflow, slot overflow, injected truncation failures).
@@ -256,7 +254,7 @@ func FindEdgesWithPromise(inst Instance, opts Options) (*Report, error) {
 		if err == nil {
 			rep.Retries = attempt
 			rep.Rounds = net.Rounds()
-			rep.Metrics = net.Snapshot()
+			rep.Metrics = net.Metrics()
 			rep.Mode = opts.mode()
 			return rep, nil
 		}
@@ -375,7 +373,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 // exactly. It costs spaceSize × evalRounds instead of Õ(√spaceSize) ×
 // evalRounds.
 func classicalScan(net *congest.Network, b *evalBuilder) ([]bool, error) {
-	baseline := net.Snapshot()
+	baseline := net.Metrics()
 	tables, err := b.evalFunc()(net)
 	if err != nil {
 		return nil, err

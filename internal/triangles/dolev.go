@@ -29,7 +29,7 @@ type DolevReport struct {
 	Edges map[graph.Pair]bool
 	// Rounds is the total CONGEST-CLIQUE rounds charged.
 	Rounds int64
-	// Metrics is the aggregate accounting (counters only).
+	// Metrics is the aggregate accounting.
 	Metrics congest.Metrics
 	// Blocks is the partition parameter p ≈ n^{1/3}.
 	Blocks int
@@ -178,7 +178,7 @@ func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network)
 	return &DolevReport{
 		Edges:   edges,
 		Rounds:  net.Rounds(),
-		Metrics: net.Snapshot(),
+		Metrics: net.Metrics(),
 		Blocks:  p,
 	}, nil
 }

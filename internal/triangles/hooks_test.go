@@ -3,6 +3,7 @@ package triangles
 import (
 	"testing"
 
+	"qclique/internal/congest"
 	"qclique/internal/graph"
 	"qclique/internal/xrand"
 )
@@ -107,5 +108,37 @@ func TestCongestionTrialShowsReduction(t *testing.T) {
 	}
 	if st.SlotCap <= 0 {
 		t.Error("slot cap missing")
+	}
+
+	// The balanced load is the Figure 4 schedule's own peak: replay the
+	// trial's setup and run the schedule alone on a fresh network. The
+	// placement, class identification and coverings that precede it may
+	// load a link more heavily, and must not leak into the figure.
+	pt, err := NewPartitions(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, _ := congest.NewNetwork(g.N())
+	rng = xrand.New(9)
+	inst := &Instance{G: g}
+	sc := NewScratch()
+	pl, err := runPlacement(setup, pt, inst.legs(), DataDirect, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := runIdentifyClass(setup, pt, inst, pl, p, sc, rng.Split("identify"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, err := runCoverings(setup, pt, inst, p, sc, rng.Split("cover"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, _ := congest.NewNetwork(g.N())
+	if _, err := newEvalBuilder(pt, pl, cov, cls, p, 0, sc, rng.Split("eval")).evalFunc()(eval); err != nil {
+		t.Fatal(err)
+	}
+	if want := eval.Metrics().MaxLinkLoad; st.BalancedMaxLinkLoad != want {
+		t.Errorf("balanced max-link load %d, but the schedule alone peaks at %d", st.BalancedMaxLinkLoad, want)
 	}
 }

@@ -30,7 +30,7 @@ type FindEdgesReport struct {
 	Edges map[graph.Pair]bool
 	// Rounds is the total rounds across all promise instances.
 	Rounds int64
-	// Metrics is the aggregate network accounting (counters only).
+	// Metrics is the aggregate network accounting.
 	Metrics congest.Metrics
 	// PromiseCalls counts the FindEdgesWithPromise invocations
 	// (Proposition 1: O(log n)).
@@ -144,6 +144,6 @@ func FindEdges(inst Instance, opts Options) (*FindEdgesReport, error) {
 	}
 
 	out.Rounds = net.Rounds()
-	out.Metrics = net.Snapshot()
+	out.Metrics = net.Metrics()
 	return out, nil
 }

@@ -108,7 +108,7 @@ func (sc *Scratch) sampleRng() *xrand.Source {
 // — and the full APSP pipeline makes hundreds of promise calls, so those
 // buffers dominated the allocation profile. loadPool recycles the
 // congest.Load lists of the charge-only phases; a list is safe to recycle
-// as soon as the ChargeDirect/ChargeBalanced call consuming it returns
+// as soon as the ChargeBalanced call consuming it returns
 // (the network aggregates loads into its own flat scratch and never
 // retains the slice).
 var loadPool = sync.Pool{New: func() any { return new([]congest.Load) }}
