@@ -102,8 +102,8 @@ type FaultPlan struct {
 	// message is re-delivered up to MaxDelayRounds rounds late and the
 	// synchronous phase stretches to cover the straggler.
 	DelayRate float64 `json:"delay_rate,omitempty"`
-	// MaxDelayRounds bounds the lateness of a delayed message; 0 with a
-	// positive DelayRate is treated as 1.
+	// MaxDelayRounds bounds the lateness of a delayed message, at most
+	// 65,536; 0 with a positive DelayRate is treated as 1.
 	MaxDelayRounds int `json:"max_delay_rounds,omitempty"`
 	// CorruptRate is the per-phase probability of a payload corruption —
 	// detected by the link CRC, failing the phase (unrecovered).
@@ -127,8 +127,14 @@ func (p FaultPlan) Enabled() bool {
 	return p.DropRate > 0 || p.DupRate > 0 || p.DelayRate > 0 || p.CorruptRate > 0 || p.CrashRate > 0
 }
 
+// maxDelayRoundsCap bounds FaultPlan.MaxDelayRounds. A delayed message
+// stretches its phase by at most MaxDelayRounds rounds, so at this cap a
+// solve would need 2^47 phases to overflow the int64 round counter, while
+// an unbounded value wraps it negative within a few phases.
+const maxDelayRoundsCap = 1 << 16
+
 // Validate rejects malformed plans (rates outside [0,1] or NaN, negative
-// bounds).
+// bounds, a MaxDelayRounds above 65,536).
 func (p FaultPlan) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -147,8 +153,8 @@ func (p FaultPlan) Validate() error {
 		return fmt.Errorf("congest: fault plan: DropRate+DupRate+DelayRate %v exceeds 1 (per-message faults are exclusive)",
 			p.DropRate+p.DupRate+p.DelayRate)
 	}
-	if p.MaxDelayRounds < 0 {
-		return fmt.Errorf("congest: fault plan: negative MaxDelayRounds %d", p.MaxDelayRounds)
+	if p.MaxDelayRounds < 0 || p.MaxDelayRounds > maxDelayRoundsCap {
+		return fmt.Errorf("congest: fault plan: MaxDelayRounds %d outside [0, %d]", p.MaxDelayRounds, maxDelayRoundsCap)
 	}
 	if p.CrashDownPhases < 0 {
 		return fmt.Errorf("congest: fault plan: negative CrashDownPhases %d", p.CrashDownPhases)

@@ -46,6 +46,8 @@ func TestFaultPlanValidate(t *testing.T) {
 		{CrashRate: -1},
 		{DropRate: 0.5, DupRate: 0.4, DelayRate: 0.3}, // sum > 1
 		{DelayRate: 0.1, MaxDelayRounds: -1},
+		{DelayRate: 0.1, MaxDelayRounds: maxDelayRoundsCap + 1},
+		{DelayRate: 1, MaxDelayRounds: math.MaxInt}, // wrapped the round counter negative
 		{CrashRate: 0.1, CrashDownPhases: -2},
 		{CorruptRate: 0.1, MaxFaults: -1},
 		{DropRate: math.NaN()},
@@ -64,6 +66,9 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 	if err := (FaultPlan{Seed: 7, DropRate: 0.3, DupRate: 0.3, DelayRate: 0.4, MaxDelayRounds: 2}).Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+	if err := (FaultPlan{DelayRate: 1, MaxDelayRounds: maxDelayRoundsCap}).Validate(); err != nil {
+		t.Errorf("plan at the delay cap rejected: %v", err)
 	}
 	if (FaultPlan{}).Enabled() {
 		t.Error("zero plan reports Enabled")
@@ -310,6 +315,8 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Add(uint64(7), 0.1, 0.1, 0.1, 2, 0.05, 0.02, 1, 1)
 	f.Add(uint64(1), 1.0, 0.0, 0.0, 0, 1.0, 0.0, 0, 0)
 	f.Add(uint64(0), math.NaN(), 0.0, 0.0, 0, 0.0, 0.0, 0, 0)
+	f.Add(uint64(3), 0.0, 0.0, 1.0, math.MaxInt, 0.0, 0.0, 0, 0)
+	f.Add(uint64(3), 0.0, 0.0, 1.0, maxDelayRoundsCap, 0.0, 0.0, 0, 0)
 	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, delay float64, maxDelay int,
 		corrupt, crash float64, down, maxFaults int) {
 		p := FaultPlan{
@@ -327,16 +334,23 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatalf("accepted plan %+v rejected by NewNetwork: %v", p, err)
 		}
 		var fe *FaultError
+		rounds := nw.Metrics().Rounds
 		for i := 0; i < 3; i++ {
 			_, xerr := nw.ExchangeBalanced("fuzz/x", []Message{
 				{Src: 0, Dst: 1, Data: []Word{1, 2}}, {Src: 2, Dst: 3}, {Src: 3, Dst: 1},
 			})
+			xrounds := nw.Metrics().Rounds
 			berr := nw.Broadcast("fuzz/b", 2, 3)
+			brounds := nw.Metrics().Rounds
 			for _, err := range []error{xerr, berr} {
 				if err != nil && !errors.As(err, &fe) {
 					t.Fatalf("plan %+v: untyped phase failure: %v", p, err)
 				}
 			}
+			if xrounds < rounds || brounds < xrounds {
+				t.Fatalf("plan %+v: rounds went %d → %d → %d", p, rounds, xrounds, brounds)
+			}
+			rounds = brounds
 		}
 	})
 }

@@ -130,6 +130,15 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed plan: %d, want 400", resp.StatusCode)
 	}
+	// So is a delay bound that could overflow the round counter.
+	var delay struct {
+		Error ErrorJSON `json:"error"`
+	}
+	resp = doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve",
+		json.RawMessage(`{"faults":{"delay_rate":1,"max_delay_rounds":65537}}`), &delay)
+	if resp.StatusCode != http.StatusBadRequest || delay.Error.Code != "invalid_spec" {
+		t.Errorf("max_delay_rounds above the cap: %d %q, want 400 invalid_spec", resp.StatusCode, delay.Error.Code)
+	}
 }
 
 func TestHTTPDeadline503CarriesRetryAfter(t *testing.T) {

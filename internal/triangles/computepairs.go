@@ -7,6 +7,7 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
+	"qclique/internal/par"
 	"qclique/internal/qsearch"
 	"qclique/internal/quantum"
 	"qclique/internal/xrand"
@@ -281,6 +282,11 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 	}
 
 	rep := &Report{Edges: make(map[graph.Pair]bool)}
+	// Instances that share a row share its pair, so each found row enters
+	// the output once, after the class searches.
+	rowFound := par.Grow(sc.rowFound, len(st.rows))
+	sc.rowFound = rowFound
+	clear(rowFound)
 
 	// Step 3.2: for each class α, search T_α[u,v]. With no kept pairs
 	// (S empty or disjoint from the coverings) there is nothing to search
@@ -301,7 +307,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 			stat.EvalCalls = int64(b.spaceSize)
 			for i, ok := range found {
 				if ok {
-					rep.Edges[st.instances[i].pair] = true
+					rowFound[st.instances[i]] = true
 					stat.Found++
 				}
 			}
@@ -320,7 +326,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 			stat.EvalCalls = res.EvalCalls
 			for i, ok := range res.Found {
 				if ok {
-					rep.Edges[st.instances[i].pair] = true
+					rowFound[st.instances[i]] = true
 					stat.Found++
 				}
 			}
@@ -343,6 +349,11 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 			}
 		}
 		rep.Classes = append(rep.Classes, stat)
+	}
+	for ri, ok := range rowFound {
+		if ok {
+			rep.Edges[st.rows[ri].pair] = true
+		}
 	}
 
 	// Deliver each found pair to its two endpoint nodes (the problem's

@@ -39,41 +39,64 @@ func (e *SlotOverflowError) Error() string {
 		e.Label.U, e.Label.V, e.Label.X, e.WBlock, e.Alpha, e.Count, e.Cap)
 }
 
-// instanceRef is one search instance: a kept pair at a search label.
-type instanceRef struct {
-	label  int // SearchIndex
+// pairRow is one unique truth-table row: a kept pair in one (u,v) group,
+// with its weight f(pair) in G.
+type pairRow struct {
+	group  int
 	pair   graph.Pair
-	weight int64 // f(pair) in G
+	weight int64
 }
 
-// searchState is the Step 2 outcome: coverings and the flattened instance
-// list for the multi-searches.
+// searchState is the Step 2 outcome: the coverings, the unique (group,
+// pair) rows, and the flattened instance list for the multi-searches. A
+// search instance is one kept pair of one label's covering; instances are
+// listed in label order, and each holds the index of its row, which every
+// instance of the same (group, pair) shares.
 type searchState struct {
 	pt        *Partitions
 	coverings []Covering // indexed by SearchIndex
-	instances []instanceRef
+	rows      []pairRow
+	instances []int32 // index into rows
 }
 
 // runCoverings executes Step 2 of ComputePairs: every search-labeled node
 // samples its covering Λx(u,v), then loads the pair weights from the pair
 // owners and keeps the pairs that are in S and present in G. Aborts with
 // NotWellBalancedError when Lemma 2's balance condition fails.
+//
+// When the sampling probability clips at 1 the sampler draws no randomness
+// and every Λx(u,v) is all of P(u,v), so the group's covering is sampled,
+// filtered and owner-tallied once, at x = 0, and shared by the group's
+// other labels. Each label still charges its own owner loads, the group
+// tally minus the owner that is the label's own node, in the order the
+// per-label path emits them, so the charge is the same either way.
+//
+// Step 2 also lists the search instances and their truth-table rows, once
+// per attempt: every class evaluation reuses them.
 func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params Params, sc *Scratch, rng *xrand.Source) (*searchState, error) {
+	n := pt.N()
 	numLabels := pt.NumSearchLabels()
+	numFine := pt.NumFine()
+	shared := params.coverSampleProb(n) >= 1
 	if cap(sc.covs) < numLabels {
 		sc.covs = make([]Covering, numLabels)
 	}
 	// Every entry of the covering slice is assigned below before the state
 	// is read, so the scratch-backed slice needs no clearing.
 	st := &searchState{pt: pt, coverings: sc.covs[:numLabels]}
-	// Pre-size everything from the expected covering mass (|P(u,v)|·prob
-	// summed over labels): Step 2 runs once per promise call on the
-	// full-pipeline hot loop and buffer regrowth here dominated the
-	// allocation profile. The kept pairs and weights are carved out of two
-	// scratch arenas reused across promise calls; the sampling scratch is
-	// reused across labels; the load list is pooled across calls.
+	// Pre-size the arenas from the expected covering mass (|P(u,v)|·prob
+	// summed over the labels that sample): Step 2 runs once per promise
+	// call on the full-pipeline hot loop and buffer regrowth here
+	// dominated the allocation profile. The kept pairs and weights are
+	// carved out of two scratch arenas reused across promise calls; the
+	// sampling scratch is reused across labels. The load list is pooled
+	// across calls; a label sends to at most one owner per vertex of its
+	// group's lower block.
 	expected := pt.expectedCoveringPairs(params)
-	loadsBuf := getLoadBuf(2*expected + 64)
+	if shared {
+		expected /= numFine
+	}
+	loadsBuf := getLoadBuf(2 * numLabels * len(pt.Coarse[0]))
 	defer putLoadBuf(loadsBuf)
 	loads := *loadsBuf
 	if cap(sc.pairsArena) < expected+64 {
@@ -85,16 +108,16 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	pairsArena := sc.pairsArena[:0]
 	weightsArena := sc.weightsArena[:0]
 	sampleBuf := sc.sampleBuf
-	perVertex := par.Grow(sc.perVertex, pt.N())
+	perVertex := par.Grow(sc.perVertex, n)
 	sc.perVertex = perVertex
 	clear(perVertex)
-	ownerCount := par.Grow(sc.ownerCount, pt.N())
+	ownerCount := par.Grow(sc.ownerCount, n)
 	sc.ownerCount = ownerCount
 	clear(ownerCount)
-	if cap(sc.ownerTouched) < pt.N() {
-		sc.ownerTouched = make([]int32, 0, pt.N())
+	if cap(sc.ownerTouched) < n {
+		sc.ownerTouched = make([]int32, 0, n)
 	}
-	ownerTouched := sc.ownerTouched
+	ownerTouched := sc.ownerTouched[:0]
 	covSplit := rng.SplitterFor("covering")
 	// Hoist the S-membership test out of the per-pair loop: when the mask
 	// snapshot exists it answers inS directly (pairs are normalized U < V,
@@ -104,100 +127,131 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	if inst.S != nil && inst.sMask != nil {
 		sMask = inst.sMask
 	}
+	var cov Covering
 	for li := 0; li < numLabels; li++ {
 		label := pt.SearchFromIndex(li)
-		pairs, err := pt.sampleCoveringBuf(label, params, covSplit.Into(sc.sampleRng(), li), sampleBuf, perVertex)
-		if err != nil {
-			_ = net.Broadcast("computepairs/step2-abort", pt.SearchNode(label), 1)
-			return nil, err
-		}
-		sampleBuf = pairs
-		cov := Covering{Label: label}
 		dst := pt.SearchNode(label)
-		pStart, wStart := len(pairsArena), len(weightsArena)
-		ownerTouched = ownerTouched[:0]
-		// For labels with U < V the sampler walks U in its outer loop, so
-		// consecutive pairs usually share a weight row; re-fetch it only
-		// when U changes (flipped labels just miss the cache).
-		lastU := -1
-		var rowU []int64
-		for _, pr := range pairs {
-			// Request to the pair owner and two-word response (weight +
-			// S-membership). Owner is the smaller endpoint by convention;
-			// requests to the same owner are aggregated into one load (the
-			// per-link accounting is identical either way).
-			if owner := congest.NodeID(pr.U); owner != dst {
+		if !shared || label.X == 0 {
+			pairs, err := pt.sampleCoveringBuf(label, params, covSplit.Into(sc.sampleRng(), li), sampleBuf, perVertex)
+			if err != nil {
+				_ = net.Broadcast("computepairs/step2-abort", dst, 1)
+				return nil, err
+			}
+			sampleBuf = pairs
+			for _, o := range ownerTouched {
+				ownerCount[o] = 0
+			}
+			ownerTouched = ownerTouched[:0]
+			pStart := len(pairsArena)
+			// For labels with U < V the sampler walks U in its outer loop,
+			// so consecutive pairs usually share a weight row; re-fetch it
+			// only when U changes (flipped labels just miss the cache).
+			lastU := -1
+			var rowU []int64
+			for _, pr := range pairs {
+				// Request to the pair owner and two-word response (weight
+				// + S-membership). Owner is the smaller endpoint by
+				// convention; requests to the same owner are aggregated
+				// into one load (the per-link accounting is identical
+				// either way).
 				if ownerCount[pr.U] == 0 {
 					ownerTouched = append(ownerTouched, int32(pr.U))
 				}
 				ownerCount[pr.U]++
-			}
-			// Direct row indexing instead of Weight(): pairs are normalized
-			// U < V, so the diagonal guard is unnecessary and the NoEdge
-			// test below is the whole of the ok check.
-			if pr.U != lastU {
-				rowU = inst.G.RowView(pr.U)
-				lastU = pr.U
-			}
-			w := rowU[pr.V]
-			if w == graph.NoEdge {
-				continue
-			}
-			if sMask != nil {
-				if !sMask[pr.U*gn+pr.V] {
+				// Direct row indexing instead of Weight(): pairs are
+				// normalized U < V, so the diagonal guard is unnecessary
+				// and the NoEdge test below is the whole of the ok check.
+				if pr.U != lastU {
+					rowU = inst.G.RowView(pr.U)
+					lastU = pr.U
+				}
+				w := rowU[pr.V]
+				if w == graph.NoEdge {
 					continue
 				}
-			} else if !inst.inS(pr.U, pr.V) {
+				if sMask != nil {
+					if !sMask[pr.U*gn+pr.V] {
+						continue
+					}
+				} else if !inst.inS(pr.U, pr.V) {
+					continue
+				}
+				pairsArena = append(pairsArena, pr)
+				weightsArena = append(weightsArena, w)
+			}
+			// Arena regrowth leaves earlier coverings on the old backing
+			// array, which stays correct: the slices are never written
+			// again.
+			end := len(pairsArena)
+			cov.Pairs = pairsArena[pStart:end:end]
+			cov.Weights = weightsArena[pStart:end:end]
+		}
+		cov.Label = label
+		st.coverings[li] = cov
+		for _, o := range ownerTouched {
+			if congest.NodeID(o) == dst { // own pairs need no request
 				continue
 			}
-			pairsArena = append(pairsArena, pr)
-			weightsArena = append(weightsArena, w)
-		}
-		for _, o := range ownerTouched {
 			words := 2 * int64(ownerCount[o])
-			ownerCount[o] = 0
 			loads = append(loads,
 				congest.Load{Src: dst, Dst: congest.NodeID(o), Words: words},
 				congest.Load{Src: congest.NodeID(o), Dst: dst, Words: words},
 			)
 		}
-		// Arena regrowth leaves earlier coverings on the old backing array,
-		// which stays correct — the slices are never written again.
-		cov.Pairs = pairsArena[pStart:len(pairsArena):len(pairsArena)]
-		cov.Weights = weightsArena[wStart:len(weightsArena):len(weightsArena)]
-		st.coverings[li] = cov
 	}
 	*loadsBuf = loads // retain grown capacity in the pool
 	// Retain the grown scratch buffers for the next promise call.
 	sc.pairsArena = pairsArena
 	sc.weightsArena = weightsArena
+	sc.ownerTouched = ownerTouched
 	sc.sampleBuf = sampleBuf
 	if err := net.ChargeBalanced("computepairs/step2-covering", loads); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, cov := range st.coverings {
-		total += len(cov.Pairs)
-	}
-	if cap(sc.instances) < total {
-		sc.instances = make([]instanceRef, 0, total)
-	}
-	st.instances = sc.instances[:0]
-	for li, cov := range st.coverings {
-		for pi, pr := range cov.Pairs {
-			st.instances = append(st.instances, instanceRef{label: li, pair: pr, weight: cov.Weights[pi]})
-		}
-	}
-	sc.instances = st.instances
+	st.rows, st.instances = listInstances(st.coverings, pt, sc)
 	return st, nil
 }
 
-// rowJob is one unique truth-table row to compute: a (group, pair) with its
-// pair weight.
-type rowJob struct {
-	group  int
-	pair   graph.Pair
-	weight int64
+// listInstances flattens the coverings into search instances, in label
+// order, and dedups them into one truth-table row per (group, pair): the
+// coverings of one group's labels overlap, and are one covering where the
+// sampling probability clips. Rows are memoized through a flat pooled index
+// table: a pair {U,V} (U < V) can only appear in the groups
+// (CoarseOf(U), CoarseOf(V)) and its swap, so one orientation bit, set for
+// the labels with u > v, disambiguates the group and the table needs just
+// 2n² slots.
+func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow, []int32) {
+	n := pt.N()
+	numFine := pt.NumFine()
+	total := 0
+	for _, cov := range coverings {
+		total += len(cov.Pairs)
+	}
+	if cap(sc.instances) < total {
+		sc.instances = make([]int32, 0, total)
+	}
+	instances := sc.instances[:0]
+	rows := sc.pairRows[:0]
+	rowOfBuf := getZeroedInt32(2 * n * n)
+	defer putInt32(rowOfBuf)
+	rowOf := *rowOfBuf // (orient*n + U)*n + V → row index + 1; 0 = unset
+	for li, cov := range coverings {
+		orient := 0
+		if cov.Label.U > cov.Label.V {
+			orient = 1
+		}
+		for pi, pr := range cov.Pairs {
+			key := (orient*n+pr.U)*n + pr.V
+			if rowOf[key] == 0 {
+				rows = append(rows, pairRow{group: li / numFine, pair: pr, weight: cov.Weights[pi]})
+				rowOf[key] = int32(len(rows))
+			}
+			instances = append(instances, rowOf[key]-1)
+		}
+	}
+	sc.instances = instances
+	sc.pairRows = rows
+	return rows, instances
 }
 
 // evalBuilder assembles the class-α evaluation procedure.
@@ -251,9 +305,7 @@ func newEvalBuilder(pt *Partitions, pl *placement, st *searchState, cls *classif
 
 // groupOf returns the group index of a search label. SearchIndex lays
 // labels out as (u·q+v)·s + x, so the group is just the index divided by
-// the fine-block count — this runs once per instance in the innermost
-// query-assignment loop, where the full SearchFromIndex decode showed up
-// in profiles.
+// the fine-block count.
 func (b *evalBuilder) groupOf(li int) int {
 	return li / b.pt.NumFine()
 }
@@ -351,7 +403,9 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		// L^k_w and enforce the slot caps of the C̃m contract. The counts
 		// live in a flat (searchLabel × wBlock) array touched-list rather
 		// than a map: the assignment loop is the innermost accounting loop
-		// of every FindEdges call.
+		// of every FindEdges call. It walks the coverings, whose pairs are
+		// the instances in label order, so each label's group is looked up
+		// once.
 		qrng := b.rng.Split("query-assignment")
 		numFine := b.pt.NumFine()
 		listCountBuf := getZeroedInt32(b.pt.NumSearchLabels() * numFine)
@@ -362,53 +416,24 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		}
 		touched := b.sc.evalTouch[:0]
 		b.sc.evalTouch = touched
-		// The truth-table row dedup below shares this pass over the
-		// instances: rows are memoized per (group, pair) — a pair covered
-		// by several Λx sets shares one row — through a flat pooled
-		// (group × pair) index table instead of a hash map. A pair {U,V}
-		// (U < V) can only appear in the two groups
-		// (CoarseOf(U), CoarseOf(V)) and its swap, so one orientation bit
-		// disambiguates the group and the dedup table needs just 2n² slots.
-		// Building jobs/assign before the query-response charge is
-		// side-effect-free (pure scratch writes), so fusing the two
-		// instance loops changes no accounting.
-		q := b.pt.NumCoarse()
-		rowOfBuf := getZeroedInt32(2 * n * n)
-		defer putInt32(rowOfBuf)
-		rowOf := *rowOfBuf // (orient*n + U)*n + V → row index + 1; 0 = unset
-		jobs := b.sc.jobs[:0]
-		assign := par.Grow(b.sc.assign, len(b.st.instances))
-		b.sc.assign = assign
-		for i, ins := range b.st.instances {
-			g := b.groupOf(ins.label)
-			orient := 0
-			if g != b.pt.CoarseOf(ins.pair.U)*q+b.pt.CoarseOf(ins.pair.V) {
-				orient = 1
-			}
-			key := (orient*n+ins.pair.U)*n + ins.pair.V
-			ri := rowOf[key]
-			if ri == 0 {
-				jobs = append(jobs, rowJob{group: g, pair: ins.pair, weight: ins.weight})
-				ri = int32(len(jobs))
-				rowOf[key] = ri
-			}
-			assign[i] = ri - 1
-			list := b.classLists[g]
+		for li, cov := range b.st.coverings {
+			list := b.classLists[b.groupOf(li)]
 			if len(list) == 0 {
 				continue
 			}
-			w := list[qrng.IntN(len(list))]
-			k := ins.label*numFine + w
-			if listCount[k] == 0 {
-				touched = append(touched, int32(k))
-			}
-			listCount[k]++
-			if int(listCount[k]) > slotCap {
-				label := b.pt.SearchFromIndex(ins.label)
-				return nil, &SlotOverflowError{Label: label, WBlock: w, Count: int(listCount[k]), Cap: slotCap, Alpha: b.alpha}
+			for range cov.Pairs {
+				w := list[qrng.IntN(len(list))]
+				k := li*numFine + w
+				if listCount[k] == 0 {
+					touched = append(touched, int32(k))
+				}
+				listCount[k]++
+				if int(listCount[k]) > slotCap {
+					label := b.pt.SearchFromIndex(li)
+					return nil, &SlotOverflowError{Label: label, WBlock: w, Count: int(listCount[k]), Cap: slotCap, Alpha: b.alpha}
+				}
 			}
 		}
-		b.sc.jobs = jobs
 
 		// Figure 4/5 Steps 1–2: send each list (3 words per entry: the two
 		// endpoints and the pair weight) to the triple node (or its clone
@@ -446,32 +471,27 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		}
 
 		// Assemble the truth tables from the queried triple nodes' data,
-		// using the jobs/assign dedup built in the fused loop above. Row
-		// computation (the triple nodes' local min-plus work) is
-		// independent across rows, so the unique rows are computed by the
-		// worker pool and merged by index — identical output for any
-		// worker count.
+		// one per unique (group, pair) row of Step 2. Row computation (the
+		// triple nodes' local min-plus work) is independent across rows, so
+		// the rows are computed by the worker pool and merged by index —
+		// identical output for any worker count.
 		// The previous evaluation's tables are dead once this one runs (the
 		// multi-search consuming them has returned), so the row and table
 		// arenas are reused across classes and promise calls.
-		if cap(b.sc.rows) < len(jobs) {
-			b.sc.rows = make([][]bool, len(jobs))
-		}
-		rows := b.sc.rows[:len(jobs)]
-		if cap(b.sc.rowArena) < len(jobs)*b.spaceSize {
-			b.sc.rowArena = make([]bool, len(jobs)*b.spaceSize)
-		}
-		rowArena := b.sc.rowArena[:len(jobs)*b.spaceSize]
-		par.For(par.Workers(b.workers), len(jobs), func(j int) {
+		pairRows := b.st.rows
+		rows := par.Grow(b.sc.rows, len(pairRows))
+		b.sc.rows = rows
+		rowArena := par.Grow(b.sc.rowArena, len(pairRows)*b.spaceSize)
+		b.sc.rowArena = rowArena
+		par.For(par.Workers(b.workers), len(pairRows), func(j int) {
 			row := rowArena[j*b.spaceSize : (j+1)*b.spaceSize]
-			b.truthRowInto(row, jobs[j].group, jobs[j].pair, jobs[j].weight)
+			pr := &pairRows[j]
+			b.truthRowInto(row, pr.group, pr.pair, pr.weight)
 			rows[j] = row
 		})
-		if cap(b.sc.tables) < len(b.st.instances) {
-			b.sc.tables = make([][]bool, len(b.st.instances))
-		}
-		tables := b.sc.tables[:len(b.st.instances)]
-		for i, ri := range assign {
+		tables := par.Grow(b.sc.tables, len(b.st.instances))
+		b.sc.tables = tables
+		for i, ri := range b.st.instances {
 			tables[i] = rows[ri]
 		}
 		return tables, nil

@@ -2,6 +2,7 @@ package triangles
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"qclique/internal/congest"
@@ -53,13 +54,32 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 	if len(tables) != len(st.instances) {
 		t.Fatalf("tables = %d, instances = %d", len(tables), len(st.instances))
 	}
+	// Instances are listed in label order, so the coverings give each
+	// instance's label, pair and weight independently of its row.
+	type instance struct {
+		label  int
+		pair   graph.Pair
+		weight int64
+	}
+	var refs []instance
+	for li, cov := range st.coverings {
+		for pi, pr := range cov.Pairs {
+			refs = append(refs, instance{li, pr, cov.Weights[pi]})
+		}
+	}
+	if len(refs) != len(st.instances) {
+		t.Fatalf("coverings hold %d pairs, instances = %d", len(refs), len(st.instances))
+	}
 	// Spot check each table entry against the brute-force triangle test.
 	rng := xrand.New(99)
 	checked := 0
 	for trial := 0; trial < 500 && checked < 200; trial++ {
 		i := rng.IntN(len(st.instances))
-		ins := st.instances[i]
-		g := b.groupOf(ins.label)
+		ref := refs[i]
+		g := b.groupOf(ref.label)
+		if row := st.rows[st.instances[i]]; row != (pairRow{group: g, pair: ref.pair, weight: ref.weight}) {
+			t.Fatalf("instance %d of label %d has row %+v, want pair %v weight %d", i, ref.label, row, ref.pair, ref.weight)
+		}
 		list := b.classLists[g]
 		if len(list) == 0 {
 			continue
@@ -69,18 +89,18 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 		if xi < len(list) {
 			w := list[xi]
 			for _, c := range b.pt.Fine[w] {
-				if c == ins.pair.U || c == ins.pair.V {
+				if c == ref.pair.U || c == ref.pair.V {
 					continue
 				}
-				la, ok := b.pl.legs.Weight(ins.pair.U, c)
+				la, ok := b.pl.legs.Weight(ref.pair.U, c)
 				if !ok {
 					continue
 				}
-				lb, ok := b.pl.legs.Weight(ins.pair.V, c)
+				lb, ok := b.pl.legs.Weight(ref.pair.V, c)
 				if !ok {
 					continue
 				}
-				if graph.SaturatingAdd(la, lb) < -ins.weight {
+				if graph.SaturatingAdd(la, lb) < -ref.weight {
 					want = true
 					break
 				}
@@ -186,12 +206,13 @@ func TestRunCoveringsKeepsOnlySEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ins := range st.instances {
-		if ins.pair != graph.MakePair(0, 1) {
-			t.Fatalf("kept pair %v outside S∩E", ins.pair)
+	for _, ri := range st.instances {
+		row := st.rows[ri]
+		if row.pair != graph.MakePair(0, 1) {
+			t.Fatalf("kept pair %v outside S∩E", row.pair)
 		}
-		if ins.weight != 5 {
-			t.Fatalf("kept weight %d, want 5", ins.weight)
+		if row.weight != 5 {
+			t.Fatalf("kept weight %d, want 5", row.weight)
 		}
 	}
 	if len(st.instances) == 0 {
@@ -218,5 +239,168 @@ func TestFigure5DuplicationPathCharges(t *testing.T) {
 	}
 	if net.Rounds() <= before {
 		t.Error("Figure 5 duplication must charge rounds")
+	}
+}
+
+// referenceStep2 is Step 2 label by label, as Section 5.1 states it: each
+// label samples its own Λx(u,v), keeps the pairs of S∩E, and requests every
+// sampled pair from its owner (the smaller endpoint) unless the label's own
+// node owns it. It charges the per-owner loads, in first-request order, on
+// net.
+func referenceStep2(net *congest.Network, pt *Partitions, inst *Instance, params Params, rng *xrand.Source) ([][]graph.Pair, [][]int64, error) {
+	pairs := make([][]graph.Pair, pt.NumSearchLabels())
+	weights := make([][]int64, pt.NumSearchLabels())
+	var loads []congest.Load
+	for li := range pairs {
+		label := pt.SearchFromIndex(li)
+		dst := pt.SearchNode(label)
+		sampled, err := pt.sampleCovering(label, params, rng.SplitN("covering", li))
+		if err != nil {
+			_ = net.Broadcast("computepairs/step2-abort", dst, 1)
+			return nil, nil, err
+		}
+		var owners []int
+		count := map[int]int64{}
+		for _, pr := range sampled {
+			if congest.NodeID(pr.U) != dst {
+				if count[pr.U] == 0 {
+					owners = append(owners, pr.U)
+				}
+				count[pr.U]++
+			}
+			if w, ok := inst.G.Weight(pr.U, pr.V); ok && (inst.S == nil || inst.S[pr]) {
+				pairs[li] = append(pairs[li], pr)
+				weights[li] = append(weights[li], w)
+			}
+		}
+		for _, o := range owners {
+			loads = append(loads,
+				congest.Load{Src: dst, Dst: congest.NodeID(o), Words: 2 * count[o]},
+				congest.Load{Src: congest.NodeID(o), Dst: dst, Words: 2 * count[o]},
+			)
+		}
+	}
+	return pairs, weights, net.ChargeBalanced("computepairs/step2-covering", loads)
+}
+
+// TestRunCoveringsMatchesPerLabelReference pins runCoverings to the
+// per-label reference, both where the sampling probability clips at 1 (so
+// a group's labels share one covering) and where it does not: the same
+// coverings, instances whose rows hold their (group, pair, weight), one row
+// per (group, pair), the same charge, and the same abort.
+func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
+	const n = 48
+	clipped := PaperParams()
+	unclipped := PaperParams()
+	unclipped.CoverSample = 0.55
+	if p := clipped.coverSampleProb(n); p < 1 {
+		t.Fatalf("clipped setting samples with probability %g", p)
+	}
+	if p := unclipped.coverSampleProb(n); p < 0.2 || p > 0.4 {
+		t.Fatalf("unclipped setting samples with probability %g", p)
+	}
+	pt, err := NewPartitions(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run executes both on fresh networks from the same seed.
+	type result struct {
+		st          *searchState
+		err, refErr error
+		got, want   congest.Metrics
+		refPairs    [][]graph.Pair
+		refWeights  [][]int64
+	}
+	run := func(params Params, inst *Instance, seed uint64) result {
+		got, _ := congest.NewNetwork(n)
+		want, _ := congest.NewNetwork(n)
+		var r result
+		r.st, r.err = runCoverings(got, pt, inst, params, NewScratch(), xrand.New(seed))
+		r.refPairs, r.refWeights, r.refErr = referenceStep2(want, pt, inst, params, xrand.New(seed))
+		r.got, r.want = got.Metrics(), want.Metrics()
+		return r
+	}
+	// A balance bound of 15 passes the clipped group (0,0), whose vertices
+	// touch 15 pairs, and aborts at group (0,1), whose vertices touch 16;
+	// the unclipped one aborts wherever a vertex first draws more than 7.
+	for _, tc := range []struct {
+		name         string
+		params       Params
+		wellBalanced float64
+	}{{"clipped", clipped, 1.45}, {"unclipped", unclipped, 0.6}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := xrand.New(100 + seed)
+			g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -8, MaxWeight: 15}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := map[graph.Pair]bool{}
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if rng.Bool(0.7) {
+						s[graph.MakePair(u, v)] = true
+					}
+				}
+			}
+			inst := &Instance{G: g, S: s}
+			inst.buildSMask(NewScratch())
+
+			r := run(tc.params, inst, seed)
+			if r.err != nil || r.refErr != nil {
+				t.Fatalf("%s seed %d: runCoverings %v, reference %v", tc.name, seed, r.err, r.refErr)
+			}
+			if r.got != r.want {
+				t.Errorf("%s seed %d: charged %+v, reference %+v", tc.name, seed, r.got, r.want)
+			}
+			st, pairs, weights := r.st, r.refPairs, r.refWeights
+			type key struct {
+				group int
+				pair  graph.Pair
+			}
+			seen := map[key]bool{}
+			for _, row := range st.rows {
+				k := key{row.group, row.pair}
+				if seen[k] {
+					t.Fatalf("%s seed %d: two rows for group %d pair %v", tc.name, seed, row.group, row.pair)
+				}
+				seen[k] = true
+			}
+			used := make([]bool, len(st.rows))
+			i := 0
+			for li, cov := range st.coverings {
+				if cov.Label != pt.SearchFromIndex(li) || !slices.Equal(cov.Pairs, pairs[li]) || !slices.Equal(cov.Weights, weights[li]) {
+					t.Fatalf("%s seed %d: label %d covering differs from the reference", tc.name, seed, li)
+				}
+				for pi, pr := range pairs[li] {
+					if i >= len(st.instances) {
+						t.Fatalf("%s seed %d: %d instances, reference has more", tc.name, seed, len(st.instances))
+					}
+					ri := st.instances[i]
+					group := li / pt.NumFine()
+					if row := st.rows[ri]; row != (pairRow{group: group, pair: pr, weight: weights[li][pi]}) {
+						t.Fatalf("%s seed %d: instance %d of label %d has row %+v, want pair %v weight %d", tc.name, seed, i, li, row, pr, weights[li][pi])
+					}
+					used[ri] = true
+					i++
+				}
+			}
+			if i != len(st.instances) || slices.Contains(used, false) {
+				t.Fatalf("%s seed %d: %d instances for %d reference pairs, every row used: %v", tc.name, seed, len(st.instances), i, !slices.Contains(used, false))
+			}
+
+			abort := tc.params
+			abort.WellBalanced = tc.wellBalanced
+			r = run(abort, inst, seed)
+			var nwb, refNwb *NotWellBalancedError
+			if !errors.As(r.err, &nwb) || !errors.As(r.refErr, &refNwb) {
+				t.Fatalf("%s seed %d: abort errors %v and %v, want NotWellBalancedError", tc.name, seed, r.err, r.refErr)
+			}
+			if *nwb != *refNwb || r.got != r.want {
+				t.Errorf("%s seed %d: abort %v charging %+v, reference %v charging %+v", tc.name, seed, nwb, r.got, refNwb, r.want)
+			}
+			if tc.name == "clipped" && nwb.Label != (SearchLabel{U: 0, V: 1}) {
+				t.Errorf("clipped seed %d: aborted at %+v, want (0,1,0)", seed, nwb.Label)
+			}
+		}
 	}
 }

@@ -52,26 +52,27 @@ type Scratch struct {
 	rngSample *xrand.Source
 
 	// Step 2 coverings: kept pairs/weights arenas, covering headers, the
-	// flattened instance list, and the sampler scratch.
+	// unique (group, pair) rows, the flattened instance list, and the
+	// sampler scratch.
 	covs         []Covering
 	pairsArena   []graph.Pair
 	weightsArena []int64
+	pairRows     []pairRow
 	sampleBuf    []graph.Pair
 	perVertex    []int32
 	ownerCount   []int32
 	ownerTouched []int32
-	instances    []instanceRef
+	instances    []int32
 
-	// Step 3 evaluation: class lists, row dedup jobs, and truth-table
-	// arenas.
+	// Step 3 evaluation: class lists, truth-table arenas, and the rows
+	// some class search found.
 	classLists [][]int
 	classArena []int
-	jobs       []rowJob
-	assign     []int32
 	evalTouch  []int32
 	rows       [][]bool
 	rowArena   []bool
 	tables     [][]bool
+	rowFound   []bool
 
 	// qs is the multi-search scratch handed to qsearch.MultiSearch.
 	qs qsearch.Scratch
@@ -129,8 +130,8 @@ func putLoadBuf(p *[]congest.Load) {
 	loadPool.Put(p)
 }
 
-// int32Pool recycles zeroed int32 index arrays (the flat row-dedup table of
-// the evaluation procedure).
+// int32Pool recycles zeroed int32 index arrays: Step 2's (group, pair) row
+// index and the evaluation procedure's per-(label, w-block) list counts.
 var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
 
 // getZeroedInt32 returns a zeroed int32 slice of exactly n entries.
