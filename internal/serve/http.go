@@ -23,6 +23,7 @@ import (
 	"qclique/internal/core"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
+	"qclique/internal/matrix"
 )
 
 // ArcJSON is one weighted arc of an uploaded graph.
@@ -354,28 +355,29 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		n := sg.g.N()
-		parseIdx := func(name string) (int, bool, error) {
+		// parseIdx answers -1 for an absent index.
+		parseIdx := func(name string) (int, error) {
 			v := query.Get(name)
 			if v == "" {
-				return 0, false, nil
+				return -1, nil
 			}
 			i, err := strconv.Atoi(v)
 			if err != nil || i < 0 || i >= n {
-				return 0, true, fmt.Errorf("serve: %s=%q out of range [0,%d)", name, v, n)
+				return 0, fmt.Errorf("serve: %s=%q out of range [0,%d)", name, v, n)
 			}
-			return i, true, nil
+			return i, nil
 		}
-		src, haveSrc, err := parseIdx("src")
+		src, err := parseIdx("src")
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		dst, haveDst, err := parseIdx("dst")
+		dst, err := parseIdx("dst")
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if haveDst && !haveSrc {
+		if dst >= 0 && src < 0 {
 			httpError(w, http.StatusBadRequest, errors.New("serve: dst requires src"))
 			return
 		}
@@ -386,34 +388,11 @@ func NewHandler(s *Service) http.Handler {
 			solveError(w, err)
 			return
 		}
-		out := map[string]any{"id": res.GraphID, "n": n, "cached": res.Cached}
-		switch {
-		case haveSrc && haveDst:
-			out["src"], out["dst"] = src, dst
-			v, undefined := distJSON(res.Res.Dist.At(src, dst))
-			out["dist"] = v
-			if undefined {
-				out["undefined"] = true
-			}
-		case haveSrc:
-			out["src"] = src
-			row, undefined := rowJSON(res.Res.Dist.RowView(src), src, nil)
-			out["dist"] = row
-			if len(undefined) > 0 {
-				out["undefined"] = undefined
-			}
-		default:
-			rows := make([][]*int64, n)
-			var undefined [][2]int
-			for i := 0; i < n; i++ {
-				rows[i], undefined = rowJSON(res.Res.Dist.RowView(i), i, undefined)
-			}
-			out["dist"] = rows
-			if len(undefined) > 0 {
-				out["undefined"] = undefined
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
+		body := distBody(res.GraphID, res.Cached, res.Res.Dist, src, dst)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
 	})
 
 	mux.HandleFunc("POST /v1/graphs/{id}/paths:batch", func(w http.ResponseWriter, r *http.Request) {
@@ -427,9 +406,24 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
+		// As in GET dist, endpoints are checked against the stored graph
+		// before solving, so a bad query costs a 400, not a solve.
+		id := r.PathValue("id")
+		sg, err := s.store.get(id)
+		if err != nil {
+			httpError(w, solveStatus(err), err)
+			return
+		}
+		n := sg.g.N()
+		for _, q := range body.Queries {
+			if q.Src < 0 || q.Src >= n || q.Dst < 0 || q.Dst >= n {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("serve: query (%d,%d) out of range [0,%d)", q.Src, q.Dst, n))
+				return
+			}
+		}
 		ctx, cancel := body.solveCtx(r)
 		defer cancel()
-		answers, res, err := s.PathsBatchContext(ctx, r.PathValue("id"), spec, body.Queries)
+		answers, res, err := s.PathsBatchContext(ctx, id, spec, body.Queries)
 		if err != nil {
 			solveError(w, err)
 			return
@@ -652,18 +646,106 @@ func distJSON(d int64) (*int64, bool) {
 	return &d, false
 }
 
-// rowJSON converts row src of a distance matrix, appending any undefined
-// pairs (src, j) to undefined so the response can mark them explicitly.
-func rowJSON(row []int64, src int, undefined [][2]int) ([]*int64, [][2]int) {
-	out := make([]*int64, len(row))
-	for j, d := range row {
-		var undef bool
-		out[j], undef = distJSON(d)
-		if undef {
-			undefined = append(undefined, [2]int{src, j})
+// distBody is the GET /v1/graphs/{id}/dist response body for d: the pair
+// (src, dst), row src when dst < 0, or the whole matrix when src < 0. It
+// appends straight into one buffer, yet its bytes are exactly those
+// json.Encoder writes for the equivalent map[string]any: keys sorted, null
+// for +∞ and −∞, the −∞ cells marked under "undefined" (true for a pair, a
+// list of [i,j] otherwise), and a trailing newline.
+func distBody(id string, cached bool, d *matrix.Matrix, src, dst int) []byte {
+	n := d.N()
+	lo, hi := 0, n // the rows a row or full-matrix body lists
+	if src >= 0 {
+		lo, hi = src, src+1
+	}
+	size := 96 + len(id)
+	if dst < 0 {
+		// Room for short distances; append grows the buffer for long ones.
+		size += (hi - lo) * (2 + 4*n)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `{"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, `,"dist":`...)
+	undefined := false
+	if dst >= 0 {
+		v := d.At(src, dst)
+		b = appendDist(b, v)
+		undefined = v <= graph.NegInf
+		b = append(b, `,"dst":`...)
+		b = strconv.AppendInt(b, int64(dst), 10)
+	} else {
+		if src < 0 {
+			b = append(b, '[')
+		}
+		for i := lo; i < hi; i++ {
+			if i > lo {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			for j, v := range d.RowView(i) {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendDist(b, v)
+				undefined = undefined || v <= graph.NegInf
+			}
+			b = append(b, ']')
+		}
+		if src < 0 {
+			b = append(b, ']')
 		}
 	}
-	return out, undefined
+	b = append(b, `,"id":`...)
+	// Marshal escapes <>& as json.Encoder does, and cannot fail on a string.
+	idJSON, _ := json.Marshal(id)
+	b = append(b, idJSON...)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	if src >= 0 {
+		b = append(b, `,"src":`...)
+		b = strconv.AppendInt(b, int64(src), 10)
+	}
+	if undefined {
+		b = append(b, `,"undefined":`...)
+		if dst >= 0 {
+			b = append(b, "true"...)
+		} else {
+			b = appendUndefined(b, d, lo, hi)
+		}
+	}
+	return append(b, "}\n"...)
+}
+
+// appendDist appends one distance: null for ±∞, the integer otherwise.
+func appendDist(b []byte, v int64) []byte {
+	if v >= graph.Inf || v <= graph.NegInf {
+		return append(b, "null"...)
+	}
+	return strconv.AppendInt(b, v, 10)
+}
+
+// appendUndefined appends the [i,j] list of the −∞ cells in rows [lo, hi).
+func appendUndefined(b []byte, d *matrix.Matrix, lo, hi int) []byte {
+	b = append(b, '[')
+	first := true
+	for i := lo; i < hi; i++ {
+		for j, v := range d.RowView(i) {
+			if v > graph.NegInf {
+				continue
+			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(j), 10)
+			b = append(b, ']')
+		}
+	}
+	return append(b, ']')
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -208,8 +208,9 @@ func TestHTTPBatchPerQueryErrors(t *testing.T) {
 	}
 }
 
-// TestDistJSONUndefined pins the wire representation of the three distance
-// states: finite, unreachable (+∞), undefined (−∞).
+// TestDistJSONUndefined pins the paths:batch representation of the three
+// distance states: finite, unreachable (+∞), undefined (−∞). GET dist's
+// bytes are pinned by FuzzDistResponse.
 func TestDistJSONUndefined(t *testing.T) {
 	if v, undef := distJSON(7); v == nil || *v != 7 || undef {
 		t.Errorf("finite: (%v,%v)", v, undef)
@@ -219,12 +220,5 @@ func TestDistJSONUndefined(t *testing.T) {
 	}
 	if v, undef := distJSON(graph.NegInf); v != nil || !undef {
 		t.Errorf("undefined: (%v,%v), want (nil,true)", v, undef)
-	}
-	row, undefined := rowJSON([]int64{3, graph.Inf, graph.NegInf}, 4, nil)
-	if row[0] == nil || row[1] != nil || row[2] != nil {
-		t.Errorf("rowJSON values: %v", row)
-	}
-	if len(undefined) != 1 || undefined[0] != [2]int{4, 2} {
-		t.Errorf("rowJSON undefined pairs: %v", undefined)
 	}
 }

@@ -274,6 +274,40 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPPathsBatchRejectsOutOfRange: a paths:batch query endpoint outside
+// [0, n) answers 400 invalid_spec before the solve runs, as GET dist does,
+// rather than a solve followed by a per-query error.
+func TestHTTPPathsBatchRejectsOutOfRange(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	id, err := svc.PutGraph(testDigraph(t, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []map[string]int{
+		{"src": 0, "dst": 7},
+		{"src": 3, "dst": 0},
+		{"src": -1, "dst": 1},
+		{"src": 0, "dst": -1},
+	} {
+		var e struct {
+			Error ErrorJSON `json:"error"`
+		}
+		resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+id+"/paths:batch", map[string]any{
+			"queries": []map[string]int{{"src": 0, "dst": 1}, q},
+		}, &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_spec" {
+			t.Errorf("query %v: status %d code %q, want 400 invalid_spec", q, resp.StatusCode, e.Error.Code)
+		}
+	}
+	for name, st := range svc.Stats().Strategies {
+		if st.Solves != 0 {
+			t.Errorf("%s: %d solve(s) for rejected batches, want 0", name, st.Solves)
+		}
+	}
+}
+
 // TestHTTPTimeoutMSBound: a timeout_ms whose time.Duration would overflow
 // is a 400 invalid_spec on both solve endpoints, not a retryable 503 that
 // no retry can turn into a success; the largest representable value, and a
