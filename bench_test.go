@@ -5,19 +5,23 @@ package qclique
 // counterpart of each theorem/proposition/lemma). Each benchmark reports
 // the simulated CONGEST-CLIQUE round count via ReportMetric("rounds/op")
 // alongside the usual wall-clock numbers; cmd/experiments renders the same
-// measurements as the tables recorded in EXPERIMENTS.md.
+// measurements as the tables recorded in EXPERIMENTS.md. Every input comes
+// from internal/experiments/workload, so a benchmark here, the cmd/bench
+// entry of the same name and the experiment row of the same size solve one
+// instance.
 
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"qclique/internal/congest"
-	"qclique/internal/core"
 	"qclique/internal/distprod"
+	"qclique/internal/experiments/workload"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
-	"qclique/internal/qsearch"
 	"qclique/internal/quantum"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
@@ -25,12 +29,8 @@ import (
 
 func benchTriangleGraph(b *testing.B, n int) *graph.Undirected {
 	b.Helper()
-	rng := xrand.New(uint64(n))
-	g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40}, rng)
+	g, err := workload.TriangleGraph(n)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := graph.PlantNegativeTriangles(g, 1+n/16, 30, rng.Split("p")); err != nil {
 		b.Fatal(err)
 	}
 	return g
@@ -38,13 +38,43 @@ func benchTriangleGraph(b *testing.B, n int) *graph.Undirected {
 
 func benchDigraph(b *testing.B, n int) *graph.Digraph {
 	b.Helper()
-	g, err := graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -8, MaxWeight: 8, NoNegativeCycles: true,
-	}, xrand.New(uint64(n)))
+	g, err := workload.E1Digraph(n, workload.E1W)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
+}
+
+// table is the shared workload table in full, built once per process.
+var table = sync.OnceValues(func() ([]workload.Entry, error) { return workload.Table(false) })
+
+// benchTable runs one family of the workload table — the configurations
+// cmd/bench gates, on the same inputs — as one sub-benchmark per size. The
+// table's workers=4 variants stay in cmd/bench, so that
+// -bench 'BenchmarkE1APSPQuantum/n=64' still selects exactly one benchmark.
+func benchTable(b *testing.B, family string) {
+	entries, err := table()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range entries {
+		size, ok := strings.CutPrefix(e.Name, family+"/")
+		if !ok || strings.Contains(size, "/") {
+			continue
+		}
+		b.Run(size, func(b *testing.B) {
+			b.ReportAllocs()
+			var rounds int64
+			for i := 0; i < b.N; i++ {
+				out, err := e.Run(uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds = out.Rounds
+			}
+			b.ReportMetric(float64(rounds), "rounds/op")
+		})
+	}
 }
 
 // BenchmarkE1APSPQuantum regenerates E1 (Theorem 1): the full quantum APSP
@@ -54,85 +84,15 @@ func benchDigraph(b *testing.B, n int) *graph.Digraph {
 // was unlocked by the allocation-free solve pipeline (per-solve workspace,
 // pooled quantum state, zero-copy matrix ping-pong), which cut the memory
 // per solve by more than an order of magnitude.
-func BenchmarkE1APSPQuantum(b *testing.B) {
-	params := triangles.BenchParams()
-	for _, n := range []int{8, 16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchDigraph(b, n)
-			b.ReportAllocs()
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(g, core.Config{Strategy: core.StrategyQuantum, Params: &params, Seed: uint64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds/op")
-		})
-	}
-}
+func BenchmarkE1APSPQuantum(b *testing.B) { benchTable(b, "E1APSPQuantum") }
 
 // BenchmarkE2FindEdgesPromise regenerates E2 (Theorem 2): the
 // FindEdgesWithPromise sweep for the quantum search.
-func BenchmarkE2FindEdgesPromise(b *testing.B) {
-	params := triangles.BenchParams()
-	for _, n := range []int{16, 81, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchTriangleGraph(b, n)
-			b.ReportAllocs()
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: uint64(i), Params: &params, Data: triangles.DataDirect,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = rep.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds/op")
-		})
-	}
-}
+func BenchmarkE2FindEdgesPromise(b *testing.B) { benchTable(b, "E2FindEdgesPromise") }
 
 // BenchmarkE3MultiSearch regenerates E3 (Theorem 3): m truncated parallel
 // searches through a shared evaluation procedure.
-func BenchmarkE3MultiSearch(b *testing.B) {
-	// m must be large enough relative to |X| that the Theorem 3 deviation
-	// bound is negligible; below ~m=2000 with |X|=8 the injected
-	// truncation failure fires with visible probability (by design).
-	for _, m := range []int{4000, 8000} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			const size = 8
-			rng := xrand.New(uint64(m))
-			tables := make([][]bool, m)
-			for i := range tables {
-				tables[i] = make([]bool, size)
-				tables[i][rng.IntN(size)] = true
-			}
-			beta := 8*float64(m)/size + 64
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				nw, err := congest.NewNetwork(8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := qsearch.MultiSearch(nw, qsearch.Spec{
-					SpaceSize: size, Instances: m, Eval: qsearch.LocalEval(tables, 1), Beta: beta,
-				}, rng.SplitN("i", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllFound() {
-					b.Fatal("search failed")
-				}
-				rounds = nw.Rounds()
-			}
-			b.ReportMetric(float64(rounds), "rounds/op")
-		})
-	}
-}
+func BenchmarkE3MultiSearch(b *testing.B) { benchTable(b, "E3MultiSearch") }
 
 // BenchmarkE4Strategies regenerates E4: the strategy separation on one
 // fixed FindEdgesWithPromise workload.
@@ -182,8 +142,7 @@ func BenchmarkE4Strategies(b *testing.B) {
 // sampling reduction on a hub workload.
 func BenchmarkE5FindEdgesReduction(b *testing.B) {
 	params := triangles.BenchParams()
-	rng := xrand.New(5)
-	g, err := graph.HubUndirected(96, 2, 16, rng)
+	g, err := workload.HubGraph(96)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,23 +165,9 @@ func BenchmarkE5FindEdgesReduction(b *testing.B) {
 // BenchmarkE6DistanceProduct regenerates E6 (Proposition 2): distance
 // product via binary search over FindEdges, per weight magnitude.
 func BenchmarkE6DistanceProduct(b *testing.B) {
-	rng := xrand.New(6)
 	for _, m := range []int64{8, 128} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			mk := func(r *xrand.Source) *matrix.Matrix {
-				mat := matrix.New(6)
-				for i := 0; i < 6; i++ {
-					for j := 0; j < 6; j++ {
-						if r.Bool(0.2) {
-							continue
-						}
-						mat.Set(i, j, r.Int64N(2*m+1)-m)
-					}
-				}
-				return mat
-			}
-			x := mk(rng.SplitN("a", int(m)))
-			y := mk(rng.SplitN("b", int(m)))
+			x, y := workload.MatrixPair(6, m)
 			var steps int
 			for i := 0; i < b.N; i++ {
 				_, stats, err := distprod.Product(x, y, distprod.Options{Solver: distprod.SolverDolev, Seed: uint64(i)})
@@ -261,20 +206,7 @@ func BenchmarkE7Squaring(b *testing.B) {
 func BenchmarkE8Router(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := xrand.New(uint64(n))
-			var msgs []congest.Message
-			srcLoad := make([]int, n)
-			dstLoad := make([]int, n)
-			for i := 0; i < 50*n; i++ {
-				s := rng.IntN(n)
-				d := rng.IntN(n)
-				if s == d || srcLoad[s] >= n || dstLoad[d] >= n {
-					continue
-				}
-				srcLoad[s]++
-				dstLoad[d]++
-				msgs = append(msgs, congest.Message{Src: congest.NodeID(s), Dst: congest.NodeID(d)})
-			}
+			msgs := workload.RelayMessages(n, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batches, err := congest.BuildRelaySchedule(n, msgs)
@@ -307,8 +239,7 @@ func BenchmarkE9Covering(b *testing.B) {
 // BenchmarkE10IdentifyClass regenerates E10 (Proposition 5).
 func BenchmarkE10IdentifyClass(b *testing.B) {
 	params := triangles.PaperParams()
-	rng := xrand.New(10)
-	g, err := graph.RandomUndirected(81, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -10, MaxWeight: 12}, rng)
+	g, err := workload.ClassGraph(81)
 	if err != nil {
 		b.Fatal(err)
 	}

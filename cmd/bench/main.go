@@ -1,11 +1,11 @@
-// Command bench runs the E1–E4 benchmark workloads (the paper's headline
-// measurements: full quantum APSP pipeline, FindEdgesWithPromise sweep,
-// truncated multi-search, and the approximate-APSP frontier comparing the
-// (1+ε) chain and (2+ε) skeleton against the exact pipeline on shared
-// graphs) plus the gossip baseline's node-local min-plus squaring chain,
-// and emits a machine-readable JSON report with ns/op, rounds/op, observed
-// stretch and allocation counts per configuration, so the performance
-// trajectory is tracked across PRs:
+// Command bench runs the named workload table of
+// internal/experiments/workload — the E1–E4 workloads (the paper's headline measurements: full quantum APSP
+// pipeline, FindEdgesWithPromise sweep, truncated multi-search, and the
+// approximate-APSP frontier comparing the (1+ε) chain and (2+ε) skeleton
+// against the exact pipeline on shared graphs) plus the gossip baseline's
+// node-local min-plus squaring chain — and emits a machine-readable JSON
+// report with ns/op, rounds/op, observed stretch and allocation counts per
+// configuration, so the performance trajectory is tracked across PRs:
 //
 //	go run ./cmd/bench -label "PR 2" -out BENCH_1.json
 //
@@ -47,11 +47,10 @@ import (
 	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/engine"
+	"qclique/internal/experiments/workload"
 	"qclique/internal/graph"
-	"qclique/internal/qsearch"
 	"qclique/internal/serve"
 	"qclique/internal/triangles"
-	"qclique/internal/xrand"
 )
 
 // roundsSeed is the pinned seed at which rounds/op is measured; timing
@@ -115,252 +114,20 @@ type Report struct {
 	Planner    []PlannerResult `json:"planner,omitempty"`
 }
 
-// runOut is one workload execution's deterministic measurements: the
-// simulated round count, the observed stretch (0 for exact workloads) and
-// — for APSP workloads that run through the engine — the per-stage round
-// breakdown, whose sum the gate pins to the round total.
-type runOut struct {
-	rounds  int64
-	stretch float64
-	stages  []engine.StageStat
-}
-
-// benchConfig is one measurable configuration: run executes the workload
-// once under a seed; every runOut field is deterministic seed-for-seed.
-type benchConfig struct {
-	name string
-	run  func(seed uint64) (runOut, error)
-}
-
-// solveRun adapts a core solve into a bench workload. reportStretch
-// selects whether the observed stretch becomes the accuracy column (the
-// approximate configurations) or stays 0 (exact workloads, where accuracy
-// is not a variable).
-func solveRun(g *graph.Digraph, cfg core.Config, reportStretch bool) func(seed uint64) (runOut, error) {
-	return func(seed uint64) (runOut, error) {
-		c := cfg
-		c.Seed = seed
-		res, err := core.Solve(g, c)
-		if err != nil {
-			return runOut{}, err
-		}
-		out := runOut{rounds: res.Rounds, stages: res.Stages}
-		if reportStretch {
-			out.stretch = res.ObservedStretch
-		}
-		return out, nil
-	}
-}
-
-func benchDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -8, MaxWeight: 8, NoNegativeCycles: true,
-	}, xrand.New(uint64(n)))
-}
-
-func benchTriangleGraph(n int) (*graph.Undirected, error) {
-	rng := xrand.New(uint64(n))
-	g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40}, rng)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := graph.PlantNegativeTriangles(g, 1+n/16, 30, rng.Split("p")); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// benchNonnegDigraph is the E4 workload: the E1 density with nonnegative
-// weights, the input class the approximate strategies accept, so exact and
-// approximate pipelines can be compared on the same graph.
-func benchNonnegDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: 0, MaxWeight: 8,
-	}, xrand.New(uint64(n)))
-}
-
-// benchSymmetricDigraph is the skeleton-strategy workload: sparse,
-// weight-symmetric, nonnegative.
-func benchSymmetricDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomSymmetricDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.15, MinWeight: 1, MaxWeight: 20,
-	}, xrand.New(uint64(n)))
-}
-
-// e1Sizes mirrors BenchmarkE1APSPQuantum; quick mode drops the slow tail.
-func e1Sizes(quick bool) []int {
-	if quick {
-		return []int{8, 16}
-	}
-	return []int{8, 16, 32, 64, 128}
-}
-
-// benchConfigs assembles the E1–E3 workload matrix.
-func benchConfigs(quick bool) ([]benchConfig, error) {
-	var configs []benchConfig
-	params := triangles.BenchParams()
-
-	// E1: full quantum APSP pipeline (Theorem 1).
-	for _, n := range e1Sizes(quick) {
-		g, err := benchDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E1APSPQuantum/n=%d", n),
-			run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params}, false),
-		})
-	}
-
-	// E1 with host parallelism: the same pipeline at a fixed Workers > 1,
-	// so every report carries multi-worker evidence regardless of the
-	// host's core count (rounds are worker-invariant by construction — the
-	// gate checks that too).
-	if !quick {
-		for _, n := range []int{32, 64} {
-			g, err := benchDigraph(n)
-			if err != nil {
-				return nil, err
-			}
-			configs = append(configs, benchConfig{
-				name: fmt.Sprintf("E1APSPQuantum/n=%d/workers=4", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params, Workers: 4}, false),
-			})
-		}
-	}
-
-	// E2: FindEdgesWithPromise sweep (Theorem 2).
-	for _, n := range []int{16, 81, 256} {
-		g, err := benchTriangleGraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E2FindEdgesPromise/n=%d", n),
-			run: func(seed uint64) (runOut, error) {
-				r, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: seed, Params: &params, Data: triangles.DataDirect,
-				})
-				if err != nil {
-					return runOut{}, err
-				}
-				return runOut{rounds: r.Rounds}, nil
-			},
-		})
-	}
-
-	// E4: the approximate-APSP frontier. Exact quantum and the (1+ε)
-	// approximate chain run on the same nonnegative graph so rounds/op is
-	// an apples-to-apples comparison (the gate additionally requires the
-	// approximate chain to win — see approxWinFailures); the (2+ε)
-	// skeleton runs on its symmetric workload. ε = 0.5 throughout.
-	const e4Epsilon = 0.5
-	e4Sizes := []int{32, 64, 128}
-	if quick {
-		e4Sizes = []int{32}
-	}
-	for _, n := range e4Sizes {
-		g, err := benchNonnegDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs,
-			benchConfig{
-				name: fmt.Sprintf("E4APSPQuantumNonneg/n=%d", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params}, false),
-			},
-			benchConfig{
-				name: fmt.Sprintf("E4APSPApproxQuantum/n=%d/eps=0.5", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyApproxQuantum, Params: &params, Epsilon: e4Epsilon}, true),
-			},
-		)
-		gs, err := benchSymmetricDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E4APSPApproxSkeleton/n=%d/eps=0.5", n),
-			run:  solveRun(gs, core.Config{Strategy: core.StrategyApproxSkeleton, Epsilon: e4Epsilon}, true),
-		})
-	}
-
-	// E3: truncated parallel multi-search (Theorem 3).
-	for _, m := range []int{4000, 8000} {
-		const size = 8
-		rng := xrand.New(uint64(m))
-		tables := make([][]bool, m)
-		for i := range tables {
-			tables[i] = make([]bool, size)
-			tables[i][rng.IntN(size)] = true
-		}
-		beta := 8*float64(m)/size + 64
-		base := xrand.New(uint64(m))
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E3MultiSearch/m=%d", m),
-			run: func(seed uint64) (runOut, error) {
-				nw, err := congest.NewNetwork(size)
-				if err != nil {
-					return runOut{}, err
-				}
-				res, err := qsearch.MultiSearch(nw, qsearch.Spec{
-					SpaceSize: size, Instances: m, Eval: qsearch.LocalEval(tables, 1), Beta: beta,
-				}, base.SplitN("i", int(seed)))
-				if err != nil {
-					return runOut{}, err
-				}
-				if !res.AllFound() {
-					return runOut{}, fmt.Errorf("search failed")
-				}
-				return runOut{rounds: nw.Rounds()}, nil
-			},
-		})
-	}
-
-	// Gossip: the O(n)-round baseline the serving planner picks for exact
-	// auto solves, i.e. apspd's cache-miss path. Its cost is the min-plus
-	// layer: the node-local squaring chain. The E1 graph reaches the
-	// chain's fixed point after a few squarings; the directed path needs
-	// every squaring of the ⌈log₂ n⌉ budget.
-	if !quick {
-		const n = 256
-		g, err := benchDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		path := graph.NewDigraph(n)
-		for i := 0; i+1 < n; i++ {
-			if err := path.SetArc(i, i+1, 1); err != nil {
-				return nil, err
-			}
-		}
-		configs = append(configs,
-			benchConfig{
-				name: fmt.Sprintf("GossipAPSP/n=%d", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyGossip}, false),
-			},
-			benchConfig{
-				name: fmt.Sprintf("GossipAPSP/path/n=%d", n),
-				run:  solveRun(path, core.Config{Strategy: core.StrategyGossip}, false),
-			},
-		)
-	}
-	return configs, nil
-}
-
-// measure records cfg's deterministic round count at the pinned seed plus
+// measure records e's deterministic round count at the pinned seed plus
 // wall-clock/allocation statistics over varying seeds. The timing loop's
 // iteration i runs seed i, so iteration roundsSeed doubles as the pinned
 // rounds measurement — no separate warm-up run. Workloads that report a
 // per-stage breakdown additionally pass through the stage-sum gate: the
 // stage rounds must sum exactly to rounds/op, every run, or the engine's
 // stage accounting has drifted from the network's.
-func measure(cfg benchConfig, withStages bool) (Result, error) {
-	var pinned runOut
+func measure(e workload.Entry, withStages bool) (Result, error) {
+	var pinned workload.Out
 	var benchErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := cfg.run(uint64(i))
+			out, err := e.Run(uint64(i))
 			if err != nil {
 				benchErr = err
 				b.Fatal(err)
@@ -371,26 +138,26 @@ func measure(cfg benchConfig, withStages bool) (Result, error) {
 		}
 	})
 	if benchErr != nil {
-		return Result{}, fmt.Errorf("%s: %w", cfg.name, benchErr)
+		return Result{}, fmt.Errorf("%s: %w", e.Name, benchErr)
 	}
-	if len(pinned.stages) > 0 {
-		if sum := engine.SumRounds(pinned.stages); sum != pinned.rounds {
+	if len(pinned.Stages) > 0 {
+		if sum := engine.SumRounds(pinned.Stages); sum != pinned.Rounds {
 			return Result{}, fmt.Errorf("%s: per-stage rounds sum %d != rounds/op %d — the engine's stage accounting drifted from the network total",
-				cfg.name, sum, pinned.rounds)
+				e.Name, sum, pinned.Rounds)
 		}
 	}
 	res := Result{
-		Name:         cfg.name,
+		Name:         e.Name,
 		Iterations:   r.N,
 		NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
-		RoundsPerOp:  float64(pinned.rounds),
-		StretchPerOp: pinned.stretch,
+		RoundsPerOp:  float64(pinned.Rounds),
+		StretchPerOp: pinned.Stretch,
 		BytesPerOp:   r.AllocedBytesPerOp(),
 		AllocsPerOp:  r.AllocsPerOp(),
 		Gomaxprocs:   runtime.GOMAXPROCS(0),
 	}
 	if withStages {
-		for _, sg := range pinned.stages {
+		for _, sg := range pinned.Stages {
 			if sg.Skipped {
 				continue
 			}
@@ -413,7 +180,7 @@ func plannerAccuracy(quick bool) ([]PlannerResult, error) {
 	svc := serve.New(serve.Config{DefaultStrategy: core.StrategyAuto})
 	var out []PlannerResult
 	for _, n := range sizes {
-		g, err := benchDigraph(n)
+		g, err := workload.E1Digraph(n, workload.E1W)
 		if err != nil {
 			return nil, err
 		}
@@ -451,12 +218,12 @@ func buildReport(label string, quick, withStages bool) (*Report, error) {
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		RoundsSeed: roundsSeed,
 	}
-	configs, err := benchConfigs(quick)
+	entries, err := workload.Table(quick)
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range configs {
-		res, err := measure(cfg, withStages)
+	for _, e := range entries {
+		res, err := measure(e, withStages)
 		if err != nil {
 			return nil, err
 		}
@@ -465,13 +232,6 @@ func buildReport(label string, quick, withStages bool) (*Report, error) {
 	return rep, nil
 }
 
-// compareReports checks current against baseline: any rounds/op deviation
-// is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
-// failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
-// profile is nearly deterministic, so growth means a pooling regression),
-// and baseline entries missing from the current run are a failure unless
-// partial (quick mode). It returns the failures and a human log of every
-// comparison.
 // entryGomaxprocs resolves the effective GOMAXPROCS one entry was measured
 // under: the per-entry column when present, the report header otherwise
 // (baselines predating the column).
@@ -482,6 +242,13 @@ func entryGomaxprocs(r Result, rep *Report) int {
 	return rep.GOMAXPROCS
 }
 
+// compareReports checks current against baseline: any rounds/op deviation
+// is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
+// failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
+// profile is nearly deterministic, so growth means a pooling regression),
+// and baseline entries missing from the current run are a failure unless
+// partial (quick mode). It returns the failures and a human log of every
+// comparison.
 func compareReports(baseline, current *Report, maxSlowdown, maxAllocGrowth float64, partial bool) (failures, log []string) {
 	base := make(map[string]Result, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
@@ -635,13 +402,14 @@ func runFaultMode(label, out string) error {
 		epsilon  float64
 		build    func(n int) (*graph.Digraph, error)
 	}
+	e1 := func(n int) (*graph.Digraph, error) { return workload.E1Digraph(n, workload.E1W) }
 	matrix := []sc{
-		{core.StrategyQuantum, 0, benchDigraph},
-		{core.StrategyClassicalSearch, 0, benchDigraph},
-		{core.StrategyDolev, 0, benchDigraph},
-		{core.StrategyGossip, 0, benchDigraph},
-		{core.StrategyApproxQuantum, eps, benchNonnegDigraph},
-		{core.StrategyApproxSkeleton, eps, benchSymmetricDigraph},
+		{core.StrategyQuantum, 0, e1},
+		{core.StrategyClassicalSearch, 0, e1},
+		{core.StrategyDolev, 0, e1},
+		{core.StrategyGossip, 0, e1},
+		{core.StrategyApproxQuantum, eps, workload.NonnegDigraph},
+		{core.StrategyApproxSkeleton, eps, workload.SymmetricDigraph},
 	}
 	rep := &FaultReport{
 		Label:     label,
@@ -722,80 +490,87 @@ func loadReport(path string) (*Report, error) {
 const defaultMaxSlowdown = 2.5
 
 func main() {
-	out := flag.String("out", "", "write the JSON report to this path (default: stdout)")
-	label := flag.String("label", "dev", "label recorded in the report")
-	quick := flag.Bool("quick", false, "skip the slow large-n configurations")
-	stages := flag.Bool("stages", false, "include the per-stage round breakdown column in the report (the stage-sum gate runs regardless)")
-	planner := flag.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
-	check := flag.String("check", "", "compare against this baseline report and exit 1 on regression")
-	faults := flag.Bool("faults", false, "run the chaos matrix (every strategy under the fixed fault plan) instead of E1-E4 and emit a FaultReport")
-	maxSlowdown := flag.Float64("max-slowdown", defaultMaxSlowdown, "ns/op regression tolerance for -check")
-	maxAllocGrowth := flag.Float64("max-alloc-growth", 1.5, "allocs/op regression tolerance for -check")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measurement run to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this path")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main without the exit, so deferred cleanup (the CPU profile's
+// flush) also runs when the gate fails.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	out := fs.String("out", "", "write the JSON report to this path (default: stdout)")
+	label := fs.String("label", "dev", "label recorded in the report")
+	quick := fs.Bool("quick", false, "skip the slow large-n configurations")
+	stages := fs.Bool("stages", false, "include the per-stage round breakdown column in the report (the stage-sum gate runs regardless)")
+	planner := fs.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
+	check := fs.String("check", "", "compare against this baseline report and exit 1 on regression")
+	faults := fs.Bool("faults", false, "run the chaos matrix (every strategy under the fixed fault plan) instead of E1-E4 and emit a FaultReport")
+	maxSlowdown := fs.Float64("max-slowdown", defaultMaxSlowdown, "ns/op regression tolerance for -check")
+	maxAllocGrowth := fs.Float64("max-alloc-growth", 1.5, "allocs/op regression tolerance for -check")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the measurement run to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile (post-run, after GC) to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *faults {
 		if err := runFaultMode(*label, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "bench -faults:", err)
-			os.Exit(1)
+			return fmt.Errorf("-faults: %w", err)
 		}
-		return
+		return nil
 	}
 
 	// Load the baseline before the (multi-minute) measurement run so a
 	// bad path or stale format fails fast.
 	var baseline *Report
 	if *check != "" {
-		var err error
-		baseline, err = loadReport(*check)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+		if baseline, err = loadReport(*check); err != nil {
+			return err
 		}
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}()
 	}
 
 	rep, err := buildReport(*label, *quick, *stages)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		return err
 	}
 	if *planner {
-		rep.Planner, err = plannerAccuracy(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+		if rep.Planner, err = plannerAccuracy(*quick); err != nil {
+			return err
 		}
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return err
 		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			return err
+		}
 	}
 
 	// Write the measured report first (when requested) so that even a
@@ -804,16 +579,14 @@ func main() {
 	if *out != "" || baseline == nil {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return err
 		}
 		data = append(data, '\n')
 		if *out == "" {
 			os.Stdout.Write(data)
 		} else {
 			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
 		}
@@ -826,8 +599,7 @@ func main() {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "FAIL:", f)
 		}
-		fmt.Fprintf(os.Stderr, "bench: %d approximate-frontier regression(s)\n", len(failures))
-		os.Exit(1)
+		return fmt.Errorf("%d approximate-frontier regression(s)", len(failures))
 	}
 
 	if baseline != nil {
@@ -839,10 +611,10 @@ func main() {
 			for _, f := range failures {
 				fmt.Fprintln(os.Stderr, "FAIL:", f)
 			}
-			fmt.Fprintf(os.Stderr, "bench: %d regression(s) against %s\n", len(failures), *check)
-			os.Exit(1)
+			return fmt.Errorf("%d regression(s) against %s", len(failures), *check)
 		}
 		fmt.Printf("bench: %d benchmarks match %s (rounds exact, stretch exact, ns/op within %.2fx, allocs/op within %.2fx)\n",
 			len(rep.Benchmarks), *check, *maxSlowdown, *maxAllocGrowth)
 	}
+	return nil
 }

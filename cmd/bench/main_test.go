@@ -2,18 +2,22 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"qclique/internal/engine"
+	"qclique/internal/experiments/workload"
 	"qclique/internal/graph"
 )
 
 func TestWorkloadConstructors(t *testing.T) {
-	if _, err := benchDigraph(8); err != nil {
+	if _, err := workload.E1Digraph(8, workload.E1W); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := benchTriangleGraph(16); err != nil {
+	if _, err := workload.TriangleGraph(16); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,8 +57,8 @@ func TestGossipPriorAnchoredOnBaseline(t *testing.T) {
 }
 
 func TestE1SizesQuickSubset(t *testing.T) {
-	full := e1Sizes(false)
-	quick := e1Sizes(true)
+	full := workload.E1Sizes(false)
+	quick := workload.E1Sizes(true)
 	if len(quick) >= len(full) {
 		t.Fatalf("quick mode must drop configurations: quick=%v full=%v", quick, full)
 	}
@@ -66,22 +70,22 @@ func TestE1SizesQuickSubset(t *testing.T) {
 // TestRoundsDeterministic pins the gate's core premise: the same
 // configuration at the same seed yields the same simulated round count.
 func TestRoundsDeterministic(t *testing.T) {
-	configs, err := benchConfigs(true)
+	entries, err := workload.Table(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := configs[0]
-	a, err := cfg.run(roundsSeed)
+	e := entries[0]
+	a, err := e.Run(roundsSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cfg.run(roundsSeed)
+	b, err := e.Run(roundsSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.rounds != b.rounds || a.stretch != b.stretch {
+	if a.Rounds != b.Rounds || a.Stretch != b.Stretch {
 		t.Fatalf("%s: (rounds, stretch) = (%d, %v) then (%d, %v) at the same seed",
-			cfg.name, a.rounds, a.stretch, b.rounds, b.stretch)
+			e.Name, a.Rounds, a.Stretch, b.Rounds, b.Stretch)
 	}
 }
 
@@ -89,22 +93,22 @@ func TestRoundsDeterministic(t *testing.T) {
 // every APSP workload, the engine's per-stage rounds sum exactly to the
 // round total — measure enforces it on every run.
 func TestStageSumGate(t *testing.T) {
-	configs, err := benchConfigs(true)
+	entries, err := workload.Table(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, cfg := range configs {
-		out, err := cfg.run(roundsSeed)
+	for _, e := range entries {
+		out, err := e.Run(roundsSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.stages) == 0 {
+		if len(out.Stages) == 0 {
 			continue
 		}
 		checked++
-		if sum := engine.SumRounds(out.stages); sum != out.rounds {
-			t.Errorf("%s: stage rounds sum %d != total %d", cfg.name, sum, out.rounds)
+		if sum := engine.SumRounds(out.Stages); sum != out.Rounds {
+			t.Errorf("%s: stage rounds sum %d != total %d", e.Name, sum, out.Rounds)
 		}
 	}
 	if checked == 0 {
@@ -221,14 +225,14 @@ func TestApproxWinFailures(t *testing.T) {
 }
 
 func TestE4WorkloadConstructors(t *testing.T) {
-	g, err := benchNonnegDigraph(16)
+	g, err := workload.NonnegDigraph(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.HasNegativeArc() {
 		t.Error("E4 workload must be nonnegative")
 	}
-	gs, err := benchSymmetricDigraph(16)
+	gs, err := workload.SymmetricDigraph(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,5 +297,50 @@ func TestEntryGomaxprocsFallsBackToHeader(t *testing.T) {
 	tagged := Result{Name: "E1/n=8", Gomaxprocs: 2}
 	if got := entryGomaxprocs(tagged, legacy); got != 2 {
 		t.Fatalf("per-entry value = %d, want 2", got)
+	}
+}
+
+// TestCPUProfileSurvivesFailingGate drives the gate's failure path with
+// -cpuprofile: the profile must be stopped and flushed before the failure
+// reaches main's os.Exit, or CI uploads an empty bench-cpu.pprof exactly
+// when a regression needs explaining.
+func TestCPUProfileSurvivesFailingGate(t *testing.T) {
+	rep, err := loadReport("../../BENCH_1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Benchmarks {
+		if rep.Benchmarks[i].Name == "E2FindEdgesPromise/n=16" {
+			rep.Benchmarks[i].RoundsPerOp++
+		}
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(baseline, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// One iteration per entry: the gate fails on rounds, not on timing.
+	bt := flag.Lookup("test.benchtime")
+	prev := bt.Value.String()
+	if err := bt.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bt.Value.Set(prev) })
+
+	prof := filepath.Join(dir, "cpu.pprof")
+	err = run([]string{"-quick", "-check", baseline, "-cpuprofile", prof})
+	if err == nil || !strings.Contains(err.Error(), "regression") {
+		t.Fatalf("run = %v, want the gate's regression failure", err)
+	}
+	got, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || got[0] != 0x1f || got[1] != 0x8b {
+		t.Fatalf("CPU profile after a failing gate is %d bytes and not gzip-framed", len(got))
 	}
 }

@@ -6,7 +6,10 @@
 //	experiments [-exp e1,e4] [-quick] [-seed 42] [-markdown]
 //
 // With no -exp flag every experiment runs. The output is the paper-claim /
-// measured report that EXPERIMENTS.md records.
+// measured report that EXPERIMENTS.md records. -seed drives protocol
+// randomness only: every input comes from internal/experiments/workload,
+// fixed per size, so at -seed 0 the E1 and E2 rows print cmd/bench's pinned
+// rounds.
 package main
 
 import (
@@ -15,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"qclique"
 	"qclique/internal/experiments"
 )
 
@@ -31,22 +33,11 @@ func run(args []string) error {
 	var (
 		expList  = fs.String("exp", "", "comma-separated experiment ids (default: all); available: "+strings.Join(experiments.IDs(), ","))
 		quick    = fs.Bool("quick", false, "smaller sweeps")
-		seed     = fs.Uint64("seed", 42, "randomness seed")
+		seed     = fs.Uint64("seed", 42, "protocol randomness seed (inputs are fixed per size)")
 		markdown = fs.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown sections")
-		strategy = fs.String("strategy", "", "\"list\" enumerates every registered pipeline with its stretch guarantee (experiments otherwise pin their own strategies)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *strategy != "" {
-		// The experiment suite pins strategies per experiment (each
-		// reproduces a specific claim), so the flag exists to enumerate
-		// the registry — the same source of truth cmd/apsp solves from.
-		if *strategy != "list" {
-			return fmt.Errorf("experiments pin their own strategies; -strategy only accepts \"list\" (got %q)", *strategy)
-		}
-		fmt.Print(qclique.FormatStrategyList())
-		return nil
 	}
 	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 

@@ -3,8 +3,10 @@
 // 1–5 and Lemmas 1–4, and its five figures are algorithms — so each
 // experiment measures one claim inside the CONGEST-CLIQUE simulator and
 // reports paper-claim versus measured. The experiment IDs (E1…E12) match
-// DESIGN.md and EXPERIMENTS.md; cmd/experiments and the benchmark harness
-// both drive this package.
+// DESIGN.md and EXPERIMENTS.md; cmd/experiments and examples/scalingstudy
+// drive this package. Inputs come from its workload subpackage, fixed per
+// size, so an experiment row and the cmd/bench entry of the same size
+// measure one instance.
 package experiments
 
 import (
@@ -14,8 +16,10 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/core"
+	"qclique/internal/experiments/workload"
 	"qclique/internal/expfit"
 	"qclique/internal/graph"
+	"qclique/internal/matrix"
 	"qclique/internal/quantum"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
@@ -25,7 +29,9 @@ import (
 type Config struct {
 	// Quick shrinks the sweeps for CI-speed runs.
 	Quick bool
-	// Seed drives all randomness.
+	// Seed drives protocol randomness only: the inputs are package
+	// workload's, fixed per size, so at seed 0 the E1 and E2 rows reproduce
+	// cmd/bench's pinned rounds.
 	Seed uint64
 }
 
@@ -103,31 +109,6 @@ func RunAll(cfg Config) ([]*Result, error) {
 	return out, nil
 }
 
-// triangleWorkload builds the standard negative-triangle workload: a
-// sparse positive-weight graph with planted disjoint negative triangles.
-func triangleWorkload(n int, seed uint64) (*graph.Undirected, error) {
-	rng := xrand.New(seed)
-	g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40}, rng)
-	if err != nil {
-		return nil, err
-	}
-	planted := n / 16
-	if planted < 1 {
-		planted = 1
-	}
-	if _, err := graph.PlantNegativeTriangles(g, planted, 30, rng.Split("plant")); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// apspWorkload builds the standard APSP workload.
-func apspWorkload(n int, w int64, seed uint64) (*graph.Digraph, error) {
-	return graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -w, MaxWeight: w, NoNegativeCycles: true,
-	}, xrand.New(seed))
-}
-
 // ---------------------------------------------------------------- E1
 
 func runE1(cfg Config) (*Result, error) {
@@ -140,7 +121,7 @@ func runE1(cfg Config) (*Result, error) {
 	var pts []expfit.Point
 	allExact := true
 	for _, n := range sizes {
-		g, err := apspWorkload(n, 8, cfg.Seed+uint64(n))
+		g, err := workload.E1Digraph(n, workload.E1W)
 		if err != nil {
 			return nil, err
 		}
@@ -148,21 +129,12 @@ func runE1(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		want, err := graph.FloydWarshall(g)
+		exact, err := exactAPSP(res.Dist, g)
 		if err != nil {
 			return nil, err
 		}
-		exact := true
-		for i := 0; i < n && exact; i++ {
-			for j := 0; j < n; j++ {
-				if res.Dist.At(i, j) != want[i*n+j] {
-					exact = false
-					break
-				}
-			}
-		}
 		allExact = allExact && exact
-		tab.AddF(n, 8, res.Rounds, res.Products, res.FindEdgesCalls, exact)
+		tab.AddF(n, workload.E1W, res.Rounds, res.Products, res.FindEdgesCalls, exact)
 		pts = append(pts, expfit.Point{N: n, Value: float64(res.Rounds)})
 	}
 	// log W scaling at fixed n.
@@ -173,7 +145,7 @@ func runE1(cfg Config) (*Result, error) {
 	wTab := expfit.NewTable("W", "rounds", "findedges-calls")
 	var callPts []expfit.Point
 	for _, w := range wSweep {
-		g, err := apspWorkload(12, w, cfg.Seed+uint64(w))
+		g, err := workload.E1Digraph(12, w)
 		if err != nil {
 			return nil, err
 		}
@@ -201,6 +173,23 @@ func runE1(cfg Config) (*Result, error) {
 	return out, nil
 }
 
+// exactAPSP reports whether d is g's Floyd–Warshall distance matrix.
+func exactAPSP(d *matrix.Matrix, g *graph.Digraph) (bool, error) {
+	want, err := graph.FloydWarshall(g)
+	if err != nil {
+		return false, err
+	}
+	n := g.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if d.At(i, j) != want[i*n+j] {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
 // ---------------------------------------------------------------- E2
 
 func runE2(cfg Config) (*Result, error) {
@@ -213,7 +202,7 @@ func runE2(cfg Config) (*Result, error) {
 	var roundPts, callPts []expfit.Point
 	allExact := true
 	for _, n := range sizes {
-		g, err := triangleWorkload(n, cfg.Seed+uint64(n))
+		g, err := workload.TriangleGraph(n)
 		if err != nil {
 			return nil, err
 		}
@@ -264,9 +253,10 @@ func runE4(cfg Config) (*Result, error) {
 	params := triangles.BenchParams()
 	var quantum, classical, dolev expfit.Series
 	quantum.Name, classical.Name, dolev.Name = "quantum", "classical-scan", "dolev-n^{1/3}"
+	var qCalls, cCalls []expfit.Point
 	callTab := expfit.NewTable("n", "|X|=√n", "quantum eval-calls", "classical eval-calls")
 	for _, n := range sizes {
-		g, err := triangleWorkload(n, cfg.Seed+uint64(n))
+		g, err := workload.TriangleGraph(n)
 		if err != nil {
 			return nil, err
 		}
@@ -296,12 +286,14 @@ func runE4(cfg Config) (*Result, error) {
 		for _, st := range c.Classes {
 			cc += st.EvalCalls
 		}
-		callTab.AddF(n, fmt.Sprintf("%d", isqrt(n)), qc, cc)
+		callTab.AddF(n, int(math.Sqrt(float64(n))), qc, cc)
+		qCalls = append(qCalls, expfit.Point{N: n, Value: float64(qc)})
+		cCalls = append(cCalls, expfit.Point{N: n, Value: float64(cc)})
 	}
 	qFit, _ := expfit.FitExponent(quantum.Points)
 	cFit, _ := expfit.FitExponent(classical.Points)
-	qCallFit, _ := expfit.FitExponent(tableCol(callTab, 2, sizes))
-	cCallFit, _ := expfit.FitExponent(tableCol(callTab, 3, sizes))
+	qCallFit, _ := expfit.FitExponent(qCalls)
+	cCallFit, _ := expfit.FitExponent(cCalls)
 	out := &Result{
 		PaperClaim: "Quantum Õ(n^{1/4}) beats classical search Õ(√n) and the Õ(n^{1/3}) barrier; the speedup mechanism is Grover's √|X| oracle calls",
 		Output: "FindEdgesWithPromise rounds by strategy (figure F-series):\n" + expfit.RenderSeries([]expfit.Series{quantum, classical, dolev}) +
@@ -314,33 +306,9 @@ func runE4(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-func isqrt(n int) int {
-	x := 0
-	for (x+1)*(x+1) <= n {
-		x++
-	}
-	return x
-}
-
-// tableCol re-extracts numeric columns from a table for fitting.
-func tableCol(t *expfit.Table, col int, ns []int) []expfit.Point {
-	var pts []expfit.Point
-	for i, row := range t.Rows {
-		if i >= len(ns) || col >= len(row) {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(row[col], "%f", &v); err == nil {
-			pts = append(pts, expfit.Point{N: ns[i], Value: v})
-		}
-	}
-	return pts
-}
-
 // ---------------------------------------------------------------- E8
 
 func runE8(cfg Config) (*Result, error) {
-	rng := xrand.New(cfg.Seed)
 	tab := expfit.NewTable("n", "words/node", "rounds", "lemma-1 bound", "schedule valid")
 	ok := true
 	sizes := []int{8, 16, 32}
@@ -353,27 +321,13 @@ func runE8(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var msgs []congest.Message
-			srcLoad := make([]int, n)
-			dstLoad := make([]int, n)
-			budget := mult * n
-			for i := 0; i < 50*n*mult; i++ {
-				s := rng.IntN(n)
-				d := rng.IntN(n)
-				if s == d || srcLoad[s] >= budget || dstLoad[d] >= budget {
-					continue
-				}
-				srcLoad[s]++
-				dstLoad[d]++
-				msgs = append(msgs, congest.Message{Src: congest.NodeID(s), Dst: congest.NodeID(d)})
-			}
-			_, err = net.ExchangeBalanced("e8", msgs)
+			_, err = net.ExchangeBalanced("e8", workload.RelayMessages(n, mult))
 			valid := err == nil
 			bound := int64(2 * mult)
 			if net.Rounds() > bound || !valid {
 				ok = false
 			}
-			tab.AddF(n, budget, net.Rounds(), bound, valid)
+			tab.AddF(n, mult*n, net.Rounds(), bound, valid)
 		}
 	}
 	out := &Result{
@@ -409,7 +363,7 @@ func runE12(cfg Config) (*Result, error) {
 				calls += res.OracleCalls()
 			}
 		}
-		avg := float64(calls) / float64(maxIntE(found, 1))
+		avg := float64(calls) / float64(max(found, 1))
 		ideal := math.Pi / 4 * math.Sqrt(float64(n))
 		tab.AddF(n, avg, ideal, fmt.Sprintf("%d/%d", found, trials))
 		pts = append(pts, expfit.Point{N: n, Value: avg})
@@ -428,16 +382,4 @@ func runE12(cfg Config) (*Result, error) {
 		Summary:    fmt.Sprintf("oracle-call exponent %.2f ≈ 1/2", fit.Exponent),
 	}
 	return out, nil
-}
-
-func maxIntE(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// newTestNet builds a small network for synthetic (non-graph) experiments.
-func newTestNet(n int) (*congest.Network, error) {
-	return congest.NewNetwork(n)
 }

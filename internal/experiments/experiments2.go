@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"qclique/internal/congest"
 	"qclique/internal/distprod"
+	"qclique/internal/experiments/workload"
 	"qclique/internal/expfit"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
@@ -32,14 +34,9 @@ func runE3(cfg Config) (*Result, error) {
 		allFound := 0
 		var devBound float64
 		preconds := quantum.Theorem3Preconditions(rg.m, rg.x, beta)
+		tables := workload.SearchTables(rg.m, rg.x)
 		for run := 0; run < runs; run++ {
-			r := rng.SplitN("run", rg.m*100+run)
-			tables := make([][]bool, rg.m)
-			for i := range tables {
-				tables[i] = make([]bool, rg.x)
-				tables[i][r.IntN(rg.x)] = true
-			}
-			nw, err := newTestNet(8)
+			nw, err := congest.NewNetwork(8)
 			if err != nil {
 				return nil, err
 			}
@@ -47,7 +44,7 @@ func runE3(cfg Config) (*Result, error) {
 				SpaceSize: rg.x, Instances: rg.m,
 				Eval: qsearch.LocalEval(tables, 1),
 				Beta: beta,
-			}, r)
+			}, rng.SplitN("run", rg.m*100+run))
 			if err != nil {
 				return nil, err
 			}
@@ -100,8 +97,7 @@ func runE5(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "promise calls", "1+⌈log₂(n/(c·ln n))⌉ bound", "max Γ", "exact")
 	ok := true
 	for _, n := range sizes {
-		rng := xrand.New(cfg.Seed + uint64(n))
-		g, err := graph.HubUndirected(n, 2, n/6, rng)
+		g, err := workload.HubGraph(n)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +137,6 @@ func runE5(cfg Config) (*Result, error) {
 // ---------------------------------------------------------------- E6
 
 func runE6(cfg Config) (*Result, error) {
-	rng := xrand.New(cfg.Seed)
 	ms := []int64{4, 32, 256}
 	if !cfg.Quick {
 		ms = append(ms, 2048)
@@ -149,9 +144,7 @@ func runE6(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("M", "binary-search steps", "1+⌈log₂(4M+2)⌉", "exact")
 	ok := true
 	for _, m := range ms {
-		n := 6
-		a := randomFiniteMatrix(n, m, rng.SplitN("a", int(m)))
-		b := randomFiniteMatrix(n, m, rng.SplitN("b", int(m)))
+		a, b := workload.MatrixPair(6, m)
 		want, err := matrix.DistanceProduct(a, b)
 		if err != nil {
 			return nil, err
@@ -176,19 +169,6 @@ func runE6(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-func randomFiniteMatrix(n int, maxAbs int64, rng *xrand.Source) *matrix.Matrix {
-	m := matrix.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if rng.Bool(0.2) {
-				continue
-			}
-			m.Set(i, j, rng.Int64N(2*maxAbs+1)-maxAbs)
-		}
-	}
-	return m
-}
-
 // ---------------------------------------------------------------- E7
 
 func runE7(cfg Config) (*Result, error) {
@@ -199,7 +179,7 @@ func runE7(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "products", "⌈log₂ n⌉", "exact vs Floyd–Warshall")
 	ok := true
 	for _, n := range sizes {
-		g, err := apspWorkload(n, 10, cfg.Seed+uint64(n))
+		g, err := workload.E1Digraph(n, 10)
 		if err != nil {
 			return nil, err
 		}
@@ -207,18 +187,9 @@ func runE7(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		want, err := graph.FloydWarshall(g)
+		exact, err := exactAPSP(got, g)
 		if err != nil {
 			return nil, err
-		}
-		exact := true
-		for i := 0; i < n && exact; i++ {
-			for j := 0; j < n; j++ {
-				if got.At(i, j) != want[i*n+j] {
-					exact = false
-					break
-				}
-			}
 		}
 		bound := int(math.Ceil(math.Log2(float64(n))))
 		if stats.Products > bound || !exact {
@@ -292,8 +263,7 @@ func runE10(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "triples", "within Prop-5 interval", "max class", "aborted")
 	ok := true
 	for _, n := range sizes {
-		rng := xrand.New(cfg.Seed + uint64(n))
-		g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -10, MaxWeight: 12}, rng)
+		g, err := workload.ClassGraph(n)
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +303,7 @@ func runE11(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "instances", "naive max-link load", "balanced max-link load", "slot cap", "reduction")
 	ok := true
 	for _, n := range sizes {
-		g, err := triangleWorkload(n, cfg.Seed+uint64(n))
+		g, err := workload.TriangleGraph(n)
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +314,7 @@ func runE11(cfg Config) (*Result, error) {
 		if st.NaiveMaxLinkLoad <= st.BalancedMaxLinkLoad {
 			ok = false
 		}
-		ratio := float64(st.NaiveMaxLinkLoad) / float64(maxI64(st.BalancedMaxLinkLoad, 1))
+		ratio := float64(st.NaiveMaxLinkLoad) / float64(max(st.BalancedMaxLinkLoad, 1))
 		tab.AddF(n, st.Instances, st.NaiveMaxLinkLoad, st.BalancedMaxLinkLoad, st.SlotCap,
 			fmt.Sprintf("%.1fx", ratio))
 	}
@@ -355,11 +325,4 @@ func runE11(cfg Config) (*Result, error) {
 		Summary:    fmt.Sprintf("balanced schedule strictly reduces the hottest link: %v", ok),
 	}
 	return out, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

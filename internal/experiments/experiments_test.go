@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -73,6 +76,59 @@ func TestRunAllQuickSubset(t *testing.T) {
 	for _, r := range results {
 		if !strings.HasPrefix(r.ID, "e") {
 			t.Errorf("bad id %q", r.ID)
+		}
+	}
+}
+
+// TestSeedZeroMatchesBenchBaseline pins that the experiments read the
+// gate's inputs: at seed 0 the e1 and e2 rows report the rounds that
+// BENCH_1.json pins for the cmd/bench entries of the same size.
+func TestSeedZeroMatchesBenchBaseline(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Benchmarks []struct {
+			Name   string  `json:"name"`
+			Rounds float64 `json:"rounds_per_op"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]string)
+	for _, b := range rep.Benchmarks {
+		pinned[b.Name] = strconv.FormatFloat(b.Rounds, 'f', -1, 64)
+	}
+	for _, c := range []struct {
+		id, entry string
+		col       int // the rounds column of the experiment's size table
+		sizes     []string
+	}{
+		{"e1", "E1APSPQuantum", 2, []string{"8", "16"}},
+		{"e2", "E2FindEdgesPromise", 1, []string{"16", "81", "256"}},
+	} {
+		res, err := Run(c.id, Config{Quick: true, Seed: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Index rows by their first cell; the size table comes first.
+		rows := make(map[string][]string)
+		for _, line := range strings.Split(res.Output, "\n") {
+			if f := strings.Fields(line); len(f) > c.col && rows[f[0]] == nil {
+				rows[f[0]] = f
+			}
+		}
+		for _, n := range c.sizes {
+			name := c.entry + "/n=" + n
+			want, ok := pinned[name]
+			if !ok {
+				t.Fatalf("BENCH_1.json has no %s entry", name)
+			}
+			if row := rows[n]; row == nil || row[c.col] != want {
+				t.Errorf("%s n=%s: row %v, want %s rounds as BENCH_1.json pins for %s", c.id, n, row, want, name)
+			}
 		}
 	}
 }
