@@ -38,13 +38,24 @@ import (
 // paper's union-bound analysis assumes.
 var ErrTruncation = errors.New("qsearch: truncation failure (atypical amplitude mass)")
 
+// Tables holds the oracle truth tables of a multi-search as distinct rows
+// plus an instance→row index: instance i answers g_i(x) = Rows[Of[i]][x]
+// for search-space element x. Any number of instances may share a row, so
+// an evaluation whose instances repeat each other's questions returns each
+// row once. MultiSearch only reads the tables.
+type Tables struct {
+	// Rows are the distinct truth-table rows, each of length SpaceSize.
+	Rows [][]bool
+	// Of maps each of the Instances instances to its row in Rows.
+	Of []int32
+}
+
 // EvalFunc executes the evaluation procedure's fixed communication
-// schedule once through the network and returns the oracle truth tables:
-// tables[i][x] answers g_i(x) for instance i over search-space element x.
+// schedule once through the network and returns the oracle truth tables.
 // Implementations must charge all communication to net, must have an
 // input-independent schedule, and must return an error if a load promise
 // is violated (the C̃m abort).
-type EvalFunc func(net *congest.Network) ([][]bool, error)
+type EvalFunc func(net *congest.Network) (Tables, error)
 
 // Spec describes one multi-search invocation.
 type Spec struct {
@@ -85,6 +96,7 @@ type Spec struct {
 type Scratch struct {
 	found    []bool
 	witness  []int
+	rowOK    []bool
 	feasible []int32
 	active   []int32
 	probeX   []int32
@@ -189,19 +201,15 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	// Execute the fixed schedule once: measures its cost and yields the
 	// truth tables for the local state-vector evolution.
 	baseline := net.Metrics()
-	tables, err := spec.Eval(net)
+	tabs, err := spec.Eval(net)
 	if err != nil {
 		return nil, fmt.Errorf("qsearch: evaluation procedure: %w", err)
 	}
 	evalCost := net.DeltaSince(baseline)
-	if len(tables) != spec.Instances {
-		return nil, fmt.Errorf("qsearch: evaluation returned %d tables, want %d", len(tables), spec.Instances)
+	if len(tabs.Of) != spec.Instances {
+		return nil, fmt.Errorf("qsearch: evaluation indexed %d instances, want %d", len(tabs.Of), spec.Instances)
 	}
-	for i, tab := range tables {
-		if len(tab) != spec.SpaceSize {
-			return nil, fmt.Errorf("qsearch: table %d has %d entries, want %d", i, len(tab), spec.SpaceSize)
-		}
-	}
+	rows, of := tabs.Rows, tabs.Of
 
 	// Buffer provenance: a caller-supplied Scratch backs everything
 	// including the Result's Found/Witness; otherwise the internal-only
@@ -252,19 +260,27 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	// Feasible instances are kept as a compact index list so the per-round
 	// scheduling work scales with the (typically small) feasible count,
 	// not the instance count.
-	// The feasibility test is "does the table contain a true". Scanning
-	// bool-by-bool dominated large all-false tables, so the scan reuses
-	// the vectorized bytes.IndexByte over the same memory: Go bools are
-	// one byte storing exactly 0 or 1, so IndexByte(…, 1) finds the first
-	// true. (Memoizing per shared row was tried and measured slower: the
-	// aliasing instances are rarely adjacent.)
-	feasibleIdx := sc.feasible[:0]
-	for i, tab := range tables {
-		if len(tab) == 0 {
-			continue
+	// Feasibility is a property of the row, so each row is tested once,
+	// however many instances share it. The test is "does the row contain
+	// a true". Scanning bool-by-bool dominated large all-false rows, so the
+	// scan reuses the vectorized bytes.IndexByte over the same memory: Go
+	// bools are one byte storing exactly 0 or 1, so IndexByte(…, 1) finds
+	// the first true.
+	rowOK := par.Grow(sc.rowOK, len(rows))
+	sc.rowOK = rowOK
+	for r, row := range rows {
+		if len(row) != spec.SpaceSize {
+			return nil, fmt.Errorf("qsearch: row %d has %d entries, want %d", r, len(row), spec.SpaceSize)
 		}
-		bs := unsafe.Slice((*byte)(unsafe.Pointer(&tab[0])), len(tab))
-		if bytes.IndexByte(bs, 1) >= 0 {
+		bs := unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), len(row))
+		rowOK[r] = bytes.IndexByte(bs, 1) >= 0
+	}
+	feasibleIdx := sc.feasible[:0]
+	for i, r := range of {
+		if r < 0 || int(r) >= len(rows) {
+			return nil, fmt.Errorf("qsearch: instance %d indexes row %d of %d", i, r, len(rows))
+		}
+		if rowOK[r] {
 			feasibleIdx = append(feasibleIdx, int32(i))
 		}
 	}
@@ -313,7 +329,7 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 			probeKey := pass*1_000_003 + round*1009
 			par.ForEachWorker(workers, len(alive), func(w, k int) {
 				i := int(alive[k])
-				x, hit := quantum.FixedScheduleProbe(tables[i], j, probeSplit.Into(scratchRng[w], probeKey+i))
+				x, hit := quantum.FixedScheduleProbe(rows[of[i]], j, probeSplit.Into(scratchRng[w], probeKey+i))
 				probeX[i] = int32(x)
 				probeHit[i] = hit
 			})
@@ -368,22 +384,22 @@ func Search(net *congest.Network, spaceSize int, eval EvalFunc, rng *xrand.Sourc
 	return MultiSearch(net, Spec{SpaceSize: spaceSize, Instances: 1, Eval: eval}, rng)
 }
 
-// LocalEval adapts locally known truth tables into an EvalFunc that charges
-// a fixed number of broadcast rounds; useful for tests and for protocols
-// whose evaluation data is already in place.
+// LocalEval adapts locally known truth tables, one per instance, into an
+// EvalFunc that charges a fixed number of broadcast rounds; useful for tests
+// and for protocols whose evaluation data is already in place. The rows are
+// borrowed, not copied: the caller must not modify them until MultiSearch
+// returns.
 func LocalEval(tables [][]bool, rounds int64) EvalFunc {
-	return func(net *congest.Network) ([][]bool, error) {
+	of := make([]int32, len(tables))
+	for i := range of {
+		of[i] = int32(i)
+	}
+	return func(net *congest.Network) (Tables, error) {
 		if rounds > 0 {
 			if err := net.BroadcastAll("qsearch/local-eval", rounds); err != nil {
-				return nil, err
+				return Tables{}, err
 			}
 		}
-		out := make([][]bool, len(tables))
-		for i, t := range tables {
-			row := make([]bool, len(t))
-			copy(row, t)
-			out[i] = row
-		}
-		return out, nil
+		return Tables{Rows: tables, Of: of}, nil
 	}
 }

@@ -166,14 +166,23 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 1}, rng); err == nil {
 		t.Error("nil eval must fail")
 	}
-	// Mismatched table shapes.
-	bad := func(net *congest.Network) ([][]bool, error) { return [][]bool{make([]bool, 3)}, nil }
-	if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 1, Eval: bad}, rng); err == nil {
-		t.Error("short table must fail")
-	}
-	badCount := func(net *congest.Network) ([][]bool, error) { return nil, nil }
-	if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 1, Eval: badCount}, rng); err == nil {
-		t.Error("missing tables must fail")
+	// Malformed tables: an error, never a panic.
+	rows := [][]bool{make([]bool, 4), {false, true, false, false}}
+	for _, tc := range []struct {
+		name string
+		tabs Tables
+	}{
+		{"missing tables", Tables{}},
+		{"index shorter than the instances", Tables{Rows: rows, Of: []int32{0}}},
+		{"index longer than the instances", Tables{Rows: rows, Of: []int32{0, 1, 1}}},
+		{"negative row index", Tables{Rows: rows, Of: []int32{1, -1}}},
+		{"row index past the rows", Tables{Rows: rows, Of: []int32{0, 2}}},
+		{"short row", Tables{Rows: [][]bool{make([]bool, 4), make([]bool, 3)}, Of: []int32{0, 0}}},
+	} {
+		eval := func(*congest.Network) (Tables, error) { return tc.tabs, nil }
+		if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 2, Eval: eval}, rng); err == nil {
+			t.Errorf("%s must fail", tc.name)
+		}
 	}
 }
 
@@ -181,7 +190,7 @@ func TestEvalErrorPropagates(t *testing.T) {
 	rng := xrand.New(8)
 	nw := newNet(t, 4)
 	wantErr := errors.New("overloaded")
-	eval := func(net *congest.Network) ([][]bool, error) { return nil, wantErr }
+	eval := func(net *congest.Network) (Tables, error) { return Tables{}, wantErr }
 	if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 1, Eval: eval}, rng); !errors.Is(err, wantErr) {
 		t.Errorf("err = %v, want wrapped %v", err, wantErr)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
@@ -300,14 +301,14 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 		stat := ClassStat{Alpha: alpha, SpaceSize: b.spaceSize, Instances: len(st.instances)}
 		switch opts.mode() {
 		case SearchClassicalScan:
-			found, err := classicalScan(net, b)
+			rowOK, err := classicalScan(net, b)
 			if err != nil {
 				return nil, err
 			}
 			stat.EvalCalls = int64(b.spaceSize)
-			for i, ok := range found {
-				if ok {
-					rowFound[st.instances[i]] = true
+			for _, ri := range st.instances {
+				if rowOK[ri] {
+					rowFound[ri] = true
 					stat.Found++
 				}
 			}
@@ -382,24 +383,20 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 // classicalScan is the classical implementation of Step 3: one evaluation
 // per element of the (padded) search space, answering every instance
 // exactly. It costs spaceSize × evalRounds instead of Õ(√spaceSize) ×
-// evalRounds.
+// evalRounds. It reports, per truth-table row of Step 2, whether the row
+// holds a witness; the instances sharing a row share its answer.
 func classicalScan(net *congest.Network, b *evalBuilder) ([]bool, error) {
 	baseline := net.Metrics()
-	tables, err := b.evalFunc()(net)
+	tabs, err := b.evalFunc()(net)
 	if err != nil {
 		return nil, err
 	}
 	evalCost := net.DeltaSince(baseline)
 	// One evaluation per space element; the first was executed above.
 	net.ReplayCharge("classical-scan/oracle", evalCost, int64(b.spaceSize-1))
-	found := make([]bool, len(tables))
-	for i, row := range tables {
-		for _, v := range row {
-			if v {
-				found[i] = true
-				break
-			}
-		}
+	rowOK := make([]bool, len(tabs.Rows))
+	for r, row := range tabs.Rows {
+		rowOK[r] = slices.Contains(row, true)
 	}
-	return found, nil
+	return rowOK, nil
 }

@@ -361,7 +361,7 @@ func (b *evalBuilder) truthRowInto(row []bool, group int, pr graph.Pair, weight 
 
 // evalFunc returns the qsearch evaluation procedure for this class.
 func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
-	return func(net *congest.Network) ([][]bool, error) {
+	return func(net *congest.Network) (qsearch.Tables, error) {
 		n := b.pt.N()
 		dup := b.params.duplication(n, b.alpha)
 		slotCap := b.params.slotCap(n, b.alpha)
@@ -393,7 +393,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 			err := net.ChargeBalanced(fmt.Sprintf("eval/α=%d/step0-duplicate", b.alpha), loads)
 			putLoadBuf(dupBuf)
 			if err != nil {
-				return nil, err
+				return qsearch.Tables{}, err
 			}
 		}
 
@@ -430,7 +430,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 				listCount[k]++
 				if int(listCount[k]) > slotCap {
 					label := b.pt.SearchFromIndex(li)
-					return nil, &SlotOverflowError{Label: label, WBlock: w, Count: int(listCount[k]), Cap: slotCap, Alpha: b.alpha}
+					return qsearch.Tables{}, &SlotOverflowError{Label: label, WBlock: w, Count: int(listCount[k]), Cap: slotCap, Alpha: b.alpha}
 				}
 			}
 		}
@@ -467,17 +467,18 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		}
 		*loadsBuf = loads
 		if err := net.ChargeBalanced(fmt.Sprintf("eval/α=%d/query-response", b.alpha), loads); err != nil {
-			return nil, err
+			return qsearch.Tables{}, err
 		}
 
 		// Assemble the truth tables from the queried triple nodes' data,
-		// one per unique (group, pair) row of Step 2. Row computation (the
-		// triple nodes' local min-plus work) is independent across rows, so
-		// the rows are computed by the worker pool and merged by index —
+		// one per unique (group, pair) row of Step 2; the instance list of
+		// Step 2 is the instance→row index. Row computation (the triple
+		// nodes' local min-plus work) is independent across rows, so the
+		// rows are computed by the worker pool and merged by index —
 		// identical output for any worker count.
-		// The previous evaluation's tables are dead once this one runs (the
-		// multi-search consuming them has returned), so the row and table
-		// arenas are reused across classes and promise calls.
+		// The previous evaluation's rows are dead once this one runs (the
+		// multi-search consuming them has returned), so the row arenas are
+		// reused across classes and promise calls.
 		pairRows := b.st.rows
 		rows := par.Grow(b.sc.rows, len(pairRows))
 		b.sc.rows = rows
@@ -489,12 +490,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 			b.truthRowInto(row, pr.group, pr.pair, pr.weight)
 			rows[j] = row
 		})
-		tables := par.Grow(b.sc.tables, len(b.st.instances))
-		b.sc.tables = tables
-		for i, ri := range b.st.instances {
-			tables[i] = rows[ri]
-		}
-		return tables, nil
+		return qsearch.Tables{Rows: rows, Of: b.st.instances}, nil
 	}
 }
 

@@ -47,12 +47,16 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 	if b.spaceSize == 0 {
 		t.Skip("class 0 empty")
 	}
-	tables, err := b.evalFunc()(net)
+	tabs, err := b.evalFunc()(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(st.instances) {
-		t.Fatalf("tables = %d, instances = %d", len(tables), len(st.instances))
+	// One row per unique (group, pair) question, indexed by instance.
+	if len(tabs.Rows) != len(st.rows) {
+		t.Fatalf("rows = %d, unique rows = %d", len(tabs.Rows), len(st.rows))
+	}
+	if len(tabs.Of) != len(st.instances) {
+		t.Fatalf("index = %d, instances = %d", len(tabs.Of), len(st.instances))
 	}
 	// Instances are listed in label order, so the coverings give each
 	// instance's label, pair and weight independently of its row.
@@ -106,8 +110,8 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if tables[i][xi] != want {
-			t.Fatalf("instance %d element %d: table %v, brute force %v", i, xi, tables[i][xi], want)
+		if got := tabs.Rows[tabs.Of[i]][xi]; got != want {
+			t.Fatalf("instance %d element %d: table %v, brute force %v", i, xi, got, want)
 		}
 		checked++
 	}

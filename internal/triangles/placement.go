@@ -21,11 +21,14 @@ type DataMode int
 const (
 	// DataFull routes placement payloads through the simulator and stores
 	// per-triple weight tables; truth queries are answered from the stored
-	// copies. Used by correctness tests.
+	// copies. The zero Options.Data selects it, so every solve through
+	// qclique, core, distprod and serve runs it, the Theorem 1 pipeline
+	// included.
 	DataFull DataMode = iota + 1
 	// DataDirect charges the identical link loads but answers truth
 	// queries from the input graph directly, trading fidelity of data flow
-	// (not of cost accounting) for memory. Used by large-n scaling runs.
+	// (not of cost accounting) for memory. The E2 bench entries, the
+	// experiments and benchmark/probe select it.
 	DataDirect
 )
 

@@ -71,7 +71,6 @@ type Scratch struct {
 	evalTouch  []int32
 	rows       [][]bool
 	rowArena   []bool
-	tables     [][]bool
 	rowFound   []bool
 
 	// qs is the multi-search scratch handed to qsearch.MultiSearch.

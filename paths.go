@@ -74,12 +74,12 @@ func SolveSSSP(g *Digraph, src int, opts ...Option) ([]int64, *APSPResult, error
 	if g == nil {
 		return nil, nil, errors.New("qclique: nil graph")
 	}
+	if src < 0 || src >= g.N() {
+		return nil, nil, fmt.Errorf("qclique: source %d out of range", src)
+	}
 	res, err := SolveAPSP(g, opts...)
 	if err != nil {
 		return nil, nil, err
-	}
-	if src < 0 || src >= g.N() {
-		return nil, nil, fmt.Errorf("qclique: source %d out of range", src)
 	}
 	row := make([]int64, g.N())
 	copy(row, res.Dist[src])

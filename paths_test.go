@@ -2,6 +2,7 @@ package qclique
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +78,11 @@ func TestSolveSSSPPublic(t *testing.T) {
 	}
 	if _, _, err := SolveSSSP(d, 99); err == nil {
 		t.Error("bad source must fail")
+	}
+	// The source is checked before anything is solved, so a bad source
+	// wins over a bad option.
+	if _, _, err := SolveSSSP(d, -1, WithStrategy("no-such-strategy")); err == nil || !strings.Contains(err.Error(), "source -1 out of range") {
+		t.Errorf("bad source with a bad strategy: err = %v, want the source-range error", err)
 	}
 	if _, _, err := SolveSSSP(nil, 0); err == nil {
 		t.Error("nil graph must fail")

@@ -174,6 +174,9 @@ func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, 
 	if g == nil {
 		return nil, 0, errors.New("qclique: nil graph")
 	}
+	if n := g.N(); src < 0 || src >= n || dst < 0 || dst >= n {
+		return nil, 0, fmt.Errorf("qclique: endpoints (%d,%d) out of range", src, dst)
+	}
 	o := s.merged(opts)
 	// Path reconstruction needs exact tight-successor structure: the serving
 	// layer refuses an approximate strategy and confines a planned

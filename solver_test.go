@@ -235,4 +235,17 @@ func TestSolverValidation(t *testing.T) {
 	if _, _, err := s.ShortestPath(NewDigraph(3), 0, 9, WithStrategy(Gossip)); err == nil {
 		t.Error("ShortestPath bad dst must fail")
 	}
+	// Bad endpoints are rejected before anything is solved.
+	g := buildRandomDigraph(t, 8, 3)
+	if _, _, err := s.ShortestPath(g, -1, 0); err == nil {
+		t.Error("ShortestPath bad src must fail")
+	}
+	if _, _, err := s.ShortestPath(g, 0, g.N()); err == nil {
+		t.Error("ShortestPath dst n must fail")
+	}
+	for name, st := range s.Stats().Strategies {
+		if st.Solves != 0 {
+			t.Errorf("%s: %d solves, want none for rejected requests", name, st.Solves)
+		}
+	}
 }
