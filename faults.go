@@ -3,7 +3,7 @@ package qclique
 // Public fault-injection and resilience surface: the deterministic fault
 // plan that arms a solve's simulated network, the injected-fault counters
 // every armed result carries, and the typed errors a solve surfaces when
-// the stage-retry budget or the per-strategy circuit breaker gives up.
+// the stage-retry budget gives up or the admission controller refuses it.
 
 import (
 	"errors"
@@ -43,10 +43,11 @@ func WithFaultPlan(p FaultPlan) Option {
 }
 
 // WithDegradation opts a Solver solve into the graceful-degradation
-// ladder: when the requested strategy exhausts its stage-retry budget,
-// hits its open circuit breaker, or runs out of deadline, the solve falls
-// back to a cheaper approximate strategy the input admits (exact →
-// ApproxQuantum → ApproxSkeleton) instead of failing. A degraded result is
+// ladder: when the requested strategy exhausts its stage-retry budget or
+// runs out of deadline, the solve falls back to a cheaper approximate
+// strategy the input admits (exact → ApproxQuantum → ApproxSkeleton)
+// instead of failing; under overload pressure (see WithOverloadDegrade) it
+// is answered on the cheapest of those rungs. A degraded result is
 // marked with APSPResult.Degraded and reports the rung that answered in
 // Strategy and its contract in GuaranteedStretch. Honored by Solver
 // methods only — the ladder lives in the serving layer, and the one-shot
@@ -70,18 +71,6 @@ func (e *FaultExhaustedError) Error() string {
 }
 
 func (e *FaultExhaustedError) Unwrap() error { return e.err }
-
-// BreakerOpenError reports a solve refused because the strategy's circuit
-// breaker is open after repeated fault failures; RetryAfter is the
-// remaining cooldown.
-type BreakerOpenError struct {
-	Strategy   Strategy
-	RetryAfter time.Duration
-}
-
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("qclique: %v circuit breaker open, retry in %v", e.Strategy, e.RetryAfter)
-}
 
 // OverloadError reports a solve refused (or abandoned) by the Solver's
 // admission controller: the wait queue behind WithMaxInflight overflowed,
@@ -115,10 +104,6 @@ func mapServeErr(err error) error {
 	var fx *serve.FaultExhaustedError
 	if errors.As(err, &fx) {
 		return &FaultExhaustedError{Faults: fx.Faults, err: err}
-	}
-	var be *serve.BreakerOpenError
-	if errors.As(err, &be) {
-		return &BreakerOpenError{Strategy: Strategy(be.Strategy), RetryAfter: be.RetryAfter}
 	}
 	return err
 }

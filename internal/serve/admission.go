@@ -18,7 +18,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -230,38 +229,4 @@ func (a *admission) snapshot() AdmissionStats {
 		QueueWaitNs: a.queueWaitNs,
 		Shed:        a.shed,
 	}
-}
-
-// heapWatermark samples the live-heap size via runtime/metrics, cached for
-// heapSamplePeriod — the pressure check runs once per request, and a full
-// metrics read per request would be its own overhead under exactly the load
-// it is guarding against.
-type heapWatermark struct {
-	mu     sync.Mutex
-	sample []metrics.Sample
-	asOf   time.Time
-	live   uint64
-}
-
-const heapSamplePeriod = 100 * time.Millisecond
-
-func newHeapWatermark() *heapWatermark {
-	return &heapWatermark{sample: []metrics.Sample{{Name: "/gc/heap/live:bytes"}}}
-}
-
-// liveBytes returns the (cached) live-heap size: bytes occupied by objects
-// the last GC marked reachable — the watermark that predicts whether
-// admitting another few-hundred-MB workspace will push the daemon into
-// swap or OOM.
-func (h *heapWatermark) liveBytes() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if time.Since(h.asOf) >= heapSamplePeriod {
-		metrics.Read(h.sample)
-		if h.sample[0].Value.Kind() == metrics.KindUint64 {
-			h.live = h.sample[0].Value.Uint64()
-		}
-		h.asOf = time.Now()
-	}
-	return h.live
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"qclique/internal/congest"
 	"qclique/internal/graph"
 	"qclique/internal/xrand"
 )
@@ -303,18 +304,30 @@ func TestParseStrategyEnumeratesRegistry(t *testing.T) {
 }
 
 // TestMetricsRollUpStageRounds pins the /v1/metrics rollup: per-stage rounds
-// accumulated per strategy must sum to RoundsCharged.
+// accumulated per strategy must sum to RoundsCharged, and both cover the
+// completed solves only: a fault-exhausted run charges nothing.
 func TestMetricsRollUpStageRounds(t *testing.T) {
 	svc := New(Config{})
+	var completed int64
 	for _, n := range []int{8, 12} {
 		g := cancelTestGraph(t, n)
-		if _, err := svc.SolveGraph(g, SolveSpec{Preset: PresetScaled}); err != nil {
+		res, err := svc.SolveGraph(g, SolveSpec{Preset: PresetScaled})
+		if err != nil {
 			t.Fatal(err)
 		}
+		completed += res.Res.Rounds
+	}
+	armed := SolveSpec{Preset: PresetScaled, Faults: congest.FaultPlan{Seed: 3, CorruptRate: 1}}
+	var fx *FaultExhaustedError
+	if _, err := svc.SolveGraph(cancelTestGraph(t, 8), armed); !errors.As(err, &fx) || fx.Rounds == 0 {
+		t.Fatalf("armed solve: want a FaultExhaustedError that ran rounds, got %v", err)
 	}
 	st := svc.Stats().Strategies["quantum"]
-	if st.Solves != 2 {
-		t.Fatalf("solves = %d, want 2", st.Solves)
+	if st.Solves != 2 || st.FaultFailures != 1 {
+		t.Fatalf("solves = %d, fault failures = %d, want 2 and 1", st.Solves, st.FaultFailures)
+	}
+	if st.RoundsCharged != completed {
+		t.Fatalf("rounds charged %d != completed solves' rounds %d", st.RoundsCharged, completed)
 	}
 	if len(st.Stages) == 0 {
 		t.Fatal("no per-stage metrics recorded")

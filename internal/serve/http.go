@@ -79,8 +79,9 @@ type solveParamsJSON struct {
 	// (chaos testing over the wire); absent means no injection.
 	Faults *congest.FaultPlan `json:"faults,omitempty"`
 	// Degrade opts the request into the graceful-degradation ladder: on
-	// retry exhaustion, deadline pressure or an open breaker the response
-	// is a degraded approximate result instead of a 503.
+	// retry exhaustion or deadline pressure the response is a degraded
+	// approximate result instead of a 503, and under overload pressure the
+	// request is answered on the cheapest viable rung.
 	Degrade bool `json:"degrade,omitempty"`
 }
 
@@ -198,8 +199,8 @@ type batchRequestJSON struct {
 // done before the stop.
 type ErrorJSON struct {
 	// Code classifies the failure: "invalid_spec", "not_found",
-	// "unprocessable", "cancelled", "fault_exhausted", "breaker_open",
-	// "overloaded", "internal".
+	// "unprocessable", "cancelled", "fault_exhausted", "overloaded",
+	// "internal".
 	Code string `json:"code"`
 	// Message is the human-readable error text.
 	Message string `json:"message"`
@@ -549,11 +550,10 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 // malformed specs are 400, inputs the strategy cannot answer (negative
 // cycles; negative or asymmetric weights under an approximate strategy)
 // are 422, transient failures — cancelled or deadline-expired solves,
-// fault-retry exhaustion, an open circuit breaker, admission-controller
-// sheds — are 503, the rest (including recovered panics) 500.
+// fault-retry exhaustion, admission-controller sheds — are 503, the rest
+// (including recovered panics) 500.
 func solveStatus(err error) int {
 	var fe *congest.FaultError
-	var be *BreakerOpenError
 	var oe *OverloadError
 	switch {
 	case errors.Is(err, core.ErrNegativeCycle),
@@ -561,7 +561,7 @@ func solveStatus(err error) int {
 		errors.Is(err, approx.ErrAsymmetric):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
-		errors.As(err, &fe), errors.As(err, &be), errors.As(err, &oe):
+		errors.As(err, &fe), errors.As(err, &oe):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrInvalidSpec):
 		return http.StatusBadRequest
@@ -584,7 +584,7 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 
 // solveError writes a solve failure in the error envelope. Every 503
 // carries a Retry-After header and the retryable marker — the failure class
-// is transient (deadline, injected faults, open breaker) and clients should
+// is transient (deadline, injected faults, overload) and clients should
 // distinguish "try again" from "this request can never work". A
 // cancellation additionally carries the partial per-stage telemetry, so a
 // timed-out request still reports the stages (and rounds) the deadline
@@ -599,7 +599,6 @@ func solveError(w http.ResponseWriter, err error) {
 	wait := time.Second
 	var cancelled *CancelledError
 	var exhausted *FaultExhaustedError
-	var be *BreakerOpenError
 	var oe *OverloadError
 	switch {
 	case errors.As(err, &oe):
@@ -614,9 +613,6 @@ func solveError(w http.ResponseWriter, err error) {
 		ej.Rounds = exhausted.Rounds
 		f := exhausted.Faults
 		ej.Faults = &f
-	case errors.As(err, &be):
-		ej.Code = "breaker_open"
-		wait = be.RetryAfter
 	}
 	ej.RetryAfterMS = retryAfterMS(wait)
 	setRetryAfter(w, wait)

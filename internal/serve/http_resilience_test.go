@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qclique/internal/congest"
+	"qclique/internal/core"
 )
 
 func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
@@ -165,5 +166,52 @@ func TestHTTPDeadline503CarriesRetryAfter(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" || !fail.Error.Retryable {
 		t.Errorf("deadline 503 missing Retry-After/retryable: header=%q body=%+v",
 			resp.Header.Get("Retry-After"), fail.Error)
+	}
+}
+
+// TestFaultPlanStaysInItsRequest: a fault plan is one request's chaos
+// input. A client that exhausts its plan's retry budget again and again
+// must not change what another client's fault-free solve gets: the
+// requested strategy, undegraded, at the rounds a fresh service charges.
+func TestFaultPlanStaysInItsRequest(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	idA, err := svc.PutGraph(symDigraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var fail struct {
+			Error ErrorJSON `json:"error"`
+		}
+		resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+idA+"/solve",
+			json.RawMessage(`{"strategy":"quantum","faults":{"seed":3,"corrupt_rate":1}}`), &fail)
+		if resp.StatusCode != http.StatusServiceUnavailable || fail.Error.Code != "fault_exhausted" {
+			t.Fatalf("client A solve %d: %d %q, want 503 fault_exhausted", i+1, resp.StatusCode, fail.Error.Code)
+		}
+	}
+
+	gB := symDigraph(t, 12)
+	fresh, err := New(Config{}).SolveGraph(gB, SolveSpec{Strategy: core.StrategyQuantum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, err := svc.PutGraph(gB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, degrade := range []bool{false, true} {
+		var sj SolveJSON
+		resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+idB+"/solve",
+			solveParamsJSON{Strategy: "quantum", Degrade: degrade}, &sj)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("client B solve (degrade=%v): %d, want 200", degrade, resp.StatusCode)
+		}
+		if sj.Strategy != "quantum" || sj.Degraded || sj.Rounds != fresh.Res.Rounds {
+			t.Fatalf("client B solve (degrade=%v): strategy=%q degraded=%v (%q) rounds=%d, want quantum, not degraded, rounds=%d",
+				degrade, sj.Strategy, sj.Degraded, sj.DegradeReason, sj.Rounds, fresh.Res.Rounds)
+		}
 	}
 }

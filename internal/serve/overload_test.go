@@ -635,19 +635,71 @@ func TestReadyzEndpoints(t *testing.T) {
 	}
 }
 
-// TestOverloadDegrade: under pressure (here a 1-byte heap watermark, i.e.
-// always) a degradable exact request is answered by the cheapest viable
-// rung, marked degrade_reason "overload", and counted in OverloadDegraded.
+// holdPressure builds overload pressure the way production load does, on a
+// service configured with MaxInflight 1 and QueueDepth 2: a solve of
+// holdSeed holds the only slot inside the solve hook, and a solve of
+// queueSeed waits behind it, which reaches the watermark max(2/2, 1) = 1.
+// The returned release frees the slot and waits for both solves; it also
+// runs at cleanup, so a failing test does not leave them blocked.
+func holdPressure(t *testing.T, svc *Service, id string, holdSeed, queueSeed uint64) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	setSolveHook(t, func(spec SolveSpec) {
+		if spec.Seed == holdSeed {
+			<-gate
+		}
+	})
+	var wg sync.WaitGroup
+	launch := func(seed uint64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := svc.Solve(id, SolveSpec{Preset: PresetScaled, Seed: seed}); err != nil {
+				t.Errorf("pressure solve seed %d: %v", seed, err)
+			}
+		}()
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			wg.Wait()
+		})
+	}
+	t.Cleanup(release)
+	launch(holdSeed)
+	waitAdmission(t, svc, "the occupier to hold the slot", func(st AdmissionStats) bool { return st.Inflight == 1 })
+	launch(queueSeed)
+	waitAdmission(t, svc, "the queue seat to fill", func(st AdmissionStats) bool { return st.QueuedNow == 1 })
+	if !svc.underPressure() {
+		t.Fatal("a held slot plus one queued solve at QueueDepth 2 is not pressure")
+	}
+	return release
+}
+
+// TestOverloadDegrade: under pressure (a held slot and a half-full queue) a
+// degradable exact request is answered by the cheapest viable rung, marked
+// degrade_reason "overload", and counted in OverloadDegraded. The cheap rung
+// still queues for the held slot.
 func TestOverloadDegrade(t *testing.T) {
-	svc := New(Config{OverloadDegrade: true, OverloadHeapBytes: 1})
+	svc := New(Config{OverloadDegrade: true, MaxInflight: 1, QueueDepth: 2})
 	g := overloadTestGraph(t, 12)
 	id, err := svc.PutGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := SolveSpec{Preset: PresetScaled, Seed: 5}
-	res, err := svc.Solve(id, spec)
-	if err != nil {
+	release := holdPressure(t, svc, id, 1, 2)
+	var res *SolveResult
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = svc.Solve(id, spec)
+		done <- err
+	}()
+	waitAdmission(t, svc, "the degraded rung to queue", func(st AdmissionStats) bool { return st.QueuedNow == 2 })
+	release()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.DegradeReason != "overload" {
@@ -667,8 +719,11 @@ func TestOverloadDegrade(t *testing.T) {
 		t.Fatalf("quantum.Degraded = %d, want 1", d)
 	}
 
-	// A second identical request degrades again but rides the rung's cache.
+	// A second identical request under renewed pressure degrades again but
+	// rides the rung's cache, so it never queues.
+	release = holdPressure(t, svc, id, 3, 4)
 	res2, err := svc.Solve(id, spec)
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +735,7 @@ func TestOverloadDegrade(t *testing.T) {
 // TestOverloadDegradeCacheBypass: pressure never degrades a request whose
 // exact answer is already cached — the hit is free.
 func TestOverloadDegradeCacheBypass(t *testing.T) {
-	svc := New(Config{OverloadHeapBytes: 1})
+	svc := New(Config{MaxInflight: 1, QueueDepth: 2})
 	g := overloadTestGraph(t, 12)
 	id, err := svc.PutGraph(g)
 	if err != nil {
@@ -691,7 +746,9 @@ func TestOverloadDegradeCacheBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Degrade = true
+	release := holdPressure(t, svc, id, 1, 2)
 	res, err := svc.Solve(id, spec)
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}

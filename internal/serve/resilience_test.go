@@ -1,14 +1,12 @@
 package serve
 
-// The resilience suite: fault plans in the cache identity, the graceful-
-// degradation ladder (forced fallback via a spent transient-outage budget,
-// constraint-aware rung selection, breaker-open fallback), and the
-// per-strategy circuit breaker with an injected clock.
+// The resilience suite: fault plans in the cache identity, and the
+// graceful-degradation ladder (forced fallback via a spent transient-outage
+// budget, constraint-aware rung selection).
 
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/core"
@@ -138,50 +136,6 @@ func TestLadderRespectsGraphConstraints(t *testing.T) {
 	if res.Res.Strategy != core.StrategyApproxSkeleton || res.Res.GuaranteedStretch != 2+plannerDefaultEpsilon {
 		t.Fatalf("bottom rung = %v (stretch %v), want approx-skeleton at %v",
 			res.Res.Strategy, res.Res.GuaranteedStretch, 2+plannerDefaultEpsilon)
-	}
-}
-
-func TestBreakerOpensAndCoolsDown(t *testing.T) {
-	s := New(Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
-	now := time.Unix(1000, 0)
-	s.breaker.now = func() time.Time { return now }
-	g := symDigraph(t, 8)
-	spec := SolveSpec{Strategy: core.StrategyQuantum, Faults: congest.FaultPlan{Seed: 3, CorruptRate: 1}}
-	var fx *FaultExhaustedError
-	for i := 0; i < 2; i++ {
-		if _, err := s.SolveGraph(g, spec); !errors.As(err, &fx) {
-			t.Fatalf("solve %d: want FaultExhaustedError, got %v", i+1, err)
-		}
-	}
-	// Threshold reached: the next solve is refused without running.
-	_, err := s.SolveGraph(g, spec)
-	var be *BreakerOpenError
-	if !errors.As(err, &be) {
-		t.Fatalf("want BreakerOpenError, got %v", err)
-	}
-	if be.Strategy != "quantum" || be.RetryAfter <= 0 {
-		t.Errorf("breaker error: %+v", be)
-	}
-	if got := s.Stats().Strategies["quantum"]; got.BreakerSkips != 1 || got.Requests != 2 {
-		t.Errorf("breaker-skip accounting: %+v", got)
-	}
-	// An open breaker with a fault-free spec and degradation on falls
-	// through to the next rung and reports why.
-	res, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Degrade: true})
-	if err != nil {
-		t.Fatalf("ladder under open breaker: %v", err)
-	}
-	if !res.Degraded || res.DegradeReason != "breaker-open" || res.Res.Strategy != core.StrategyApproxQuantum {
-		t.Fatalf("breaker fallback: %+v", res)
-	}
-	// Cooldown elapses: the circuit closes and the strategy runs again.
-	now = now.Add(2 * time.Minute)
-	res, err = s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum})
-	if err != nil {
-		t.Fatalf("solve after cooldown: %v", err)
-	}
-	if res.Res.Strategy != core.StrategyQuantum {
-		t.Errorf("post-cooldown strategy = %v", res.Res.Strategy)
 	}
 }
 

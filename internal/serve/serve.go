@@ -188,13 +188,14 @@ type SolveSpec struct {
 	// the telemetry of a cached result must match what that plan produced.
 	Faults congest.FaultPlan
 	// Degrade enables the graceful-degradation ladder: a solve that
-	// exhausts its fault-retry budget, runs out of deadline headroom, or
-	// hits an open circuit breaker falls back along the planner's viable
-	// fallback rungs (every strategy with a strictly weaker stretch
-	// guarantee, best fidelity first — classically exact → approx-quantum →
-	// approx-skeleton) and returns a degraded result instead of an error.
-	// Not part of the cache identity — each rung solves, and caches, under
-	// its own spec.
+	// exhausts its fault-retry budget or runs out of deadline headroom
+	// falls back along the planner's viable fallback rungs (every strategy
+	// with a strictly weaker stretch guarantee, best fidelity first —
+	// classically exact → approx-quantum → approx-skeleton) and returns a
+	// degraded result instead of an error. Under overload pressure a
+	// degradable solve goes straight to the cheapest rung (see
+	// overloadDegrade). Not part of the cache identity — each rung solves,
+	// and caches, under its own spec.
 	Degrade bool
 	// exactPlanning marks a solve for path reconstruction, which requires
 	// exact tight-successor structure: a strategy=auto resolution is
@@ -225,7 +226,7 @@ func (s SolveSpec) Validate() error {
 
 // canonical validates the spec and returns it with its strategy resolved
 // to the canonical registry name — the one identity the cache key, the
-// stats, the breaker and the planner see.
+// stats and the planner see.
 func (s SolveSpec) canonical() (SolveSpec, error) {
 	name, err := ParseStrategy(s.Strategy)
 	if err != nil {
@@ -268,12 +269,6 @@ type Config struct {
 	// Workers is the default host-parallelism bound for solves and batch
 	// queries (<= 0 selects GOMAXPROCS).
 	Workers int
-	// BreakerThreshold is the consecutive fault-retry exhaustions that open
-	// a strategy's circuit breaker (<= 0 selects 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit refuses solves before
-	// closing again (<= 0 selects 30s).
-	BreakerCooldown time.Duration
 	// MaxInflight bounds concurrently executing solves (simulator runs;
 	// cache hits and singleflight followers are not charged against it).
 	// <= 0 leaves execution unbounded — the library default.
@@ -282,17 +277,9 @@ type Config struct {
 	// MaxInflight; requests beyond it are shed with an OverloadError.
 	// <= 0 selects 64 (meaningful only with MaxInflight > 0).
 	QueueDepth int
-	// OverloadQueueDepth is the queued-request watermark at or past which
-	// the service reports overload pressure and starts degrading degradable
-	// requests; <= 0 selects half of the effective QueueDepth (minimum 1).
-	OverloadQueueDepth int
-	// OverloadHeapBytes is the live-heap watermark (runtime/metrics
-	// /gc/heap/live:bytes) past which the service reports overload
-	// pressure; 0 disables the heap check.
-	OverloadHeapBytes uint64
 	// OverloadDegrade routes every degradable request down the degradation
-	// ladder while the service is under overload pressure, even when the
-	// request itself did not opt into Degrade.
+	// ladder while the service is under overload pressure (see
+	// underPressure), even when the request itself did not opt into Degrade.
 	OverloadDegrade bool
 	// DefaultStrategy is the strategy (a registered name or alias, or
 	// "auto") a request that names none runs under. The empty value
@@ -303,37 +290,23 @@ type Config struct {
 
 // Service is the solve layer. Safe for concurrent use.
 type Service struct {
-	cfg           Config
-	store         *graphStore
-	cache         *lruMap[cacheKey, *entry]
-	flight        *flightGroup
-	stats         *statsCollector
-	breaker       *breaker
-	admit         *admission
-	heap          *heapWatermark
-	overloadQueue int
+	cfg    Config
+	store  *graphStore
+	cache  *lruMap[cacheKey, *entry]
+	flight *flightGroup
+	stats  *statsCollector
+	admit  *admission
 }
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	admit := newAdmission(cfg.MaxInflight, cfg.QueueDepth)
-	overloadQueue := cfg.OverloadQueueDepth
-	if overloadQueue <= 0 {
-		overloadQueue = admit.maxQueue / 2
-		if overloadQueue < 1 {
-			overloadQueue = 1
-		}
-	}
 	return &Service{
-		cfg:           cfg,
-		store:         newGraphStore(cfg.MaxGraphs),
-		cache:         newLRUCache(cfg.CacheSize),
-		flight:        newFlightGroup(),
-		stats:         newStatsCollector(),
-		breaker:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		admit:         admit,
-		heap:          newHeapWatermark(),
-		overloadQueue: overloadQueue,
+		cfg:    cfg,
+		store:  newGraphStore(cfg.MaxGraphs),
+		cache:  newLRUCache(cfg.CacheSize),
+		flight: newFlightGroup(),
+		stats:  newStatsCollector(),
+		admit:  newAdmission(cfg.MaxInflight, cfg.QueueDepth),
 	}
 }
 
@@ -372,18 +345,16 @@ func (s *Service) Readiness() Readiness {
 	return r
 }
 
-// underPressure reports overload pressure: the wait queue is at or past the
-// configured watermark while every execution slot is busy, or the live heap
-// has crossed the configured byte watermark. Either predicts that admitting
-// another heavyweight exact solve buys latency (or an OOM), not throughput.
+// underPressure reports overload pressure: every execution slot is busy and
+// the wait queue holds at least half its depth (minimum one waiter). That
+// predicts that admitting another heavyweight exact solve buys latency, not
+// throughput. An unbounded service is never under pressure.
 func (s *Service) underPressure() bool {
-	if s.admit.bounded() {
-		st := s.admit.snapshot()
-		if st.Inflight >= st.MaxInflight && st.QueuedNow >= s.overloadQueue {
-			return true
-		}
+	if !s.admit.bounded() {
+		return false
 	}
-	return s.cfg.OverloadHeapBytes > 0 && s.heap.liveBytes() >= s.cfg.OverloadHeapBytes
+	st := s.admit.snapshot()
+	return st.Inflight >= st.MaxInflight && st.QueuedNow >= max(st.QueueDepth/2, 1)
 }
 
 // PanicError reports a solve pipeline that panicked mid-execution,
@@ -423,8 +394,8 @@ type SolveResult struct {
 	// strategy (set only when Degraded).
 	DegradedFrom string
 	// DegradeReason is why the ladder stepped down: "retries-exhausted",
-	// "deadline", "breaker-open", or "overload" (the service shed fidelity
-	// under load pressure rather than queueing or refusing the request).
+	// "deadline", or "overload" (the service shed fidelity under load
+	// pressure rather than running the request at full cost).
 	DegradeReason string
 	// Plan records the planner's decision for a strategy=auto request (nil
 	// when the caller named a concrete strategy). A degraded auto solve
@@ -542,7 +513,7 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		return res, nil
 	}
 	if !spec.Degrade {
-		return s.solveAllowed(ctx, id, g, feats, spec)
+		return s.solveOne(ctx, id, g, feats, spec)
 	}
 	rungs := s.ladderRungs(spec, feats)
 	var reason string
@@ -553,7 +524,7 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		// are spent for the whole request, not per network.
 		rs.Faults = threadBudget(spec.Faults, spent)
 		rctx, cancel := rungContext(ctx, i, len(rungs))
-		res, err := s.solveAllowed(rctx, id, g, feats, rs)
+		res, err := s.solveOne(rctx, id, g, feats, rs)
 		cancel()
 		if err == nil {
 			if i > 0 {
@@ -585,9 +556,11 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 // when Config.OverloadDegrade is set) is routed straight to the *cheapest*
 // viable ladder rung — the (2+ε) skeleton strategy runs ~1000x fewer rounds
 // than exact, so answering degraded is how the daemon converts a saturation
-// collapse into a fidelity dip. A cached answer at the requested fidelity is
-// free and never degraded, and a rung failure falls through to the normal
-// path so the regular ladder/breaker machinery reports it.
+// collapse into a fidelity dip. The cheap rung still passes admission: it
+// waits in the queue like any other execution, it just holds its slot for
+// far less time. A cached answer at the requested fidelity is free and
+// never degraded, and a rung failure falls through to the normal path so
+// the regular ladder reports it.
 func (s *Service) overloadDegrade(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, bool) {
 	if !spec.Degrade && !s.cfg.OverloadDegrade {
 		return nil, false
@@ -609,7 +582,7 @@ func (s *Service) overloadDegrade(ctx context.Context, id string, g *graph.Digra
 			cheapest, cheapestWall = fb, w
 		}
 	}
-	res, err := s.solveAllowed(ctx, id, g, feats, cheapest)
+	res, err := s.solveOne(ctx, id, g, feats, cheapest)
 	if err != nil {
 		return nil, false
 	}
@@ -666,41 +639,18 @@ func rungContext(ctx context.Context, i, total int) (context.Context, context.Ca
 }
 
 // degradeReason classifies an error as a ladder trigger: fault-retry
-// exhaustion, an open circuit breaker, or a rung-budget deadline whose
-// parent request still has time. Everything else (bad specs, negative
-// cycles, the caller's own cancellation) propagates unchanged.
+// exhaustion, or a rung-budget deadline whose parent request still has
+// time. Everything else (bad specs, negative cycles, the caller's own
+// cancellation) propagates unchanged.
 func degradeReason(err error, parent context.Context) (string, bool) {
 	var fe *congest.FaultError
-	var be *BreakerOpenError
 	switch {
 	case errors.As(err, &fe):
 		return "retries-exhausted", true
-	case errors.As(err, &be):
-		return "breaker-open", true
 	case errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil:
 		return "deadline", true
 	}
 	return "", false
-}
-
-// solveAllowed gates one rung through the strategy's circuit breaker and
-// feeds the breaker the outcome: fault-retry exhaustion counts against the
-// threshold, any completed solve closes the circuit.
-func (s *Service) solveAllowed(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	name := spec.Strategy
-	if remaining, ok := s.breaker.allow(name); !ok {
-		s.stats.breakerSkip(name)
-		return nil, &BreakerOpenError{Strategy: name, RetryAfter: remaining}
-	}
-	res, err := s.solveOne(ctx, id, g, feats, spec)
-	var fe *congest.FaultError
-	switch {
-	case errors.As(err, &fe):
-		s.breaker.failure(name)
-	case err == nil:
-		s.breaker.success(name)
-	}
-	return res, err
 }
 
 func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
@@ -763,8 +713,8 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 				var fe *congest.FaultError
 				if res != nil && errors.As(err, &fe) {
 					// Retry exhaustion: wrap with the partial telemetry (the
-					// FaultError chain stays reachable for the ladder and the
-					// breaker), and land the fault counters in /v1/metrics.
+					// FaultError chain stays reachable for the ladder), and
+					// land the fault counters in /v1/metrics.
 					s.stats.faultFailure(name, res)
 					return nil, &FaultExhaustedError{Stages: res.Stages, Rounds: res.Rounds, Faults: res.Metrics.Faults, Err: err}
 				}

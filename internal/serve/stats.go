@@ -51,21 +51,20 @@ type StrategyStats struct {
 	// Degraded counts requests to this strategy that the degradation ladder
 	// answered with a fallback rung.
 	Degraded int64 `json:"degraded,omitempty"`
-	// BreakerSkips counts solves refused because this strategy's circuit
-	// breaker was open.
-	BreakerSkips int64 `json:"breaker_skips,omitempty"`
 	// Faults is the cumulative injected-fault accounting across this
 	// strategy's executions (successful and fault-failed alike).
 	Faults congest.FaultCounters `json:"faults"`
-	// RoundsCharged totals the simulated CONGEST-CLIQUE rounds across all
-	// executions; cache hits and deduped requests charge nothing here.
+	// RoundsCharged totals the simulated CONGEST-CLIQUE rounds of completed
+	// executions, the ones counted in Solves; cache hits, deduped requests,
+	// and cancelled or fault-failed runs charge nothing here.
 	RoundsCharged int64 `json:"rounds_charged"`
 	// SolveWallNs totals the host wall-clock time of completed executions;
 	// SolveWallNs/Solves is the service-time estimate the admission
 	// controller's deadline-aware shedding uses.
 	SolveWallNs int64 `json:"solve_wall_ns,omitempty"`
 	// Stages is the cumulative per-stage breakdown across this strategy's
-	// executed solves, keyed by stage name.
+	// completed executions, keyed by stage name; its rounds sum to
+	// RoundsCharged.
 	Stages map[string]StageStats `json:"stages,omitempty"`
 }
 
@@ -312,28 +311,22 @@ func (s *statsCollector) cancelled(name string) {
 }
 
 // faultFailure records a retry-budget exhaustion, folding in the partial
-// run's fault and retry counters.
+// run's fault and retry counters. Its rounds, wall time and stages stay out
+// of the cost totals, as a cancelled run's do: those describe completed
+// executions only, and the failed run's rounds are reported in its
+// FaultExhaustedError.
 func (s *statsCollector) faultFailure(name string, res *core.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.forStrategy(name)
 	st.FaultFailures++
-	if res != nil {
-		st.RoundsCharged += res.Rounds
-		st.addFaults(res)
-	}
+	st.addFaults(res)
 }
 
 func (s *statsCollector) degraded(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.forStrategy(name).Degraded++
-}
-
-func (s *statsCollector) breakerSkip(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.forStrategy(name).BreakerSkips++
 }
 
 // overloadDegraded records one request the overload monitor routed down the

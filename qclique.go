@@ -349,10 +349,11 @@ func WithQueueDepth(n int) Option {
 }
 
 // WithOverloadDegrade lets the Solver shed fidelity instead of throughput:
-// while under overload pressure (saturated execution slots with a deep
-// queue), degradable solves are answered by the cheapest viable approximate
-// strategy — marked Degraded with DegradeReason "overload" — rather than
-// queued at full cost. Read by NewSolver only.
+// while under overload pressure (every WithMaxInflight slot busy and the
+// queue at least half full), degradable solves are answered by the cheapest
+// viable approximate strategy — marked Degraded with DegradeReason
+// "overload" — which still queues, but runs far shorter than the exact
+// solve. Read by NewSolver only.
 func WithOverloadDegrade(on bool) Option {
 	return func(o *Options) { o.OverloadDegrade = on }
 }
@@ -471,7 +472,7 @@ type APSPResult struct {
 	// with a fallback strategy (see WithDegradation): Strategy and
 	// GuaranteedStretch describe the rung that actually ran, DegradedFrom
 	// the strategy that was asked for, DegradeReason why it stepped down
-	// ("retries-exhausted", "breaker-open" or "deadline").
+	// ("retries-exhausted", "deadline" or "overload").
 	Degraded      bool
 	DegradedFrom  Strategy
 	DegradeReason string

@@ -261,19 +261,18 @@ type StrategyStats struct {
 	FaultFailures int64
 	Retries       int64
 	// Degraded counts requests the degradation ladder answered with a
-	// fallback strategy; BreakerSkips counts solves refused by this
-	// strategy's open circuit breaker.
-	Degraded     int64
-	BreakerSkips int64
+	// fallback strategy.
+	Degraded int64
 	// Faults is the cumulative injected-fault accounting across this
 	// strategy's executions.
 	Faults FaultCounters
-	// RoundsCharged totals simulated rounds across executions; cache hits
-	// charge nothing.
+	// RoundsCharged totals simulated rounds across completed executions;
+	// cache hits, cancelled and fault-failed runs charge nothing.
 	RoundsCharged int64
 	// StageRounds maps stage name to the cumulative simulated rounds that
-	// stage charged across this strategy's executions — the serving-layer
-	// rollup of the per-solve Stages breakdown.
+	// stage charged across this strategy's completed executions — the
+	// serving-layer rollup of the per-solve Stages breakdown, summing to
+	// RoundsCharged.
 	StageRounds map[string]int64
 }
 
@@ -333,7 +332,6 @@ func (s *Solver) Stats() SolverStats {
 			FaultFailures: v.FaultFailures,
 			Retries:       v.Retries,
 			Degraded:      v.Degraded,
-			BreakerSkips:  v.BreakerSkips,
 			Faults:        v.Faults,
 			RoundsCharged: v.RoundsCharged,
 		}
