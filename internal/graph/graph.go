@@ -77,13 +77,19 @@ func NewDigraph(n int) *Digraph {
 func (g *Digraph) N() int { return g.n }
 
 // SetArc sets the weight of the arc u->v. Self-loops are rejected with an
-// error because the APSP formulation (Section 3 of the paper) excludes them.
+// error because the APSP formulation (Section 3 of the paper) excludes them,
+// and so is a weight outside the open interval (NegInf, Inf): those values
+// are the sentinels (NoEdge is Inf), and sums of in-range weights saturate
+// instead of overflowing.
 func (g *Digraph) SetArc(u, v int, weight int64) error {
 	if err := g.check(u, v); err != nil {
 		return err
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop %d->%d not allowed", u, v)
+	}
+	if !IsFinite(weight) {
+		return fmt.Errorf("graph: arc %d->%d weight %d outside (%d, %d)", u, v, weight, NegInf, Inf)
 	}
 	g.w[u*g.n+v] = weight
 	return nil
@@ -215,13 +221,17 @@ func NewUndirected(n int) *Undirected {
 // N returns the number of vertices.
 func (g *Undirected) N() int { return g.n }
 
-// SetEdge sets the weight of edge {u,v}. Self-loops are rejected.
+// SetEdge sets the weight of edge {u,v}. Self-loops are rejected, and so is
+// a weight outside the open interval (NegInf, Inf), as in Digraph.SetArc.
 func (g *Undirected) SetEdge(u, v int, weight int64) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: vertex out of range: (%d,%d) with n=%d", u, v, g.n)
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d not allowed", u)
+	}
+	if !IsFinite(weight) {
+		return fmt.Errorf("graph: edge {%d,%d} weight %d outside (%d, %d)", u, v, weight, NegInf, Inf)
 	}
 	g.w[u*g.n+v] = weight
 	g.w[v*g.n+u] = weight

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +51,32 @@ func TestDigraphRejectsSelfLoopAndRange(t *testing.T) {
 	}
 	if err := g.SetArc(-1, 0, 1); err == nil {
 		t.Error("negative vertex should be rejected")
+	}
+}
+
+// TestSettersRejectNonFiniteWeights: a weight at or beyond ±Inf is a
+// sentinel (NoEdge is Inf), so both setters refuse it and leave the graph
+// unchanged; the range's ends, ±(Inf−1), are weights.
+func TestSettersRejectNonFiniteWeights(t *testing.T) {
+	d, u := NewDigraph(3), NewUndirected(3)
+	for _, w := range []int64{math.MinInt64, NegInf, Inf, math.MaxInt64} {
+		if err := d.SetArc(0, 1, w); err == nil {
+			t.Errorf("SetArc(0, 1, %d) accepted", w)
+		}
+		if err := u.SetEdge(0, 1, w); err == nil {
+			t.Errorf("SetEdge(0, 1, %d) accepted", w)
+		}
+	}
+	if d.ArcCount() != 0 || u.EdgeCount() != 0 {
+		t.Fatalf("rejected weights stored: %d arcs, %d edges", d.ArcCount(), u.EdgeCount())
+	}
+	for _, w := range []int64{NegInf + 1, Inf - 1} {
+		if err := d.SetArc(0, 1, w); err != nil {
+			t.Error(err)
+		}
+		if err := u.SetEdge(0, 1, w); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

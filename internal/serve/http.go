@@ -9,10 +9,12 @@ package serve
 // distinguishable.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -34,6 +36,16 @@ type ArcJSON struct {
 }
 
 // GraphJSON is the PUT /v1/graphs request body.
+//
+// The handler reads it with decodeGraph, which parses the canonical shape by
+// hand: an object whose only keys are "n" and "arcs", and an "arcs" array
+// of objects whose only keys are "u", "v" and "w"; each key unescaped and
+// at most once, in any order; every value an integer literal
+// -?(0|[1-9][0-9]*), other than -0, that fits its field; JSON whitespace
+// between tokens. json.Marshal of a GraphJSON, an encoded map with these
+// keys and the benchmark's bodies all have that shape. Any other body falls
+// back to encoding/json, so the accepted bodies, the decoded values and the
+// error texts are exactly those of json.NewDecoder(body).Decode.
 type GraphJSON struct {
 	N    int       `json:"n"`
 	Arcs []ArcJSON `json:"arcs"`
@@ -44,9 +56,212 @@ type GraphJSON struct {
 // and the simulator is far from solving graphs this large anyway.
 const maxUploadVertices = 4096
 
-// maxUploadBytes bounds request bodies (a 4096² dense graph with every
-// arc listed fits comfortably).
+// maxUploadBytes bounds request bodies at 512 MiB. A dense 4096² graph with
+// every arc listed fits only with short weights: at about 27 B per arc it
+// is 453 MB, at about 45 B per arc (19-digit weights) 755 MB.
 const maxUploadBytes = 1 << 29
+
+// maxPresize caps the buffer decodeGraph sizes from a claimed
+// Content-Length: a client may claim 512 MiB and send nothing, so past the
+// cap the buffer grows only with the bytes received.
+const maxPresize = 1 << 20
+
+// decodeGraph decodes a PUT /v1/graphs body as json.NewDecoder(r).Decode
+// does, but reads r to its end or its first error first. size is the
+// claimed Content-Length (≤ 0 when unknown). A body that opens with a
+// canonical GraphJSON is parsed by hand; any other goes to encoding/json
+// over the same bytes, followed by the same read error, so that error is
+// returned only when the bytes before it hold neither a complete value nor
+// a syntax error.
+func decodeGraph(r io.Reader, size int64) (GraphJSON, error) {
+	var buf bytes.Buffer
+	// MinRead spare bytes let ReadFrom see EOF without growing the buffer.
+	buf.Grow(int(min(max(size, 0), maxPresize)) + bytes.MinRead)
+	_, readErr := buf.ReadFrom(r)
+	if gj, ok := parseGraph(buf.Bytes()); ok {
+		return gj, nil
+	}
+	var body io.Reader = &buf
+	if readErr != nil {
+		body = io.MultiReader(&buf, errReader{readErr})
+	}
+	var gj GraphJSON
+	err := json.NewDecoder(body).Decode(&gj)
+	return gj, err
+}
+
+// errReader replays decodeGraph's read error to encoding/json.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// parseGraph parses the canonical GraphJSON at the start of b and ignores
+// the bytes after its closing brace, as json.Decoder does. It reports false
+// for any other input.
+func parseGraph(b []byte) (GraphJSON, bool) {
+	var gj GraphJSON
+	p := upload{b: b}
+	if !p.next('{') {
+		return GraphJSON{}, false
+	}
+	if p.next('}') {
+		return gj, true
+	}
+	var seen uint8 // one bit per key, to refuse duplicates
+	for {
+		var bit uint8
+		var ok bool
+		switch string(p.key()) {
+		case "n":
+			bit = 1
+			gj.N, ok = p.int()
+		case "arcs":
+			bit = 2
+			gj.Arcs, ok = p.arcs()
+		}
+		if !ok || seen&bit != 0 {
+			return GraphJSON{}, false
+		}
+		seen |= bit
+		if !p.next(',') {
+			return gj, p.next('}')
+		}
+	}
+}
+
+// upload is parseGraph's cursor over a body.
+type upload struct {
+	b []byte
+	i int
+}
+
+// next skips JSON whitespace and consumes c if it comes next.
+func (p *upload) next(c byte) bool {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case c:
+			p.i++
+			return true
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return false
+		}
+	}
+	return false
+}
+
+// key consumes `"name":` and returns name, or nil if the next tokens are
+// not a string and a colon. An escaped name keeps its backslash, so it
+// matches no canonical key.
+func (p *upload) key() []byte {
+	if !p.next('"') {
+		return nil
+	}
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] != '"' {
+		p.i++
+	}
+	if p.i == len(p.b) {
+		return nil
+	}
+	name := p.b[start:p.i]
+	p.i++
+	if !p.next(':') {
+		return nil
+	}
+	return name
+}
+
+// arcs consumes an array of canonical arc objects.
+func (p *upload) arcs() ([]ArcJSON, bool) {
+	if !p.next('[') {
+		return nil, false
+	}
+	if p.next(']') {
+		return []ArcJSON{}, true // as encoding/json decodes [], empty but not nil
+	}
+	// Room for the arcs that the rest of the body, up to maxPresize bytes
+	// of it, holds at 20 bytes each ({"u":0,"v":1,"w":2},); append grows
+	// past that.
+	arcs := make([]ArcJSON, 0, min(len(p.b)-p.i, maxPresize)/20)
+	for {
+		a, ok := p.arc()
+		if !ok {
+			return nil, false
+		}
+		arcs = append(arcs, a)
+		if !p.next(',') {
+			return arcs, p.next(']')
+		}
+	}
+}
+
+// arc consumes one canonical arc object.
+func (p *upload) arc() (ArcJSON, bool) {
+	var a ArcJSON
+	if !p.next('{') {
+		return a, false
+	}
+	if p.next('}') {
+		return a, true
+	}
+	var seen uint8
+	for {
+		var bit uint8
+		var ok bool
+		switch string(p.key()) {
+		case "u":
+			bit = 1
+			a.U, ok = p.int()
+		case "v":
+			bit = 2
+			a.V, ok = p.int()
+		case "w":
+			bit = 4
+			a.W, ok = p.int64()
+		}
+		if !ok || seen&bit != 0 {
+			return a, false
+		}
+		seen |= bit
+		if !p.next(',') {
+			return a, p.next('}')
+		}
+	}
+}
+
+// int consumes an integer literal that fits an int.
+func (p *upload) int() (int, bool) {
+	v, ok := p.int64()
+	return int(v), ok && int64(int(v)) == v
+}
+
+// int64 consumes an integer literal -?(0|[1-9][0-9]*) that fits an int64,
+// other than -0.
+func (p *upload) int64() (int64, bool) {
+	neg := p.next('-')
+	b, i := p.b, p.i
+	start := i
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if i-start == 19 {
+			return 0, false // 20 digits overflow an int64
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	if i == start || b[start] == '0' && (i > start+1 || neg) {
+		return 0, false // no digits, a leading zero, or -0
+	}
+	if neg && u > 1<<63 || !neg && u > math.MaxInt64 {
+		return 0, false
+	}
+	p.i = i
+	if neg {
+		return int64(-u), true // wraps to the two's complement, MinInt64 included
+	}
+	return int64(u), true
+}
 
 // Digraph materializes the uploaded graph.
 func (gj GraphJSON) Digraph() (*graph.Digraph, error) {
@@ -259,8 +474,8 @@ func errorCode(status int) string {
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
-		var gj GraphJSON
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&gj); err != nil {
+		gj, err := decodeGraph(http.MaxBytesReader(w, r.Body, maxUploadBytes), r.ContentLength)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}

@@ -23,14 +23,7 @@ func TestHTTPFaultInjectionAndDegradation(t *testing.T) {
 	var put struct {
 		ID string `json:"id"`
 	}
-	gj := GraphJSON{N: g.N()}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if w, ok := g.Weight(u, v); ok {
-				gj.Arcs = append(gj.Arcs, ArcJSON{U: u, V: v, W: w})
-			}
-		}
-	}
+	gj := graphJSON(g)
 	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", gj, &put); resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: %d", resp.StatusCode)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -38,6 +39,19 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, o
 	return resp
 }
 
+// graphJSON lists g's arcs as an upload body, in row-major order.
+func graphJSON(g *graph.Digraph) GraphJSON {
+	gj := GraphJSON{N: g.N()}
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			if w, ok := g.Weight(u, v); ok {
+				gj.Arcs = append(gj.Arcs, ArcJSON{U: u, V: v, W: w})
+			}
+		}
+	}
+	return gj
+}
+
 // TestHTTPEndToEnd drives the full API against an in-process server and
 // cross-checks every response with a direct core.Solve.
 func TestHTTPEndToEnd(t *testing.T) {
@@ -52,14 +66,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// PUT /v1/graphs
-	gj := GraphJSON{N: g.N()}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if w, ok := g.Weight(u, v); ok {
-				gj.Arcs = append(gj.Arcs, ArcJSON{U: u, V: v, W: w})
-			}
-		}
-	}
+	gj := graphJSON(g)
 	var put struct {
 		ID   string `json:"id"`
 		N    int    `json:"n"`
@@ -246,6 +253,14 @@ func TestHTTPErrors(t *testing.T) {
 	// OOM the daemon.
 	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", GraphJSON{N: 200000}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized n: status %d, want 400", resp.StatusCode)
+	}
+
+	// A weight outside (−Inf, Inf) is a sentinel, not a weight: it would
+	// store −∞ or an absent arc, or overflow the planner's cost model.
+	for _, w := range []int64{math.MinInt64, math.MaxInt64, graph.NoEdge} {
+		if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", GraphJSON{N: 3, Arcs: []ArcJSON{{0, 1, w}, {1, 2, 1}}}, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("weight %d: status %d, want 400", w, resp.StatusCode)
+		}
 	}
 
 	// Negative cycle → 422.

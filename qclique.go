@@ -409,7 +409,8 @@ func NewDigraph(n int) *Digraph {
 // N returns the vertex count.
 func (d *Digraph) N() int { return d.g.N() }
 
-// SetArc sets the weight of arc u→v (self-loops are rejected).
+// SetArc sets the weight of arc u→v. Self-loops are rejected, and so is a
+// weight outside the open interval (−Inf, Inf).
 func (d *Digraph) SetArc(u, v int, weight int64) error { return d.g.SetArc(u, v, weight) }
 
 // Weight returns the weight of arc u→v and whether it exists.
@@ -429,7 +430,8 @@ func NewGraph(n int) *Graph {
 // N returns the vertex count.
 func (g *Graph) N() int { return g.g.N() }
 
-// SetEdge sets the weight of edge {u,v} (self-loops are rejected).
+// SetEdge sets the weight of edge {u,v}. Self-loops are rejected, and so is
+// a weight outside the open interval (−Inf, Inf).
 func (g *Graph) SetEdge(u, v int, weight int64) error { return g.g.SetEdge(u, v, weight) }
 
 // Weight returns the weight of edge {u,v} and whether it exists.

@@ -102,6 +102,21 @@ func TestSolveAPSPNegativeCycle(t *testing.T) {
 	}
 }
 
+// TestSettersRejectNonFiniteWeights: the public setters refuse a weight
+// outside (−Inf, Inf), which would otherwise be stored as −∞ or as an
+// absent arc.
+func TestSettersRejectNonFiniteWeights(t *testing.T) {
+	d, g := NewDigraph(3), NewGraph(3)
+	for _, w := range []int64{-Inf, Inf} {
+		if err := d.SetArc(0, 1, w); err == nil {
+			t.Errorf("Digraph.SetArc(0, 1, %d) accepted", w)
+		}
+		if err := g.SetEdge(0, 1, w); err == nil {
+			t.Errorf("Graph.SetEdge(0, 1, %d) accepted", w)
+		}
+	}
+}
+
 func TestSolveAPSPNil(t *testing.T) {
 	if _, err := SolveAPSP(nil); err == nil {
 		t.Error("nil graph must fail")
