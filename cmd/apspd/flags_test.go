@@ -43,7 +43,6 @@ func TestParseFlags(t *testing.T) {
 			"-max-inflight", "5",
 			"-queue-depth", "11",
 			"-drain-timeout", "1500ms",
-			"-overload-degrade",
 			"-strategy", "classical",
 			"-pprof-addr", "127.0.0.1:6060",
 		})
@@ -56,7 +55,6 @@ func TestParseFlags(t *testing.T) {
 			Workers:         3,
 			MaxInflight:     5,
 			QueueDepth:      11,
-			OverloadDegrade: true,
 			DefaultStrategy: "classical-search",
 		}
 		if cfg != want {
@@ -80,7 +78,7 @@ func TestParseFlags(t *testing.T) {
 	})
 
 	t.Run("removed flags", func(t *testing.T) {
-		for _, arg := range []string{"-selftest", "-soak=1s"} {
+		for _, arg := range []string{"-selftest", "-soak=1s", "-overload-degrade"} {
 			_, _, _, _, err := parseFlags([]string{arg})
 			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 				t.Errorf("%s: err = %v, want an unknown-flag error", arg, err)

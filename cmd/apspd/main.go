@@ -15,12 +15,11 @@
 //	GET  /v1/readyz                   readiness (503 while draining or queue-saturated)
 //
 // The daemon is overload-resilient: -max-inflight bounds concurrently
-// executing solves, -queue-depth bounds the FIFO wait queue behind them
-// (excess requests answer 503 "overloaded" with a Retry-After), and
-// -overload-degrade answers degradable requests with the cheapest
-// approximate strategy while under pressure. SIGINT/SIGTERM drain
-// gracefully: readiness flips to 503, queued solves are shed, in-flight
-// ones finish within -drain-timeout.
+// executing solves and -queue-depth bounds the FIFO wait queue behind
+// them; excess requests, and queued ones whose deadline cannot cover
+// their likely service time, answer 503 "overloaded" with a Retry-After.
+// SIGINT/SIGTERM drain gracefully: readiness flips to 503, queued solves
+// are shed, in-flight ones finish within -drain-timeout.
 //
 // Failures share one envelope: {"error":{"code","message","retryable",…}}.
 //
@@ -124,7 +123,6 @@ func parseFlags(args []string) (cfg serve.Config, addr, pprofAddr string, drainT
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", runtime.GOMAXPROCS(0), "concurrently executing solves (0 = unbounded)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", 64, "admission wait queue behind a saturated -max-inflight")
 	fs.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain deadline after SIGINT/SIGTERM")
-	fs.BoolVar(&cfg.OverloadDegrade, "overload-degrade", false, "answer degradable requests with the cheapest approximate rung while under overload pressure")
 	strategy := fs.String("strategy", "auto", `default strategy for requests that name none ("auto" = planner-chosen; any registered name or alias)`)
 	fs.StringVar(&pprofAddr, "pprof-addr", "", "serve net/http/pprof diagnostics on this separate listen address (empty = disabled)")
 	if err = fs.Parse(args); err != nil {

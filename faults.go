@@ -2,13 +2,12 @@ package qclique
 
 // Public fault-injection and resilience surface: the deterministic fault
 // plan that arms a solve's simulated network, the injected-fault counters
-// every armed result carries, and the typed errors a solve surfaces when
-// the stage-retry budget gives up or the admission controller refuses it.
+// every armed result carries, and the typed error a solve surfaces when
+// the stage-retry budget gives up.
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/serve"
@@ -46,10 +45,9 @@ func WithFaultPlan(p FaultPlan) Option {
 // ladder: when the requested strategy exhausts its stage-retry budget or
 // runs out of deadline, the solve falls back to a cheaper approximate
 // strategy the input admits (exact → ApproxQuantum → ApproxSkeleton)
-// instead of failing; under overload pressure (see WithOverloadDegrade) it
-// is answered on the cheapest of those rungs. A degraded result is
-// marked with APSPResult.Degraded and reports the rung that answered in
-// Strategy and its contract in GuaranteedStretch. Honored by Solver
+// instead of failing. A degraded result is marked with
+// APSPResult.Degraded and reports the rung that answered in Strategy and
+// its contract in GuaranteedStretch. Honored by Solver
 // methods only — the ladder lives in the serving layer, and the one-shot
 // SolveAPSP rejects the option rather than silently ignoring it.
 func WithDegradation() Option {
@@ -72,34 +70,11 @@ func (e *FaultExhaustedError) Error() string {
 
 func (e *FaultExhaustedError) Unwrap() error { return e.err }
 
-// OverloadError reports a solve refused (or abandoned) by the Solver's
-// admission controller: the wait queue behind WithMaxInflight overflowed,
-// the call's context deadline could not outlive its likely service time,
-// or nothing could be admitted at all. RetryAfter is the suggested wait
-// before retrying — roughly one service time, so a saturated slot has had
-// a chance to free.
-type OverloadError struct {
-	// Reason is "queue-full", "deadline", or "draining".
-	Reason     string
-	RetryAfter time.Duration
-	err        error
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("qclique: solver overloaded (%s), retry after %v", e.Reason, e.RetryAfter.Round(time.Millisecond))
-}
-
-func (e *OverloadError) Unwrap() error { return e.err }
-
-// mapServeErr rewraps the serving layer's resilience errors into their
-// public mirrors so callers can errors.As against exported types.
+// mapServeErr rewraps the serving layer's fault-exhaustion error into its
+// public mirror so callers can errors.As against an exported type.
 func mapServeErr(err error) error {
 	if err == nil {
 		return nil
-	}
-	var oe *serve.OverloadError
-	if errors.As(err, &oe) {
-		return &OverloadError{Reason: oe.Reason, RetryAfter: oe.RetryAfter, err: err}
 	}
 	var fx *serve.FaultExhaustedError
 	if errors.As(err, &fx) {

@@ -40,30 +40,52 @@ func checkDistances(t *testing.T, g *graph.Digraph, res *Result, label string) {
 	}
 }
 
+// saturatingPathInput is 0→1 (w = Inf−1), 1→2 (w = 1): the in-range
+// weights sum to Inf, so d(0,2) is Inf and no strategy may answer Inf−1.
+func saturatingPathInput(t *testing.T) *graph.Digraph {
+	t.Helper()
+	g := graph.NewDigraph(3)
+	if err := g.SetArc(0, 1, graph.Inf-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetArc(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestSolveAllStrategiesExact(t *testing.T) {
-	g := randomAPSPInput(t, 16, 1)
-	budget := matrix.SquaringBudget(16)
-	for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
-		res, err := Solve(g, Config{Strategy: s, Seed: 7})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		checkDistances(t, g, res, s)
-		if res.Strategy != s {
-			t.Errorf("strategy echo = %v", res.Strategy)
-		}
-		if res.Rounds <= 0 {
-			t.Errorf("%v: no rounds charged", s)
-		}
-		// Gossip's node-local chain stops at its fixed point; the search
-		// pipelines run the whole ⌈log₂ n⌉ budget, because an early exit
-		// there would need a vote that charges rounds.
-		if s == StrategyGossip {
-			if res.Products < 1 || res.Products > budget {
-				t.Errorf("gossip: %d products, want 1..%d", res.Products, budget)
+	for _, in := range []struct {
+		name string
+		g    *graph.Digraph
+	}{
+		{"random n=16", randomAPSPInput(t, 16, 1)},
+		{"saturating sum", saturatingPathInput(t)},
+	} {
+		budget := matrix.SquaringBudget(in.g.N())
+		for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
+			label := in.name + "/" + s
+			res, err := Solve(in.g, Config{Strategy: s, Seed: 7})
+			if err != nil {
+				t.Fatalf("%v: %v", label, err)
 			}
-		} else if res.Products != budget {
-			t.Errorf("%v: %d products, want the full budget %d", s, res.Products, budget)
+			checkDistances(t, in.g, res, label)
+			if res.Strategy != s {
+				t.Errorf("%v: strategy echo = %v", label, res.Strategy)
+			}
+			if res.Rounds <= 0 {
+				t.Errorf("%v: no rounds charged", label)
+			}
+			// Gossip's node-local chain stops at its fixed point; the search
+			// pipelines run the whole ⌈log₂ n⌉ budget, because an early exit
+			// there would need a vote that charges rounds.
+			if s == StrategyGossip {
+				if res.Products < 1 || res.Products > budget {
+					t.Errorf("%v: %d products, want 1..%d", label, res.Products, budget)
+				}
+			} else if res.Products != budget {
+				t.Errorf("%v: %d products, want the full budget %d", label, res.Products, budget)
+			}
 		}
 	}
 }

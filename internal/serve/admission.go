@@ -93,9 +93,6 @@ func newAdmission(maxInflight, queueDepth int) *admission {
 	return &admission{maxInflight: maxInflight, maxQueue: queueDepth}
 }
 
-// bounded reports whether the controller caps concurrency at all.
-func (a *admission) bounded() bool { return a.maxInflight > 0 }
-
 // acquire admits one solve execution, blocking in FIFO order while the
 // in-flight cap is saturated. estimate is the request's likely service time
 // (zero when unknown); deadline-aware shedding compares it against ctx's
@@ -111,7 +108,7 @@ func (a *admission) acquire(ctx context.Context, estimate time.Duration) (releas
 		a.mu.Unlock()
 		return nil, shedErr("draining", estimate)
 	}
-	if !a.bounded() {
+	if a.maxInflight <= 0 {
 		a.inflight++
 		a.mu.Unlock()
 		return a.release, nil
@@ -214,8 +211,8 @@ func (a *admission) drain() {
 }
 
 // snapshot returns the controller's point-in-time gauges and cumulative
-// counters. OverloadDegraded and PanicsRecovered live in the stats
-// collector; Service.Stats merges them in.
+// counters. PanicsRecovered lives in the stats collector; Service.Stats
+// merges it in.
 func (a *admission) snapshot() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()

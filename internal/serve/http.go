@@ -295,8 +295,7 @@ type solveParamsJSON struct {
 	Faults *congest.FaultPlan `json:"faults,omitempty"`
 	// Degrade opts the request into the graceful-degradation ladder: on
 	// retry exhaustion or deadline pressure the response is a degraded
-	// approximate result instead of a 503, and under overload pressure the
-	// request is answered on the cheapest viable rung.
+	// approximate result instead of a 503.
 	Degrade bool `json:"degrade,omitempty"`
 }
 

@@ -10,11 +10,10 @@ package serve
 // cache entries, and the decision (with its predicted cost) is echoed so
 // the prediction error can be accounted on /v1/metrics.
 //
-// The same candidate machinery feeds the degradation ladder and the
-// overload-degrade path: fallback rungs are "every viable strategy with a
-// strictly weaker stretch guarantee", ranked by guarantee — the rule the
-// old hard-coded exact → approx-quantum → approx-skeleton rung list was a
-// special case of.
+// The same candidate machinery feeds the degradation ladder: fallback
+// rungs are "every viable strategy with a strictly weaker stretch
+// guarantee", ranked by guarantee — the rule the old hard-coded exact →
+// approx-quantum → approx-skeleton rung list was a special case of.
 
 import (
 	"context"

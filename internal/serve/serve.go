@@ -192,10 +192,8 @@ type SolveSpec struct {
 	// falls back along the planner's viable fallback rungs (every strategy
 	// with a strictly weaker stretch guarantee, best fidelity first —
 	// classically exact → approx-quantum → approx-skeleton) and returns a
-	// degraded result instead of an error. Under overload pressure a
-	// degradable solve goes straight to the cheapest rung (see
-	// overloadDegrade). Not part of the cache identity — each rung solves,
-	// and caches, under its own spec.
+	// degraded result instead of an error. Not part of the cache identity —
+	// each rung solves, and caches, under its own spec.
 	Degrade bool
 	// exactPlanning marks a solve for path reconstruction, which requires
 	// exact tight-successor structure: a strategy=auto resolution is
@@ -277,10 +275,6 @@ type Config struct {
 	// MaxInflight; requests beyond it are shed with an OverloadError.
 	// <= 0 selects 64 (meaningful only with MaxInflight > 0).
 	QueueDepth int
-	// OverloadDegrade routes every degradable request down the degradation
-	// ladder while the service is under overload pressure (see
-	// underPressure), even when the request itself did not opt into Degrade.
-	OverloadDegrade bool
 	// DefaultStrategy is the strategy (a registered name or alias, or
 	// "auto") a request that names none runs under. The empty value
 	// preserves the legacy default, quantum; core.StrategyAuto makes the
@@ -345,18 +339,6 @@ func (s *Service) Readiness() Readiness {
 	return r
 }
 
-// underPressure reports overload pressure: every execution slot is busy and
-// the wait queue holds at least half its depth (minimum one waiter). That
-// predicts that admitting another heavyweight exact solve buys latency, not
-// throughput. An unbounded service is never under pressure.
-func (s *Service) underPressure() bool {
-	if !s.admit.bounded() {
-		return false
-	}
-	st := s.admit.snapshot()
-	return st.Inflight >= st.MaxInflight && st.QueuedNow >= max(st.QueueDepth/2, 1)
-}
-
 // PanicError reports a solve pipeline that panicked mid-execution,
 // converted into an error at the recovery boundary instead of tearing down
 // the daemon. The pooled workspace is returned before the conversion, so
@@ -393,9 +375,8 @@ type SolveResult struct {
 	// DegradedFrom is the canonical name of the originally requested
 	// strategy (set only when Degraded).
 	DegradedFrom string
-	// DegradeReason is why the ladder stepped down: "retries-exhausted",
-	// "deadline", or "overload" (the service shed fidelity under load
-	// pressure rather than running the request at full cost).
+	// DegradeReason is why the ladder stepped down: "retries-exhausted" or
+	// "deadline".
 	DegradeReason string
 	// Plan records the planner's decision for a strategy=auto request (nil
 	// when the caller named a concrete strategy). A degraded auto solve
@@ -509,9 +490,6 @@ func (s *Service) solve(ctx context.Context, id string, g *graph.Digraph, feats 
 
 // solveResolved runs a validated, concrete (never auto) spec.
 func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	if res, ok := s.overloadDegrade(ctx, id, g, feats, spec); ok {
-		return res, nil
-	}
 	if !spec.Degrade {
 		return s.solveOne(ctx, id, g, feats, spec)
 	}
@@ -549,49 +527,6 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 	}
 	// ladderRungs always returns at least the spec itself.
 	return nil, fmt.Errorf("serve: empty degradation ladder for %s", spec.Strategy)
-}
-
-// overloadDegrade is the pressure-release valve: while the service is under
-// overload pressure, a degradable request (spec.Degrade, or every request
-// when Config.OverloadDegrade is set) is routed straight to the *cheapest*
-// viable ladder rung — the (2+ε) skeleton strategy runs ~1000x fewer rounds
-// than exact, so answering degraded is how the daemon converts a saturation
-// collapse into a fidelity dip. The cheap rung still passes admission: it
-// waits in the queue like any other execution, it just holds its slot for
-// far less time. A cached answer at the requested fidelity is free and
-// never degraded, and a rung failure falls through to the normal path so
-// the regular ladder reports it.
-func (s *Service) overloadDegrade(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, bool) {
-	if !spec.Degrade && !s.cfg.OverloadDegrade {
-		return nil, false
-	}
-	if !s.underPressure() {
-		return nil, false
-	}
-	if _, ok := s.cache.get(spec.key(id)); ok {
-		return nil, false
-	}
-	fallbacks := s.plannerFallbacks(spec, feats)
-	if len(fallbacks) == 0 {
-		return nil, false // no cheaper rung is viable for this graph's weights
-	}
-	cheapest := fallbacks[0]
-	cheapestWall := s.estimateFor(cheapest.Strategy, feats, cheapest.Epsilon)
-	for _, fb := range fallbacks[1:] {
-		if w := s.estimateFor(fb.Strategy, feats, fb.Epsilon); w < cheapestWall {
-			cheapest, cheapestWall = fb, w
-		}
-	}
-	res, err := s.solveOne(ctx, id, g, feats, cheapest)
-	if err != nil {
-		return nil, false
-	}
-	res.Degraded = true
-	res.DegradedFrom = spec.Strategy
-	res.DegradeReason = "overload"
-	s.stats.degraded(spec.Strategy)
-	s.stats.overloadDegraded()
-	return res, true
 }
 
 // ladderRungs returns the degradation ladder for spec over a graph with
@@ -890,6 +825,6 @@ func (s *Service) answerBatch(res *SolveResult, spec SolveSpec, queries []PathQu
 func (s *Service) Stats() Stats {
 	st := s.stats.snapshot(s.store.len(), s.cache.len())
 	st.Admission = s.admit.snapshot()
-	st.Admission.OverloadDegraded, st.Admission.PanicsRecovered = s.stats.overloadCounters()
+	st.Admission.PanicsRecovered = s.stats.panicsRecovered()
 	return st
 }

@@ -87,9 +87,6 @@ type AdmissionStats struct {
 	// Shed counts requests refused with an OverloadError (queue overflow,
 	// hopeless deadline, or draining) — never counted in Cancelled.
 	Shed int64 `json:"shed"`
-	// OverloadDegraded counts requests the overload monitor routed down the
-	// degradation ladder (degrade_reason "overload").
-	OverloadDegraded int64 `json:"overload_degraded"`
 	// PanicsRecovered counts panicking solves and handlers converted into
 	// 500 "internal" envelopes instead of daemon crashes.
 	PanicsRecovered int64 `json:"panics_recovered"`
@@ -141,12 +138,11 @@ type Stats struct {
 }
 
 type statsCollector struct {
-	mu               sync.Mutex
-	pathQueries      int64
-	overloadDegrades int64
-	panics           int64
-	planner          PlannerStats
-	byStrategy       map[string]*StrategyStats
+	mu          sync.Mutex
+	pathQueries int64
+	panics      int64
+	planner     PlannerStats
+	byStrategy  map[string]*StrategyStats
 }
 
 func newStatsCollector() *statsCollector {
@@ -329,14 +325,6 @@ func (s *statsCollector) degraded(name string) {
 	s.forStrategy(name).Degraded++
 }
 
-// overloadDegraded records one request the overload monitor routed down the
-// degradation ladder.
-func (s *statsCollector) overloadDegraded() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.overloadDegrades++
-}
-
 // panicRecovered records one panicking solve or handler converted into an
 // error instead of a daemon crash.
 func (s *statsCollector) panicRecovered() {
@@ -345,11 +333,11 @@ func (s *statsCollector) panicRecovered() {
 	s.panics++
 }
 
-// overloadCounters returns the collector-owned halves of AdmissionStats.
-func (s *statsCollector) overloadCounters() (overloadDegraded, panicsRecovered int64) {
+// panicsRecovered returns the collector-owned counter of AdmissionStats.
+func (s *statsCollector) panicsRecovered() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.overloadDegrades, s.panics
+	return s.panics
 }
 
 func (s *statsCollector) pathQueriesAdd(n int) {

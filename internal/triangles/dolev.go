@@ -129,7 +129,10 @@ func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network)
 		if !ok {
 			return
 		}
-		if graph.SaturatingAdd(graph.SaturatingAdd(fab, la), lb) < 0 {
+		// Compare the legs' sum with −fab, as legSumBelow does: folding
+		// fab into the sum saturates it at −Inf once the threshold reaches
+		// Inf, and every leg sum would then read as negative.
+		if graph.SaturatingAdd(la, lb) < -fab {
 			edges[graph.MakePair(a, b)] = true
 		}
 	}

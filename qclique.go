@@ -222,18 +222,6 @@ type Options struct {
 	// CacheSize bounds the results a Solver retains (NewSolver only;
 	// <= 0 selects a small built-in capacity).
 	CacheSize int
-	// MaxInflight bounds a Solver's concurrently executing solves
-	// (NewSolver only; <= 0 leaves execution unbounded). Cache hits and
-	// deduplicated calls never count against it.
-	MaxInflight int
-	// QueueDepth bounds the FIFO wait queue behind a saturated MaxInflight
-	// (NewSolver only; <= 0 selects a built-in default). Calls beyond it
-	// fail with an *OverloadError instead of waiting.
-	QueueDepth int
-	// OverloadDegrade answers degradable solves with the cheapest viable
-	// approximate strategy while the Solver is under overload pressure
-	// (NewSolver only; see WithOverloadDegrade).
-	OverloadDegrade bool
 	// Timeout bounds the wall-clock time of a solve (0 = no deadline).
 	Timeout time.Duration
 	// Faults arms the solve with a deterministic fault-injection plan
@@ -325,37 +313,6 @@ func WithWorkers(n int) Option {
 // default (0) selects a small built-in capacity.
 func WithCacheSize(n int) Option {
 	return func(o *Options) { o.CacheSize = n }
-}
-
-// WithMaxInflight bounds the Solver's concurrently executing solves
-// (admission control): past the bound, cache-missing calls wait in a FIFO
-// queue, and past WithQueueDepth they fail fast with an *OverloadError
-// instead of piling unbounded pipeline runs onto the host. Cache hits and
-// calls deduplicated onto a concurrent identical solve never count against
-// the bound. Read by NewSolver only; the default (0) leaves execution
-// unbounded.
-func WithMaxInflight(n int) Option {
-	return func(o *Options) { o.MaxInflight = n }
-}
-
-// WithQueueDepth bounds the FIFO wait queue behind a saturated
-// WithMaxInflight. Queued calls are deadline-aware: one whose remaining
-// context budget could not cover its likely service time fails immediately
-// with an *OverloadError rather than waiting for an answer that would
-// arrive dead. Read by NewSolver only; the default (0) selects a built-in
-// depth.
-func WithQueueDepth(n int) Option {
-	return func(o *Options) { o.QueueDepth = n }
-}
-
-// WithOverloadDegrade lets the Solver shed fidelity instead of throughput:
-// while under overload pressure (every WithMaxInflight slot busy and the
-// queue at least half full), degradable solves are answered by the cheapest
-// viable approximate strategy — marked Degraded with DegradeReason
-// "overload" — which still queues, but runs far shorter than the exact
-// solve. Read by NewSolver only.
-func WithOverloadDegrade(on bool) Option {
-	return func(o *Options) { o.OverloadDegrade = on }
 }
 
 // WithTimeout bounds the wall-clock time of a solve: the pipeline
@@ -474,7 +431,7 @@ type APSPResult struct {
 	// with a fallback strategy (see WithDegradation): Strategy and
 	// GuaranteedStretch describe the rung that actually ran, DegradedFrom
 	// the strategy that was asked for, DegradeReason why it stepped down
-	// ("retries-exhausted", "deadline" or "overload").
+	// ("retries-exhausted" or "deadline").
 	Degraded      bool
 	DegradedFrom  Strategy
 	DegradeReason string

@@ -31,13 +31,7 @@ func NewSolver(opts ...Option) *Solver {
 	o := buildOptions(opts)
 	return &Solver{
 		defaults: o,
-		svc: serve.New(serve.Config{
-			CacheSize:       o.CacheSize,
-			Workers:         o.Workers,
-			MaxInflight:     o.MaxInflight,
-			QueueDepth:      o.QueueDepth,
-			OverloadDegrade: o.OverloadDegrade,
-		}),
+		svc:      serve.New(serve.Config{CacheSize: o.CacheSize, Workers: o.Workers}),
 	}
 }
 
@@ -197,20 +191,13 @@ func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, 
 }
 
 // PathQuery is one (src, dst) request in a PathsBatch call.
-type PathQuery struct {
-	Src, Dst int
-}
+type PathQuery = serve.PathQuery
 
-// PathAnswer is the response to one PathQuery. Err carries per-query
-// failures (ErrNoPath for unreachable pairs) without failing the batch.
-type PathAnswer struct {
-	Src, Dst int
-	// Dist is the shortest distance; Inf when unreachable.
-	Dist int64
-	// Path is the vertex sequence src..dst; nil when Err is set.
-	Path []int
-	Err  error
-}
+// PathAnswer is the response to one PathQuery: Dist is the shortest
+// distance (Inf when unreachable) and Path the vertex sequence src..dst.
+// Err carries per-query failures (ErrNoPath for unreachable pairs, with a
+// nil Path) without failing the batch.
+type PathAnswer = serve.PathAnswer
 
 // PathsBatch answers all queries against one (cached) APSP solve of g,
 // fanning the per-query reconstruction across the worker pool and reusing
@@ -224,19 +211,11 @@ func (s *Solver) PathsBatch(g *Digraph, queries []PathQuery, opts ...Option) ([]
 		return nil, nil, errors.New("qclique: nil graph")
 	}
 	o := s.merged(opts)
-	qs := make([]serve.PathQuery, len(queries))
-	for i, q := range queries {
-		qs[i] = serve.PathQuery{Src: q.Src, Dst: q.Dst}
-	}
-	answers, sr, err := s.svc.PathsBatchGraph(g.g, o.spec(), qs)
+	answers, sr, err := s.svc.PathsBatchGraph(g.g, o.spec(), queries)
 	if err != nil {
 		return nil, nil, mapServeErr(err)
 	}
-	out := make([]PathAnswer, len(answers))
-	for i, a := range answers {
-		out[i] = PathAnswer{Src: a.Src, Dst: a.Dst, Dist: a.Dist, Path: a.Path, Err: a.Err}
-	}
-	return out, resultFromServe(sr), nil
+	return answers, resultFromServe(sr), nil
 }
 
 // StrategyStats is the per-strategy accounting of a Solver.
@@ -276,13 +255,6 @@ type StrategyStats struct {
 	StageRounds map[string]int64
 }
 
-// AdmissionStats is the Solver's overload-resilience accounting: the
-// admission controller's configuration and point-in-time gauges (Draining
-// reports a closed admission gate), plus the cumulative overload counters.
-// Shed calls — refused with an *OverloadError — are never counted in
-// StrategyStats.Cancelled.
-type AdmissionStats = serve.AdmissionStats
-
 // PlannerStats is the Solver's strategy-planner accounting: how many
 // StrategyAuto requests were planned, which strategies the planner chose
 // (Chosen, keyed by strategy name), and the cumulative prediction error of
@@ -297,8 +269,6 @@ type SolverStats struct {
 	CachedResults int
 	// PathQueries counts individual path queries answered.
 	PathQueries int64
-	// Admission is the overload-resilience accounting.
-	Admission AdmissionStats
 	// Planner is the strategy-planner accounting; nil until the first
 	// StrategyAuto decision.
 	Planner *PlannerStats
@@ -311,13 +281,12 @@ func (s *Solver) Stats() SolverStats {
 	if s == nil || s.svc == nil {
 		return SolverStats{}
 	}
-	// The snapshot is already a deep copy, so the aliased admission and
-	// planner sections pass through as they are.
+	// The snapshot is already a deep copy, so the aliased planner section
+	// passes through as it is.
 	st := s.svc.Stats()
 	out := SolverStats{
 		CachedResults: st.CachedResults,
 		PathQueries:   st.PathQueries,
-		Admission:     st.Admission,
 		Planner:       st.Planner,
 		Strategies:    make(map[string]StrategyStats, len(st.Strategies)),
 	}
