@@ -37,10 +37,7 @@ func TestGossipPriorAnchoredOnBaseline(t *testing.T) {
 	if !ok {
 		t.Fatal("gossip is not registered")
 	}
-	prior, ok := engine.PredictCostOf(st, graph.Features{N: 256}, 0)
-	if !ok {
-		t.Fatal("gossip declares no cost prior")
-	}
+	prior := st.PredictCost(graph.Features{N: 256}, 0)
 	for _, r := range rep.Benchmarks {
 		if r.Name != "GossipAPSP/n=256" {
 			continue

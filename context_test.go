@@ -51,6 +51,39 @@ func TestWithTimeoutStopsTheSolve(t *testing.T) {
 	}
 }
 
+// TestSolverQueriesHonorWithTimeout: SSSP, ShortestPath and PathsBatch
+// run their solve under WithTimeout's deadline, as Solve and the one-shot
+// SolveSSSP do; an already-expired deadline answers DeadlineExceeded and
+// solves nothing.
+func TestSolverQueriesHonorWithTimeout(t *testing.T) {
+	g := qclique.NewDigraph(16)
+	for i := 0; i < 16; i++ {
+		if err := g.SetArc(i, (i+1)%16, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := qclique.NewSolver(qclique.WithParams(qclique.ScaledConstants))
+	expired := qclique.WithTimeout(time.Nanosecond)
+	if _, err := s.Solve(g, expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Solve: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, _, err := qclique.SolveSSSP(g, 0, qclique.WithParams(qclique.ScaledConstants), expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("SolveSSSP: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, _, err := s.SSSP(g, 0, expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Solver.SSSP: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, _, err := s.ShortestPath(g, 0, 5, expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Solver.ShortestPath: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, _, err := s.PathsBatch(g, []qclique.PathQuery{{Src: 0, Dst: 5}}, expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Solver.PathsBatch: err = %v, want context.DeadlineExceeded", err)
+	}
+	if st := s.Stats().Strategies["quantum"]; st.Solves != 0 {
+		t.Errorf("stats = %+v, want no completed solve", st)
+	}
+}
+
 // TestSolverSolveContextCancelThenResolve: a cancelled solve must leave
 // the solver fully usable — the retry runs fresh (not cached) and is
 // bit-identical to an independent solve.
@@ -83,12 +116,12 @@ func TestSolverSolveContextCancelThenResolve(t *testing.T) {
 	if st.Cancelled != 1 || st.Solves != 1 {
 		t.Fatalf("stats = %+v, want Cancelled=1 Solves=1", st)
 	}
-	if len(st.StageRounds) == 0 {
+	if len(st.Stages) == 0 {
 		t.Fatal("per-stage rounds missing from solver stats")
 	}
 	var sum int64
-	for _, r := range st.StageRounds {
-		sum += r
+	for _, agg := range st.Stages {
+		sum += agg.Rounds
 	}
 	if sum != st.RoundsCharged {
 		t.Fatalf("stage rounds roll up to %d, want %d", sum, st.RoundsCharged)

@@ -6,9 +6,6 @@ package qclique
 // the stage-retry budget gives up.
 
 import (
-	"errors"
-	"fmt"
-
 	"qclique/internal/congest"
 	"qclique/internal/serve"
 )
@@ -56,29 +53,8 @@ func WithDegradation() Option {
 
 // FaultExhaustedError reports a solve that ran out of stage-retry budget
 // under an armed fault plan: the injected faults outlasted every retry
-// (and, with WithDegradation, every ladder rung the input admitted).
-type FaultExhaustedError struct {
-	// Faults is the injected-fault accounting of the failed run.
-	Faults FaultCounters
-	err    error
-}
-
-func (e *FaultExhaustedError) Error() string {
-	return fmt.Sprintf("qclique: fault-injection retries exhausted (%d unrecovered faults): %v",
-		e.Faults.Corrupted+e.Faults.Crashes, e.err)
-}
-
-func (e *FaultExhaustedError) Unwrap() error { return e.err }
-
-// mapServeErr rewraps the serving layer's fault-exhaustion error into its
-// public mirror so callers can errors.As against an exported type.
-func mapServeErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var fx *serve.FaultExhaustedError
-	if errors.As(err, &fx) {
-		return &FaultExhaustedError{Faults: fx.Faults, err: err}
-	}
-	return err
-}
+// (and, with WithDegradation, every ladder rung the input admitted). It
+// carries the failed run's partial telemetry — Stages (retries included),
+// the Rounds they charged and the Faults injected — and unwraps to the
+// underlying *congest.FaultError chain.
+type FaultExhaustedError = serve.FaultExhaustedError

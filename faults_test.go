@@ -72,6 +72,13 @@ func TestSolveAPSPFaultExhaustion(t *testing.T) {
 	if fx.Unwrap() == nil {
 		t.Error("exhaustion error has no cause chain")
 	}
+	var sum int64
+	for _, sg := range fx.Stages {
+		sum += sg.Rounds
+	}
+	if fx.Rounds <= 0 || sum != fx.Rounds {
+		t.Errorf("exhaustion telemetry: stage rounds sum %d, Rounds %d, want equal and > 0", sum, fx.Rounds)
+	}
 
 	// The one-shot entry point has no ladder: WithDegradation is rejected,
 	// not ignored.

@@ -37,7 +37,6 @@ func init() {
 type chainStrategy struct{}
 
 func (chainStrategy) Name() string                  { return "approx-quantum" }
-func (chainStrategy) Approximate() bool             { return true }
 func (chainStrategy) Guarantee(eps float64) float64 { return 1 + eps }
 
 // Cost anchors: measured at n=64, ε=0.5 under the scaled preset
@@ -152,7 +151,6 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 type skeletonStrategy struct{}
 
 func (skeletonStrategy) Name() string                  { return "approx-skeleton" }
-func (skeletonStrategy) Approximate() bool             { return true }
 func (skeletonStrategy) Guarantee(eps float64) float64 { return 2 + eps }
 
 func (skeletonStrategy) Capabilities() engine.Capabilities {

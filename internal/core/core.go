@@ -133,22 +133,11 @@ func (c Config) strategy() string {
 	return c.Strategy
 }
 
-// Result is the outcome of an APSP solve.
+// Result is the outcome of an APSP solve: the engine's Outcome (distances,
+// with graph.Inf for unreachable pairs; rounds; products; per-stage
+// telemetry) plus the solve's identity and stretch contract.
 type Result struct {
-	// Dist holds d(i,j) for all pairs; graph.Inf marks unreachable pairs.
-	Dist *matrix.Matrix
-	// Rounds is the total CONGEST-CLIQUE rounds charged across the whole
-	// pipeline.
-	Rounds int64
-	// Metrics is the aggregate network accounting.
-	Metrics congest.Metrics
-	// Products is the number of distance products: at most ⌈log₂ n⌉
-	// (Proposition 3). The search pipelines run all of them; gossip and
-	// approx-quantum stop at the squaring chain's fixed point.
-	Products int
-	// FindEdgesCalls is the total number of FindEdges invocations across
-	// all products (Proposition 2: O(log M) each).
-	FindEdgesCalls int
+	engine.Outcome
 	// Strategy is the canonical registry name of the pipeline that ran.
 	Strategy string
 	// W is the input weight bound observed.
@@ -159,18 +148,6 @@ type Result struct {
 	// guarantees: 1 for the exact pipelines, 1+ε for StrategyApproxQuantum,
 	// 2+ε for StrategyApproxSkeleton.
 	GuaranteedStretch float64
-	// ObservedStretch is the measured maximum ratio of the returned
-	// distances over the centralized exact reference (1 for exact
-	// strategies, where the pipelines are validated elsewhere). Approximate
-	// solves always pay the O(n³) central reference run; it is the
-	// simulation's accuracy instrument, not a serving-path cost.
-	ObservedStretch float64
-	// Stages is the engine's per-stage breakdown of the pipeline, in
-	// execution order. The per-stage Rounds sum exactly to Rounds; wall
-	// time and allocation columns are host-side measurements. On a
-	// cancelled solve the partial breakdown (work done before the stop) is
-	// returned alongside the context error.
-	Stages []engine.StageStat
 }
 
 // Solve computes exact APSP distances for g. Graphs containing a negative
@@ -198,23 +175,22 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 	if !registered {
 		return nil, fmt.Errorf("core: unknown strategy %q (registered: %s)", cfg.Strategy, strings.Join(engine.Names(), ", "))
 	}
-	if strat.Approximate() {
+	if strat.Capabilities().Approximate {
 		if !approx.ValidEpsilon(cfg.Epsilon) {
 			return nil, fmt.Errorf("core: strategy %s: %w (got %v)", strat.Name(), approx.ErrBadEpsilon, cfg.Epsilon)
 		}
 	} else if cfg.Epsilon != 0 {
 		return nil, fmt.Errorf("core: Epsilon is only valid for approximate strategies (got %v with %s)", cfg.Epsilon, strat.Name())
 	}
-	n := g.N()
 	res := &Result{
 		Strategy:          strat.Name(),
 		W:                 g.MaxAbsWeight(),
 		Epsilon:           cfg.Epsilon,
 		GuaranteedStretch: strat.Guarantee(cfg.Epsilon),
-		ObservedStretch:   1,
 	}
-	if n == 0 {
+	if g.N() == 0 {
 		res.Dist = matrix.New(0)
+		res.ObservedStretch = 1
 		return res, nil
 	}
 	ws := cfg.Workspace
@@ -232,31 +208,21 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 		StageHook: cfg.StageHook,
 		Faults:    cfg.Faults,
 	})
+	if out == nil {
+		return nil, err
+	}
+	res.Outcome = *out
 	if err != nil {
 		var fe *congest.FaultError
-		if out != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.As(err, &fe)) {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.As(err, &fe) {
 			// Cancelled mid-pipeline, or an injected fault exhausted the
 			// stage retry budget: surface the partial stage telemetry (no
 			// distances) so the serving layer can report what ran — and,
 			// for faults, how many were injected before the stop.
-			res.Rounds = out.Rounds
-			res.Metrics = out.Metrics
-			res.Products = out.Products
-			res.Stages = out.Stages
 			return res, err
 		}
 		return nil, err
 	}
-	res.Dist = out.Dist
-	res.Products = out.Products
-	res.FindEdgesCalls = out.FindEdgesCalls
-	res.Rounds = out.Rounds
-	res.Metrics = out.Metrics
-	res.Stages = out.Stages
-	if strat.Approximate() {
-		res.ObservedStretch = out.ObservedStretch
-	}
-
 	if res.Dist.HasNegativeDiagonal() {
 		return res, ErrNegativeCycle
 	}

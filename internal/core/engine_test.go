@@ -206,7 +206,7 @@ func TestStrategyRegistryCoversEveryEnum(t *testing.T) {
 			t.Errorf("strategy %q has no registered pipeline", name)
 			continue
 		}
-		if st.Approximate() != (name == StrategyApproxQuantum || name == StrategyApproxSkeleton) {
+		if st.Capabilities().Approximate != (name == StrategyApproxQuantum || name == StrategyApproxSkeleton) {
 			t.Errorf("strategy %q approximate flag mismatch", name)
 		}
 	}

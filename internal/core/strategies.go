@@ -27,7 +27,7 @@ import (
 // the search pipelines spend many phases per stage, so they get the larger
 // budget; gossip's stages are single broadcasts. The backoff base is small
 // — the simulator retries in-process, the backoff exists to be measured
-// (StageStat.BackoffNs) and to model the recovery pause a real transport
+// (StageStat.Backoff) and to model the recovery pause a real transport
 // would take.
 var (
 	searchRetry = engine.RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Microsecond}
@@ -63,7 +63,6 @@ type searchPipeline struct {
 }
 
 func (p *searchPipeline) Name() string              { return p.name }
-func (p *searchPipeline) Approximate() bool         { return false }
 func (p *searchPipeline) Guarantee(float64) float64 { return 1 }
 
 // costAnchor is one committed benchmark measurement (a BENCH_1.json entry)
@@ -193,7 +192,6 @@ func (st *searchRun) release() {
 type gossipPipeline struct{}
 
 func (gossipPipeline) Name() string              { return StrategyGossip }
-func (gossipPipeline) Approximate() bool         { return false }
 func (gossipPipeline) Guarantee(float64) float64 { return 1 }
 
 func (gossipPipeline) Capabilities() engine.Capabilities { return engine.Capabilities{} }

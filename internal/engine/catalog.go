@@ -8,11 +8,11 @@ import (
 
 // Capabilities declares what inputs a strategy accepts and which accuracy
 // class it belongs to — the static half of the catalog the serving layer's
-// planner queries. The zero value ("accepts anything, exact") is the
-// correct default for strategies that predate the Costed interface.
+// planner queries. The zero value declares an exact strategy that accepts
+// any graph.
 type Capabilities struct {
-	// Approximate mirrors Strategy.Approximate: the pipeline trades
-	// exactness for rounds and requires an epsilon budget.
+	// Approximate marks a pipeline that trades exactness for rounds and
+	// therefore requires an epsilon budget (Request.Epsilon > 0).
 	Approximate bool `json:"approximate"`
 	// RejectsNegative marks pipelines that refuse graphs with negative arc
 	// weights (multiplicative stretch is meaningless below zero).
@@ -68,55 +68,6 @@ func (p CostPrior) ScaleFrom(anchorN, n int, roundsExp, wallExp float64) CostPri
 	}
 	if out.WallNs < 1 {
 		out.WallNs = 1
-	}
-	return out
-}
-
-// Costed is the catalog half of a strategy: its input constraints and its
-// cost prior. All registered strategies implement it; CapabilitiesOf and
-// PredictCostOf degrade gracefully for any future strategy that does not.
-type Costed interface {
-	// Capabilities declares the strategy's input constraints and epsilon
-	// domain.
-	Capabilities() Capabilities
-	// PredictCost estimates one solve's cost for a graph with profile f
-	// under stretch budget eps (ignored by exact strategies).
-	PredictCost(f graph.Features, eps float64) CostPrior
-}
-
-// CapabilitiesOf returns s's declared capabilities, falling back to the
-// conservative zero profile (plus the Approximate flag the base interface
-// already carries) when s does not implement Costed.
-func CapabilitiesOf(s Strategy) Capabilities {
-	if c, ok := s.(Costed); ok {
-		return c.Capabilities()
-	}
-	return Capabilities{Approximate: s.Approximate()}
-}
-
-// PredictCostOf returns s's cost prior for (f, eps); ok is false when s
-// does not implement Costed (no prior exists).
-func PredictCostOf(s Strategy, f graph.Features, eps float64) (CostPrior, bool) {
-	if c, ok := s.(Costed); ok {
-		return c.PredictCost(f, eps), true
-	}
-	return CostPrior{}, false
-}
-
-// CatalogEntry pairs a registered strategy with its declared capabilities.
-type CatalogEntry struct {
-	Strategy     Strategy
-	Capabilities Capabilities
-}
-
-// Catalog returns every registered strategy with its capabilities, sorted
-// by canonical name — the queryable form of the registry the planner and
-// the GET /v1/strategies endpoint consume.
-func Catalog() []CatalogEntry {
-	ss := Strategies()
-	out := make([]CatalogEntry, len(ss))
-	for i, s := range ss {
-		out[i] = CatalogEntry{Strategy: s, Capabilities: CapabilitiesOf(s)}
 	}
 	return out
 }

@@ -75,8 +75,11 @@ type Outcome struct {
 	Products int
 	// FindEdgesCalls is the total FindEdges invocations across products.
 	FindEdgesCalls int
-	// ObservedStretch is the measured maximum ratio over the exact
-	// reference (0 when the pipeline has no stretch-audit stage).
+	// ObservedStretch is the measured maximum ratio of the distances over
+	// the centralized exact reference; it stays 1 for pipelines without a
+	// stretch-audit stage (the exact ones). Approximate solves always pay
+	// the O(n³) reference run: it is the simulation's accuracy instrument,
+	// not a serving-path cost.
 	ObservedStretch float64
 	// Rounds is the total rounds charged on the pipeline's network.
 	Rounds int64
@@ -88,28 +91,30 @@ type Outcome struct {
 
 // StageStat is one stage's telemetry. Rounds, Words and Phases are
 // congest.Metrics deltas at the stage boundaries and are therefore exactly
-// as deterministic as the protocol itself; WallNs and Allocs are host-side
+// as deterministic as the protocol itself; Wall and Allocs are host-side
 // measurements (Allocs counts process-global mallocs, so concurrent solves
 // bleed into each other — it is a profile hint, not an accounting fact).
+// The durations encode as integer nanoseconds (wall_ns, backoff_ns).
 type StageStat struct {
-	Name    string `json:"name"`
-	Rounds  int64  `json:"rounds"`
-	Words   int64  `json:"words"`
-	Phases  int64  `json:"phases"`
-	WallNs  int64  `json:"wall_ns"`
-	Allocs  uint64 `json:"allocs"`
-	Skipped bool   `json:"skipped,omitempty"`
+	// Name labels the stage ("encode", "square-3", "stretch-audit", …).
+	Name   string `json:"name"`
+	Rounds int64  `json:"rounds"`
+	Words  int64  `json:"words"`
+	Phases int64  `json:"phases"`
+	// Wall is the host wall-clock time spent in the stage.
+	Wall   time.Duration `json:"wall_ns"`
+	Allocs uint64        `json:"allocs"`
+	// Skipped marks a stage the pipeline proved unnecessary (e.g. squaring
+	// products after the approximate chain's fixpoint vote converged).
+	Skipped bool `json:"skipped,omitempty"`
 	// Retries counts re-runs of the stage after unrecovered injected
 	// faults (congest.FaultError); the stage's other columns aggregate
 	// across all attempts, so the stage-rounds-sum invariant holds under
 	// retry.
 	Retries int `json:"retries,omitempty"`
-	// BackoffNs is the wall time spent waiting between retry attempts.
-	BackoffNs int64 `json:"backoff_ns,omitempty"`
+	// Backoff is the wall time spent waiting between retry attempts.
+	Backoff time.Duration `json:"backoff_ns,omitempty"`
 }
-
-// Wall returns the stage's wall-clock time.
-func (s StageStat) Wall() time.Duration { return time.Duration(s.WallNs) }
 
 // SumRounds returns the total rounds across stages — by construction equal
 // to the pipeline's Rounds when every stage ran through the engine.
@@ -178,7 +183,7 @@ func Run(ctx context.Context, s Strategy, req *Request) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := &Outcome{}
+	out := &Outcome{ObservedStretch: 1}
 	plan, err := s.Stages(req, out)
 	if err != nil {
 		return nil, err
@@ -246,7 +251,7 @@ func runStageWithRetry(ctx context.Context, plan *Plan, st Stage) (StageStat, er
 	var fe *congest.FaultError
 	for err != nil && errors.As(err, &fe) && stat.Retries < plan.Retry.MaxRetries {
 		wait, werr := backoff(ctx, plan.Retry.Backoff, stat.Retries)
-		stat.BackoffNs += wait.Nanoseconds()
+		stat.Backoff += wait
 		if werr != nil {
 			return stat, werr
 		}
@@ -254,7 +259,7 @@ func runStageWithRetry(ctx context.Context, plan *Plan, st Stage) (StageStat, er
 		stat.Rounds += again.Rounds
 		stat.Words += again.Words
 		stat.Phases += again.Phases
-		stat.WallNs += again.WallNs
+		stat.Wall += again.Wall
 		stat.Allocs += again.Allocs
 		stat.Retries++
 		err = rerr
@@ -296,7 +301,7 @@ func runStage(ctx context.Context, net *congest.Network, st Stage) (StageStat, e
 
 	err := st.Run(ctx)
 
-	stat := StageStat{Name: st.Name, WallNs: time.Since(start).Nanoseconds()}
+	stat := StageStat{Name: st.Name, Wall: time.Since(start)}
 	stat.Allocs = mallocCount() - mallocs
 	if net != nil {
 		delta := net.DeltaSince(before)

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"qclique/internal/congest"
+	"qclique/internal/graph"
 )
 
 // fakeStrategy builds a configurable pipeline for engine unit tests.
@@ -16,9 +18,12 @@ type fakeStrategy struct {
 	stages func(req *Request, out *Outcome) (*Plan, error)
 }
 
-func (f fakeStrategy) Name() string              { return f.name }
-func (f fakeStrategy) Approximate() bool         { return false }
-func (f fakeStrategy) Guarantee(float64) float64 { return 1 }
+func (f fakeStrategy) Name() string               { return f.name }
+func (f fakeStrategy) Guarantee(float64) float64  { return 1 }
+func (f fakeStrategy) Capabilities() Capabilities { return Capabilities{} }
+func (f fakeStrategy) PredictCost(graph.Features, float64) CostPrior {
+	return CostPrior{Rounds: 1, WallNs: 1}
+}
 func (f fakeStrategy) Stages(req *Request, out *Outcome) (*Plan, error) {
 	return f.stages(req, out)
 }
@@ -245,8 +250,8 @@ func TestRetryRecoversFromFaultError(t *testing.T) {
 	if st.Retries != 2 {
 		t.Errorf("Retries = %d, want 2", st.Retries)
 	}
-	if st.BackoffNs <= 0 {
-		t.Errorf("BackoffNs = %d, want > 0", st.BackoffNs)
+	if st.Backoff <= 0 {
+		t.Errorf("Backoff = %v, want > 0", st.Backoff)
 	}
 	// The stage stat aggregates every attempt, so the stage-sum invariant
 	// holds under retry: 3 attempts x 2 rounds.
@@ -320,5 +325,21 @@ func TestRetryBackoffHonorsContext(t *testing.T) {
 	_, err := Run(ctx, s, &Request{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled from backoff, got %v", err)
+	}
+}
+
+// TestStageStatJSON pins the wire form of stage telemetry: the durations
+// encode as integer nanoseconds under wall_ns and backoff_ns, in the key
+// order solve responses have always carried (benchmark reports read
+// wall_ns from them).
+func TestStageStatJSON(t *testing.T) {
+	st := StageStat{Name: "square-1", Rounds: 3, Words: 40, Phases: 2, Wall: 1500, Allocs: 7, Retries: 1, Backoff: 250 * time.Microsecond}
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"square-1","rounds":3,"words":40,"phases":2,"wall_ns":1500,"allocs":7,"retries":1,"backoff_ns":250000}`
+	if string(got) != want {
+		t.Fatalf("encoded %s, want %s", got, want)
 	}
 }

@@ -4,24 +4,30 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"qclique/internal/graph"
 )
 
 // Strategy describes one registered APSP pipeline: its canonical name, its
-// accuracy contract, and how to assemble its staged execution plan for one
-// solve.
+// accuracy contract, the inputs it accepts and what a solve is predicted
+// to cost (the catalog the serving layer's planner ranks), and how to
+// assemble its staged execution plan for one solve.
 type Strategy interface {
 	// Name is the canonical registry key ("quantum", "approx-skeleton", …).
 	Name() string
-	// Approximate reports whether the pipeline trades exactness for rounds
-	// (and therefore requires Request.Epsilon > 0).
-	Approximate() bool
 	// Guarantee returns the multiplicative stretch bound for budget eps:
 	// 1 for exact pipelines, 1+ε or 2+ε for the approximate ones.
 	Guarantee(eps float64) float64
+	// Capabilities declares the strategy's accuracy class, input
+	// constraints and epsilon domain.
+	Capabilities() Capabilities
+	// PredictCost estimates one solve's cost for a graph with profile f
+	// under stretch budget eps (ignored by exact strategies).
+	PredictCost(f graph.Features, eps float64) CostPrior
 	// Stages assembles the staged pipeline for req. Stages write their
 	// results into out as they run; the engine fills the telemetry fields.
 	// The caller guarantees req.G is non-nil with at least one vertex and
-	// that Epsilon has been validated against Approximate().
+	// that Epsilon has been validated against Capabilities().Approximate.
 	Stages(req *Request, out *Outcome) (*Plan, error)
 }
 

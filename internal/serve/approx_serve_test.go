@@ -148,7 +148,7 @@ func TestPathsBatchUndefinedDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{})
-	res := &SolveResult{Res: &core.Result{Dist: dist}, Oracle: oracle}
+	res := &SolveResult{Oracle: oracle}
 	answers := s.answerBatch(res, SolveSpec{}, []PathQuery{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
 	for _, a := range answers {
 		if !errors.Is(a.Err, core.ErrUndefinedDistance) {

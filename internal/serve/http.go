@@ -483,11 +483,9 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		id, err := s.PutGraph(g)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
+		// The decoded graph is this request's own, so the store keeps it
+		// without the private copy PutGraph makes of a caller's graph.
+		id := s.store.put(g, true)
 		out := map[string]any{"id": id, "n": g.N(), "arcs": g.ArcCount()}
 		// Echo the structural profile computed at insert so clients can see
 		// what the planner will see (negative arcs and asymmetry restrict

@@ -233,6 +233,43 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPStrategiesKeyOrder pins the wire form of a GET /v1/strategies
+// row: the name and guarantee, the capability fields, then the live
+// telemetry, in that order.
+func TestHTTPStrategiesKeyOrder(t *testing.T) {
+	svc := New(Config{})
+	id, err := svc.PutGraph(symDigraph(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Solve(id, SolveSpec{Strategy: core.StrategyApproxSkeleton, Epsilon: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	var catalog struct {
+		Strategies []json.RawMessage `json:"strategies"`
+	}
+	doJSON(t, srv, http.MethodGet, "/v1/strategies", nil, &catalog)
+	want := []string{"name", "guarantee", "approximate", "rejects_negative", "needs_symmetric",
+		"min_epsilon", "max_epsilon", "solves", "mean_wall_ns", "mean_rounds"}
+	for _, row := range catalog.Strategies {
+		if !bytes.Contains(row, []byte(`"name":"approx-skeleton"`)) {
+			continue
+		}
+		at := -1
+		for _, k := range want {
+			i := bytes.Index(row, []byte(`"`+k+`":`))
+			if i <= at || bytes.Count(row, []byte(`":`)) != len(want) {
+				t.Fatalf("approx-skeleton row %s: want exactly the keys %v, in order", row, want)
+			}
+			at = i
+		}
+		return
+	}
+	t.Fatal("no approx-skeleton row in the catalog")
+}
+
 // TestHTTPErrors pins the failure statuses.
 func TestHTTPErrors(t *testing.T) {
 	svc := New(Config{})

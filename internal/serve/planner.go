@@ -69,7 +69,7 @@ type candidate struct {
 // deterministic per (strategy, input), so observed wall-per-round is the
 // host-speed fact the static prior can only guess at.
 func (s *Service) predict(strat engine.Strategy, f graph.Features, eps float64) (engine.CostPrior, bool) {
-	prior, _ := engine.PredictCostOf(strat, f, eps)
+	prior := strat.PredictCost(f, eps)
 	if npr, ok := s.stats.liveNsPerRound(strat.Name()); ok && prior.Rounds > 0 {
 		wall := int64(float64(prior.Rounds) * npr)
 		if wall < 1 {
@@ -86,22 +86,23 @@ func (s *Service) predict(strat engine.Strategy, f graph.Features, eps float64) 
 // a valid stretch budget and exactOnly is unset.
 func (s *Service) rankCandidates(f graph.Features, eps float64, exactOnly bool) []candidate {
 	var out []candidate
-	for _, ce := range engine.Catalog() {
-		if !ce.Capabilities.Viable(f) {
+	for _, st := range engine.Strategies() {
+		caps := st.Capabilities()
+		if !caps.Viable(f) {
 			continue
 		}
 		ceps := 0.0
-		if ce.Capabilities.Approximate {
+		if caps.Approximate {
 			if exactOnly || !approx.ValidEpsilon(eps) {
 				continue
 			}
 			ceps = eps
 		}
-		pred, live := s.predict(ce.Strategy, f, ceps)
+		pred, live := s.predict(st, f, ceps)
 		out = append(out, candidate{
-			name:      ce.Strategy.Name(),
+			name:      st.Name(),
 			epsilon:   ceps,
-			guarantee: ce.Strategy.Guarantee(ceps),
+			guarantee: st.Guarantee(ceps),
 			predicted: pred,
 			live:      live,
 		})
@@ -188,13 +189,13 @@ func (s *Service) planSolve(ctx context.Context, feats graph.Features, spec Solv
 	}, nil
 }
 
-// plannerFallbacks returns the degradation rungs below spec: every viable
-// strategy with a strictly weaker stretch guarantee than the one requested,
-// best fidelity first. For an exact request over a nonnegative symmetric
-// graph this reproduces the classic approx-quantum → approx-skeleton
-// ladder; the rule generalizes to any future catalog entry with no rung
-// list to maintain. Rungs inherit the request's epsilon when it carried a
-// valid one, plannerDefaultEpsilon otherwise.
+// plannerFallbacks returns the degradation rungs below spec: the planner's
+// ranked candidates with a strictly weaker stretch guarantee than the one
+// requested, best fidelity first. For an exact request over a nonnegative
+// symmetric graph this reproduces the classic approx-quantum →
+// approx-skeleton ladder; the rule generalizes to any future catalog entry
+// with no rung list to maintain. Rungs inherit the request's epsilon when
+// it carried a valid one, plannerDefaultEpsilon otherwise.
 func (s *Service) plannerFallbacks(spec SolveSpec, feats graph.Features) []SolveSpec {
 	eps := spec.Epsilon
 	if !approx.ValidEpsilon(eps) {
@@ -204,44 +205,14 @@ func (s *Service) plannerFallbacks(spec SolveSpec, feats graph.Features) []Solve
 	if st, ok := engine.Lookup(spec.Strategy); ok {
 		cur = st.Guarantee(spec.Epsilon)
 	}
-	type fallback struct {
-		name      string
-		epsilon   float64
-		guarantee float64
-		wallNs    int64
-	}
-	var fbs []fallback
-	for _, ce := range engine.Catalog() {
-		name := ce.Strategy.Name()
-		if name == spec.Strategy || !ce.Capabilities.Viable(feats) {
+	var rungs []SolveSpec
+	for _, c := range s.rankCandidates(feats, eps, false) {
+		if c.guarantee <= cur {
 			continue
 		}
-		ceps := 0.0
-		if ce.Capabilities.Approximate {
-			ceps = eps
-		}
-		g := ce.Strategy.Guarantee(ceps)
-		if g <= cur {
-			continue
-		}
-		pred, _ := s.predict(ce.Strategy, feats, ceps)
-		fbs = append(fbs, fallback{name: name, epsilon: ceps, guarantee: g, wallNs: pred.WallNs})
-	}
-	sort.SliceStable(fbs, func(i, j int) bool {
-		a, b := fbs[i], fbs[j]
-		if a.guarantee != b.guarantee {
-			return a.guarantee < b.guarantee
-		}
-		if a.wallNs != b.wallNs {
-			return a.wallNs < b.wallNs
-		}
-		return a.name < b.name
-	})
-	rungs := make([]SolveSpec, 0, len(fbs))
-	for _, f := range fbs {
 		rs := spec
-		rs.Strategy = f.name
-		rs.Epsilon = f.epsilon
+		rs.Strategy = c.name
+		rs.Epsilon = c.epsilon
 		rungs = append(rungs, rs)
 	}
 	return rungs
@@ -257,9 +228,7 @@ func (s *Service) estimateFor(name string, feats graph.Features, eps float64) ti
 		return d
 	}
 	if st, ok := engine.Lookup(name); ok {
-		if prior, ok := engine.PredictCostOf(st, feats, eps); ok {
-			return time.Duration(prior.WallNs)
-		}
+		return time.Duration(st.PredictCost(feats, eps).WallNs)
 	}
 	return 0
 }
@@ -273,15 +242,9 @@ type CatalogEntry struct {
 	Name string `json:"name"`
 	// Guarantee renders the stretch contract: "exact", "1+ε", "2+ε".
 	Guarantee string `json:"guarantee"`
-	// Approximate/RejectsNegative/NeedsSymmetric mirror the strategy's
-	// declared capabilities.
-	Approximate     bool `json:"approximate"`
-	RejectsNegative bool `json:"rejects_negative,omitempty"`
-	NeedsSymmetric  bool `json:"needs_symmetric,omitempty"`
-	// MinEpsilon/MaxEpsilon bound the accepted stretch budget (absent for
-	// exact strategies).
-	MinEpsilon float64 `json:"min_epsilon,omitempty"`
-	MaxEpsilon float64 `json:"max_epsilon,omitempty"`
+	// Capabilities is the strategy's declaration; its fields encode inline,
+	// between guarantee and the live telemetry.
+	engine.Capabilities
 	// Solves/MeanWallNs/MeanRounds are the live per-strategy telemetry of
 	// this service instance (zero before the first executed solve; absent
 	// in the static CatalogEntries view).
@@ -293,7 +256,7 @@ type CatalogEntry struct {
 // guaranteeLabel renders a strategy's stretch contract independent of any
 // particular budget.
 func guaranteeLabel(st engine.Strategy) string {
-	if !st.Approximate() {
+	if !st.Capabilities().Approximate {
 		return "exact"
 	}
 	// Guarantee(1) − 1 recovers the additive base of a "base+ε" contract.
@@ -304,18 +267,10 @@ func guaranteeLabel(st engine.Strategy) string {
 // strategy with its guarantee and capabilities, sorted by name. It is the
 // shared source behind GET /v1/strategies and qclique.FormatStrategyList.
 func CatalogEntries() []CatalogEntry {
-	cat := engine.Catalog()
-	out := make([]CatalogEntry, len(cat))
-	for i, ce := range cat {
-		out[i] = CatalogEntry{
-			Name:            ce.Strategy.Name(),
-			Guarantee:       guaranteeLabel(ce.Strategy),
-			Approximate:     ce.Capabilities.Approximate,
-			RejectsNegative: ce.Capabilities.RejectsNegative,
-			NeedsSymmetric:  ce.Capabilities.NeedsSymmetric,
-			MinEpsilon:      ce.Capabilities.MinEpsilon,
-			MaxEpsilon:      ce.Capabilities.MaxEpsilon,
-		}
+	ss := engine.Strategies()
+	out := make([]CatalogEntry, len(ss))
+	for i, st := range ss {
+		out[i] = CatalogEntry{Name: st.Name(), Guarantee: guaranteeLabel(st), Capabilities: st.Capabilities()}
 	}
 	return out
 }

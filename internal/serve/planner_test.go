@@ -201,7 +201,7 @@ func TestPlannerDeadlinePromotesApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := engine.Lookup(resolved.Strategy); !ok || st.Approximate() {
+	if st, ok := engine.Lookup(resolved.Strategy); !ok || st.Capabilities().Approximate {
 		t.Fatalf("budget-less plan spent stretch anyway: %v (reason %q)", resolved.Strategy, plan.Reason)
 	}
 }

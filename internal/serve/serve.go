@@ -238,9 +238,9 @@ func (s SolveSpec) canonical() (SolveSpec, error) {
 			return s, fmt.Errorf("%w: auto-strategy epsilon budget must be 0 or in [%v, %v] (got %v)",
 				ErrInvalidSpec, approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
 		}
-	case st.Approximate() && s.exactPlanning:
+	case st.Capabilities().Approximate && s.exactPlanning:
 		return s, ErrApproxPaths
-	case st.Approximate():
+	case st.Capabilities().Approximate:
 		if !approx.ValidEpsilon(s.Epsilon) {
 			return s, fmt.Errorf("%w: strategy %q requires epsilon in [%v, %v] (got %v)",
 				ErrInvalidSpec, name, approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
@@ -390,7 +390,7 @@ func (s *Service) PutGraph(g *graph.Digraph) (string, error) {
 	if g == nil {
 		return "", errors.New("serve: nil graph")
 	}
-	return s.store.put(g), nil
+	return s.store.put(g, false), nil
 }
 
 // Graph returns a private copy of the stored graph for id. The copy is

@@ -289,7 +289,7 @@ func (st *StrategyStats) addStages(res *core.Result) {
 		agg.Runs++
 		agg.Rounds += sg.Rounds
 		agg.Words += sg.Words
-		agg.WallNs += sg.WallNs
+		agg.WallNs += sg.Wall.Nanoseconds()
 		st.Stages[sg.Name] = agg
 	}
 }

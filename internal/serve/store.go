@@ -21,8 +21,9 @@ type storedGraph struct {
 
 // graphStore holds uploaded graphs by content hash, least-recently-used
 // capped so a long-running daemon cannot be grown without bound by unique
-// uploads. Graphs are cloned on the way in and handed out by reference —
-// stored graphs are never mutated.
+// uploads. The store owns what it holds — a caller's graph is cloned on the
+// way in — and hands graphs out by reference: stored graphs are never
+// mutated.
 type graphStore struct {
 	m *lruMap[string, *storedGraph]
 }
@@ -34,16 +35,19 @@ func newGraphStore(max int) *graphStore {
 	return &graphStore{m: newLRUMap[string, *storedGraph](max)}
 }
 
-// put stores a private clone of g (with its feature profile) and returns
-// its content id. Re-uploading an identical graph is idempotent (and
-// refreshes its recency).
-func (s *graphStore) put(g *graph.Digraph) string {
+// put stores g (with its feature profile) and returns its content id.
+// Re-uploading an identical graph is idempotent (it refreshes the recency
+// and copies nothing). A new graph is stored as a private clone, or as it
+// is when owned: the caller hands it over and never touches it again.
+func (s *graphStore) put(g *graph.Digraph, owned bool) string {
 	id := HashDigraph(g)
 	if _, ok := s.m.get(id); ok {
 		return id
 	}
-	gc := g.Clone()
-	s.m.add(id, &storedGraph{g: gc, feats: gc.Features()})
+	if !owned {
+		g = g.Clone()
+	}
+	s.m.add(id, &storedGraph{g: g, feats: g.Features()})
 	return id
 }
 

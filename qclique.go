@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -140,7 +141,7 @@ func StrategyInfoFor(s Strategy) (StrategyInfo, bool) {
 
 func infoFor(st engine.Strategy) StrategyInfo {
 	s := Strategy(st.Name())
-	return StrategyInfo{Strategy: s, Approximate: st.Approximate(), FindEdges: findEdgesRole(s)}
+	return StrategyInfo{Strategy: s, Approximate: st.Capabilities().Approximate, FindEdges: findEdgesRole(s)}
 }
 
 // ParseStrategy resolves a registry name or alias ("quantum", "classical"
@@ -458,49 +459,35 @@ type APSPResult struct {
 	dist *matrix.Matrix
 }
 
-// StageStat is one pipeline stage's telemetry: the rounds and words are
-// exact simulator accounting (deterministic seed-for-seed), wall time and
-// allocation count are host-side measurements.
-type StageStat struct {
-	// Name labels the stage ("encode", "square-3", "stretch-audit", …).
-	Name string
-	// Rounds is the simulated CONGEST-CLIQUE rounds the stage charged.
-	Rounds int64
-	// Words is the total message words the stage moved.
-	Words int64
-	// Wall is the host wall-clock time spent in the stage.
-	Wall time.Duration
-	// Allocs is the approximate heap allocation count of the stage
-	// (process-global mallocs, so concurrent solves bleed into each other).
-	Allocs uint64
-	// Skipped marks a stage the pipeline proved unnecessary (e.g. squaring
-	// products after the approximate chain's fixpoint vote converged).
-	Skipped bool
-	// Retries counts re-runs of the stage after injected-fault failures;
-	// Backoff is the total wall time slept between those attempts.
-	Retries int
-	Backoff time.Duration
-}
+// StageStat is one pipeline stage's telemetry: the rounds, words and
+// phases are exact simulator accounting (deterministic seed-for-seed);
+// Wall, Allocs and Backoff are host-side measurements.
+type StageStat = engine.StageStat
 
-// stagesFromCore converts engine stage telemetry to the public form.
-func stagesFromCore(stages []engine.StageStat) []StageStat {
-	if len(stages) == 0 {
-		return nil
+// exportResult builds the public result of a solve, for SolveAPSP and the
+// Solver alike. Rows and stages are copied: they are the caller's to
+// mutate, while a Solver's result is shared by every caller its cache
+// serves, and handing out views would let one caller corrupt the others'.
+// At serviceable n the O(n²) row copy costs microseconds against a
+// pipeline run measured in seconds.
+func exportResult(res *core.Result) *APSPResult {
+	dist := make([][]int64, res.Dist.N())
+	for i := range dist {
+		dist[i] = res.Dist.Row(i)
 	}
-	out := make([]StageStat, len(stages))
-	for i, s := range stages {
-		out[i] = StageStat{
-			Name:    s.Name,
-			Rounds:  s.Rounds,
-			Words:   s.Words,
-			Wall:    time.Duration(s.WallNs),
-			Allocs:  s.Allocs,
-			Skipped: s.Skipped,
-			Retries: s.Retries,
-			Backoff: time.Duration(s.BackoffNs),
-		}
+	return &APSPResult{
+		Dist:              dist,
+		Rounds:            res.Rounds,
+		Products:          res.Products,
+		FindEdgesCalls:    res.FindEdgesCalls,
+		Strategy:          Strategy(res.Strategy),
+		Epsilon:           res.Epsilon,
+		GuaranteedStretch: res.GuaranteedStretch,
+		ObservedStretch:   res.ObservedStretch,
+		Faults:            res.Metrics.Faults,
+		Stages:            slices.Clone(res.Stages),
+		dist:              res.Dist,
 	}
-	return out
 }
 
 // SolveAPSP computes exact all-pairs shortest distances for g.
@@ -545,28 +532,11 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 	if err != nil {
 		var fe *congest.FaultError
 		if res != nil && errors.As(err, &fe) {
-			return nil, &FaultExhaustedError{Faults: res.Metrics.Faults, err: err}
+			return nil, &FaultExhaustedError{Stages: res.Stages, Rounds: res.Rounds, Faults: res.Metrics.Faults, Err: err}
 		}
 		return nil, err
 	}
-	n := g.N()
-	dist := make([][]int64, n)
-	for i := range dist {
-		dist[i] = res.Dist.Row(i)
-	}
-	return &APSPResult{
-		Dist:              dist,
-		Rounds:            res.Rounds,
-		Products:          res.Products,
-		FindEdgesCalls:    res.FindEdgesCalls,
-		Strategy:          Strategy(res.Strategy),
-		Epsilon:           res.Epsilon,
-		GuaranteedStretch: res.GuaranteedStretch,
-		ObservedStretch:   res.ObservedStretch,
-		Faults:            res.Metrics.Faults,
-		Stages:            stagesFromCore(res.Stages),
-		dist:              res.Dist,
-	}, nil
+	return exportResult(res), nil
 }
 
 // Edge is an unordered vertex pair in a triangle report.

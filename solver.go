@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"qclique/internal/serve"
 )
@@ -61,33 +62,13 @@ func (o Options) spec() serve.SolveSpec {
 	}
 }
 
-// resultFromServe exports a cache-owned result. The O(n²) row copy is
-// deliberate: returned rows are the caller's to mutate, and handing out
-// views of the shared cached matrix would let one caller corrupt every
-// other caller's result. At serviceable n this costs microseconds against
-// a pipeline run measured in seconds. Strategy is the pipeline that ran:
-// the requested one, the degradation rung that answered, or the planner's
+// resultFromServe exports a cache-owned result (see exportResult) with the
+// serving layer's annotations. Strategy is the pipeline that ran: the
+// requested one, the degradation rung that answered, or the planner's
 // choice.
 func resultFromServe(sr *serve.SolveResult) *APSPResult {
-	n := sr.Res.Dist.N()
-	dist := make([][]int64, n)
-	for i := range dist {
-		dist[i] = sr.Res.Dist.Row(i)
-	}
-	res := &APSPResult{
-		Dist:              dist,
-		Rounds:            sr.Res.Rounds,
-		Products:          sr.Res.Products,
-		FindEdgesCalls:    sr.Res.FindEdgesCalls,
-		Strategy:          Strategy(sr.Res.Strategy),
-		Cached:            sr.Cached,
-		Epsilon:           sr.Res.Epsilon,
-		GuaranteedStretch: sr.Res.GuaranteedStretch,
-		ObservedStretch:   sr.Res.ObservedStretch,
-		Faults:            sr.Res.Metrics.Faults,
-		Stages:            stagesFromCore(sr.Res.Stages),
-		dist:              sr.Res.Dist,
-	}
+	res := exportResult(sr.Res)
+	res.Cached = sr.Cached
 	if sr.Degraded {
 		// The ladder answered with a fallback rung; DegradedFrom names the
 		// requested (or, under the planner, the planned) strategy.
@@ -131,36 +112,30 @@ func (s *Solver) SolveContext(ctx context.Context, g *Digraph, opts ...Option) (
 	defer cancel()
 	sr, err := s.svc.SolveGraphContext(ctx, g.g, o.spec())
 	if err != nil {
-		return nil, mapServeErr(err)
+		return nil, err
 	}
 	return resultFromServe(sr), nil
 }
 
-// SSSP computes single-source shortest distances from src, sharing the
-// solver cache: any number of sources against one graph charge the
-// pipeline once.
+// SSSP computes single-source shortest distances from src through Solve,
+// sharing the solver cache (and WithTimeout's deadline): any number of
+// sources against one graph charge the pipeline once.
 func (s *Solver) SSSP(g *Digraph, src int, opts ...Option) ([]int64, *APSPResult, error) {
-	if s == nil || s.svc == nil {
-		return nil, nil, errors.New("qclique: use NewSolver")
-	}
-	if g == nil {
-		return nil, nil, errors.New("qclique: nil graph")
-	}
-	if src < 0 || src >= g.N() {
+	if g != nil && (src < 0 || src >= g.N()) {
 		return nil, nil, fmt.Errorf("qclique: source %d out of range", src)
 	}
-	o := s.merged(opts)
-	sr, err := s.svc.SolveGraph(g.g, o.spec())
+	res, err := s.Solve(g, opts...)
 	if err != nil {
-		return nil, nil, mapServeErr(err)
+		return nil, nil, err
 	}
-	return sr.Res.Dist.Row(src), resultFromServe(sr), nil
+	return slices.Clone(res.Dist[src]), res, nil
 }
 
 // ShortestPath returns one shortest path src→dst and its length, solving
-// (or reusing the cached solve of) g first. Unreachable pairs yield
-// ErrNoPath. Approximate strategies yield ErrApproxPaths — snapped
-// distances carry no tight-successor structure to walk.
+// (or reusing the cached solve of) g first, under WithTimeout's deadline.
+// Unreachable pairs yield ErrNoPath. Approximate strategies yield
+// ErrApproxPaths — snapped distances carry no tight-successor structure to
+// walk.
 func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, int64, error) {
 	if s == nil || s.svc == nil {
 		return nil, 0, errors.New("qclique: use NewSolver")
@@ -172,12 +147,14 @@ func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, 
 		return nil, 0, fmt.Errorf("qclique: endpoints (%d,%d) out of range", src, dst)
 	}
 	o := s.merged(opts)
+	ctx, cancel := o.solveCtx(context.Background())
+	defer cancel()
 	// Path reconstruction needs exact tight-successor structure: the serving
 	// layer refuses an approximate strategy and confines a planned
 	// (StrategyAuto) solve to the exact catalog.
-	sr, err := s.svc.SolveGraph(g.g, o.spec().ExactPlanning())
+	sr, err := s.svc.SolveGraphContext(ctx, g.g, o.spec().ExactPlanning())
 	if err != nil {
-		return nil, 0, mapServeErr(err)
+		return nil, 0, err
 	}
 	path, err := sr.Oracle.Path(src, dst)
 	if err != nil {
@@ -201,8 +178,8 @@ type PathAnswer = serve.PathAnswer
 
 // PathsBatch answers all queries against one (cached) APSP solve of g,
 // fanning the per-query reconstruction across the worker pool and reusing
-// per-destination successor structure across queries. The returned result
-// describes the shared solve.
+// per-destination successor structure across queries. WithTimeout bounds
+// the solve. The returned result describes the shared solve.
 func (s *Solver) PathsBatch(g *Digraph, queries []PathQuery, opts ...Option) ([]PathAnswer, *APSPResult, error) {
 	if s == nil || s.svc == nil {
 		return nil, nil, errors.New("qclique: use NewSolver")
@@ -211,49 +188,22 @@ func (s *Solver) PathsBatch(g *Digraph, queries []PathQuery, opts ...Option) ([]
 		return nil, nil, errors.New("qclique: nil graph")
 	}
 	o := s.merged(opts)
-	answers, sr, err := s.svc.PathsBatchGraph(g.g, o.spec(), queries)
+	ctx, cancel := o.solveCtx(context.Background())
+	defer cancel()
+	answers, sr, err := s.svc.PathsBatchGraphContext(ctx, g.g, o.spec(), queries)
 	if err != nil {
-		return nil, nil, mapServeErr(err)
+		return nil, nil, err
 	}
 	return answers, resultFromServe(sr), nil
 }
 
-// StrategyStats is the per-strategy accounting of a Solver.
-type StrategyStats struct {
-	// Requests counts solve requests routed through the cache.
-	Requests int64
-	// CacheHits counts requests served without running the simulator.
-	CacheHits int64
-	// Deduped counts requests that piggybacked on a concurrent identical
-	// solve.
-	Deduped int64
-	// Solves counts actual simulator executions.
-	Solves int64
-	// Errors counts failed executions.
-	Errors int64
-	// Cancelled counts executions stopped by their context before
-	// completing.
-	Cancelled int64
-	// FaultFailures counts executions that exhausted their stage-retry
-	// budget on injected faults; Retries totals the stage re-runs spent
-	// recovering.
-	FaultFailures int64
-	Retries       int64
-	// Degraded counts requests the degradation ladder answered with a
-	// fallback strategy.
-	Degraded int64
-	// Faults is the cumulative injected-fault accounting across this
-	// strategy's executions.
-	Faults FaultCounters
-	// RoundsCharged totals simulated rounds across completed executions;
-	// cache hits, cancelled and fault-failed runs charge nothing.
-	RoundsCharged int64
-	// StageRounds maps stage name to the cumulative simulated rounds that
-	// stage charged across this strategy's completed executions — the
-	// serving-layer rollup of the per-solve Stages breakdown, summing to
-	// RoundsCharged.
-	StageRounds map[string]int64
-}
+// StrategyStats is the per-strategy accounting of a Solver: requests,
+// cache hits, deduplicated requests, executions and how they ended, the
+// injected-fault and retry rollup, and the rounds and wall time of
+// completed executions. Stages rolls those executions up per stage name
+// (runs, rounds, words, wall); its rounds sum to RoundsCharged. It is the
+// same record the daemon serves on /v1/metrics.
+type StrategyStats = serve.StrategyStats
 
 // PlannerStats is the Solver's strategy-planner accounting: how many
 // StrategyAuto requests were planned, which strategies the planner chose
@@ -281,36 +231,13 @@ func (s *Solver) Stats() SolverStats {
 	if s == nil || s.svc == nil {
 		return SolverStats{}
 	}
-	// The snapshot is already a deep copy, so the aliased planner section
-	// passes through as it is.
+	// The snapshot is already a deep copy, so the aliased planner and
+	// strategy sections pass through as they are.
 	st := s.svc.Stats()
-	out := SolverStats{
+	return SolverStats{
 		CachedResults: st.CachedResults,
 		PathQueries:   st.PathQueries,
 		Planner:       st.Planner,
-		Strategies:    make(map[string]StrategyStats, len(st.Strategies)),
+		Strategies:    st.Strategies,
 	}
-	for name, v := range st.Strategies {
-		ss := StrategyStats{
-			Requests:      v.Requests,
-			CacheHits:     v.CacheHits,
-			Deduped:       v.Deduped,
-			Solves:        v.Solves,
-			Errors:        v.Errors,
-			Cancelled:     v.Cancelled,
-			FaultFailures: v.FaultFailures,
-			Retries:       v.Retries,
-			Degraded:      v.Degraded,
-			Faults:        v.Faults,
-			RoundsCharged: v.RoundsCharged,
-		}
-		if len(v.Stages) > 0 {
-			ss.StageRounds = make(map[string]int64, len(v.Stages))
-			for stage, agg := range v.Stages {
-				ss.StageRounds[stage] = agg.Rounds
-			}
-		}
-		out.Strategies[name] = ss
-	}
-	return out
 }

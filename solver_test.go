@@ -2,13 +2,16 @@ package qclique
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 )
 
 // TestSolverCachedResolveZeroRounds: the headline serving property — a
 // re-solve of an unchanged graph performs zero simulator rounds and
-// returns a bit-identical result.
+// returns a bit-identical result. The cached result is shared by every
+// caller, so editing one returned result's stages leaves the next one's
+// unchanged.
 func TestSolverCachedResolveZeroRounds(t *testing.T) {
 	g := buildRandomDigraph(t, 10, 9)
 	s := NewSolver(WithStrategy(Quantum), WithParams(ScaledConstants), WithSeed(5))
@@ -24,6 +27,10 @@ func TestSolverCachedResolveZeroRounds(t *testing.T) {
 	if charged != fresh.Rounds {
 		t.Fatalf("charged %d rounds, result reports %d", charged, fresh.Rounds)
 	}
+	stages := append([]StageStat(nil), fresh.Stages...)
+	for i := range fresh.Stages {
+		fresh.Stages[i].Name, fresh.Stages[i].Rounds = "edited", -1
+	}
 
 	cached, err := s.Solve(g)
 	if err != nil {
@@ -37,6 +44,9 @@ func TestSolverCachedResolveZeroRounds(t *testing.T) {
 	}
 	if cached.Rounds != fresh.Rounds {
 		t.Fatalf("cached result reports %d rounds, fresh %d", cached.Rounds, fresh.Rounds)
+	}
+	if len(stages) == 0 || !reflect.DeepEqual(cached.Stages, stages) {
+		t.Fatalf("cached stages = %+v, want the original run's %+v", cached.Stages, stages)
 	}
 	for i := range fresh.Dist {
 		for j := range fresh.Dist[i] {
