@@ -1,11 +1,11 @@
 package qclique
 
-// One benchmark per experiment of DESIGN.md §4 (the paper's quantitative
-// claims — it has no empirical tables, so these regenerate the measured
-// counterpart of each theorem/proposition/lemma). Each benchmark reports
-// the simulated CONGEST-CLIQUE round count via ReportMetric("rounds/op")
-// alongside the usual wall-clock numbers; cmd/experiments renders the same
-// measurements as the tables recorded in EXPERIMENTS.md. Every input comes
+// One benchmark per experiment of internal/experiments (the paper's
+// quantitative claims — it has no empirical tables, so these regenerate the
+// measured counterpart of each theorem/proposition/lemma). Each benchmark
+// reports the simulated CONGEST-CLIQUE round count via
+// ReportMetric("rounds/op") alongside the usual wall-clock numbers;
+// cmd/experiments renders the same measurements as tables. Every input comes
 // from internal/experiments/workload, so a benchmark here, the cmd/bench
 // entry of the same name and the experiment row of the same size solve one
 // instance.
@@ -81,8 +81,8 @@ func benchTable(b *testing.B, family string) {
 // pipeline end to end. The n=32 and n=64 cases exist because the hot-path
 // overhaul (incremental tripartite reuse, flat link-load accounting,
 // parallel node-local phases) brought them into benchmarkable range; n=128
-// was unlocked by the allocation-free solve pipeline (per-solve workspace,
-// pooled quantum state, zero-copy matrix ping-pong), which cut the memory
+// was unlocked by reusing buffers within a solve (the distance-product
+// workspace, pooled quantum state, matrix ping-pong), which cut the memory
 // per solve by more than an order of magnitude.
 func BenchmarkE1APSPQuantum(b *testing.B) { benchTable(b, "E1APSPQuantum") }
 
@@ -375,7 +375,7 @@ func BenchmarkSolverCachedResolve(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5): measure the design choices in isolation.
+// --- Ablations: measure the design choices in isolation.
 
 // BenchmarkAblationRouting charges one skewed load, in which every node
 // sources about 4n single words, and reports two costs for it. "direct" is

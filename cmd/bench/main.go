@@ -20,8 +20,8 @@
 // a semantic change to the simulated protocol — if any ns/op regresses by
 // more than -max-slowdown (wall-clock noise tolerance, default 2.5x), or
 // if any allocs/op grows beyond -max-alloc-growth (default 1.5x; the
-// allocation count is nearly deterministic, so growth means a pooling
-// regression on the solve path).
+// allocation count is nearly deterministic, so growth means a solve-path
+// buffer stopped being reused within the solve).
 //
 // Every APSP workload additionally passes the stage-sum gate on every run:
 // the engine's per-stage round breakdown must sum exactly to rounds/op.
@@ -245,10 +245,10 @@ func entryGomaxprocs(r Result, rep *Report) int {
 // compareReports checks current against baseline: any rounds/op deviation
 // is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
 // failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
-// profile is nearly deterministic, so growth means a pooling regression),
-// and baseline entries missing from the current run are a failure unless
-// partial (quick mode). It returns the failures and a human log of every
-// comparison.
+// profile is nearly deterministic, so growth means a solve-path buffer
+// stopped being reused within the solve), and baseline entries missing
+// from the current run are a failure unless partial (quick mode). It
+// returns the failures and a human log of every comparison.
 func compareReports(baseline, current *Report, maxSlowdown, maxAllocGrowth float64, partial bool) (failures, log []string) {
 	base := make(map[string]Result, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
@@ -297,7 +297,7 @@ func compareReports(baseline, current *Report, maxSlowdown, maxAllocGrowth float
 			allocRatio := float64(cur.AllocsPerOp) / float64(b.AllocsPerOp)
 			if allocRatio > maxAllocGrowth {
 				failures = append(failures, fmt.Sprintf(
-					"%s: allocs/op %d is %.2fx the baseline %d (limit %.2fx) — a solve-path buffer stopped being pooled",
+					"%s: allocs/op %d is %.2fx the baseline %d (limit %.2fx) — a solve-path buffer stopped being reused within the solve",
 					cur.Name, cur.AllocsPerOp, allocRatio, b.AllocsPerOp, maxAllocGrowth))
 				continue
 			}

@@ -1,12 +1,12 @@
 // Command experiments regenerates the paper-reproduction experiment suite
-// (E1–E12, see DESIGN.md and EXPERIMENTS.md).
+// (E1–E12; internal/experiments states the paper claim each one measures).
 //
 // Usage:
 //
 //	experiments [-exp e1,e4] [-quick] [-seed 42] [-markdown]
 //
-// With no -exp flag every experiment runs. The output is the paper-claim /
-// measured report that EXPERIMENTS.md records. -seed drives protocol
+// With no -exp flag every experiment runs. The output is a paper-claim /
+// measured report per experiment. -seed drives protocol
 // randomness only: every input comes from internal/experiments/workload,
 // fixed per size, so at -seed 0 the E1 and E2 rows print cmd/bench's pinned
 // rounds.
@@ -34,7 +34,7 @@ func run(args []string) error {
 		expList  = fs.String("exp", "", "comma-separated experiment ids (default: all); available: "+strings.Join(experiments.IDs(), ","))
 		quick    = fs.Bool("quick", false, "smaller sweeps")
 		seed     = fs.Uint64("seed", 42, "protocol randomness seed (inputs are fixed per size)")
-		markdown = fs.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown sections")
+		markdown = fs.Bool("markdown", false, "emit the report as markdown sections")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

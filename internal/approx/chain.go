@@ -42,11 +42,9 @@ type ChainOptions struct {
 	Net *congest.Network
 	// Workers bounds host-side parallelism of node-local phases.
 	Workers int
-	// DP and MX optionally supply the reusable product and squaring-chain
-	// workspaces (same contract as the exact pipeline).
+	// DP optionally supplies the distance-product workspace the chain's
+	// products share; when nil every product builds a private one.
 	DP *distprod.Workspace
-	// MX is the matrix freelist the squaring chain ping-pongs through.
-	MX *matrix.Workspace
 }
 
 // ChainStats reports what a chain run did.
@@ -65,14 +63,12 @@ type ChainStats struct {
 	ConvergedEarly bool
 }
 
-// chainRun is the mutable state of one (1+ε) chain: the ping-pong matrices
-// borrowed from the workspace, the shared ladder, and the convergence flag
-// the fixpoint vote sets.
+// chainRun is the mutable state of one (1+ε) chain: the ping-pong matrices,
+// the shared ladder, and the convergence flag the fixpoint vote sets.
 type chainRun struct {
 	opts   ChainOptions
 	ag     *matrix.Matrix
 	stats  *ChainStats
-	mx     *matrix.Workspace
 	rng    *xrand.Source
 	ladder []int64
 	n      int
@@ -82,7 +78,7 @@ type chainRun struct {
 	done      bool
 }
 
-// newChainRun validates the options; buffers are acquired by prepare.
+// newChainRun validates the options; buffers are allocated by prepare.
 func newChainRun(ag *matrix.Matrix, opts ChainOptions) (*chainRun, error) {
 	if !ValidEpsilon(opts.Epsilon) {
 		return nil, fmt.Errorf("%w (got %v)", ErrBadEpsilon, opts.Epsilon)
@@ -90,15 +86,10 @@ func newChainRun(ag *matrix.Matrix, opts ChainOptions) (*chainRun, error) {
 	if opts.Net == nil {
 		return nil, fmt.Errorf("approx: Chain requires a network")
 	}
-	mx := opts.MX
-	if mx == nil {
-		mx = &matrix.Workspace{}
-	}
 	return &chainRun{
 		opts:   opts,
 		ag:     ag,
 		stats:  &ChainStats{},
-		mx:     mx,
 		rng:    xrand.New(opts.Seed),
 		n:      ag.N(),
 		budget: matrix.SquaringBudget(ag.N()),
@@ -108,10 +99,7 @@ func newChainRun(ag *matrix.Matrix, opts ChainOptions) (*chainRun, error) {
 // prepare builds the shared value ladder and checks the weight bound; for
 // n ≤ 1 the chain is trivially done after cloning the input.
 func (r *chainRun) prepare() error {
-	r.cur = r.mx.Get(r.n)
-	if err := r.ag.CloneInto(r.cur); err != nil {
-		return err
-	}
+	r.cur = r.ag.Clone()
 	if r.n <= 1 {
 		r.done = true
 		return nil
@@ -138,7 +126,7 @@ func (r *chainRun) prepare() error {
 	}
 	r.ladder = ladder
 	r.stats.LadderLen = len(ladder)
-	r.next = r.mx.Get(r.n)
+	r.next = matrix.New(r.n)
 	return nil
 }
 
@@ -176,26 +164,6 @@ func (r *chainRun) square(ctx context.Context) error {
 	return nil
 }
 
-// result hands the distance matrix to the caller and returns the companion
-// buffer to the workspace; the run must not be used afterwards.
-func (r *chainRun) result() *matrix.Matrix {
-	if r.next != nil {
-		r.mx.Put(r.next)
-		r.next = nil
-	}
-	out := r.cur
-	r.cur = nil
-	return out
-}
-
-// release returns every checked-out buffer after a failed or interrupted
-// run, keeping the pooled workspace reusable.
-func (r *chainRun) release() {
-	r.mx.Put(r.cur)
-	r.mx.Put(r.next)
-	r.cur, r.next = nil, nil
-}
-
 // Chain computes (1+ε)-approximate APSP distances for the adjacency matrix
 // ag (0 diagonal, nonnegative finite weights, +Inf for absent arcs): every
 // returned entry d̂ satisfies d ≤ d̂ ≤ (1+ε)·d against the exact distance
@@ -208,16 +176,14 @@ func Chain(ag *matrix.Matrix, opts ChainOptions) (*matrix.Matrix, *ChainStats, e
 		return nil, nil, err
 	}
 	if err := r.prepare(); err != nil {
-		r.release()
 		return nil, nil, err
 	}
 	for i := 0; i < r.budget && !r.done; i++ {
 		if err := r.square(context.Background()); err != nil {
-			r.release()
 			return nil, nil, err
 		}
 	}
-	return r.result(), r.stats, nil
+	return r.cur, r.stats, nil
 }
 
 // powRoot returns the p-th root of x for p >= 1 (x > 1), i.e. x^(1/p).

@@ -93,6 +93,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	if err != nil {
 		return nil, err
 	}
+	dp := distprod.NewWorkspace()
 	var run *chainRun
 	stages := []engine.Stage{
 		{Name: "encode", Run: func(context.Context) error {
@@ -103,8 +104,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 				Seed:    req.Seed,
 				Net:     net,
 				Workers: req.Workers,
-				DP:      req.DP,
-				MX:      req.MX,
+				DP:      dp,
 			})
 			if err != nil {
 				return err
@@ -125,25 +125,18 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	}
 	stages = append(stages,
 		engine.Stage{Name: "stretch-audit", Run: func(ctx context.Context) error {
-			// Audit against the still-owned buffer and detach it only on
-			// success: if the audit fails, the abort path's release() can
-			// return the matrix to the pooled workspace.
+			out.Dist = run.cur
+			out.Products = run.stats.Products
+			out.FindEdgesCalls = run.stats.FindEdgesCalls
 			stretch, err := MeasureStretch(req.G, run.cur)
 			if err != nil {
 				return err
 			}
-			out.Dist = run.result()
-			out.Products = run.stats.Products
-			out.FindEdgesCalls = run.stats.FindEdgesCalls
 			out.ObservedStretch = stretch
 			return nil
 		}},
 	)
-	return &engine.Plan{Net: net, Stages: stages, Retry: chainRetry, Cleanup: func() {
-		if run != nil {
-			run.release()
-		}
-	}}, nil
+	return &engine.Plan{Net: net, Stages: stages, Retry: chainRetry}, nil
 }
 
 // skeletonStrategy is the (2+ε) skeleton pipeline for weight-symmetric

@@ -6,7 +6,6 @@ import (
 
 	"qclique/internal/approx"
 	"qclique/internal/graph"
-	"qclique/internal/matrix"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
 )
@@ -102,28 +101,5 @@ func TestApproxQuantumFewerRounds(t *testing.T) {
 	}
 	if ap.FindEdgesCalls >= exact.FindEdgesCalls {
 		t.Errorf("approx FindEdges calls %d not below exact %d", ap.FindEdgesCalls, exact.FindEdgesCalls)
-	}
-}
-
-// TestApproxWorkspaceDeterminism mirrors the exact pipeline's pooled-vs-
-// fresh guarantee for the approximate chain.
-func TestApproxWorkspaceDeterminism(t *testing.T) {
-	params := triangles.BenchParams()
-	g := nonnegDigraph(t, 12, 9)
-	ws := NewWorkspace()
-	var prev *matrix.Matrix
-	for i := 0; i < 3; i++ {
-		cfg := Config{Strategy: StrategyApproxQuantum, Params: &params, Seed: 4, Epsilon: 0.3}
-		if i > 0 {
-			cfg.Workspace = ws
-		}
-		res, err := Solve(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil && !res.Dist.Equal(prev) {
-			t.Fatalf("run %d: pooled and fresh approx solves differ", i)
-		}
-		prev = res.Dist
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"qclique/internal/approx"
 	"qclique/internal/congest"
-	"qclique/internal/distprod"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
@@ -84,13 +83,6 @@ type Config struct {
 	// ones — epsilon is part of a result's identity, so silently ignoring
 	// it would alias distinct solves.
 	Epsilon float64
-	// Workspace optionally supplies reusable solve state so repeated solves
-	// (the serving layer's cache-miss path) skip the cold-start
-	// allocations. When nil, Solve builds a private workspace — the
-	// steady state *within* the solve is identical, only cross-solve reuse
-	// is lost. Results are bit-identical with any workspace. Not safe for
-	// concurrent use.
-	Workspace *Workspace
 	// StageHook, when non-nil, is invoked at every engine stage boundary
 	// (before that stage's cancellation checkpoint) with the stage index
 	// and name. It is an observability and test seam — the
@@ -106,24 +98,6 @@ type Config struct {
 	// matching errors.As(*congest.FaultError), carrying the partial stage
 	// telemetry like a cancellation does.
 	Faults congest.FaultPlan
-}
-
-// Workspace aggregates the reusable state of a solve: the matrix freelist
-// the squaring chain ping-pongs through, and the distance-product workspace
-// (tripartite instance, binary-search buffers, triangles/qsearch scratch).
-// A steady-state Solve through a warm Workspace performs near-zero heap
-// allocation; the only storage that intentionally escapes is the returned
-// distance matrix, which the workspace permanently forgets (so cached
-// results never alias pooled buffers).
-type Workspace struct {
-	mx matrix.Workspace
-	dp *distprod.Workspace
-}
-
-// NewWorkspace returns an empty Workspace; buffers grow to their high-water
-// mark over the first solve.
-func NewWorkspace() *Workspace {
-	return &Workspace{dp: distprod.NewWorkspace()}
 }
 
 func (c Config) strategy() string {
@@ -164,9 +138,7 @@ func Solve(g *graph.Digraph, cfg Config) (*Result, error) {
 // deadline-expired context stops the solve at the next boundary. On
 // cancellation the returned error wraps the context error, and the
 // returned Result — nil Dist — carries the partial per-stage telemetry
-// (stages completed, rounds charged) of the work done before the stop; the
-// workspace (Config.Workspace or the caller's pool) is left in a reusable
-// state.
+// (stages completed, rounds charged) of the work done before the stop.
 func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")
@@ -193,18 +165,12 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 		res.ObservedStretch = 1
 		return res, nil
 	}
-	ws := cfg.Workspace
-	if ws == nil {
-		ws = NewWorkspace()
-	}
 	out, err := engine.Run(ctx, strat, &engine.Request{
 		G:         g,
 		Params:    cfg.Params,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
 		Epsilon:   cfg.Epsilon,
-		MX:        &ws.mx,
-		DP:        ws.dp,
 		StageHook: cfg.StageHook,
 		Faults:    cfg.Faults,
 	})

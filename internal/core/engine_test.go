@@ -104,10 +104,10 @@ func TestSolveContextAlreadyCancelledReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable is the pooled-
-// workspace regression: cancel a solve at each stage boundary in turn,
-// then re-solve on the same workspace and demand results bit-identical to
-// a fresh-workspace solve.
+// TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable cancels a solve at
+// each stage boundary in turn, then re-solves and demands results
+// bit-identical to an uninterrupted solve: a cancelled run leaves nothing
+// behind that a later solve reads.
 func TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable(t *testing.T) {
 	for _, cfg := range engineTestStrategies() {
 		n := 16
@@ -122,11 +122,9 @@ func TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable(t *testing.T) {
 			t.Fatalf("%v: no stages to cancel at", cfg.Strategy)
 		}
 
-		ws := NewWorkspace()
 		for k := 0; k < stageCount; k++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancelCfg := cfg
-			cancelCfg.Workspace = ws
 			cancelCfg.StageHook = func(i int, name string) {
 				if i == k {
 					cancel()
@@ -141,11 +139,9 @@ func TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable(t *testing.T) {
 				t.Fatalf("%v: cancel at stage boundary %d recorded %d stages", cfg.Strategy, k, len(res.Stages))
 			}
 
-			// Re-solve on the same (possibly partially warmed) workspace:
-			// rounds and distances must match the fresh solve exactly.
-			retryCfg := cfg
-			retryCfg.Workspace = ws
-			got, err := Solve(g, retryCfg)
+			// Re-solve: rounds and distances must match the uninterrupted
+			// solve exactly.
+			got, err := Solve(g, cfg)
 			if err != nil {
 				t.Fatalf("%v: re-solve after cancel at %d: %v", cfg.Strategy, k, err)
 			}
@@ -162,15 +158,18 @@ func TestCancelAtEveryStageBoundaryLeavesWorkspaceReusable(t *testing.T) {
 // TestSolveContextDeadlineInsideStage exercises the in-stage checkpoints
 // (binary-search steps, triangle enumeration): a deadline that expires
 // mid-pipeline must stop the solve with DeadlineExceeded and partial
-// telemetry, and the same workspace must then reproduce a fresh solve.
+// telemetry, and a later solve must then reproduce the one before it.
 func TestSolveContextDeadlineInsideStage(t *testing.T) {
 	params := triangles.BenchParams()
 	g := testGraphFor(t, StrategyQuantum, 32)
-	ws := NewWorkspace()
+	want, err := Solve(g, Config{Strategy: StrategyQuantum, Params: &params})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	res, err := SolveContext(ctx, g, Config{Strategy: StrategyQuantum, Params: &params, Workspace: ws})
+	res, err := SolveContext(ctx, g, Config{Strategy: StrategyQuantum, Params: &params})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded (n=32 cannot finish in 5ms)", err)
 	}
@@ -178,16 +177,12 @@ func TestSolveContextDeadlineInsideStage(t *testing.T) {
 		t.Fatal("deadline-expired solve should carry partial telemetry")
 	}
 
-	want, err := Solve(g, Config{Strategy: StrategyQuantum, Params: &params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Solve(g, Config{Strategy: StrategyQuantum, Params: &params, Workspace: ws})
+	got, err := Solve(g, Config{Strategy: StrategyQuantum, Params: &params})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Rounds != want.Rounds || !got.Dist.Equal(want.Dist) {
-		t.Fatal("workspace reused after a mid-stage deadline produced a different result")
+		t.Fatal("a solve after a mid-stage deadline produced a different result")
 	}
 }
 

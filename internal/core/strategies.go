@@ -111,23 +111,25 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 	if err != nil {
 		return nil, err
 	}
-	st := &searchRun{req: req, out: out, net: net, solver: p.solver, rng: xrand.New(req.Seed)}
+	st := &searchRun{req: req, out: out, net: net, solver: p.solver, dp: distprod.NewWorkspace(), rng: xrand.New(req.Seed)}
 	stages := []engine.Stage{{Name: "encode", Run: st.encode}}
 	for i := 0; i < matrix.SquaringBudget(n); i++ {
 		stages = append(stages, engine.Stage{Name: fmt.Sprintf("square-%d", i+1), Run: st.square})
 	}
 	stages = append(stages, engine.Stage{Name: "extract", Run: st.extract})
-	return &engine.Plan{Net: net, Stages: stages, Cleanup: st.release, Retry: searchRetry}, nil
+	return &engine.Plan{Net: net, Stages: stages, Retry: searchRetry}, nil
 }
 
 // searchRun is the mutable state the stages of one searchPipeline solve
-// share: the ping-pong matrices borrowed from the workspace and the
-// cumulative FindEdges-call counter that drives the per-product seeds.
+// share: the ping-pong matrices, the distance-product workspace its
+// products reuse, and the cumulative FindEdges-call counter that drives
+// the per-product seeds.
 type searchRun struct {
 	req    *engine.Request
 	out    *engine.Outcome
 	net    *congest.Network
 	solver distprod.Solver
+	dp     *distprod.Workspace
 	rng    *xrand.Source
 
 	cur, next *matrix.Matrix
@@ -135,15 +137,8 @@ type searchRun struct {
 }
 
 func (st *searchRun) encode(context.Context) error {
-	ag := matrix.FromDigraph(st.req.G)
-	n := ag.N()
-	st.cur = st.req.MX.Get(n)
-	if err := ag.CloneInto(st.cur); err != nil {
-		return err
-	}
-	if n > 1 {
-		st.next = st.req.MX.Get(n)
-	}
+	st.cur = matrix.FromDigraph(st.req.G)
+	st.next = matrix.New(st.cur.N())
 	return nil
 }
 
@@ -154,7 +149,7 @@ func (st *searchRun) square(ctx context.Context) error {
 		Seed:      st.rng.SplitN("product", st.calls).Seed(),
 		Net:       st.net,
 		Workers:   st.req.Workers,
-		Workspace: st.req.DP,
+		Workspace: st.dp,
 		Ctx:       ctx,
 	})
 	if err != nil {
@@ -167,22 +162,9 @@ func (st *searchRun) square(ctx context.Context) error {
 }
 
 func (st *searchRun) extract(context.Context) error {
-	if st.next != nil {
-		st.req.MX.Put(st.next)
-		st.next = nil
-	}
 	st.out.Dist = st.cur
 	st.out.FindEdgesCalls = st.calls
-	st.cur = nil
 	return nil
-}
-
-// release returns checked-out matrices after an interrupted run, so a
-// cancelled solve leaves the pooled workspace in a reusable state.
-func (st *searchRun) release() {
-	st.req.MX.Put(st.cur)
-	st.req.MX.Put(st.next)
-	st.cur, st.next = nil, nil
 }
 
 // gossipPipeline is the naive O(n)-round baseline: one full adjacency
@@ -235,7 +217,7 @@ func (gossipPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engine.
 				}
 				return matrix.MulMinPlusInto(dst, a, b, req.Workers)
 			}
-			dist, sq, err := matrix.APSPBySquaringInto(ag, prod, req.MX)
+			dist, sq, err := matrix.APSPBySquaringInto(ag, prod)
 			if err != nil {
 				return err
 			}

@@ -10,9 +10,7 @@
 //   - a context checkpoint between stages (and, through the Ctx options of
 //     the distprod/triangles layers, inside the squaring-chain and
 //     triangle-enumeration loops), so a solve under a request deadline
-//     stops at the next boundary instead of running to completion;
-//   - a cleanup hook so an interrupted pipeline returns its borrowed
-//     workspace buffers, keeping pooled state reusable after cancellation.
+//     stops at the next boundary instead of running to completion.
 //
 // Strategies register themselves (see registry.go); the serving layer, the
 // public qclique API and the cmd/ tools enumerate the registry instead of
@@ -27,7 +25,6 @@ import (
 	"time"
 
 	"qclique/internal/congest"
-	"qclique/internal/distprod"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
 	"qclique/internal/triangles"
@@ -47,11 +44,6 @@ type Request struct {
 	// Epsilon is the stretch budget of the approximate strategies (0 for
 	// exact ones; validated by the caller before the engine runs).
 	Epsilon float64
-	// MX is the matrix freelist the squaring chain ping-pongs through.
-	MX *matrix.Workspace
-	// DP is the distance-product workspace (tripartite instance, search
-	// buffers, triangles scratch).
-	DP *distprod.Workspace
 	// Faults is the fault-injection plan the strategy arms its network(s)
 	// with; the zero value keeps injection fully disabled (bit-identical
 	// rounds).
@@ -161,11 +153,6 @@ type Plan struct {
 	Net *congest.Network
 	// Stages run in order.
 	Stages []Stage
-	// Cleanup, when non-nil, is invoked exactly once if the run stops
-	// before the last stage completed (stage error or cancellation): the
-	// pipeline returns borrowed workspace buffers so pooled state stays
-	// reusable. It is not invoked after a fully successful run.
-	Cleanup func()
 	// Retry is the strategy's stage-retry budget for unrecovered injected
 	// faults. Stages must be re-runnable for this to be sound: each
 	// strategy's stage closures re-derive their seeds and reset their
@@ -178,7 +165,7 @@ type Plan struct {
 // engine has verified that the stage rounds sum exactly to the network
 // total. On a stage error or a cancellation checkpoint the partial Outcome
 // (telemetry of the work done so far, nil Dist) is returned alongside the
-// error, after the plan's Cleanup ran.
+// error.
 func Run(ctx context.Context, s Strategy, req *Request) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -209,12 +196,7 @@ func Run(ctx context.Context, s Strategy, req *Request) (*Outcome, error) {
 	if plan.Net != nil {
 		if sum := SumRounds(out.Stages); sum != out.Rounds {
 			// Treat the accounting violation like any other failed run:
-			// drop the (untrustworthy) result and let Cleanup return
-			// whatever buffers the strategy still holds. A result matrix
-			// already detached from its workspace is surrendered to the GC
-			// rather than repooled — this path fires only on a strategy
-			// programming error, and failing loudly outranks the one
-			// buffer.
+			// drop the (untrustworthy) result.
 			return abort(plan, out, fmt.Errorf("engine: %s: stage rounds %d do not sum to the pipeline total %d (network activity outside a stage)",
 				s.Name(), sum, out.Rounds))
 		}
@@ -313,13 +295,10 @@ func runStage(ctx context.Context, net *congest.Network, st Stage) (StageStat, e
 }
 
 // abort finalizes an interrupted run: partial telemetry is kept (the
-// serving layer returns it with the 503), borrowed buffers go back.
+// serving layer returns it with the 503), the distances are dropped.
 func abort(plan *Plan, out *Outcome, err error) (*Outcome, error) {
 	finish(plan, out)
 	out.Dist = nil
-	if plan.Cleanup != nil {
-		plan.Cleanup()
-	}
 	return out, err
 }
 

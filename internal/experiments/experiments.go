@@ -2,11 +2,10 @@
 // paper is a theory paper — its "evaluation" is Theorems 1–3, Propositions
 // 1–5 and Lemmas 1–4, and its five figures are algorithms — so each
 // experiment measures one claim inside the CONGEST-CLIQUE simulator and
-// reports paper-claim versus measured. The experiment IDs (E1…E12) match
-// DESIGN.md and EXPERIMENTS.md; cmd/experiments and examples/scalingstudy
-// drive this package. Inputs come from its workload subpackage, fixed per
-// size, so an experiment row and the cmd/bench entry of the same size
-// measure one instance.
+// reports paper-claim versus measured. cmd/experiments and
+// examples/scalingstudy drive this package. Inputs come from its workload
+// subpackage, fixed per size, so an experiment row and the cmd/bench entry
+// of the same size measure one instance.
 package experiments
 
 import (

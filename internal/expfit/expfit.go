@@ -1,7 +1,7 @@
 // Package expfit provides the small analysis toolkit behind the
 // experiment harness: least-squares power-law fits in log-log space (to
 // recover round-complexity exponents from measured sweeps) and plain-text
-// table rendering for EXPERIMENTS.md.
+// table rendering for the experiment reports.
 package expfit
 
 import (

@@ -93,7 +93,7 @@ func (m *Matrix) Row(i int) []int64 {
 // writes through the view mutate the matrix, and the view is invalidated by
 // anything that replaces the storage. It is the allocation-free companion of
 // Row for internal hot paths; public results should keep using Row, whose
-// copy detaches the caller from cached/pooled matrices.
+// copy detaches the caller from cached matrices.
 func (m *Matrix) RowView(i int) []int64 {
 	m.bounds(i, 0)
 	return m.a[i*m.n : (i+1)*m.n : (i+1)*m.n]
@@ -107,8 +107,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // CloneInto copies m's entries into dst, which must have the same
-// dimension. It is Clone without the allocation, for workspace-backed
-// ping-pong buffers.
+// dimension. It is Clone without the allocation.
 func (m *Matrix) CloneInto(dst *Matrix) error {
 	if dst.n != m.n {
 		return fmt.Errorf("matrix: CloneInto dimension mismatch %d vs %d", dst.n, m.n)
@@ -318,34 +317,24 @@ func APSPBySquaring(ag *Matrix, prod Product) (*Matrix, SquaringStats, error) {
 type ProductInto func(dst, a, b *Matrix) error
 
 // APSPBySquaringInto is APSPBySquaring over an in-place product that stops
-// at the chain's fixed point. The chain ping-pongs between two workspace
-// matrices, so a steady-state solve performs its squarings with zero
-// per-iteration matrix allocation. It breaks out after the first squaring
-// that returns its input unchanged: once A⋆A = A every later squaring is
-// the identity, so for a deterministic prod the result is bit-identical to
-// APSPBySquaring's for every input (negative cycles, −∞ and saturating
-// weights included). Products is the index of that squaring, or the full
-// ⌈log₂ n⌉ budget when no squaring within it was a no-op.
-//
-// The returned matrix is one of the two workspace buffers and is therefore
-// owned by the caller: it must not be handed back to ws while the result is
-// alive (the companion buffer is returned automatically).
-func APSPBySquaringInto(ag *Matrix, prod ProductInto, ws *Workspace) (*Matrix, SquaringStats, error) {
+// at the chain's fixed point. The chain ping-pongs between two matrices it
+// allocates once, so its squarings allocate no matrix storage. It breaks
+// out after the first squaring that returns its input unchanged: once
+// A⋆A = A every later squaring is the identity, so for a deterministic prod
+// the result is bit-identical to APSPBySquaring's for every input (negative
+// cycles, −∞ and saturating weights included). Products is the index of
+// that squaring, or the full ⌈log₂ n⌉ budget when no squaring within it was
+// a no-op.
+func APSPBySquaringInto(ag *Matrix, prod ProductInto) (*Matrix, SquaringStats, error) {
 	var stats SquaringStats
 	n := ag.n
-	cur := ws.Get(n)
-	if err := ag.CloneInto(cur); err != nil {
-		ws.Put(cur)
-		return nil, stats, err
-	}
+	cur := ag.Clone()
 	if n <= 1 {
 		return cur, stats, nil
 	}
-	next := ws.Get(n)
+	next := New(n)
 	for length := 1; length < n; length *= 2 {
 		if err := prod(next, cur, cur); err != nil {
-			ws.Put(cur)
-			ws.Put(next)
 			return nil, stats, fmt.Errorf("squaring %d: %w", stats.Products, err)
 		}
 		stats.Products++
@@ -354,7 +343,6 @@ func APSPBySquaringInto(ag *Matrix, prod ProductInto, ws *Workspace) (*Matrix, S
 			break
 		}
 	}
-	ws.Put(next)
 	return cur, stats, nil
 }
 

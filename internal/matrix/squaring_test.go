@@ -21,21 +21,6 @@ func wsRandomMatrix(n int, seed uint64) *Matrix {
 	return m
 }
 
-func TestWorkspaceGetPutReuse(t *testing.T) {
-	var ws Workspace
-	a := ws.Get(5)
-	ws.Put(a)
-	if b := ws.Get(5); b != a {
-		t.Fatal("Get after Put did not recycle the matrix")
-	}
-	if c := ws.Get(5); c == a {
-		t.Fatal("second Get handed out the same matrix twice")
-	}
-	if d := ws.Get(7); d.N() != 7 {
-		t.Fatalf("Get(7) returned n=%d", d.N())
-	}
-}
-
 func TestMulMinPlusIntoMatchesDistanceProduct(t *testing.T) {
 	for _, n := range []int{0, 1, 4, 9} {
 		a := wsRandomMatrix(n, uint64(n)+1)
@@ -63,7 +48,6 @@ func TestMulMinPlusIntoRejectsAliasing(t *testing.T) {
 }
 
 func TestAPSPBySquaringIntoMatchesAllocating(t *testing.T) {
-	var ws Workspace
 	for _, n := range []int{1, 2, 7, 12} {
 		ag := Identity(n)
 		rng := xrand.New(uint64(n))
@@ -80,7 +64,7 @@ func TestAPSPBySquaringIntoMatchesAllocating(t *testing.T) {
 			t.Fatal(err)
 		}
 		prodInto := func(dst, a, b *Matrix) error { return MulMinPlusInto(dst, a, b, 1) }
-		got, gotStats, err := APSPBySquaringInto(ag, prodInto, &ws)
+		got, gotStats, err := APSPBySquaringInto(ag, prodInto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +133,6 @@ func fixedPointMatrix(rng *xrand.Source, n, kind int, density float64) *Matrix {
 // for bit, and its Products is exactly the index of the first squaring
 // that returned its input (the budget if none did).
 func TestAPSPBySquaringIntoFixedPoint(t *testing.T) {
-	var ws Workspace
 	early := 0
 	for n := 1; n <= 40; n++ {
 		for kind := 0; kind < 3; kind++ {
@@ -163,7 +146,7 @@ func TestAPSPBySquaringIntoFixedPoint(t *testing.T) {
 				wantProducts := fixedPointIndex(t, ag)
 				for _, workers := range []int{1, 2} {
 					prodInto := func(dst, a, b *Matrix) error { return MulMinPlusInto(dst, a, b, workers) }
-					got, stats, err := APSPBySquaringInto(ag, prodInto, &ws)
+					got, stats, err := APSPBySquaringInto(ag, prodInto)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,14 +174,13 @@ func TestAPSPBySquaringIntoFixedPoint(t *testing.T) {
 // arcs are already shortest paths is its own square.
 func TestAPSPBySquaringIntoProductCount(t *testing.T) {
 	prodInto := func(dst, a, b *Matrix) error { return MulMinPlusInto(dst, a, b, 1) }
-	var ws Workspace
 
 	const pathN = 17
 	path := Identity(pathN)
 	for i := 0; i+1 < pathN; i++ {
 		path.Set(i, i+1, 1)
 	}
-	got, stats, err := APSPBySquaringInto(path, prodInto, &ws)
+	got, stats, err := APSPBySquaringInto(path, prodInto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +200,7 @@ func TestAPSPBySquaringIntoProductCount(t *testing.T) {
 			}
 		}
 	}
-	got, stats, err = APSPBySquaringInto(complete, prodInto, &ws)
+	got, stats, err = APSPBySquaringInto(complete, prodInto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +209,6 @@ func TestAPSPBySquaringIntoProductCount(t *testing.T) {
 	}
 	if !got.Equal(complete) {
 		t.Error("complete graph with shortest arcs: distances differ from the arcs")
-	}
-}
-
-// TestAPSPBySquaringIntoResultEscapes asserts the ownership contract: the
-// returned matrix must not be handed back to the workspace by the driver,
-// so further workspace use cannot corrupt it.
-func TestAPSPBySquaringIntoResultEscapes(t *testing.T) {
-	var ws Workspace
-	ag := Identity(6)
-	ag.Set(0, 1, 2)
-	ag.Set(1, 2, 3)
-	prodInto := func(dst, a, b *Matrix) error { return MulMinPlusInto(dst, a, b, 1) }
-	got, _, err := APSPBySquaringInto(ag, prodInto, &ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := got.Clone()
-	for i := 0; i < 4; i++ {
-		m := ws.Get(6)
-		m.Fill(graph.NegInf)
-		ws.Put(m)
-		if _, _, err := APSPBySquaringInto(ag, prodInto, &ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !got.Equal(snap) {
-		t.Fatal("squaring result was recycled into the workspace")
 	}
 }
 

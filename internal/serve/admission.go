@@ -5,7 +5,7 @@ package serve
 // in a bounded FIFO queue, and past *that* the service sheds load with a
 // typed OverloadError (HTTP 503 "overloaded" + Retry-After) instead of
 // letting a burst of uncached exact solves — each worth seconds of CPU and
-// hundreds of MB of pooled workspace at n=128 — OOM or thrash the daemon.
+// hundreds of MB of solve state at n=128 — OOM or thrash the daemon.
 // Queued requests are deadline-aware: a request whose remaining timeout_ms
 // budget cannot even cover its own likely service time (the mean wall time
 // of past executions of the same strategy) is shed immediately rather than

@@ -42,21 +42,28 @@ type entry struct {
 }
 
 // lruMap is a mutex-guarded LRU map; it backs both the solve cache
-// (cacheKey → *entry) and the graph store (id → *graph.Digraph).
+// (cacheKey → *entry) and the graph store (id → *storedGraph). It holds at
+// most max slots and, when built with a size function, at most maxBytes of
+// values by that measure. The byte bound never evicts the slot just added,
+// so a single value larger than the budget stays until the next add.
 type lruMap[K comparable, V any] struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *lruSlot[K, V]
-	items map[K]*list.Element
+	mu       sync.Mutex
+	max      int
+	maxBytes int64
+	size     func(V) int64 // nil: the map is bounded by count only
+	bytes    int64         // summed size of the held values
+	order    *list.List    // front = most recently used; values are *lruSlot[K, V]
+	items    map[K]*list.Element
 }
 
 type lruSlot[K comparable, V any] struct {
-	key K
-	val V
+	key   K
+	val   V
+	bytes int64
 }
 
-func newLRUMap[K comparable, V any](max int) *lruMap[K, V] {
-	return &lruMap[K, V]{max: max, order: list.New(), items: make(map[K]*list.Element)}
+func newLRUMap[K comparable, V any](max int, maxBytes int64, size func(V) int64) *lruMap[K, V] {
+	return &lruMap[K, V]{max: max, maxBytes: maxBytes, size: size, order: list.New(), items: make(map[K]*list.Element)}
 }
 
 // get returns the value for key, marking it most recently used.
@@ -73,20 +80,29 @@ func (c *lruMap[K, V]) get(key K) (V, bool) {
 }
 
 // add inserts (or refreshes) key, evicting least-recently-used slots
-// beyond the capacity.
+// beyond the capacity and the byte budget.
 func (c *lruMap[K, V]) add(key K, val V) {
+	var n int64
+	if c.size != nil {
+		n = c.size(val)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*lruSlot[K, V]).val = val
-		return
+		slot := el.Value.(*lruSlot[K, V])
+		c.bytes += n - slot.bytes
+		slot.val, slot.bytes = val, n
+	} else {
+		c.items[key] = c.order.PushFront(&lruSlot[K, V]{key: key, val: val, bytes: n})
+		c.bytes += n
 	}
-	c.items[key] = c.order.PushFront(&lruSlot[K, V]{key: key, val: val})
-	for c.order.Len() > c.max {
+	for c.order.Len() > c.max || (c.bytes > c.maxBytes && c.order.Len() > 1) {
 		back := c.order.Back()
-		delete(c.items, back.Value.(*lruSlot[K, V]).key)
+		slot := back.Value.(*lruSlot[K, V])
+		delete(c.items, slot.key)
 		c.order.Remove(back)
+		c.bytes -= slot.bytes
 	}
 }
 
@@ -100,7 +116,7 @@ func newLRUCache(max int) *lruMap[cacheKey, *entry] {
 	if max <= 0 {
 		max = defaultCacheSize
 	}
-	return newLRUMap[cacheKey, *entry](max)
+	return newLRUMap[cacheKey, *entry](max, 0, nil)
 }
 
 // flightGroup deduplicates concurrent calls with the same key: the first

@@ -48,7 +48,7 @@ func TestSolveContextCancelledReturnsCancelledError(t *testing.T) {
 	}
 
 	// Nothing cached; the next solve runs fresh and matches an independent
-	// service's answer exactly (pooled workspace reuse after cancellation).
+	// service's answer exactly (the cancelled run left no state behind).
 	res, err := svc.Solve(id, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -742,8 +742,9 @@ func TestOverloadDegradeCacheBypass(t *testing.T) {
 
 // TestPanicRecovery is the regression for a pipeline panicking mid-solve:
 // the caller gets a typed *PanicError (500 "internal" over the wire),
-// PanicsRecovered increments, and the workspace pool stays reusable — the
-// follow-up solve is bit-identical to one from a fresh service.
+// PanicsRecovered increments, and the panic leaves nothing behind that a
+// later solve reads — the follow-up solve is bit-identical to one from a
+// fresh service.
 func TestPanicRecovery(t *testing.T) {
 	svc := New(Config{})
 	g := overloadTestGraph(t, 12)
@@ -770,7 +771,8 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("PanicsRecovered = %d, want 1", st.PanicsRecovered)
 	}
 
-	// The pool must have gotten its workspace back in a reusable state.
+	// The next solve of the same graph runs afresh and matches a fresh
+	// service's answer.
 	res, err := svc.Solve(id, spec)
 	if err != nil {
 		t.Fatalf("solve after the panic: %v", err)

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"qclique/internal/core"
 	"qclique/internal/graph"
@@ -11,8 +14,8 @@ import (
 )
 
 // TestConcurrentPooledSolves drives many concurrent cache-miss solves
-// through one Service so the workspace pool hands out and recycles
-// workspaces under the race detector (the CI race job runs this package).
+// through one Service under the race detector (the CI race job runs this
+// package), so concurrent solves are shown to share no solve state.
 // Distinct graphs and seeds force every request down the simulator path;
 // each answer is cross-checked against an independent fresh solve.
 func TestConcurrentPooledSolves(t *testing.T) {
@@ -47,7 +50,7 @@ func TestConcurrentPooledSolves(t *testing.T) {
 					return
 				}
 				if !got.Res.Dist.Equal(want.Dist) {
-					errs <- fmt.Errorf("worker %d iter %d: pooled service solve differs from fresh", w, i)
+					errs <- fmt.Errorf("worker %d iter %d: concurrent service solve differs from fresh", w, i)
 					return
 				}
 			}
@@ -57,5 +60,49 @@ func TestConcurrentPooledSolves(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestCachedResultNeverAliasesLaterSolves is the escape contract of the
+// results the service shares: a cached distance matrix must never alias
+// storage a later solve writes. After graph A's solve, misses on graphs of
+// the same and of a different size and a solve cut short by its deadline
+// run; A's first result and a re-request answered from the cache must
+// still equal the snapshot taken before them.
+func TestCachedResultNeverAliasesLaterSolves(t *testing.T) {
+	svc := New(Config{})
+	spec := SolveSpec{Preset: PresetScaled, Seed: 1}
+	const n = 32
+	a := cancelTestGraph(t, n)
+	first, err := svc.SolveGraph(a, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := first.Res.Dist.Clone()
+
+	for i, m := range []int{n, 9, n} {
+		if _, err := svc.SolveGraph(testDigraph(t, m, uint64(40+i)), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+	defer cancel()
+	var ce *CancelledError
+	if _, err := svc.SolveGraphContext(ctx, testDigraph(t, n, 50), spec); !errors.As(err, &ce) {
+		t.Fatalf("deadline-bound solve: err = %v (%T), want *CancelledError", err, err)
+	}
+
+	again, err := svc.SolveGraph(a, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached {
+		t.Fatal("re-request of graph A missed the cache")
+	}
+	if !first.Res.Dist.Equal(snapshot) {
+		t.Fatal("graph A's first result was overwritten by later solves")
+	}
+	if !again.Res.Dist.Equal(snapshot) {
+		t.Fatal("graph A's cached result differs from its first answer")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"qclique/internal/approx"
@@ -26,15 +25,6 @@ import (
 	"qclique/internal/par"
 	"qclique/internal/triangles"
 )
-
-// workspacePool recycles per-solve workspaces across the daemon's
-// cache-miss solves: concurrent solves each borrow their own workspace
-// (core.Workspace is single-solve state), and a returned workspace carries
-// its high-water buffers to the next miss, so a warm daemon's solve path
-// stops cold-allocating. Returned distance matrices are permanently
-// forgotten by their workspace, so cached results never alias pooled
-// storage.
-var workspacePool = sync.Pool{New: func() any { return core.NewWorkspace() }}
 
 const (
 	defaultCacheSize = 64
@@ -262,7 +252,8 @@ func (s SolveSpec) key(hash string) cacheKey {
 type Config struct {
 	// CacheSize bounds the retained solve results (LRU; <= 0 selects 64).
 	CacheSize int
-	// MaxGraphs bounds the graph store (LRU; <= 0 selects 1024).
+	// MaxGraphs bounds the graph store (LRU; <= 0 selects 1024). The store
+	// also keeps at most 1 GiB of adjacency (n²·8 bytes per graph).
 	MaxGraphs int
 	// Workers is the default host-parallelism bound for solves and batch
 	// queries (<= 0 selects GOMAXPROCS).
@@ -296,7 +287,7 @@ type Service struct {
 func New(cfg Config) *Service {
 	return &Service{
 		cfg:    cfg,
-		store:  newGraphStore(cfg.MaxGraphs),
+		store:  newGraphStore(cfg.MaxGraphs, maxStoreBytes),
 		cache:  newLRUCache(cfg.CacheSize),
 		flight: newFlightGroup(),
 		stats:  newStatsCollector(),
@@ -341,8 +332,8 @@ func (s *Service) Readiness() Readiness {
 
 // PanicError reports a solve pipeline that panicked mid-execution,
 // converted into an error at the recovery boundary instead of tearing down
-// the daemon. The pooled workspace is returned before the conversion, so
-// the pool stays reusable; the HTTP layer maps it to 500 "internal".
+// the daemon. Every solve builds its own state, so nothing the panic left
+// half-written outlives it; the HTTP layer maps it to 500 "internal".
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -426,7 +417,7 @@ func (s *Service) Solve(id string, spec SolveSpec) (*SolveResult, error) {
 // between stages (and inside its inner loops), so a request deadline stops
 // the simulator at the next boundary. A cancelled solve returns a
 // *CancelledError carrying the partial per-stage telemetry; nothing is
-// cached, and the pooled workspace is returned in a reusable state.
+// cached.
 func (s *Service) SolveContext(ctx context.Context, id string, spec SolveSpec) (*SolveResult, error) {
 	sg, err := s.store.get(id)
 	if err != nil {
@@ -716,15 +707,10 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 // inject panics at the exact point a misbehaving pipeline would throw.
 var solveTestHook func(spec SolveSpec)
 
-// runPipeline executes one simulator run inside the panic-recovery boundary:
-// the borrowed workspace is returned to the pool by defer — so even a
-// panicking pipeline repools rather than leaks it — and a recovered panic
-// becomes a *PanicError instead of tearing down the daemon. (A cancelled
-// pipeline released its borrowed buffers through the engine's cleanup hook,
-// so the workspace goes back in a reusable state on every path.)
+// runPipeline executes one simulator run inside the panic-recovery
+// boundary: a recovered panic becomes a *PanicError instead of tearing down
+// the daemon.
 func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec SolveSpec, workers int) (res *core.Result, err error) {
-	ws := workspacePool.Get().(*core.Workspace)
-	defer workspacePool.Put(ws)
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -734,13 +720,12 @@ func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec Solve
 		solveTestHook(spec)
 	}
 	return core.SolveContext(ctx, gc, core.Config{
-		Strategy:  spec.Strategy,
-		Params:    spec.Preset.Params(),
-		Seed:      spec.Seed,
-		Epsilon:   spec.Epsilon,
-		Workers:   workers,
-		Workspace: ws,
-		Faults:    spec.Faults,
+		Strategy: spec.Strategy,
+		Params:   spec.Preset.Params(),
+		Seed:     spec.Seed,
+		Epsilon:  spec.Epsilon,
+		Workers:  workers,
+		Faults:   spec.Faults,
 	})
 }
 

@@ -214,18 +214,56 @@ func TestStoreLifecycle(t *testing.T) {
 		t.Fatalf("g1 should have been evicted; err = %v", err)
 	}
 
-	// The stored graph is a private clone: mutating the original must not
-	// change what the service solves.
+	// The stored graph is a private clone: mutating the caller's graph after
+	// the upload changes neither what the store holds nor its id.
 	id2 := HashDigraph(g2)
+	w, hasArc := g2.Weight(0, 1)
+	if err := g2.SetArc(0, 1, 999); err != nil {
+		t.Fatal(err)
+	}
 	stored, err := svc.Graph(id2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.SetArc(0, 1, 999); err != nil {
+	if got, ok := stored.Weight(0, 1); got != w || ok != hasArc {
+		t.Fatalf("stored arc 0->1 = (%d, %v) after the caller's mutation, want (%d, %v): the store kept the caller's graph", got, ok, w, hasArc)
+	}
+	if got := HashDigraph(stored); got != id2 {
+		t.Fatalf("stored graph hashes to %s, want its id %s", got, id2)
+	}
+}
+
+// TestStoreByteBudget: the store evicts least-recently-used graphs once
+// their adjacency bytes exceed its budget, well before its count bound, and
+// keeps a graph larger than the whole budget until the next upload.
+func TestStoreByteBudget(t *testing.T) {
+	const n = 8
+	perGraph := int64(n * n * 8)
+	st := newGraphStore(100, 2*perGraph+perGraph/2) // room for two n=8 graphs
+	id1 := st.put(testDigraph(t, n, 1), false)
+	id2 := st.put(testDigraph(t, n, 2), false)
+	if _, err := st.get(id1); err != nil { // id2 becomes the least recently used
 		t.Fatal(err)
 	}
-	if w, _ := stored.Weight(0, 1); w == 999 {
-		t.Fatal("store must hold a private clone")
+	id3 := st.put(testDigraph(t, n, 3), false)
+	if _, err := st.get(id2); !errors.Is(err, ErrUnknownGraph) {
+		t.Fatalf("least-recently-used graph survived past the byte budget: err = %v", err)
+	}
+	for _, id := range []string{id1, id3} {
+		if _, err := st.get(id); err != nil {
+			t.Fatalf("graph within the budget evicted: %v", err)
+		}
+	}
+	if got := st.len(); got != 2 {
+		t.Fatalf("store holds %d graphs, want 2", got)
+	}
+
+	big := st.put(testDigraph(t, 3*n, 4), false) // 9x the per-graph bytes
+	if _, err := st.get(big); err != nil {
+		t.Fatalf("a graph larger than the budget must stay until the next upload: %v", err)
+	}
+	if got := st.len(); got != 1 {
+		t.Fatalf("store holds %d graphs after an oversize upload, want 1", got)
 	}
 }
 

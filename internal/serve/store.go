@@ -19,20 +19,31 @@ type storedGraph struct {
 	feats graph.Features
 }
 
+// maxStoreBytes bounds the adjacency bytes the graph store retains: 1 GiB
+// holds 8 graphs at maxUploadVertices, where the count bound alone would
+// let 1024 of them (128 GiB) accumulate.
+const maxStoreBytes = 1 << 30
+
 // graphStore holds uploaded graphs by content hash, least-recently-used
-// capped so a long-running daemon cannot be grown without bound by unique
-// uploads. The store owns what it holds — a caller's graph is cloned on the
-// way in — and hands graphs out by reference: stored graphs are never
-// mutated.
+// capped by count and by adjacency bytes, so a long-running daemon cannot
+// be grown without bound by unique uploads. The store owns what it holds —
+// a caller's graph is cloned on the way in — and hands graphs out by
+// reference: stored graphs are never mutated.
 type graphStore struct {
 	m *lruMap[string, *storedGraph]
 }
 
-func newGraphStore(max int) *graphStore {
+func newGraphStore(max int, maxBytes int64) *graphStore {
 	if max <= 0 {
 		max = defaultMaxGraphs
 	}
-	return &graphStore{m: newLRUMap[string, *storedGraph](max)}
+	return &graphStore{m: newLRUMap[string](max, maxBytes, storedGraphBytes)}
+}
+
+// storedGraphBytes weighs a stored graph by its dense n×n int64 adjacency.
+func storedGraphBytes(sg *storedGraph) int64 {
+	n := int64(sg.g.N())
+	return n * n * 8
 }
 
 // put stores g (with its feature profile) and returns its content id.

@@ -10,7 +10,6 @@ import (
 	"qclique/internal/graph"
 	"qclique/internal/par"
 	"qclique/internal/qsearch"
-	"qclique/internal/quantum"
 	"qclique/internal/xrand"
 )
 
@@ -124,12 +123,6 @@ type Options struct {
 	// computation (truth-table assembly, Grover state-vector updates);
 	// <= 0 selects GOMAXPROCS. Results are identical for every setting.
 	Workers int
-	// InjectTruncationFailures enables sampling of the Theorem 3
-	// truncation error as protocol failures (retried like the other
-	// aborts). The bound is reported either way. At small simulated n the
-	// asymptotic bound saturates and would make every run fail, so
-	// injection is opt-in.
-	InjectTruncationFailures bool
 	// Scratch optionally supplies the reusable per-solve workspace; when
 	// nil every call builds a private one (identical results, more
 	// allocation). Not safe for concurrent use across calls.
@@ -193,13 +186,10 @@ type Report struct {
 	// Metrics holds the aggregate network accounting.
 	Metrics congest.Metrics
 	// Retries counts aborted attempts (covering imbalance, IdentifyClass
-	// overflow, slot overflow, injected truncation failures).
+	// overflow, slot overflow).
 	Retries int
 	// Classes are the per-α search statistics of the successful attempt.
 	Classes []ClassStat
-	// TruncationErrorBound is the summed Theorem 3 deviation bound across
-	// the per-node multi-searches of the successful attempt (capped at 1).
-	TruncationErrorBound float64
 	// Mode records which Step 3 implementation ran.
 	Mode SearchMode
 }
@@ -211,8 +201,7 @@ func retryableError(err error) bool {
 	var nwb *NotWellBalancedError
 	var ia *IdentifyAbortError
 	var so *SlotOverflowError
-	return errors.As(err, &nwb) || errors.As(err, &ia) || errors.As(err, &so) ||
-		errors.Is(err, qsearch.ErrTruncation)
+	return errors.As(err, &nwb) || errors.As(err, &ia) || errors.As(err, &so)
 }
 
 // FindEdgesWithPromise solves the problem of Section 3 under the promise
@@ -330,23 +319,6 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 					rowFound[st.instances[i]] = true
 					stat.Found++
 				}
-			}
-			// Theorem 3 accounting: per-node searches have m = kept pairs
-			// at that node and the slot cap as β; sum the per-node
-			// deviation bounds (union bound across nodes).
-			bound := rep.TruncationErrorBound
-			for _, cov := range st.coverings {
-				if len(cov.Pairs) == 0 {
-					continue
-				}
-				bound += quantum.TruncationDeviationBound(res.Iterations, len(cov.Pairs), b.spaceSize)
-			}
-			if bound > 1 {
-				bound = 1
-			}
-			rep.TruncationErrorBound = bound
-			if opts.InjectTruncationFailures && rng.SplitN("trunc", alpha).Bool(bound) {
-				return nil, qsearch.ErrTruncation
 			}
 		}
 		rep.Classes = append(rep.Classes, stat)

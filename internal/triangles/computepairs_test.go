@@ -6,7 +6,6 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
-	"qclique/internal/qsearch"
 	"qclique/internal/xrand"
 )
 
@@ -328,46 +327,5 @@ func TestClassForCount(t *testing.T) {
 		if d == 0 {
 			d = 1
 		}
-	}
-}
-
-func TestFindEdgesWithPromiseTruncationInjection(t *testing.T) {
-	// At tiny n the Theorem 3 deviation bound saturates at 1, so enabling
-	// injection makes every attempt fail and the retry budget must be
-	// exhausted with ErrTruncation in the chain. A graph with at least one
-	// negative triangle is needed so the multi-search actually runs.
-	g := graph.NewUndirected(16)
-	for _, e := range [][3]int64{{0, 1, -5}, {0, 2, 1}, {1, 2, 1}} {
-		if err := g.SetEdge(int(e[0]), int(e[1]), e[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	params := PaperParams()
-	params.MaxRetries = 2
-	_, err := FindEdgesWithPromise(Instance{G: g}, Options{
-		Seed:                     1,
-		Params:                   &params,
-		InjectTruncationFailures: true,
-	})
-	if err == nil {
-		t.Fatal("expected exhausted retries under forced truncation")
-	}
-	if !errors.Is(err, qsearch.ErrTruncation) {
-		t.Errorf("err = %v, want ErrTruncation in chain", err)
-	}
-}
-
-func TestReportTruncationBoundReported(t *testing.T) {
-	// Without injection the bound is still reported (saturated at small n).
-	inst := randomInstance(t, 16, 3, 0.5)
-	rep, err := FindEdgesWithPromise(inst, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Edges) > 0 && rep.TruncationErrorBound <= 0 {
-		t.Error("bound should be reported when searches ran")
-	}
-	if rep.TruncationErrorBound > 1 {
-		t.Error("bound must be capped at 1")
 	}
 }
