@@ -103,7 +103,7 @@ func BenchmarkE4Strategies(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-				Seed: uint64(i), Params: &params, Data: triangles.DataDirect,
+				Seed: uint64(i), Params: &params,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -116,7 +116,7 @@ func BenchmarkE4Strategies(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-				Seed: uint64(i), Params: &params, Data: triangles.DataDirect, Mode: triangles.SearchClassicalScan,
+				Seed: uint64(i), Params: &params, Mode: triangles.SearchClassicalScan,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -150,7 +150,7 @@ func BenchmarkE5FindEdgesReduction(b *testing.B) {
 	var calls int
 	for i := 0; i < b.N; i++ {
 		rep, err := triangles.FindEdges(triangles.Instance{G: g}, triangles.Options{
-			Seed: uint64(i), Params: &params, Data: triangles.DataDirect,
+			Seed: uint64(i), Params: &params,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -446,7 +446,7 @@ func BenchmarkAblationConstants(b *testing.B) {
 			var rounds, words int64
 			for i := 0; i < b.N; i++ {
 				rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: uint64(i), Params: &params, Data: triangles.DataDirect,
+					Seed: uint64(i), Params: &params,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -462,7 +462,9 @@ func BenchmarkAblationConstants(b *testing.B) {
 
 // BenchmarkAblationDataMode compares payload-carrying placement (DataFull)
 // against charge-only accounting (DataDirect): identical rounds by
-// construction, different wall-clock and memory.
+// construction, different wall-clock and memory. Every solve runs
+// DataDirect, the zero Options.Data; DataFull and its ExchangeBalanced
+// phase serve only this ablation and the tests that use it as the oracle.
 func BenchmarkAblationDataMode(b *testing.B) {
 	g := benchTriangleGraph(b, 81)
 	params := triangles.BenchParams()

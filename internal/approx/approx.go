@@ -5,9 +5,9 @@
 // exactness buys order-of-magnitude round savings. Two strategies live
 // here:
 //
-//   - Chain: a (1+ε)-approximate repeated-squaring chain. Each distance
-//     product snaps its outputs up onto a geometric value ladder, so the
-//     Proposition 2 binary search ranges over ladder indices — depth
+//   - approx-quantum: a (1+ε)-approximate repeated-squaring chain. Each
+//     distance product snaps its outputs up onto a geometric value ladder,
+//     so the Proposition 2 binary search ranges over ladder indices — depth
 //     ⌈log₂(ladder length)⌉ instead of ⌈log₂(4M+2)⌉ — cutting the
 //     FindEdges call count (and hence rounds) of every product in the
 //     chain. Errors compound multiplicatively: a per-product step of

@@ -8,12 +8,10 @@ package approx
 // depth: each product spends ⌈log₂ |ladder ∩ [0,M]|⌉+1 FindEdges calls
 // instead of ⌈log₂(4M+2)⌉+1, and FindEdges calls are where the rounds go.
 //
-// The chain is factored into a chainRun so the same code backs both the
-// standalone Chain entry point and the staged engine pipeline (strategy
-// "approx-quantum"): prepare builds the ladder, square performs one
-// ladder-snapped product plus the fixpoint vote, and the driver — a plain
-// loop here, engine stages there — sequences them. One implementation, one
-// round trajectory.
+// The chain is factored into a chainRun that the staged engine pipeline
+// (strategy "approx-quantum") drives: prepare builds the ladder, square
+// performs one ladder-snapped product plus the fixpoint vote, and the
+// engine's stages sequence them.
 
 import (
 	"context"
@@ -42,9 +40,6 @@ type ChainOptions struct {
 	Net *congest.Network
 	// Workers bounds host-side parallelism of node-local phases.
 	Workers int
-	// DP optionally supplies the distance-product workspace the chain's
-	// products share; when nil every product builds a private one.
-	DP *distprod.Workspace
 }
 
 // ChainStats reports what a chain run did.
@@ -64,9 +59,11 @@ type ChainStats struct {
 }
 
 // chainRun is the mutable state of one (1+ε) chain: the ping-pong matrices,
-// the shared ladder, and the convergence flag the fixpoint vote sets.
+// the shared ladder, the distance-product workspace every product of the
+// chain reuses, and the convergence flag the fixpoint vote sets.
 type chainRun struct {
 	opts   ChainOptions
+	dp     *distprod.Workspace
 	ag     *matrix.Matrix
 	stats  *ChainStats
 	rng    *xrand.Source
@@ -88,6 +85,7 @@ func newChainRun(ag *matrix.Matrix, opts ChainOptions) (*chainRun, error) {
 	}
 	return &chainRun{
 		opts:   opts,
+		dp:     distprod.NewWorkspace(),
 		ag:     ag,
 		stats:  &ChainStats{},
 		rng:    xrand.New(opts.Seed),
@@ -143,7 +141,7 @@ func (r *chainRun) square(ctx context.Context) error {
 		Seed:      r.rng.SplitN("product", r.stats.FindEdgesCalls).Seed(),
 		Net:       r.opts.Net,
 		Workers:   r.opts.Workers,
-		Workspace: r.opts.DP,
+		Workspace: r.dp,
 		Grid:      r.ladder,
 		Ctx:       ctx,
 	})
@@ -162,28 +160,6 @@ func (r *chainRun) square(ctx context.Context) error {
 		r.done = true
 	}
 	return nil
-}
-
-// Chain computes (1+ε)-approximate APSP distances for the adjacency matrix
-// ag (0 diagonal, nonnegative finite weights, +Inf for absent arcs): every
-// returned entry d̂ satisfies d ≤ d̂ ≤ (1+ε)·d against the exact distance
-// d, with reachability preserved exactly. The caller validates
-// nonnegativity at the graph level; −Inf or negative entries fail inside
-// the product.
-func Chain(ag *matrix.Matrix, opts ChainOptions) (*matrix.Matrix, *ChainStats, error) {
-	r, err := newChainRun(ag, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.prepare(); err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < r.budget && !r.done; i++ {
-		if err := r.square(context.Background()); err != nil {
-			return nil, nil, err
-		}
-	}
-	return r.cur, r.stats, nil
 }
 
 // powRoot returns the p-th root of x for p >= 1 (x > 1), i.e. x^(1/p).

@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"testing"
 
 	"qclique/internal/congest"
@@ -19,13 +20,36 @@ func newTestNetwork(t *testing.T, n int) *congest.Network {
 	return net
 }
 
+// chain drives one chainRun through its whole product budget in a plain
+// loop, the engine's stages without the engine. It computes
+// (1+ε)-approximate APSP distances for the adjacency matrix ag (0
+// diagonal, nonnegative finite weights, +Inf for absent arcs): every
+// returned entry d̂ satisfies d ≤ d̂ ≤ (1+ε)·d against the exact distance
+// d, with reachability preserved exactly. −Inf or negative entries fail
+// inside the product.
+func chain(ag *matrix.Matrix, opts ChainOptions) (*matrix.Matrix, *ChainStats, error) {
+	r, err := newChainRun(ag, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := r.prepare(); err != nil {
+		return nil, nil, err
+	}
+	for i := 0; i < r.budget && !r.done; i++ {
+		if err := r.square(context.Background()); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r.cur, r.stats, nil
+}
+
 // runChain solves g with the (1+ε) chain under scaled constants and
 // returns the distances plus the rounds charged.
 func runChain(t *testing.T, g *graph.Digraph, eps float64, seed uint64) (*matrix.Matrix, *ChainStats, int64) {
 	t.Helper()
 	params := triangles.BenchParams()
 	net := newTestNetwork(t, 3*g.N())
-	dist, stats, err := Chain(matrix.FromDigraph(g), ChainOptions{
+	dist, stats, err := chain(matrix.FromDigraph(g), ChainOptions{
 		Epsilon: eps,
 		Solver:  distprod.SolverQuantum,
 		Params:  &params,
@@ -70,10 +94,10 @@ func TestChainDeterministicPerSeed(t *testing.T) {
 func TestChainRejectsBadEpsilon(t *testing.T) {
 	g := graph.NewDigraph(4)
 	net := newTestNetwork(t, 12)
-	if _, _, err := Chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0, Net: net}); err == nil {
+	if _, _, err := chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0, Net: net}); err == nil {
 		t.Error("eps=0 must fail")
 	}
-	if _, _, err := Chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0.5}); err == nil {
+	if _, _, err := chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0.5}); err == nil {
 		t.Error("missing network must fail")
 	}
 }
@@ -82,7 +106,7 @@ func TestChainTrivialSizes(t *testing.T) {
 	for n := 0; n <= 1; n++ {
 		g := graph.NewDigraph(n)
 		net := newTestNetwork(t, max(3*n, 1))
-		dist, _, err := Chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0.5, Net: net})
+		dist, _, err := chain(matrix.FromDigraph(g), ChainOptions{Epsilon: 0.5, Net: net})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -106,7 +130,7 @@ func TestChainLargeEpsilonLongPaths(t *testing.T) {
 	}
 	for _, eps := range []float64{20, MaxEpsilon} {
 		net := newTestNetwork(t, 3*n)
-		dist, _, err := Chain(matrix.FromDigraph(g), ChainOptions{
+		dist, _, err := chain(matrix.FromDigraph(g), ChainOptions{
 			Epsilon: eps,
 			Solver:  distprod.SolverDolev,
 			Seed:    1,

@@ -2,10 +2,11 @@ package approx
 
 // The approximate pipelines as engine strategies. Both register themselves
 // with the engine's strategy registry at init (this package is imported by
-// core, so registration precedes any registry consumer), and both reuse
-// the exact same run structs as the standalone Chain/Skeleton entry points
-// — staging changes where the checkpoints and telemetry boundaries sit,
-// not a single network charge.
+// core, so registration precedes any registry consumer). The chain is
+// driven only through its stages; the skeleton reuses the exact same run
+// struct as the standalone Skeleton entry point — staging changes where
+// the checkpoints and telemetry boundaries sit, not a single network
+// charge.
 
 import (
 	"context"
@@ -93,7 +94,6 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	if err != nil {
 		return nil, err
 	}
-	dp := distprod.NewWorkspace()
 	var run *chainRun
 	stages := []engine.Stage{
 		{Name: "encode", Run: func(context.Context) error {
@@ -104,7 +104,6 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 				Seed:    req.Seed,
 				Net:     net,
 				Workers: req.Workers,
-				DP:      dp,
 			})
 			if err != nil {
 				return err

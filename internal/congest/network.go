@@ -16,12 +16,15 @@
 // # Fidelity
 //
 // The simulator supports two interchangeable modes with identical round
-// arithmetic: payload-carrying exchanges (ExchangeBalanced: messages are
-// materialized and delivered to per-node inboxes) and bulk load charging
-// (ChargeBalanced: only the per-link word counts are accounted). Protocols
-// in this repository are written so that every piece of cross-node
-// information flows through ExchangeBalanced or is charged through
-// ChargeBalanced, Broadcast, BroadcastAll or ReplayCharge.
+// arithmetic and fault draws: payload-carrying exchanges (ExchangeBalanced:
+// messages are materialized and delivered to per-node inboxes) and bulk
+// load charging (ChargeBalanced: only the per-link word counts are
+// accounted). Every protocol phase of a production solve is charged
+// through ChargeBalanced, Broadcast, BroadcastAll or ReplayCharge; Step 1
+// of ComputePairs included, which charges one load per payload message.
+// ExchangeBalanced now serves only the tests that hold that charge to the
+// payload-carrying Step 1 it replaced, the E8 routing experiment and
+// benchmark/probe.
 //
 // # Memory model of the simulator
 //

@@ -206,7 +206,7 @@ func runE2(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-			Seed: cfg.Seed, Params: &params, Data: triangles.DataDirect,
+			Seed: cfg.Seed, Params: &params,
 		})
 		if err != nil {
 			return nil, err
@@ -260,13 +260,13 @@ func runE4(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		q, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-			Seed: cfg.Seed, Params: &params, Data: triangles.DataDirect,
+			Seed: cfg.Seed, Params: &params,
 		})
 		if err != nil {
 			return nil, err
 		}
 		c, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-			Seed: cfg.Seed, Params: &params, Data: triangles.DataDirect, Mode: triangles.SearchClassicalScan,
+			Seed: cfg.Seed, Params: &params, Mode: triangles.SearchClassicalScan,
 		})
 		if err != nil {
 			return nil, err

@@ -102,7 +102,7 @@ func runE5(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		rep, err := triangles.FindEdges(triangles.Instance{G: g}, triangles.Options{
-			Seed: cfg.Seed, Params: &params, Data: triangles.DataDirect,
+			Seed: cfg.Seed, Params: &params,
 		})
 		if err != nil {
 			return nil, err

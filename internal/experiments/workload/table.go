@@ -103,7 +103,7 @@ func Table(quick bool) ([]Entry, error) {
 			Name: fmt.Sprintf("E2FindEdgesPromise/n=%d", n),
 			Run: func(seed uint64) (Out, error) {
 				r, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: seed, Params: &params, Data: triangles.DataDirect,
+					Seed: seed, Params: &params,
 				})
 				if err != nil {
 					return Out{}, err

@@ -10,25 +10,6 @@ type Triangle struct {
 	A, B, C int
 }
 
-// MakeTriangle normalizes three distinct vertices into a Triangle. It
-// panics on duplicates.
-func MakeTriangle(x, y, z int) Triangle {
-	if x == y || y == z || x == z {
-		panic("graph: triangle with duplicate vertices")
-	}
-	a, b, c := x, y, z
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return Triangle{A: a, B: b, C: c}
-}
-
 // IsNegativeTriangle reports whether {u,v,w} forms a negative triangle in g:
 // all three edges exist and their weights sum to a negative value
 // (Definition 1).

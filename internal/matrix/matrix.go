@@ -106,16 +106,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{n: m.n, a: a}
 }
 
-// CloneInto copies m's entries into dst, which must have the same
-// dimension. It is Clone without the allocation.
-func (m *Matrix) CloneInto(dst *Matrix) error {
-	if dst.n != m.n {
-		return fmt.Errorf("matrix: CloneInto dimension mismatch %d vs %d", dst.n, m.n)
-	}
-	copy(dst.a, m.a)
-	return nil
-}
-
 // Fill sets every entry to v (clamped into [−∞, +∞]).
 func (m *Matrix) Fill(v int64) {
 	if v > graph.Inf {

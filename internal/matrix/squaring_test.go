@@ -229,18 +229,3 @@ func TestRowViewAliases(t *testing.T) {
 		t.Fatal("Row must copy, not alias")
 	}
 }
-
-func TestCloneInto(t *testing.T) {
-	a := wsRandomMatrix(5, 9)
-	dst := New(5)
-	dst.Fill(0)
-	if err := a.CloneInto(dst); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(dst) {
-		t.Fatal("CloneInto mismatch")
-	}
-	if err := a.CloneInto(New(4)); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}

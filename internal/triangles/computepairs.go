@@ -110,8 +110,9 @@ type Options struct {
 	Params *Params
 	// Mode selects the Step 3 search; the zero value selects SearchQuantum.
 	Mode SearchMode
-	// Data selects payload-carrying versus charge-only placement; the zero
-	// value selects DataFull.
+	// Data selects charge-only versus payload-carrying placement; the zero
+	// value selects DataDirect, the charge-only Step 1 every solve runs.
+	// DataFull serves only as the tests' oracle for it (see DataMode).
 	Data DataMode
 	// Seed drives all protocol randomness.
 	Seed uint64
@@ -160,7 +161,7 @@ func (o Options) mode() SearchMode {
 
 func (o Options) data() DataMode {
 	if o.Data == 0 {
-		return DataFull
+		return DataDirect
 	}
 	return o.Data
 }

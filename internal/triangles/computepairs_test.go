@@ -2,6 +2,9 @@ package triangles
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"qclique/internal/congest"
@@ -186,19 +189,139 @@ func TestFindEdgesWithPromiseLegGraph(t *testing.T) {
 	}
 }
 
+// TestFindEdgesWithPromiseDataDirectMatchesFull holds the charge-only Step 1
+// that every solve runs (DataDirect, the zero Options.Data) to the
+// payload-carrying oracle (DataFull) over sizes, seeds and both parameter
+// presets, through the promise protocol and through the Proposition 1
+// reduction the pipeline calls. Everything the reports carry must match:
+// the modes differ only in whether Step 1's payloads are built.
 func TestFindEdgesWithPromiseDataDirectMatchesFull(t *testing.T) {
-	inst := randomInstance(t, 81, 77, 0.4)
-	full, err := FindEdgesWithPromise(inst, Options{Seed: 10, Data: DataFull})
-	if err != nil {
-		t.Fatal(err)
+	presets := []struct {
+		name   string
+		params Params
+	}{{"paper", PaperParams()}, {"bench", BenchParams()}}
+	for _, n := range []int{16, 48, 81} {
+		for _, preset := range presets {
+			for seed := uint64(0); seed < 4; seed++ {
+				params := preset.params
+				inst := randomInstance(t, n, 1000*uint64(n)+seed, 0.4)
+				t.Run(fmt.Sprintf("n=%d/%s/seed=%d", n, preset.name, seed), func(t *testing.T) {
+					promise := func(m DataMode) (*Report, error) {
+						return FindEdgesWithPromise(inst, Options{Seed: seed, Params: &params, Data: m})
+					}
+					full, err := promise(DataFull)
+					if err != nil {
+						t.Fatal(err)
+					}
+					direct, err := promise(DataDirect)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameReport(t, "promise", full, direct)
+
+					reduce := func(m DataMode) (*FindEdgesReport, error) {
+						return FindEdges(inst, Options{Seed: seed, Params: &params, Data: m})
+					}
+					fullFE, err := reduce(DataFull)
+					if err != nil {
+						t.Fatal(err)
+					}
+					directFE, err := reduce(DataDirect)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameFindEdgesReport(t, fullFE, directFE)
+				})
+			}
+		}
 	}
-	direct, err := FindEdgesWithPromise(inst, Options{Seed: 10, Data: DataDirect})
-	if err != nil {
-		t.Fatal(err)
+
+	// Armed with a mixed fault plan, both modes must draw the same faults in
+	// the same phases and fail alike: the charge-only Step 1 emits one load
+	// per payload message, in message order. The plan seeds put the one
+	// unrecovered fault after Step 1 and in it; there the error names the
+	// simulator call that failed, ExchangeBalanced or ChargeBalanced, and
+	// that word is the only difference.
+	for _, tc := range []struct {
+		name      string
+		planSeed  uint64
+		faultStep string // label of the phase the unrecovered fault hits
+	}{
+		{"fault-after-step1", 1, "qsearch/converge"},
+		{"fault-in-step1", 5, "computepairs/step1-placement"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := congest.FaultPlan{
+				Seed: tc.planSeed, DropRate: 0.05, DupRate: 0.02, DelayRate: 0.03, MaxDelayRounds: 2,
+				CorruptRate: 0.05, CrashRate: 0.02, CrashDownPhases: 1,
+			}
+			inst := randomInstance(t, 48, 48, 0.4)
+			params := BenchParams()
+			run := func(m DataMode) (congest.Metrics, error) {
+				net, err := congest.NewNetwork(48, congest.WithFaults(plan))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = FindEdges(inst, Options{Seed: 3, Params: &params, Net: net, Data: m})
+				return net.Metrics(), err
+			}
+			fullMetrics, fullErr := run(DataFull)
+			directMetrics, directErr := run(DataDirect)
+			if fullMetrics != directMetrics {
+				t.Errorf("metrics differ: full %+v, direct %+v", fullMetrics, directMetrics)
+			}
+			var fe *congest.FaultError
+			if !errors.As(directErr, &fe) || fe.Label != tc.faultStep {
+				t.Fatalf("direct run: err = %v, want an injected fault in %q", directErr, tc.faultStep)
+			}
+			fullText := strings.Replace(fmt.Sprint(fullErr), "exchange ", "charge ", 1)
+			if fullText != directErr.Error() {
+				t.Errorf("errors differ:\nfull   %v\ndirect %v", fullErr, directErr)
+			}
+		})
 	}
-	checkExact(t, direct.Edges, full.Edges, "direct-vs-full")
+}
+
+// sameReport requires two promise-call reports to agree on everything
+// they carry.
+func sameReport(t *testing.T, label string, full, direct *Report) {
+	t.Helper()
+	checkExact(t, direct.Edges, full.Edges, label)
 	if full.Rounds != direct.Rounds {
-		t.Errorf("round accounting differs: full=%d direct=%d", full.Rounds, direct.Rounds)
+		t.Errorf("%s: rounds differ: full %d, direct %d", label, full.Rounds, direct.Rounds)
+	}
+	if full.Metrics != direct.Metrics {
+		t.Errorf("%s: metrics differ: full %+v, direct %+v", label, full.Metrics, direct.Metrics)
+	}
+	if full.Retries != direct.Retries {
+		t.Errorf("%s: retries differ: full %d, direct %d", label, full.Retries, direct.Retries)
+	}
+	if !slices.Equal(full.Classes, direct.Classes) {
+		t.Errorf("%s: classes differ: full %+v, direct %+v", label, full.Classes, direct.Classes)
+	}
+	if full.Mode != direct.Mode {
+		t.Errorf("%s: modes differ: full %v, direct %v", label, full.Mode, direct.Mode)
+	}
+}
+
+// sameFindEdgesReport is sameReport for the Proposition 1 reduction, down
+// to each promise call's report.
+func sameFindEdgesReport(t *testing.T, full, direct *FindEdgesReport) {
+	t.Helper()
+	checkExact(t, direct.Edges, full.Edges, "findedges")
+	if full.Rounds != direct.Rounds || full.Metrics != direct.Metrics {
+		t.Errorf("findedges: rounds/metrics differ: full %d %+v, direct %d %+v",
+			full.Rounds, full.Metrics, direct.Rounds, direct.Metrics)
+	}
+	if full.PromiseCalls != direct.PromiseCalls || !slices.Equal(full.Levels, direct.Levels) {
+		t.Fatalf("findedges: calls differ: full %d at levels %v, direct %d at levels %v",
+			full.PromiseCalls, full.Levels, direct.PromiseCalls, direct.Levels)
+	}
+	if len(full.SubReports) != len(direct.SubReports) {
+		t.Fatalf("findedges: %d sub-reports vs %d", len(full.SubReports), len(direct.SubReports))
+	}
+	for i := range full.SubReports {
+		sameReport(t, fmt.Sprintf("findedges call %d", i), full.SubReports[i], direct.SubReports[i])
 	}
 }
 

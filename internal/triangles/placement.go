@@ -19,16 +19,18 @@ import (
 type DataMode int
 
 const (
-	// DataFull routes placement payloads through the simulator and stores
-	// per-triple weight tables; truth queries are answered from the stored
-	// copies. The zero Options.Data selects it, so every solve through
-	// qclique, core, distprod and serve runs it, the Theorem 1 pipeline
-	// included.
+	// DataFull routes placement payloads through the simulator
+	// (congest.ExchangeBalanced) and stores per-triple weight tables;
+	// truth queries are answered from the stored copies. It serves only as
+	// the oracle of DataDirect: the tests that compare the two modes and
+	// the BenchmarkAblationDataMode ablation select it.
 	DataFull DataMode = iota + 1
-	// DataDirect charges the identical link loads but answers truth
-	// queries from the input graph directly, trading fidelity of data flow
-	// (not of cost accounting) for memory. The E2 bench entries, the
-	// experiments and benchmark/probe select it.
+	// DataDirect charges Step 1 from its load list alone (one load per
+	// payload message, same order, same words) and answers truth queries
+	// from the leg graph's rows: identical rounds, fault draws and answers
+	// without building a payload. The zero Options.Data selects it, so
+	// every solve through qclique, core, distprod and serve runs it, the
+	// Theorem 1 pipeline included.
 	DataDirect
 )
 
@@ -55,55 +57,26 @@ const (
 	sideWV congest.Word = 2
 )
 
-// runPlacement executes (or charges) Step 1 on the network. The weight
-// tables, message headers and payload words all come from reusable storage
-// (the scratch and the network's payload arena): Step 1 runs once per
-// promise call, and its buffers were the largest single-phase allocations
-// of the pipeline.
+// runPlacement charges (DataDirect) or executes (DataFull) Step 1 on the
+// network. Every solve takes the charge-only branch: one load per payload
+// message, from a list built once per n and cached on the scratch. The
+// DataFull oracle also builds each payload, exchanges it and stores the
+// per-triple weight tables; its tables, message headers and payload words
+// come from reusable storage (the scratch and the network's payload
+// arena).
 func runPlacement(net *congest.Network, pt *Partitions, legs *graph.Undirected, mode DataMode, sc *Scratch) (*placement, error) {
 	pl := &placement{pt: pt, mode: mode, legs: legs}
 	q := pt.NumCoarse()
 	s := pt.NumFine()
 
-	if mode == DataFull {
-		// Carve every triple's weight tables out of one NoEdge-filled
-		// arena, both retained on the scratch across promise calls.
-		if cap(sc.plData) < pt.NumTriples() {
-			sc.plData = make([]tripleData, pt.NumTriples())
-		}
-		pl.data = sc.plData[:pt.NumTriples()]
-		totalCells := 0
-		for ti := range pl.data {
-			t := pt.TripleFromIndex(ti)
-			totalCells += len(pt.Coarse[t.U])*len(pt.Fine[t.W]) + len(pt.Fine[t.W])*len(pt.Coarse[t.V])
-		}
-		if cap(sc.plCells) < totalCells {
-			sc.plCells = make([]int64, totalCells)
-		}
-		cells := sc.plCells[:totalCells]
-		for i := range cells {
-			cells[i] = graph.NoEdge
-		}
-		for ti := range pl.data {
-			t := pt.TripleFromIndex(ti)
-			uw := len(pt.Coarse[t.U]) * len(pt.Fine[t.W])
-			wv := len(pt.Fine[t.W]) * len(pt.Coarse[t.V])
-			pl.data[ti] = tripleData{
-				legsUW: cells[:uw:uw],
-				legsWV: cells[uw : uw+wv : uw+wv],
-			}
-			cells = cells[uw+wv:]
-		}
-	}
-
 	if mode != DataFull {
-		// Charge-only fast path: the per-message word counts depend only on
-		// the partition shapes (3 header words plus one weight per fine-block
-		// vertex), so the link loads are charged without materializing any
-		// payload slices. This path runs once per promise call on the
-		// full-pipeline hot loop — and since the loads are shape-only, the
-		// list is built once per n and cached on the scratch; only the
-		// ChargeBalanced accounting runs per call.
+		// Charge-only path, the one every solve runs: the per-message word
+		// counts depend only on the partition shapes (3 header words plus
+		// one weight per fine-block vertex), so the link loads are charged
+		// without materializing any payload slices. This path runs once per
+		// promise call on the full-pipeline hot loop — and since the loads
+		// are shape-only, the list is built once per n and cached on the
+		// scratch; only the ChargeBalanced accounting runs per call.
 		if sc.plLoadsN != pt.N() {
 			loads := sc.plLoads[:0]
 			for u := 0; u < q; u++ {
@@ -132,6 +105,35 @@ func runPlacement(net *congest.Network, pt *Partitions, legs *graph.Undirected, 
 			return nil, fmt.Errorf("placement: %w", err)
 		}
 		return pl, nil
+	}
+
+	// Carve every triple's weight tables out of one NoEdge-filled
+	// arena, both retained on the scratch across promise calls.
+	if cap(sc.plData) < pt.NumTriples() {
+		sc.plData = make([]tripleData, pt.NumTriples())
+	}
+	pl.data = sc.plData[:pt.NumTriples()]
+	totalCells := 0
+	for ti := range pl.data {
+		t := pt.TripleFromIndex(ti)
+		totalCells += len(pt.Coarse[t.U])*len(pt.Fine[t.W]) + len(pt.Fine[t.W])*len(pt.Coarse[t.V])
+	}
+	if cap(sc.plCells) < totalCells {
+		sc.plCells = make([]int64, totalCells)
+	}
+	cells := sc.plCells[:totalCells]
+	for i := range cells {
+		cells[i] = graph.NoEdge
+	}
+	for ti := range pl.data {
+		t := pt.TripleFromIndex(ti)
+		uw := len(pt.Coarse[t.U]) * len(pt.Fine[t.W])
+		wv := len(pt.Fine[t.W]) * len(pt.Coarse[t.V])
+		pl.data[ti] = tripleData{
+			legsUW: cells[:uw:uw],
+			legsWV: cells[uw : uw+wv : uw+wv],
+		}
+		cells = cells[uw+wv:]
 	}
 
 	// Pre-size one word arena for every payload of the phase: the message

@@ -1,6 +1,9 @@
 package triangles
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"testing"
 
 	"qclique/internal/congest"
@@ -86,6 +89,104 @@ func TestPlacementFullMatchesDirect(t *testing.T) {
 				t.Fatalf("n=%d direct: minLegSum = %d, want %d", n, got, want)
 			}
 		}
+	}
+}
+
+// TestPlacementLoadListAudit checks that Step 1 charges for exactly the
+// data the truth rows read. truthRowInto answers a pair (a ∈ Coarse[u],
+// b ∈ Coarse[v]) in fine block w at the node h hosting triple (u,v,w), from
+// the legs f(a,c) and f(c,b) for c ∈ Fine[w]. So h must receive one message
+// of 3 header words plus |Fine[w]| weights from every x ∈ Coarse[u] and
+// again from every x ∈ Coarse[v] (twice from each vertex when u = v),
+// except from itself. That multiset is built from the partitions alone and
+// compared with the load list the default (charge-only) mode caches, and the
+// phase's rounds are recomputed from it by Lemma 1's 2·⌈L/n⌉ rule.
+func TestPlacementLoadListAudit(t *testing.T) {
+	type load struct {
+		src, dst congest.NodeID
+		words    int64
+	}
+	for _, n := range []int{16, 48, 81, 192} {
+		pt, g := placementPair(t, n, uint64(n))
+		want := make(map[load]int)
+		perSrc := make([]int64, n)
+		perDst := make([]int64, n)
+		var total int64
+		var needed int
+		for ti := 0; ti < pt.NumTriples(); ti++ {
+			tr := pt.TripleFromIndex(ti)
+			h := pt.TripleNode(tr)
+			words := int64(3 + len(pt.Fine[tr.W]))
+			for _, block := range [][]int{pt.Coarse[tr.U], pt.Coarse[tr.V]} {
+				for _, x := range block {
+					if congest.NodeID(x) == h {
+						continue
+					}
+					want[load{congest.NodeID(x), h, words}]++
+					needed++
+					perSrc[x] += words
+					perDst[h] += words
+					total += words
+				}
+			}
+		}
+
+		net, err := congest.NewNetwork(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScratch()
+		if _, err := runPlacement(net, pt, g, Options{}.data(), sc); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[load]int)
+		for _, l := range sc.plLoads {
+			got[load{l.Src, l.Dst, l.Words}]++
+		}
+		if !maps.Equal(got, want) {
+			var diff []load
+			for _, m := range []map[load]int{want, got} {
+				for k := range m {
+					if got[k] != want[k] && !slices.Contains(diff, k) {
+						diff = append(diff, k)
+					}
+				}
+			}
+			slices.SortFunc(diff, func(x, y load) int {
+				return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.dst, y.dst), cmp.Compare(x.words, y.words))
+			})
+			for _, k := range diff[:min(len(diff), 5)] {
+				t.Errorf("n=%d: load %d→%d of %d words charged %d times, truth rows need %d",
+					n, k.src, k.dst, k.words, got[k], want[k])
+			}
+			t.Fatalf("n=%d: %d loads charged, %d needed; %d (src, dst, words) entries differ",
+				n, len(sc.plLoads), needed, len(diff))
+		}
+
+		busiest := max(slices.Max(perSrc), slices.Max(perDst))
+		wantRounds := 2 * ((busiest + int64(n) - 1) / int64(n))
+		if m := net.Metrics(); m.Rounds != wantRounds || m.Words != total || m.Phases != 1 {
+			t.Errorf("n=%d: phase charged %d rounds, %d words in %d phases; want %d rounds (max load %d), %d words, 1 phase",
+				n, m.Rounds, m.Words, m.Phases, wantRounds, busiest, total)
+		}
+	}
+}
+
+// TestPromiseZeroDataBuildsNoPayloads pins the default: a promise call with
+// the zero Options.Data charges Step 1 from the cached load list and never
+// builds the payload path's arenas.
+func TestPromiseZeroDataBuildsNoPayloads(t *testing.T) {
+	inst := randomInstance(t, 48, 5, 0.4)
+	sc := NewScratch()
+	if _, err := FindEdgesWithPromise(inst, Options{Seed: 1, Scratch: sc}); err != nil {
+		t.Fatal(err)
+	}
+	if sc.plData != nil || sc.plCells != nil || sc.plMsgs != nil {
+		t.Errorf("payload arenas allocated: %d triple tables, %d cells, %d message headers",
+			cap(sc.plData), cap(sc.plCells), cap(sc.plMsgs))
+	}
+	if sc.plLoadsN != 48 || len(sc.plLoads) == 0 {
+		t.Errorf("load list not cached: n=%d, %d loads", sc.plLoadsN, len(sc.plLoads))
 	}
 }
 
