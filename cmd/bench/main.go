@@ -38,6 +38,9 @@
 //
 //	go run ./cmd/bench -faults -check FAULTS_1.json
 //
+// -faults reads only -out, -label and -check; any other flag set with it
+// fails the run before the matrix starts, rather than being ignored.
+//
 // -cpuprofile / -memprofile write pprof profiles of the measurement run so
 // perf PRs can ship evidence alongside the report.
 package main
@@ -636,6 +639,17 @@ func run(args []string) (err error) {
 	}
 
 	if *faults {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "faults", "out", "label", "check":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("-faults runs only the chaos matrix and would ignore %s", strings.Join(ignored, ", "))
+		}
 		return runFaults(*label, *out, *check)
 	}
 

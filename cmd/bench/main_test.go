@@ -343,6 +343,26 @@ func TestCPUProfileSurvivesFailingGate(t *testing.T) {
 	}
 }
 
+// TestFaultsRejectsIgnoredFlags: -faults reads only -out, -label and
+// -check, so every other flag set with it fails the run, named in one
+// error, before the chaos matrix starts; the profiles asked for are not
+// silently skipped.
+func TestFaultsRejectsIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := run([]string{"-faults", "-cpuprofile", cpu, "-memprofile", mem, "-out", filepath.Join(dir, "f.json"),
+		"-quick", "-stages", "-planner", "-max-slowdown", "3", "-max-alloc-growth", "2", "-label", "x"})
+	const want = "-faults runs only the chaos matrix and would ignore -cpuprofile, -max-alloc-growth, -max-slowdown, -memprofile, -planner, -quick, -stages"
+	if err == nil || err.Error() != want {
+		t.Fatalf("run = %v, want %q", err, want)
+	}
+	for _, path := range []string{cpu, mem, filepath.Join(dir, "f.json")} {
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s written by a rejected run", filepath.Base(path))
+		}
+	}
+}
+
 // faultReport is a two-configuration chaos matrix for the -faults -check
 // comparison tests.
 func faultReport() *FaultReport {

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"qclique/internal/xrand"
 )
 
 // chatter runs a fixed little protocol over nw and returns node 1's inbox
@@ -353,4 +355,107 @@ func FuzzFaultPlan(f *testing.F) {
 			rounds = brounds
 		}
 	})
+}
+
+// TestCommitBalancedMatchesChargeBalancedUnderFaults: a load list tallied
+// once and committed every phase charges exactly what ChargeBalanced
+// charges for it, fault draws included. Two networks armed with the same
+// plan, one charging the list through ChargeBalanced every time and one
+// committing its cached tally, end every phase with equal metrics (fault
+// counters included) and equal error text, across plans with recovered
+// faults, corruptions, crash windows and a fault budget, with a second
+// list interleaved.
+func TestCommitBalancedMatchesChargeBalancedUnderFaults(t *testing.T) {
+	const n = 12
+	randomLoads := func(seed uint64, k int) []Load {
+		rng := xrand.New(seed)
+		loads := make([]Load, k)
+		for i := range loads {
+			src := rng.IntN(n)
+			dst := (src + 1 + rng.IntN(n-1)) % n
+			loads[i] = Load{Src: NodeID(src), Dst: NodeID(dst), Words: int64(rng.IntN(40))}
+		}
+		return loads
+	}
+	fixed, other := randomLoads(1, 300), randomLoads(2, 50)
+	plans := []FaultPlan{
+		{Seed: 1, DropRate: 0.05, DupRate: 0.05, DelayRate: 0.05, MaxDelayRounds: 3},
+		{Seed: 2, DropRate: 0.01, CorruptRate: 0.2, CrashRate: 0.1, CrashDownPhases: 2},
+		{Seed: 3, DelayRate: 0.3, MaxDelayRounds: 7, CorruptRate: 0.3, CrashRate: 0.3, CrashDownPhases: 1, MaxFaults: 4},
+		{Seed: 4, DropRate: 0.5, DupRate: 0.5},
+	}
+	for pi, plan := range plans {
+		direct, err := NewNetwork(n, WithFaults(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := NewNetwork(n, WithFaults(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		charge, err := cached.TallyBalanced(fixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for phase := 0; phase < 60; phase++ {
+			var errD, errC error
+			if phase%3 == 2 {
+				errD = direct.ChargeBalanced("t/other", other)
+				errC = cached.ChargeBalanced("t/other", other)
+			} else {
+				errD = direct.ChargeBalanced("t/fixed", fixed)
+				errC = cached.CommitBalanced("t/fixed", charge)
+			}
+			if errD != nil {
+				failed++
+			}
+			if (errD == nil) != (errC == nil) || (errD != nil && errD.Error() != errC.Error()) {
+				t.Fatalf("plan %d phase %d: ChargeBalanced error %v, cached commit error %v", pi, phase, errD, errC)
+			}
+			if md, mc := direct.Metrics(), cached.Metrics(); md != mc {
+				t.Fatalf("plan %d phase %d: ChargeBalanced metrics %+v, cached commit metrics %+v", pi, phase, md, mc)
+			}
+		}
+		if direct.Metrics().Faults.Injected() == 0 {
+			t.Errorf("plan %d injected no fault", pi)
+		}
+		if (plan.CorruptRate > 0 || plan.CrashRate > 0) && failed == 0 {
+			t.Errorf("plan %d failed no phase", pi)
+		}
+	}
+}
+
+// TestCommitBalancedRejectsOtherNetworkSize: a tally holds for the size of
+// the network that made it, so committing it elsewhere fails and charges
+// nothing; so does the zero charge.
+func TestCommitBalancedRejectsOtherNetworkSize(t *testing.T) {
+	small, err := NewNetwork(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewNetwork(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charge, err := small.TallyBalanced([]Load{{Src: 0, Dst: 3, Words: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []BalancedCharge{charge, {}} {
+		if err := big.CommitBalanced("t/moved", c); err == nil {
+			t.Errorf("charge %+v committed on an 8-node network", c)
+		}
+	}
+	if m := big.Metrics(); m != (Metrics{}) {
+		t.Errorf("rejected commits charged %+v", m)
+	}
+	if err := small.CommitBalanced("t/home", charge); err != nil {
+		t.Fatal(err)
+	}
+	// 5 words from one source on 4 nodes: Lemma 1 needs ⌈5/4⌉ = 2
+	// sub-batches of 2 rounds.
+	if m := small.Metrics(); m.Rounds != 4 || m.Words != 5 || m.Phases != 1 {
+		t.Errorf("commit charged %+v, want 4 rounds, 5 words, 1 phase", m)
+	}
 }

@@ -22,9 +22,15 @@
 // accounted). Every protocol phase of a production solve is charged
 // through ChargeBalanced, Broadcast, BroadcastAll or ReplayCharge; Step 1
 // of ComputePairs included, which charges one load per payload message.
-// ExchangeBalanced now serves only the tests that hold that charge to the
-// payload-carrying Step 1 it replaced, the E8 routing experiment and
-// benchmark/probe.
+// ChargeBalanced is two halves, and a phase that repeats an
+// input-independent load list may call them apart: TallyBalanced checks
+// the list and computes its rounds, words and largest link load once, and
+// CommitBalanced charges that tally each time the phase runs, making the
+// per-load fault draws an armed network needs in list order. A committed
+// tally and ChargeBalanced on the same list charge identical metrics and
+// draw identical faults. ExchangeBalanced now serves only the tests that
+// hold the Step 1 charge to the payload-carrying Step 1 it replaced, the
+// E8 routing experiment and benchmark/probe.
 //
 // # Memory model of the simulator
 //
@@ -33,7 +39,9 @@
 // (1) Accounting: the per-phase link/node word counters live in flat
 // epoch-stamped arrays (linkScratch) on the Network — beginning a phase
 // bumps the epoch instead of clearing, so cost is proportional to the links
-// actually touched. (2) Inboxes: the per-destination delivery slices
+// actually touched; a BalancedCharge keeps only its scalar cost and a
+// reference to the caller's load list, so committing it touches no
+// counter at all. (2) Inboxes: the per-destination delivery slices
 // returned by ExchangeBalanced are borrowed from the network's delivery
 // buffer and recycled at the next Exchange call.
 // (3) Payloads: Message.Data slices can be carved from the network's
@@ -50,6 +58,7 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -422,37 +431,80 @@ func (nw *Network) deliver(msgs []Message) [][]Message {
 	return inboxes
 }
 
-// ChargeBalanced accounts a bulk Lemma-1 phase without materializing
-// payloads.
-func (nw *Network) ChargeBalanced(label string, loads []Load) error {
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return fmt.Errorf("charge %q: %w", label, ferr)
-	}
+// BalancedCharge is a Lemma 1 phase tallied once: its load list and the
+// cost that list places on a fault-free network of the tallying network's
+// size. A protocol that repeats a phase whose load list does not depend on
+// its input tallies the list once and commits the charge every time it runs
+// the phase; each commit charges exactly what ChargeBalanced charges for the
+// same list. The zero value commits on no network.
+type BalancedCharge struct {
+	n     int
+	loads []Load
+	cost  phase
+}
+
+// TallyBalanced checks a Lemma 1 load list and computes what it costs:
+// words per link and per node, the largest link load, and the rounds of
+// Lemma 1 routing. It charges nothing and consults no fault draw. The
+// charge keeps loads without copying them, so the caller must not modify
+// the list while it still commits the charge.
+func (nw *Network) TallyBalanced(loads []Load) (BalancedCharge, error) {
 	nw.sc.begin(nw.n)
 	var total, maxLink int64
 	for _, l := range loads {
 		if err := nw.checkEndpoints(l.Src, l.Dst); err != nil {
-			return fmt.Errorf("charge %q: %w", label, err)
+			return BalancedCharge{}, err
 		}
 		if l.Words < 0 {
-			return fmt.Errorf("charge %q: negative load", label)
+			return BalancedCharge{}, errors.New("negative load")
 		}
 		nw.sc.addNode(l.Src, l.Dst, l.Words)
 		if w := nw.sc.addLink(nw.n, l.Src, l.Dst, l.Words); w > maxLink {
 			maxLink = w
 		}
 		total += l.Words
-		if fs != nil {
+	}
+	srcLoad, dstLoad := nw.sc.maxNode(nw.n)
+	return BalancedCharge{
+		n:     nw.n,
+		loads: loads,
+		cost:  phase{rounds: balancedRounds(srcLoad, dstLoad, int64(nw.n)), words: total, maxLink: maxLink},
+	}, nil
+}
+
+// CommitBalanced charges a tallied phase: it consults the fault injector,
+// makes each load's per-message fault draw in list order when the network
+// is armed, and records the tallied cost plus the draws' surcharges. A
+// charge tallied on a network of another size is rejected without
+// charging anything.
+func (nw *Network) CommitBalanced(label string, c BalancedCharge) error {
+	if c.n != nw.n {
+		return fmt.Errorf("charge %q: tallied for %d nodes, network has %d", label, c.n, nw.n)
+	}
+	fs, ferr := nw.faultBegin(label)
+	if ferr != nil {
+		return fmt.Errorf("charge %q: %w", label, ferr)
+	}
+	if fs != nil {
+		for _, l := range c.loads {
 			fs.onWords(l.Words, &nw.metrics.Faults)
 		}
 	}
-	srcLoad, dstLoad := nw.sc.maxNode(nw.n)
-	rounds := balancedRounds(srcLoad, dstLoad, int64(nw.n))
-	if fe := nw.commit(fs, phase{rounds: rounds, words: total, maxLink: maxLink}); fe != nil {
+	if fe := nw.commit(fs, c.cost); fe != nil {
 		return fmt.Errorf("charge %q: %w", label, fe)
 	}
 	return nil
+}
+
+// ChargeBalanced accounts a bulk Lemma-1 phase without materializing
+// payloads: TallyBalanced, then CommitBalanced. An invalid load list fails
+// before the fault injector is consulted.
+func (nw *Network) ChargeBalanced(label string, loads []Load) error {
+	c, err := nw.TallyBalanced(loads)
+	if err != nil {
+		return fmt.Errorf("charge %q: %w", label, err)
+	}
+	return nw.CommitBalanced(label, c)
 }
 
 // Broadcast accounts node src sending the same words-long payload to every

@@ -69,7 +69,11 @@ type searchState struct {
 // filtered and owner-tallied once, at x = 0, and shared by the group's
 // other labels. Each label still charges its own owner loads, the group
 // tally minus the owner that is the label's own node, in the order the
-// per-label path emits them, so the charge is the same either way.
+// per-label path emits them, so the charge is the same either way. The
+// owner tally counts every sampled pair before the S and edge filters, so
+// there the load list depends only on the partitions: it is built and
+// tallied once per n, and every other promise call commits the cached
+// tally.
 //
 // Step 2 also lists the search instances and their truth-table rows, once
 // per attempt: every class evaluation reuses them.
@@ -91,11 +95,13 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	// carved out of two scratch arenas reused across promise calls; the
 	// sampling scratch is reused across labels. The load list is pooled
 	// across calls; a label sends to at most one owner per vertex of its
-	// group's lower block.
+	// group's lower block. It is not built at all when the clipped list's
+	// tally is cached.
 	expected := pt.expectedCoveringPairs(params)
 	if shared {
 		expected /= numFine
 	}
+	cached := shared && sc.covCharge.current(net, n)
 	loadsBuf := getLoadBuf(2 * numLabels * len(pt.Coarse[0]))
 	defer putLoadBuf(loadsBuf)
 	loads := *loadsBuf
@@ -188,6 +194,9 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 		}
 		cov.Label = label
 		st.coverings[li] = cov
+		if cached {
+			continue
+		}
 		for _, o := range ownerTouched {
 			if congest.NodeID(o) == dst { // own pairs need no request
 				continue
@@ -205,7 +214,15 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	sc.weightsArena = weightsArena
 	sc.ownerTouched = ownerTouched
 	sc.sampleBuf = sampleBuf
-	if err := net.ChargeBalanced("computepairs/step2-covering", loads); err != nil {
+	var err error
+	if shared {
+		err = sc.covCharge.commit(net, "computepairs/step2-covering", n, func(dst []congest.Load) []congest.Load {
+			return append(dst, loads...)
+		})
+	} else {
+		err = net.ChargeBalanced("computepairs/step2-covering", loads)
+	}
+	if err != nil {
 		return nil, err
 	}
 	st.rows, st.instances = listInstances(st.coverings, pt, sc)
@@ -334,26 +351,40 @@ func (b *evalBuilder) truthRowInto(row []bool, group int, pr graph.Pair, weight 
 		a, bb = bb, a
 	}
 	list := b.classLists[group]
+	bound := -weight
+	// Each entry first tries the leg-minimum prune (exact; see
+	// minSumBelow) and scans its fine block only when the two endpoints'
+	// least legs into it could still sum below the bound.
+	s := b.pt.NumFine()
+	minA := b.pl.blockMin[a*s : (a+1)*s]
+	minB := b.pl.blockMin[bb*s : (bb+1)*s]
 	if b.pl.mode == DataDirect {
 		// Hoist the two leg rows once per pair: every entry of the row
 		// scans a different fine block of the same two graph rows.
 		rowA := b.pl.legs.RowView(a)
 		rowB := b.pl.legs.RowView(bb)
 		for i, w := range list {
+			if !minSumBelow(minA[w], minB[w], bound) {
+				row[i] = false
+				continue
+			}
 			fine := b.pt.Fine[w]
-			row[i] = len(fine) > 0 && legSumBelow(rowA[fine[0]:fine[0]+len(fine)], rowB[fine[0]:fine[0]+len(fine)], -weight)
+			row[i] = len(fine) > 0 && legSumBelow(rowA[fine[0]:fine[0]+len(fine)], rowB[fine[0]:fine[0]+len(fine)], bound)
 		}
 	} else {
 		// DataFull: the triple index is group·s + w and the pair's
 		// in-block offsets do not depend on w, so everything but the leg
 		// scan hoists out of the per-entry loop.
-		s := b.pt.NumFine()
 		ai := indexInBlock(b.pt.Coarse[u], a)
 		bi := indexInBlock(b.pt.Coarse[v], bb)
 		for i, w := range list {
+			if !minSumBelow(minA[w], minB[w], bound) {
+				row[i] = false
+				continue
+			}
 			td := &b.pl.data[group*s+w]
 			sW := len(b.pt.Fine[w])
-			row[i] = legSumBelow(td.legsUW[ai*sW:(ai+1)*sW], td.legsWV[bi*sW:(bi+1)*sW], -weight)
+			row[i] = legSumBelow(td.legsUW[ai*sW:(ai+1)*sW], td.legsWV[bi*sW:(bi+1)*sW], bound)
 		}
 	}
 	clear(row[len(list):])

@@ -3,6 +3,7 @@ package triangles
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"qclique/internal/congest"
 	"qclique/internal/xrand"
@@ -174,23 +175,25 @@ func runIdentifyClass(net *congest.Network, pt *Partitions, inst *Instance, pl *
 	}
 
 	// Triple nodes announce their class to the √n search nodes of their
-	// (u,v) group: one word per (triple, x) pair, Lemma-1 balanced.
-	loadsBuf := getLoadBuf(pt.NumTriples() * s)
-	defer putLoadBuf(loadsBuf)
-	loads := *loadsBuf
-	for ti := range cls.classOf {
-		t := pt.TripleFromIndex(ti)
-		src := pt.TripleNode(t)
-		for x := 0; x < s; x++ {
-			dst := pt.SearchNode(SearchLabel{U: t.U, V: t.V, X: x})
-			if src == dst {
-				continue
+	// (u,v) group: one word per (triple, x) pair, Lemma-1 balanced. The
+	// list depends only on the partitions, so it is built and tallied once
+	// per n and every other promise call commits the cached tally.
+	err := sc.annCharge.commit(net, "identifyclass/announce-classes", n, func(loads []congest.Load) []congest.Load {
+		loads = slices.Grow(loads, pt.NumTriples()*s)
+		for ti := range cls.classOf {
+			t := pt.TripleFromIndex(ti)
+			src := pt.TripleNode(t)
+			for x := 0; x < s; x++ {
+				dst := pt.SearchNode(SearchLabel{U: t.U, V: t.V, X: x})
+				if src == dst {
+					continue
+				}
+				loads = append(loads, congest.Load{Src: src, Dst: dst, Words: 1})
 			}
-			loads = append(loads, congest.Load{Src: src, Dst: dst, Words: 1})
 		}
-	}
-	*loadsBuf = loads
-	if err := net.ChargeBalanced("identifyclass/announce-classes", loads); err != nil {
+		return loads
+	})
+	if err != nil {
 		return nil, err
 	}
 	return cls, nil

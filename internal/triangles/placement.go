@@ -5,6 +5,7 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
+	"qclique/internal/par"
 )
 
 // This file implements Step 1 of Algorithm ComputePairs (Figure 1): each
@@ -44,12 +45,19 @@ type tripleData struct {
 	legsWV []int64 // row-major |Coarse[V]| × |Fine[W]|: f(c,b)
 }
 
-// placement is the completed Step 1 state.
+// placement is the completed Step 1 state: what the triple nodes know
+// after the legs are placed (the leg graph's rows, or in DataFull the
+// per-triple tables), plus each vertex's least leg into each fine block,
+// which every threshold scan of Step 3 and IdentifyClass reads first to
+// skip blocks that cannot hold a witness.
 type placement struct {
 	pt   *Partitions
 	mode DataMode
 	legs *graph.Undirected
 	data []tripleData // indexed by TripleIndex; nil unless DataFull
+	// blockMin[a·s+w] is the least leg weight from vertex a into fine
+	// block w, NoEdge when a has no leg there (see legMinima).
+	blockMin []int64
 }
 
 const (
@@ -58,27 +66,29 @@ const (
 )
 
 // runPlacement charges (DataDirect) or executes (DataFull) Step 1 on the
-// network. Every solve takes the charge-only branch: one load per payload
-// message, from a list built once per n and cached on the scratch. The
-// DataFull oracle also builds each payload, exchanges it and stores the
-// per-triple weight tables; its tables, message headers and payload words
-// come from reusable storage (the scratch and the network's payload
-// arena).
+// network and builds the leg-minimum table both modes prune with. Every
+// solve takes the charge-only branch: one load per payload message, from a
+// list built and tallied once per n and cached on the scratch, so a promise
+// call only commits the cached charge. The DataFull oracle also builds each
+// payload, exchanges it and stores the per-triple weight tables; its
+// tables, message headers and payload words come from reusable storage
+// (the scratch and the network's payload arena).
 func runPlacement(net *congest.Network, pt *Partitions, legs *graph.Undirected, mode DataMode, sc *Scratch) (*placement, error) {
-	pl := &placement{pt: pt, mode: mode, legs: legs}
 	q := pt.NumCoarse()
 	s := pt.NumFine()
+	sc.blockMin = par.Grow(sc.blockMin, pt.N()*s)
+	pl := &placement{pt: pt, mode: mode, legs: legs, blockMin: sc.blockMin}
+	legMinima(pl.blockMin, pt, legs)
 
 	if mode != DataFull {
 		// Charge-only path, the one every solve runs: the per-message word
 		// counts depend only on the partition shapes (3 header words plus
 		// one weight per fine-block vertex), so the link loads are charged
-		// without materializing any payload slices. This path runs once per
-		// promise call on the full-pipeline hot loop — and since the loads
-		// are shape-only, the list is built once per n and cached on the
-		// scratch; only the ChargeBalanced accounting runs per call.
-		if sc.plLoadsN != pt.N() {
-			loads := sc.plLoads[:0]
+		// without materializing any payload slices. Since the loads are
+		// shape-only, the list is built and tallied once per n; every other
+		// promise call commits the cached tally, which still makes the
+		// per-load fault draws on an armed network.
+		err := sc.plCharge.commit(net, "computepairs/step1-placement", pt.N(), func(loads []congest.Load) []congest.Load {
 			for u := 0; u < q; u++ {
 				for v := 0; v < q; v++ {
 					for w := 0; w < s; w++ {
@@ -98,10 +108,9 @@ func runPlacement(net *congest.Network, pt *Partitions, legs *graph.Undirected, 
 					}
 				}
 			}
-			sc.plLoads = loads
-			sc.plLoadsN = pt.N()
-		}
-		if err := net.ChargeBalanced("computepairs/step1-placement", sc.plLoads); err != nil {
+			return loads
+		})
+		if err != nil {
 			return nil, fmt.Errorf("placement: %w", err)
 		}
 		return pl, nil
@@ -307,8 +316,48 @@ func legSumBelow(legsA, legsB []int64, bound int64) bool {
 	return false
 }
 
-// legSumBelow is minLegSum(…) < bound with the early-exit scan.
+// legMinima fills the leg-minimum table: dst[a·s+w] = min(NoEdge,
+// min over c in fine block w of legs(a,c)), one pass over the n² legs.
+// Fine blocks are contiguous ranges, and NoEdge is Inf, so absent legs and
+// the diagonal leave the minimum at NoEdge.
+func legMinima(dst []int64, pt *Partitions, legs *graph.Undirected) {
+	s := pt.NumFine()
+	for a := 0; a < pt.N(); a++ {
+		row := legs.RowView(a)
+		mins := dst[a*s : (a+1)*s]
+		for w, fine := range pt.Fine {
+			m := graph.NoEdge
+			if len(fine) > 0 {
+				for _, x := range row[fine[0] : fine[0]+len(fine)] {
+					if x < m {
+						m = x
+					}
+				}
+			}
+			mins[w] = m
+		}
+	}
+}
+
+// minSumBelow is the leg-minimum prune: it reports false only when no c in
+// a fine block can have legs summing below bound, given the least leg minA
+// of one endpoint and minB of the other into that block. It is exact, not a
+// heuristic: every scanned c has legs wa ≥ minA and wb ≥ minB, and
+// SaturatingAdd is monotone in each argument, so SaturatingAdd(wa, wb) ≥
+// SaturatingAdd(minA, minB) ≥ bound. An endpoint with no leg into the
+// block has minimum NoEdge, which saturates the sum to Inf; most truth
+// cells end there, because the tripartite reduction has no I–I or J–J legs.
+func minSumBelow(minA, minB, bound int64) bool {
+	return graph.SaturatingAdd(minA, minB) < bound
+}
+
+// legSumBelow is minLegSum(…) < bound with the leg-minimum prune and the
+// early-exit scan.
 func (pl *placement) legSumBelow(u, v, w int, a, b int, bound int64) bool {
+	s := pl.pt.NumFine()
+	if !minSumBelow(pl.blockMin[a*s+w], pl.blockMin[b*s+w], bound) {
+		return false
+	}
 	if pl.mode == DataDirect {
 		fine := pl.pt.Fine[w]
 		if len(fine) == 0 {

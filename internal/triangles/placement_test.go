@@ -140,7 +140,7 @@ func TestPlacementLoadListAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make(map[load]int)
-		for _, l := range sc.plLoads {
+		for _, l := range sc.plCharge.loads {
 			got[load{l.Src, l.Dst, l.Words}]++
 		}
 		if !maps.Equal(got, want) {
@@ -160,7 +160,7 @@ func TestPlacementLoadListAudit(t *testing.T) {
 					n, k.src, k.dst, k.words, got[k], want[k])
 			}
 			t.Fatalf("n=%d: %d loads charged, %d needed; %d (src, dst, words) entries differ",
-				n, len(sc.plLoads), needed, len(diff))
+				n, len(sc.plCharge.loads), needed, len(diff))
 		}
 
 		busiest := max(slices.Max(perSrc), slices.Max(perDst))
@@ -185,8 +185,8 @@ func TestPromiseZeroDataBuildsNoPayloads(t *testing.T) {
 		t.Errorf("payload arenas allocated: %d triple tables, %d cells, %d message headers",
 			cap(sc.plData), cap(sc.plCells), cap(sc.plMsgs))
 	}
-	if sc.plLoadsN != 48 || len(sc.plLoads) == 0 {
-		t.Errorf("load list not cached: n=%d, %d loads", sc.plLoadsN, len(sc.plLoads))
+	if sc.plCharge.n != 48 || len(sc.plCharge.loads) == 0 {
+		t.Errorf("load list not cached: n=%d, %d loads", sc.plCharge.n, len(sc.plCharge.loads))
 	}
 }
 

@@ -1,6 +1,7 @@
 package triangles
 
 import (
+	"fmt"
 	"sync"
 
 	"qclique/internal/congest"
@@ -33,16 +34,16 @@ type Scratch struct {
 	// Instance.sMask snapshot.
 	sMask []bool
 
-	// Step 1 placement: per-triple weight tables (DataFull) and the
-	// outgoing message headers. plLoads caches the charge-only load list,
-	// which depends only on the partition shapes: every promise call of a
-	// solve charges the identical placement loads, so they are built once
-	// per n (plLoadsN remembers which).
+	// Step 1 placement: per-triple weight tables (DataFull), the outgoing
+	// message headers and the charge-only phase, whose load list depends
+	// only on the partition shapes: every promise call of a solve charges
+	// the identical placement loads. blockMin is the placement's per-call
+	// leg-minimum table.
 	plData   []tripleData
 	plCells  []int64
 	plMsgs   []congest.Message
-	plLoads  []congest.Load
-	plLoadsN int
+	plCharge fixedCharge
+	blockMin []int64
 
 	// IdentifyClass: broadcast sample, per-group buckets, class array, and
 	// the reseedable per-node sample stream.
@@ -50,6 +51,8 @@ type Scratch struct {
 	idBuckets [][]rPair
 	classOf   []int
 	rngSample *xrand.Source
+	// The class announcement's load list depends only on the partitions.
+	annCharge fixedCharge
 
 	// Step 2 coverings: kept pairs/weights arenas, covering headers, the
 	// unique (group, pair) rows, the flattened instance list, and the
@@ -63,6 +66,9 @@ type Scratch struct {
 	ownerCount   []int32
 	ownerTouched []int32
 	instances    []int32
+	// Where the sampling probability clips at 1, the owner loads depend
+	// only on the partitions (see runCoverings).
+	covCharge fixedCharge
 
 	// Step 3 evaluation: class lists, truth-table arenas, and the rows
 	// some class search found.
@@ -102,6 +108,38 @@ func (sc *Scratch) sampleRng() *xrand.Source {
 		sc.rngSample = xrand.New(0)
 	}
 	return sc.rngSample
+}
+
+// fixedCharge is a charge-only phase whose load list depends only on the
+// partitions, so only on n: the list is built and tallied once per n and
+// network size, and every promise call commits the same charge. A committed
+// charge draws its faults per load exactly like ChargeBalanced, so armed
+// runs see the same fault schedule.
+type fixedCharge struct {
+	n, netN int // 0 until the first build
+	loads   []congest.Load
+	charge  congest.BalancedCharge
+}
+
+// current reports whether the list and its tally are those of n on a
+// network of net's size.
+func (fc *fixedCharge) current(net *congest.Network, n int) bool {
+	return fc.n == n && fc.netN == net.N()
+}
+
+// commit charges the phase label on net. Unless the cache is current it
+// first rebuilds the list, by appending the phase's loads for n to the
+// empty slice build is given, and tallies it.
+func (fc *fixedCharge) commit(net *congest.Network, label string, n int, build func([]congest.Load) []congest.Load) error {
+	if !fc.current(net, n) {
+		*fc = fixedCharge{loads: build(fc.loads[:0])}
+		c, err := net.TallyBalanced(fc.loads)
+		if err != nil {
+			return fmt.Errorf("charge %q: %w", label, err)
+		}
+		fc.n, fc.netN, fc.charge = n, net.N(), c
+	}
+	return net.CommitBalanced(label, fc.charge)
 }
 
 // The protocol stack rebuilds its phase-local buffers once per promise call
