@@ -3,9 +3,10 @@
 // pipeline, FindEdgesWithPromise sweep, truncated multi-search, and the
 // approximate-APSP frontier comparing the (1+ε) chain and (2+ε) skeleton
 // against the exact pipeline on shared graphs) plus the gossip baseline's
-// node-local min-plus squaring chain — and emits a machine-readable JSON
-// report with ns/op, rounds/op, observed stretch and allocation counts per
-// configuration, so the performance trajectory is tracked across PRs:
+// node-local min-plus work, the squaring chain's fixed point — and emits a
+// machine-readable JSON report with ns/op, rounds/op, observed stretch and
+// allocation counts per configuration, so the performance trajectory is
+// tracked across PRs:
 //
 //	go run ./cmd/bench -label "PR 2" -out BENCH_1.json
 //

@@ -104,7 +104,7 @@ func TestReconstructPathErrors(t *testing.T) {
 		t.Error("dimension mismatch must fail")
 	}
 	// Inconsistent distances: claim d(0,1)=1 with no arcs at all.
-	bogus := matrix.Identity(3)
+	bogus := matrix.FromDigraph(graph.NewDigraph(3))
 	bogus.Set(0, 1, 1)
 	if _, err := ReconstructPath(g, bogus, 0, 1); err == nil {
 		t.Error("inconsistent matrix must fail")

@@ -168,9 +168,13 @@ func (st *searchRun) extract(context.Context) error {
 }
 
 // gossipPipeline is the naive O(n)-round baseline: one full adjacency
-// gossip, then a local squaring chain at every node. The chain runs no
-// rounds, so it stops at its fixed point instead of spending the whole
-// ⌈log₂ n⌉ budget (see matrix.APSPBySquaringInto).
+// gossip, then node-local APSP at every node. That local work charges no
+// rounds, so it needs only the squaring chain's fixed point, not the
+// whole ⌈log₂ n⌉ budget: one Floyd–Warshall pass computes it and the
+// number of squarings the chain would run to reach it
+// (matrix.SquaringFixedPoint), and the chain itself
+// (matrix.APSPBySquaringInto) runs only on the inputs the pass declines.
+// Both give the same distances and Products.
 type gossipPipeline struct{}
 
 func (gossipPipeline) Name() string              { return StrategyGossip }
@@ -181,10 +185,11 @@ func (gossipPipeline) Capabilities() engine.Capabilities { return engine.Capabil
 // gossipAnchor is gossip's cost anchor, the BENCH_1.json entry
 // GossipAPSP/n=256 (GOMAXPROCS=1). The full row gossip is n rounds (every
 // node pushes its n-word row over n−1 links). The wall cost is the
-// node-local squaring chain: O(n³) per squaring, and on that E1 graph at
-// n=256 the fixed point comes after 3 of the 8 squarings (a directed path
-// needs all 8). The prior ignores that count: it scales the one
-// measurement by n³.
+// node-local work, O(n³), and the prior scales the one measurement by n³.
+// That entry timed the squaring chain (3 of its 8 squarings on that E1
+// graph); the one-pass fixed point that replaced it does about the work
+// of one squaring, so the prior overestimates gossip's wall time until
+// the baseline is re-measured on current code (ROADMAP item 1(b)).
 var gossipAnchor = costAnchor{n: 256, prior: engine.CostPrior{Rounds: 256, WallNs: 30_970_000}, roundsExp: 1, wallExp: 3}
 
 func (gossipPipeline) PredictCost(f graph.Features, _ float64) engine.CostPrior {
@@ -208,18 +213,23 @@ func (gossipPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engine.
 			return net.BroadcastAll("gossip/rows", int64(n))
 		}},
 		{Name: "local-squaring", Run: func(ctx context.Context) error {
-			// All communication already happened; the squaring chain is
-			// node-local, checkpointed per squaring, and stops at its
-			// fixed point.
-			prod := func(dst, a, b *matrix.Matrix) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return matrix.MulMinPlusInto(dst, a, b, req.Workers)
-			}
-			dist, sq, err := matrix.APSPBySquaringInto(ag, prod)
+			// All communication already happened. The chain runs,
+			// checkpointed per squaring, only where the one-pass fixed
+			// point declines.
+			dist, sq, ok, err := matrix.SquaringFixedPoint(ag, req.Workers, ctx.Err)
 			if err != nil {
 				return err
+			}
+			if !ok {
+				prod := func(dst, a, b *matrix.Matrix) error {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					return matrix.MulMinPlusInto(dst, a, b, req.Workers)
+				}
+				if dist, sq, err = matrix.APSPBySquaringInto(ag, prod); err != nil {
+					return err
+				}
 			}
 			out.Dist = dist
 			out.Products = sq.Products

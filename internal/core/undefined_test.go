@@ -67,7 +67,7 @@ func TestUndefinedDistanceMixedMatrix(t *testing.T) {
 	if err := g.SetArc(0, 1, 4); err != nil {
 		t.Fatal(err)
 	}
-	dist := matrix.Identity(3)
+	dist := matrix.FromDigraph(graph.NewDigraph(3))
 	dist.Set(0, 1, 4)
 	dist.Set(2, 0, graph.NegInf)
 	dist.Set(2, 1, graph.NegInf)

@@ -61,9 +61,11 @@ type Request struct {
 type Outcome struct {
 	// Dist is the distance matrix (nil when the run was interrupted).
 	Dist *matrix.Matrix
-	// Products is the number of distance products performed, at most
-	// ⌈log₂ n⌉; fewer when a squaring chain stops at its fixed point
-	// (gossip, approx-quantum).
+	// Products is the number of distance products of the squaring chain,
+	// at most ⌈log₂ n⌉; fewer when the chain stops at its fixed point
+	// (gossip, approx-quantum). Gossip's count is the chain's length,
+	// computed rather than run wherever its one-pass fixed point
+	// (matrix.SquaringFixedPoint) answers the input.
 	Products int
 	// FindEdgesCalls is the total FindEdges invocations across products.
 	FindEdgesCalls int

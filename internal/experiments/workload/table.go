@@ -180,9 +180,11 @@ func Table(quick bool) ([]Entry, error) {
 
 	// Gossip: the O(n)-round baseline the serving planner picks for exact
 	// auto solves, i.e. apspd's cache-miss path. Its cost is the min-plus
-	// layer: the node-local squaring chain. The E1 graph reaches the
-	// chain's fixed point after a few squarings; the directed path needs
-	// every squaring of the ⌈log₂ n⌉ budget.
+	// layer: the node-local fixed point of the squaring chain, one blocked
+	// Floyd–Warshall pass. The two inputs sit at the ends of the chain
+	// length that pass reports: the E1 graph reaches the fixed point after
+	// a few squarings, the directed path only at the end of the ⌈log₂ n⌉
+	// budget.
 	if !quick {
 		const n = 256
 		g, err := E1Digraph(n, E1W)

@@ -1,7 +1,8 @@
 // Package matrix implements min-plus (tropical) semiring matrices over
 // ℤ ∪ {−∞, +∞}, the algebraic substrate of the paper's reduction chain:
 // the distance product (Definition 2) and APSP via repeated squaring
-// (Proposition 3).
+// (Proposition 3), whose fixed point the gossip baseline computes in one
+// Floyd–Warshall pass (SquaringFixedPoint).
 //
 // Entries use the same saturating extended integers as package graph:
 // graph.Inf is +∞ ("no path"), graph.NegInf is −∞. The distance product is
@@ -34,15 +35,6 @@ func New(n int) *Matrix {
 		a[i] = graph.Inf
 	}
 	return &Matrix{n: n, a: a}
-}
-
-// Identity returns the min-plus identity: 0 on the diagonal, +∞ elsewhere.
-func Identity(n int) *Matrix {
-	m := New(n)
-	for i := 0; i < n; i++ {
-		m.a[i*n+i] = 0
-	}
-	return m
 }
 
 // FromRows builds a matrix from row-major data. It returns an error if rows
@@ -188,10 +180,10 @@ func DistanceProduct(a, b *Matrix) (*Matrix, error) {
 }
 
 // DistanceProductPar is DistanceProduct with the row loop split across a
-// bounded worker pool (the per-node local min-plus work of the gossip
-// strategy: node i computes row i). Rows are written to disjoint slices of
-// the output, so the result is bit-identical for every worker count;
-// workers <= 0 selects GOMAXPROCS.
+// bounded worker pool (the per-node local min-plus work of distprod's
+// gossip product: node i computes row i). Rows are written to disjoint
+// slices of the output, so the result is bit-identical for every worker
+// count; workers <= 0 selects GOMAXPROCS.
 func DistanceProductPar(a, b *Matrix, workers int) (*Matrix, error) {
 	c := New(a.n)
 	if err := MulMinPlusInto(c, a, b, workers); err != nil {
@@ -314,7 +306,9 @@ type ProductInto func(dst, a, b *Matrix) error
 // the result is bit-identical to APSPBySquaring's for every input (negative
 // cycles, −∞ and saturating weights included). Products is the index of
 // that squaring, or the full ⌈log₂ n⌉ budget when no squaring within it was
-// a no-op.
+// a no-op. For inputs with no negative cycle, SquaringFixedPoint returns
+// the same result and Products in one Floyd–Warshall pass; the gossip
+// strategy runs this chain only on the inputs that pass declines.
 func APSPBySquaringInto(ag *Matrix, prod ProductInto) (*Matrix, SquaringStats, error) {
 	var stats SquaringStats
 	n := ag.n
@@ -342,12 +336,14 @@ func APSPBySquaringInto(ag *Matrix, prod ProductInto) (*Matrix, SquaringStats, e
 // must cover every finite entry of src. Negative entries are rejected —
 // multiplicative rounding is defined for nonnegative weights only.
 //
-// This is the matrix half of the (1+ε)-approximate distance product: a
-// product whose outputs are snapped onto a geometric value ladder equals
-// the exact product followed by SnapUpInto, and searching the ladder keeps
-// the per-entry binary search logarithmic in the ladder length instead of
-// in the weight bound (the regression tests pin the two formulations to
-// each other bit for bit).
+// It is test support, with no caller outside tests: the reference the
+// (1+ε)-approximate distance product is checked against. A product whose
+// outputs are snapped onto a geometric value ladder equals the exact
+// product followed by SnapUpInto, and searching the ladder keeps the
+// per-entry binary search logarithmic in the ladder length instead of in
+// the weight bound; distprod's grid tests pin the two formulations to each
+// other bit for bit, and this package's tests pin SnapUpInto itself. It
+// stays exported because the tests of both packages share it.
 func SnapUpInto(dst, src *Matrix, ladder []int64) error {
 	if dst.n != src.n {
 		return fmt.Errorf("matrix: SnapUpInto dimension mismatch %d vs %d", dst.n, src.n)

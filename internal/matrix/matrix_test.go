@@ -9,6 +9,15 @@ import (
 	"qclique/internal/xrand"
 )
 
+// Identity returns the min-plus identity: 0 on the diagonal, +∞ elsewhere.
+func Identity(n int) *Matrix {
+	m := New(n)
+	for i := 0; i < n; i++ {
+		m.a[i*n+i] = 0
+	}
+	return m
+}
+
 func TestNewAndIdentity(t *testing.T) {
 	m := New(3)
 	for i := 0; i < 3; i++ {

@@ -405,10 +405,14 @@ type APSPResult struct {
 	// Rounds is the simulated CONGEST-CLIQUE round count of the whole
 	// pipeline.
 	Rounds int64
-	// Products is the number of distance products performed: at most
-	// ⌈log₂ n⌉. The quantum, classical-search and dolev pipelines run all
-	// ⌈log₂ n⌉; gossip and approx-quantum stop once a squaring returns its
-	// input unchanged (the chain's fixed point).
+	// Products is the number of distance products of the squaring chain:
+	// at most ⌈log₂ n⌉. The quantum, classical-search and dolev pipelines
+	// run all ⌈log₂ n⌉; gossip and approx-quantum stop once a squaring
+	// returns its input unchanged (the chain's fixed point). Gossip's count
+	// is the chain's length, computed rather than run: one local
+	// Floyd–Warshall pass yields the fixed point and the squaring that
+	// reaches it, and the chain runs only on inputs with a negative cycle,
+	// −∞ distances or weights whose sums may saturate.
 	Products int
 	// FindEdgesCalls counts the negative-triangle subproblems solved.
 	FindEdgesCalls int
