@@ -13,8 +13,8 @@
 //     chain. Errors compound multiplicatively: a per-product step of
 //     (1+ε)^(1/P) over P products stays within the requested 1+ε.
 //
-//   - Skeleton: a (2+ε) strategy in the spirit of arXiv:1903.05956 for
-//     weight-symmetric graphs: exact k-nearest neighborhoods computed
+//   - approx-skeleton: a (2+ε) strategy in the spirit of arXiv:1903.05956
+//     for weight-symmetric graphs: exact k-nearest neighborhoods computed
 //     locally, a sampled skeleton whose multi-source distances are solved
 //     on the (1+ε/2) ladder, and per-pair estimates combined through
 //     skeleton hubs and k-nearest straddle edges.

@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -154,6 +155,27 @@ func chainCases(t *testing.T, seed uint64) []stretchCase {
 
 // skeletonCases builds the StrategyApproxSkeleton inputs for one seed:
 // weight-symmetric and nonnegative.
+// skeleton runs one skeletonRun's four phases in a plain loop, the
+// engine's stages without the engine. It computes (2+ε)-approximate APSP
+// distances for the weight-symmetric nonnegative digraph g: every returned
+// entry d̂ satisfies d ≤ d̂ ≤ (2+ε)·d, with reachability preserved exactly.
+func skeleton(g *graph.Digraph, opts SkeletonOptions) (*matrix.Matrix, *SkeletonStats, error) {
+	r, err := newSkeletonRun(g, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.trivial() {
+		return r.dist, r.stats, nil
+	}
+	ctx := context.Background()
+	for _, phase := range []func(context.Context) error{r.knnBalls, r.sampleSkeleton, r.mssp, r.combine} {
+		if err := phase(ctx); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r.dist, r.stats, nil
+}
+
 func skeletonCases(t *testing.T, seed uint64) []stretchCase {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -198,7 +220,7 @@ func TestSkeletonStretchWithinGuarantee(t *testing.T) {
 		for _, tc := range skeletonCases(t, seed) {
 			for _, eps := range []float64{0.2, 1.0} {
 				net := newTestNetwork(t, tc.g.N())
-				dist, stats, err := Skeleton(tc.g, SkeletonOptions{Epsilon: eps, Seed: seed, Net: net})
+				dist, stats, err := skeleton(tc.g, SkeletonOptions{Epsilon: eps, Seed: seed, Net: net})
 				if err != nil {
 					t.Fatalf("seed %d %s eps %v: %v", seed, tc.name, eps, err)
 				}
@@ -226,7 +248,7 @@ func TestSkeletonRejectsBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := newTestNetwork(t, 3)
-	if _, _, err := Skeleton(asym, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrAsymmetric) {
+	if _, _, err := skeleton(asym, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrAsymmetric) {
 		t.Errorf("asymmetric input: err = %v, want ErrAsymmetric", err)
 	}
 	neg := graph.NewDigraph(3)
@@ -236,11 +258,11 @@ func TestSkeletonRejectsBadInputs(t *testing.T) {
 	if err := neg.SetArc(1, 0, -2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Skeleton(neg, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrNegativeWeight) {
+	if _, _, err := skeleton(neg, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("negative weights: err = %v, want ErrNegativeWeight", err)
 	}
 	ok := graph.NewDigraph(3)
-	if _, _, err := Skeleton(ok, SkeletonOptions{Epsilon: 0, Net: net}); !errors.Is(err, ErrBadEpsilon) {
+	if _, _, err := skeleton(ok, SkeletonOptions{Epsilon: 0, Net: net}); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("eps=0: err = %v, want ErrBadEpsilon", err)
 	}
 }
@@ -252,7 +274,7 @@ func TestSkeletonDeterministicPerSeed(t *testing.T) {
 	}
 	run := func(seed uint64) (*matrix.Matrix, int64) {
 		net := newTestNetwork(t, g.N())
-		dist, _, err := Skeleton(g, SkeletonOptions{Epsilon: 0.4, Seed: seed, Net: net})
+		dist, _, err := skeleton(g, SkeletonOptions{Epsilon: 0.4, Seed: seed, Net: net})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +299,7 @@ func TestSkeletonTrivialSizes(t *testing.T) {
 			}
 		}
 		net := newTestNetwork(t, max(n, 1))
-		dist, _, err := Skeleton(g, SkeletonOptions{Epsilon: 0.5, Net: net})
+		dist, _, err := skeleton(g, SkeletonOptions{Epsilon: 0.5, Net: net})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -27,11 +27,10 @@ package approx
 // run, measured centrally.
 //
 // The strategy is factored into a skeletonRun whose phase methods
-// (knnBalls, sampleSkeleton, mssp, combine) back both the standalone
-// Skeleton entry point and the staged engine pipeline — one
-// implementation, one round trajectory. Phase methods take a context and
-// checkpoint their per-node loops, so a solve under a deadline stops
-// between Dijkstra runs rather than after the full phase.
+// (knnBalls, sampleSkeleton, mssp, combine) are the stages of the engine
+// pipeline (strategy.go). Phase methods take a context and checkpoint
+// their per-node loops, so a solve under a deadline stops between
+// Dijkstra runs rather than after the full phase.
 
 import (
 	"context"
@@ -279,26 +278,6 @@ func (r *skeletonRun) combine(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// Skeleton computes (2+ε)-approximate APSP distances for the
-// weight-symmetric nonnegative digraph g: every returned entry d̂
-// satisfies d ≤ d̂ ≤ (2+ε)·d, with reachability preserved exactly.
-func Skeleton(g *graph.Digraph, opts SkeletonOptions) (*matrix.Matrix, *SkeletonStats, error) {
-	r, err := newSkeletonRun(g, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.trivial() {
-		return r.dist, r.stats, nil
-	}
-	ctx := context.Background()
-	for _, phase := range []func(context.Context) error{r.knnBalls, r.sampleSkeleton, r.mssp, r.combine} {
-		if err := phase(ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-	return r.dist, r.stats, nil
 }
 
 // truncatedDijkstra returns the k nearest vertices to src (src included at

@@ -2,11 +2,8 @@ package approx
 
 // The approximate pipelines as engine strategies. Both register themselves
 // with the engine's strategy registry at init (this package is imported by
-// core, so registration precedes any registry consumer). The chain is
-// driven only through its stages; the skeleton reuses the exact same run
-// struct as the standalone Skeleton entry point — staging changes where
-// the checkpoints and telemetry boundaries sit, not a single network
-// charge.
+// core, so registration precedes any registry consumer). Each is driven
+// only through its stages, one per phase of its run struct.
 
 import (
 	"context"

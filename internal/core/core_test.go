@@ -142,6 +142,25 @@ func TestSolveNegativeCycle(t *testing.T) {
 	}
 }
 
+// TestSolveSaturatingNegativeCycle: 0→1 at NegInf+1 and 1→0 at −1 form a
+// negative cycle whose first squaring saturates d(0,0) to −∞. Every exact
+// strategy answers ErrNegativeCycle; the search pipelines used to stop at
+// the next product, which refuses −∞ entries, with an untyped error.
+func TestSolveSaturatingNegativeCycle(t *testing.T) {
+	g := graph.NewDigraph(3)
+	if err := g.SetArc(0, 1, graph.NegInf+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetArc(1, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
+		if _, err := Solve(g, Config{Strategy: s, Seed: 2}); !errors.Is(err, ErrNegativeCycle) {
+			t.Errorf("%v: err = %v, want ErrNegativeCycle", s, err)
+		}
+	}
+}
+
 // TestGossipStopsAtFixedPoint: on this n=32 input gossip's node-local
 // chain reaches its fixed point after 4 of its 5 squarings, with the
 // full-budget chain's distances bit for bit.

@@ -92,6 +92,10 @@ func ReconstructPath(g *graph.Digraph, dist *matrix.Matrix, src, dst int) ([]int
 
 // PathWeight sums the arc weights along a path in g; it errors on a broken
 // path.
+//
+// It is test support, with no caller outside tests: the check that a
+// reconstructed or served path weighs its reported distance. It stays
+// exported because the tests of this package and of serve share it.
 func PathWeight(g *graph.Digraph, path []int) (int64, error) {
 	if len(path) == 0 {
 		return 0, errors.New("core: empty path")
@@ -105,22 +109,4 @@ func PathWeight(g *graph.Digraph, path []int) (int64, error) {
 		total = graph.SaturatingAdd(total, w)
 	}
 	return total, nil
-}
-
-// SolveSSSP computes single-source shortest distances from src by running
-// the full APSP pipeline and projecting one row — per the paper, the
-// Õ(n^{1/4}) APSP algorithm is also the best known exact SSSP algorithm in
-// the CONGEST-CLIQUE model.
-func SolveSSSP(g *graph.Digraph, src int, cfg Config) ([]int64, *Result, error) {
-	if g == nil {
-		return nil, nil, errors.New("core: nil graph")
-	}
-	if src < 0 || src >= g.N() {
-		return nil, nil, fmt.Errorf("core: source %d out of range", src)
-	}
-	res, err := Solve(g, cfg)
-	if err != nil {
-		return nil, res, err
-	}
-	return res.Dist.Row(src), res, nil
 }

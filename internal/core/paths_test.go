@@ -130,37 +130,3 @@ func TestPathWeightErrors(t *testing.T) {
 		t.Error("single-vertex path weighs 0")
 	}
 }
-
-func TestSolveSSSP(t *testing.T) {
-	rng := xrand.New(5)
-	g, err := graph.RandomDigraph(12, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -4, MaxWeight: 10, NoNegativeCycles: true,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []int{0, 7} {
-		dist, res, err := SolveSSSP(g, src, Config{Strategy: StrategyDolev, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := graph.BellmanFord(g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if dist[v] != want[v] {
-				t.Fatalf("src=%d: d(%d) = %d, want %d", src, v, dist[v], want[v])
-			}
-		}
-		if res == nil || res.Rounds <= 0 {
-			t.Error("SSSP must report the pipeline result")
-		}
-	}
-	if _, _, err := SolveSSSP(g, -1, Config{}); err == nil {
-		t.Error("bad source must fail")
-	}
-	if _, _, err := SolveSSSP(nil, 0, Config{}); err == nil {
-		t.Error("nil graph must fail")
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"qclique/internal/congest"
@@ -143,6 +144,9 @@ func (st *searchRun) encode(context.Context) error {
 }
 
 func (st *searchRun) square(ctx context.Context) error {
+	if saturatedNegativeCycle(st.cur) {
+		return ErrNegativeCycle
+	}
 	stats, err := distprod.ProductInto(st.next, st.cur, st.cur, distprod.Options{
 		Solver:    st.solver,
 		Params:    st.req.Params,
@@ -159,6 +163,25 @@ func (st *searchRun) square(ctx context.Context) error {
 	st.out.Products++
 	st.cur, st.next = st.next, st.cur
 	return nil
+}
+
+// saturatedNegativeCycle reports whether m, a product input of the
+// squaring chain, holds a −∞ entry next to a negative diagonal entry. A
+// negative diagonal entry already proves a negative cycle, so the solve's
+// answer is ErrNegativeCycle; the chain runs on to charge its rounds,
+// except where saturation has produced a −∞ entry, which the distance
+// product refuses. The diagonal is read first, so on every other input
+// the check costs n reads.
+func saturatedNegativeCycle(m *matrix.Matrix) bool {
+	if !m.HasNegativeDiagonal() {
+		return false
+	}
+	for i := 0; i < m.N(); i++ {
+		if slices.Contains(m.RowView(i), graph.NegInf) {
+			return true
+		}
+	}
+	return false
 }
 
 func (st *searchRun) extract(context.Context) error {

@@ -565,16 +565,12 @@ func floorMid(lo, hi int64) int64 {
 	return mid
 }
 
-// GossipProduct is the naive O(n)-round distance product: every node
+// GossipProductPar is the naive O(n)-round distance product: every node
 // broadcasts its row of B (n words, full gossip), then computes its row of
-// A ⋆ B locally. It operates on an n-node network.
-func GossipProduct(net *congest.Network) matrix.Product {
-	return GossipProductPar(net, 1)
-}
-
-// GossipProductPar is GossipProduct with the per-node local min-plus work
-// spread over a bounded worker pool; workers <= 0 selects GOMAXPROCS. The
-// network charge and the result are identical to GossipProduct.
+// A ⋆ B locally. It operates on an n-node network. The per-node local
+// min-plus work runs on a bounded worker pool; workers <= 0 selects
+// GOMAXPROCS, and the network charge and the result are identical for
+// every worker count.
 func GossipProductPar(net *congest.Network, workers int) matrix.Product {
 	return func(a, b *matrix.Matrix) (*matrix.Matrix, error) {
 		if net != nil {

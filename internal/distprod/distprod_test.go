@@ -168,7 +168,7 @@ func TestGossipProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GossipProduct(net)(a, b)
+	got, err := GossipProductPar(net, 1)(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestGossipProduct(t *testing.T) {
 		t.Errorf("gossip rounds = %d, want n = %d", net.Rounds(), n)
 	}
 	// Nil network: pure local computation.
-	got2, err := GossipProduct(nil)(a, b)
+	got2, err := GossipProductPar(nil, 1)(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

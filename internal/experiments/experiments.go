@@ -95,19 +95,6 @@ func Run(id string, cfg Config) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// RunAll executes every experiment.
-func RunAll(cfg Config) ([]*Result, error) {
-	var out []*Result
-	for _, e := range registry() {
-		res, err := Run(e.id, cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------- E1
 
 func runE1(cfg Config) (*Result, error) {

@@ -62,24 +62,6 @@ func TestHeavyExperimentsPass(t *testing.T) {
 	}
 }
 
-func TestRunAllQuickSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll covered piecewise in -short mode")
-	}
-	results, err := RunAll(Config{Quick: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("got %d results, want %d", len(results), len(IDs()))
-	}
-	for _, r := range results {
-		if !strings.HasPrefix(r.ID, "e") {
-			t.Errorf("bad id %q", r.ID)
-		}
-	}
-}
-
 // TestSeedZeroMatchesBenchBaseline pins that the experiments read the
 // gate's inputs: at seed 0 the e1 and e2 rows report the rounds that
 // BENCH_1.json pins for the cmd/bench entries of the same size.

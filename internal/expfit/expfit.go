@@ -156,17 +156,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as a GitHub-flavored Markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
-
 // Series is a named measurement series over a shared N axis, the textual
 // stand-in for a log-log figure.
 type Series struct {

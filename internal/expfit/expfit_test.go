@@ -99,10 +99,6 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("expected 4 lines, got %d:\n%s", len(lines), s)
 	}
-	md := tab.Markdown()
-	if !strings.HasPrefix(md, "| n | rounds |") {
-		t.Errorf("markdown:\n%s", md)
-	}
 	// Short rows pad.
 	tab2 := NewTable("a", "b", "c")
 	tab2.Add("1")

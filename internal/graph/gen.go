@@ -232,54 +232,6 @@ func RoadNetwork(rows, cols, highways int, rng *xrand.Source) (*Digraph, error) 
 	return g, nil
 }
 
-// CurrencyGraph builds a complete digraph of log-exchange-rate weights with
-// optional planted arbitrage triangles (directed negative-weight 3-cycles).
-// Weights model -log(rate) scaled to integers; a negative cycle is an
-// arbitrage opportunity. Spread > 0 keeps non-planted triangles positive.
-func CurrencyGraph(n int, arbitrage int, rng *xrand.Source) (*Digraph, []([3]int), error) {
-	if n < 3 {
-		return nil, nil, fmt.Errorf("graph: currency graph needs n >= 3, got %d", n)
-	}
-	g := NewDigraph(n)
-	// Base: consistent prices derived from per-currency log-values, plus a
-	// positive spread so every cycle has positive weight.
-	value := make([]int64, n)
-	for i := range value {
-		value[i] = rng.Int64N(1000)
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			spread := 1 + rng.Int64N(10)
-			if err := g.SetArc(u, v, value[v]-value[u]+spread); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	perm := rng.Perm(n)
-	if 3*arbitrage > n {
-		return nil, nil, fmt.Errorf("graph: cannot plant %d disjoint arbitrage cycles in %d currencies", arbitrage, n)
-	}
-	var planted [][3]int
-	for i := 0; i < arbitrage; i++ {
-		a, b, c := perm[3*i], perm[3*i+1], perm[3*i+2]
-		// Make the directed cycle a->b->c->a strictly negative.
-		if err := g.SetArc(a, b, value[b]-value[a]-5); err != nil {
-			return nil, nil, err
-		}
-		if err := g.SetArc(b, c, value[c]-value[b]-5); err != nil {
-			return nil, nil, err
-		}
-		if err := g.SetArc(c, a, value[a]-value[c]-5); err != nil {
-			return nil, nil, err
-		}
-		planted = append(planted, [3]int{a, b, c})
-	}
-	return g, planted, nil
-}
-
 // HubUndirected generates an undirected graph in which a few "hub" edges
 // participate in many negative triangles while all other pairs participate
 // in none — the skewed-Γ workload used to exercise the Proposition 1

@@ -95,15 +95,6 @@ func (g *Digraph) SetArc(u, v int, weight int64) error {
 	return nil
 }
 
-// RemoveArc deletes the arc u->v if present.
-func (g *Digraph) RemoveArc(u, v int) error {
-	if err := g.check(u, v); err != nil {
-		return err
-	}
-	g.w[u*g.n+v] = NoEdge
-	return nil
-}
-
 // Weight returns the weight of arc u->v and whether the arc exists.
 func (g *Digraph) Weight(u, v int) (int64, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
@@ -111,12 +102,6 @@ func (g *Digraph) Weight(u, v int) (int64, bool) {
 	}
 	w := g.w[u*g.n+v]
 	return w, w != NoEdge
-}
-
-// HasArc reports whether the arc u->v exists.
-func (g *Digraph) HasArc(u, v int) bool {
-	_, ok := g.Weight(u, v)
-	return ok
 }
 
 // ArcCount returns the number of arcs.
@@ -279,16 +264,6 @@ func (g *Undirected) Clear() {
 	}
 }
 
-// RemoveEdge deletes edge {u,v} if present.
-func (g *Undirected) RemoveEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: vertex out of range: (%d,%d) with n=%d", u, v, g.n)
-	}
-	g.w[u*g.n+v] = NoEdge
-	g.w[v*g.n+u] = NoEdge
-	return nil
-}
-
 // Weight returns the weight of edge {u,v} and whether it exists.
 func (g *Undirected) Weight(u, v int) (int64, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
@@ -302,30 +277,6 @@ func (g *Undirected) Weight(u, v int) (int64, bool) {
 func (g *Undirected) HasEdge(u, v int) bool {
 	_, ok := g.Weight(u, v)
 	return ok
-}
-
-// EdgeCount returns the number of (unordered) edges.
-func (g *Undirected) EdgeCount() int {
-	c := 0
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if g.w[u*g.n+v] != NoEdge {
-				c++
-			}
-		}
-	}
-	return c
-}
-
-// Neighbors returns the sorted neighbor list of u.
-func (g *Undirected) Neighbors(u int) []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if v != u && g.w[u*g.n+v] != NoEdge {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Row returns a copy of vertex u's weight row (NoEdge for absent edges),
@@ -354,14 +305,6 @@ func (g *Undirected) Clone() *Undirected {
 	w := make([]int64, len(g.w))
 	copy(w, g.w)
 	return &Undirected{n: g.n, w: w}
-}
-
-// Subgraph returns the subgraph containing exactly the edges for which
-// keep(u,v) is true (u < v).
-func (g *Undirected) Subgraph(keep func(u, v int) bool) *Undirected {
-	sub := NewUndirected(g.n)
-	g.subgraphInto(sub, keep)
-	return sub
 }
 
 // SubgraphInto writes the subgraph into dst (which must have the same
@@ -411,18 +354,6 @@ func MakePair(a, b int) Pair {
 
 // Contains reports whether the pair includes vertex x.
 func (p Pair) Contains(x int) bool { return p.U == x || p.V == x }
-
-// Other returns the endpoint that is not x. It panics if x is not an
-// endpoint.
-func (p Pair) Other(x int) int {
-	switch x {
-	case p.U:
-		return p.V
-	case p.V:
-		return p.U
-	}
-	panic("graph: Other on non-member vertex")
-}
 
 // String implements fmt.Stringer.
 func (p Pair) String() string { return fmt.Sprintf("{%d,%d}", p.U, p.V) }

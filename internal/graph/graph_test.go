@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,12 +34,6 @@ func TestDigraphBasics(t *testing.T) {
 	if g.ArcCount() != 2 {
 		t.Errorf("ArcCount = %d, want 2", g.ArcCount())
 	}
-	if err := g.RemoveArc(0, 1); err != nil {
-		t.Fatalf("RemoveArc: %v", err)
-	}
-	if g.HasArc(0, 1) {
-		t.Error("arc 0->1 should be removed")
-	}
 }
 
 func TestDigraphRejectsSelfLoopAndRange(t *testing.T) {
@@ -67,8 +62,8 @@ func TestSettersRejectNonFiniteWeights(t *testing.T) {
 			t.Errorf("SetEdge(0, 1, %d) accepted", w)
 		}
 	}
-	if d.ArcCount() != 0 || u.EdgeCount() != 0 {
-		t.Fatalf("rejected weights stored: %d arcs, %d edges", d.ArcCount(), u.EdgeCount())
+	if d.ArcCount() != 0 || edgeCount(u) != 0 {
+		t.Fatalf("rejected weights stored: %d arcs, %d edges", d.ArcCount(), edgeCount(u))
 	}
 	for _, w := range []int64{NegInf + 1, Inf - 1} {
 		if err := d.SetArc(0, 1, w); err != nil {
@@ -97,7 +92,7 @@ func TestDigraphRowAndClone(t *testing.T) {
 	if err := c.SetArc(0, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if g.HasArc(0, 2) {
+	if _, ok := g.Weight(0, 2); ok {
 		t.Error("Clone must not alias original")
 	}
 }
@@ -112,18 +107,8 @@ func TestUndirectedSymmetry(t *testing.T) {
 	if !ok1 || !ok2 || w1 != -4 || w2 != -4 {
 		t.Errorf("edge not symmetric: (%d,%v) (%d,%v)", w1, ok1, w2, ok2)
 	}
-	if g.EdgeCount() != 1 {
-		t.Errorf("EdgeCount = %d, want 1", g.EdgeCount())
-	}
-	nbrs := g.Neighbors(1)
-	if len(nbrs) != 1 || nbrs[0] != 3 {
-		t.Errorf("Neighbors(1) = %v", nbrs)
-	}
-	if err := g.RemoveEdge(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(3, 1) {
-		t.Error("edge should be removed symmetrically")
+	if edgeCount(g) != 1 {
+		t.Errorf("edge count = %d, want 1", edgeCount(g))
 	}
 }
 
@@ -136,9 +121,12 @@ func TestUndirectedSubgraph(t *testing.T) {
 			}
 		}
 	}
-	sub := g.Subgraph(func(u, v int) bool { return u == 0 })
-	if sub.EdgeCount() != 3 {
-		t.Errorf("subgraph edges = %d, want 3", sub.EdgeCount())
+	sub := NewUndirected(4)
+	if err := g.SubgraphInto(sub, func(u, v int) bool { return u == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if edgeCount(sub) != 3 {
+		t.Errorf("subgraph edges = %d, want 3", edgeCount(sub))
 	}
 	if !sub.HasEdge(0, 2) || sub.HasEdge(1, 2) {
 		t.Error("subgraph kept wrong edges")
@@ -195,9 +183,6 @@ func TestPairNormalization(t *testing.T) {
 	}
 	if !p.Contains(7) || p.Contains(3) {
 		t.Error("Contains wrong")
-	}
-	if p.Other(2) != 7 || p.Other(7) != 2 {
-		t.Error("Other wrong")
 	}
 	defer func() {
 		if recover() == nil {
@@ -269,9 +254,6 @@ func TestFloydWarshallNegativeCycle(t *testing.T) {
 	if _, err := FloydWarshall(g); err != ErrNegativeCycle {
 		t.Errorf("err = %v, want ErrNegativeCycle", err)
 	}
-	if !HasNegativeCycle(g) {
-		t.Error("HasNegativeCycle should be true")
-	}
 }
 
 func TestBellmanFordAgreesWithFloydWarshall(t *testing.T) {
@@ -333,7 +315,7 @@ func TestNoNegativeCyclesGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if HasNegativeCycle(g) {
+		if hasNegativeCycle(g) {
 			t.Fatalf("trial %d: generator produced a negative cycle", trial)
 		}
 		for u := 0; u < g.N(); u++ {
@@ -381,7 +363,7 @@ func TestNegativeTrianglePrimitives(t *testing.T) {
 	if len(tris) != 1 || tris[0] != (Triangle{A: 0, B: 1, C: 2}) {
 		t.Errorf("ListNegativeTriangles = %v", tris)
 	}
-	if Gamma(g, 0, 1) != 1 || Gamma(g, 1, 3) != 0 {
+	if gamma(g, 0, 1) != 1 || gamma(g, 1, 3) != 0 {
 		t.Error("Gamma counts wrong")
 	}
 	edgeSet := EdgesInNegativeTriangles(g)
@@ -404,7 +386,7 @@ func TestGammaCountsConsistency(t *testing.T) {
 	}
 	counts := GammaCounts(g)
 	for p, c := range counts {
-		if direct := Gamma(g, p.U, p.V); direct != c {
+		if direct := gamma(g, p.U, p.V); direct != c {
 			t.Errorf("Γ%v: map says %d, direct says %d", p, c, direct)
 		}
 	}
@@ -457,7 +439,7 @@ func TestGridAndRoadGenerators(t *testing.T) {
 	if got, want := g.ArcCount(), 2*(9+8); got != want {
 		t.Errorf("grid arcs = %d, want %d", got, want)
 	}
-	if HasNegativeCycle(g) {
+	if hasNegativeCycle(g) {
 		t.Error("grid has positive weights only")
 	}
 	r, err := RoadNetwork(4, 4, 6, rng)
@@ -478,36 +460,6 @@ func TestGridAndRoadGenerators(t *testing.T) {
 	}
 	if _, err := GridDigraph(0, 3, 5, rng); err == nil {
 		t.Error("degenerate grid should fail")
-	}
-}
-
-func TestCurrencyGraphArbitrage(t *testing.T) {
-	rng := xrand.New(13)
-	g, planted, err := CurrencyGraph(12, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(planted) != 2 {
-		t.Fatalf("planted = %v", planted)
-	}
-	if !HasNegativeCycle(g) {
-		t.Error("arbitrage cycles should make a negative cycle")
-	}
-	for _, tri := range planted {
-		a, b, c := tri[0], tri[1], tri[2]
-		wab, _ := g.Weight(a, b)
-		wbc, _ := g.Weight(b, c)
-		wca, _ := g.Weight(c, a)
-		if wab+wbc+wca >= 0 {
-			t.Errorf("planted cycle %v has weight %d", tri, wab+wbc+wca)
-		}
-	}
-	clean, _, err := CurrencyGraph(10, 0, rng.Split("clean"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasNegativeCycle(clean) {
-		t.Error("spread-consistent prices should have no negative cycle")
 	}
 }
 
@@ -539,4 +491,43 @@ func TestMaxAbsWeight(t *testing.T) {
 	if g.MaxAbsWeight() != 9 {
 		t.Errorf("MaxAbsWeight = %d, want 9", g.MaxAbsWeight())
 	}
+}
+
+// edgeCount returns the number of (unordered) edges of g.
+func edgeCount(g *Undirected) int {
+	c := 0
+	for u := 0; u < g.n; u++ {
+		for v := u + 1; v < g.n; v++ {
+			if g.w[u*g.n+v] != NoEdge {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// hasNegativeCycle reports whether g contains a directed cycle of negative
+// total weight.
+func hasNegativeCycle(g *Digraph) bool {
+	_, err := FloydWarshall(g)
+	return errors.Is(err, ErrNegativeCycle)
+}
+
+// gamma returns Γ(u,v) by direct enumeration: the number of negative
+// triangles of g involving the pair {u,v}. It is the reference GammaCounts
+// is checked against.
+func gamma(g *Undirected, u, v int) int {
+	if !g.HasEdge(u, v) {
+		return 0
+	}
+	count := 0
+	for w := 0; w < g.N(); w++ {
+		if w == u || w == v {
+			continue
+		}
+		if IsNegativeTriangle(g, u, v, w) {
+			count++
+		}
+	}
+	return count
 }

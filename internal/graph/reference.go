@@ -52,6 +52,11 @@ func FloydWarshall(g *Digraph) ([]int64, error) {
 
 // BellmanFord computes single-source shortest distances from src. It
 // returns ErrNegativeCycle if a negative cycle is reachable from src.
+//
+// It is test support, with no caller outside tests: the single-source
+// reference that the root package's SolveSSSP rows are checked against,
+// itself checked against FloydWarshall by this package's tests. It stays
+// exported because the tests of both packages share it.
 func BellmanFord(g *Digraph, src int) ([]int64, error) {
 	n := g.N()
 	dist := make([]int64, n)
@@ -96,11 +101,4 @@ func BellmanFord(g *Digraph, src int) ([]int64, error) {
 		}
 	}
 	return dist, nil
-}
-
-// HasNegativeCycle reports whether g contains a directed cycle of negative
-// total weight.
-func HasNegativeCycle(g *Digraph) bool {
-	_, err := FloydWarshall(g)
-	return errors.Is(err, ErrNegativeCycle)
 }

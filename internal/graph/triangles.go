@@ -49,24 +49,6 @@ func ListNegativeTriangles(g *Undirected) []Triangle {
 	return out
 }
 
-// Gamma returns Γ(u,v): the number of negative triangles of g involving the
-// pair {u,v}.
-func Gamma(g *Undirected, u, v int) int {
-	if !g.HasEdge(u, v) {
-		return 0
-	}
-	count := 0
-	for w := 0; w < g.N(); w++ {
-		if w == u || w == v {
-			continue
-		}
-		if IsNegativeTriangle(g, u, v, w) {
-			count++
-		}
-	}
-	return count
-}
-
 // GammaCounts returns the full Γ map over all pairs with Γ(u,v) > 0.
 func GammaCounts(g *Undirected) map[Pair]int {
 	out := make(map[Pair]int)

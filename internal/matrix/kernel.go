@@ -1,8 +1,6 @@
 package matrix
 
 import (
-	"sync"
-
 	"qclique/internal/graph"
 	"qclique/internal/par"
 )
@@ -31,19 +29,6 @@ const (
 // involving a compacted +∞ stay strictly above every genuine finite sum
 // and decompact back to graph.Inf.
 const inf32 = int32(1) << 30
-
-// i32Pool recycles the compacted scratch buffers so steady-state squaring
-// chains stay allocation-free (the bench allocs/op gate covers this).
-var i32Pool sync.Pool // *[]int32
-
-func getI32(n int) []int32 {
-	if p, _ := i32Pool.Get().(*[]int32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int32, n)
-}
-
-func putI32(b []int32) { i32Pool.Put(&b) }
 
 // scanCompact reports the largest absolute finite entry of m and whether m
 // is eligible for the compacted kernel (no −∞ entries; −∞ propagation needs
@@ -170,16 +155,21 @@ func relax32x4(rowC, b0, b1, b2, b3 []int32, a0, a1, a2, a3 int32) {
 // gathered first, which is also the ∞-skip), so no group holds an inf32
 // leg and no sum can overflow int32. min is exact, so the fold order
 // changes no result bit.
+//
+// The compacted operands and the int32 result are allocated per product
+// and die with it: a product's O(n³) work dwarfs the O(n²) allocation, and
+// gossip's exact solves reach this kernel only on the inputs its one-pass
+// fixed point (SquaringFixedPoint) declines.
 func mulMinPlusBlocked32(dst, a, b *Matrix, maxSum int64, workers int) {
 	n := a.n
-	a32 := getI32(n * n)
+	a32 := make([]int32, n*n)
 	compact(a32, a.a)
 	b32 := a32
 	if b != a {
-		b32 = getI32(n * n)
+		b32 = make([]int32, n*n)
 		compact(b32, b.a)
 	}
-	c32 := getI32(n * n)
+	c32 := make([]int32, n*n)
 	m32 := int32(maxSum)
 	blocks := (n + rowBlock - 1) / rowBlock
 	par.For(workers, blocks, func(bi int) {
@@ -232,9 +222,4 @@ func mulMinPlusBlocked32(dst, a, b *Matrix, maxSum int64, workers int) {
 			}
 		}
 	})
-	putI32(c32)
-	if b != a {
-		putI32(b32)
-	}
-	putI32(a32)
 }

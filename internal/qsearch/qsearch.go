@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"unsafe"
 
 	"qclique/internal/congest"
@@ -80,19 +79,19 @@ type Spec struct {
 	// its own pre-derived random stream, so results are identical for every
 	// worker count.
 	Workers int
-	// Scratch optionally supplies reusable search state (per-worker probe
-	// streams, probe merge slots, and the Result's Found/Witness
-	// backing). When set, the returned Result aliases the scratch and is
-	// valid only until the scratch's next MultiSearch; when nil, internal
-	// buffers still come from a package pool but Found/Witness are freshly
-	// allocated. Results are bit-identical either way.
+	// Scratch supplies every buffer of the search: per-worker probe
+	// streams, probe merge slots, and the Result's Found/Witness backing.
+	// The returned Result aliases it and is valid only until its next
+	// MultiSearch. Nil means a fresh Scratch for this call alone. Results
+	// are bit-identical either way.
 	Scratch *Scratch
 }
 
-// Scratch is the reusable state of a MultiSearch invocation. A Scratch is
-// not safe for concurrent use; the protocol layers keep one per solve.
-// Every buffer is fully (re)initialized before it is read, which is what
-// keeps pooled and fresh runs bit-identical.
+// Scratch is the reusable state of a MultiSearch invocation and the one
+// owner of its buffers. A Scratch is not safe for concurrent use; the
+// protocol layers keep one per solve. Every buffer is fully (re)initialized
+// before it is read, which is what keeps reused and fresh runs
+// bit-identical.
 type Scratch struct {
 	found    []bool
 	witness  []int
@@ -103,11 +102,6 @@ type Scratch struct {
 	probeHit []bool
 	rngs     []*xrand.Source
 }
-
-// scratchPool recycles the internal-only buffers for callers that do not
-// thread their own Scratch (Found/Witness still escape to the Result, so
-// those stay freshly allocated on this path).
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // workerState returns one reseedable scratch source per worker (the probes'
 // only per-worker state since the two-amplitude Grover probe dropped the
@@ -160,17 +154,6 @@ func (r *Result) AllFound() bool {
 	return true
 }
 
-// FoundCount returns the number of successful instances.
-func (r *Result) FoundCount() int {
-	c := 0
-	for _, f := range r.Found {
-		if f {
-			c++
-		}
-	}
-	return c
-}
-
 // defaultPasses is the O(log m) amplification count driving per-instance
 // failure below 1/m² (Appendix A: "amplified ... by repeating the
 // algorithm a logarithmic number of times").
@@ -211,33 +194,17 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	}
 	rows, of := tabs.Rows, tabs.Of
 
-	// Buffer provenance: a caller-supplied Scratch backs everything
-	// including the Result's Found/Witness; otherwise the internal-only
-	// buffers come from the package pool and Found/Witness are fresh
-	// (they escape to the caller).
 	sc := spec.Scratch
-	var found []bool
-	var witness []int
 	if sc == nil {
-		sc = scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(sc)
-		found = make([]bool, spec.Instances)
-		witness = make([]int, spec.Instances)
-	} else {
-		sc.found = par.Grow(sc.found, spec.Instances)
-		clear(sc.found)
-		found = sc.found
-		sc.witness = sc.witness[:0]
-		if cap(sc.witness) < spec.Instances {
-			sc.witness = make([]int, spec.Instances)
-		}
-		witness = sc.witness[:spec.Instances]
-		sc.witness = witness
+		sc = new(Scratch)
 	}
+	sc.found = par.Grow(sc.found, spec.Instances)
+	clear(sc.found)
+	sc.witness = par.Grow(sc.witness, spec.Instances)
 
 	res := &Result{
-		Found:      found,
-		Witness:    witness,
+		Found:      sc.found,
+		Witness:    sc.witness,
 		EvalRounds: evalCost.Rounds,
 	}
 	for i := range res.Witness {
@@ -375,13 +342,6 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 		}
 	}
 	return res, nil
-}
-
-// Search runs a single distributed quantum search (the Section 4.1
-// framework with m = 1): find any x with g(x) = 1 through the given
-// evaluation procedure.
-func Search(net *congest.Network, spaceSize int, eval EvalFunc, rng *xrand.Source) (*Result, error) {
-	return MultiSearch(net, Spec{SpaceSize: spaceSize, Instances: 1, Eval: eval}, rng)
 }
 
 // LocalEval adapts locally known truth tables, one per instance, into an

@@ -18,6 +18,24 @@ func newNet(t *testing.T, n int) *congest.Network {
 	return nw
 }
 
+// search runs a single distributed quantum search (the Section 4.1
+// framework with m = 1): find any x with g(x) = 1 through the given
+// evaluation procedure.
+func search(net *congest.Network, spaceSize int, eval EvalFunc, rng *xrand.Source) (*Result, error) {
+	return MultiSearch(net, Spec{SpaceSize: spaceSize, Instances: 1, Eval: eval}, rng)
+}
+
+// foundCount returns the number of instances of r that found a witness.
+func foundCount(r *Result) int {
+	c := 0
+	for _, f := range r.Found {
+		if f {
+			c++
+		}
+	}
+	return c
+}
+
 func TestSearchFindsWitness(t *testing.T) {
 	rng := xrand.New(1)
 	for trial := 0; trial < 30; trial++ {
@@ -27,7 +45,7 @@ func TestSearchFindsWitness(t *testing.T) {
 		target := r.IntN(size)
 		table := make([]bool, size)
 		table[target] = true
-		res, err := Search(nw, size, LocalEval([][]bool{table}, 1), r)
+		res, err := search(nw, size, LocalEval([][]bool{table}, 1), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +58,7 @@ func TestSearchFindsWitness(t *testing.T) {
 func TestSearchNoWitness(t *testing.T) {
 	rng := xrand.New(2)
 	nw := newNet(t, 4)
-	res, err := Search(nw, 16, LocalEval([][]bool{make([]bool, 16)}, 1), rng)
+	res, err := search(nw, 16, LocalEval([][]bool{make([]bool, 16)}, 1), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +86,7 @@ func TestMultiSearchAllInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.AllFound() {
-		t.Fatalf("only %d/%d found", res.FoundCount(), m)
+		t.Fatalf("only %d/%d found", foundCount(res), m)
 	}
 	for i, w := range res.Witness {
 		if w != targets[i] {
@@ -97,8 +115,8 @@ func TestMultiSearchMixedEmptyAndNonempty(t *testing.T) {
 	if !res.Found[1] || res.Witness[1] != 7 {
 		t.Errorf("instance 1: %+v", res)
 	}
-	if res.FoundCount() != 1 {
-		t.Errorf("FoundCount = %d", res.FoundCount())
+	if foundCount(res) != 1 {
+		t.Errorf("found %d, want 1", foundCount(res))
 	}
 }
 
@@ -108,7 +126,7 @@ func TestRoundAccountingIsCallsTimesEvalCost(t *testing.T) {
 	const evalRounds = 3
 	table := make([]bool, 16)
 	table[5] = true
-	res, err := Search(nw, 16, LocalEval([][]bool{table}, evalRounds), rng)
+	res, err := search(nw, 16, LocalEval([][]bool{table}, evalRounds), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +154,7 @@ func TestCostScalesLikeSqrtSpace(t *testing.T) {
 			nw := newNet(t, 4)
 			table := make([]bool, size)
 			table[r.IntN(size)] = true
-			res, err := Search(nw, size, LocalEval([][]bool{table}, 1), r)
+			res, err := search(nw, size, LocalEval([][]bool{table}, 1), r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +242,7 @@ func TestTruncationAccounting(t *testing.T) {
 		t.Errorf("truncation bound %g exceeds 1/m² = %g", res.TruncationErrorBound, 1.0/float64(m*m))
 	}
 	if !res.AllFound() {
-		t.Errorf("found %d/%d", res.FoundCount(), m)
+		t.Errorf("found %d/%d", foundCount(res), m)
 	}
 }
 
@@ -324,7 +342,7 @@ func TestIterationsBoundedBySchedule(t *testing.T) {
 	rng := xrand.New(13)
 	nw := newNet(t, 4)
 	const size = 64
-	res, err := Search(nw, size, LocalEval([][]bool{make([]bool, size)}, 1), rng)
+	res, err := search(nw, size, LocalEval([][]bool{make([]bool, size)}, 1), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

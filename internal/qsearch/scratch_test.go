@@ -7,7 +7,7 @@ import (
 	"qclique/internal/xrand"
 )
 
-// TestScratchDeterminism asserts the pooled==fresh contract: MultiSearch
+// TestScratchDeterminism asserts the reused==fresh contract: MultiSearch
 // through one reused Scratch returns exactly the results of scratchless
 // calls, across repeated invocations that leave stale state behind.
 func TestScratchDeterminism(t *testing.T) {

@@ -1,18 +1,16 @@
-// Package quantum provides an exact state-vector simulation of Grover
-// search, the quantum primitive underlying the paper's distributed
-// algorithm (Section 4), together with the "typical inputs" analysis of
-// Theorem 3 (Poisson-binomial frequency tails, Lemma 5 amplitude-mass
-// bounds).
+// Package quantum provides an exact simulation of Grover search, the
+// quantum primitive underlying the paper's distributed algorithm
+// (Section 4), together with the "typical inputs" analysis of Theorem 3
+// (Poisson-binomial frequency tails, Lemma 5 amplitude-mass bounds).
 //
 // Search spaces in the paper have size |X| ≤ √n (subsets of the vertex
-// partition V'), so an |X|-dimensional real state vector simulates the
-// algorithm exactly: Grover's operator keeps amplitudes real, and the
-// simulation reproduces amplitudes, iteration counts and measurement
-// statistics without approximation.
+// partition V'), so the algorithm is simulated exactly: Grover's operator
+// keeps amplitudes real, and the simulation reproduces amplitudes,
+// iteration counts and measurement statistics without approximation. The
+// package's tests hold it to an |X|-dimensional state-vector simulation.
 package quantum
 
 import (
-	"fmt"
 	"math"
 
 	"qclique/internal/xrand"
@@ -21,80 +19,6 @@ import (
 // Oracle answers membership queries g(x) for x in [0, N).
 type Oracle func(x int) bool
 
-// Uniform returns the uniform superposition over N elements.
-func Uniform(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	amps := make([]float64, n)
-	a := 1 / math.Sqrt(float64(n))
-	for i := range amps {
-		amps[i] = a
-	}
-	return amps
-}
-
-// Iterate applies one Grover iteration in place: a phase flip on marked
-// elements followed by inversion about the mean (the diffusion operator).
-func Iterate(amps []float64, marked []bool) {
-	for i := range amps {
-		if marked[i] {
-			amps[i] = -amps[i]
-		}
-	}
-	var mean float64
-	for _, a := range amps {
-		mean += a
-	}
-	mean /= float64(len(amps))
-	for i := range amps {
-		amps[i] = 2*mean - amps[i]
-	}
-}
-
-// SuccessProbability returns the probability that measuring amps yields a
-// marked element.
-func SuccessProbability(amps []float64, marked []bool) float64 {
-	var p float64
-	for i, a := range amps {
-		if marked[i] {
-			p += a * a
-		}
-	}
-	return p
-}
-
-// Measure samples an index from the squared-amplitude distribution.
-func Measure(amps []float64, rng *xrand.Source) int {
-	r := rng.Float64()
-	var acc float64
-	for i, a := range amps {
-		acc += a * a
-		if r < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last index.
-	return len(amps) - 1
-}
-
-// IterationsForKnown returns the optimal Grover iteration count
-// ⌊(π/4)·√(N/t)⌋ for a space of size n with t known solutions.
-func IterationsForKnown(n, t int) int {
-	if t <= 0 || n <= 0 {
-		return 0
-	}
-	if 2*t >= n {
-		return 0 // solutions are already likely under uniform measurement
-	}
-	theta := math.Asin(math.Sqrt(float64(t) / float64(n)))
-	k := math.Floor(math.Pi / (4 * theta))
-	if k < 0 {
-		return 0
-	}
-	return int(k)
-}
-
 // MarkedFromOracle materializes the oracle's truth table.
 func MarkedFromOracle(n int, g Oracle) []bool {
 	marked := make([]bool, n)
@@ -102,17 +26,6 @@ func MarkedFromOracle(n int, g Oracle) []bool {
 		marked[i] = g(i)
 	}
 	return marked
-}
-
-// CountMarked returns the number of true entries.
-func CountMarked(marked []bool) int {
-	c := 0
-	for _, m := range marked {
-		if m {
-			c++
-		}
-	}
-	return c
 }
 
 // SearchResult reports the outcome and cost of a Grover search.
@@ -186,10 +99,10 @@ func searchMarked(n int, marked []bool, rng *xrand.Source, res *SearchResult) Se
 // Starting from the uniform state, every marked element always shares one
 // amplitude and every unmarked element another, so the probe tracks just
 // those two values instead of a full state vector. Bit-exactness with the
-// vector simulation (Iterate + Measure) is preserved by folding the mean
-// and the measurement CDF in index order with the identical per-element
-// addends — the same sequence of floating-point operations, so the same
-// rounding, the same drawn index, and no amplitude buffer at all.
+// state-vector simulation (the tests' reference) is preserved by folding
+// the mean and the measurement CDF in index order with the identical
+// per-element addends — the same sequence of floating-point operations, so
+// the same rounding, the same drawn index, and no amplitude buffer at all.
 func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit bool) {
 	n := len(marked)
 	a := 1 / math.Sqrt(float64(n))
@@ -223,34 +136,4 @@ func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit boo
 	}
 	// Floating-point slack: return the last index.
 	return n - 1, marked[n-1]
-}
-
-// AmplitudeAfter returns the state after j iterations from uniform; used by
-// analysis code and tests.
-func AmplitudeAfter(marked []bool, j int) []float64 {
-	amps := Uniform(len(marked))
-	for it := 0; it < j; it++ {
-		Iterate(amps, marked)
-	}
-	return amps
-}
-
-// Norm returns the L2 norm of the amplitude vector (should remain 1 up to
-// floating-point error; Grover's operator is unitary).
-func Norm(amps []float64) float64 {
-	var s float64
-	for _, a := range amps {
-		s += a * a
-	}
-	return math.Sqrt(s)
-}
-
-// ValidateDistribution checks that amps is a unit vector within tolerance;
-// a defensive invariant used in tests and debug paths.
-func ValidateDistribution(amps []float64, tol float64) error {
-	n := Norm(amps)
-	if math.Abs(n-1) > tol {
-		return fmt.Errorf("quantum: state norm %g deviates from 1 beyond %g", n, tol)
-	}
-	return nil
 }

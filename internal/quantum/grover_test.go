@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,12 +11,12 @@ import (
 
 func TestUniformIsUnit(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64} {
-		amps := Uniform(n)
-		if err := ValidateDistribution(amps, 1e-9); err != nil {
+		amps := uniform(n)
+		if err := validateDistribution(amps, 1e-9); err != nil {
 			t.Errorf("n=%d: %v", n, err)
 		}
 	}
-	if Uniform(0) != nil || Uniform(-1) != nil {
+	if uniform(0) != nil || uniform(-1) != nil {
 		t.Error("degenerate sizes should return nil")
 	}
 }
@@ -28,10 +29,10 @@ func TestIteratePreservesNorm(t *testing.T) {
 		for i := range marked {
 			marked[i] = rng.Bool(0.3)
 		}
-		amps := Uniform(n)
+		amps := uniform(n)
 		for it := 0; it < 10; it++ {
-			Iterate(amps, marked)
-			if ValidateDistribution(amps, 1e-6) != nil {
+			iterate(amps, marked)
+			if validateDistribution(amps, 1e-6) != nil {
 				return false
 			}
 		}
@@ -48,12 +49,12 @@ func TestGroverAmplification(t *testing.T) {
 	n := 64
 	marked := make([]bool, n)
 	marked[17] = true
-	k := IterationsForKnown(n, 1)
+	k := iterationsForKnown(n, 1)
 	if k != 6 {
-		t.Fatalf("IterationsForKnown(64,1) = %d, want 6", k)
+		t.Fatalf("iterationsForKnown(64,1) = %d, want 6", k)
 	}
-	amps := AmplitudeAfter(marked, k)
-	if p := SuccessProbability(amps, marked); p < 0.95 {
+	amps := amplitudeAfter(marked, k)
+	if p := successProbability(amps, marked); p < 0.95 {
 		t.Errorf("success probability %f after %d iterations", p, k)
 	}
 }
@@ -61,16 +62,16 @@ func TestGroverAmplification(t *testing.T) {
 func TestIterationsForKnownShape(t *testing.T) {
 	// √N shape: k(N,1) grows like (π/4)√N.
 	for _, n := range []int{16, 64, 256, 1024, 4096} {
-		k := IterationsForKnown(n, 1)
+		k := iterationsForKnown(n, 1)
 		ideal := math.Pi / 4 * math.Sqrt(float64(n))
 		if math.Abs(float64(k)-ideal) > ideal/3+1 {
 			t.Errorf("n=%d: k=%d, ideal %f", n, k, ideal)
 		}
 	}
-	if IterationsForKnown(10, 0) != 0 || IterationsForKnown(0, 1) != 0 {
+	if iterationsForKnown(10, 0) != 0 || iterationsForKnown(0, 1) != 0 {
 		t.Error("degenerate cases should be 0")
 	}
-	if IterationsForKnown(10, 6) != 0 {
+	if iterationsForKnown(10, 6) != 0 {
 		t.Error("majority-marked space needs no iterations")
 	}
 }
@@ -85,12 +86,12 @@ func TestNoOvershootAtOptimalIterations(t *testing.T) {
 		for i := 0; i < tt; i++ {
 			marked[i*7%n] = true
 		}
-		if CountMarked(marked) != tt {
+		if countMarked(marked) != tt {
 			continue // collision in placement; skip
 		}
-		k := IterationsForKnown(n, tt)
-		amps := AmplitudeAfter(marked, k)
-		if p := SuccessProbability(amps, marked); p < 0.8 {
+		k := iterationsForKnown(n, tt)
+		amps := amplitudeAfter(marked, k)
+		if p := successProbability(amps, marked); p < 0.8 {
 			t.Errorf("n=%d t=%d k=%d: p=%f", n, tt, k, p)
 		}
 	}
@@ -101,15 +102,15 @@ func TestMeasureStatistics(t *testing.T) {
 	n := 8
 	marked := make([]bool, n)
 	marked[3] = true
-	amps := AmplitudeAfter(marked, IterationsForKnown(n, 1))
+	amps := amplitudeAfter(marked, iterationsForKnown(n, 1))
 	hits := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if Measure(amps, rng) == 3 {
+		if measure(amps, rng) == 3 {
 			hits++
 		}
 	}
-	want := SuccessProbability(amps, marked)
+	want := successProbability(amps, marked)
 	got := float64(hits) / trials
 	if math.Abs(got-want) > 0.05 {
 		t.Errorf("measured rate %f, amplitude says %f", got, want)
@@ -200,7 +201,7 @@ func TestFixedScheduleProbe(t *testing.T) {
 	n := 64
 	marked := make([]bool, n)
 	marked[9] = true
-	k := IterationsForKnown(n, 1)
+	k := iterationsForKnown(n, 1)
 	hits := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
@@ -215,8 +216,8 @@ func TestFixedScheduleProbe(t *testing.T) {
 
 func TestMarkedFromOracleAndCount(t *testing.T) {
 	marked := MarkedFromOracle(10, func(x int) bool { return x%2 == 1 })
-	if CountMarked(marked) != 5 {
-		t.Errorf("count = %d", CountMarked(marked))
+	if countMarked(marked) != 5 {
+		t.Errorf("count = %d", countMarked(marked))
 	}
 	if marked[0] || !marked[1] {
 		t.Error("truth table wrong")
@@ -228,4 +229,141 @@ func TestOracleCalls(t *testing.T) {
 	if r.OracleCalls() != 7 {
 		t.Error("OracleCalls must sum iterations and verifications")
 	}
+}
+
+// TestFixedScheduleProbeMatchesStateVector holds the two-amplitude probe
+// to the full state-vector simulation: for every oracle and iteration
+// count, the same random stream measures the same index.
+func TestFixedScheduleProbeMatchesStateVector(t *testing.T) {
+	rng := xrand.New(31)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(40)
+		marked := make([]bool, n)
+		for i := range marked {
+			marked[i] = rng.Bool(0.2)
+		}
+		j := rng.IntN(8)
+		x, hit := FixedScheduleProbe(marked, j, xrand.New(uint64(trial)))
+		want := measure(amplitudeAfter(marked, j), xrand.New(uint64(trial)))
+		if x != want || hit != marked[want] {
+			t.Fatalf("trial %d (n=%d, j=%d): probe measured (%d, %v), state vector %d", trial, n, j, x, hit, want)
+		}
+	}
+}
+
+// The full state-vector simulation of Grover search. It is the reference
+// FixedScheduleProbe is held to bit for bit, and the model the
+// amplification tests above check against Grover's analysis.
+
+// uniform returns the uniform superposition over N elements.
+func uniform(n int) []float64 {
+	if n <= 0 {
+		return nil
+	}
+	amps := make([]float64, n)
+	a := 1 / math.Sqrt(float64(n))
+	for i := range amps {
+		amps[i] = a
+	}
+	return amps
+}
+
+// iterate applies one Grover iteration in place: a phase flip on marked
+// elements followed by inversion about the mean (the diffusion operator).
+func iterate(amps []float64, marked []bool) {
+	for i := range amps {
+		if marked[i] {
+			amps[i] = -amps[i]
+		}
+	}
+	var mean float64
+	for _, a := range amps {
+		mean += a
+	}
+	mean /= float64(len(amps))
+	for i := range amps {
+		amps[i] = 2*mean - amps[i]
+	}
+}
+
+// successProbability returns the probability that measuring amps yields a
+// marked element.
+func successProbability(amps []float64, marked []bool) float64 {
+	var p float64
+	for i, a := range amps {
+		if marked[i] {
+			p += a * a
+		}
+	}
+	return p
+}
+
+// measure samples an index from the squared-amplitude distribution.
+func measure(amps []float64, rng *xrand.Source) int {
+	r := rng.Float64()
+	var acc float64
+	for i, a := range amps {
+		acc += a * a
+		if r < acc {
+			return i
+		}
+	}
+	// Floating-point slack: return the last index.
+	return len(amps) - 1
+}
+
+// iterationsForKnown returns the optimal Grover iteration count
+// ⌊(π/4)·√(N/t)⌋ for a space of size n with t known solutions.
+func iterationsForKnown(n, t int) int {
+	if t <= 0 || n <= 0 {
+		return 0
+	}
+	if 2*t >= n {
+		return 0 // solutions are already likely under uniform measurement
+	}
+	theta := math.Asin(math.Sqrt(float64(t) / float64(n)))
+	k := math.Floor(math.Pi / (4 * theta))
+	if k < 0 {
+		return 0
+	}
+	return int(k)
+}
+
+// countMarked returns the number of true entries.
+func countMarked(marked []bool) int {
+	c := 0
+	for _, m := range marked {
+		if m {
+			c++
+		}
+	}
+	return c
+}
+
+// amplitudeAfter returns the state after j iterations from uniform.
+func amplitudeAfter(marked []bool, j int) []float64 {
+	amps := uniform(len(marked))
+	for it := 0; it < j; it++ {
+		iterate(amps, marked)
+	}
+	return amps
+}
+
+// norm returns the L2 norm of the amplitude vector (should remain 1 up to
+// floating-point error; Grover's operator is unitary).
+func norm(amps []float64) float64 {
+	var s float64
+	for _, a := range amps {
+		s += a * a
+	}
+	return math.Sqrt(s)
+}
+
+// validateDistribution checks that amps is a unit vector within tolerance.
+func validateDistribution(amps []float64, tol float64) error {
+	n := norm(amps)
+	if math.Abs(n-1) > tol {
+		return fmt.Errorf("quantum: state norm %g deviates from 1 beyond %g", n, tol)
+	}
+	return nil
 }

@@ -130,17 +130,3 @@ func AtypicalMass(marginals [][]float64, beta int, exact bool) float64 {
 	}
 	return total
 }
-
-// MarginalsFromStates converts per-instance amplitude vectors into
-// probability marginals (|amplitude|²).
-func MarginalsFromStates(states [][]float64) [][]float64 {
-	out := make([][]float64, len(states))
-	for i, s := range states {
-		p := make([]float64, len(s))
-		for x, a := range s {
-			p[x] = a * a
-		}
-		out[i] = p
-	}
-	return out
-}

@@ -202,14 +202,3 @@ func TestTheorem3Preconditions(t *testing.T) {
 		t.Error("β below 8m/|X| must fail")
 	}
 }
-
-func TestMarginalsFromStates(t *testing.T) {
-	states := [][]float64{{1, 0}, {math.Sqrt(0.5), -math.Sqrt(0.5)}}
-	m := MarginalsFromStates(states)
-	if m[0][0] != 1 || m[0][1] != 0 {
-		t.Error("deterministic state marginal wrong")
-	}
-	if math.Abs(m[1][0]-0.5) > 1e-12 || math.Abs(m[1][1]-0.5) > 1e-12 {
-		t.Error("uniform state marginal wrong")
-	}
-}

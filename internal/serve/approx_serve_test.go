@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestSpecValidation(t *testing.T) {
 	// Path reconstruction is an exact-strategy service: approximate
 	// distances carry no tight-successor structure to walk.
 	ng := testNonnegDigraph(t, 8, 2)
-	if _, _, err := s.PathsBatchGraph(ng, SolveSpec{Strategy: core.StrategyApproxQuantum, Epsilon: 0.5}, []PathQuery{{Src: 0, Dst: 1}}); !errors.Is(err, ErrApproxPaths) {
+	if _, _, err := s.PathsBatchGraphContext(context.Background(), ng, SolveSpec{Strategy: core.StrategyApproxQuantum, Epsilon: 0.5}, []PathQuery{{Src: 0, Dst: 1}}); !errors.Is(err, ErrApproxPaths) {
 		t.Errorf("paths under approx strategy: err = %v, want ErrApproxPaths", err)
 	}
 	// Invalid specs must not pollute the accounting: no request recorded.

@@ -48,6 +48,32 @@ func TestHTTPNegativeCycle422(t *testing.T) {
 	}
 }
 
+// TestHTTPSaturatingNegativeCycle422: a negative cycle whose sums saturate
+// to −∞ (0→1 at NegInf+1, 1→0 at −1) answers 422 from every exact
+// strategy, as the README's error table promises, not 500.
+func TestHTTPSaturatingNegativeCycle422(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	var put struct {
+		ID string `json:"id"`
+	}
+	body := GraphJSON{N: 3, Arcs: []ArcJSON{{0, 1, graph.NegInf + 1}, {1, 0, -1}}}
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", body, &put); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	for _, strategy := range []string{"gossip", "dolev", "classical-search", "quantum"} {
+		var e struct {
+			Error ErrorJSON `json:"error"`
+		}
+		resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{Strategy: strategy}, &e)
+		if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != "unprocessable" {
+			t.Errorf("%s: status %d, envelope %+v; want 422 unprocessable", strategy, resp.StatusCode, e.Error)
+		}
+	}
+}
+
 // TestHTTPEpsilonValidation: epsilon/strategy mismatches are client errors
 // (400), detected before any pipeline runs.
 func TestHTTPEpsilonValidation(t *testing.T) {

@@ -769,13 +769,8 @@ func (s *Service) PathsBatchContext(ctx context.Context, id string, spec SolveSp
 	return s.answerBatch(res, spec, queries), res, nil
 }
 
-// PathsBatchGraph is PathsBatch for a directly-held graph.
-func (s *Service) PathsBatchGraph(g *graph.Digraph, spec SolveSpec, queries []PathQuery) ([]PathAnswer, *SolveResult, error) {
-	return s.PathsBatchGraphContext(context.Background(), g, spec, queries)
-}
-
-// PathsBatchGraphContext is PathsBatchGraph honoring a context for the
-// underlying solve.
+// PathsBatchGraphContext is PathsBatch for a directly-held graph, honoring
+// a context for the underlying solve.
 func (s *Service) PathsBatchGraphContext(ctx context.Context, g *graph.Digraph, spec SolveSpec, queries []PathQuery) ([]PathAnswer, *SolveResult, error) {
 	spec.exactPlanning = true
 	res, err := s.SolveGraphContext(ctx, g, spec)

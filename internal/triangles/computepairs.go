@@ -332,9 +332,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 
 	// Deliver each found pair to its two endpoint nodes (the problem's
 	// output convention: node u outputs the pairs {u,v} it is part of).
-	loadsBuf := getLoadBuf(2 * len(rep.Edges))
-	defer putLoadBuf(loadsBuf)
-	loads := *loadsBuf
+	loads := sc.loadList(2 * len(rep.Edges))
 	for pr := range rep.Edges {
 		for _, owner := range []int{pr.U, pr.V} {
 			// Reporting node: the search node that found it; charge one
@@ -346,7 +344,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 			loads = append(loads, congest.Load{Src: src, Dst: congest.NodeID(owner), Words: 1})
 		}
 	}
-	*loadsBuf = loads
+	sc.loads = loads
 	if err := net.ChargeBalanced("computepairs/output", loads); err != nil {
 		return nil, err
 	}

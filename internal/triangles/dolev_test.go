@@ -41,7 +41,10 @@ func TestDolevRespectsSAndLegs(t *testing.T) {
 	}
 	inst.S = s
 	rng := xrand.New(4)
-	inst.Legs = inst.G.Subgraph(func(u, v int) bool { return rng.Bool(0.7) })
+	inst.Legs = graph.NewUndirected(inst.G.N())
+	if err := inst.G.SubgraphInto(inst.Legs, func(u, v int) bool { return rng.Bool(0.7) }); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := DolevFindEdges(inst, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -93,18 +93,17 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	// call on the full-pipeline hot loop and buffer regrowth here
 	// dominated the allocation profile. The kept pairs and weights are
 	// carved out of two scratch arenas reused across promise calls; the
-	// sampling scratch is reused across labels. The load list is pooled
-	// across calls; a label sends to at most one owner per vertex of its
-	// group's lower block. It is not built at all when the clipped list's
-	// tally is cached.
+	// sampling scratch is reused across labels. The load list is the
+	// scratch's (see Scratch.loadList); a label sends to at most one owner
+	// per vertex of its group's lower block. It is not built at all when
+	// the clipped list's tally is cached, and where it is, the cache keeps
+	// its own copy.
 	expected := pt.expectedCoveringPairs(params)
 	if shared {
 		expected /= numFine
 	}
 	cached := shared && sc.covCharge.current(net, n)
-	loadsBuf := getLoadBuf(2 * numLabels * len(pt.Coarse[0]))
-	defer putLoadBuf(loadsBuf)
-	loads := *loadsBuf
+	loads := sc.loadList(2 * numLabels * len(pt.Coarse[0]))
 	if cap(sc.pairsArena) < expected+64 {
 		sc.pairsArena = make([]graph.Pair, 0, expected+64)
 	}
@@ -208,8 +207,8 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 			)
 		}
 	}
-	*loadsBuf = loads // retain grown capacity in the pool
 	// Retain the grown scratch buffers for the next promise call.
+	sc.loads = loads
 	sc.pairsArena = pairsArena
 	sc.weightsArena = weightsArena
 	sc.ownerTouched = ownerTouched
@@ -232,11 +231,11 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 // listInstances flattens the coverings into search instances, in label
 // order, and dedups them into one truth-table row per (group, pair): the
 // coverings of one group's labels overlap, and are one covering where the
-// sampling probability clips. Rows are memoized through a flat pooled index
-// table: a pair {U,V} (U < V) can only appear in the groups
-// (CoarseOf(U), CoarseOf(V)) and its swap, so one orientation bit, set for
-// the labels with u > v, disambiguates the group and the table needs just
-// 2n² slots.
+// sampling probability clips. Rows are memoized through the scratch's flat
+// index table (Scratch.zeroedIndex): a pair {U,V} (U < V) can only appear
+// in the groups (CoarseOf(U), CoarseOf(V)) and its swap, so one
+// orientation bit, set for the labels with u > v, disambiguates the group
+// and the table needs just 2n² slots.
 func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow, []int32) {
 	n := pt.N()
 	numFine := pt.NumFine()
@@ -249,9 +248,7 @@ func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow
 	}
 	instances := sc.instances[:0]
 	rows := sc.pairRows[:0]
-	rowOfBuf := getZeroedInt32(2 * n * n)
-	defer putInt32(rowOfBuf)
-	rowOf := *rowOfBuf // (orient*n + U)*n + V → row index + 1; 0 = unset
+	rowOf := sc.zeroedIndex(2 * n * n) // (orient*n + U)*n + V → row index + 1; 0 = unset
 	for li, cov := range coverings {
 		orient := 0
 		if cov.Label.U > cov.Label.V {
@@ -401,8 +398,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		// node of class α broadcasts its Step 1 tables to its dup−1 clone
 		// labels so the query bandwidth scales with 2^α.
 		if b.alpha > 0 && dup > 1 {
-			dupBuf := getLoadBuf(64)
-			loads := *dupBuf
+			loads := b.sc.loadList(64)
 			q := b.pt.NumCoarse()
 			for u := 0; u < q; u++ {
 				for v := 0; v < q; v++ {
@@ -420,10 +416,8 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 					}
 				}
 			}
-			*dupBuf = loads
-			err := net.ChargeBalanced(fmt.Sprintf("eval/α=%d/step0-duplicate", b.alpha), loads)
-			putLoadBuf(dupBuf)
-			if err != nil {
+			b.sc.loads = loads
+			if err := net.ChargeBalanced(fmt.Sprintf("eval/α=%d/step0-duplicate", b.alpha), loads); err != nil {
 				return qsearch.Tables{}, err
 			}
 		}
@@ -432,16 +426,14 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		// uniform element of its search space — the marginal induced by
 		// the uniform initial superposition. Build the per-(k,w) lists
 		// L^k_w and enforce the slot caps of the C̃m contract. The counts
-		// live in a flat (searchLabel × wBlock) array touched-list rather
-		// than a map: the assignment loop is the innermost accounting loop
-		// of every FindEdges call. It walks the coverings, whose pairs are
-		// the instances in label order, so each label's group is looked up
-		// once.
+		// live in the scratch's flat (searchLabel × wBlock) index with a
+		// touched list rather than a map: the assignment loop is the
+		// innermost accounting loop of every FindEdges call. It walks the
+		// coverings, whose pairs are the instances in label order, so each
+		// label's group is looked up once.
 		qrng := b.rng.Split("query-assignment")
 		numFine := b.pt.NumFine()
-		listCountBuf := getZeroedInt32(b.pt.NumSearchLabels() * numFine)
-		defer putInt32(listCountBuf)
-		listCount := *listCountBuf
+		listCount := b.sc.zeroedIndex(b.pt.NumSearchLabels() * numFine)
 		if cap(b.sc.evalTouch) < len(b.st.instances) {
 			b.sc.evalTouch = make([]int32, 0, len(b.st.instances))
 		}
@@ -470,9 +462,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		// endpoints and the pair weight) to the triple node (or its clone
 		// label), and receive one word per entry back. Sublists are spread
 		// round-robin across the dup clone labels.
-		loadsBuf := getLoadBuf(2 * dup * len(touched))
-		defer putLoadBuf(loadsBuf)
-		loads := *loadsBuf
+		loads := b.sc.loadList(2 * dup * len(touched))
 		for _, k := range touched {
 			count := int(listCount[k])
 			label := b.pt.SearchFromIndex(int(k) / numFine)
@@ -496,7 +486,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 				)
 			}
 		}
-		*loadsBuf = loads
+		b.sc.loads = loads
 		if err := net.ChargeBalanced(fmt.Sprintf("eval/α=%d/query-response", b.alpha), loads); err != nil {
 			return qsearch.Tables{}, err
 		}

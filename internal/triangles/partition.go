@@ -24,9 +24,8 @@ type Partitions struct {
 	// Fine is 𝒱′: ~√n blocks of ~√n vertices.
 	Fine [][]int
 
-	// blockOfCoarse[v] and blockOfFine[v] invert the partitions.
+	// blockOfCoarse[v] inverts the coarse partition.
 	blockOfCoarse []int
-	blockOfFine   []int
 }
 
 // splitEven partitions 0..n-1 into parts contiguous blocks whose sizes
@@ -75,16 +74,10 @@ func NewPartitions(n int) (*Partitions, error) {
 		Coarse:        splitEven(n, q),
 		Fine:          splitEven(n, s),
 		blockOfCoarse: make([]int, n),
-		blockOfFine:   make([]int, n),
 	}
 	for bi, block := range p.Coarse {
 		for _, v := range block {
 			p.blockOfCoarse[v] = bi
-		}
-	}
-	for bi, block := range p.Fine {
-		for _, v := range block {
-			p.blockOfFine[v] = bi
 		}
 	}
 	return p, nil
@@ -101,9 +94,6 @@ func (p *Partitions) NumFine() int { return len(p.Fine) }
 
 // CoarseOf returns the 𝒱-block index containing vertex v.
 func (p *Partitions) CoarseOf(v int) int { return p.blockOfCoarse[v] }
-
-// FineOf returns the 𝒱′-block index containing vertex v.
-func (p *Partitions) FineOf(v int) int { return p.blockOfFine[v] }
 
 // TripleLabel is the second labeling scheme: a label (u, v, w) ∈ 𝒱×𝒱×𝒱′.
 // Node (u,v,w) gathers the weights of all edges in P(u,w) and P(w,v).

@@ -94,16 +94,6 @@ func TestPartitionsBlockLookups(t *testing.T) {
 		if !found {
 			t.Fatalf("CoarseOf(%d) = %d does not contain it", v, cb)
 		}
-		fb := pt.FineOf(v)
-		found = false
-		for _, x := range pt.Fine[fb] {
-			if x == v {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("FineOf(%d) = %d does not contain it", v, fb)
-		}
 	}
 }
 

@@ -2,21 +2,23 @@ package triangles
 
 import (
 	"fmt"
-	"sync"
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
+	"qclique/internal/par"
 	"qclique/internal/qsearch"
 	"qclique/internal/xrand"
 )
 
-// Scratch is the reusable per-solve workspace of the triangles layer. The
-// full APSP pipeline makes hundreds of FindEdges calls per solve, and every
-// phase of ComputePairs used to rebuild its buffers per call — the covering
-// arenas, placement tables, truth-table rows and per-node RNG streams
-// dominated the solve's allocation profile. A Scratch threaded through
-// Options.Scratch retains all of them at their high-water mark, making the
-// steady-state promise call allocation-free.
+// Scratch is the reusable per-solve workspace of the triangles layer, and
+// the one owner of its buffers. The full APSP pipeline makes hundreds of
+// FindEdges calls per solve, and every phase of ComputePairs used to
+// rebuild its buffers per call — the covering arenas, placement tables,
+// truth-table rows, load lists and per-node RNG streams dominated the
+// solve's allocation profile. A Scratch threaded through Options.Scratch
+// retains all of them at their high-water mark, making the steady-state
+// promise call allocation-free. A call given no Scratch builds its own,
+// which dies with the call; no buffer outlives the Scratch that holds it.
 //
 // A Scratch is not safe for concurrent use: it mirrors the Network's
 // single-goroutine protocol contract (give each concurrent solve its own).
@@ -78,6 +80,11 @@ type Scratch struct {
 	rows       [][]bool
 	rowArena   []bool
 	rowFound   []bool
+
+	// The load list of the uncached charge-only phases (loadList) and the
+	// zeroed int32 index of Step 2 and the evaluation (zeroedIndex).
+	loads []congest.Load
+	index []int32
 
 	// qs is the multi-search scratch handed to qsearch.MultiSearch.
 	qs qsearch.Scratch
@@ -142,48 +149,25 @@ func (fc *fixedCharge) commit(net *congest.Network, label string, n int, build f
 	return net.CommitBalanced(label, fc.charge)
 }
 
-// The protocol stack rebuilds its phase-local buffers once per promise call
-// — and the full APSP pipeline makes hundreds of promise calls, so those
-// buffers dominated the allocation profile. loadPool recycles the
-// congest.Load lists of the charge-only phases; a list is safe to recycle
-// as soon as the ChargeBalanced call consuming it returns
-// (the network aggregates loads into its own flat scratch and never
-// retains the slice).
-var loadPool = sync.Pool{New: func() any { return new([]congest.Load) }}
-
-// getLoadBuf returns an empty load list with at least capHint capacity.
-func getLoadBuf(capHint int) *[]congest.Load {
-	p := loadPool.Get().(*[]congest.Load)
-	if cap(*p) < capHint {
-		*p = make([]congest.Load, 0, capHint)
-	} else {
-		*p = (*p)[:0]
+// loadList returns the scratch load list, emptied, with room for at least
+// capHint loads. It backs the load list of every charge-only phase that is
+// not cached per n: the phases of one promise call run one after another,
+// and each list is dead once the ChargeBalanced call consuming it returns
+// (the network aggregates loads into its own scratch and never retains the
+// slice). A caller stores the list back into sc.loads after appending, so
+// the grown capacity serves the next phase.
+func (sc *Scratch) loadList(capHint int) []congest.Load {
+	if cap(sc.loads) < capHint {
+		sc.loads = make([]congest.Load, 0, capHint)
 	}
-	return p
+	return sc.loads[:0]
 }
 
-// putLoadBuf recycles a load list obtained from getLoadBuf.
-func putLoadBuf(p *[]congest.Load) {
-	loadPool.Put(p)
-}
-
-// int32Pool recycles zeroed int32 index arrays: Step 2's (group, pair) row
-// index and the evaluation procedure's per-(label, w-block) list counts.
-var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
-
-// getZeroedInt32 returns a zeroed int32 slice of exactly n entries.
-func getZeroedInt32(n int) *[]int32 {
-	p := int32Pool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-		return p
-	}
-	*p = (*p)[:n]
-	clear(*p)
-	return p
-}
-
-// putInt32 recycles a slice obtained from getZeroedInt32.
-func putInt32(p *[]int32) {
-	int32Pool.Put(p)
+// zeroedIndex returns the scratch int32 index as n zeroed entries: Step 2's
+// (group, pair) row index, then each evaluation's per-(label, w-block) list
+// counts. The two are never live at once.
+func (sc *Scratch) zeroedIndex(n int) []int32 {
+	sc.index = par.Grow(sc.index, n)
+	clear(sc.index)
+	return sc.index
 }

@@ -80,30 +80,18 @@ func (s *Source) Split(label string) *Source {
 // SplitN derives an independent child stream identified by a label and an
 // index (for example, one stream per node).
 func (s *Source) SplitN(label string, n int) *Source {
-	return New(splitNSeed(s.seed, label, n))
-}
-
-// SplitNInto reseeds scratch to the exact stream SplitN(label, n) would
-// return, without allocating, and returns scratch. Hot loops that derive
-// one stream per (instance, round) probe use this with a per-worker
-// scratch source.
-func (s *Source) SplitNInto(scratch *Source, label string, n int) *Source {
-	scratch.Reseed(splitNSeed(s.seed, label, n))
-	return scratch
-}
-
-func splitNSeed(seed uint64, label string, n int) uint64 {
-	return splitmix64(seed^hashLabel(label)) + splitmix64(uint64(n)+0x1234_5678_9abc_def0)
+	return New(splitmix64(s.seed^hashLabel(label)) + splitmix64(uint64(n)+0x1234_5678_9abc_def0))
 }
 
 // Splitter precomputes the label-dependent half of the SplitN derivation.
 // Hot loops that split one stream per index under a fixed label (the probe
-// and covering loops) pay the label hash once instead of per split; the
-// derived streams are bit-identical to SplitNInto's.
+// and covering loops) pay the label hash once instead of per split, and
+// reseed a scratch source instead of allocating one; the derived streams
+// are bit-identical to SplitN's.
 type Splitter struct{ base uint64 }
 
 // SplitterFor returns a Splitter bound to this source's seed and label:
-// sp.Into(scratch, n) ≡ s.SplitNInto(scratch, label, n).
+// sp.Into(scratch, n) yields the stream s.SplitN(label, n) returns.
 func (s *Source) SplitterFor(label string) Splitter {
 	return Splitter{base: splitmix64(s.seed ^ hashLabel(label))}
 }

@@ -190,22 +190,22 @@ func TestBoolClipDrawsNothing(t *testing.T) {
 	}
 }
 
-// TestSplitterMatchesSplitNInto pins that the precomputed Splitter derives
-// bit-identical streams to SplitNInto for the same label and index — the
-// hot paths swap one for the other per index, so the equivalence is a
-// replay-compatibility contract.
+// TestSplitterMatchesSplitNInto pins that Splitter.Into reseeds a scratch
+// source into the stream SplitN derives for the same label and index — the
+// hot paths use one and the rest of the protocol stack the other, so the
+// equivalence is a replay-compatibility contract.
 func TestSplitterMatchesSplitNInto(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
 		src := New(seed)
 		for _, label := range []string{"probe", "covering", "identify-sample", ""} {
 			sp := src.SplitterFor(label)
-			a, b := New(0), New(0)
+			a := New(0)
 			for _, n := range []int{0, 1, 2, 7, 1000, 1 << 20} {
 				ga := sp.Into(a, n)
-				gb := src.SplitNInto(b, label, n)
+				gb := src.SplitN(label, n)
 				for i := 0; i < 8; i++ {
 					if x, y := ga.Uint64(), gb.Uint64(); x != y {
-						t.Fatalf("seed %d label %q n %d draw %d: Splitter %d != SplitNInto %d", seed, label, n, i, x, y)
+						t.Fatalf("seed %d label %q n %d draw %d: Splitter %d != SplitN %d", seed, label, n, i, x, y)
 					}
 				}
 			}

@@ -2,8 +2,11 @@ package qclique
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"qclique/internal/graph"
 )
 
 func TestShortestPathPublic(t *testing.T) {
@@ -75,6 +78,20 @@ func TestSolveSSSPPublic(t *testing.T) {
 	}
 	if res.Rounds <= 0 {
 		t.Error("SSSP must report rounds")
+	}
+	// The rows also match the single-source reference, Bellman–Ford.
+	for _, src := range []int{0, 7} {
+		row, _, err := SolveSSSP(d, src, WithStrategy(DolevListing), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := graph.BellmanFord(d.g, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(row, want) {
+			t.Errorf("src=%d: SSSP row %v, Bellman–Ford %v", src, row, want)
+		}
 	}
 	if _, _, err := SolveSSSP(d, 99); err == nil {
 		t.Error("bad source must fail")
