@@ -32,11 +32,15 @@
 //
 // Solve-bearing requests additionally accept "epsilon" with the
 // approximate strategies ("approx-quantum" for 1+ε, "approx-skeleton" for
-// 2+ε); their responses carry the guaranteed and observed stretch.
+// 2+ε); their responses carry the guaranteed and observed stretch. They
+// also accept "timeout_ms", a solve deadline, and "degrade": true, which
+// answers from a cheaper approximate strategy when the requested one
+// overruns its share of that deadline. The solve and paths:batch bodies
+// take no other key: an unknown one answers 400 "invalid_spec".
 // Distances use null for unreachable pairs and an explicit "undefined"
 // marker for −∞ (negative-cycle) entries; graphs a strategy cannot answer
-// (negative cycles, or negative/asymmetric weights under an approximate
-// strategy) solve to 422.
+// (negative cycles, distances that saturate at −∞ without one, or
+// negative/asymmetric weights under an approximate strategy) solve to 422.
 //
 // Identical graphs hash to the same id, so a re-upload plus re-solve of an
 // unchanged graph performs zero simulator rounds. -pprof-addr (off by

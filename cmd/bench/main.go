@@ -31,17 +31,6 @@
 // graph, recording which strategy the serving layer's planner chose and
 // how far its round prediction landed from the execution.
 //
-// -faults runs the chaos matrix instead: every strategy under one fixed
-// fault plan, emitted as a FaultReport. With -check it compares the matrix
-// with a committed FaultReport and fails on any difference in the plan,
-// the rounds, the retries or a fault counter, so a change to the fault
-// schedule cannot pass unseen (the rounds gate above cannot see one):
-//
-//	go run ./cmd/bench -faults -check FAULTS_1.json
-//
-// -faults reads only -out, -label and -check; any other flag set with it
-// fails the run before the matrix starts, rather than being ignored.
-//
 // -cpuprofile / -memprofile write pprof profiles of the measurement run so
 // perf PRs can ship evidence alongside the report.
 package main
@@ -51,20 +40,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"testing"
 	"time"
 
-	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/engine"
 	"qclique/internal/experiments/workload"
-	"qclique/internal/graph"
 	"qclique/internal/serve"
-	"qclique/internal/triangles"
 )
 
 // roundsSeed is the pinned seed at which rounds/op is measured; timing
@@ -359,193 +343,6 @@ func approxWinFailures(rep *Report) []string {
 	return failures
 }
 
-// chaosPlan is the fixed fault schedule of the -faults mode: a steady mix
-// of recovered link faults plus at most one unrecovered fault (corruption
-// or crash), which every strategy's stage-retry budget must absorb. One
-// unrecovered fault is the conservative cap that converges under every
-// budget: a crash with a one-phase down window costs two attempts of the
-// stage it lands in, and the smallest budget (gossip) allows exactly two
-// retries.
-var chaosPlan = congest.FaultPlan{
-	Seed:            20190729,
-	DropRate:        0.05,
-	DupRate:         0.02,
-	DelayRate:       0.03,
-	MaxDelayRounds:  2,
-	CorruptRate:     0.05,
-	CrashRate:       0.02,
-	CrashDownPhases: 1,
-	MaxFaults:       1,
-}
-
-// FaultResult is one chaos configuration's outcome: the armed run must
-// converge to the fault-free distances, and the report records what it
-// cost to get there.
-type FaultResult struct {
-	Name string `json:"name"`
-	// CleanRounds and Rounds are the fault-free and armed round counts;
-	// the difference is the injected-fault surcharge.
-	CleanRounds int64 `json:"clean_rounds"`
-	Rounds      int64 `json:"rounds"`
-	// Retries is the total stage re-runs spent recovering.
-	Retries int `json:"retries"`
-	// Faults is the injected-fault accounting of the armed run.
-	Faults congest.FaultCounters `json:"faults"`
-}
-
-// FaultReport is the -faults mode's emitted document (the CI chaos job
-// checks it against FAULTS_1.json and uploads it as an artifact).
-type FaultReport struct {
-	Label     string            `json:"label"`
-	GoVersion string            `json:"go"`
-	Timestamp string            `json:"timestamp"`
-	Plan      congest.FaultPlan `json:"plan"`
-	Results   []FaultResult     `json:"results"`
-}
-
-// runFaultMode measures the chaos matrix — every registered strategy at
-// n ∈ {8, 16}, each on the densest input class it accepts. Each
-// configuration runs once fault-free and once under chaosPlan at the
-// pinned seed; the armed run must converge to identical distances, and the
-// per-configuration fault accounting is returned as a FaultReport.
-func runFaultMode(label string) (*FaultReport, error) {
-	params := triangles.BenchParams()
-	const eps = 0.5
-	type sc struct {
-		strategy string
-		epsilon  float64
-		build    func(n int) (*graph.Digraph, error)
-	}
-	e1 := func(n int) (*graph.Digraph, error) { return workload.E1Digraph(n, workload.E1W) }
-	matrix := []sc{
-		{core.StrategyQuantum, 0, e1},
-		{core.StrategyClassicalSearch, 0, e1},
-		{core.StrategyDolev, 0, e1},
-		{core.StrategyGossip, 0, e1},
-		{core.StrategyApproxQuantum, eps, workload.NonnegDigraph},
-		{core.StrategyApproxSkeleton, eps, workload.SymmetricDigraph},
-	}
-	rep := &FaultReport{
-		Label:     label,
-		GoVersion: runtime.Version(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Plan:      chaosPlan,
-	}
-	for _, m := range matrix {
-		for _, n := range []int{8, 16} {
-			g, err := m.build(n)
-			if err != nil {
-				return nil, err
-			}
-			name := fmt.Sprintf("Chaos/%s/n=%d", m.strategy, n)
-			cfg := core.Config{Strategy: m.strategy, Params: &params, Epsilon: m.epsilon, Seed: roundsSeed}
-			clean, err := core.Solve(g, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: fault-free run: %w", name, err)
-			}
-			cfg.Faults = chaosPlan
-			armed, err := core.Solve(g, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: armed run did not converge: %w", name, err)
-			}
-			if !armed.Dist.Equal(clean.Dist) {
-				return nil, fmt.Errorf("%s: armed distances diverged from the fault-free run", name)
-			}
-			var retries int
-			for _, sg := range armed.Stages {
-				retries += sg.Retries
-			}
-			rep.Results = append(rep.Results, FaultResult{
-				Name:        name,
-				CleanRounds: clean.Rounds,
-				Rounds:      armed.Rounds,
-				Retries:     retries,
-				Faults:      armed.Metrics.Faults,
-			})
-		}
-	}
-	return rep, nil
-}
-
-// loadFaultReport reads a committed chaos-matrix baseline (-faults -check).
-func loadFaultReport(path string) (*FaultReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep FaultReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return nil, fmt.Errorf("%s: no chaos configurations in baseline", path)
-	}
-	return &rep, nil
-}
-
-// compareFaultReports lists every difference between a measured chaos
-// matrix and its baseline, one line each: the fault plan, the
-// configuration names and their order, and per configuration the clean and
-// armed rounds, the retries and every fault counter. All of them are
-// deterministic at the pinned seed, so any difference means the fault
-// schedule changed. Label, Go version and timestamp are not compared.
-func compareFaultReports(baseline, current *FaultReport) []string {
-	var failures []string
-	if current.Plan != baseline.Plan {
-		failures = append(failures, fmt.Sprintf("plan %+v != baseline %+v", current.Plan, baseline.Plan))
-	}
-	base := make(map[string]FaultResult, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Name] = r
-	}
-	seen := make(map[string]bool, len(current.Results))
-	for _, cur := range current.Results {
-		seen[cur.Name] = true
-		b, ok := base[cur.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: measured but not in baseline", cur.Name))
-			continue
-		}
-		for _, f := range []struct {
-			field     string
-			cur, base int64
-		}{
-			{"clean_rounds", cur.CleanRounds, b.CleanRounds},
-			{"rounds", cur.Rounds, b.Rounds},
-			{"retries", int64(cur.Retries), int64(b.Retries)},
-		} {
-			if f.cur != f.base {
-				failures = append(failures, fmt.Sprintf("%s: %s %d != baseline %d", cur.Name, f.field, f.cur, f.base))
-			}
-		}
-		cv, bv := reflect.ValueOf(cur.Faults), reflect.ValueOf(b.Faults)
-		for i := 0; i < cv.NumField(); i++ {
-			if c, bc := cv.Field(i).Int(), bv.Field(i).Int(); c != bc {
-				field, _, _ := strings.Cut(cv.Type().Field(i).Tag.Get("json"), ",")
-				failures = append(failures, fmt.Sprintf("%s: faults.%s %d != baseline %d", cur.Name, field, c, bc))
-			}
-		}
-	}
-	complete := len(current.Results) == len(baseline.Results)
-	for _, b := range baseline.Results {
-		if !seen[b.Name] {
-			failures = append(failures, fmt.Sprintf("%s: in baseline but not measured", b.Name))
-			complete = false
-		}
-	}
-	// With the same configurations on both sides, they must also run in
-	// the same order.
-	if complete {
-		for i, cur := range current.Results {
-			if b := baseline.Results[i].Name; cur.Name != b {
-				failures = append(failures, fmt.Sprintf("configuration %d is %s, baseline has %s", i, cur.Name, b))
-				break
-			}
-		}
-	}
-	return failures
-}
-
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -563,50 +360,6 @@ func loadReport(path string) (*Report, error) {
 			path, rep.RoundsSeed, uint64(roundsSeed))
 	}
 	return &rep, nil
-}
-
-// runFaults is the -faults mode: it measures the chaos matrix, writes the
-// FaultReport (to out, or to stdout when there is neither out nor a
-// baseline), and with a baseline fails on every difference from it.
-func runFaults(label, out, check string) error {
-	var baseline *FaultReport
-	if check != "" {
-		var err error
-		if baseline, err = loadFaultReport(check); err != nil {
-			return err
-		}
-	}
-	rep, err := runFaultMode(label)
-	if err != nil {
-		return fmt.Errorf("-faults: %w", err)
-	}
-	if out != "" || baseline == nil {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if out == "" {
-			os.Stdout.Write(data)
-		} else {
-			if err := os.WriteFile(out, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d chaos configurations, all converged)\n", out, len(rep.Results))
-		}
-	}
-	if baseline == nil {
-		return nil
-	}
-	if failures := compareFaultReports(baseline, rep); len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "FAIL:", f)
-		}
-		return fmt.Errorf("%d chaos-matrix difference(s) against %s", len(failures), check)
-	}
-	fmt.Printf("bench: %d chaos configurations match %s (plan, rounds, retries and fault counters exact)\n",
-		len(rep.Results), check)
-	return nil
 }
 
 // defaultMaxSlowdown is -max-slowdown's default: the wall-clock noise
@@ -629,29 +382,13 @@ func run(args []string) (err error) {
 	quick := fs.Bool("quick", false, "skip the slow large-n configurations")
 	stages := fs.Bool("stages", false, "include the per-stage round breakdown column in the report (the stage-sum gate runs regardless)")
 	planner := fs.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
-	check := fs.String("check", "", "compare against this baseline report (a FaultReport with -faults) and exit 1 on regression")
-	faults := fs.Bool("faults", false, "run the chaos matrix (every strategy under the fixed fault plan) instead of E1-E4 and emit a FaultReport")
+	check := fs.String("check", "", "compare against this baseline report and exit 1 on regression")
 	maxSlowdown := fs.Float64("max-slowdown", defaultMaxSlowdown, "ns/op regression tolerance for -check")
 	maxAllocGrowth := fs.Float64("max-alloc-growth", 1.5, "allocs/op regression tolerance for -check")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the measurement run to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile (post-run, after GC) to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *faults {
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "faults", "out", "label", "check":
-			default:
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("-faults runs only the chaos matrix and would ignore %s", strings.Join(ignored, ", "))
-		}
-		return runFaults(*label, *out, *check)
 	}
 
 	// Load the baseline before the (multi-minute) measurement run so a

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"qclique/internal/congest"
 	"qclique/internal/engine"
 	"qclique/internal/experiments/workload"
 	"qclique/internal/graph"
@@ -340,93 +339,5 @@ func TestCPUProfileSurvivesFailingGate(t *testing.T) {
 	}
 	if len(got) < 2 || got[0] != 0x1f || got[1] != 0x8b {
 		t.Fatalf("CPU profile after a failing gate is %d bytes and not gzip-framed", len(got))
-	}
-}
-
-// TestFaultsRejectsIgnoredFlags: -faults reads only -out, -label and
-// -check, so every other flag set with it fails the run, named in one
-// error, before the chaos matrix starts; the profiles asked for are not
-// silently skipped.
-func TestFaultsRejectsIgnoredFlags(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	err := run([]string{"-faults", "-cpuprofile", cpu, "-memprofile", mem, "-out", filepath.Join(dir, "f.json"),
-		"-quick", "-stages", "-planner", "-max-slowdown", "3", "-max-alloc-growth", "2", "-label", "x"})
-	const want = "-faults runs only the chaos matrix and would ignore -cpuprofile, -max-alloc-growth, -max-slowdown, -memprofile, -planner, -quick, -stages"
-	if err == nil || err.Error() != want {
-		t.Fatalf("run = %v, want %q", err, want)
-	}
-	for _, path := range []string{cpu, mem, filepath.Join(dir, "f.json")} {
-		if _, err := os.Stat(path); err == nil {
-			t.Errorf("%s written by a rejected run", filepath.Base(path))
-		}
-	}
-}
-
-// faultReport is a two-configuration chaos matrix for the -faults -check
-// comparison tests.
-func faultReport() *FaultReport {
-	return &FaultReport{
-		Label:     "baseline",
-		GoVersion: "go1.24.0",
-		Timestamp: "2026-01-01T00:00:00Z",
-		Plan:      chaosPlan,
-		Results: []FaultResult{
-			{Name: "Chaos/quantum/n=8", CleanRounds: 100, Rounds: 300, Retries: 2,
-				Faults: congest.FaultCounters{Dropped: 10, Duplicated: 4, Crashes: 1, FailedPhases: 2}},
-			{Name: "Chaos/dolev/n=8", CleanRounds: 20, Rounds: 25, Retries: 0,
-				Faults: congest.FaultCounters{Dropped: 2}},
-		},
-	}
-}
-
-// TestCompareFaultReportsReportsEachDifference: a changed counter and a
-// missing configuration fail, one line each; a changed label, Go version or
-// timestamp does not.
-func TestCompareFaultReportsReportsEachDifference(t *testing.T) {
-	cur := faultReport()
-	cur.Label, cur.GoVersion, cur.Timestamp = "ci abc123", "go1.99", "2027-06-01T12:00:00Z"
-	cur.Results[0].Faults.Dropped = 11
-	cur.Results = cur.Results[:1] // Chaos/dolev/n=8 missing
-	failures := compareFaultReports(faultReport(), cur)
-	want := []string{
-		"Chaos/quantum/n=8: faults.dropped 11 != baseline 10",
-		"Chaos/dolev/n=8: in baseline but not measured",
-	}
-	if len(failures) != len(want) {
-		t.Fatalf("failures = %q, want %q", failures, want)
-	}
-	for i := range want {
-		if failures[i] != want[i] {
-			t.Errorf("failure %d = %q, want %q", i, failures[i], want[i])
-		}
-	}
-}
-
-func TestCompareFaultReportsCoversRoundsRetriesPlanAndOrder(t *testing.T) {
-	cur := faultReport()
-	cur.Plan.Seed++
-	cur.Results[1].CleanRounds++
-	cur.Results[1].Rounds++
-	cur.Results[1].Retries++
-	if got := len(compareFaultReports(faultReport(), cur)); got != 4 {
-		t.Errorf("plan, clean_rounds, rounds and retries changed: %d failures, want 4", got)
-	}
-	swapped := faultReport()
-	swapped.Results[0], swapped.Results[1] = swapped.Results[1], swapped.Results[0]
-	if failures := compareFaultReports(faultReport(), swapped); len(failures) != 1 || !strings.Contains(failures[0], "configuration 0") {
-		t.Errorf("reordered configurations: failures = %q, want one order failure", failures)
-	}
-}
-
-// TestFaultBaselineLoads keeps the committed chaos-matrix baseline readable
-// and on the plan the -faults mode runs.
-func TestFaultBaselineLoads(t *testing.T) {
-	rep, err := loadFaultReport("../../FAULTS_1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Plan != chaosPlan {
-		t.Errorf("FAULTS_1.json plan %+v, the -faults mode runs %+v", rep.Plan, chaosPlan)
 	}
 }

@@ -134,10 +134,7 @@ func (r *skeletonRun) trivial() bool { return r.n <= 1 }
 // vertex id so the ball is deterministic. The hop depth of the deepest
 // ball sets the relaxation-iteration count the phase is charged for.
 func (r *skeletonRun) knnBalls(ctx context.Context) error {
-	// Re-entrant under stage retry: rebuild the balls and the hop depth from
-	// scratch so a re-run after an injected fault converges to the same state.
 	r.balls = make([][]knnEntry, r.n)
-	r.stats.KNNHops = 0
 	for u := 0; u < r.n; u++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -161,11 +158,6 @@ func (r *skeletonRun) knnBalls(ctx context.Context) error {
 // argument to hold unconditionally, so nodes whose ball the sample missed
 // join S themselves. Membership is announced with one broadcast word.
 func (r *skeletonRun) sampleSkeleton(context.Context) error {
-	// Re-entrant under stage retry: the sample is a pure function of the
-	// seed, so resetting the outputs makes a re-run bit-identical.
-	r.skeleton = r.skeleton[:0]
-	r.stats.Patched = 0
-	r.stats.SkeletonSize = 0
 	rng := xrand.New(r.opts.Seed).Split("skeleton")
 	p := math.Min(1, 2*(math.Log(float64(r.n))+1)/float64(r.k))
 	inS := make([]bool, r.n)
@@ -213,7 +205,6 @@ func (r *skeletonRun) mssp(ctx context.Context) error {
 		return SnapUp(wt, ladder), true
 	}
 	r.hub = make([][]int64, len(r.skeleton))
-	r.stats.MSSPHops = 0
 	for si, s := range r.skeleton {
 		if err := ctx.Err(); err != nil {
 			return err

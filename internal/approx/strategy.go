@@ -9,21 +9,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/distprod"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
-)
-
-// Stage-retry budgets for unrecovered injected faults, mirroring the exact
-// pipelines' scale: the chain shares the search pipelines' budget, the
-// skeleton's four lighter phases get a middle budget.
-var (
-	chainRetry    = engine.RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Microsecond}
-	skeletonRetry = engine.RetryPolicy{MaxRetries: 3, Backoff: 250 * time.Microsecond}
 )
 
 func init() {
@@ -87,7 +78,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	n := req.G.N()
 	// Same 3n-clique reduction substrate as the exact quantum pipeline;
 	// only the per-product search is ladder-indexed.
-	net, err := congest.NewNetwork(3*n, congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(3 * n)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +123,7 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 			return nil
 		}},
 	)
-	return &engine.Plan{Net: net, Stages: stages, Retry: chainRetry}, nil
+	return &engine.Plan{Net: net, Stages: stages}, nil
 }
 
 // skeletonStrategy is the (2+ε) skeleton pipeline for weight-symmetric
@@ -157,7 +148,7 @@ func (skeletonStrategy) PredictCost(f graph.Features, eps float64) engine.CostPr
 }
 
 func (skeletonStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.Plan, error) {
-	net, err := congest.NewNetwork(req.G.N(), congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(req.G.N())
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +158,7 @@ func (skeletonStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engin
 		return nil, err
 	}
 	skipPhases := func() bool { return run.trivial() }
-	return &engine.Plan{Net: net, Retry: skeletonRetry, Stages: []engine.Stage{
+	return &engine.Plan{Net: net, Stages: []engine.Stage{
 		{Name: "knn-balls", Run: run.knnBalls, Skip: skipPhases},
 		{Name: "skeleton-sample", Run: run.sampleSkeleton, Skip: skipPhases},
 		{Name: "mssp-ladder", Run: run.mssp, Skip: skipPhases},

@@ -236,3 +236,82 @@ func TestMessageWords(t *testing.T) {
 		t.Error("word count wrong")
 	}
 }
+
+// TestCommitBalancedMatchesChargeBalanced: a load list tallied once and
+// committed every phase charges exactly what ChargeBalanced charges for
+// it. Two networks, one charging the list through ChargeBalanced every
+// time and one committing its cached tally, end every phase with equal
+// metrics, with a second list interleaved.
+func TestCommitBalancedMatchesChargeBalanced(t *testing.T) {
+	const n = 12
+	randomLoads := func(seed uint64, k int) []Load {
+		rng := xrand.New(seed)
+		loads := make([]Load, k)
+		for i := range loads {
+			src := rng.IntN(n)
+			dst := (src + 1 + rng.IntN(n-1)) % n
+			loads[i] = Load{Src: NodeID(src), Dst: NodeID(dst), Words: int64(rng.IntN(40))}
+		}
+		return loads
+	}
+	fixed, other := randomLoads(1, 300), randomLoads(2, 50)
+	direct, _ := NewNetwork(n)
+	cached, _ := NewNetwork(n)
+	charge, err := cached.TallyBalanced(fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for phase := 0; phase < 60; phase++ {
+		var errD, errC error
+		if phase%3 == 2 {
+			errD = direct.ChargeBalanced("t/other", other)
+			errC = cached.ChargeBalanced("t/other", other)
+		} else {
+			errD = direct.ChargeBalanced("t/fixed", fixed)
+			errC = cached.CommitBalanced("t/fixed", charge)
+		}
+		if errD != nil || errC != nil {
+			t.Fatalf("phase %d: ChargeBalanced error %v, cached commit error %v", phase, errD, errC)
+		}
+		if md, mc := direct.Metrics(), cached.Metrics(); md != mc {
+			t.Fatalf("phase %d: ChargeBalanced metrics %+v, cached commit metrics %+v", phase, md, mc)
+		}
+	}
+	if direct.Metrics().Rounds == 0 {
+		t.Error("the load lists charged no rounds")
+	}
+}
+
+// TestCommitBalancedRejectsOtherNetworkSize: a tally holds for the size of
+// the network that made it, so committing it elsewhere fails and charges
+// nothing; so does the zero charge.
+func TestCommitBalancedRejectsOtherNetworkSize(t *testing.T) {
+	small, err := NewNetwork(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewNetwork(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charge, err := small.TallyBalanced([]Load{{Src: 0, Dst: 3, Words: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []BalancedCharge{charge, {}} {
+		if err := big.CommitBalanced("t/moved", c); err == nil {
+			t.Errorf("charge %+v committed on an 8-node network", c)
+		}
+	}
+	if m := big.Metrics(); m != (Metrics{}) {
+		t.Errorf("rejected commits charged %+v", m)
+	}
+	if err := small.CommitBalanced("t/home", charge); err != nil {
+		t.Fatal(err)
+	}
+	// 5 words from one source on 4 nodes: Lemma 1 needs ⌈5/4⌉ = 2
+	// sub-batches of 2 rounds.
+	if m := small.Metrics(); m.Rounds != 4 || m.Words != 5 || m.Phases != 1 {
+		t.Errorf("commit charged %+v, want 4 rounds, 5 words, 1 phase", m)
+	}
+}

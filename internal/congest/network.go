@@ -16,21 +16,19 @@
 // # Fidelity
 //
 // The simulator supports two interchangeable modes with identical round
-// arithmetic and fault draws: payload-carrying exchanges (ExchangeBalanced:
-// messages are materialized and delivered to per-node inboxes) and bulk
-// load charging (ChargeBalanced: only the per-link word counts are
-// accounted). Every protocol phase of a production solve is charged
-// through ChargeBalanced, Broadcast, BroadcastAll or ReplayCharge; Step 1
-// of ComputePairs included, which charges one load per payload message.
-// ChargeBalanced is two halves, and a phase that repeats an
-// input-independent load list may call them apart: TallyBalanced checks
-// the list and computes its rounds, words and largest link load once, and
-// CommitBalanced charges that tally each time the phase runs, making the
-// per-load fault draws an armed network needs in list order. A committed
-// tally and ChargeBalanced on the same list charge identical metrics and
-// draw identical faults. ExchangeBalanced now serves only the tests that
-// hold the Step 1 charge to the payload-carrying Step 1 it replaced, the
-// E8 routing experiment and benchmark/probe.
+// arithmetic: payload-carrying exchanges (ExchangeBalanced: messages are
+// materialized and delivered to per-node inboxes) and bulk load charging
+// (ChargeBalanced: only the per-link word counts are accounted). Every
+// protocol phase of a production solve is charged through ChargeBalanced,
+// Broadcast, BroadcastAll or ReplayCharge; Step 1 of ComputePairs included,
+// which charges one load per payload message. ChargeBalanced is two
+// halves, and a phase that repeats an input-independent load list may call
+// them apart: TallyBalanced checks the list and computes its rounds, words
+// and largest link load once, and CommitBalanced charges that tally each
+// time the phase runs. A committed tally and ChargeBalanced on the same
+// list charge identical metrics. ExchangeBalanced now serves only the
+// tests that hold the Step 1 charge to the payload-carrying Step 1 it
+// replaced, the E8 routing experiment and benchmark/probe.
 //
 // # Memory model of the simulator
 //
@@ -39,11 +37,10 @@
 // (1) Accounting: the per-phase link/node word counters live in flat
 // epoch-stamped arrays (linkScratch) on the Network — beginning a phase
 // bumps the epoch instead of clearing, so cost is proportional to the links
-// actually touched; a BalancedCharge keeps only its scalar cost and a
-// reference to the caller's load list, so committing it touches no
-// counter at all. (2) Inboxes: the per-destination delivery slices
-// returned by ExchangeBalanced are borrowed from the network's delivery
-// buffer and recycled at the next Exchange call.
+// actually touched; a BalancedCharge keeps only its scalar cost, so
+// committing it touches no counter at all. (2) Inboxes: the per-destination
+// delivery slices returned by ExchangeBalanced are borrowed from the
+// network's delivery buffer and recycled at the next Exchange call.
 // (3) Payloads: Message.Data slices can be carved from the network's
 // two-generation payload arena via AcquirePayload; each Exchange flips the
 // generation, so payloads follow exactly the inbox borrow contract — valid
@@ -52,9 +49,8 @@
 // scratch on top (see internal/triangles.Scratch); together these make a
 // steady-state Solve allocation-free.
 //
-// Delivery runs only after a phase has been charged and its fault draws
-// made (see faults.go), so moving messages into inboxes never affects
-// rounds, words or the fault schedule.
+// Delivery runs only after a phase has been charged, so moving messages
+// into inboxes never affects rounds or words.
 package congest
 
 import (
@@ -99,9 +95,6 @@ type Metrics struct {
 	Phases      int64 // number of charged phases
 	Words       int64 // total words moved
 	MaxLinkLoad int64 // max words placed on one link within a single phase
-	// Faults tallies injected faults and their recovery surcharges; all
-	// zeros unless the network was armed with WithFaults.
-	Faults FaultCounters
 }
 
 // phase is the cost of one charged phase before it is folded into Metrics.
@@ -139,10 +132,6 @@ type Network struct {
 	// same lifetime as the inboxes that reference them.
 	payloads [2]payloadArena
 	payGen   int
-
-	// faults is the armed fault injector (see faults.go); nil — the
-	// default — keeps every phase method on its fault-free fast path.
-	faults *faultState
 }
 
 // payloadBlockWords is the minimum block size the payload arena grows by;
@@ -290,12 +279,6 @@ func NewNetwork(n int, opts ...Option) (*Network, error) {
 	for _, o := range opts {
 		o(nw)
 	}
-	if nw.faults != nil {
-		if err := nw.faults.plan.Validate(); err != nil {
-			return nil, err
-		}
-		nw.faults.init()
-	}
 	return nw, nil
 }
 
@@ -316,19 +299,6 @@ func (nw *Network) record(p phase) {
 	if p.maxLink > nw.metrics.MaxLinkLoad {
 		nw.metrics.MaxLinkLoad = p.maxLink
 	}
-}
-
-// commit folds the phase's fault surcharges into p, records it, and returns
-// the corruption latched for this phase, if any: the traffic was charged,
-// the delivery failed.
-func (nw *Network) commit(fs *faultState, p phase) *FaultError {
-	var fe *FaultError
-	if fs != nil {
-		fs.finish(&p, &nw.metrics.Faults)
-		fe = fs.pendErr
-	}
-	nw.record(p)
-	return fe
 }
 
 // checkEndpoints validates one message's endpoints.
@@ -357,10 +327,6 @@ func (nw *Network) checkEndpoints(src, dst NodeID) error {
 // from the network's delivery buffer and remain valid only until the next
 // Exchange call on this network; callers that need them longer must copy.
 func (nw *Network) ExchangeBalanced(label string, msgs []Message) ([][]Message, error) {
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return nil, fmt.Errorf("exchange %q: %w", label, ferr)
-	}
 	nw.sc.begin(nw.n)
 	var total, maxLink int64
 	for _, m := range msgs {
@@ -373,9 +339,6 @@ func (nw *Network) ExchangeBalanced(label string, msgs []Message) ([][]Message, 
 			maxLink = l
 		}
 		total += w
-		if fs != nil {
-			fs.onWords(w, &nw.metrics.Faults)
-		}
 	}
 	srcLoad, dstLoad := nw.sc.maxNode(nw.n)
 	rounds := balancedRounds(srcLoad, dstLoad, int64(nw.n))
@@ -384,9 +347,7 @@ func (nw *Network) ExchangeBalanced(label string, msgs []Message) ([][]Message, 
 			return nil, fmt.Errorf("exchange %q: schedule validation: %w", label, err)
 		}
 	}
-	if fe := nw.commit(fs, phase{rounds: rounds, words: total, maxLink: maxLink}); fe != nil {
-		return nil, fmt.Errorf("exchange %q: %w", label, fe)
-	}
+	nw.record(phase{rounds: rounds, words: total, maxLink: maxLink})
 	return nw.deliver(msgs), nil
 }
 
@@ -405,9 +366,8 @@ func balancedRounds(srcLoad, dstLoad, n int64) int64 {
 }
 
 // deliver groups msgs by destination, preserving input order, into the
-// pooled inbox buffer, which the next delivery recycles. Accounting and
-// fault injection are already done by the time deliver runs, so it only
-// moves data.
+// pooled inbox buffer, which the next delivery recycles. Accounting is
+// already done by the time deliver runs, so it only moves data.
 func (nw *Network) deliver(msgs []Message) [][]Message {
 	// Flip the payload generations: slices acquired since the previous
 	// Exchange are now referenced by the inboxes being built, so the
@@ -431,23 +391,20 @@ func (nw *Network) deliver(msgs []Message) [][]Message {
 	return inboxes
 }
 
-// BalancedCharge is a Lemma 1 phase tallied once: its load list and the
-// cost that list places on a fault-free network of the tallying network's
-// size. A protocol that repeats a phase whose load list does not depend on
-// its input tallies the list once and commits the charge every time it runs
-// the phase; each commit charges exactly what ChargeBalanced charges for the
-// same list. The zero value commits on no network.
+// BalancedCharge is a Lemma 1 phase tallied once: the cost its load list
+// places on a network of the tallying network's size. A protocol that
+// repeats a phase whose load list does not depend on its input tallies the
+// list once and commits the charge every time it runs the phase; each
+// commit charges exactly what ChargeBalanced charges for the same list.
+// The zero value commits on no network.
 type BalancedCharge struct {
-	n     int
-	loads []Load
-	cost  phase
+	n    int
+	cost phase
 }
 
 // TallyBalanced checks a Lemma 1 load list and computes what it costs:
 // words per link and per node, the largest link load, and the rounds of
-// Lemma 1 routing. It charges nothing and consults no fault draw. The
-// charge keeps loads without copying them, so the caller must not modify
-// the list while it still commits the charge.
+// Lemma 1 routing. It charges nothing and keeps no reference to loads.
 func (nw *Network) TallyBalanced(loads []Load) (BalancedCharge, error) {
 	nw.sc.begin(nw.n)
 	var total, maxLink int64
@@ -466,39 +423,25 @@ func (nw *Network) TallyBalanced(loads []Load) (BalancedCharge, error) {
 	}
 	srcLoad, dstLoad := nw.sc.maxNode(nw.n)
 	return BalancedCharge{
-		n:     nw.n,
-		loads: loads,
-		cost:  phase{rounds: balancedRounds(srcLoad, dstLoad, int64(nw.n)), words: total, maxLink: maxLink},
+		n:    nw.n,
+		cost: phase{rounds: balancedRounds(srcLoad, dstLoad, int64(nw.n)), words: total, maxLink: maxLink},
 	}, nil
 }
 
-// CommitBalanced charges a tallied phase: it consults the fault injector,
-// makes each load's per-message fault draw in list order when the network
-// is armed, and records the tallied cost plus the draws' surcharges. A
+// CommitBalanced charges a tallied phase: it records the tallied cost. A
 // charge tallied on a network of another size is rejected without
 // charging anything.
 func (nw *Network) CommitBalanced(label string, c BalancedCharge) error {
 	if c.n != nw.n {
 		return fmt.Errorf("charge %q: tallied for %d nodes, network has %d", label, c.n, nw.n)
 	}
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return fmt.Errorf("charge %q: %w", label, ferr)
-	}
-	if fs != nil {
-		for _, l := range c.loads {
-			fs.onWords(l.Words, &nw.metrics.Faults)
-		}
-	}
-	if fe := nw.commit(fs, c.cost); fe != nil {
-		return fmt.Errorf("charge %q: %w", label, fe)
-	}
+	nw.record(c.cost)
 	return nil
 }
 
 // ChargeBalanced accounts a bulk Lemma-1 phase without materializing
-// payloads: TallyBalanced, then CommitBalanced. An invalid load list fails
-// before the fault injector is consulted.
+// payloads: TallyBalanced, then CommitBalanced. An invalid load list
+// charges nothing.
 func (nw *Network) ChargeBalanced(label string, loads []Load) error {
 	c, err := nw.TallyBalanced(loads)
 	if err != nil {
@@ -517,24 +460,7 @@ func (nw *Network) Broadcast(label string, src NodeID, words int64) error {
 	if words < 0 {
 		return fmt.Errorf("broadcast %q: negative word count", label)
 	}
-	return nw.recordBulk(label, words, words*int64(nw.n-1))
-}
-
-// recordBulk records a broadcast phase, in which every link in use carries
-// the same words-long payload in parallel (words rounds, total words
-// moved), through the fault injector: the phase consults the
-// crash/corruption draws and its one payload takes the per-message draw.
-func (nw *Network) recordBulk(label string, words, total int64) error {
-	fs, ferr := nw.faultBegin(label)
-	if ferr != nil {
-		return fmt.Errorf("phase %q: %w", label, ferr)
-	}
-	if fs != nil {
-		fs.onWords(words, &nw.metrics.Faults)
-	}
-	if fe := nw.commit(fs, phase{rounds: words, words: total, maxLink: words}); fe != nil {
-		return fmt.Errorf("phase %q: %w", label, fe)
-	}
+	nw.record(phase{rounds: words, words: words * int64(nw.n-1), maxLink: words})
 	return nil
 }
 
@@ -551,16 +477,15 @@ func (nw *Network) ReplayCharge(label string, delta Metrics, times int64) {
 }
 
 // DeltaSince returns the metrics accumulated after a previously captured
-// baseline. Rounds, Phases, Words and Faults are the window's; MaxLinkLoad
-// is the network's running maximum, not the window's, so a delta cannot
-// isolate one phase's peak — measure that on a network of its own.
+// baseline. Rounds, Phases and Words are the window's; MaxLinkLoad is the
+// network's running maximum, not the window's, so a delta cannot isolate
+// one phase's peak — measure that on a network of its own.
 func (nw *Network) DeltaSince(baseline Metrics) Metrics {
 	return Metrics{
 		Rounds:      nw.metrics.Rounds - baseline.Rounds,
 		Phases:      nw.metrics.Phases - baseline.Phases,
 		Words:       nw.metrics.Words - baseline.Words,
 		MaxLinkLoad: nw.metrics.MaxLinkLoad,
-		Faults:      nw.metrics.Faults.delta(baseline.Faults),
 	}
 }
 
@@ -570,5 +495,6 @@ func (nw *Network) BroadcastAll(label string, words int64) error {
 	if words < 0 {
 		return fmt.Errorf("broadcast %q: negative word count", label)
 	}
-	return nw.recordBulk(label, words, words*int64(nw.n)*int64(nw.n-1))
+	nw.record(phase{rounds: words, words: words * int64(nw.n) * int64(nw.n-1), maxLink: words})
+	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"qclique/internal/approx"
-	"qclique/internal/congest"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
@@ -63,6 +62,10 @@ const (
 // ErrNegativeCycle mirrors graph.ErrNegativeCycle at the solver level.
 var ErrNegativeCycle = graph.ErrNegativeCycle
 
+// ErrSaturatedDistance mirrors graph.ErrSaturatedDistance at the solver
+// level.
+var ErrSaturatedDistance = graph.ErrSaturatedDistance
+
 // Config configures an APSP solve.
 type Config struct {
 	// Strategy names the pipeline by registry name or alias; empty selects
@@ -89,15 +92,6 @@ type Config struct {
 	// cancel-at-every-boundary regression drives it; it must not mutate
 	// solve state and must not be relied on for protocol logic.
 	StageHook func(i int, name string)
-	// Faults arms the pipeline's network(s) with a deterministic fault
-	// schedule (see congest.FaultPlan). The zero value disables injection
-	// and keeps rounds bit-identical to an unarmed solve. Recovered faults
-	// (drop, duplication, delay) only surcharge rounds; unrecovered ones
-	// (corruption, crash) fail a stage, which the engine retries within
-	// the strategy's budget — on exhaustion the solve fails with an error
-	// matching errors.As(*congest.FaultError), carrying the partial stage
-	// telemetry like a cancellation does.
-	Faults congest.FaultPlan
 }
 
 func (c Config) strategy() string {
@@ -127,7 +121,8 @@ type Result struct {
 // Solve computes exact APSP distances for g. Graphs containing a negative
 // cycle yield ErrNegativeCycle (distances are undefined), detected from a
 // negative diagonal after the squaring chain, exactly as the matrix
-// formulation prescribes.
+// formulation prescribes. A −∞ entry without a negative diagonal yields
+// ErrSaturatedDistance: a sum of in-range weights saturated.
 func Solve(g *graph.Digraph, cfg Config) (*Result, error) {
 	return SolveContext(context.Background(), g, cfg)
 }
@@ -172,25 +167,24 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 		Workers:   cfg.Workers,
 		Epsilon:   cfg.Epsilon,
 		StageHook: cfg.StageHook,
-		Faults:    cfg.Faults,
 	})
 	if out == nil {
 		return nil, err
 	}
 	res.Outcome = *out
 	if err != nil {
-		var fe *congest.FaultError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.As(err, &fe) {
-			// Cancelled mid-pipeline, or an injected fault exhausted the
-			// stage retry budget: surface the partial stage telemetry (no
-			// distances) so the serving layer can report what ran — and,
-			// for faults, how many were injected before the stop.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// Cancelled mid-pipeline: surface the partial stage telemetry
+			// (no distances) so the serving layer can report what ran.
 			return res, err
 		}
 		return nil, err
 	}
 	if res.Dist.HasNegativeDiagonal() {
 		return res, ErrNegativeCycle
+	}
+	if res.Dist.HasNegInf() {
+		return res, ErrSaturatedDistance
 	}
 	return res, nil
 }

@@ -13,8 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
-	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/distprod"
@@ -22,17 +20,6 @@ import (
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
 	"qclique/internal/xrand"
-)
-
-// Stage-retry budgets for unrecovered injected faults (congest.FaultError):
-// the search pipelines spend many phases per stage, so they get the larger
-// budget; gossip's stages are single broadcasts. The backoff base is small
-// — the simulator retries in-process, the backoff exists to be measured
-// (StageStat.Backoff) and to model the recovery pause a real transport
-// would take.
-var (
-	searchRetry = engine.RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Microsecond}
-	gossipRetry = engine.RetryPolicy{MaxRetries: 2, Backoff: 250 * time.Microsecond}
 )
 
 func init() {
@@ -108,7 +95,7 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 	// The reduction runs on tripartite instances with 3n vertices; each
 	// network node simulates three of them (constant-factor overhead),
 	// realized as a 3n-node clique.
-	net, err := congest.NewNetwork(3*n, congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(3 * n)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +105,7 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 		stages = append(stages, engine.Stage{Name: fmt.Sprintf("square-%d", i+1), Run: st.square})
 	}
 	stages = append(stages, engine.Stage{Name: "extract", Run: st.extract})
-	return &engine.Plan{Net: net, Stages: stages, Retry: searchRetry}, nil
+	return &engine.Plan{Net: net, Stages: stages}, nil
 }
 
 // searchRun is the mutable state the stages of one searchPipeline solve
@@ -144,8 +131,8 @@ func (st *searchRun) encode(context.Context) error {
 }
 
 func (st *searchRun) square(ctx context.Context) error {
-	if saturatedNegativeCycle(st.cur) {
-		return ErrNegativeCycle
+	if err := negInfInput(st.cur); err != nil {
+		return err
 	}
 	stats, err := distprod.ProductInto(st.next, st.cur, st.cur, distprod.Options{
 		Solver:    st.solver,
@@ -165,23 +152,22 @@ func (st *searchRun) square(ctx context.Context) error {
 	return nil
 }
 
-// saturatedNegativeCycle reports whether m, a product input of the
-// squaring chain, holds a −∞ entry next to a negative diagonal entry. A
-// negative diagonal entry already proves a negative cycle, so the solve's
-// answer is ErrNegativeCycle; the chain runs on to charge its rounds,
-// except where saturation has produced a −∞ entry, which the distance
-// product refuses. The diagonal is read first, so on every other input
-// the check costs n reads.
-func saturatedNegativeCycle(m *matrix.Matrix) bool {
-	if !m.HasNegativeDiagonal() {
-		return false
+// negInfInput returns the error a solve answers when m, a product input of
+// the squaring chain, holds a −∞ entry, which the distance product
+// refuses: ErrNegativeCycle next to a negative diagonal entry, which
+// already proves a negative cycle, and ErrSaturatedDistance otherwise,
+// where saturation alone produced the −∞. It is nil on every other input.
+// Without −∞ the chain runs on, a negative cycle included, to charge its
+// rounds.
+func negInfInput(m *matrix.Matrix) error {
+	switch {
+	case !m.HasNegInf():
+		return nil
+	case m.HasNegativeDiagonal():
+		return ErrNegativeCycle
+	default:
+		return ErrSaturatedDistance
 	}
-	for i := 0; i < m.N(); i++ {
-		if slices.Contains(m.RowView(i), graph.NegInf) {
-			return true
-		}
-	}
-	return false
 }
 
 func (st *searchRun) extract(context.Context) error {
@@ -222,12 +208,12 @@ func (gossipPipeline) PredictCost(f graph.Features, _ float64) engine.CostPrior 
 
 func (gossipPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engine.Plan, error) {
 	n := req.G.N()
-	net, err := congest.NewNetwork(n, congest.WithFaults(req.Faults))
+	net, err := congest.NewNetwork(n)
 	if err != nil {
 		return nil, err
 	}
 	var ag *matrix.Matrix
-	return &engine.Plan{Net: net, Retry: gossipRetry, Stages: []engine.Stage{
+	return &engine.Plan{Net: net, Stages: []engine.Stage{
 		{Name: "encode", Run: func(context.Context) error {
 			ag = matrix.FromDigraph(req.G)
 			return nil

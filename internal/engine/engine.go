@@ -19,7 +19,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/metrics"
 	"time"
@@ -44,10 +43,6 @@ type Request struct {
 	// Epsilon is the stretch budget of the approximate strategies (0 for
 	// exact ones; validated by the caller before the engine runs).
 	Epsilon float64
-	// Faults is the fault-injection plan the strategy arms its network(s)
-	// with; the zero value keeps injection fully disabled (bit-identical
-	// rounds).
-	Faults congest.FaultPlan
 	// StageHook, when non-nil, is invoked at every stage boundary — before
 	// the stage's cancellation checkpoint — with the stage index and name.
 	// It is an observability and test seam (the cancel-at-every-boundary
@@ -88,7 +83,7 @@ type Outcome struct {
 // as deterministic as the protocol itself; Wall and Allocs are host-side
 // measurements (Allocs counts process-global mallocs, so concurrent solves
 // bleed into each other — it is a profile hint, not an accounting fact).
-// The durations encode as integer nanoseconds (wall_ns, backoff_ns).
+// Wall encodes as integer nanoseconds (wall_ns).
 type StageStat struct {
 	// Name labels the stage ("encode", "square-3", "stretch-audit", …).
 	Name   string `json:"name"`
@@ -101,13 +96,6 @@ type StageStat struct {
 	// Skipped marks a stage the pipeline proved unnecessary (e.g. squaring
 	// products after the approximate chain's fixpoint vote converged).
 	Skipped bool `json:"skipped,omitempty"`
-	// Retries counts re-runs of the stage after unrecovered injected
-	// faults (congest.FaultError); the stage's other columns aggregate
-	// across all attempts, so the stage-rounds-sum invariant holds under
-	// retry.
-	Retries int `json:"retries,omitempty"`
-	// Backoff is the wall time spent waiting between retry attempts.
-	Backoff time.Duration `json:"backoff_ns,omitempty"`
 }
 
 // SumRounds returns the total rounds across stages — by construction equal
@@ -134,20 +122,6 @@ type Stage struct {
 	Skip func() bool
 }
 
-// RetryPolicy bounds the engine's stage-level fault recovery: a stage that
-// fails with a congest.FaultError (an unrecovered injected fault) is re-run
-// up to MaxRetries times, with exponential backoff between attempts. Every
-// other error class fails fast — retry is reserved for the failure mode
-// that is transient by construction.
-type RetryPolicy struct {
-	// MaxRetries is the per-stage retry budget (0 disables retry).
-	MaxRetries int
-	// Backoff is the base wait before the first retry, doubled per further
-	// attempt; 0 retries immediately. The wait is context-aware: a solve
-	// deadline expiring mid-backoff aborts with the context error.
-	Backoff time.Duration
-}
-
 // Plan is a built pipeline: an ordered stage list over one network.
 type Plan struct {
 	// Net is the network every stage charges; per-stage round deltas are
@@ -155,11 +129,6 @@ type Plan struct {
 	Net *congest.Network
 	// Stages run in order.
 	Stages []Stage
-	// Retry is the strategy's stage-retry budget for unrecovered injected
-	// faults. Stages must be re-runnable for this to be sound: each
-	// strategy's stage closures re-derive their seeds and reset their
-	// phase outputs on entry (the chaos suite pins this).
-	Retry RetryPolicy
 }
 
 // Run executes the strategy's staged pipeline for req. On success the
@@ -188,7 +157,7 @@ func Run(ctx context.Context, s Strategy, req *Request) (*Outcome, error) {
 			out.Stages = append(out.Stages, StageStat{Name: st.Name, Skipped: true})
 			continue
 		}
-		stat, err := runStageWithRetry(ctx, plan, st)
+		stat, err := runStage(ctx, plan.Net, st)
 		out.Stages = append(out.Stages, stat)
 		if err != nil {
 			return abort(plan, out, err)
@@ -220,57 +189,6 @@ func mallocCount() uint64 {
 		return 0
 	}
 	return sample[0].Value.Uint64()
-}
-
-// runStageWithRetry executes one stage under the plan's retry policy: an
-// attempt that fails with a congest.FaultError (an unrecovered injected
-// fault — crash or detected corruption) is re-run after a context-aware
-// backoff, up to the policy's budget. The returned StageStat aggregates
-// every attempt — its network deltas are measured back-to-back against the
-// same network, so the per-stage rounds still sum exactly to the pipeline
-// total. Any other error (including a context error during backoff) fails
-// fast.
-func runStageWithRetry(ctx context.Context, plan *Plan, st Stage) (StageStat, error) {
-	stat, err := runStage(ctx, plan.Net, st)
-	var fe *congest.FaultError
-	for err != nil && errors.As(err, &fe) && stat.Retries < plan.Retry.MaxRetries {
-		wait, werr := backoff(ctx, plan.Retry.Backoff, stat.Retries)
-		stat.Backoff += wait
-		if werr != nil {
-			return stat, werr
-		}
-		again, rerr := runStage(ctx, plan.Net, st)
-		stat.Rounds += again.Rounds
-		stat.Words += again.Words
-		stat.Phases += again.Phases
-		stat.Wall += again.Wall
-		stat.Allocs += again.Allocs
-		stat.Retries++
-		err = rerr
-	}
-	return stat, err
-}
-
-// backoff waits base<<attempt (exponential), honoring the context; it
-// returns the time actually waited.
-func backoff(ctx context.Context, base time.Duration, attempt int) (time.Duration, error) {
-	if base <= 0 {
-		return 0, ctx.Err()
-	}
-	const maxShift = 16
-	if attempt > maxShift {
-		attempt = maxShift
-	}
-	d := base << attempt
-	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return time.Since(start), nil
-	case <-ctx.Done():
-		return time.Since(start), ctx.Err()
-	}
 }
 
 // runStage executes one stage and measures its cost: network deltas from

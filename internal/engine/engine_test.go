@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
@@ -206,127 +205,17 @@ func TestRegisterPanicsOnDuplicate(t *testing.T) {
 	Register(fakeStrategy{name: "dup-entry"})
 }
 
-// faultErr builds a wrapped unrecovered-fault error the retry loop matches.
-func faultErr(label string) error {
-	return fmt.Errorf("exchange %q: %w", label, &congest.FaultError{Kind: congest.FaultCorrupt, Node: -1, Label: label})
-}
-
-func TestRetryRecoversFromFaultError(t *testing.T) {
-	net, err := congest.NewNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts := 0
-	s := fakeStrategy{name: "flaky", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Net: net, Retry: RetryPolicy{MaxRetries: 3, Backoff: time.Microsecond}, Stages: []Stage{
-			{Name: "work", Run: func(context.Context) error {
-				attempts++
-				if err := net.Broadcast("work", 0, 2); err != nil {
-					return err
-				}
-				if attempts <= 2 {
-					return faultErr("work")
-				}
-				return nil
-			}},
-		}}, nil
-	}}
-	out, err := Run(context.Background(), s, &Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
-	}
-	st := out.Stages[0]
-	if st.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", st.Retries)
-	}
-	if st.Backoff <= 0 {
-		t.Errorf("Backoff = %v, want > 0", st.Backoff)
-	}
-	// The stage stat aggregates every attempt, so the stage-sum invariant
-	// holds under retry: 3 attempts x 2 rounds.
-	if st.Rounds != 6 || out.Rounds != 6 || SumRounds(out.Stages) != out.Rounds {
-		t.Errorf("rounds: stage %d, total %d, want both 6", st.Rounds, out.Rounds)
-	}
-}
-
-func TestRetryExhaustionSurfacesFaultError(t *testing.T) {
-	net, err := congest.NewNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fakeStrategy{name: "doomed", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Net: net, Retry: RetryPolicy{MaxRetries: 2}, Stages: []Stage{
-			{Name: "work", Run: func(context.Context) error {
-				if err := net.Broadcast("work", 0, 1); err != nil {
-					return err
-				}
-				return faultErr("work")
-			}},
-		}}, nil
-	}}
-	out, err := Run(context.Background(), s, &Request{})
-	var fe *congest.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want FaultError after exhaustion, got %v", err)
-	}
-	if out == nil || len(out.Stages) != 1 || out.Stages[0].Retries != 2 {
-		t.Fatalf("partial telemetry missing or wrong: %+v", out)
-	}
-	if out.Stages[0].Rounds != 3 || out.Rounds != 3 {
-		t.Errorf("rounds: stage %d, total %d, want both 3 (initial + 2 retries)", out.Stages[0].Rounds, out.Rounds)
-	}
-}
-
-func TestRetryIgnoresNonFaultErrors(t *testing.T) {
-	attempts := 0
-	boom := errors.New("boom")
-	s := fakeStrategy{name: "hard-fail", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Retry: RetryPolicy{MaxRetries: 5}, Stages: []Stage{
-			{Name: "work", Run: func(context.Context) error { attempts++; return boom }},
-		}}, nil
-	}}
-	out, err := Run(context.Background(), s, &Request{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("want boom, got %v", err)
-	}
-	if attempts != 1 {
-		t.Errorf("non-fault error retried: %d attempts", attempts)
-	}
-	if out.Stages[0].Retries != 0 {
-		t.Errorf("Retries = %d, want 0", out.Stages[0].Retries)
-	}
-}
-
-func TestRetryBackoffHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := fakeStrategy{name: "slow", stages: func(req *Request, out *Outcome) (*Plan, error) {
-		return &Plan{Retry: RetryPolicy{MaxRetries: 3, Backoff: time.Hour}, Stages: []Stage{
-			{Name: "work", Run: func(context.Context) error {
-				cancel() // the deadline expires while the backoff would wait
-				return faultErr("work")
-			}},
-		}}, nil
-	}}
-	_, err := Run(ctx, s, &Request{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled from backoff, got %v", err)
-	}
-}
-
-// TestStageStatJSON pins the wire form of stage telemetry: the durations
-// encode as integer nanoseconds under wall_ns and backoff_ns, in the key
-// order solve responses have always carried (benchmark reports read
-// wall_ns from them).
+// TestStageStatJSON pins the wire form of stage telemetry: the wall time
+// encodes as integer nanoseconds under wall_ns, in the key order solve
+// responses have always carried (benchmark reports read wall_ns from
+// them).
 func TestStageStatJSON(t *testing.T) {
-	st := StageStat{Name: "square-1", Rounds: 3, Words: 40, Phases: 2, Wall: 1500, Allocs: 7, Retries: 1, Backoff: 250 * time.Microsecond}
+	st := StageStat{Name: "square-1", Rounds: 3, Words: 40, Phases: 2, Wall: 1500, Allocs: 7, Skipped: true}
 	got, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"name":"square-1","rounds":3,"words":40,"phases":2,"wall_ns":1500,"allocs":7,"retries":1,"backoff_ns":250000}`
+	want := `{"name":"square-1","rounds":3,"words":40,"phases":2,"wall_ns":1500,"allocs":7,"skipped":true}`
 	if string(got) != want {
 		t.Fatalf("encoded %s, want %s", got, want)
 	}

@@ -25,7 +25,7 @@ const E1W = 8
 // E1Digraph is the E1 workload: each ordered pair is an arc with
 // probability 0.4, weights lie in [-w, w], and vertex potentials rule out
 // negative cycles. Experiments E1 (both sweeps) and E7, and cmd/bench's
-// gossip, planner and chaos runs, solve it too.
+// gossip and planner runs, solve it too.
 func E1Digraph(n int, w int64) (*graph.Digraph, error) {
 	return graph.RandomDigraph(n, graph.DigraphOpts{
 		ArcProb: 0.4, MinWeight: -w, MaxWeight: w, NoNegativeCycles: true,

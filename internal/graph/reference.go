@@ -7,6 +7,13 @@ import "errors"
 // undefined.
 var ErrNegativeCycle = errors.New("graph: negative cycle")
 
+// ErrSaturatedDistance is returned by the APSP solvers when a path sum of
+// in-range arc weights saturates at NegInf on a graph without a negative
+// cycle. The shortest distance is finite but lies below the range the
+// solvers represent, and NegInf itself means "undefined", the mark of a
+// negative-cycle region, so no answer would be correct.
+var ErrSaturatedDistance = errors.New("graph: a shortest distance saturates at -Inf without a negative cycle")
+
 // FloydWarshall computes all-pairs shortest distances of g by dynamic
 // programming. It is the centralized correctness oracle for every
 // distributed APSP pipeline in this repository. The returned matrix is

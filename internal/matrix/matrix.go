@@ -12,6 +12,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -376,4 +377,9 @@ func (m *Matrix) HasNegativeDiagonal() bool {
 		}
 	}
 	return false
+}
+
+// HasNegInf reports whether any entry is graph.NegInf, the saturated −∞.
+func (m *Matrix) HasNegInf() bool {
+	return slices.Contains(m.a, graph.NegInf)
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 
-	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/graph"
 )
@@ -20,16 +19,13 @@ import (
 // cacheKey is the full identity of a solve. epsilon is part of it: the
 // approximate strategies produce different distances (and rounds) per
 // epsilon, so two solves differing only in epsilon must never share an
-// entry. faults is part of it for the same reason — an armed plan changes
-// the round trajectory (and telemetry) of the cached result; FaultPlan is
-// all scalars, so the key stays comparable.
+// entry.
 type cacheKey struct {
 	hash     string
 	strategy string
 	preset   Preset
 	seed     uint64
 	epsilon  float64
-	faults   congest.FaultPlan
 }
 
 // entry is one cached solve: the private graph clone the simulator ran on,

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"qclique/internal/congest"
+	"qclique/internal/core"
 	"qclique/internal/graph"
 	"qclique/internal/xrand"
 )
@@ -305,7 +305,9 @@ func TestParseStrategyEnumeratesRegistry(t *testing.T) {
 
 // TestMetricsRollUpStageRounds pins the /v1/metrics rollup: per-stage rounds
 // accumulated per strategy must sum to RoundsCharged, and both cover the
-// completed solves only: a fault-exhausted run charges nothing.
+// completed solves only: a failed run charges nothing. The failure is a
+// negative cycle, which the pipeline finds only after it has run (and
+// charged) its whole squaring chain.
 func TestMetricsRollUpStageRounds(t *testing.T) {
 	svc := New(Config{})
 	var completed int64
@@ -317,14 +319,23 @@ func TestMetricsRollUpStageRounds(t *testing.T) {
 		}
 		completed += res.Res.Rounds
 	}
-	armed := SolveSpec{Preset: PresetScaled, Faults: congest.FaultPlan{Seed: 3, CorruptRate: 1}}
-	var fx *FaultExhaustedError
-	if _, err := svc.SolveGraph(cancelTestGraph(t, 8), armed); !errors.As(err, &fx) || fx.Rounds == 0 {
-		t.Fatalf("armed solve: want a FaultExhaustedError that ran rounds, got %v", err)
+	cycle := cancelTestGraph(t, 8)
+	if err := cycle.SetArc(0, 1, -50); err != nil {
+		t.Fatal(err)
+	}
+	if err := cycle.SetArc(1, 0, -50); err != nil {
+		t.Fatal(err)
+	}
+	spec := SolveSpec{Preset: PresetScaled}
+	if res, err := core.Solve(cycle, core.Config{Params: spec.Preset.Params()}); !errors.Is(err, core.ErrNegativeCycle) || res.Rounds == 0 {
+		t.Fatalf("negative cycle: want ErrNegativeCycle after a run that charged rounds, got %v", err)
+	}
+	if _, err := svc.SolveGraph(cycle, spec); !errors.Is(err, core.ErrNegativeCycle) {
+		t.Fatalf("negative cycle: err = %v, want ErrNegativeCycle", err)
 	}
 	st := svc.Stats().Strategies["quantum"]
-	if st.Solves != 2 || st.FaultFailures != 1 {
-		t.Fatalf("solves = %d, fault failures = %d, want 2 and 1", st.Solves, st.FaultFailures)
+	if st.Solves != 2 || st.Errors != 1 {
+		t.Fatalf("solves = %d, errors = %d, want 2 and 1", st.Solves, st.Errors)
 	}
 	if st.RoundsCharged != completed {
 		t.Fatalf("rounds charged %d != completed solves' rounds %d", st.RoundsCharged, completed)

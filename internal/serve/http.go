@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"qclique/internal/approx"
-	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
@@ -290,13 +289,19 @@ type solveParamsJSON struct {
 	Seed      uint64  `json:"seed,omitempty"`
 	Epsilon   float64 `json:"epsilon,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
-	// Faults arms the solve with a deterministic fault-injection plan
-	// (chaos testing over the wire); absent means no injection.
-	Faults *congest.FaultPlan `json:"faults,omitempty"`
-	// Degrade opts the request into the graceful-degradation ladder: on
-	// retry exhaustion or deadline pressure the response is a degraded
-	// approximate result instead of a 503.
+	// Degrade opts the request into the graceful-degradation ladder: under
+	// deadline pressure the response is a degraded approximate result
+	// instead of a 503.
 	Degrade bool `json:"degrade,omitempty"`
+}
+
+// decodeSolveBody decodes a solve-bearing request body (solve, paths:batch)
+// into v and refuses keys the API does not define, so a misspelled or
+// removed key answers 400 instead of being ignored.
+func decodeSolveBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // solveCtx derives the request's solve context: the HTTP request context
@@ -336,11 +341,7 @@ func (p solveParamsJSON) spec() (SolveSpec, error) {
 	// Epsilon-vs-strategy consistency is left to SolveSpec.Validate: the
 	// handlers validate explicitly or rely on Service.solve, and
 	// solveStatus maps ErrInvalidSpec to 400.
-	spec := SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Degrade: p.Degrade}
-	if p.Faults != nil {
-		spec.Faults = *p.Faults
-	}
-	return spec, nil
+	return SolveSpec{Strategy: strat, Preset: preset, Seed: p.Seed, Epsilon: p.Epsilon, Degrade: p.Degrade}, nil
 }
 
 // SolveJSON is the solve response. The stretch fields are present for the
@@ -365,12 +366,6 @@ type SolveJSON struct {
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradedFrom  string `json:"degraded_from,omitempty"`
 	DegradeReason string `json:"degrade_reason,omitempty"`
-	// Faults is the solve's injected-fault accounting (present only when
-	// faults were injected).
-	Faults *congest.FaultCounters `json:"faults,omitempty"`
-	// Retries totals the stage re-runs spent recovering from injected
-	// faults.
-	Retries int `json:"retries,omitempty"`
 	// Stages is the engine's per-stage breakdown of the solve that
 	// produced this result (present on fresh and cached responses alike —
 	// the cache retains the original run's telemetry). Stage rounds sum
@@ -408,13 +403,11 @@ type batchRequestJSON struct {
 // ErrorJSON is the single error envelope every non-2xx response carries,
 // wrapped as {"error": {...}}: a stable machine-readable code, the human
 // message, whether the failure class is transient, and — for retryable
-// failures — the suggested wait. Transient solve failures additionally
-// attach the partial telemetry (stages, rounds, fault counters) of the work
-// done before the stop.
+// failures — the suggested wait. A cancelled solve additionally attaches
+// the partial telemetry (stages, rounds) of the work done before the stop.
 type ErrorJSON struct {
 	// Code classifies the failure: "invalid_spec", "not_found",
-	// "unprocessable", "cancelled", "fault_exhausted", "overloaded",
-	// "internal".
+	// "unprocessable", "cancelled", "overloaded", "internal".
 	Code string `json:"code"`
 	// Message is the human-readable error text.
 	Message string `json:"message"`
@@ -424,13 +417,10 @@ type ErrorJSON struct {
 	// RetryAfterMS suggests the wait before retrying (retryable only);
 	// mirrored in the Retry-After header (whole seconds).
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-	// Stages/Rounds carry the partial per-stage telemetry of a cancelled or
-	// fault-exhausted solve — what the deadline (or the retry budget)
-	// bought before the stop.
+	// Stages/Rounds carry the partial per-stage telemetry of a cancelled
+	// solve — what the deadline bought before the stop.
 	Stages []engine.StageStat `json:"stages,omitempty"`
 	Rounds int64              `json:"rounds,omitempty"`
-	// Faults is the injected-fault accounting of a fault-exhausted solve.
-	Faults *congest.FaultCounters `json:"faults,omitempty"`
 }
 
 // errorEnvelope is the response body shape: {"error": {...}}.
@@ -499,7 +489,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("POST /v1/graphs/{id}/solve", func(w http.ResponseWriter, r *http.Request) {
 		var body solveParamsJSON
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&body); err != nil {
+			if err := decodeSolveBody(w, r, &body); err != nil {
 				httpError(w, http.StatusBadRequest, err)
 				return
 			}
@@ -610,7 +600,7 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/graphs/{id}/paths:batch", func(w http.ResponseWriter, r *http.Request) {
 		var body batchRequestJSON
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&body); err != nil {
+		if err := decodeSolveBody(w, r, &body); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -743,12 +733,6 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 		// a future exact rung were to answer with stretch 1.
 		sj.GuaranteedStretch = res.Res.GuaranteedStretch
 	}
-	if f := res.Res.Metrics.Faults; f.Injected() > 0 {
-		sj.Faults = &f
-	}
-	for _, sg := range res.Res.Stages {
-		sj.Retries += sg.Retries
-	}
 	if res.Plan != nil {
 		sj.PlannedStrategy = res.Plan.Strategy
 		sj.PlannerReason = res.Plan.Reason
@@ -760,20 +744,20 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 
 // solveStatus maps solve errors to HTTP statuses: unknown graphs are 404,
 // malformed specs are 400, inputs the strategy cannot answer (negative
-// cycles; negative or asymmetric weights under an approximate strategy)
-// are 422, transient failures — cancelled or deadline-expired solves,
-// fault-retry exhaustion, admission-controller sheds — are 503, the rest
-// (including recovered panics) 500.
+// cycles, distances that saturate at −∞ without one, negative or
+// asymmetric weights under an approximate strategy) are 422, transient
+// failures — cancelled or deadline-expired solves, admission-controller
+// sheds — are 503, the rest (including recovered panics) 500.
 func solveStatus(err error) int {
-	var fe *congest.FaultError
 	var oe *OverloadError
 	switch {
 	case errors.Is(err, core.ErrNegativeCycle),
+		errors.Is(err, core.ErrSaturatedDistance),
 		errors.Is(err, approx.ErrNegativeWeight),
 		errors.Is(err, approx.ErrAsymmetric):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
-		errors.As(err, &fe), errors.As(err, &oe):
+		errors.As(err, &oe):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrInvalidSpec):
 		return http.StatusBadRequest
@@ -796,11 +780,10 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 
 // solveError writes a solve failure in the error envelope. Every 503
 // carries a Retry-After header and the retryable marker — the failure class
-// is transient (deadline, injected faults, overload) and clients should
-// distinguish "try again" from "this request can never work". A
-// cancellation additionally carries the partial per-stage telemetry, so a
-// timed-out request still reports the stages (and rounds) the deadline
-// bought.
+// is transient (deadline, overload) and clients should distinguish "try
+// again" from "this request can never work". A cancellation additionally
+// carries the partial per-stage telemetry, so a timed-out request still
+// reports the stages (and rounds) the deadline bought.
 func solveError(w http.ResponseWriter, err error) {
 	status := solveStatus(err)
 	if status != http.StatusServiceUnavailable {
@@ -810,7 +793,6 @@ func solveError(w http.ResponseWriter, err error) {
 	ej := ErrorJSON{Code: "cancelled", Message: err.Error(), Retryable: true}
 	wait := time.Second
 	var cancelled *CancelledError
-	var exhausted *FaultExhaustedError
 	var oe *OverloadError
 	switch {
 	case errors.As(err, &oe):
@@ -819,12 +801,6 @@ func solveError(w http.ResponseWriter, err error) {
 	case errors.As(err, &cancelled):
 		ej.Stages = cancelled.Stages
 		ej.Rounds = cancelled.Rounds
-	case errors.As(err, &exhausted):
-		ej.Code = "fault_exhausted"
-		ej.Stages = exhausted.Stages
-		ej.Rounds = exhausted.Rounds
-		f := exhausted.Faults
-		ej.Faults = &f
 	}
 	ej.RetryAfterMS = retryAfterMS(wait)
 	setRetryAfter(w, wait)

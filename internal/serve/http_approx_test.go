@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"qclique/internal/core"
 	"qclique/internal/graph"
 )
 
@@ -71,6 +73,42 @@ func TestHTTPSaturatingNegativeCycle422(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != "unprocessable" {
 			t.Errorf("%s: status %d, envelope %+v; want 422 unprocessable", strategy, resp.StatusCode, e.Error)
 		}
+	}
+}
+
+// TestSaturatedDistance422: 0→1 at −(Inf/2) and 1→2 at NegInf+1 sum below
+// −∞ on a graph without a negative cycle. Every exact strategy answers
+// ErrSaturatedDistance, in the library and as a 422 over HTTP, instead of
+// a −∞ distance (gossip) or an untyped 500 (the search pipelines, whose
+// next distance product refuses the −∞ entry).
+func TestSaturatedDistance422(t *testing.T) {
+	body := GraphJSON{N: 3, Arcs: []ArcJSON{{0, 1, -(graph.Inf / 2)}, {1, 2, graph.NegInf + 1}}}
+	g, err := body.Digraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	var put struct {
+		ID string `json:"id"`
+	}
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", body, &put); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	for _, strategy := range []string{core.StrategyGossip, core.StrategyDolev, core.StrategyClassicalSearch, core.StrategyQuantum} {
+		t.Run(strategy, func(t *testing.T) {
+			if _, err := core.Solve(g, core.Config{Strategy: strategy, Seed: 2}); !errors.Is(err, core.ErrSaturatedDistance) {
+				t.Errorf("library: err = %v, want ErrSaturatedDistance", err)
+			}
+			var e struct {
+				Error ErrorJSON `json:"error"`
+			}
+			resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{Strategy: strategy}, &e)
+			if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != "unprocessable" {
+				t.Errorf("HTTP: status %d, envelope %+v; want 422 unprocessable", resp.StatusCode, e.Error)
+			}
+		})
 	}
 }
 

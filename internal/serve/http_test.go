@@ -401,3 +401,48 @@ func TestHTTPTimeoutMSBound(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBodyRejectsUnknownKeys: POST …/solve refuses a key the API does
+// not define (here the removed "faults") with 400 invalid_spec instead of
+// answering as if it were absent. The empty body stays valid.
+func TestSolveBodyRejectsUnknownKeys(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(New(Config{})))
+	defer srv.Close()
+	var put struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", graphJSON(testDigraph(t, 6, 1)), &put)
+	path := "/v1/graphs/" + put.ID + "/solve"
+	var e struct {
+		Error ErrorJSON `json:"error"`
+	}
+	resp := doJSON(t, srv, http.MethodPost, path, json.RawMessage(`{"strategy":"gossip","faults":{"seed":7,"corrupt_rate":1}}`), &e)
+	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_spec" {
+		t.Errorf("unknown key: status %d, envelope %+v; want 400 invalid_spec", resp.StatusCode, e.Error)
+	}
+	if resp := doJSON(t, srv, http.MethodPost, path, json.RawMessage(`{}`), nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("empty body: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestPathsBatchBodyRejectsUnknownKeys: POST …/paths:batch refuses an
+// unknown key with 400 invalid_spec; a body of queries alone stays valid.
+func TestPathsBatchBodyRejectsUnknownKeys(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(New(Config{})))
+	defer srv.Close()
+	var put struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, srv, http.MethodPut, "/v1/graphs", graphJSON(testDigraph(t, 6, 1)), &put)
+	path := "/v1/graphs/" + put.ID + "/paths:batch"
+	var e struct {
+		Error ErrorJSON `json:"error"`
+	}
+	resp := doJSON(t, srv, http.MethodPost, path, json.RawMessage(`{"queries":[{"src":0,"dst":1}],"faults":{"drop_rate":0.5}}`), &e)
+	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_spec" {
+		t.Errorf("unknown key: status %d, envelope %+v; want 400 invalid_spec", resp.StatusCode, e.Error)
+	}
+	if resp := doJSON(t, srv, http.MethodPost, path, json.RawMessage(`{"queries":[{"src":0,"dst":1}]}`), nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("queries-only body: status %d, want 200", resp.StatusCode)
+	}
+}

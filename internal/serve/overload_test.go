@@ -47,7 +47,7 @@ func overloadTestGraph(t *testing.T, n int) *graph.Digraph {
 }
 
 // setSolveHook installs a solveTestHook for the duration of the test.
-func setSolveHook(t *testing.T, hook func(SolveSpec)) {
+func setSolveHook(t *testing.T, hook func(context.Context, SolveSpec)) {
 	t.Helper()
 	solveTestHook = hook
 	t.Cleanup(func() { solveTestHook = nil })
@@ -150,7 +150,7 @@ func TestAdmissionSaturation(t *testing.T) {
 
 	var cur, max atomic.Int64
 	gate := make(chan struct{})
-	setSolveHook(t, func(SolveSpec) {
+	setSolveHook(t, func(context.Context, SolveSpec) {
 		c := cur.Add(1)
 		defer cur.Add(-1)
 		for {
@@ -225,7 +225,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint64
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		mu.Lock()
 		order = append(order, spec.Seed)
 		mu.Unlock()
@@ -281,7 +281,7 @@ func TestQueueOverflowSheds(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == 1 {
 			<-gate
 		}
@@ -345,7 +345,7 @@ func TestShedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == 1 {
 			<-gate
 		}
@@ -437,7 +437,7 @@ func TestDeadlineShed(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == 2 {
 			<-gate
 		}
@@ -495,7 +495,7 @@ func TestColdGossipPriorAdmits(t *testing.T) {
 	defer cancel()
 	gate := make(chan struct{})
 	admitted := false
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		switch spec.Seed {
 		case 1:
 			<-gate
@@ -552,7 +552,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == 1 {
 			<-gate
 		}
@@ -645,7 +645,7 @@ func TestReadyzEndpoints(t *testing.T) {
 func holdPressure(t *testing.T, svc *Service, id string, holdSeed, queueSeed uint64) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == holdSeed {
 			<-gate
 		}
@@ -753,7 +753,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired atomic.Bool
-	setSolveHook(t, func(SolveSpec) {
+	setSolveHook(t, func(context.Context, SolveSpec) {
 		if fired.CompareAndSwap(false, true) {
 			panic("injected stage panic")
 		}
@@ -799,7 +799,7 @@ func TestPanicRecoveryOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired atomic.Bool
-	setSolveHook(t, func(SolveSpec) {
+	setSolveHook(t, func(context.Context, SolveSpec) {
 		if fired.CompareAndSwap(false, true) {
 			panic("injected stage panic")
 		}
@@ -863,7 +863,7 @@ func TestCancelledWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	setSolveHook(t, func(spec SolveSpec) {
+	setSolveHook(t, func(_ context.Context, spec SolveSpec) {
 		if spec.Seed == 1 {
 			<-gate
 		}

@@ -1,17 +1,28 @@
 package serve
 
-// The resilience suite: fault plans in the cache identity, and the
-// graceful-degradation ladder (forced fallback via a spent transient-outage
-// budget, constraint-aware rung selection).
+// The degradation-ladder suite. The ladder's one trigger is a rung that
+// overruns its share of the request deadline (rungContext). The tests hold
+// the rungs they mean to fail in solveTestHook until that share expires, so
+// which rung answers is decided by the test, not by a race against the
+// host's speed.
 
 import (
+	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
-	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/graph"
+	"qclique/internal/matrix"
 )
+
+// ladderTimeout is the request deadline of the ladder tests. A held rung
+// spends its whole share of it; the rung that answers gets at least the
+// last 16% (two held rungs before it), far more than a rung needs at n = 8.
+const ladderTimeout = time.Second
 
 // symDigraph builds a weight-symmetric nonnegative graph (a weighted ring
 // with chords) — the input class every ladder rung accepts.
@@ -35,24 +46,68 @@ func symDigraph(t *testing.T, n int) *graph.Digraph {
 	return g
 }
 
-// outagePlan deterministically fails every phase attempt until budget
-// unrecovered faults have been injected, then goes quiet — the transient
-// outage the ladder tests ride on.
-func outagePlan(budget int) congest.FaultPlan {
-	return congest.FaultPlan{Seed: 7, CorruptRate: 1, MaxFaults: budget}
+// holdRungs makes every solve that hold selects block in solveTestHook
+// until its context is done: the rung overruns its budget. tried returns
+// the strategies the solves ran, in order.
+func holdRungs(t *testing.T, hold func(SolveSpec) bool) (tried func() []string) {
+	var mu sync.Mutex
+	var seen []string
+	setSolveHook(t, func(ctx context.Context, spec SolveSpec) {
+		mu.Lock()
+		seen = append(seen, spec.Strategy)
+		mu.Unlock()
+		if hold(spec) {
+			<-ctx.Done()
+		}
+	})
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seen)
+	}
 }
 
+// exactRung selects the rungs without a stretch budget: the requested
+// exact strategy, never a fallback.
+func exactRung(spec SolveSpec) bool { return spec.Epsilon == 0 }
+
+// checkStretch fails unless every distance of got lies within stretch of
+// the exact distances of g.
+func checkStretch(t *testing.T, g *graph.Digraph, got *matrix.Matrix, stretch float64) {
+	t.Helper()
+	exact, err := core.Solve(g, core.Config{Strategy: core.StrategyGossip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.N(); i++ {
+		for j := 0; j < g.N(); j++ {
+			d, e := got.At(i, j), exact.Dist.At(i, j)
+			if d < e || float64(d) > stretch*float64(e) {
+				t.Fatalf("dist[%d][%d] = %d violates stretch %v over exact %d", i, j, d, stretch, e)
+			}
+		}
+	}
+}
+
+// solveWithin runs a ladder solve of g under the ladder deadline.
+func solveWithin(s *Service, g *graph.Digraph, timeout time.Duration) (*SolveResult, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return s.SolveGraphContext(ctx, g, SolveSpec{Strategy: core.StrategyQuantum, Degrade: true})
+}
+
+// TestForcedFallbackLadder: the quantum rung overruns its budget, and the
+// approx-quantum rung answers within its stretch contract, marked degraded
+// with reason "deadline".
 func TestForcedFallbackLadder(t *testing.T) {
 	s := New(Config{})
-	g := symDigraph(t, 8)
-	// The quantum rung retries 4 times (5 attempts), each attempt absorbing
-	// one corruption: a 5-fault outage exhausts exactly the primary rung,
-	// and the threaded budget leaves the fallback rung fault-free.
-	res, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Degrade: true, Faults: outagePlan(5)})
+	g := asymDigraph(t, 8)
+	tried := holdRungs(t, exactRung)
+	res, err := solveWithin(s, g, ladderTimeout)
 	if err != nil {
-		t.Fatalf("ladder did not absorb the outage: %v", err)
+		t.Fatalf("ladder did not absorb the overrun: %v", err)
 	}
-	if !res.Degraded || res.DegradedFrom != core.StrategyQuantum || res.DegradeReason != "retries-exhausted" {
+	if !res.Degraded || res.DegradedFrom != core.StrategyQuantum || res.DegradeReason != "deadline" {
 		t.Fatalf("degradation not reported: %+v", res)
 	}
 	if res.Res.Strategy != core.StrategyApproxQuantum {
@@ -61,164 +116,63 @@ func TestForcedFallbackLadder(t *testing.T) {
 	if res.Res.GuaranteedStretch != 1+plannerDefaultEpsilon {
 		t.Errorf("guaranteed stretch = %v, want %v", res.Res.GuaranteedStretch, 1+plannerDefaultEpsilon)
 	}
-	if res.Res.Dist == nil {
-		t.Fatal("degraded result has no distances")
-	}
-	// The degraded distances respect the rung's stretch contract.
-	exact, err := core.Solve(symDigraph(t, 8), core.Config{Strategy: core.StrategyGossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			d, e := res.Res.Dist.At(i, j), exact.Dist.At(i, j)
-			if d < e || float64(d) > res.Res.GuaranteedStretch*float64(e) {
-				t.Fatalf("dist[%d][%d] = %d violates stretch vs exact %d", i, j, d, e)
-			}
-		}
+	checkStretch(t, g, res.Res.Dist, res.Res.GuaranteedStretch)
+	if got := tried(); !slices.Equal(got, []string{core.StrategyQuantum, core.StrategyApproxQuantum}) {
+		t.Errorf("rungs tried = %v, want [quantum approx-quantum]", got)
 	}
 	st := s.Stats().Strategies
-	if st["quantum"].FaultFailures != 1 || st["quantum"].Degraded != 1 {
+	if st["quantum"].Cancelled != 1 || st["quantum"].Degraded != 1 || st["quantum"].Solves != 0 {
 		t.Errorf("quantum stats: %+v", st["quantum"])
 	}
 	if st["approx-quantum"].Solves != 1 {
 		t.Errorf("approx-quantum stats: %+v", st["approx-quantum"])
 	}
-	if st["quantum"].Faults.Corrupted != 5 {
-		t.Errorf("quantum fault counters: %+v", st["quantum"].Faults)
-	}
 }
 
+// TestLadderRespectsGraphConstraints: the ladder offers only the rungs the
+// input admits. A negative-arc graph has no fallback, so the deadline error
+// surfaces unchanged; an asymmetric graph stops after approx-quantum; a
+// symmetric one reaches the skeleton.
 func TestLadderRespectsGraphConstraints(t *testing.T) {
+	all := func(SolveSpec) bool { return true }
+
 	s := New(Config{})
-	// A graph with a negative arc has no approximate rung: the ladder is
-	// just the primary, and exhaustion surfaces as the typed error.
-	g := graph.NewDigraph(4)
-	for i := 0; i < 4; i++ {
-		if err := g.SetArc(i, (i+1)%4, 2); err != nil {
-			t.Fatal(err)
-		}
+	tried := holdRungs(t, all)
+	_, err := solveWithin(s, negDigraph(t, 8), 100*time.Millisecond)
+	var ce *CancelledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("negative-arc graph: want the deadline CancelledError, got %v", err)
 	}
-	if err := g.SetArc(0, 2, -1); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Degrade: true, Faults: outagePlan(0)})
-	var fx *FaultExhaustedError
-	if !errors.As(err, &fx) {
-		t.Fatalf("want FaultExhaustedError, got %v", err)
-	}
-	var fe *congest.FaultError
-	if !errors.As(err, &fe) {
-		t.Error("FaultError chain broken by the wrapper")
-	}
-	if fx.Faults.Corrupted == 0 || len(fx.Stages) == 0 {
-		t.Errorf("partial telemetry missing: %+v", fx)
+	if got := tried(); !slices.Equal(got, []string{core.StrategyQuantum}) {
+		t.Errorf("negative-arc graph: rungs tried = %v, want [quantum]", got)
 	}
 
-	// Asymmetric nonnegative weights reach approx-quantum but never the
-	// skeleton rung: a 10-fault outage exhausts quantum (5) and
-	// approx-quantum (5), and no third rung exists.
-	asym := graph.NewDigraph(6)
-	for i := 0; i < 6; i++ {
-		if err := asym.SetArc(i, (i+1)%6, int64(1+i)); err != nil {
-			t.Fatal(err)
-		}
+	s = New(Config{})
+	tried = holdRungs(t, all)
+	if _, err := solveWithin(s, asymDigraph(t, 8), ladderTimeout); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("asymmetric graph: want the deadline error, got %v", err)
 	}
-	_, err = s.SolveGraph(asym, SolveSpec{Strategy: core.StrategyQuantum, Degrade: true, Faults: outagePlan(10)})
-	if !errors.As(err, &fx) {
-		t.Fatalf("asymmetric ladder: want FaultExhaustedError, got %v", err)
+	if got := tried(); !slices.Equal(got, []string{core.StrategyQuantum, core.StrategyApproxQuantum}) {
+		t.Errorf("asymmetric graph: rungs tried = %v, want [quantum approx-quantum]", got)
 	}
-	// ...while a symmetric graph survives the same outage via the skeleton.
-	res, err := s.SolveGraph(symDigraph(t, 8), SolveSpec{Strategy: core.StrategyQuantum, Degrade: true, Faults: outagePlan(10)})
+
+	s = New(Config{})
+	tried = holdRungs(t, func(spec SolveSpec) bool { return spec.Strategy != core.StrategyApproxSkeleton })
+	g := symDigraph(t, 8)
+	res, err := solveWithin(s, g, ladderTimeout)
 	if err != nil {
-		t.Fatalf("symmetric ladder under 10-fault outage: %v", err)
+		t.Fatalf("symmetric graph: %v", err)
 	}
 	if res.Res.Strategy != core.StrategyApproxSkeleton || res.Res.GuaranteedStretch != 2+plannerDefaultEpsilon {
 		t.Fatalf("bottom rung = %v (stretch %v), want approx-skeleton at %v",
 			res.Res.Strategy, res.Res.GuaranteedStretch, 2+plannerDefaultEpsilon)
 	}
-}
-
-func TestFaultPlanJoinsCacheIdentity(t *testing.T) {
-	s := New(Config{})
-	g := symDigraph(t, 8)
-	clean, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum})
-	if err != nil {
-		t.Fatal(err)
+	if !res.Degraded || res.DegradedFrom != core.StrategyQuantum || res.DegradeReason != "deadline" {
+		t.Fatalf("degradation not reported: %+v", res)
 	}
-	// A recovered-faults-only plan converges to the same distances but a
-	// different round trajectory — it must not share the clean cache entry.
-	plan := congest.FaultPlan{Seed: 11, DropRate: 0.5, DupRate: 0.25, DelayRate: 0.25, MaxDelayRounds: 2}
-	faulty, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulty.Cached {
-		t.Fatal("armed solve aliased the clean cache entry")
-	}
-	if !clean.Res.Dist.Equal(faulty.Res.Dist) {
-		t.Error("recovered faults changed distances")
-	}
-	if faulty.Res.Rounds <= clean.Res.Rounds {
-		t.Errorf("fault surcharge missing: %d vs clean %d", faulty.Res.Rounds, clean.Res.Rounds)
-	}
-	if faulty.Res.Metrics.Faults.Injected() == 0 {
-		t.Error("no faults recorded under an armed plan")
-	}
-	// Same plan again: cached, telemetry preserved.
-	again, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached || again.Res.Rounds != faulty.Res.Rounds {
-		t.Errorf("armed re-solve: cached=%v rounds=%d want cached with %d", again.Cached, again.Res.Rounds, faulty.Res.Rounds)
-	}
-	// And the clean spec still hits its own entry.
-	cleanAgain, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cleanAgain.Cached || cleanAgain.Res.Rounds != clean.Res.Rounds {
-		t.Errorf("clean re-solve: cached=%v rounds=%d want cached with %d", cleanAgain.Cached, cleanAgain.Res.Rounds, clean.Res.Rounds)
-	}
-}
-
-func TestInvalidFaultPlanRejected(t *testing.T) {
-	s := New(Config{})
-	g := symDigraph(t, 4)
-	_, err := s.SolveGraph(g, SolveSpec{Faults: congest.FaultPlan{DropRate: 2}})
-	if !errors.Is(err, ErrInvalidSpec) {
-		t.Fatalf("malformed plan: err = %v, want ErrInvalidSpec", err)
-	}
-}
-
-func TestRetryRecoversWithinBudget(t *testing.T) {
-	// A 1-fault outage is absorbed by stage retry alone: no degradation
-	// needed, distances identical to fault-free, one retry recorded.
-	s := New(Config{})
-	g := symDigraph(t, 8)
-	clean, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.SolveGraph(g, SolveSpec{Strategy: core.StrategyQuantum, Faults: outagePlan(1)})
-	if err != nil {
-		t.Fatalf("1-fault outage not absorbed: %v", err)
-	}
-	if res.Degraded {
-		t.Error("retry success reported as degraded")
-	}
-	if !clean.Res.Dist.Equal(res.Res.Dist) {
-		t.Error("retried solve diverged from fault-free distances")
-	}
-	var retries int
-	for _, sg := range res.Res.Stages {
-		retries += sg.Retries
-	}
-	if retries != 1 {
-		t.Errorf("retries = %d, want 1", retries)
-	}
-	if got := s.Stats().Strategies["quantum"]; got.Retries != 1 || got.Faults.Corrupted != 1 {
-		t.Errorf("retry accounting: %+v", got)
+	checkStretch(t, g, res.Res.Dist, res.Res.GuaranteedStretch)
+	want := []string{core.StrategyQuantum, core.StrategyApproxQuantum, core.StrategyApproxSkeleton}
+	if got := tried(); !slices.Equal(got, want) {
+		t.Errorf("symmetric graph: rungs tried = %v, want %v", got, want)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"qclique/internal/approx"
-	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
@@ -121,31 +120,6 @@ func (e *CancelledError) Error() string {
 
 func (e *CancelledError) Unwrap() error { return e.Err }
 
-// FaultExhaustedError reports a solve that spent its whole stage-retry
-// budget on unrecovered injected faults. It carries the partial telemetry
-// of the failed run — the stages that ran, the rounds they charged, and the
-// fault counters — and wraps the underlying *congest.FaultError chain, so
-// errors.As keeps working through it. The degradation ladder uses the
-// counters to thread a transient-outage budget (FaultPlan.MaxFaults) into
-// the fallback rung; the HTTP layer maps it to 503 with a Retry-After.
-type FaultExhaustedError struct {
-	// Stages is the partial per-stage breakdown, retries included.
-	Stages []engine.StageStat
-	// Rounds is the simulator rounds charged before the stop.
-	Rounds int64
-	// Faults is the injected-fault accounting of the failed run.
-	Faults congest.FaultCounters
-	// Err is the underlying error (wraps *congest.FaultError).
-	Err error
-}
-
-func (e *FaultExhaustedError) Error() string {
-	return fmt.Sprintf("serve: solve exhausted its fault-retry budget after %d stage(s), %d rounds (%d faults injected): %v",
-		len(e.Stages), e.Rounds, e.Faults.Injected(), e.Err)
-}
-
-func (e *FaultExhaustedError) Unwrap() error { return e.Err }
-
 // ErrApproxPaths rejects path reconstruction against approximate solves:
 // the successor walk relies on exact tightness (w(u,k) + d(k,dst) ==
 // d(u,dst)), which ladder-snapped distances do not satisfy — once the
@@ -172,18 +146,13 @@ type SolveSpec struct {
 	// silently ignoring it would alias distinct cache entries).
 	Epsilon float64
 	Workers int
-	// Faults arms the solve's network(s) with a deterministic fault plan
-	// (zero disables injection). It is part of the cache identity: fault
-	// surcharges change the round trajectory, and under an aggressive plan
-	// the telemetry of a cached result must match what that plan produced.
-	Faults congest.FaultPlan
-	// Degrade enables the graceful-degradation ladder: a solve that
-	// exhausts its fault-retry budget or runs out of deadline headroom
-	// falls back along the planner's viable fallback rungs (every strategy
-	// with a strictly weaker stretch guarantee, best fidelity first —
-	// classically exact → approx-quantum → approx-skeleton) and returns a
-	// degraded result instead of an error. Not part of the cache identity —
-	// each rung solves, and caches, under its own spec.
+	// Degrade enables the graceful-degradation ladder: a solve that runs
+	// out of deadline headroom falls back along the planner's viable
+	// fallback rungs (every strategy with a strictly weaker stretch
+	// guarantee, best fidelity first — classically exact → approx-quantum
+	// → approx-skeleton) and returns a degraded result instead of an
+	// error. Not part of the cache identity — each rung solves, and
+	// caches, under its own spec.
 	Degrade bool
 	// exactPlanning marks a solve for path reconstruction, which requires
 	// exact tight-successor structure: a strategy=auto resolution is
@@ -238,14 +207,11 @@ func (s SolveSpec) canonical() (SolveSpec, error) {
 	case s.Epsilon != 0:
 		return s, fmt.Errorf("%w: epsilon %v is only valid for approximate strategies", ErrInvalidSpec, s.Epsilon)
 	}
-	if err := s.Faults.Validate(); err != nil {
-		return s, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
 	return s, nil
 }
 
 func (s SolveSpec) key(hash string) cacheKey {
-	return cacheKey{hash: hash, strategy: s.Strategy, preset: s.Preset, seed: s.Seed, epsilon: s.Epsilon, faults: s.Faults}
+	return cacheKey{hash: hash, strategy: s.Strategy, preset: s.Preset, seed: s.Seed, epsilon: s.Epsilon}
 }
 
 // Config configures a Service.
@@ -366,8 +332,8 @@ type SolveResult struct {
 	// DegradedFrom is the canonical name of the originally requested
 	// strategy (set only when Degraded).
 	DegradedFrom string
-	// DegradeReason is why the ladder stepped down: "retries-exhausted" or
-	// "deadline".
+	// DegradeReason is why the ladder stepped down: "deadline", the one
+	// trigger.
 	DegradeReason string
 	// Plan records the planner's decision for a strategy=auto request (nil
 	// when the caller named a concrete strategy). A degraded auto solve
@@ -485,13 +451,7 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 		return s.solveOne(ctx, id, g, feats, spec)
 	}
 	rungs := s.ladderRungs(spec, feats)
-	var reason string
-	spent := 0
 	for i, rs := range rungs {
-		// A transient-outage plan (MaxFaults > 0) carries its remaining
-		// budget into each rung: the faults a failed rung already absorbed
-		// are spent for the whole request, not per network.
-		rs.Faults = threadBudget(spec.Faults, spent)
 		rctx, cancel := rungContext(ctx, i, len(rungs))
 		res, err := s.solveOne(rctx, id, g, feats, rs)
 		cancel()
@@ -499,21 +459,13 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 			if i > 0 {
 				res.Degraded = true
 				res.DegradedFrom = spec.Strategy
-				res.DegradeReason = reason
+				res.DegradeReason = "deadline"
 				s.stats.degraded(spec.Strategy)
 			}
 			return res, nil
 		}
-		r, ok := degradeReason(err, ctx)
-		if !ok || i == len(rungs)-1 {
+		if !rungDeadline(err, ctx) || i == len(rungs)-1 {
 			return nil, err
-		}
-		if i == 0 {
-			reason = r
-		}
-		var fx *FaultExhaustedError
-		if errors.As(err, &fx) {
-			spent += int(fx.Faults.Corrupted + fx.Faults.Crashes)
 		}
 	}
 	// ladderRungs always returns at least the spec itself.
@@ -528,25 +480,6 @@ func (s *Service) solveResolved(ctx context.Context, id string, g *graph.Digraph
 // strategy with the right capabilities grows the ladder automatically.
 func (s *Service) ladderRungs(spec SolveSpec, feats graph.Features) []SolveSpec {
 	return append([]SolveSpec{spec}, s.plannerFallbacks(spec, feats)...)
-}
-
-// threadBudget returns the fault plan a later ladder rung runs under after
-// spent unrecovered faults: a transient-outage plan (MaxFaults > 0)
-// carries its remaining budget forward, and a fully spent budget disarms
-// the unrecovered rates — the outage has injected everything it had.
-// Unbounded plans (MaxFaults == 0) pass through unchanged.
-func threadBudget(p congest.FaultPlan, spent int) congest.FaultPlan {
-	if p.MaxFaults <= 0 || spent <= 0 {
-		return p
-	}
-	remaining := p.MaxFaults - spent
-	if remaining <= 0 {
-		p.CorruptRate, p.CrashRate = 0, 0
-		p.MaxFaults = 0
-		return p
-	}
-	p.MaxFaults = remaining
-	return p
 }
 
 // rungContext budgets a non-final ladder rung to ~60% of the remaining
@@ -564,19 +497,12 @@ func rungContext(ctx context.Context, i, total int) (context.Context, context.Ca
 	return context.WithTimeout(ctx, remaining*3/5)
 }
 
-// degradeReason classifies an error as a ladder trigger: fault-retry
-// exhaustion, or a rung-budget deadline whose parent request still has
-// time. Everything else (bad specs, negative cycles, the caller's own
-// cancellation) propagates unchanged.
-func degradeReason(err error, parent context.Context) (string, bool) {
-	var fe *congest.FaultError
-	switch {
-	case errors.As(err, &fe):
-		return "retries-exhausted", true
-	case errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil:
-		return "deadline", true
-	}
-	return "", false
+// rungDeadline reports whether err is the ladder's one trigger: a
+// rung-budget deadline whose parent request still has time. Everything
+// else (bad specs, negative cycles, the caller's own cancellation)
+// propagates unchanged.
+func rungDeadline(err error, parent context.Context) bool {
+	return errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil
 }
 
 func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
@@ -636,14 +562,6 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 					s.stats.failed(name)
 					return nil, err
 				}
-				var fe *congest.FaultError
-				if res != nil && errors.As(err, &fe) {
-					// Retry exhaustion: wrap with the partial telemetry (the
-					// FaultError chain stays reachable for the ladder), and
-					// land the fault counters in /v1/metrics.
-					s.stats.faultFailure(name, res)
-					return nil, &FaultExhaustedError{Stages: res.Stages, Rounds: res.Rounds, Faults: res.Metrics.Faults, Err: err}
-				}
 				if res != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 					s.stats.cancelled(name)
 					return nil, &CancelledError{Stages: res.Stages, Rounds: res.Rounds, Err: err}
@@ -702,10 +620,12 @@ func (s *Service) solveOne(ctx context.Context, id string, g *graph.Digraph, fea
 }
 
 // solveTestHook, when non-nil, runs inside the admission-gated,
-// recovery-wrapped execution path just before the simulator. Tests use it to
-// hold execution slots deterministically (saturation/FIFO assertions) and to
-// inject panics at the exact point a misbehaving pipeline would throw.
-var solveTestHook func(spec SolveSpec)
+// recovery-wrapped execution path just before the simulator, under the
+// solve's own context (a ladder rung's budget included). Tests use it to
+// hold execution slots deterministically (saturation/FIFO assertions), to
+// inject panics at the exact point a misbehaving pipeline would throw, and
+// to hold a rung until its budget expires.
+var solveTestHook func(ctx context.Context, spec SolveSpec)
 
 // runPipeline executes one simulator run inside the panic-recovery
 // boundary: a recovered panic becomes a *PanicError instead of tearing down
@@ -717,7 +637,7 @@ func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec Solve
 		}
 	}()
 	if solveTestHook != nil {
-		solveTestHook(spec)
+		solveTestHook(ctx, spec)
 	}
 	return core.SolveContext(ctx, gc, core.Config{
 		Strategy: spec.Strategy,
@@ -725,7 +645,6 @@ func (s *Service) runPipeline(ctx context.Context, gc *graph.Digraph, spec Solve
 		Seed:     spec.Seed,
 		Epsilon:  spec.Epsilon,
 		Workers:  workers,
-		Faults:   spec.Faults,
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"qclique/internal/congest"
 	"qclique/internal/core"
 )
 
@@ -42,21 +41,12 @@ type StrategyStats struct {
 	// Cancelled counts executions stopped by their context (request
 	// deadline or client disconnect) before completing.
 	Cancelled int64 `json:"cancelled,omitempty"`
-	// FaultFailures counts executions that exhausted their stage-retry
-	// budget on unrecovered injected faults.
-	FaultFailures int64 `json:"fault_failures,omitempty"`
-	// Retries totals the stage re-runs spent recovering from injected
-	// faults, across successful and failed executions.
-	Retries int64 `json:"retries,omitempty"`
 	// Degraded counts requests to this strategy that the degradation ladder
 	// answered with a fallback rung.
 	Degraded int64 `json:"degraded,omitempty"`
-	// Faults is the cumulative injected-fault accounting across this
-	// strategy's executions (successful and fault-failed alike).
-	Faults congest.FaultCounters `json:"faults"`
 	// RoundsCharged totals the simulated CONGEST-CLIQUE rounds of completed
 	// executions, the ones counted in Solves; cache hits, deduped requests,
-	// and cancelled or fault-failed runs charge nothing here.
+	// and cancelled or failed runs charge nothing here.
 	RoundsCharged int64 `json:"rounds_charged"`
 	// SolveWallNs totals the host wall-clock time of completed executions;
 	// SolveWallNs/Solves is the service-time estimate the admission
@@ -183,7 +173,6 @@ func (s *statsCollector) solved(name string, res *core.Result, wall time.Duratio
 	st.Solves++
 	st.RoundsCharged += res.Rounds
 	st.SolveWallNs += wall.Nanoseconds()
-	st.addFaults(res)
 	st.addStages(res)
 }
 
@@ -262,16 +251,6 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// addFaults rolls a solve's injected-fault and retry telemetry into the
-// strategy's cumulative accounting (also called for fault-failed solves,
-// whose partial result still carries the counters).
-func (st *StrategyStats) addFaults(res *core.Result) {
-	st.Faults.Add(res.Metrics.Faults)
-	for _, sg := range res.Stages {
-		st.Retries += int64(sg.Retries)
-	}
-}
-
 // addStages rolls a solve's per-stage telemetry into the strategy's
 // cumulative stage accounting.
 func (st *StrategyStats) addStages(res *core.Result) {
@@ -304,19 +283,6 @@ func (s *statsCollector) cancelled(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.forStrategy(name).Cancelled++
-}
-
-// faultFailure records a retry-budget exhaustion, folding in the partial
-// run's fault and retry counters. Its rounds, wall time and stages stay out
-// of the cost totals, as a cancelled run's do: those describe completed
-// executions only, and the failed run's rounds are reported in its
-// FaultExhaustedError.
-func (s *statsCollector) faultFailure(name string, res *core.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.forStrategy(name)
-	st.FaultFailures++
-	st.addFaults(res)
 }
 
 func (s *statsCollector) degraded(name string) {

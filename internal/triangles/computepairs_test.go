@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"qclique/internal/congest"
@@ -231,51 +230,6 @@ func TestFindEdgesWithPromiseDataDirectMatchesFull(t *testing.T) {
 				})
 			}
 		}
-	}
-
-	// Armed with a mixed fault plan, both modes must draw the same faults in
-	// the same phases and fail alike: the charge-only Step 1 emits one load
-	// per payload message, in message order. The plan seeds put the one
-	// unrecovered fault after Step 1 and in it; there the error names the
-	// simulator call that failed, ExchangeBalanced or ChargeBalanced, and
-	// that word is the only difference.
-	for _, tc := range []struct {
-		name      string
-		planSeed  uint64
-		faultStep string // label of the phase the unrecovered fault hits
-	}{
-		{"fault-after-step1", 1, "qsearch/converge"},
-		{"fault-in-step1", 5, "computepairs/step1-placement"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := congest.FaultPlan{
-				Seed: tc.planSeed, DropRate: 0.05, DupRate: 0.02, DelayRate: 0.03, MaxDelayRounds: 2,
-				CorruptRate: 0.05, CrashRate: 0.02, CrashDownPhases: 1,
-			}
-			inst := randomInstance(t, 48, 48, 0.4)
-			params := BenchParams()
-			run := func(m DataMode) (congest.Metrics, error) {
-				net, err := congest.NewNetwork(48, congest.WithFaults(plan))
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = FindEdges(inst, Options{Seed: 3, Params: &params, Net: net, Data: m})
-				return net.Metrics(), err
-			}
-			fullMetrics, fullErr := run(DataFull)
-			directMetrics, directErr := run(DataDirect)
-			if fullMetrics != directMetrics {
-				t.Errorf("metrics differ: full %+v, direct %+v", fullMetrics, directMetrics)
-			}
-			var fe *congest.FaultError
-			if !errors.As(directErr, &fe) || fe.Label != tc.faultStep {
-				t.Fatalf("direct run: err = %v, want an injected fault in %q", directErr, tc.faultStep)
-			}
-			fullText := strings.Replace(fmt.Sprint(fullErr), "exchange ", "charge ", 1)
-			if fullText != directErr.Error() {
-				t.Errorf("errors differ:\nfull   %v\ndirect %v", fullErr, directErr)
-			}
-		})
 	}
 }
 

@@ -28,10 +28,10 @@ const (
 	DataFull DataMode = iota + 1
 	// DataDirect charges Step 1 from its load list alone (one load per
 	// payload message, same order, same words) and answers truth queries
-	// from the leg graph's rows: identical rounds, fault draws and answers
-	// without building a payload. The zero Options.Data selects it, so
-	// every solve through qclique, core, distprod and serve runs it, the
-	// Theorem 1 pipeline included.
+	// from the leg graph's rows: identical rounds and answers without
+	// building a payload. The zero Options.Data selects it, so every solve
+	// through qclique, core, distprod and serve runs it, the Theorem 1
+	// pipeline included.
 	DataDirect
 )
 
@@ -86,8 +86,7 @@ func runPlacement(net *congest.Network, pt *Partitions, legs *graph.Undirected, 
 		// one weight per fine-block vertex), so the link loads are charged
 		// without materializing any payload slices. Since the loads are
 		// shape-only, the list is built and tallied once per n; every other
-		// promise call commits the cached tally, which still makes the
-		// per-load fault draws on an armed network.
+		// promise call commits the cached tally.
 		err := sc.plCharge.commit(net, "computepairs/step1-placement", pt.N(), func(loads []congest.Load) []congest.Load {
 			for u := 0; u < q; u++ {
 				for v := 0; v < q; v++ {

@@ -119,9 +119,9 @@ func (sc *Scratch) sampleRng() *xrand.Source {
 
 // fixedCharge is a charge-only phase whose load list depends only on the
 // partitions, so only on n: the list is built and tallied once per n and
-// network size, and every promise call commits the same charge. A committed
-// charge draws its faults per load exactly like ChargeBalanced, so armed
-// runs see the same fault schedule.
+// network size, and every promise call commits the same charge, which
+// charges exactly what ChargeBalanced charges for the list. loads keeps
+// the built list's storage for the next rebuild.
 type fixedCharge struct {
 	n, netN int // 0 until the first build
 	loads   []congest.Load

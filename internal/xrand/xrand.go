@@ -201,15 +201,6 @@ func (b BoolSampler) Draw(s *Source) bool {
 	return s.pcg.Uint64()&(1<<53-1) < b.thresh
 }
 
-// IntRange returns a uniform value in [lo, hi] inclusive. It panics if
-// lo > hi.
-func (s *Source) IntRange(lo, hi int) int {
-	if lo > hi {
-		panic("xrand: IntRange with lo > hi")
-	}
-	return lo + s.IntN(hi-lo+1)
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 

@@ -55,21 +55,6 @@ func TestIntNBounds(t *testing.T) {
 			t.Fatalf("IntN out of range: %d", v)
 		}
 	}
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(-3, 3)
-		if v < -3 || v > 3 {
-			t.Fatalf("IntRange out of range: %d", v)
-		}
-	}
-}
-
-func TestIntRangePanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("IntRange(5,4) should panic")
-		}
-	}()
-	New(1).IntRange(5, 4)
 }
 
 func TestBoolProbability(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestOptionsValidate: the consolidated Options struct accepts and refuses
-// exactly what a solve would — epsilon/strategy consistency, fault-plan
-// sanity, timeout sign — without running any pipeline.
+// exactly what a solve would — epsilon/strategy consistency, timeout
+// sign — without running any pipeline.
 func TestOptionsValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -19,7 +19,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"approx with epsilon", Options{Strategy: ApproxQuantum, Epsilon: 0.5}, true, ""},
 		{"approx without epsilon", Options{Strategy: ApproxQuantum}, false, "epsilon"},
 		{"epsilon on exact", Options{Strategy: Gossip, Epsilon: 0.5}, false, "epsilon"},
-		{"bad fault plan", Options{Faults: FaultPlan{DropRate: 1.5}}, false, "DropRate"},
 		{"negative timeout", Options{Timeout: -1}, false, "timeout"},
 	} {
 		err := tc.o.Validate()

@@ -50,6 +50,11 @@ const Inf = graph.Inf
 // undefined.
 var ErrNegativeCycle = graph.ErrNegativeCycle
 
+// ErrSaturatedDistance is returned by SolveAPSP when a path sum of in-range
+// weights saturates at −Inf on a graph without a negative cycle: the
+// shortest distance is finite but below the range a distance can hold.
+var ErrSaturatedDistance = graph.ErrSaturatedDistance
+
 // Strategy names an APSP pipeline. Its value is the pipeline's canonical
 // engine registry name, so a Strategy prints, parses, caches and reports
 // under the same string everywhere — the library, the Solver's stats, the
@@ -225,9 +230,6 @@ type Options struct {
 	CacheSize int
 	// Timeout bounds the wall-clock time of a solve (0 = no deadline).
 	Timeout time.Duration
-	// Faults arms the solve with a deterministic fault-injection plan
-	// (zero disables injection).
-	Faults FaultPlan
 	// Degrade opts Solver solves into the graceful-degradation ladder
 	// (see WithDegradation).
 	Degrade bool
@@ -236,7 +238,7 @@ type Options struct {
 // Validate rejects configurations no solve can run: an unregistered
 // strategy (the error lists the registered names), an epsilon that
 // disagrees with the strategy class (or falls outside the supported
-// domain), a malformed fault plan, or a negative timeout. It shares the
+// domain), or a negative timeout. It shares the
 // serving layer's validation, so the library, the Solver, and the HTTP
 // daemon accept and refuse exactly the same configurations.
 func (o Options) Validate() error {
@@ -314,6 +316,19 @@ func WithWorkers(n int) Option {
 // default (0) selects a small built-in capacity.
 func WithCacheSize(n int) Option {
 	return func(o *Options) { o.CacheSize = n }
+}
+
+// WithDegradation opts a Solver solve into the graceful-degradation
+// ladder: when the requested strategy overruns its share of the solve's
+// deadline (WithTimeout or the context's), the solve falls back to a
+// cheaper approximate strategy the input admits (exact → ApproxQuantum →
+// ApproxSkeleton) instead of failing. A degraded result is marked with
+// APSPResult.Degraded and reports the rung that answered in Strategy and
+// its contract in GuaranteedStretch. Honored by Solver methods only — the
+// ladder lives in the serving layer, and the one-shot SolveAPSP rejects
+// the option rather than silently ignoring it.
+func WithDegradation() Option {
+	return func(o *Options) { o.Degrade = true }
 }
 
 // WithTimeout bounds the wall-clock time of a solve: the pipeline
@@ -436,7 +451,7 @@ type APSPResult struct {
 	// with a fallback strategy (see WithDegradation): Strategy and
 	// GuaranteedStretch describe the rung that actually ran, DegradedFrom
 	// the strategy that was asked for, DegradeReason why it stepped down
-	// ("retries-exhausted" or "deadline").
+	// ("deadline", the ladder's one trigger).
 	Degraded      bool
 	DegradedFrom  Strategy
 	DegradeReason string
@@ -449,9 +464,6 @@ type APSPResult struct {
 	PlannerReason   string
 	PredictedRounds int64
 	PredictedWallNs int64
-	// Faults is the injected-fault accounting of the solve (all zeros
-	// without WithFaultPlan).
-	Faults FaultCounters
 	// Stages is the engine's per-stage breakdown of the pipeline that
 	// produced this result, in execution order: for cached results, the
 	// telemetry of the original run. Stage rounds sum exactly to Rounds.
@@ -465,7 +477,7 @@ type APSPResult struct {
 
 // StageStat is one pipeline stage's telemetry: the rounds, words and
 // phases are exact simulator accounting (deterministic seed-for-seed);
-// Wall, Allocs and Backoff are host-side measurements.
+// Wall and Allocs are host-side measurements.
 type StageStat = engine.StageStat
 
 // exportResult builds the public result of a solve, for SolveAPSP and the
@@ -488,7 +500,6 @@ func exportResult(res *core.Result) *APSPResult {
 		Epsilon:           res.Epsilon,
 		GuaranteedStretch: res.GuaranteedStretch,
 		ObservedStretch:   res.ObservedStretch,
-		Faults:            res.Metrics.Faults,
 		Stages:            slices.Clone(res.Stages),
 		dist:              res.Dist,
 	}
@@ -512,7 +523,7 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 	o := buildOptions(opts)
 	if o.Degrade {
 		// The degradation ladder lives in the serving layer; rejecting here
-		// beats silently ignoring a resilience request.
+		// beats silently ignoring a degradation request.
 		return nil, errors.New("qclique: WithDegradation requires a Solver")
 	}
 	if o.Strategy == StrategyAuto {
@@ -531,13 +542,8 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 		Seed:     o.Seed,
 		Epsilon:  o.Epsilon,
 		Workers:  o.Workers,
-		Faults:   o.Faults,
 	})
 	if err != nil {
-		var fe *congest.FaultError
-		if res != nil && errors.As(err, &fe) {
-			return nil, &FaultExhaustedError{Stages: res.Stages, Rounds: res.Rounds, Faults: res.Metrics.Faults, Err: err}
-		}
 		return nil, err
 	}
 	return exportResult(res), nil

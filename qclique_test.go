@@ -236,6 +236,18 @@ func TestDistanceProductRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// TestSolveAPSPRejectsSolverOnlyOptions: the degradation ladder and the
+// planner live in the serving layer, so the one-shot entry point rejects
+// WithDegradation and WithPlanner rather than ignoring them.
+func TestSolveAPSPRejectsSolverOnlyOptions(t *testing.T) {
+	d := buildRandomDigraph(t, 8, 3)
+	for name, opt := range map[string]Option{"WithDegradation": WithDegradation(), "WithPlanner": WithPlanner()} {
+		if _, err := SolveAPSP(d, opt); err == nil || !strings.Contains(err.Error(), "requires a Solver") {
+			t.Errorf("SolveAPSP with %s: err = %v, want a requires-a-Solver refusal", name, err)
+		}
+	}
+}
+
 func TestScaledConstantsPreset(t *testing.T) {
 	d := buildRandomDigraph(t, 16, 21)
 	want := referenceDistances(t, d)

@@ -57,7 +57,6 @@ func (o Options) spec() serve.SolveSpec {
 		Seed:     o.Seed,
 		Epsilon:  o.Epsilon,
 		Workers:  o.Workers,
-		Faults:   o.Faults,
 		Degrade:  o.Degrade,
 	}
 }
@@ -198,9 +197,8 @@ func (s *Solver) PathsBatch(g *Digraph, queries []PathQuery, opts ...Option) ([]
 }
 
 // StrategyStats is the per-strategy accounting of a Solver: requests,
-// cache hits, deduplicated requests, executions and how they ended, the
-// injected-fault and retry rollup, and the rounds and wall time of
-// completed executions. Stages rolls those executions up per stage name
+// cache hits, deduplicated requests, executions and how they ended, and
+// the rounds and wall time of completed executions. Stages rolls those executions up per stage name
 // (runs, rounds, words, wall); its rounds sum to RoundsCharged. It is the
 // same record the daemon serves on /v1/metrics.
 type StrategyStats = serve.StrategyStats
