@@ -49,9 +49,10 @@ func FuzzMultiSearchSharedRows(f *testing.F) {
 			of[i] = int32(rng.IntN(nk))
 			private[i] = slices.Clone(rows[of[i]])
 		}
+		index := groupByRow(t, of, nk)
 		shared := func(net *congest.Network) (Tables, error) {
 			tabs, err := LocalEval(rows, 1)(net)
-			tabs.Of = of
+			tabs.Index = index
 			return tabs, err
 		}
 

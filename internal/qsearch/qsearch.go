@@ -12,7 +12,11 @@
 // exactly what Section 4.2 buys). The simulation therefore (1) executes
 // the evaluation schedule once through the CONGEST-CLIQUE simulator,
 // measuring its true round cost r and obtaining the oracle truth tables,
-// (2) evolves exact per-instance Grover state vectors locally, and
+// (2) simulates the lock-step Grover schedule exactly and locally: a
+// measurement's distribution depends only on the instance's truth-table
+// row and the round's iteration count, so each round evolves every row
+// that still has a searching instance once and then measures each of the
+// row's instances with the instance's own random draw, and
 // (3) charges r rounds for every further oracle invocation by replaying
 // the measured cost. Truncation error — the amplitude mass the truncated
 // procedure corrupts, bounded by Lemma 5 — is computed analytically and
@@ -38,16 +42,69 @@ import (
 var ErrTruncation = errors.New("qsearch: truncation failure (atypical amplitude mass)")
 
 // Tables holds the oracle truth tables of a multi-search as distinct rows
-// plus an instance→row index: instance i answers g_i(x) = Rows[Of[i]][x]
-// for search-space element x. Any number of instances may share a row, so
-// an evaluation whose instances repeat each other's questions returns each
-// row once. MultiSearch only reads the tables.
+// plus a row→instances index: instance i answers g_i(x) = Rows[r][x] for
+// search-space element x, where r is the row whose Index.Row(r) lists i.
+// Any number of instances may share a row, so an evaluation whose
+// instances repeat each other's questions returns each row once.
+// MultiSearch only reads the tables.
 type Tables struct {
 	// Rows are the distinct truth-table rows, each of length SpaceSize.
 	Rows [][]bool
-	// Of maps each of the Instances instances to its row in Rows.
-	Of []int32
+	// Index lists, for each row of Rows, the instances that answer it.
+	Index RowIndex
 }
+
+// RowIndex groups the instances of a multi-search by the truth-table row
+// they answer: row r is answered by the instances Row(r). NewRowIndex
+// checks an index once, where its rows are listed, so the searches that
+// share it check only its shape. The zero RowIndex has no rows and no
+// instances.
+type RowIndex struct {
+	starts []int32 // row r's instances are insts[starts[r]:starts[r+1]]
+	insts  []int32
+}
+
+// NewRowIndex returns the index whose row r lists the instances
+// insts[starts[r]:starts[r+1]], after checking that it is one: starts
+// runs from 0 to len(insts) without decreasing, and insts lists each of
+// the instances 0…len(insts)−1 exactly once. The index borrows both
+// slices; the caller must not modify them while the index is in use.
+func NewRowIndex(starts, insts []int32) (RowIndex, error) {
+	m := len(insts)
+	if len(starts) == 0 || starts[0] != 0 {
+		return RowIndex{}, errors.New("qsearch: row index does not start at 0")
+	}
+	for r := 1; r < len(starts); r++ {
+		if starts[r] < starts[r-1] {
+			return RowIndex{}, fmt.Errorf("qsearch: row %d starts at %d, before row %d's start %d", r, starts[r], r-1, starts[r-1])
+		}
+	}
+	if end := starts[len(starts)-1]; int(end) != m {
+		return RowIndex{}, fmt.Errorf("qsearch: rows list %d instances of %d", end, m)
+	}
+	seen := make([]uint64, (m+63)/64)
+	for _, i := range insts {
+		u := uint32(i)
+		if u >= uint32(m) {
+			return RowIndex{}, fmt.Errorf("qsearch: row index lists instance %d of %d", i, m)
+		}
+		w, bit := u>>6, uint64(1)<<(u&63)
+		if seen[w]&bit != 0 {
+			return RowIndex{}, fmt.Errorf("qsearch: row index lists instance %d twice", i)
+		}
+		seen[w] |= bit
+	}
+	return RowIndex{starts: starts, insts: insts}, nil
+}
+
+// Rows returns the number of rows the index groups instances into.
+func (x RowIndex) Rows() int { return max(len(x.starts)-1, 0) }
+
+// Instances returns the number of instances the index lists.
+func (x RowIndex) Instances() int { return len(x.insts) }
+
+// Row returns the instances that answer row r.
+func (x RowIndex) Row(r int) []int32 { return x.insts[x.starts[r]:x.starts[r+1]] }
 
 // EvalFunc executes the evaluation procedure's fixed communication
 // schedule once through the network and returns the oracle truth tables.
@@ -74,16 +131,17 @@ type Spec struct {
 	// DisableFailureInjection turns off sampling of the truncation error
 	// (the bound is still reported). Used by deterministic tests.
 	DisableFailureInjection bool
-	// Workers bounds the host-side parallelism of the per-instance Grover
-	// state-vector updates; <= 0 selects GOMAXPROCS. Every probe draws from
-	// its own pre-derived random stream, so results are identical for every
-	// worker count.
+	// Workers bounds the host-side parallelism of each round's probes,
+	// which run row by row: a worker builds a row's measurement table and
+	// measures the row's searching instances; <= 0 selects GOMAXPROCS.
+	// Every probe draws from its own pre-derived random stream, so results
+	// are identical for every worker count.
 	Workers int
-	// Scratch supplies every buffer of the search: per-worker probe
-	// streams, probe merge slots, and the Result's Found/Witness backing.
-	// The returned Result aliases it and is valid only until its next
-	// MultiSearch. Nil means a fresh Scratch for this call alone. Results
-	// are bit-identical either way.
+	// Scratch supplies every buffer of the search: per-worker measurement
+	// tables, the searching instances grouped by row, and the Result's
+	// Found/Witness/RowFound backing. The returned Result aliases it and is
+	// valid only until its next MultiSearch. Nil means a fresh Scratch for
+	// this call alone. Results are bit-identical either way.
 	Scratch *Scratch
 }
 
@@ -95,37 +153,40 @@ type Spec struct {
 type Scratch struct {
 	found    []bool
 	witness  []int
-	rowOK    []bool
-	feasible []int32
-	active   []int32
-	probeX   []int32
-	probeHit []bool
-	rngs     []*xrand.Source
+	rowFound []bool
+	live     []liveRow
+	alive    []int32
+	tables   [][]float64
 }
 
-// workerState returns one reseedable scratch source per worker (the probes'
-// only per-worker state since the two-amplitude Grover probe dropped the
-// state-vector buffers), growing the retained slice as needed.
-func (s *Scratch) workerState(workers int) []*xrand.Source {
-	if cap(s.rngs) < workers {
-		s.rngs = append(s.rngs[:cap(s.rngs)], make([]*xrand.Source, workers-cap(s.rngs))...)
+// liveRow is a row that still has searching instances: alive[off:off+n]
+// of the search's alive list.
+type liveRow struct {
+	row, off, n int32
+}
+
+// workerTables returns one measurement table of size entries per worker,
+// growing the retained tables as needed.
+func (s *Scratch) workerTables(workers, size int) [][]float64 {
+	s.tables = par.Grow(s.tables, workers)
+	for w := range s.tables {
+		s.tables[w] = par.Grow(s.tables[w], size)
 	}
-	s.rngs = s.rngs[:workers]
-	for w := range s.rngs {
-		if s.rngs[w] == nil {
-			s.rngs[w] = xrand.New(0)
-		}
-	}
-	return s.rngs
+	return s.tables
 }
 
 // Result reports the outcome of a (multi-)search.
 type Result struct {
 	// Found[i] reports whether instance i located a witness.
 	Found []bool
-	// Witness[i] is the located element for instance i (valid when
-	// Found[i]).
+	// Witness[i] is the located element for instance i, or −1 when
+	// !Found[i].
 	Witness []int
+	// RowFound[r] reports whether some instance of truth-table row r
+	// located a witness.
+	RowFound []bool
+	// FoundCount is the number of instances that located a witness.
+	FoundCount int
 	// EvalRounds is the measured round cost of one evaluation invocation.
 	EvalRounds int64
 	// EvalCalls counts oracle invocations (Grover iterations plus
@@ -145,14 +206,7 @@ type Result struct {
 }
 
 // AllFound reports whether every instance found a witness.
-func (r *Result) AllFound() bool {
-	for _, f := range r.Found {
-		if !f {
-			return false
-		}
-	}
-	return true
-}
+func (r *Result) AllFound() bool { return r.FoundCount == len(r.Found) }
 
 // defaultPasses is the O(log m) amplification count driving per-instance
 // failure below 1/m² (Appendix A: "amplified ... by repeating the
@@ -182,17 +236,20 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	}
 
 	// Execute the fixed schedule once: measures its cost and yields the
-	// truth tables for the local state-vector evolution.
+	// truth tables for the local simulation of the Grover schedule.
 	baseline := net.Metrics()
 	tabs, err := spec.Eval(net)
 	if err != nil {
 		return nil, fmt.Errorf("qsearch: evaluation procedure: %w", err)
 	}
 	evalCost := net.DeltaSince(baseline)
-	if len(tabs.Of) != spec.Instances {
-		return nil, fmt.Errorf("qsearch: evaluation indexed %d instances, want %d", len(tabs.Of), spec.Instances)
+	rows, index := tabs.Rows, tabs.Index
+	if index.Instances() != spec.Instances {
+		return nil, fmt.Errorf("qsearch: evaluation indexed %d instances, want %d", index.Instances(), spec.Instances)
 	}
-	rows, of := tabs.Rows, tabs.Of
+	if index.Rows() != len(rows) {
+		return nil, fmt.Errorf("qsearch: index groups %d rows, evaluation returned %d", index.Rows(), len(rows))
+	}
 
 	sc := spec.Scratch
 	if sc == nil {
@@ -201,10 +258,13 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	sc.found = par.Grow(sc.found, spec.Instances)
 	clear(sc.found)
 	sc.witness = par.Grow(sc.witness, spec.Instances)
+	sc.rowFound = par.Grow(sc.rowFound, len(rows))
+	clear(sc.rowFound)
 
 	res := &Result{
 		Found:      sc.found,
 		Witness:    sc.witness,
+		RowFound:   sc.rowFound,
 		EvalRounds: evalCost.Rounds,
 	}
 	for i := range res.Witness {
@@ -220,98 +280,98 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 	maxRounds := 4 + 3*int(math.Ceil(math.Log2(float64(spec.SpaceSize+1))))
 	const lambda = 6.0 / 5.0
 
-	// Instances with an all-false truth table can never verify a measured
-	// candidate, so their probes are skipped — an exact equivalence, not an
-	// approximation: the lock-step schedule's cost does not depend on the
-	// instance count, and a probe of an empty oracle cannot change Found.
-	// Feasible instances are kept as a compact index list so the per-round
-	// scheduling work scales with the (typically small) feasible count,
-	// not the instance count.
-	// Feasibility is a property of the row, so each row is tested once,
-	// however many instances share it. The test is "does the row contain
-	// a true". Scanning bool-by-bool dominated large all-false rows, so the
-	// scan reuses the vectorized bytes.IndexByte over the same memory: Go
-	// bools are one byte storing exactly 0 or 1, so IndexByte(…, 1) finds
-	// the first true.
-	rowOK := par.Grow(sc.rowOK, len(rows))
-	sc.rowOK = rowOK
+	// Instances whose row is all false can never verify a measured
+	// candidate, so their probes are skipped — an exact equivalence, not
+	// an approximation: the lock-step schedule's cost does not depend on
+	// the instance count, and a probe of an empty oracle cannot change
+	// Found. The test is "does the row contain a true". Scanning
+	// bool-by-bool dominated large all-false rows, so the scan reuses the
+	// vectorized bytes.IndexByte over the same memory: Go bools are one
+	// byte storing exactly 0 or 1, so IndexByte(…, 1) finds the first true.
+	// The feasible rows' instances are copied into the alive list, grouped
+	// by row, so each round's work scales with the rows and instances still
+	// searching, not with the instance count.
+	live := sc.live[:0]
+	alive := sc.alive[:0]
 	for r, row := range rows {
 		if len(row) != spec.SpaceSize {
 			return nil, fmt.Errorf("qsearch: row %d has %d entries, want %d", r, len(row), spec.SpaceSize)
 		}
 		bs := unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), len(row))
-		rowOK[r] = bytes.IndexByte(bs, 1) >= 0
-	}
-	feasibleIdx := sc.feasible[:0]
-	for i, r := range of {
-		if r < 0 || int(r) >= len(rows) {
-			return nil, fmt.Errorf("qsearch: instance %d indexes row %d of %d", i, r, len(rows))
+		if bytes.IndexByte(bs, 1) < 0 {
+			continue
 		}
-		if rowOK[r] {
-			feasibleIdx = append(feasibleIdx, int32(i))
-		}
+		insts := index.Row(r)
+		live = append(live, liveRow{row: int32(r), off: int32(len(alive)), n: int32(len(insts))})
+		alive = append(alive, insts...)
 	}
-	sc.feasible = feasibleIdx
-	remaining := len(feasibleIdx)
+	sc.live, sc.alive = live, alive
+	feasible := len(alive)
+	remaining := feasible
 
-	// Per-node state-vector evolution is embarrassingly parallel across
-	// instances: each probe draws from a stream derived from (pass, round,
-	// instance) alone, and hits are merged back by instance index, so the
-	// outcome is identical for every worker count. More workers than
-	// feasible instances would never be scheduled, so cap before sizing
-	// the per-worker scratch (reseedable probe RNGs).
-	workers := par.Workers(spec.Workers)
-	if workers > len(feasibleIdx) {
-		workers = len(feasibleIdx)
-	}
+	// A round's probes are embarrassingly parallel across rows: a row's
+	// measurement table depends only on (row, j), each probe takes the
+	// first draw of a stream derived from (pass, round, instance) alone,
+	// and a row's instances, Found and Witness entries are written by the
+	// worker that runs the row, so the outcome is identical for every
+	// worker count. Within a row, instances that find a witness leave its
+	// alive segment; instances never resurrect, so neither the order nor
+	// the removal strategy can affect any outcome. More workers than live
+	// rows would never be scheduled, so cap before sizing their tables.
+	workers := min(par.Workers(spec.Workers), len(live))
 	if workers < 1 {
 		workers = 1
 	}
-	if cap(sc.active) < len(feasibleIdx) {
-		sc.active = make([]int32, 0, len(feasibleIdx))
-	}
-	// The not-yet-found feasible instances are kept as a compacted alive
-	// list with swap-removal on success, instead of rebuilding the list
-	// from Found each round: instances never resurrect, each probe draws
-	// from a stream keyed by (pass, round, instance) alone, and hits are
-	// merged by instance index, so neither the list order nor the removal
-	// strategy can affect any outcome.
-	alive := append(sc.active[:0], feasibleIdx...)
-	sc.active = alive
-	probeX := par.Grow(sc.probeX, spec.Instances)
-	sc.probeX = probeX
-	probeHit := par.Grow(sc.probeHit, spec.Instances)
-	sc.probeHit = probeHit
-	scratchRng := sc.workerState(workers)
+	tables := sc.workerTables(workers, spec.SpaceSize)
 	probeSplit := rng.SplitterFor("probe")
+	var j, probeKey int
+	probeRow := func(w, k int) {
+		lr := &live[k]
+		row := rows[lr.row]
+		table := quantum.MeasurementTable(row, j, tables[w])
+		seg := alive[lr.off : lr.off+lr.n]
+		kept := seg[:0]
+		// Measure a block of instances before testing any hit, so the
+		// draws of one block overlap instead of waiting on each test.
+		var xs [64]int32
+		for len(seg) > 0 {
+			block := seg[:min(len(seg), len(xs))]
+			for a, i := range block {
+				xs[a] = int32(quantum.Measure(table, probeSplit.Float64At(probeKey+int(i))))
+			}
+			for a, i := range block {
+				if x := xs[a]; row[x] {
+					res.Found[i] = true
+					res.Witness[i] = int(x)
+					res.RowFound[lr.row] = true
+				} else {
+					kept = append(kept, i)
+				}
+			}
+			seg = seg[len(block):]
+		}
+		lr.n = int32(len(kept))
+	}
 
 	for pass := 0; pass < passes; pass++ {
 		res.Passes++
 		mcur := 1.0
 		for round := 0; round < maxRounds; round++ {
-			j := rng.IntN(int(math.Ceil(mcur)) + 1)
+			j = rng.IntN(int(math.Ceil(mcur)) + 1)
 			// j lock-step Grover iterations plus one verification query.
 			res.Iterations += int64(j)
 			res.EvalCalls += int64(j) + 1
-			probeKey := pass*1_000_003 + round*1009
-			par.ForEachWorker(workers, len(alive), func(w, k int) {
-				i := int(alive[k])
-				x, hit := quantum.FixedScheduleProbe(rows[of[i]], j, probeSplit.Into(scratchRng[w], probeKey+i))
-				probeX[i] = int32(x)
-				probeHit[i] = hit
-			})
-			for k := 0; k < len(alive); {
-				ia := alive[k]
-				if probeHit[ia] {
-					res.Found[ia] = true
-					res.Witness[ia] = int(probeX[ia])
-					remaining--
-					alive[k] = alive[len(alive)-1]
-					alive = alive[:len(alive)-1]
-				} else {
-					k++
+			probeKey = pass*1_000_003 + round*1009
+			par.ForEachWorker(workers, len(live), probeRow)
+			kept := live[:0]
+			remaining = 0
+			for _, lr := range live {
+				if lr.n > 0 {
+					kept = append(kept, lr)
+					remaining += int(lr.n)
 				}
 			}
+			live = kept
 			mcur = math.Min(lambda*mcur, sqrtX)
 		}
 		if remaining == 0 {
@@ -321,6 +381,7 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 			break
 		}
 	}
+	res.FoundCount = feasible - remaining
 	if err := net.BroadcastAll("qsearch/converge", int64(res.Passes)); err != nil {
 		return nil, err
 	}
@@ -350,16 +411,19 @@ func MultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, e
 // borrowed, not copied: the caller must not modify them until MultiSearch
 // returns.
 func LocalEval(tables [][]bool, rounds int64) EvalFunc {
-	of := make([]int32, len(tables))
-	for i := range of {
-		of[i] = int32(i)
+	// Row i is answered by instance i alone: starts are 0…m and the
+	// instances their first m entries.
+	ids := make([]int32, len(tables)+1)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	index := RowIndex{starts: ids, insts: ids[:len(tables)]}
 	return func(net *congest.Network) (Tables, error) {
 		if rounds > 0 {
 			if err := net.BroadcastAll("qsearch/local-eval", rounds); err != nil {
 				return Tables{}, err
 			}
 		}
-		return Tables{Rows: tables, Of: of}, nil
+		return Tables{Rows: tables, Index: index}, nil
 	}
 }

@@ -184,22 +184,41 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 1}, rng); err == nil {
 		t.Error("nil eval must fail")
 	}
-	// Malformed tables: an error, never a panic.
+	// Malformed tables or row indexes: an error, never a panic, at every
+	// worker count. The index is checked where the evaluation builds it,
+	// its shape where MultiSearch reads it.
 	rows := [][]bool{make([]bool, 4), {false, true, false, false}}
 	for _, tc := range []struct {
-		name string
-		tabs Tables
+		name          string
+		rows          [][]bool
+		starts, insts []int32
 	}{
-		{"missing tables", Tables{}},
-		{"index shorter than the instances", Tables{Rows: rows, Of: []int32{0}}},
-		{"index longer than the instances", Tables{Rows: rows, Of: []int32{0, 1, 1}}},
-		{"negative row index", Tables{Rows: rows, Of: []int32{1, -1}}},
-		{"row index past the rows", Tables{Rows: rows, Of: []int32{0, 2}}},
-		{"short row", Tables{Rows: [][]bool{make([]bool, 4), make([]bool, 3)}, Of: []int32{0, 0}}},
+		{"missing tables", nil, nil, nil},
+		{"index shorter than the instances", rows, []int32{0, 1, 1}, []int32{0}},
+		{"index longer than the instances", rows, []int32{0, 1, 3}, []int32{0, 1, 2}},
+		{"negative instance", rows, []int32{0, 1, 2}, []int32{1, -1}},
+		{"instance past the instances", rows, []int32{0, 1, 2}, []int32{0, 2}},
+		{"short row", [][]bool{make([]bool, 4), make([]bool, 3)}, []int32{0, 1, 2}, []int32{0, 1}},
+		{"no row starts", rows, nil, []int32{0, 1}},
+		{"row starts not at 0", rows, []int32{1, 1, 2}, []int32{0, 1}},
+		{"row starts that decrease", rows, []int32{0, 2, 1}, []int32{0, 1}},
+		{"row starts past the instances", rows, []int32{0, 3, 3}, []int32{0, 1}},
+		{"instance listed twice", rows, []int32{0, 1, 2}, []int32{1, 1}},
+		{"instance missing", rows, []int32{0, 1, 1}, []int32{0, 1}},
+		{"more rows than the tables", rows, []int32{0, 1, 2, 2}, []int32{0, 1}},
+		{"fewer rows than the tables", rows, []int32{0, 2}, []int32{1, 0}},
 	} {
-		eval := func(*congest.Network) (Tables, error) { return tc.tabs, nil }
-		if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 2, Eval: eval}, rng); err == nil {
-			t.Errorf("%s must fail", tc.name)
+		eval := func(*congest.Network) (Tables, error) {
+			if tc.starts == nil && tc.insts == nil {
+				return Tables{Rows: tc.rows}, nil
+			}
+			index, err := NewRowIndex(tc.starts, tc.insts)
+			return Tables{Rows: tc.rows, Index: index}, err
+		}
+		for _, workers := range []int{2, 4} {
+			if _, err := MultiSearch(nw, Spec{SpaceSize: 4, Instances: 2, Eval: eval, Workers: workers}, rng); err == nil {
+				t.Errorf("%s at %d workers must fail", tc.name, workers)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package qsearch
 
 import (
+	"slices"
 	"testing"
 
 	"qclique/internal/congest"
@@ -75,5 +76,46 @@ func TestScratchShrinkingInstances(t *testing.T) {
 	}
 	if !res.Found[1] || res.Witness[1] != 1 {
 		t.Fatalf("satisfiable instance wrong: %+v", res)
+	}
+}
+
+// TestScratchReuseAcrossShapes runs one Scratch through searches whose
+// instance counts shrink and grow again, with unsatisfiable rows in each:
+// every result must equal a fresh search's, so no found entry or witness
+// of an earlier search survives into a later one.
+func TestScratchReuseAcrossShapes(t *testing.T) {
+	const size = 6
+	rng := xrand.New(11)
+	sc := &Scratch{}
+	for trial, m := range []int{40, 3, 64, 10, 64, 80, 1, 80} {
+		tables := make([][]bool, m)
+		for i := range tables {
+			tables[i] = make([]bool, size)
+			if rng.Bool(0.6) {
+				tables[i][rng.IntN(size)] = true
+			}
+		}
+		spec := Spec{SpaceSize: size, Instances: m, Eval: LocalEval(tables, 1), Workers: 2}
+		freshNet, _ := congest.NewNetwork(4)
+		fresh, err := MultiSearch(freshNet, spec, xrand.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Scratch = sc
+		reusedNet, _ := congest.NewNetwork(4)
+		reused, err := MultiSearch(reusedNet, spec, xrand.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.FoundCount != fresh.FoundCount || !slices.Equal(reused.Found, fresh.Found) ||
+			!slices.Equal(reused.Witness, fresh.Witness) || !slices.Equal(reused.RowFound, fresh.RowFound) {
+			t.Fatalf("trial %d (m=%d): reused scratch found %d %v witnesses %v, fresh %d %v %v",
+				trial, m, reused.FoundCount, reused.Found, reused.Witness, fresh.FoundCount, fresh.Found, fresh.Witness)
+		}
+		for i, ok := range reused.Found {
+			if !ok && reused.Witness[i] != -1 {
+				t.Fatalf("trial %d: instance %d not found but witness %d", trial, i, reused.Witness[i])
+			}
+		}
 	}
 }

@@ -91,19 +91,32 @@ func searchMarked(n int, marked []bool, rng *xrand.Source, res *SearchResult) Se
 }
 
 // FixedScheduleProbe runs exactly j Grover iterations from the uniform
-// state and measures once; it is the building block of the lock-step
-// multi-search, where every parallel instance must use the same iteration
-// count (the global quantum circuit applies the same number of UmCm steps
-// to all registers).
+// state and measures once with one draw from rng. It is the building block
+// of the BBHT schedule and the lock-step multi-search, where every parallel
+// instance must use the same iteration count (the global quantum circuit
+// applies the same number of UmCm steps to all registers): the probe is
+// MeasurementTable followed by Measure, and a multi-search whose instances
+// share a truth table builds the table once for all of them.
+func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit bool) {
+	var buf [64]float64
+	x = Measure(MeasurementTable(marked, j, buf[:]), rng.Float64())
+	return x, marked[x]
+}
+
+// MeasurementTable evolves j Grover iterations from the uniform state over
+// the truth table marked and returns the cumulative distribution of one
+// measurement: entry i is the probability of measuring an index ≤ i. The
+// table is written into dst when it has room for len(marked) entries, and
+// into a new slice otherwise. It depends only on (marked, j).
 //
 // Starting from the uniform state, every marked element always shares one
-// amplitude and every unmarked element another, so the probe tracks just
-// those two values instead of a full state vector. Bit-exactness with the
-// state-vector simulation (the tests' reference) is preserved by folding
-// the mean and the measurement CDF in index order with the identical
+// amplitude and every unmarked element another, so the evolution tracks
+// just those two values instead of a full state vector. Bit-exactness with
+// the state-vector simulation (the tests' reference) is preserved by
+// folding the mean and the distribution in index order with the identical
 // per-element addends — the same sequence of floating-point operations, so
-// the same rounding, the same drawn index, and no amplitude buffer at all.
-func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit bool) {
+// the same rounding and the same table, with no amplitude buffer at all.
+func MeasurementTable(marked []bool, j int, dst []float64) []float64 {
 	n := len(marked)
 	a := 1 / math.Sqrt(float64(n))
 	aM, aU := a, a // marked / unmarked amplitudes
@@ -121,7 +134,10 @@ func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit boo
 		aM = 2*mean - fm
 		aU = 2*mean - aU
 	}
-	r := rng.Float64()
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	table := dst[:n]
 	aM2, aU2 := aM*aM, aU*aU
 	var acc float64
 	for i, m := range marked {
@@ -130,10 +146,23 @@ func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit boo
 		} else {
 			acc += aU2
 		}
-		if r < acc {
-			return i, m
+		table[i] = acc
+	}
+	return table
+}
+
+// Measure returns the index that a measurement with uniform draw r ∈ [0, 1)
+// selects from a MeasurementTable: the first i with r < table[i], or the
+// last index when floating-point slack leaves the table's total at or
+// below r. The table never decreases (each entry adds a square), so that
+// index is the number of entries ≤ r, capped at len(table)−1; counting it
+// takes no branch that depends on the data.
+func Measure(table []float64, r float64) int {
+	k := 0
+	for _, c := range table {
+		if c <= r {
+			k++
 		}
 	}
-	// Floating-point slack: return the last index.
-	return n - 1, marked[n-1]
+	return min(k, len(table)-1)
 }

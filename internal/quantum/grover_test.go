@@ -251,6 +251,108 @@ func TestFixedScheduleProbeMatchesStateVector(t *testing.T) {
 	}
 }
 
+// legacyProbe is FixedScheduleProbe as it was before the measurement table
+// was split out, with the uniform draw r passed in: j Grover iterations on
+// the two amplitudes, then the first i with r < the running sum of squared
+// amplitudes, or the last index. It is cut in two after the evolution, so
+// a test can evolve once and measure many draws.
+func legacyProbe(marked []bool, j int, r float64) (x int, hit bool) {
+	aM, aU := legacyEvolve(marked, j)
+	return legacyMeasure(marked, aM, aU, r)
+}
+
+func legacyEvolve(marked []bool, j int) (aM, aU float64) {
+	n := len(marked)
+	a := 1 / math.Sqrt(float64(n))
+	aM, aU = a, a
+	for it := 0; it < j; it++ {
+		fm := -aM
+		var sum float64
+		for _, m := range marked {
+			if m {
+				sum += fm
+			} else {
+				sum += aU
+			}
+		}
+		mean := sum / float64(n)
+		aM = 2*mean - fm
+		aU = 2*mean - aU
+	}
+	return aM, aU
+}
+
+func legacyMeasure(marked []bool, aM, aU, r float64) (x int, hit bool) {
+	n := len(marked)
+	aM2, aU2 := aM*aM, aU*aU
+	var acc float64
+	for i, m := range marked {
+		if m {
+			acc += aM2
+		} else {
+			acc += aU2
+		}
+		if r < acc {
+			return i, m
+		}
+	}
+	return n - 1, marked[n-1]
+}
+
+// TestMeasureMatchesLegacyProbe holds MeasurementTable and Measure to the
+// probe they replace, bit for bit: |X| from 1 to 40, j from 0 to ⌈√|X|⌉+3,
+// random, one-marked and all-marked rows, 10⁴ uniform draws each, plus
+// draws equal to every table entry (which the old probe never selects), 0,
+// and 1−2⁻⁵³, where rounding can leave the table's total below the draw.
+// FixedScheduleProbe, the two parts composed, must measure what the old
+// probe measures from the same stream.
+func TestMeasureMatchesLegacyProbe(t *testing.T) {
+	rng := xrand.New(37)
+	const draws = 10_000
+	for n := 1; n <= 40; n++ {
+		random := make([]bool, n)
+		for i := range random {
+			random[i] = rng.Bool(0.3)
+		}
+		one := make([]bool, n)
+		one[rng.IntN(n)] = true
+		all := make([]bool, n)
+		for i := range all {
+			all[i] = true
+		}
+		for _, row := range []struct {
+			name   string
+			marked []bool
+		}{{"random", random}, {"one marked", one}, {"all marked", all}} {
+			for j := 0; j <= int(math.Ceil(math.Sqrt(float64(n))))+3; j++ {
+				table := MeasurementTable(row.marked, j, nil)
+				aM, aU := legacyEvolve(row.marked, j)
+				check := func(r float64) {
+					x := Measure(table, r)
+					wantX, wantHit := legacyMeasure(row.marked, aM, aU, r)
+					if x != wantX || row.marked[x] != wantHit {
+						t.Fatalf("%s row, |X|=%d, j=%d, r=%v: measured %d, old probe %d", row.name, n, j, r, x, wantX)
+					}
+				}
+				for _, c := range table {
+					check(c)
+				}
+				check(0)
+				check(1 - 0x1p-53)
+				for d := 0; d < draws; d++ {
+					check(rng.Float64())
+				}
+				seed := rng.Uint64()
+				x, hit := FixedScheduleProbe(row.marked, j, xrand.New(seed))
+				wantX, wantHit := legacyProbe(row.marked, j, xrand.New(seed).Float64())
+				if x != wantX || hit != wantHit {
+					t.Fatalf("%s row, |X|=%d, j=%d: FixedScheduleProbe measured (%d, %v), old probe (%d, %v)", row.name, n, j, x, hit, wantX, wantHit)
+				}
+			}
+		}
+	}
+}
+
 // The full state-vector simulation of Grover search. It is the reference
 // FixedScheduleProbe is held to bit for bit, and the model the
 // amplification tests above check against Grover's analysis.

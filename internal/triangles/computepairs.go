@@ -282,13 +282,13 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 	// Step 3.2: for each class α, search T_α[u,v]. With no kept pairs
 	// (S empty or disjoint from the coverings) there is nothing to search
 	// and the output is empty.
-	for alpha := 0; len(st.instances) > 0 && alpha <= cls.maxClass; alpha++ {
+	for alpha := 0; st.index.Instances() > 0 && alpha <= cls.maxClass; alpha++ {
 		b := newEvalBuilder(pt, pl, st, cls, params, alpha, sc, rng.SplitN("eval", alpha))
 		b.workers = opts.Workers
 		if b.spaceSize == 0 {
 			continue
 		}
-		stat := ClassStat{Alpha: alpha, SpaceSize: b.spaceSize, Instances: len(st.instances)}
+		stat := ClassStat{Alpha: alpha, SpaceSize: b.spaceSize, Instances: st.index.Instances()}
 		switch opts.mode() {
 		case SearchClassicalScan:
 			rowOK, err := classicalScan(net, b)
@@ -296,16 +296,16 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 				return nil, err
 			}
 			stat.EvalCalls = int64(b.spaceSize)
-			for _, ri := range st.instances {
-				if rowOK[ri] {
-					rowFound[ri] = true
-					stat.Found++
+			for r, ok := range rowOK {
+				if ok {
+					rowFound[r] = true
+					stat.Found += len(st.index.Row(r))
 				}
 			}
 		default:
 			res, err := qsearch.MultiSearch(net, qsearch.Spec{
 				SpaceSize: b.spaceSize,
-				Instances: len(st.instances),
+				Instances: st.index.Instances(),
 				Eval:      b.evalFunc(),
 				Workers:   opts.Workers,
 				Scratch:   &sc.qs,
@@ -315,10 +315,10 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 			}
 			stat.EvalRounds = res.EvalRounds
 			stat.EvalCalls = res.EvalCalls
-			for i, ok := range res.Found {
+			stat.Found = res.FoundCount
+			for r, ok := range res.RowFound {
 				if ok {
-					rowFound[st.instances[i]] = true
-					stat.Found++
+					rowFound[r] = true
 				}
 			}
 		}

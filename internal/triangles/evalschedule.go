@@ -22,7 +22,10 @@ import (
 // the slot caps of the C̃m contract are enforced on it (overflow ⇒ abort,
 // the paper's "error message" branch). The measured schedule cost is then
 // charged once per oracle call. Truth tables are computed from the Step 1
-// placement data that the queried triple nodes hold.
+// placement data that the queried triple nodes hold, one row per unique
+// (group, pair) question. Step 2 indexes the instances by row once per
+// attempt, and every class search reads that index, so the multi-search
+// evolves each row once per round for all the instances that share it.
 
 // SlotOverflowError reports a C̃m truncation abort: some query list
 // exceeded the Figure 4/5 slot cap.
@@ -48,15 +51,15 @@ type pairRow struct {
 }
 
 // searchState is the Step 2 outcome: the coverings, the unique (group,
-// pair) rows, and the flattened instance list for the multi-searches. A
+// pair) rows, and the index of the multi-searches' instances by row. A
 // search instance is one kept pair of one label's covering; instances are
-// listed in label order, and each holds the index of its row, which every
-// instance of the same (group, pair) shares.
+// numbered in label order, and every instance of the same (group, pair)
+// answers that pair's row.
 type searchState struct {
 	pt        *Partitions
 	coverings []Covering // indexed by SearchIndex
 	rows      []pairRow
-	instances []int32 // index into rows
+	index     qsearch.RowIndex
 }
 
 // runCoverings executes Step 2 of ComputePairs: every search-labeled node
@@ -75,8 +78,9 @@ type searchState struct {
 // tallied once per n, and every other promise call commits the cached
 // tally.
 //
-// Step 2 also lists the search instances and their truth-table rows, once
-// per attempt: every class evaluation reuses them.
+// Step 2 also lists the search instances and their truth-table rows, and
+// indexes the instances by row, once per attempt: every class evaluation
+// and search reuses them.
 func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params Params, sc *Scratch, rng *xrand.Source) (*searchState, error) {
 	n := pt.N()
 	numLabels := pt.NumSearchLabels()
@@ -224,48 +228,110 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	if err != nil {
 		return nil, err
 	}
-	st.rows, st.instances = listInstances(st.coverings, pt, sc)
+	st.rows, st.index, err = listInstances(st.coverings, pt, sc)
+	if err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
 // listInstances flattens the coverings into search instances, in label
-// order, and dedups them into one truth-table row per (group, pair): the
-// coverings of one group's labels overlap, and are one covering where the
-// sampling probability clips. Rows are memoized through the scratch's flat
-// index table (Scratch.zeroedIndex): a pair {U,V} (U < V) can only appear
-// in the groups (CoarseOf(U), CoarseOf(V)) and its swap, so one
-// orientation bit, set for the labels with u > v, disambiguates the group
-// and the table needs just 2n² slots.
-func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow, []int32) {
+// order, dedups them into one truth-table row per (group, pair), and
+// indexes the instances by row. A pair {U,V} (U < V) can only appear in
+// the groups (CoarseOf(U), CoarseOf(V)) and its swap, so a group's rows
+// are answered by the group's instances alone, and since labels are
+// numbered group by group, each group's rows and instances fill a range of
+// the index of their own. Where the sampling probability clips, a group's
+// labels share one covering slice, so its rows are that covering's pairs
+// and each row is answered by one instance per label: the group's range
+// is written directly. Otherwise the coverings of a group's labels
+// overlap: rows are memoized through the scratch's flat index table
+// (Scratch.zeroedIndex), where one orientation bit, set for the labels
+// with u > v, disambiguates the group, so the table needs just 2n² slots,
+// and the group's instances are grouped by row with a counting sort.
+func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow, qsearch.RowIndex, error) {
 	n := pt.N()
 	numFine := pt.NumFine()
 	total := 0
 	for _, cov := range coverings {
 		total += len(cov.Pairs)
 	}
-	if cap(sc.instances) < total {
-		sc.instances = make([]int32, 0, total)
-	}
-	instances := sc.instances[:0]
 	rows := sc.pairRows[:0]
-	rowOf := sc.zeroedIndex(2 * n * n) // (orient*n + U)*n + V → row index + 1; 0 = unset
-	for li, cov := range coverings {
-		orient := 0
-		if cov.Label.U > cov.Label.V {
-			orient = 1
-		}
-		for pi, pr := range cov.Pairs {
-			key := (orient*n+pr.U)*n + pr.V
-			if rowOf[key] == 0 {
-				rows = append(rows, pairRow{group: li / numFine, pair: pr, weight: cov.Weights[pi]})
-				rowOf[key] = int32(len(rows))
+	starts := append(sc.rowStarts[:0], 0)
+	insts := par.Grow(sc.rowInsts, total)
+	var rowOf []int32 // (orient*n + U)*n + V → row index + 1; 0 = unset
+	first := 0        // the group's first instance
+	for lo := 0; lo < len(coverings); lo += numFine {
+		labels := coverings[lo:min(lo+numFine, len(coverings))]
+		g := lo / numFine
+		if pairs := labels[0].Pairs; sharedCovering(labels) {
+			// Row p is answered by instance first + x·len(pairs) + p of
+			// every label x.
+			for p, pr := range pairs {
+				rows = append(rows, pairRow{group: g, pair: pr, weight: labels[0].Weights[p]})
+				for x := range labels {
+					insts[first+p*len(labels)+x] = int32(first + x*len(pairs) + p)
+				}
+				starts = append(starts, int32(first+(p+1)*len(labels)))
 			}
-			instances = append(instances, rowOf[key]-1)
+			first += len(labels) * len(pairs)
+			continue
+		}
+		// starts[r+1] counts row r's instances as they are listed, then
+		// holds row r's next free slot, and ends as row r's end, which is
+		// row r+1's start.
+		if rowOf == nil {
+			rowOf = sc.zeroedIndex(2 * n * n)
+		}
+		of := sc.instRow[:0] // the row of each of the group's instances
+		firstRow := len(rows)
+		for _, cov := range labels {
+			orient := 0
+			if cov.Label.U > cov.Label.V {
+				orient = 1
+			}
+			for pi, pr := range cov.Pairs {
+				key := (orient*n+pr.U)*n + pr.V
+				r := rowOf[key]
+				if r == 0 {
+					rows = append(rows, pairRow{group: g, pair: pr, weight: cov.Weights[pi]})
+					starts = append(starts, 0)
+					r = int32(len(rows))
+					rowOf[key] = r
+				}
+				starts[r]++
+				of = append(of, r-1)
+			}
+		}
+		sc.instRow = of
+		next := int32(first)
+		for r := firstRow + 1; r <= len(rows); r++ {
+			c := starts[r]
+			starts[r] = next
+			next += c
+		}
+		for i, r := range of {
+			insts[starts[r+1]] = int32(first + i)
+			starts[r+1]++
+		}
+		first += len(of)
+	}
+	sc.pairRows, sc.rowStarts, sc.rowInsts = rows, starts, insts
+	index, err := qsearch.NewRowIndex(starts, insts)
+	return rows, index, err
+}
+
+// sharedCovering reports whether every label holds the same nonempty
+// covering slice, as Step 2 leaves a group's labels where the sampling
+// probability clips.
+func sharedCovering(labels []Covering) bool {
+	pairs := labels[0].Pairs
+	for _, cov := range labels {
+		if len(pairs) == 0 || len(cov.Pairs) != len(pairs) || &cov.Pairs[0] != &pairs[0] {
+			return false
 		}
 	}
-	sc.instances = instances
-	sc.pairRows = rows
-	return rows, instances
+	return true
 }
 
 // evalBuilder assembles the class-α evaluation procedure.
@@ -434,8 +500,8 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		qrng := b.rng.Split("query-assignment")
 		numFine := b.pt.NumFine()
 		listCount := b.sc.zeroedIndex(b.pt.NumSearchLabels() * numFine)
-		if cap(b.sc.evalTouch) < len(b.st.instances) {
-			b.sc.evalTouch = make([]int32, 0, len(b.st.instances))
+		if cap(b.sc.evalTouch) < b.st.index.Instances() {
+			b.sc.evalTouch = make([]int32, 0, b.st.index.Instances())
 		}
 		touched := b.sc.evalTouch[:0]
 		b.sc.evalTouch = touched
@@ -492,11 +558,11 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		}
 
 		// Assemble the truth tables from the queried triple nodes' data,
-		// one per unique (group, pair) row of Step 2; the instance list of
-		// Step 2 is the instance→row index. Row computation (the triple
-		// nodes' local min-plus work) is independent across rows, so the
-		// rows are computed by the worker pool and merged by index —
-		// identical output for any worker count.
+		// one per unique (group, pair) row of Step 2, which also indexed
+		// the instances by row. Row computation (the triple nodes' local
+		// min-plus work) is independent across rows, so the rows are
+		// computed by the worker pool and merged by index — identical
+		// output for any worker count.
 		// The previous evaluation's rows are dead once this one runs (the
 		// multi-search consuming them has returned), so the row arenas are
 		// reused across classes and promise calls.
@@ -511,7 +577,7 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 			b.truthRowInto(row, pr.group, pr.pair, pr.weight)
 			rows[j] = row
 		})
-		return qsearch.Tables{Rows: rows, Of: b.st.instances}, nil
+		return qsearch.Tables{Rows: rows, Index: b.st.index}, nil
 	}
 }
 

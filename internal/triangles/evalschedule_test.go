@@ -7,8 +7,20 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/graph"
+	"qclique/internal/qsearch"
 	"qclique/internal/xrand"
 )
+
+// instanceRows inverts a row index: entry i is the row instance i answers.
+func instanceRows(index qsearch.RowIndex) []int32 {
+	of := make([]int32, index.Instances())
+	for r := 0; r < index.Rows(); r++ {
+		for _, i := range index.Row(r) {
+			of[i] = int32(r)
+		}
+	}
+	return of
+}
 
 // buildEval assembles an evalBuilder for class alpha on a random workload.
 func buildEval(t *testing.T, n int, seed uint64, params Params, alpha int) (*congest.Network, *evalBuilder, *searchState) {
@@ -51,13 +63,15 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per unique (group, pair) question, indexed by instance.
+	// One row per unique (group, pair) question, with Step 2's index.
 	if len(tabs.Rows) != len(st.rows) {
 		t.Fatalf("rows = %d, unique rows = %d", len(tabs.Rows), len(st.rows))
 	}
-	if len(tabs.Of) != len(st.instances) {
-		t.Fatalf("index = %d, instances = %d", len(tabs.Of), len(st.instances))
+	if tabs.Index.Rows() != len(st.rows) || tabs.Index.Instances() != st.index.Instances() {
+		t.Fatalf("index groups %d instances into %d rows, Step 2 %d into %d",
+			tabs.Index.Instances(), tabs.Index.Rows(), st.index.Instances(), len(st.rows))
 	}
+	of := instanceRows(tabs.Index)
 	// Instances are listed in label order, so the coverings give each
 	// instance's label, pair and weight independently of its row.
 	type instance struct {
@@ -71,17 +85,17 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 			refs = append(refs, instance{li, pr, cov.Weights[pi]})
 		}
 	}
-	if len(refs) != len(st.instances) {
-		t.Fatalf("coverings hold %d pairs, instances = %d", len(refs), len(st.instances))
+	if len(refs) != len(of) {
+		t.Fatalf("coverings hold %d pairs, instances = %d", len(refs), len(of))
 	}
 	// Spot check each table entry against the brute-force triangle test.
 	rng := xrand.New(99)
 	checked := 0
 	for trial := 0; trial < 500 && checked < 200; trial++ {
-		i := rng.IntN(len(st.instances))
+		i := rng.IntN(len(of))
 		ref := refs[i]
 		g := b.groupOf(ref.label)
-		if row := st.rows[st.instances[i]]; row != (pairRow{group: g, pair: ref.pair, weight: ref.weight}) {
+		if row := st.rows[of[i]]; row != (pairRow{group: g, pair: ref.pair, weight: ref.weight}) {
 			t.Fatalf("instance %d of label %d has row %+v, want pair %v weight %d", i, ref.label, row, ref.pair, ref.weight)
 		}
 		list := b.classLists[g]
@@ -110,7 +124,7 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if got := tabs.Rows[tabs.Of[i]][xi]; got != want {
+		if got := tabs.Rows[of[i]][xi]; got != want {
 			t.Fatalf("instance %d element %d: table %v, brute force %v", i, xi, got, want)
 		}
 		checked++
@@ -124,7 +138,7 @@ func TestEvalFuncSlotOverflowAborts(t *testing.T) {
 	params := PaperParams()
 	params.SlotCap = 1e-9 // every nonempty list overflows
 	net, b, st := buildEval(t, 32, 2, params, 0)
-	if b.spaceSize == 0 || len(st.instances) == 0 {
+	if b.spaceSize == 0 || st.index.Instances() == 0 {
 		t.Skip("no work")
 	}
 	_, err := b.evalFunc()(net)
@@ -210,7 +224,7 @@ func TestRunCoveringsKeepsOnlySEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ri := range st.instances {
+	for _, ri := range instanceRows(st.index) {
 		row := st.rows[ri]
 		if row.pair != graph.MakePair(0, 1) {
 			t.Fatalf("kept pair %v outside S∩E", row.pair)
@@ -219,7 +233,7 @@ func TestRunCoveringsKeepsOnlySEdges(t *testing.T) {
 			t.Fatalf("kept weight %d, want 5", row.weight)
 		}
 	}
-	if len(st.instances) == 0 {
+	if st.index.Instances() == 0 {
 		t.Error("the S pair should be covered by at least one Λx (paper constants sample everything at n=16)")
 	}
 }
@@ -231,7 +245,7 @@ func TestFigure5DuplicationPathCharges(t *testing.T) {
 	params.ClassSize = 0.0001
 	params.ClassThreshold = 0.0001 // push triples into high classes
 	net, b, st := buildEval(t, 32, 6, params, 3)
-	if b.spaceSize == 0 || len(st.instances) == 0 {
+	if b.spaceSize == 0 || st.index.Instances() == 0 {
 		t.Skip("class 3 empty under forced thresholds")
 	}
 	if params.duplication(32, 3) <= 1 {
@@ -369,6 +383,7 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 				}
 				seen[k] = true
 			}
+			of := instanceRows(st.index)
 			used := make([]bool, len(st.rows))
 			i := 0
 			for li, cov := range st.coverings {
@@ -376,10 +391,10 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 					t.Fatalf("%s seed %d: label %d covering differs from the reference", tc.name, seed, li)
 				}
 				for pi, pr := range pairs[li] {
-					if i >= len(st.instances) {
-						t.Fatalf("%s seed %d: %d instances, reference has more", tc.name, seed, len(st.instances))
+					if i >= len(of) {
+						t.Fatalf("%s seed %d: %d instances, reference has more", tc.name, seed, len(of))
 					}
-					ri := st.instances[i]
+					ri := of[i]
 					group := li / pt.NumFine()
 					if row := st.rows[ri]; row != (pairRow{group: group, pair: pr, weight: weights[li][pi]}) {
 						t.Fatalf("%s seed %d: instance %d of label %d has row %+v, want pair %v weight %d", tc.name, seed, i, li, row, pr, weights[li][pi])
@@ -388,8 +403,8 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 					i++
 				}
 			}
-			if i != len(st.instances) || slices.Contains(used, false) {
-				t.Fatalf("%s seed %d: %d instances for %d reference pairs, every row used: %v", tc.name, seed, len(st.instances), i, !slices.Contains(used, false))
+			if i != len(of) || slices.Contains(used, false) {
+				t.Fatalf("%s seed %d: %d instances for %d reference pairs, every row used: %v", tc.name, seed, len(of), i, !slices.Contains(used, false))
 			}
 
 			abort := tc.params

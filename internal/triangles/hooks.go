@@ -182,7 +182,7 @@ func CongestionTrial(g *graph.Undirected, params Params, seed uint64) (*Congesti
 	if b.spaceSize == 0 {
 		return nil, errors.New("triangles: class 0 empty; workload too sparse")
 	}
-	out := &CongestionStats{SlotCap: params.slotCap(n, 0), Instances: len(st.instances)}
+	out := &CongestionStats{SlotCap: params.slotCap(n, 0), Instances: st.index.Instances()}
 
 	// Naive: every instance of a node queries the same w (the adversarial
 	// x = (x,…,x) of Section 4.2); per (label, hottest w) the full m_k

@@ -57,8 +57,8 @@ type Scratch struct {
 	annCharge fixedCharge
 
 	// Step 2 coverings: kept pairs/weights arenas, covering headers, the
-	// unique (group, pair) rows, the flattened instance list, and the
-	// sampler scratch.
+	// unique (group, pair) rows, each instance's row and the row→instances
+	// index built from it, and the sampler scratch.
 	covs         []Covering
 	pairsArena   []graph.Pair
 	weightsArena []int64
@@ -67,7 +67,9 @@ type Scratch struct {
 	perVertex    []int32
 	ownerCount   []int32
 	ownerTouched []int32
-	instances    []int32
+	instRow      []int32
+	rowStarts    []int32
+	rowInsts     []int32
 	// Where the sampling probability clips at 1, the owner loads depend
 	// only on the partitions (see runCoverings).
 	covCharge fixedCharge

@@ -50,7 +50,8 @@ type Source struct {
 
 // New returns a Source rooted at seed.
 func New(seed uint64) *Source {
-	pcg := rand.NewPCG(splitmix64(seed), splitmix64(seed^0xa5a5a5a5a5a5a5a5))
+	pcg := new(rand.PCG)
+	seedPCG(pcg, seed)
 	return &Source{
 		seed: seed,
 		pcg:  pcg,
@@ -63,7 +64,12 @@ func New(seed uint64) *Source {
 // primitive behind the allocation-free split variants below.
 func (s *Source) Reseed(seed uint64) {
 	s.seed = seed
-	s.pcg.Seed(splitmix64(seed), splitmix64(seed^0xa5a5a5a5a5a5a5a5))
+	seedPCG(s.pcg, seed)
+}
+
+// seedPCG seeds p with the generator state of the stream rooted at seed.
+func seedPCG(p *rand.PCG, seed uint64) {
+	p.Seed(splitmix64(seed), splitmix64(seed^0xa5a5a5a5a5a5a5a5))
 }
 
 // Seed reports the seed this source was derived from.
@@ -98,8 +104,24 @@ func (s *Source) SplitterFor(label string) Splitter {
 
 // Into reseeds scratch to the indexed child stream and returns scratch.
 func (sp Splitter) Into(scratch *Source, n int) *Source {
-	scratch.Reseed(sp.base + splitmix64(uint64(n)+0x1234_5678_9abc_def0))
+	scratch.Reseed(sp.child(n))
 	return scratch
+}
+
+// child returns the seed of the indexed child stream.
+func (sp Splitter) child(n int) uint64 {
+	return sp.base + splitmix64(uint64(n)+0x1234_5678_9abc_def0)
+}
+
+// Float64At returns the first Float64 of the indexed child stream — what
+// sp.Into(scratch, n).Float64() returns — from a generator on the stack
+// instead of a reseeded scratch source. Hot loops that take one draw per
+// index (the multi-search's probes) skip the scratch source's pointer
+// round trips, and parallel workers share no generator state.
+func (sp Splitter) Float64At(n int) float64 {
+	var p rand.PCG
+	seedPCG(&p, sp.child(n))
+	return float64(p.Uint64()<<11>>11) * 0x1p-53 // as Float64
 }
 
 // The draw methods below operate on the PCG generator directly instead of

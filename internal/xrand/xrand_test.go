@@ -175,6 +175,21 @@ func TestBoolClipDrawsNothing(t *testing.T) {
 	}
 }
 
+// TestFloat64AtMatchesInto pins Splitter.Float64At to the first Float64 of
+// the stream Splitter.Into reseeds, so a probe draws the same value either
+// way.
+func TestFloat64AtMatchesInto(t *testing.T) {
+	scratch := New(0)
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
+		sp := New(seed).SplitterFor("probe")
+		for n := -3; n < 5000; n++ {
+			if got, want := sp.Float64At(n), sp.Into(scratch, n).Float64(); got != want {
+				t.Fatalf("seed %d n %d: Float64At %v, Into then Float64 %v", seed, n, got, want)
+			}
+		}
+	}
+}
+
 // TestSplitterMatchesSplitNInto pins that Splitter.Into reseeds a scratch
 // source into the stream SplitN derives for the same label and index — the
 // hot paths use one and the rest of the protocol stack the other, so the
