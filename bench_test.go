@@ -4,11 +4,12 @@ package qclique
 // quantitative claims — it has no empirical tables, so these regenerate the
 // measured counterpart of each theorem/proposition/lemma). Each benchmark
 // reports the simulated CONGEST-CLIQUE round count via
-// ReportMetric("rounds/op") alongside the usual wall-clock numbers;
-// cmd/experiments renders the same measurements as tables. Every input comes
-// from internal/experiments/workload, so a benchmark here, the cmd/bench
-// entry of the same name and the experiment row of the same size solve one
-// instance.
+// ReportMetric("rounds/op") alongside the usual wall-clock numbers; where
+// iteration i runs protocol seed i, that count is seed 0's, so it does not
+// depend on b.N. cmd/experiments renders the same measurements as tables.
+// Every input comes from internal/experiments/workload, so a benchmark
+// here, the cmd/bench entry of the same name and the experiment row of the
+// same size solve one instance.
 
 import (
 	"errors"
@@ -70,7 +71,9 @@ func benchTable(b *testing.B, family string) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = out.Rounds
+				if i == 0 {
+					rounds = out.Rounds
+				}
 			}
 			b.ReportMetric(float64(rounds), "rounds/op")
 		})
@@ -108,7 +111,9 @@ func BenchmarkE4Strategies(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds = rep.Rounds
+			if i == 0 {
+				rounds = rep.Rounds
+			}
 		}
 		b.ReportMetric(float64(rounds), "rounds/op")
 	})
@@ -121,7 +126,9 @@ func BenchmarkE4Strategies(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds = rep.Rounds
+			if i == 0 {
+				rounds = rep.Rounds
+			}
 		}
 		b.ReportMetric(float64(rounds), "rounds/op")
 	})
@@ -155,8 +162,10 @@ func BenchmarkE5FindEdgesReduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = rep.Rounds
-		calls = rep.PromiseCalls
+		if i == 0 {
+			rounds = rep.Rounds
+			calls = rep.PromiseCalls
+		}
 	}
 	b.ReportMetric(float64(rounds), "rounds/op")
 	b.ReportMetric(float64(calls), "promise-calls/op")
@@ -301,7 +310,9 @@ func BenchmarkPublicAPISolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = res.Rounds
+		if i == 0 {
+			rounds = res.Rounds
+		}
 	}
 	b.ReportMetric(float64(rounds), "rounds/op")
 }
@@ -451,8 +462,10 @@ func BenchmarkAblationConstants(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = rep.Rounds
-				words = rep.Metrics.Words
+				if i == 0 {
+					rounds = rep.Rounds
+					words = rep.Metrics.Words
+				}
 			}
 			b.ReportMetric(float64(rounds), "rounds/op")
 			b.ReportMetric(float64(words), "words/op")
@@ -481,7 +494,9 @@ func BenchmarkAblationDataMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = rep.Rounds
+				if i == 0 {
+					rounds = rep.Rounds
+				}
 			}
 			b.ReportMetric(float64(rounds), "rounds/op")
 		})

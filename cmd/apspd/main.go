@@ -37,10 +37,10 @@
 // answers from a cheaper approximate strategy when the requested one
 // overruns its share of that deadline. The solve and paths:batch bodies
 // take no other key: an unknown one answers 400 "invalid_spec".
-// Distances use null for unreachable pairs and an explicit "undefined"
-// marker for −∞ (negative-cycle) entries; graphs a strategy cannot answer
-// (negative cycles, distances that saturate at −∞ without one, or
-// negative/asymmetric weights under an approximate strategy) solve to 422.
+// Distances use null for unreachable pairs; graphs a strategy cannot
+// answer (negative cycles, distances that saturate at −∞ without one, or
+// negative, asymmetric or too large weights under an approximate
+// strategy) solve to 422, so no served distance is −∞.
 //
 // Identical graphs hash to the same id, so a re-upload plus re-solve of an
 // unchanged graph performs zero simulator rounds. -pprof-addr (off by

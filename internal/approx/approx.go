@@ -42,6 +42,11 @@ var ErrNegativeWeight = errors.New("approx: approximate strategies require nonne
 // not weight-symmetric (its 2+ε analysis is an undirected-graph argument).
 var ErrAsymmetric = errors.New("approx: skeleton strategy requires a weight-symmetric graph")
 
+// ErrWeightRange is returned by the approximate strategies for weights
+// that the graph accepts but their arithmetic cannot: the value ladder
+// covering the weight bound would reach the Inf sentinel.
+var ErrWeightRange = errors.New("approx: weights too large for the approximate strategies")
+
 // ErrBadEpsilon is returned when Epsilon is outside [MinEpsilon,
 // MaxEpsilon].
 var ErrBadEpsilon = errors.New("approx: epsilon must be in [1e-3, 1e3]")
@@ -124,7 +129,7 @@ func Ladder(eps float64, bound int64) ([]int64, error) {
 		// Candidates must stay strictly below the Inf sentinel (a ladder
 		// value equal to Inf would collide with "no path").
 		if x >= float64(graph.Inf) {
-			return nil, fmt.Errorf("approx: ladder bound %d overflows the weight domain", bound)
+			return nil, fmt.Errorf("%w: ladder bound %d overflows the weight domain", ErrWeightRange, bound)
 		}
 	}
 	return ladder, nil

@@ -115,7 +115,7 @@ func (r *chainRun) prepare() error {
 	factor := 2 + int64(math.Ceil(r.opts.Epsilon))
 	denom := 4 * factor * (int64(r.n) + 1)
 	if w >= graph.Inf/denom {
-		return fmt.Errorf("approx: weight bound %d too large for the approximate chain at n=%d", w, r.n)
+		return fmt.Errorf("%w: weight bound %d at n=%d", ErrWeightRange, w, r.n)
 	}
 	bound := 2 * factor * (int64(r.n) + 1) * (w + 1)
 	ladder, err := Ladder(r.stats.EpsilonStep, bound)

@@ -121,8 +121,10 @@ type Result struct {
 // Solve computes exact APSP distances for g. Graphs containing a negative
 // cycle yield ErrNegativeCycle (distances are undefined), detected from a
 // negative diagonal after the squaring chain, exactly as the matrix
-// formulation prescribes. A −∞ entry without a negative diagonal yields
-// ErrSaturatedDistance: a sum of in-range weights saturated.
+// formulation prescribes, or from g itself where a search pipeline's
+// product input already holds −∞. Any other −∞ entry yields
+// ErrSaturatedDistance: a sum of in-range weights saturated. A successful
+// solve's distances therefore hold no −∞.
 func Solve(g *graph.Digraph, cfg Config) (*Result, error) {
 	return SolveContext(context.Background(), g, cfg)
 }

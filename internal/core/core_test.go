@@ -142,22 +142,48 @@ func TestSolveNegativeCycle(t *testing.T) {
 	}
 }
 
-// TestSolveSaturatingNegativeCycle: 0→1 at NegInf+1 and 1→0 at −1 form a
-// negative cycle whose first squaring saturates d(0,0) to −∞. Every exact
-// strategy answers ErrNegativeCycle; the search pipelines used to stop at
-// the next product, which refuses −∞ entries, with an untyped error.
-func TestSolveSaturatingNegativeCycle(t *testing.T) {
-	g := graph.NewDigraph(3)
-	if err := g.SetArc(0, 1, graph.NegInf+1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetArc(1, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
-		if _, err := Solve(g, Config{Strategy: s, Seed: 2}); !errors.Is(err, ErrNegativeCycle) {
-			t.Errorf("%v: err = %v, want ErrNegativeCycle", s, err)
+// arcDigraph returns the n-vertex digraph with the arcs {u, v, w}.
+func arcDigraph(t *testing.T, n int, arcs ...[3]int64) *graph.Digraph {
+	t.Helper()
+	g := graph.NewDigraph(n)
+	for _, a := range arcs {
+		if err := g.SetArc(int(a[0]), int(a[1]), a[2]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	return g
+}
+
+// TestSolveSaturatingNegativeCycle: every exact strategy answers
+// ErrNegativeCycle on two negative cycles whose sums saturate to −∞.
+//   - 0→1 at NegInf+1 and 1→0 at −1: the first squaring saturates d(0,0)
+//     to −∞. The search pipelines used to stop at the next product, which
+//     refuses −∞ entries, with an untyped error.
+//   - 0→1 and 1→2 at −(Inf/2)−10 next to the cycle 3→4→5→3 (1, 1, −3):
+//     the first squaring saturates d(0,2) to −∞ before the 3-cycle shows on
+//     the diagonal. The search pipelines used to answer
+//     ErrSaturatedDistance, reading the product input alone.
+func TestSolveSaturatingNegativeCycle(t *testing.T) {
+	for _, g := range []*graph.Digraph{
+		arcDigraph(t, 3, [3]int64{0, 1, graph.NegInf + 1}, [3]int64{1, 0, -1}),
+		arcDigraph(t, 6, [3]int64{0, 1, -(graph.Inf / 2) - 10}, [3]int64{1, 2, -(graph.Inf / 2) - 10},
+			[3]int64{3, 4, 1}, [3]int64{4, 5, 1}, [3]int64{5, 3, -3}),
+	} {
+		for _, s := range []string{StrategyGossip, StrategyDolev, StrategyClassicalSearch, StrategyQuantum} {
+			if _, err := Solve(g, Config{Strategy: s, Seed: 2}); !errors.Is(err, ErrNegativeCycle) {
+				t.Errorf("n=%d %v: err = %v, want ErrNegativeCycle", g.N(), s, err)
+			}
+		}
+	}
+}
+
+// TestSolveNegativeCycleStillErrors pins the solver-level behavior the
+// path oracle relies on: a negative 2-cycle solves to ErrNegativeCycle
+// before any distance can be served.
+func TestSolveNegativeCycleStillErrors(t *testing.T) {
+	g := arcDigraph(t, 2, [3]int64{0, 1, -1}, [3]int64{1, 0, 0})
+	if _, err := Solve(g, Config{Strategy: StrategyGossip}); !errors.Is(err, ErrNegativeCycle) {
+		t.Errorf("negative 2-cycle: err = %v, want ErrNegativeCycle", err)
 	}
 }
 

@@ -10,6 +10,15 @@ import (
 	"qclique/internal/xrand"
 )
 
+func solveGossip(t *testing.T, g *graph.Digraph) *Result {
+	t.Helper()
+	res, err := Solve(g, Config{Strategy: StrategyGossip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func oracleFixture(t *testing.T, n int, seed uint64) (*graph.Digraph, *Result) {
 	t.Helper()
 	g, err := graph.RandomDigraph(n, graph.DigraphOpts{
@@ -18,19 +27,15 @@ func oracleFixture(t *testing.T, n int, seed uint64) (*graph.Digraph, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Strategy: StrategyGossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, res
+	return g, solveGossip(t, g)
 }
 
-// TestPathOracleMatchesReconstructPath checks that for every pair the
-// oracle returns a valid shortest path (weight equal to the distance) and
-// agrees with ReconstructPath on reachability.
-func TestPathOracleMatchesReconstructPath(t *testing.T) {
-	g, res := oracleFixture(t, 14, 33)
-	o, err := NewPathOracle(g, res.Dist)
+// checkOraclePaths checks that for every pair the oracle over dist returns
+// a path from src to dst that weighs the distance, and ErrNoPath exactly
+// for the unreachable pairs.
+func checkOraclePaths(t *testing.T, g *graph.Digraph, dist *matrix.Matrix) {
+	t.Helper()
+	o, err := NewPathOracle(g, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +43,10 @@ func TestPathOracleMatchesReconstructPath(t *testing.T) {
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			path, err := o.Path(src, dst)
-			if res.Dist.At(src, dst) >= graph.Inf {
+			d := dist.At(src, dst)
+			if d >= graph.Inf {
 				if !errors.Is(err, ErrNoPath) {
 					t.Fatalf("(%d,%d): err = %v, want ErrNoPath", src, dst, err)
-				}
-				if _, rerr := ReconstructPath(g, res.Dist, src, dst); !errors.Is(rerr, ErrNoPath) {
-					t.Fatalf("(%d,%d): ReconstructPath disagrees on reachability", src, dst)
 				}
 				continue
 			}
@@ -57,9 +60,86 @@ func TestPathOracleMatchesReconstructPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("(%d,%d): broken path %v: %v", src, dst, path, err)
 			}
-			if w != res.Dist.At(src, dst) {
-				t.Fatalf("(%d,%d): path weight %d, distance %d", src, dst, w, res.Dist.At(src, dst))
+			if w != d {
+				t.Fatalf("(%d,%d): path weight %d, distance %d (path %v)", src, dst, w, d, path)
 			}
+		}
+	}
+}
+
+// TestPathOracleMatchesReconstructPath and the TestReconstructPath* tests
+// keep the names they had while a second, forward reconstruction stood
+// beside the oracle; each now runs the oracle on that test's input.
+func TestPathOracleMatchesReconstructPath(t *testing.T) {
+	g, res := oracleFixture(t, 14, 33)
+	checkOraclePaths(t, g, res.Dist)
+}
+
+func TestReconstructPathValidatesWeights(t *testing.T) {
+	rng := xrand.New(1)
+	for trial := 0; trial < 20; trial++ {
+		g, err := graph.RandomDigraph(14, graph.DigraphOpts{
+			ArcProb: 0.35, MinWeight: -5, MaxWeight: 12, NoNegativeCycles: true,
+		}, rng.SplitN("t", trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOraclePaths(t, g, solveGossip(t, g).Dist)
+	}
+}
+
+func TestReconstructPathTrivial(t *testing.T) {
+	g := arcDigraph(t, 3, [3]int64{0, 1, 2})
+	o, err := NewPathOracle(g, solveGossip(t, g).Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := o.Path(0, 0); err != nil || len(p) != 1 || p[0] != 0 {
+		t.Errorf("self path = %v, %v", p, err)
+	}
+}
+
+// TestReconstructPathZeroWeightCycle: a zero-weight 2-cycle between 1 and
+// 2 must not trap the successor walk.
+func TestReconstructPathZeroWeightCycle(t *testing.T) {
+	g := arcDigraph(t, 4, [3]int64{0, 1, 1}, [3]int64{1, 2, 0}, [3]int64{2, 1, 0}, [3]int64{2, 3, 1})
+	checkOraclePaths(t, g, solveGossip(t, g).Dist)
+}
+
+func TestReconstructPathErrors(t *testing.T) {
+	g := graph.NewDigraph(3)
+	o, err := NewPathOracle(g, solveGossip(t, g).Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Path(0, 5); err == nil {
+		t.Error("out-of-range endpoint must fail")
+	}
+	if _, err := NewPathOracle(g, matrix.New(5)); err == nil {
+		t.Error("dimension mismatch must fail")
+	}
+
+	// Inconsistent distances: d(0,1) = 1 with no arcs at all; and, on the
+	// graph with one arc 0→1 at 2, d(0,2) = 1 with no arc out of 1 and
+	// d(0,1) = 1 below the arc.
+	bogus := matrix.FromDigraph(g)
+	bogus.Set(0, 1, 1)
+	if o, err = NewPathOracle(g, bogus); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := o.Path(0, 1); err == nil {
+		t.Errorf("inconsistent matrix: path %v, want an error", p)
+	}
+	g = arcDigraph(t, 3, [3]int64{0, 1, 2})
+	bogus = matrix.FromDigraph(g)
+	bogus.Set(0, 2, 1)
+	bogus.Set(0, 1, 1)
+	if o, err = NewPathOracle(g, bogus); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []int{1, 2} {
+		if p, err := o.Path(0, dst); err == nil {
+			t.Errorf("inconsistent matrix: path %v to %d, want an error", p, dst)
 		}
 	}
 }
@@ -126,5 +206,25 @@ func TestPathOracleValidation(t *testing.T) {
 	p, err := o.Path(3, 3)
 	if err != nil || len(p) != 1 || p[0] != 3 {
 		t.Errorf("self path = %v, %v", p, err)
+	}
+}
+
+func TestPathWeightErrors(t *testing.T) {
+	g := graph.NewDigraph(3)
+	if err := g.SetArc(0, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PathWeight(g, nil); err == nil {
+		t.Error("empty path must fail")
+	}
+	if _, err := PathWeight(g, []int{0, 2}); err == nil {
+		t.Error("broken path must fail")
+	}
+	w, err := PathWeight(g, []int{0, 1})
+	if err != nil || w != 4 {
+		t.Errorf("weight = %d, %v", w, err)
+	}
+	if w, _ := PathWeight(g, []int{1}); w != 0 {
+		t.Error("single-vertex path weighs 0")
 	}
 }

@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -131,7 +132,7 @@ func (st *searchRun) encode(context.Context) error {
 }
 
 func (st *searchRun) square(ctx context.Context) error {
-	if err := negInfInput(st.cur); err != nil {
+	if err := negInfInput(st.req.G, st.cur); err != nil {
 		return err
 	}
 	stats, err := distprod.ProductInto(st.next, st.cur, st.cur, distprod.Options{
@@ -152,22 +153,22 @@ func (st *searchRun) square(ctx context.Context) error {
 	return nil
 }
 
-// negInfInput returns the error a solve answers when m, a product input of
-// the squaring chain, holds a −∞ entry, which the distance product
-// refuses: ErrNegativeCycle next to a negative diagonal entry, which
-// already proves a negative cycle, and ErrSaturatedDistance otherwise,
-// where saturation alone produced the −∞. It is nil on every other input.
-// Without −∞ the chain runs on, a negative cycle included, to charge its
-// rounds.
-func negInfInput(m *matrix.Matrix) error {
-	switch {
-	case !m.HasNegInf():
+// negInfInput returns the error a solve of g answers when m, a product
+// input of g's squaring chain, holds a −∞ entry, which the distance
+// product refuses, and nil otherwise. m alone cannot say why: a saturated
+// sum can reach −∞ before a negative cycle shows on the diagonal. So the
+// host classifies from g itself, charging no rounds: ErrNegativeCycle
+// where Floyd–Warshall finds a negative cycle, ErrSaturatedDistance
+// otherwise. Without −∞ the chain runs on, a negative cycle included, to
+// charge its rounds.
+func negInfInput(g *graph.Digraph, m *matrix.Matrix) error {
+	if !m.HasNegInf() {
 		return nil
-	case m.HasNegativeDiagonal():
-		return ErrNegativeCycle
-	default:
-		return ErrSaturatedDistance
 	}
+	if _, err := graph.FloydWarshall(g); errors.Is(err, graph.ErrNegativeCycle) {
+		return ErrNegativeCycle
+	}
+	return ErrSaturatedDistance
 }
 
 func (st *searchRun) extract(context.Context) error {

@@ -256,6 +256,25 @@ func TestFloydWarshallNegativeCycle(t *testing.T) {
 	}
 }
 
+// TestFloydWarshallSaturatedPrefix: the path 3→0→1→2 weighs
+// (Inf−1) + (Inf/2+1) + (−(Inf/2)−10) = Inf−10. Its prefix 3→0→1
+// saturates at Inf, and one pass in the order 0, 1 answered d(3,2) = Inf.
+func TestFloydWarshallSaturatedPrefix(t *testing.T) {
+	g := NewDigraph(4)
+	for _, a := range [][3]int64{{3, 0, Inf - 1}, {0, 1, Inf/2 + 1}, {1, 2, -(Inf / 2) - 10}} {
+		if err := g.SetArc(int(a[0]), int(a[1]), a[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dist, err := FloydWarshall(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dist[3*4+2]; got != Inf-10 {
+		t.Errorf("d(3,2) = %d, want Inf−10 = %d", got, Inf-10)
+	}
+}
+
 func TestBellmanFordAgreesWithFloydWarshall(t *testing.T) {
 	rng := xrand.New(42)
 	for trial := 0; trial < 20; trial++ {

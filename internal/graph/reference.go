@@ -19,6 +19,15 @@ var ErrSaturatedDistance = errors.New("graph: a shortest distance saturates at -
 // distributed APSP pipeline in this repository. The returned matrix is
 // row-major n×n with dist[i*n+j] = d(i,j), Inf when j is unreachable from i.
 // If the graph contains a negative cycle it returns ErrNegativeCycle.
+//
+// Sums saturate, and saturating addition is not associative, so one pass
+// over the intermediate vertices can lose a path whose prefix saturates at
+// Inf although its total is in range: with arcs 3→0 (Inf−1), 0→1
+// (Inf/2+1) and 1→2 (−(Inf/2)−10), the pass through vertex 0 sees
+// d(3,1) = Inf before vertex 1 has set d(0,2) = −9. So the pass repeats
+// until it changes nothing. That fixed point is the least value of every
+// bracketing of every walk's sum, which is the exact distance wherever no
+// distance saturates at NegInf.
 func FloydWarshall(g *Digraph) ([]int64, error) {
 	n := g.N()
 	dist := make([]int64, n*n)
@@ -36,22 +45,26 @@ func FloydWarshall(g *Digraph) ([]int64, error) {
 			}
 		}
 	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := dist[i*n+k]
-			if dik >= Inf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if alt := SaturatingAdd(dik, dist[k*n+j]); alt < dist[i*n+j] {
-					dist[i*n+j] = alt
+	for changed := true; changed; {
+		changed = false
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				dik := dist[i*n+k]
+				if dik >= Inf {
+					continue
+				}
+				for j := 0; j < n; j++ {
+					if alt := SaturatingAdd(dik, dist[k*n+j]); alt < dist[i*n+j] {
+						dist[i*n+j] = alt
+						changed = true
+					}
 				}
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if dist[i*n+i] < 0 {
-			return nil, ErrNegativeCycle
+		for i := 0; i < n; i++ {
+			if dist[i*n+i] < 0 {
+				return nil, ErrNegativeCycle
+			}
 		}
 	}
 	return dist, nil

@@ -40,8 +40,8 @@ func groupByRow(t testing.TB, of []int32, rows int) RowIndex {
 // referenceMultiSearch is MultiSearch as it ran before probes were grouped
 // by row: one pass over every instance to find the feasible ones, and one
 // probe per alive instance per round, each evolving the instance's row
-// afresh through quantum.FixedScheduleProbe. It is the oracle the row-wise
-// search is held to.
+// afresh into its own measurement table and measuring it with one draw. It
+// is the oracle the row-wise search is held to.
 func referenceMultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*Result, error) {
 	if spec.SpaceSize <= 0 {
 		return nil, fmt.Errorf("qsearch: space size %d", spec.SpaceSize)
@@ -126,9 +126,10 @@ func referenceMultiSearch(net *congest.Network, spec Spec, rng *xrand.Source) (*
 			probeKey := pass*1_000_003 + round*1009
 			par.ForEachWorker(workers, len(alive), func(w, k int) {
 				i := int(alive[k])
-				x, hit := quantum.FixedScheduleProbe(rows[of[i]], j, probeSplit.Into(scratchRng[w], probeKey+i))
+				row := rows[of[i]]
+				x := quantum.Measure(quantum.MeasurementTable(row, j, nil), probeSplit.Into(scratchRng[w], probeKey+i).Float64())
 				probeX[i] = int32(x)
-				probeHit[i] = hit
+				probeHit[i] = row[x]
 			})
 			for k := 0; k < len(alive); {
 				ia := alive[k]

@@ -64,7 +64,10 @@ func Search(n int, g Oracle, rng *xrand.Source) SearchResult {
 }
 
 // searchMarked runs the BBHT schedule against a materialized truth table,
-// accumulating costs into res.
+// accumulating costs into res. Each round's probe runs j Grover iterations
+// from the uniform state and measures once: MeasurementTable, then Measure
+// with one draw from rng. The search keeps one table for all its rounds,
+// on the stack when |X| ≤ 64.
 func searchMarked(n int, marked []bool, rng *xrand.Source, res *SearchResult) SearchResult {
 	sqrtN := math.Sqrt(float64(n))
 	m := 1.0
@@ -74,12 +77,15 @@ func searchMarked(n int, marked []bool, rng *xrand.Source, res *SearchResult) Se
 	// below 2^-Ω(rounds). 4+3·log₂ n rounds bounds total iterations by
 	// O(√n log n).
 	maxRounds := 4 + 3*int(math.Ceil(math.Log2(float64(n+1))))
+	var buf [64]float64
+	table := buf[:]
 	for round := 0; round < maxRounds; round++ {
 		j := rng.IntN(int(math.Ceil(m)) + 1)
 		res.Iterations += int64(j)
-		x, hit := FixedScheduleProbe(marked, j, rng)
+		table = MeasurementTable(marked, j, table)
+		x := Measure(table, rng.Float64())
 		res.Verifications++
-		if hit {
+		if marked[x] {
 			res.Found = true
 			res.X = x
 			return *res
@@ -90,24 +96,14 @@ func searchMarked(n int, marked []bool, rng *xrand.Source, res *SearchResult) Se
 	return *res
 }
 
-// FixedScheduleProbe runs exactly j Grover iterations from the uniform
-// state and measures once with one draw from rng. It is the building block
-// of the BBHT schedule and the lock-step multi-search, where every parallel
-// instance must use the same iteration count (the global quantum circuit
-// applies the same number of UmCm steps to all registers): the probe is
-// MeasurementTable followed by Measure, and a multi-search whose instances
-// share a truth table builds the table once for all of them.
-func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit bool) {
-	var buf [64]float64
-	x = Measure(MeasurementTable(marked, j, buf[:]), rng.Float64())
-	return x, marked[x]
-}
-
 // MeasurementTable evolves j Grover iterations from the uniform state over
 // the truth table marked and returns the cumulative distribution of one
 // measurement: entry i is the probability of measuring an index ≤ i. The
 // table is written into dst when it has room for len(marked) entries, and
-// into a new slice otherwise. It depends only on (marked, j).
+// into a new slice otherwise. It depends only on (marked, j), so a
+// multi-search whose instances share a truth table builds it once for all
+// of them, and every instance runs the same j: the global quantum circuit
+// applies the same number of UmCm steps to all registers.
 //
 // Starting from the uniform state, every marked element always shares one
 // amplitude and every unmarked element another, so the evolution tracks

@@ -196,6 +196,55 @@ func TestSearchDegenerate(t *testing.T) {
 	}
 }
 
+// FixedScheduleProbe runs exactly j Grover iterations from the uniform
+// state and measures once with one draw from rng: MeasurementTable
+// followed by Measure, the probe every round of a search makes.
+func FixedScheduleProbe(marked []bool, j int, rng *xrand.Source) (x int, hit bool) {
+	x = Measure(MeasurementTable(marked, j, nil), rng.Float64())
+	return x, marked[x]
+}
+
+// TestSearchMatchesProbes holds Search, which keeps one measurement table
+// for all its rounds, to the BBHT schedule run probe by probe through
+// FixedScheduleProbe: the same draws in the same order give the same
+// result, on tables that fit the stack buffer and tables that do not.
+func TestSearchMatchesProbes(t *testing.T) {
+	rng := xrand.New(37)
+	for _, n := range []int{1, 5, 64, 65, 300, 1024} {
+		for trial := 0; trial < 20; trial++ {
+			marked := make([]bool, n)
+			switch trial % 3 {
+			case 0: // none marked
+			case 1:
+				marked[rng.IntN(n)] = true
+			default:
+				for i := range marked {
+					marked[i] = rng.Bool(0.1)
+				}
+			}
+			got := Search(n, func(x int) bool { return marked[x] }, xrand.New(uint64(trial)))
+
+			var want SearchResult
+			probeRng := xrand.New(uint64(trial))
+			m := 1.0
+			for round := 0; round < 4+3*int(math.Ceil(math.Log2(float64(n+1)))); round++ {
+				j := probeRng.IntN(int(math.Ceil(m)) + 1)
+				want.Iterations += int64(j)
+				x, hit := FixedScheduleProbe(marked, j, probeRng)
+				want.Verifications++
+				if hit {
+					want.Found, want.X = true, x
+					break
+				}
+				m = math.Min(6.0/5.0*m, math.Sqrt(float64(n)))
+			}
+			if got != want {
+				t.Fatalf("|X|=%d trial %d: Search %+v, probe by probe %+v", n, trial, got, want)
+			}
+		}
+	}
+}
+
 func TestFixedScheduleProbe(t *testing.T) {
 	rng := xrand.New(29)
 	n := 64

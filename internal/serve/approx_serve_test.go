@@ -7,7 +7,6 @@ import (
 
 	"qclique/internal/core"
 	"qclique/internal/graph"
-	"qclique/internal/matrix"
 	"qclique/internal/xrand"
 )
 
@@ -127,36 +126,5 @@ func TestGraphAccessorClone(t *testing.T) {
 	}
 	if !after.Res.Dist.Equal(before.Res.Dist) {
 		t.Error("distances changed after mutating the accessor's graph")
-	}
-}
-
-// TestPathsBatchUndefinedDistance: batch answers against a −∞ region carry
-// per-query ErrUndefinedDistance instead of fabricated paths. The entry is
-// assembled by hand because Solve refuses negative-cycle graphs outright —
-// the serving layer still must not trust an arbitrary matrix.
-func TestPathsBatchUndefinedDistance(t *testing.T) {
-	g := graph.NewDigraph(2)
-	if err := g.SetArc(0, 1, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetArc(1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	dist := matrix.New(2)
-	dist.Fill(graph.NegInf)
-	oracle, err := core.NewPathOracle(g, dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{})
-	res := &SolveResult{Oracle: oracle}
-	answers := s.answerBatch(res, SolveSpec{}, []PathQuery{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
-	for _, a := range answers {
-		if !errors.Is(a.Err, core.ErrUndefinedDistance) {
-			t.Errorf("(%d,%d): err = %v, want ErrUndefinedDistance", a.Src, a.Dst, a.Err)
-		}
-		if a.Path != nil {
-			t.Errorf("(%d,%d): fabricated path %v", a.Src, a.Dst, a.Path)
-		}
 	}
 }

@@ -21,28 +21,16 @@ func referenceDistBody(id string, cached bool, d *matrix.Matrix, src, dst int) [
 	switch {
 	case dst >= 0:
 		out["src"], out["dst"] = src, dst
-		v, undefined := distJSON(d.At(src, dst))
-		out["dist"] = v
-		if undefined {
-			out["undefined"] = true
-		}
+		out["dist"] = distJSON(d.At(src, dst))
 	case src >= 0:
 		out["src"] = src
-		row, undefined := referenceRowJSON(d.RowView(src), src, nil)
-		out["dist"] = row
-		if len(undefined) > 0 {
-			out["undefined"] = undefined
-		}
+		out["dist"] = referenceRowJSON(d.RowView(src))
 	default:
 		rows := make([][]*int64, n)
-		var undefined [][2]int
-		for i := 0; i < n; i++ {
-			rows[i], undefined = referenceRowJSON(d.RowView(i), i, undefined)
+		for i := range rows {
+			rows[i] = referenceRowJSON(d.RowView(i))
 		}
 		out["dist"] = rows
-		if len(undefined) > 0 {
-			out["undefined"] = undefined
-		}
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(out); err != nil {
@@ -51,17 +39,13 @@ func referenceDistBody(id string, cached bool, d *matrix.Matrix, src, dst int) [
 	return buf.Bytes()
 }
 
-// referenceRowJSON converts row src, appending its undefined pairs (src, j).
-func referenceRowJSON(row []int64, src int, undefined [][2]int) ([]*int64, [][2]int) {
+// referenceRowJSON converts one row.
+func referenceRowJSON(row []int64) []*int64 {
 	out := make([]*int64, len(row))
 	for j, d := range row {
-		var undef bool
-		out[j], undef = distJSON(d)
-		if undef {
-			undefined = append(undefined, [2]int{src, j})
-		}
+		out[j] = distJSON(d)
 	}
-	return out, undefined
+	return out
 }
 
 // distCells encodes values as the fuzz target's cell bytes: 8 bytes little

@@ -3,10 +3,8 @@ package serve
 // HTTP/JSON surface of the service, mounted by cmd/apspd and exercised
 // in-process by the e2e smoke tests. Distances use JSON null for
 // "unreachable" so clients never have to know the simulator's saturating
-// Inf sentinel; −∞ entries (the negative-cycle region, where no shortest
-// distance exists) additionally carry an explicit "undefined" marker —
-// "no path" and "no answer" are different facts and the API keeps them
-// distinguishable.
+// Inf sentinel. No served distance is −∞: a solve that would hold one
+// answers 422 (a negative cycle or a saturated sum) instead.
 
 import (
 	"bytes"
@@ -381,17 +379,13 @@ type SolveJSON struct {
 	PredictedWallNs int64  `json:"predicted_wall_ns,omitempty"`
 }
 
-// PathJSON is one answer in the paths:batch response. Dist is null both
-// for unreachable pairs and for undefined ones; Undefined separates the
-// two (true means the pair sits in a −∞ region — no shortest distance
-// exists, as opposed to no path existing).
+// PathJSON is one answer in the paths:batch response.
 type PathJSON struct {
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Dist      *int64 `json:"dist"` // null when unreachable or undefined
-	Undefined bool   `json:"undefined,omitempty"`
-	Path      []int  `json:"path,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Src   int    `json:"src"`
+	Dst   int    `json:"dst"`
+	Dist  *int64 `json:"dist"` // null when unreachable
+	Path  []int  `json:"path,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // batchRequestJSON is the paths:batch request body.
@@ -633,17 +627,14 @@ func NewHandler(s *Service) http.Handler {
 		}
 		out := make([]PathJSON, len(answers))
 		for i, a := range answers {
-			pj := PathJSON{Src: a.Src, Dst: a.Dst, Path: a.Path}
-			pj.Dist, pj.Undefined = distJSON(a.Dist)
+			pj := PathJSON{Src: a.Src, Dst: a.Dst, Dist: distJSON(a.Dist), Path: a.Path}
 			if a.Err != nil {
 				// Per-query failures answer inside the batch (the rest of
 				// the batch is unaffected): unreachable pairs carry
-				// ErrNoPath, −∞ pairs carry ErrUndefinedDistance plus the
-				// undefined marker.
+				// ErrNoPath.
 				pj.Error = a.Err.Error()
 				pj.Dist = nil
 				pj.Path = nil
-				pj.Undefined = errors.Is(a.Err, core.ErrUndefinedDistance)
 			}
 			out[i] = pj
 		}
@@ -744,8 +735,8 @@ func solveResponse(res *SolveResult, spec SolveSpec) SolveJSON {
 
 // solveStatus maps solve errors to HTTP statuses: unknown graphs are 404,
 // malformed specs are 400, inputs the strategy cannot answer (negative
-// cycles, distances that saturate at −∞ without one, negative or
-// asymmetric weights under an approximate strategy) are 422, transient
+// cycles, distances that saturate at −∞ without one, negative, asymmetric
+// or too large weights under an approximate strategy) are 422, transient
 // failures — cancelled or deadline-expired solves, admission-controller
 // sheds — are 503, the rest (including recovered panics) 500.
 func solveStatus(err error) int {
@@ -754,7 +745,8 @@ func solveStatus(err error) int {
 	case errors.Is(err, core.ErrNegativeCycle),
 		errors.Is(err, core.ErrSaturatedDistance),
 		errors.Is(err, approx.ErrNegativeWeight),
-		errors.Is(err, approx.ErrAsymmetric):
+		errors.Is(err, approx.ErrAsymmetric),
+		errors.Is(err, approx.ErrWeightRange):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 		errors.As(err, &oe):
@@ -817,25 +809,20 @@ func retryAfterMS(d time.Duration) int64 {
 	return ms
 }
 
-// distJSON maps a distance entry to its JSON form: (nil, false) for +∞
-// (unreachable), (nil, true) for −∞ (undefined — the negative-cycle
-// region), (&d, false) otherwise.
-func distJSON(d int64) (*int64, bool) {
-	if d >= graph.Inf {
-		return nil, false
+// distJSON maps a distance entry to its JSON form: nil (null) for ±∞, &d
+// otherwise.
+func distJSON(d int64) *int64 {
+	if !graph.IsFinite(d) {
+		return nil
 	}
-	if d <= graph.NegInf {
-		return nil, true
-	}
-	return &d, false
+	return &d
 }
 
 // distBody is the GET /v1/graphs/{id}/dist response body for d: the pair
 // (src, dst), row src when dst < 0, or the whole matrix when src < 0. It
 // appends straight into one buffer, yet its bytes are exactly those
 // json.Encoder writes for the equivalent map[string]any: keys sorted, null
-// for +∞ and −∞, the −∞ cells marked under "undefined" (true for a pair, a
-// list of [i,j] otherwise), and a trailing newline.
+// for ±∞, and a trailing newline.
 func distBody(id string, cached bool, d *matrix.Matrix, src, dst int) []byte {
 	n := d.N()
 	lo, hi := 0, n // the rows a row or full-matrix body lists
@@ -851,11 +838,8 @@ func distBody(id string, cached bool, d *matrix.Matrix, src, dst int) []byte {
 	b = append(b, `{"cached":`...)
 	b = strconv.AppendBool(b, cached)
 	b = append(b, `,"dist":`...)
-	undefined := false
 	if dst >= 0 {
-		v := d.At(src, dst)
-		b = appendDist(b, v)
-		undefined = v <= graph.NegInf
+		b = appendDist(b, d.At(src, dst))
 		b = append(b, `,"dst":`...)
 		b = strconv.AppendInt(b, int64(dst), 10)
 	} else {
@@ -872,7 +856,6 @@ func distBody(id string, cached bool, d *matrix.Matrix, src, dst int) []byte {
 					b = append(b, ',')
 				}
 				b = appendDist(b, v)
-				undefined = undefined || v <= graph.NegInf
 			}
 			b = append(b, ']')
 		}
@@ -890,14 +873,6 @@ func distBody(id string, cached bool, d *matrix.Matrix, src, dst int) []byte {
 		b = append(b, `,"src":`...)
 		b = strconv.AppendInt(b, int64(src), 10)
 	}
-	if undefined {
-		b = append(b, `,"undefined":`...)
-		if dst >= 0 {
-			b = append(b, "true"...)
-		} else {
-			b = appendUndefined(b, d, lo, hi)
-		}
-	}
 	return append(b, "}\n"...)
 }
 
@@ -907,29 +882,6 @@ func appendDist(b []byte, v int64) []byte {
 		return append(b, "null"...)
 	}
 	return strconv.AppendInt(b, v, 10)
-}
-
-// appendUndefined appends the [i,j] list of the −∞ cells in rows [lo, hi).
-func appendUndefined(b []byte, d *matrix.Matrix, lo, hi int) []byte {
-	b = append(b, '[')
-	first := true
-	for i := lo; i < hi; i++ {
-		for j, v := range d.RowView(i) {
-			if v > graph.NegInf {
-				continue
-			}
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = append(b, '[')
-			b = strconv.AppendInt(b, int64(i), 10)
-			b = append(b, ',')
-			b = strconv.AppendInt(b, int64(j), 10)
-			b = append(b, ']')
-		}
-	}
-	return append(b, ']')
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"qclique/internal/approx"
 	"qclique/internal/core"
 	"qclique/internal/graph"
 )
@@ -109,6 +110,39 @@ func TestSaturatedDistance422(t *testing.T) {
 				t.Errorf("HTTP: status %d, envelope %+v; want 422 unprocessable", resp.StatusCode, e.Error)
 			}
 		})
+	}
+}
+
+// TestApproxWeightRange422: a symmetric graph with 0↔1 at Inf−1 and 1↔2
+// at 1 uploads, but its weights leave the approximate strategies no room
+// for their value ladders. Both answer approx.ErrWeightRange, in the
+// library and as a 422 over HTTP, instead of an untyped 500.
+func TestApproxWeightRange422(t *testing.T) {
+	body := GraphJSON{N: 3, Arcs: []ArcJSON{{0, 1, graph.Inf - 1}, {1, 0, graph.Inf - 1}, {1, 2, 1}, {2, 1, 1}}}
+	g, err := body.Digraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	var put struct {
+		ID string `json:"id"`
+	}
+	if resp := doJSON(t, srv, http.MethodPut, "/v1/graphs", body, &put); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	for _, strategy := range []string{core.StrategyApproxQuantum, core.StrategyApproxSkeleton} {
+		if _, err := core.Solve(g, core.Config{Strategy: strategy, Epsilon: 0.5}); !errors.Is(err, approx.ErrWeightRange) {
+			t.Errorf("%s library: err = %v, want ErrWeightRange", strategy, err)
+		}
+		var e struct {
+			Error ErrorJSON `json:"error"`
+		}
+		resp := doJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/solve", solveParamsJSON{Strategy: strategy, Epsilon: 0.5}, &e)
+		if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != "unprocessable" {
+			t.Errorf("%s HTTP: status %d, envelope %+v; want 422 unprocessable", strategy, resp.StatusCode, e.Error)
+		}
 	}
 }
 
@@ -267,22 +301,7 @@ func TestHTTPBatchPerQueryErrors(t *testing.T) {
 	if ok.Error != "" || ok.Dist == nil || *ok.Dist != 5 || len(ok.Path) != 2 {
 		t.Errorf("reachable query answered %+v", ok)
 	}
-	if missing.Error == "" || missing.Dist != nil || missing.Path != nil || missing.Undefined {
-		t.Errorf("unreachable query answered %+v, want per-query no-path error without undefined marker", missing)
-	}
-}
-
-// TestDistJSONUndefined pins the paths:batch representation of the three
-// distance states: finite, unreachable (+∞), undefined (−∞). GET dist's
-// bytes are pinned by FuzzDistResponse.
-func TestDistJSONUndefined(t *testing.T) {
-	if v, undef := distJSON(7); v == nil || *v != 7 || undef {
-		t.Errorf("finite: (%v,%v)", v, undef)
-	}
-	if v, undef := distJSON(graph.Inf); v != nil || undef {
-		t.Errorf("unreachable: (%v,%v), want (nil,false)", v, undef)
-	}
-	if v, undef := distJSON(graph.NegInf); v != nil || !undef {
-		t.Errorf("undefined: (%v,%v), want (nil,true)", v, undef)
+	if missing.Error == "" || missing.Dist != nil || missing.Path != nil {
+		t.Errorf("unreachable query answered %+v, want per-query no-path error", missing)
 	}
 }

@@ -12,10 +12,11 @@ import (
 // ErrNoPath is returned by ShortestPath for unreachable pairs.
 var ErrNoPath = core.ErrNoPath
 
-// ErrUndefinedDistance is returned by path and distance queries for pairs
-// whose distance is −∞ (a negative-cycle region): no shortest path exists,
-// so no path is fabricated.
-var ErrUndefinedDistance = core.ErrUndefinedDistance
+// ErrUndefinedDistance is returned by ShortestPath for a pair whose
+// distance in a hand-assembled APSPResult is −∞ (a negative-cycle region):
+// no shortest path exists, so none is fabricated. No solve returns −∞; it
+// answers ErrNegativeCycle or ErrSaturatedDistance instead.
+var ErrUndefinedDistance = errors.New("qclique: distance undefined (negative-cycle region)")
 
 // ErrApproxPaths is returned by path reconstruction against approximate
 // results: the successor walk relies on exact tightness, which
@@ -28,7 +29,8 @@ var ErrApproxPaths = serve.ErrApproxPaths
 // standard successor technique). The result must come from SolveAPSP on
 // the same graph. Reconstruction reads the solver's retained distance
 // matrix, not the exported res.Dist rows — editing res.Dist does not
-// change the paths returned here.
+// change the paths returned here. It returns the path Solver.ShortestPath
+// and Solver.PathsBatch return: all three walk one successor structure.
 func ShortestPath(g *Digraph, res *APSPResult, src, dst int) ([]int, error) {
 	if g == nil || res == nil {
 		return nil, errors.New("qclique: nil graph or result")
@@ -44,7 +46,18 @@ func ShortestPath(g *Digraph, res *APSPResult, src, dst int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.ReconstructPath(g.g, dist, src, dst)
+	oracle, err := core.NewPathOracle(g.g, dist)
+	if err != nil {
+		return nil, err
+	}
+	// Only a hand-assembled result can carry −∞, where every arc into the
+	// region looks tight and the walk would fabricate a path.
+	if d, err := oracle.Dist(src, dst); err != nil {
+		return nil, err
+	} else if d <= -Inf {
+		return nil, ErrUndefinedDistance
+	}
+	return oracle.Path(src, dst)
 }
 
 // matrix returns the retained distance matrix when the result came from a

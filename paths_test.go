@@ -1,13 +1,110 @@
 package qclique
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 
 	"qclique/internal/graph"
+	"qclique/internal/serve"
 )
+
+// TestPathEntryPointsAgree: on unit arcs 0→1→4→5 and 0→2→3→5 the two
+// shortest paths from 0 to 5 tie, and ShortestPath, Solver.ShortestPath,
+// Solver.PathsBatch and HTTP paths:batch all answer the same one.
+func TestPathEntryPointsAgree(t *testing.T) {
+	g := NewDigraph(6)
+	arcs := [][2]int{{0, 1}, {1, 4}, {4, 5}, {0, 2}, {2, 3}, {3, 5}}
+	for _, a := range arcs {
+		if err := g.SetArc(a[0], a[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []int{0, 2, 3, 5}
+	check := func(name string, path []int) {
+		t.Helper()
+		if !slices.Equal(path, want) {
+			t.Errorf("%s: path %v, want %v", name, path, want)
+		}
+	}
+
+	res, err := SolveAPSP(g, WithStrategy(Gossip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := ShortestPath(g, res, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ShortestPath", path)
+
+	solver := NewSolver(WithStrategy(Gossip))
+	path, d, err := solver.ShortestPath(g, 0, 5)
+	if err != nil || d != 3 {
+		t.Fatalf("Solver.ShortestPath: d = %d, err = %v", d, err)
+	}
+	check("Solver.ShortestPath", path)
+	answers, _, err := solver.PathsBatch(g, []PathQuery{{Src: 0, Dst: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answers[0].Err != nil {
+		t.Fatalf("Solver.PathsBatch: %v", answers[0].Err)
+	}
+	check("Solver.PathsBatch", answers[0].Path)
+
+	srv := httptest.NewServer(serve.NewHandler(serve.New(serve.Config{})))
+	defer srv.Close()
+	gj := serve.GraphJSON{N: 6}
+	for _, a := range arcs {
+		gj.Arcs = append(gj.Arcs, serve.ArcJSON{U: a[0], V: a[1], W: 1})
+	}
+	var put struct {
+		ID string `json:"id"`
+	}
+	postJSON(t, srv, http.MethodPut, "/v1/graphs", gj, &put)
+	var batch struct {
+		Results []serve.PathJSON `json:"results"`
+	}
+	postJSON(t, srv, http.MethodPost, "/v1/graphs/"+put.ID+"/paths:batch", map[string]any{
+		"strategy": "gossip",
+		"queries":  []PathQuery{{Src: 0, Dst: 5}},
+	}, &batch)
+	if len(batch.Results) != 1 {
+		t.Fatalf("paths:batch: %d results", len(batch.Results))
+	}
+	check("HTTP paths:batch", batch.Results[0].Path)
+}
+
+// postJSON sends body as JSON with the given method and decodes a 200
+// response into out.
+func postJSON(t *testing.T, srv *httptest.Server, method, path string, body, out any) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestShortestPathPublic(t *testing.T) {
 	d := buildRandomDigraph(t, 12, 77)
