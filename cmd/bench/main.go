@@ -18,18 +18,21 @@
 // -check re-measures every configuration and fails (exit 1) if any
 // rounds/op deviates from the committed baseline at all — rounds are
 // deterministic seed-for-seed, measured at a pinned seed, so any drift is
-// a semantic change to the simulated protocol — if any ns/op regresses by
-// more than -max-slowdown (wall-clock noise tolerance, default 2.5x), or
-// if any allocs/op grows beyond -max-alloc-growth (default 1.5x; the
-// allocation count is nearly deterministic, so growth means a solve-path
-// buffer stopped being reused within the solve).
+// a semantic change to the simulated protocol — if any entry's stage
+// names or stage rounds differ from the stages the baseline records, if
+// any ns/op regresses by more than -max-slowdown (wall-clock noise
+// tolerance, default 2.5x), or if any allocs/op grows beyond
+// -max-alloc-growth (default 1.5x; the allocation count is nearly
+// deterministic, so growth means a solve-path buffer stopped being reused
+// within the solve).
 //
 // Every APSP workload additionally passes the stage-sum gate on every run:
 // the engine's per-stage round breakdown must sum exactly to rounds/op.
-// -stages adds that breakdown as a column in the emitted report. -planner
-// adds the planner-accuracy column: one strategy=auto solve per bench
-// graph, recording which strategy the serving layer's planner chose and
-// how far its round prediction landed from the execution.
+// -stages adds that breakdown as a column in the emitted report; -check
+// always collects it. -planner adds the planner-accuracy column: one
+// strategy=auto solve per bench graph, recording which strategy the
+// serving layer's planner chose and how far its round prediction landed
+// from the execution.
 //
 // -cpuprofile / -memprofile write pprof profiles of the measurement run so
 // perf PRs can ship evidence alongside the report.
@@ -42,6 +45,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,9 +65,10 @@ const roundsSeed = 0
 // stretch against the exact reference at the pinned seed (0 for exact
 // workloads, where accuracy is not a variable). Stages is the -stages
 // column: the engine's per-stage round breakdown at the pinned seed
-// (deterministic, like rounds); it is emitted only when -stages is set so
-// existing baselines stay byte-comparable, but the invariant that stage
-// rounds sum exactly to rounds/op is enforced on every run regardless.
+// (deterministic, like rounds, and gated by -check wherever the baseline
+// records it); it is collected only under -stages or -check, but the
+// invariant that stage rounds sum exactly to rounds/op is enforced on
+// every run regardless.
 type Result struct {
 	Name         string  `json:"name"`
 	Iterations   int     `json:"iterations"`
@@ -241,7 +246,8 @@ func entryGomaxprocs(r Result, rep *Report) int {
 }
 
 // compareReports checks current against baseline: any rounds/op deviation
-// is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
+// is a failure (rounds are deterministic), so is any difference from the
+// stage breakdown a baseline entry records, ns/op beyond maxSlowdown× is a
 // failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
 // profile is nearly deterministic, so growth means a solve-path buffer
 // stopped being reused within the solve), and baseline entries missing
@@ -270,6 +276,12 @@ func compareReports(baseline, current *Report, maxSlowdown, maxAllocGrowth float
 			failures = append(failures, fmt.Sprintf(
 				"%s: stretch/op %v != baseline %v — the approximate pipeline's accuracy changed; "+
 					"if intended, regenerate the baseline", cur.Name, cur.StretchPerOp, b.StretchPerOp))
+			continue
+		}
+		if len(b.Stages) > 0 && !slices.Equal(cur.Stages, b.Stages) {
+			failures = append(failures, fmt.Sprintf(
+				"%s: stages %v != baseline %v — the pipeline's per-stage charges changed; "+
+					"if intended, regenerate the baseline", cur.Name, cur.Stages, b.Stages))
 			continue
 		}
 		ratio := cur.NsPerOp / b.NsPerOp
@@ -380,7 +392,7 @@ func run(args []string) (err error) {
 	out := fs.String("out", "", "write the JSON report to this path (default: stdout)")
 	label := fs.String("label", "dev", "label recorded in the report")
 	quick := fs.Bool("quick", false, "skip the slow large-n configurations")
-	stages := fs.Bool("stages", false, "include the per-stage round breakdown column in the report (the stage-sum gate runs regardless)")
+	stages := fs.Bool("stages", false, "include the per-stage round breakdown column in the report (-check collects it regardless; the stage-sum gate runs on every run)")
 	planner := fs.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
 	check := fs.String("check", "", "compare against this baseline report and exit 1 on regression")
 	maxSlowdown := fs.Float64("max-slowdown", defaultMaxSlowdown, "ns/op regression tolerance for -check")
@@ -417,7 +429,7 @@ func run(args []string) (err error) {
 		}()
 	}
 
-	rep, err := buildReport(*label, *quick, *stages)
+	rep, err := buildReport(*label, *quick, *stages || baseline != nil)
 	if err != nil {
 		return err
 	}
@@ -482,7 +494,7 @@ func run(args []string) (err error) {
 			}
 			return fmt.Errorf("%d regression(s) against %s", len(failures), *check)
 		}
-		fmt.Printf("bench: %d benchmarks match %s (rounds exact, stretch exact, ns/op within %.2fx, allocs/op within %.2fx)\n",
+		fmt.Printf("bench: %d benchmarks match %s (rounds exact, stretch exact, stages exact, ns/op within %.2fx, allocs/op within %.2fx)\n",
 			len(rep.Benchmarks), *check, *maxSlowdown, *maxAllocGrowth)
 	}
 	return nil

@@ -199,6 +199,34 @@ func TestCompareReportsFailsOnStretchDeviation(t *testing.T) {
 	}
 }
 
+// TestCompareReportsFailsOnStageDeviation: rounds that still sum to the
+// pinned total fail the gate when one stage's charge moved; an entry whose
+// baseline records no stages is not compared stage by stage.
+func TestCompareReportsFailsOnStageDeviation(t *testing.T) {
+	stages := func(square1, square2 int64) []StageRound {
+		return []StageRound{{"encode", 0}, {"square-1", square1}, {"square-2", square2}, {"extract", 0}}
+	}
+	base := report(Result{Name: "E1/n=8", NsPerOp: 100, RoundsPerOp: 500, Stages: stages(200, 300)})
+	cur := report(Result{Name: "E1/n=8", NsPerOp: 100, RoundsPerOp: 500, Stages: stages(200, 300)})
+	if failures, _ := compareReports(base, cur, 2.5, 1.5, false); len(failures) != 0 {
+		t.Fatalf("identical stages flagged: %v", failures)
+	}
+	cur = report(Result{Name: "E1/n=8", NsPerOp: 100, RoundsPerOp: 500, Stages: stages(201, 299)})
+	if failures, _ := compareReports(base, cur, 2.5, 1.5, false); len(failures) != 1 || !strings.Contains(failures[0], "stages") {
+		t.Fatalf("failures = %v, want exactly the stage deviation", failures)
+	}
+	renamed := stages(200, 300)
+	renamed[2].Name = "square-3"
+	cur = report(Result{Name: "E1/n=8", NsPerOp: 100, RoundsPerOp: 500, Stages: renamed})
+	if failures, _ := compareReports(base, cur, 2.5, 1.5, false); len(failures) != 1 {
+		t.Fatalf("failures = %v, want exactly the renamed stage", failures)
+	}
+	unrecorded := report(Result{Name: "E1/n=8", NsPerOp: 100, RoundsPerOp: 500})
+	if failures, _ := compareReports(unrecorded, cur, 2.5, 1.5, false); len(failures) != 0 {
+		t.Fatalf("baseline without stages flagged: %v", failures)
+	}
+}
+
 func TestApproxWinFailures(t *testing.T) {
 	winning := report(
 		Result{Name: "E4APSPQuantumNonneg/n=64", RoundsPerOp: 500},

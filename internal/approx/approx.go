@@ -5,13 +5,16 @@
 // exactness buys order-of-magnitude round savings. Two strategies live
 // here:
 //
-//   - approx-quantum: a (1+ε)-approximate repeated-squaring chain. Each
-//     distance product snaps its outputs up onto a geometric value ladder,
-//     so the Proposition 2 binary search ranges over ladder indices — depth
+//   - approx-quantum: a (1+ε)-approximate repeated-squaring chain, the
+//     exact quantum pipeline's distprod.Chain with every distance product
+//     snapped up onto a geometric value ladder, so the Proposition 2
+//     binary search ranges over ladder indices — depth
 //     ⌈log₂(ladder length)⌉ instead of ⌈log₂(4M+2)⌉ — cutting the
 //     FindEdges call count (and hence rounds) of every product in the
 //     chain. Errors compound multiplicatively: a per-product step of
-//     (1+ε)^(1/P) over P products stays within the requested 1+ε.
+//     (1+ε)^(1/P) over P products stays within the requested 1+ε. A
+//     one-round vote after each product stops the chain at its fixed
+//     point.
 //
 //   - approx-skeleton: a (2+ε) strategy in the spirit of arXiv:1903.05956
 //     for weight-symmetric graphs: exact k-nearest neighborhoods computed
@@ -21,7 +24,9 @@
 //
 // Both strategies require nonnegative weights — multiplicative stretch is
 // meaningless otherwise — and report the measured max stretch against the
-// centralized Floyd–Warshall reference next to the guarantee.
+// centralized Floyd–Warshall reference next to the guarantee. Both are
+// engine strategies that read their input and ε from the engine.Request
+// and write the engine.Outcome; ε is validated before the engine runs.
 package approx
 
 import (
@@ -83,8 +88,8 @@ const maxLadderLen = 1 << 21
 
 // Ladder accepts step values below MinEpsilon because the chain splits
 // its budget ε across P products (ε/P-sized steps); the public domain is
-// enforced on ε itself by the strategies, and the growth-advance and
-// length guards here keep even a bypassed call from spinning or
+// enforced on ε itself before any strategy runs, and the growth-advance
+// and length guards here keep even a bypassed call from spinning or
 // allocating forever.
 func Ladder(eps float64, bound int64) ([]int64, error) {
 	if math.IsNaN(eps) || eps <= 0 || math.IsInf(eps, 0) {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 
+	"qclique/internal/congest"
+	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
 	"qclique/internal/xrand"
@@ -153,29 +155,35 @@ func chainCases(t *testing.T, seed uint64) []stretchCase {
 	return []stretchCase{{"dense", dense}, {"sparse", sparse}, {"grid", grid}}
 }
 
-// skeletonCases builds the StrategyApproxSkeleton inputs for one seed:
-// weight-symmetric and nonnegative.
-// skeleton runs one skeletonRun's four phases in a plain loop, the
-// engine's stages without the engine. It computes (2+ε)-approximate APSP
-// distances for the weight-symmetric nonnegative digraph g: every returned
-// entry d̂ satisfies d ≤ d̂ ≤ (2+ε)·d, with reachability preserved exactly.
-func skeleton(g *graph.Digraph, opts SkeletonOptions) (*matrix.Matrix, *SkeletonStats, error) {
-	r, err := newSkeletonRun(g, opts)
+// skeleton runs the four phases of a skeletonRun built from an engine
+// request for g, in a plain loop: the engine's stages without the engine.
+// It computes (2+ε)-approximate APSP distances for the weight-symmetric
+// nonnegative digraph g: every entry d̂ of the run's dist satisfies
+// d ≤ d̂ ≤ (2+ε)·d, with reachability preserved exactly. It returns the
+// run and the rounds charged.
+func skeleton(g *graph.Digraph, eps float64, seed uint64) (*skeletonRun, int64, error) {
+	net, err := congest.NewNetwork(max(g.N(), 1))
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
+	}
+	r, err := newSkeletonRun(&engine.Request{G: g, Epsilon: eps, Seed: seed}, net)
+	if err != nil {
+		return nil, 0, err
 	}
 	if r.trivial() {
-		return r.dist, r.stats, nil
+		return r, net.Rounds(), nil
 	}
 	ctx := context.Background()
 	for _, phase := range []func(context.Context) error{r.knnBalls, r.sampleSkeleton, r.mssp, r.combine} {
 		if err := phase(ctx); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
-	return r.dist, r.stats, nil
+	return r, net.Rounds(), nil
 }
 
+// skeletonCases builds the StrategyApproxSkeleton inputs for one seed:
+// weight-symmetric and nonnegative.
 func skeletonCases(t *testing.T, seed uint64) []stretchCase {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -219,23 +227,22 @@ func TestSkeletonStretchWithinGuarantee(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		for _, tc := range skeletonCases(t, seed) {
 			for _, eps := range []float64{0.2, 1.0} {
-				net := newTestNetwork(t, tc.g.N())
-				dist, stats, err := skeleton(tc.g, SkeletonOptions{Epsilon: eps, Seed: seed, Net: net})
+				r, rounds, err := skeleton(tc.g, eps, seed)
 				if err != nil {
 					t.Fatalf("seed %d %s eps %v: %v", seed, tc.name, eps, err)
 				}
-				stretch, err := MeasureStretch(tc.g, dist)
+				stretch, err := MeasureStretch(tc.g, r.dist)
 				if err != nil {
 					t.Fatalf("seed %d %s eps %v: %v", seed, tc.name, eps, err)
 				}
 				if stretch > 2+eps {
 					t.Errorf("seed %d %s eps %v: observed stretch %v exceeds guarantee %v", seed, tc.name, eps, stretch, 2+eps)
 				}
-				if net.Rounds() <= 0 {
+				if rounds <= 0 {
 					t.Errorf("seed %d %s: no rounds charged", seed, tc.name)
 				}
-				if stats.SkeletonSize <= 0 || stats.SkeletonSize > tc.g.N() {
-					t.Errorf("seed %d %s: skeleton size %d out of range", seed, tc.name, stats.SkeletonSize)
+				if size := len(r.skeleton); size <= 0 || size > tc.g.N() {
+					t.Errorf("seed %d %s: skeleton size %d out of range", seed, tc.name, size)
 				}
 			}
 		}
@@ -247,8 +254,7 @@ func TestSkeletonRejectsBadInputs(t *testing.T) {
 	if err := asym.SetArc(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	net := newTestNetwork(t, 3)
-	if _, _, err := skeleton(asym, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrAsymmetric) {
+	if _, _, err := skeleton(asym, 0.5, 0); !errors.Is(err, ErrAsymmetric) {
 		t.Errorf("asymmetric input: err = %v, want ErrAsymmetric", err)
 	}
 	neg := graph.NewDigraph(3)
@@ -258,12 +264,8 @@ func TestSkeletonRejectsBadInputs(t *testing.T) {
 	if err := neg.SetArc(1, 0, -2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := skeleton(neg, SkeletonOptions{Epsilon: 0.5, Net: net}); !errors.Is(err, ErrNegativeWeight) {
+	if _, _, err := skeleton(neg, 0.5, 0); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("negative weights: err = %v, want ErrNegativeWeight", err)
-	}
-	ok := graph.NewDigraph(3)
-	if _, _, err := skeleton(ok, SkeletonOptions{Epsilon: 0, Net: net}); !errors.Is(err, ErrBadEpsilon) {
-		t.Errorf("eps=0: err = %v, want ErrBadEpsilon", err)
 	}
 }
 
@@ -273,12 +275,11 @@ func TestSkeletonDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(seed uint64) (*matrix.Matrix, int64) {
-		net := newTestNetwork(t, g.N())
-		dist, _, err := skeleton(g, SkeletonOptions{Epsilon: 0.4, Seed: seed, Net: net})
+		r, rounds, err := skeleton(g, 0.4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dist, net.Rounds()
+		return r.dist, rounds
 	}
 	d1, r1 := run(5)
 	d2, r2 := run(5)
@@ -298,11 +299,11 @@ func TestSkeletonTrivialSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		net := newTestNetwork(t, max(n, 1))
-		dist, _, err := skeleton(g, SkeletonOptions{Epsilon: 0.5, Net: net})
+		r, _, err := skeleton(g, 0.5, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		dist := r.dist
 		if dist.N() != n {
 			t.Fatalf("n=%d: got %d×%d matrix", n, dist.N(), dist.N())
 		}

@@ -34,39 +34,14 @@ package approx
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"qclique/internal/congest"
+	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
 	"qclique/internal/xrand"
 )
-
-// SkeletonOptions configures the (2+ε) skeleton strategy.
-type SkeletonOptions struct {
-	// Epsilon is the slack over the factor-2 guarantee (> 0).
-	Epsilon float64
-	// Seed drives the skeleton sampling.
-	Seed uint64
-	// Net is the n-node network the phases charge against (required).
-	Net *congest.Network
-	// K overrides the k-nearest ball size; <= 0 selects ⌈√(n·(1+log₂ n))⌉.
-	K int
-}
-
-// SkeletonStats reports what a skeleton run did.
-type SkeletonStats struct {
-	// K is the k-nearest ball size used.
-	K int
-	// SkeletonSize is |S| after sampling and patching.
-	SkeletonSize int
-	// Patched counts nodes added to S because sampling missed their ball.
-	Patched int
-	// KNNHops and MSSPHops are the shortest-path-tree depths that set the
-	// iteration counts of the two communication phases.
-	KNNHops, MSSPHops int
-}
 
 // knnEntry is one member of a k-nearest ball: vertex and exact distance.
 type knnEntry struct {
@@ -75,54 +50,37 @@ type knnEntry struct {
 }
 
 // skeletonRun is the mutable state of one (2+ε) skeleton solve, shared by
-// its phase methods.
+// its phase methods, which charge net.
 type skeletonRun struct {
-	g     *graph.Digraph
-	opts  SkeletonOptions
-	n     int
-	k     int
-	stats *SkeletonStats
-	dist  *matrix.Matrix
+	req  *engine.Request
+	net  *congest.Network
+	n    int
+	k    int // the k-nearest ball size
+	dist *matrix.Matrix
 
 	balls    [][]knnEntry
 	skeleton []int
 	hub      [][]int64
 }
 
-// newSkeletonRun validates the input and sizes the ball parameter.
-func newSkeletonRun(g *graph.Digraph, opts SkeletonOptions) (*skeletonRun, error) {
-	if !ValidEpsilon(opts.Epsilon) {
-		return nil, fmt.Errorf("%w (got %v)", ErrBadEpsilon, opts.Epsilon)
-	}
-	if opts.Net == nil {
-		return nil, fmt.Errorf("approx: Skeleton requires a network")
-	}
-	if g.HasNegativeArc() {
+// newSkeletonRun checks the input class and sizes the ball parameter.
+func newSkeletonRun(req *engine.Request, net *congest.Network) (*skeletonRun, error) {
+	if req.G.HasNegativeArc() {
 		return nil, ErrNegativeWeight
 	}
-	if !g.IsSymmetric() {
+	if !req.G.IsSymmetric() {
 		return nil, ErrAsymmetric
 	}
-	n := g.N()
-	r := &skeletonRun{g: g, opts: opts, n: n, stats: &SkeletonStats{}, dist: matrix.New(n)}
+	n := req.G.N()
+	r := &skeletonRun{req: req, net: net, n: n, dist: matrix.New(n)}
 	for i := 0; i < n; i++ {
 		r.dist.Set(i, i, 0)
 	}
 	if n <= 1 {
 		return r, nil
 	}
-	k := opts.K
-	if k <= 0 {
-		k = int(math.Ceil(math.Sqrt(float64(n) * (1 + math.Log2(float64(n))))))
-	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	r.k = k
-	r.stats.K = k
+	k := int(math.Ceil(math.Sqrt(float64(n) * (1 + math.Log2(float64(n))))))
+	r.k = min(k, n)
 	return r, nil
 }
 
@@ -135,18 +93,17 @@ func (r *skeletonRun) trivial() bool { return r.n <= 1 }
 // ball sets the relaxation-iteration count the phase is charged for.
 func (r *skeletonRun) knnBalls(ctx context.Context) error {
 	r.balls = make([][]knnEntry, r.n)
+	maxHops := 0
 	for u := 0; u < r.n; u++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ball, hops := truncatedDijkstra(r.g, u, r.k, nil)
+		ball, hops := truncatedDijkstra(r.req.G, u, r.k, nil)
 		r.balls[u] = ball
-		if hops > r.stats.KNNHops {
-			r.stats.KNNHops = hops
-		}
+		maxHops = max(maxHops, hops)
 	}
-	for i := 0; i < r.stats.KNNHops; i++ {
-		if err := r.opts.Net.BroadcastAll("approx/knn", 2*int64(r.k)); err != nil {
+	for i := 0; i < maxHops; i++ {
+		if err := r.net.BroadcastAll("approx/knn", 2*int64(r.k)); err != nil {
 			return err
 		}
 	}
@@ -158,7 +115,7 @@ func (r *skeletonRun) knnBalls(ctx context.Context) error {
 // argument to hold unconditionally, so nodes whose ball the sample missed
 // join S themselves. Membership is announced with one broadcast word.
 func (r *skeletonRun) sampleSkeleton(context.Context) error {
-	rng := xrand.New(r.opts.Seed).Split("skeleton")
+	rng := xrand.New(r.req.Seed).Split("skeleton")
 	p := math.Min(1, 2*(math.Log(float64(r.n))+1)/float64(r.k))
 	inS := make([]bool, r.n)
 	for u := 0; u < r.n; u++ {
@@ -176,7 +133,6 @@ func (r *skeletonRun) sampleSkeleton(context.Context) error {
 		}
 		if !hit {
 			inS[u] = true
-			r.stats.Patched++
 		}
 	}
 	for u := 0; u < r.n; u++ {
@@ -184,39 +140,37 @@ func (r *skeletonRun) sampleSkeleton(context.Context) error {
 			r.skeleton = append(r.skeleton, u)
 		}
 	}
-	r.stats.SkeletonSize = len(r.skeleton)
-	return r.opts.Net.BroadcastAll("approx/skeleton", 1)
+	return r.net.BroadcastAll("approx/skeleton", 1)
 }
 
 // mssp is phase 3: multi-source distances from the skeleton on the
 // (1+ε/2) ladder — the simulated stand-in for the approximate multi-source
 // machinery of arXiv:1903.05956, and the place the ε knob bites.
 func (r *skeletonRun) mssp(ctx context.Context) error {
-	w := r.g.MaxAbsWeight()
-	ladder, err := Ladder(r.opts.Epsilon/2, w)
+	g := r.req.G
+	ladder, err := Ladder(r.req.Epsilon/2, g.MaxAbsWeight())
 	if err != nil {
 		return err
 	}
 	snapped := func(u, v int) (int64, bool) {
-		wt, ok := r.g.Weight(u, v)
+		wt, ok := g.Weight(u, v)
 		if !ok {
 			return 0, false
 		}
 		return SnapUp(wt, ladder), true
 	}
 	r.hub = make([][]int64, len(r.skeleton))
+	maxHops := 0
 	for si, s := range r.skeleton {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		row, hops := fullDijkstra(r.g, s, snapped)
+		row, hops := fullDijkstra(g, s, snapped)
 		r.hub[si] = row
-		if hops > r.stats.MSSPHops {
-			r.stats.MSSPHops = hops
-		}
+		maxHops = max(maxHops, hops)
 	}
-	for i := 0; i < r.stats.MSSPHops; i++ {
-		if err := r.opts.Net.BroadcastAll("approx/mssp", int64(len(r.skeleton))); err != nil {
+	for i := 0; i < maxHops; i++ {
+		if err := r.net.BroadcastAll("approx/mssp", int64(len(r.skeleton))); err != nil {
 			return err
 		}
 	}
@@ -245,7 +199,7 @@ func (r *skeletonRun) combine(ctx context.Context) error {
 			return err
 		}
 		for wp := 0; wp < r.n; wp++ {
-			wt, ok := r.g.Weight(w, wp)
+			wt, ok := r.req.G.Weight(w, wp)
 			if !ok {
 				continue
 			}

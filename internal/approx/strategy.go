@@ -3,7 +3,9 @@ package approx
 // The approximate pipelines as engine strategies. Both register themselves
 // with the engine's strategy registry at init (this package is imported by
 // core, so registration precedes any registry consumer). Each is driven
-// only through its stages, one per phase of its run struct.
+// only through its stages: approx-quantum's square stages run a
+// distprod.Chain, and the skeleton's stages are the phases of its run
+// struct.
 
 import (
 	"context"
@@ -82,47 +84,58 @@ func (chainStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engine.P
 	if err != nil {
 		return nil, err
 	}
-	var run *chainRun
+	var (
+		chain  *distprod.Chain
+		ladder []int64
+		done   bool
+	)
 	stages := []engine.Stage{
 		{Name: "encode", Run: func(context.Context) error {
-			r, err := newChainRun(matrix.FromDigraph(req.G), ChainOptions{
-				Epsilon: req.Epsilon,
+			chain = distprod.NewChain(req.G, distprod.Options{
 				Solver:  distprod.SolverQuantum,
 				Params:  req.Params,
 				Seed:    req.Seed,
 				Net:     net,
 				Workers: req.Workers,
 			})
-			if err != nil {
-				return err
-			}
-			run = r
 			return nil
 		}},
-		{Name: "ladder", Run: func(context.Context) error { return run.prepare() }},
+		{Name: "ladder", Run: func(context.Context) (err error) {
+			ladder, err = chainLadder(n, chain.Dist().MaxAbsFinite(), req.Epsilon)
+			return err
+		}},
 	}
 	for i := 0; i < matrix.SquaringBudget(n); i++ {
 		stages = append(stages, engine.Stage{
 			Name: fmt.Sprintf("square-%d", i+1),
-			Run:  func(ctx context.Context) error { return run.square(ctx) },
-			// A fixpoint vote that proves convergence skips the remaining
-			// products of the budget.
-			Skip: func() bool { return run.done },
+			// One ladder-snapped product plus the convergence vote: a
+			// product that returns its input unchanged proves the rest of
+			// the chain is the identity. Every node checks its own row and
+			// a one-round all-to-all AND aggregates the verdict, which
+			// skips the remaining products of the budget. Dense inputs hit
+			// the fixpoint after ~log₂(diameter) products.
+			Run: func(ctx context.Context) error {
+				unchanged, err := chain.Square(ctx, ladder)
+				if err != nil {
+					return fmt.Errorf("approx: squaring %d: %w", chain.Products(), err)
+				}
+				done = unchanged
+				return net.BroadcastAll("approx/fixpoint-vote", 1)
+			},
+			Skip: func() bool { return done },
 		})
 	}
-	stages = append(stages,
-		engine.Stage{Name: "stretch-audit", Run: func(ctx context.Context) error {
-			out.Dist = run.cur
-			out.Products = run.stats.Products
-			out.FindEdgesCalls = run.stats.FindEdgesCalls
-			stretch, err := MeasureStretch(req.G, run.cur)
-			if err != nil {
-				return err
-			}
-			out.ObservedStretch = stretch
-			return nil
-		}},
-	)
+	stages = append(stages, engine.Stage{Name: "stretch-audit", Run: func(context.Context) error {
+		out.Dist = chain.Dist()
+		out.Products = chain.Products()
+		out.FindEdgesCalls = chain.FindEdgesCalls()
+		stretch, err := MeasureStretch(req.G, out.Dist)
+		if err != nil {
+			return err
+		}
+		out.ObservedStretch = stretch
+		return nil
+	}})
 	return &engine.Plan{Net: net, Stages: stages}, nil
 }
 
@@ -152,8 +165,7 @@ func (skeletonStrategy) Stages(req *engine.Request, out *engine.Outcome) (*engin
 	if err != nil {
 		return nil, err
 	}
-	opts := SkeletonOptions{Epsilon: req.Epsilon, Seed: req.Seed, Net: net}
-	run, err := newSkeletonRun(req.G, opts)
+	run, err := newSkeletonRun(req, net)
 	if err != nil {
 		return nil, err
 	}

@@ -242,19 +242,21 @@ func TestSolveTrivialInputs(t *testing.T) {
 	if _, err := Solve(nil, Config{}); err == nil {
 		t.Error("nil graph must fail")
 	}
-	res, err := Solve(graph.NewDigraph(0), Config{Strategy: StrategyGossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dist.N() != 0 {
-		t.Error("empty graph must give empty result")
-	}
-	res, err = Solve(graph.NewDigraph(1), Config{Strategy: StrategyGossip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dist.At(0, 0) != 0 {
-		t.Error("singleton diagonal must be 0")
+	for _, cfg := range engineTestStrategies() {
+		res, err := Solve(graph.NewDigraph(0), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Strategy, err)
+		}
+		if res.Dist.N() != 0 {
+			t.Errorf("%s: empty graph must give empty result", cfg.Strategy)
+		}
+		res, err = Solve(graph.NewDigraph(1), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Strategy, err)
+		}
+		if res.Dist.N() != 1 || res.Dist.At(0, 0) != 0 {
+			t.Errorf("%s: singleton diagonal must be 0", cfg.Strategy)
+		}
 	}
 }
 

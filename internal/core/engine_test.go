@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -233,6 +235,61 @@ func TestGuaranteeComesFromRegistry(t *testing.T) {
 		}
 		if got := st.Guarantee(c.eps); got != c.want {
 			t.Errorf("%v.Guarantee(%v) = %v, want %v", c.s, c.eps, got, c.want)
+		}
+	}
+}
+
+// TestCostAnchorsMatchBenchEntries reads the committed baseline and holds
+// every registered strategy's round prior, evaluated at its anchor, to the
+// rounds of the BENCH_1.json entry its comment cites, so a re-baseline
+// that moves an entry fails here until the anchor moves with it. Anchors
+// sit at n = 64, ε = 0.5 and max |w| = 8, gossip's at n = 256.
+// Classical-search's and dolev's priors are scaled guesses that cite no
+// entry.
+func TestCostAnchorsMatchBenchEntries(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Benchmarks []struct {
+			Name   string  `json:"name"`
+			Rounds float64 `json:"rounds_per_op"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	rounds := make(map[string]int64, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		rounds[b.Name] = int64(b.Rounds)
+	}
+	anchors := map[string]struct {
+		entry string
+		n     int
+		eps   float64
+	}{
+		StrategyQuantum:        {"E1APSPQuantum/n=64", 64, 0},
+		StrategyApproxQuantum:  {"E4APSPApproxQuantum/n=64/eps=0.5", 64, 0.5},
+		StrategyApproxSkeleton: {"E4APSPApproxSkeleton/n=64/eps=0.5", 64, 0.5},
+		StrategyGossip:         {"GossipAPSP/n=256", 256, 0},
+	}
+	guesses := map[string]bool{StrategyClassicalSearch: true, StrategyDolev: true}
+	for _, st := range engine.Strategies() {
+		a, ok := anchors[st.Name()]
+		if !ok {
+			if !guesses[st.Name()] {
+				t.Errorf("%s: no cost anchor cites a BENCH_1.json entry", st.Name())
+			}
+			continue
+		}
+		want, ok := rounds[a.entry]
+		if !ok {
+			t.Errorf("%s: BENCH_1.json has no entry %s", st.Name(), a.entry)
+			continue
+		}
+		if got := st.PredictCost(graph.Features{N: a.n, MaxAbsWeight: 8}, a.eps).Rounds; got != want {
+			t.Errorf("%s: prior rounds %d at its anchor, %s has %d", st.Name(), got, a.entry, want)
 		}
 	}
 }

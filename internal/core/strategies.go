@@ -20,7 +20,6 @@ import (
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
-	"qclique/internal/xrand"
 )
 
 func init() {
@@ -100,57 +99,35 @@ func (p *searchPipeline) Stages(req *engine.Request, out *engine.Outcome) (*engi
 	if err != nil {
 		return nil, err
 	}
-	st := &searchRun{req: req, out: out, net: net, solver: p.solver, dp: distprod.NewWorkspace(), rng: xrand.New(req.Seed)}
-	stages := []engine.Stage{{Name: "encode", Run: st.encode}}
+	var chain *distprod.Chain
+	stages := []engine.Stage{{Name: "encode", Run: func(context.Context) error {
+		chain = distprod.NewChain(req.G, distprod.Options{
+			Solver:  p.solver,
+			Params:  req.Params,
+			Seed:    req.Seed,
+			Net:     net,
+			Workers: req.Workers,
+		})
+		return nil
+	}}}
 	for i := 0; i < matrix.SquaringBudget(n); i++ {
-		stages = append(stages, engine.Stage{Name: fmt.Sprintf("square-%d", i+1), Run: st.square})
+		stages = append(stages, engine.Stage{Name: fmt.Sprintf("square-%d", i+1), Run: func(ctx context.Context) error {
+			if err := negInfInput(req.G, chain.Dist()); err != nil {
+				return err
+			}
+			if _, err := chain.Square(ctx, nil); err != nil {
+				return err
+			}
+			out.Products = chain.Products()
+			return nil
+		}})
 	}
-	stages = append(stages, engine.Stage{Name: "extract", Run: st.extract})
+	stages = append(stages, engine.Stage{Name: "extract", Run: func(context.Context) error {
+		out.Dist = chain.Dist()
+		out.FindEdgesCalls = chain.FindEdgesCalls()
+		return nil
+	}})
 	return &engine.Plan{Net: net, Stages: stages}, nil
-}
-
-// searchRun is the mutable state the stages of one searchPipeline solve
-// share: the ping-pong matrices, the distance-product workspace its
-// products reuse, and the cumulative FindEdges-call counter that drives
-// the per-product seeds.
-type searchRun struct {
-	req    *engine.Request
-	out    *engine.Outcome
-	net    *congest.Network
-	solver distprod.Solver
-	dp     *distprod.Workspace
-	rng    *xrand.Source
-
-	cur, next *matrix.Matrix
-	calls     int
-}
-
-func (st *searchRun) encode(context.Context) error {
-	st.cur = matrix.FromDigraph(st.req.G)
-	st.next = matrix.New(st.cur.N())
-	return nil
-}
-
-func (st *searchRun) square(ctx context.Context) error {
-	if err := negInfInput(st.req.G, st.cur); err != nil {
-		return err
-	}
-	stats, err := distprod.ProductInto(st.next, st.cur, st.cur, distprod.Options{
-		Solver:    st.solver,
-		Params:    st.req.Params,
-		Seed:      st.rng.SplitN("product", st.calls).Seed(),
-		Net:       st.net,
-		Workers:   st.req.Workers,
-		Workspace: st.dp,
-		Ctx:       ctx,
-	})
-	if err != nil {
-		return err
-	}
-	st.calls += stats.BinarySearchSteps
-	st.out.Products++
-	st.cur, st.next = st.next, st.cur
-	return nil
 }
 
 // negInfInput returns the error a solve of g answers when m, a product
@@ -169,12 +146,6 @@ func negInfInput(g *graph.Digraph, m *matrix.Matrix) error {
 		return ErrNegativeCycle
 	}
 	return ErrSaturatedDistance
-}
-
-func (st *searchRun) extract(context.Context) error {
-	st.out.Dist = st.cur
-	st.out.FindEdgesCalls = st.calls
-	return nil
 }
 
 // gossipPipeline is the naive O(n)-round baseline: one full adjacency

@@ -10,6 +10,9 @@
 // simulates the 3n-vertex instance with each node playing three vertices
 // (a constant-factor overhead); the simulation realizes this as a 3n-node
 // clique, which preserves the round-complexity shape.
+//
+// Chain is the Proposition 3 squaring chain over that product, the one
+// chain every FindEdges-driven pipeline builds its square stages from.
 package distprod
 
 import (
@@ -72,12 +75,9 @@ type Options struct {
 	// paths are bit-identical (the regression tests assert it); the flag
 	// exists so the equivalence stays testable and measurable.
 	DisableIncremental bool
-	// Workspace optionally supplies reusable solve state spanning Product
-	// calls (the squaring chain makes ⌈log₂ n⌉ of them): the tripartite
-	// reduction instance, the binary-search buffers, and the triangles-layer
-	// scratch. When nil each call builds private state — identical results,
-	// more allocation. Not safe for concurrent use.
-	Workspace *Workspace
+	// workspace is the state a Chain's products share (nil: each call
+	// builds private state, with identical results).
+	workspace *workspace
 	// Grid, when non-nil, switches the per-entry binary search from the
 	// exact value range [-M, M] to the given candidate ladder: each output
 	// entry is the smallest grid value >= the exact product entry (the
@@ -105,12 +105,14 @@ func (o Options) ctxErr() error {
 	return o.Ctx.Err()
 }
 
-// Workspace is the reusable state of repeated Product calls. The static
-// legs of the tripartite instance change between squaring iterations (the
-// input matrices do), but the 3n-vertex graph, the pair set S, and every
-// binary-search buffer are shape-identical across the whole chain, so they
-// are rebuilt in place rather than reallocated.
-type Workspace struct {
+// workspace is the reusable state of repeated Product calls: the
+// tripartite reduction instance, the binary-search buffers and the
+// triangles-layer scratch. The static legs of the tripartite instance
+// change between squaring iterations (the input matrices do), but the
+// 3n-vertex graph, the pair set S, and every binary-search buffer are
+// shape-identical across the whole chain, so they are rebuilt in place
+// rather than reallocated. Not safe for concurrent use.
+type workspace struct {
 	inst    *tripartiteInstance
 	d       *matrix.Matrix
 	finite  []bool
@@ -118,12 +120,9 @@ type Workspace struct {
 	scratch *triangles.Scratch
 }
 
-// NewWorkspace returns an empty Workspace; state is built on first use.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// Scratch returns the triangles-layer scratch this workspace threads into
-// its FindEdges calls, creating it on first use.
-func (ws *Workspace) Scratch() *triangles.Scratch {
+// triangleScratch returns the triangles-layer scratch this workspace
+// threads into its FindEdges calls, creating it on first use.
+func (ws *workspace) triangleScratch() *triangles.Scratch {
 	if ws.scratch == nil {
 		ws.scratch = triangles.NewScratch()
 	}
@@ -132,7 +131,7 @@ func (ws *Workspace) Scratch() *triangles.Scratch {
 
 // instance returns the reduction instance for (a, b), rebuilding the static
 // legs in place when the cached instance has the right shape.
-func (ws *Workspace) instance(a, b *matrix.Matrix) (*tripartiteInstance, error) {
+func (ws *workspace) instance(a, b *matrix.Matrix) (*tripartiteInstance, error) {
 	if ws.inst != nil && ws.inst.n == a.N() {
 		if err := ws.inst.resetStaticLegs(a, b); err != nil {
 			return nil, err
@@ -150,7 +149,7 @@ func (ws *Workspace) instance(a, b *matrix.Matrix) (*tripartiteInstance, error) 
 // searchBuffers returns the threshold matrix and per-entry binary-search
 // state for an n×n product, reused across calls. finite is cleared; lo and
 // hi carry stale values but are only read where finite is set.
-func (ws *Workspace) searchBuffers(n int) (d *matrix.Matrix, finite []bool, lo, hi []int64) {
+func (ws *workspace) searchBuffers(n int) (d *matrix.Matrix, finite []bool, lo, hi []int64) {
 	if ws.d == nil || ws.d.N() != n {
 		ws.d = matrix.New(n)
 	}
@@ -288,8 +287,8 @@ func FindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pa
 			mode = triangles.SearchClassicalScan
 		}
 		var sc *triangles.Scratch
-		if opts.Workspace != nil {
-			sc = opts.Workspace.Scratch()
+		if opts.workspace != nil {
+			sc = opts.workspace.triangleScratch()
 		}
 		rep, err := triangles.FindEdges(inst, triangles.Options{
 			Params:  opts.Params,
@@ -320,9 +319,9 @@ func Product(a, b *matrix.Matrix, opts Options) (*matrix.Matrix, *Stats, error) 
 	return c, stats, nil
 }
 
-// ProductInto is Product writing into a caller-provided (workspace) matrix,
-// which is overwritten entirely; the repeated-squaring driver ping-pongs
-// two such matrices through the whole chain.
+// ProductInto is Product writing into a caller-provided matrix, which is
+// overwritten entirely; Chain ping-pongs two such matrices through the
+// whole squaring chain.
 func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, error) {
 	if a.N() != b.N() {
 		return nil, fmt.Errorf("distprod: dimension mismatch %d vs %d", a.N(), b.N())
@@ -355,10 +354,10 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 			}
 		}
 	}
-	ws := opts.Workspace
+	ws := opts.workspace
 	if ws == nil {
-		ws = NewWorkspace()
-		opts.Workspace = ws
+		ws = new(workspace)
+		opts.workspace = ws
 	}
 	net := opts.Net
 	var err error

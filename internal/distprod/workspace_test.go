@@ -7,14 +7,14 @@ import (
 	"qclique/internal/xrand"
 )
 
-// TestWorkspaceReuseAcrossProducts reuses one Workspace across a sequence
+// TestWorkspaceReuseAcrossProducts reuses one workspace across a sequence
 // of products with different input matrices (the squaring-chain access
 // pattern) and checks every result, stats, and round count against fresh
 // per-call state.
 func TestWorkspaceReuseAcrossProducts(t *testing.T) {
 	rng := xrand.New(21)
 	for _, solver := range []Solver{SolverDolev, SolverClassicalScan, SolverQuantum} {
-		ws := NewWorkspace()
+		ws := new(workspace)
 		for trial := 0; trial < 4; trial++ {
 			n := 3 + trial%3 // shape changes mid-sequence
 			a := randomMatrix(n, 9, 0.25, rng.SplitN("a", trial*10+int(solver)))
@@ -27,7 +27,7 @@ func TestWorkspaceReuseAcrossProducts(t *testing.T) {
 			}
 			dst := matrix.New(n)
 			dst.Fill(-99) // stale destination contents must not survive
-			pooledStats, err := ProductInto(dst, a, b, Options{Solver: solver, Seed: seed, Workspace: ws})
+			pooledStats, err := ProductInto(dst, a, b, Options{Solver: solver, Seed: seed, workspace: ws})
 			if err != nil {
 				t.Fatalf("%v trial %d pooled: %v", solver, trial, err)
 			}

@@ -93,6 +93,27 @@ func Table(quick bool) ([]Entry, error) {
 		}
 	}
 
+	// E1 under the classical baselines: the same squaring chain with the
+	// classical Step 3 scan and with Dolev–Lenzen–Peled listing as the
+	// FindEdges solver, so every search pipeline's rounds are pinned.
+	if !quick {
+		for _, p := range []struct{ family, strategy string }{
+			{"E1APSPClassicalSearch", core.StrategyClassicalSearch},
+			{"E1APSPDolev", core.StrategyDolev},
+		} {
+			for _, n := range []int{32, 64} {
+				g, err := E1Digraph(n, E1W)
+				if err != nil {
+					return nil, err
+				}
+				entries = append(entries, Entry{
+					Name: fmt.Sprintf("%s/n=%d", p.family, n),
+					Run:  solveRun(g, core.Config{Strategy: p.strategy, Params: &params}, false),
+				})
+			}
+		}
+	}
+
 	// E2: FindEdgesWithPromise sweep (Theorem 2).
 	for _, n := range []int{16, 81, 256} {
 		g, err := TriangleGraph(n)
