@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"qclique"
 	"qclique/internal/graph"
@@ -33,7 +32,7 @@ func run(args []string) error {
 		strategy = fs.String("strategy", "quantum", "registered exact pipeline name (quantum | classical | dolev), or \"list\"")
 		planted  = fs.Int("planted", 4, "planted negative triangles")
 		seed     = fs.Uint64("seed", 1, "randomness seed")
-		list     = fs.Bool("list", false, "list the found edges")
+		list     = fs.Bool("list", false, "list the found edges, sorted by (U, V)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -100,14 +99,7 @@ func run(args []string) error {
 	fmt.Printf("strategy=%v n=%d edges-in-negative-triangles=%d rounds=%d\n",
 		strat, *n, len(rep.Edges), rep.Rounds)
 	if *list {
-		edges := append([]qclique.Edge(nil), rep.Edges...)
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			return edges[i].V < edges[j].V
-		})
-		for _, e := range edges {
+		for _, e := range rep.Edges {
 			fmt.Printf("{%d,%d}\n", e.U, e.V)
 		}
 	}

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"qclique"
 	"qclique/internal/graph"
@@ -86,5 +87,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("classical listing agrees: %v (%d edges, %d rounds)\n",
-		len(check.Edges) == len(rep.Edges), len(check.Edges), check.Rounds)
+		slices.Equal(check.Edges, rep.Edges), len(check.Edges), check.Rounds)
 }

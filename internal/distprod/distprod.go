@@ -177,7 +177,7 @@ type Stats struct {
 // tripartite builds the reduction graph for threshold matrix D. Entries of
 // A or B that are +Inf are omitted (no leg); -Inf entries are rejected by
 // Product before reaching here.
-func tripartite(a, b, d *matrix.Matrix) (*graph.Undirected, map[graph.Pair]bool, error) {
+func tripartite(a, b, d *matrix.Matrix) (*graph.Undirected, *graph.PairSet, error) {
 	inst, err := newTripartite(a, b)
 	if err != nil {
 		return nil, nil, err
@@ -197,8 +197,8 @@ func tripartite(a, b, d *matrix.Matrix) (*graph.Undirected, map[graph.Pair]bool,
 type tripartiteInstance struct {
 	n   int
 	g   *graph.Undirected
-	s   map[graph.Pair]bool
-	neg []int64 // scratch: row-major -D block handed to SetBipartiteBlock
+	s   *graph.PairSet // the I–J pairs; FindEdges only reads it
+	neg []int64        // scratch: row-major -D block handed to SetBipartiteBlock
 }
 
 // newTripartite builds the static legs of the reduction instance; the
@@ -209,7 +209,7 @@ func newTripartite(a, b *matrix.Matrix) (*tripartiteInstance, error) {
 	inst := &tripartiteInstance{
 		n:   n,
 		g:   graph.NewUndirected(3 * n),
-		s:   make(map[graph.Pair]bool, n*n),
+		s:   graph.NewPairSet(3 * n),
 		neg: make([]int64, n*n),
 	}
 	if err := inst.setStaticLegs(a, b); err != nil {
@@ -217,7 +217,7 @@ func newTripartite(a, b *matrix.Matrix) (*tripartiteInstance, error) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			inst.s[graph.MakePair(i, n+j)] = true
+			inst.s.Add(graph.Pair{U: i, V: n + j})
 		}
 	}
 	return inst, nil
@@ -269,7 +269,7 @@ func (t *tripartiteInstance) ResetThresholdLeg(d *matrix.Matrix) error {
 
 // FindEdges dispatches one FindEdges call to the configured solver,
 // charging opts.Net (the solver builds a private network when it is nil).
-func FindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pair]bool, error) {
+func FindEdges(inst triangles.Instance, opts Options, seed uint64) (*graph.PairSet, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -452,7 +452,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 	// snap-up target grid index lies in [lo, hi].
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if edges[graph.MakePair(i, n+j)] {
+			if edges.Has(graph.Pair{U: i, V: n + j}) {
 				finite[i*n+j] = true
 				if grid != nil {
 					top := gridTop
@@ -523,7 +523,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 					continue
 				}
 				mid := floorMid(lo[idx], hi[idx])
-				if edges[graph.MakePair(i, n+j)] {
+				if edges.Has(graph.Pair{U: i, V: n + j}) {
 					// C[i,j] < mid+1 ⟹ C ≤ mid.
 					hi[idx] = mid
 				} else {

@@ -242,10 +242,10 @@ func TestTripartiteConstruction(t *testing.T) {
 	if w, ok := g.Weight(0, n+0); !ok || w != 0 {
 		t.Error("pair edge wrong")
 	}
-	if len(s) != n*n {
-		t.Errorf("|S| = %d, want %d", len(s), n*n)
+	if s.Len() != n*n {
+		t.Errorf("|S| = %d, want %d", s.Len(), n*n)
 	}
-	for p := range s {
+	for p := range s.All() {
 		if p.U >= n || p.V < n || p.V >= 2*n {
 			t.Errorf("S pair %v outside I×J", p)
 		}

@@ -45,11 +45,11 @@ func TestResetThresholdLegMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
-		if len(s) != len(inst.s) {
-			t.Fatalf("step %d: S size %d vs %d", step, len(inst.s), len(s))
+		if s.Len() != inst.s.Len() {
+			t.Fatalf("step %d: S size %d vs %d", step, inst.s.Len(), s.Len())
 		}
-		for p := range s {
-			if !inst.s[p] {
+		for p := range s.All() {
+			if !inst.s.Has(p) {
 				t.Fatalf("step %d: S missing pair %v", step, p)
 			}
 		}

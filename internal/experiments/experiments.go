@@ -199,9 +199,9 @@ func runE2(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		want := graph.EdgesInNegativeTriangles(g)
-		exact := len(rep.Edges) == len(want)
+		exact := rep.Edges.Len() == len(want)
 		for p := range want {
-			if !rep.Edges[p] {
+			if !rep.Edges.Has(p) {
 				exact = false
 			}
 		}
@@ -211,7 +211,7 @@ func runE2(cfg Config) (*Result, error) {
 			calls = rep.Classes[0].EvalCalls
 			evalRounds = rep.Classes[0].EvalRounds
 		}
-		tab.AddF(n, rep.Rounds, calls, evalRounds, len(rep.Edges), exact)
+		tab.AddF(n, rep.Rounds, calls, evalRounds, rep.Edges.Len(), exact)
 		roundPts = append(roundPts, expfit.Point{N: n, Value: float64(rep.Rounds)})
 		callPts = append(callPts, expfit.Point{N: n, Value: float64(calls)})
 	}

@@ -108,9 +108,9 @@ func runE5(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		want := graph.EdgesInNegativeTriangles(g)
-		exact := len(rep.Edges) == len(want)
+		exact := rep.Edges.Len() == len(want)
 		for p := range want {
-			if !rep.Edges[p] {
+			if !rep.Edges.Has(p) {
 				exact = false
 			}
 		}

@@ -49,15 +49,22 @@ func Grow[T any](buf []T, n int) []T {
 // of atomic claims far below one-per-index.
 const chunksPerWorker = 4
 
-// job is one executor's share of a ForEachWorker dispatch. All executors
-// of a dispatch share the chunk counter; each carries its own worker id.
-type job struct {
-	fn        func(worker, i int)
-	next      *atomic.Int64
+// dispatch is one parallel For or ForEachWorker call, shared by its
+// executors: the body (For's one-index fn is kept as is, not wrapped), the
+// chunk counter and the executors' WaitGroup, in one allocation per call.
+type dispatch struct {
+	fn        func(i int)
+	fnWorker  func(worker, i int)
+	next      atomic.Int64
 	chunkSize int
 	n         int
-	worker    int
-	wg        *sync.WaitGroup
+	wg        sync.WaitGroup
+}
+
+// job is one pool executor's share of a dispatch.
+type job struct {
+	d      *dispatch
+	worker int
 }
 
 // poolWorker is a parked goroutine with a private job channel. Workers are
@@ -89,8 +96,8 @@ func getWorker() *poolWorker {
 
 func (w *poolWorker) loop() {
 	for j := range w.jobs {
-		runChunks(j.fn, j.worker, j.next, j.chunkSize, j.n)
-		j.wg.Done()
+		j.d.runChunks(j.worker)
+		j.d.wg.Done()
 		pool.mu.Lock()
 		pool.free = append(pool.free, w)
 		pool.mu.Unlock()
@@ -101,29 +108,36 @@ func (w *poolWorker) loop() {
 // counter is exhausted. Indices within a chunk run in order; which executor
 // runs which chunk is scheduling-dependent, which is fine because callers
 // write results into per-index slots only.
-func runChunks(fn func(worker, i int), worker int, next *atomic.Int64, chunkSize, n int) {
+func (d *dispatch) runChunks(worker int) {
+	// The executors share d's cache line with the counter they all bump,
+	// so everything else is read once.
+	fn, fnWorker, size, n := d.fn, d.fnWorker, d.chunkSize, d.n
 	for {
-		lo := int(next.Add(1)-1) * chunkSize
+		lo := int(d.next.Add(1)-1) * size
 		if lo >= n {
 			return
 		}
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
+		hi := min(lo+size, n)
+		if fn != nil {
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				fnWorker(worker, i)
+			}
 		}
 	}
 }
 
 // For runs fn(i) for every i in [0, n), using at most workers executors.
 // With workers <= 1 (or n <= 1) it runs inline on the calling goroutine —
-// the serial fast path costs no synchronization, so GOMAXPROCS=1 hosts pay
-// nothing for the parallel plumbing. fn must not depend on execution order
-// across indices; determinism comes from writing results into slot i only.
+// the serial fast path costs no synchronization and no allocation, so
+// GOMAXPROCS=1 hosts pay nothing for the parallel plumbing. fn must not
+// depend on execution order across indices; determinism comes from writing
+// results into slot i only.
 func For(workers, n int, fn func(i int)) {
-	ForEachWorker(workers, n, func(_, i int) { fn(i) })
+	run(workers, n, fn, nil)
 }
 
 // ForEachWorker runs fn(worker, i) like For but also identifies the
@@ -133,32 +147,36 @@ func For(workers, n int, fn func(i int)) {
 // goroutine always acts as executor 0 (the inline fast path therefore
 // reports worker 0), and the remaining executors are pool goroutines.
 func ForEachWorker(workers, n int, fn func(worker, i int)) {
+	run(workers, n, nil, fn)
+}
+
+// run is For (fn set) or ForEachWorker (fnWorker set). A parallel dispatch
+// allocates its dispatch record and nothing else.
+func run(workers, n int, fn func(i int), fnWorker func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
+	workers = min(workers, n)
+	if workers <= 1 {
+		if fn != nil {
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
+			return
+		}
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fnWorker(0, i)
 		}
 		return
 	}
-	chunkSize := n / (workers * chunksPerWorker)
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	d := &dispatch{fn: fn, fnWorker: fnWorker, chunkSize: max(n/(workers*chunksPerWorker), 1), n: n}
+	d.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		pw := getWorker()
-		pw.jobs <- job{fn: fn, next: &next, chunkSize: chunkSize, n: n, worker: w, wg: &wg}
+		getWorker().jobs <- job{d: d, worker: w}
 	}
-	runChunks(fn, 0, &next, chunkSize, n)
-	wg.Wait()
+	d.runChunks(0)
+	d.wg.Wait()
 }

@@ -170,3 +170,26 @@ func TestNestedDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestForAllocations: For wraps nothing, so its inline one-worker path
+// allocates nothing, and a parallel dispatch costs one allocation, its
+// shared dispatch record, at either entry point.
+func TestForAllocations(t *testing.T) {
+	slots := make([]int, 64)
+	fn := func(i int) { slots[i] = i }
+	fnWorker := func(_, i int) { slots[i] = i }
+	for _, tc := range []struct {
+		name string
+		run  func()
+		max  float64
+	}{
+		{"For/1 worker", func() { For(1, len(slots), fn) }, 0},
+		{"ForEachWorker/1 worker", func() { ForEachWorker(1, len(slots), fnWorker) }, 0},
+		{"For/2 workers", func() { For(2, len(slots), fn) }, 1},
+		{"ForEachWorker/2 workers", func() { ForEachWorker(2, len(slots), fnWorker) }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got > tc.max {
+			t.Errorf("%s: %v allocations per call, want at most %v", tc.name, got, tc.max)
+		}
+	}
+}

@@ -7,6 +7,10 @@ package serve
 // store's invariants (bounded dimension, finite weights, content-hash
 // determinism) for anything that decodes. CI runs `go test -fuzz=FuzzGraphJSON -fuzztime=30s` as a short
 // smoke; the seed corpus below also runs as a normal unit test.
+//
+// The POST …/solve body: FuzzSolveBody sends fuzzed bodies through the
+// handler and holds the status to the body's validity (CI runs it for 15
+// seconds).
 
 import (
 	"bytes"
@@ -22,6 +26,8 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"qclique/internal/core"
+	"qclique/internal/engine"
 	"qclique/internal/experiments/workload"
 	"qclique/internal/graph"
 )
@@ -105,6 +111,92 @@ func FuzzGraphJSON(f *testing.F) {
 		// it is the cache key of the whole serving layer.
 		if h1, h2 := HashDigraph(g), HashDigraph(g.Clone()); h1 != h2 {
 			t.Fatalf("hash not clone-invariant: %q vs %q", h1, h2)
+		}
+	})
+}
+
+// FuzzSolveBody posts fuzzed bodies to POST /v1/graphs/{id}/solve of one
+// uploaded four-vertex graph, through NewHandler on a service that
+// defaults to the planner, as cmd/apspd does. Nothing may panic or answer
+// 500, and the answer is 400 exactly when the body is invalid: when
+// decoding it into solveParamsJSON with unknown keys refused, building its
+// spec, or validating that spec under the default strategy fails. An empty
+// body is the empty spec.
+func FuzzSolveBody(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(``))
+	for _, name := range append(engine.Names(), core.StrategyAuto, "classical", "no-such-strategy") {
+		f.Add([]byte(`{"strategy":"` + name + `"}`))
+		f.Add([]byte(`{"strategy":"` + name + `","epsilon":0.5}`))
+	}
+	for _, preset := range []string{"paper", "scaled", "verbatim"} {
+		f.Add([]byte(`{"strategy":"quantum","preset":"` + preset + `"}`))
+	}
+	for _, eps := range []string{"0", "-1", "1e308"} {
+		f.Add([]byte(`{"strategy":"approx-quantum","epsilon":` + eps + `}`))
+	}
+	for _, ms := range []int64{-1, 0, 1, maxTimeoutMS, maxTimeoutMS + 1} {
+		f.Add(fmt.Appendf(nil, `{"strategy":"gossip","timeout_ms":%d}`, ms))
+	}
+	f.Add([]byte(`{"strategy":"quantum","timeout_ms":1,"degrade":true}`))
+	f.Add([]byte(`{"degrade":true,"seed":18446744073709551615}`))
+	f.Add([]byte(`{"strategy":"gossip","faults":{"seed":7}}`))
+	f.Add([]byte(`{"strategy":"gossip","strategy":"dolev"}`))
+	f.Add([]byte(`{"strategy":"gossip"} trailing`))
+	f.Add([]byte(`{"seed":-1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"strategy":`))
+
+	cfg := Config{DefaultStrategy: core.StrategyAuto}
+	h := NewHandler(New(cfg))
+	g := graph.NewDigraph(4)
+	for _, a := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {0, 3, 7}} {
+		for _, arc := range [][2]int64{{a[0], a[1]}, {a[1], a[0]}} {
+			if err := g.SetArc(int(arc[0]), int(arc[1]), a[2]); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	body, err := json.Marshal(graphJSON(g))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/graphs", bytes.NewReader(body)))
+	var put struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &put); rec.Code != http.StatusOK || err != nil {
+		f.Fatalf("upload: status %d, %v: %s", rec.Code, err, rec.Body)
+	}
+	path := "/v1/graphs/" + put.ID + "/solve"
+
+	invalid := func(data []byte) error {
+		var p solveParamsJSON
+		if len(data) > 0 {
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&p); err != nil {
+				return err
+			}
+		}
+		spec, err := p.spec()
+		if err != nil {
+			return err
+		}
+		if spec.Strategy == "" {
+			spec.Strategy = cfg.DefaultStrategy
+		}
+		return spec.Validate()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("body %q: 500: %s", data, rec.Body)
+		}
+		if err := invalid(data); (rec.Code == http.StatusBadRequest) != (err != nil) {
+			t.Fatalf("body %q: status %d, validity check %v: %s", data, rec.Code, err, rec.Body)
 		}
 	})
 }

@@ -27,14 +27,11 @@ type Instance struct {
 	// Legs optionally restricts the triangle "legs" {u,w} and {w,v} to a
 	// subgraph (the Proposition 1 reduction samples legs); nil means G.
 	Legs *graph.Undirected
-	// S is the pair set to report on; nil means all pairs P(V).
-	S map[graph.Pair]bool
-
-	// sMask is a flat snapshot of S (index u*n+v with u < v) built once
-	// per promise call: Step 2 performs one S-membership test per sampled
-	// covering pair, and the flat probe replaces a Pair-keyed map lookup
-	// on that hot path.
-	sMask []bool
+	// S is the pair set to report on, sized for G's vertex count; nil
+	// means all pairs P(V). FindEdgesWithPromise and FindEdges only read
+	// it. Step 2 tests one sampled covering pair against it at a time, a
+	// word lookup in the dense set.
+	S *graph.PairSet
 }
 
 func (in *Instance) legs() *graph.Undirected {
@@ -44,40 +41,20 @@ func (in *Instance) legs() *graph.Undirected {
 	return in.G
 }
 
-// buildSMask materializes the flat S snapshot; a nil S means "all pairs"
-// and needs no mask. The mask is carved from the scratch and valid until
-// the scratch's next promise call.
-func (in *Instance) buildSMask(sc *Scratch) {
-	if in.S == nil {
-		in.sMask = nil
-		return
+// check rejects an instance without a graph, or whose S is sized for
+// another vertex count.
+func (in *Instance) check() error {
+	if in.G == nil {
+		return errors.New("triangles: nil graph")
 	}
-	n := in.G.N()
-	if cap(sc.sMask) < n*n {
-		sc.sMask = make([]bool, n*n)
+	if in.S != nil && in.S.N() != in.G.N() {
+		return fmt.Errorf("triangles: pair set over %d vertices, graph has %d", in.S.N(), in.G.N())
 	}
-	m := sc.sMask[:n*n]
-	clear(m)
-	sc.sMask = m
-	for p, ok := range in.S {
-		if ok {
-			m[p.U*n+p.V] = true
-		}
-	}
-	in.sMask = m
+	return nil
 }
 
 func (in *Instance) inS(a, b int) bool {
-	if in.S == nil {
-		return true
-	}
-	if in.sMask != nil {
-		if a > b {
-			a, b = b, a
-		}
-		return in.sMask[a*in.G.N()+b]
-	}
-	return in.S[graph.MakePair(a, b)]
+	return in.S == nil || in.S.Has(graph.MakePair(a, b))
 }
 
 // SearchMode selects the Step 3 search implementation.
@@ -179,8 +156,8 @@ type ClassStat struct {
 // Report is the outcome of FindEdgesWithPromise.
 type Report struct {
 	// Edges is the output: pairs of S involved in at least one negative
-	// triangle (with legs in Legs).
-	Edges map[graph.Pair]bool
+	// triangle (with legs in Legs). The report owns it.
+	Edges *graph.PairSet
 	// Rounds is the total CONGEST-CLIQUE rounds charged, including aborted
 	// attempts.
 	Rounds int64
@@ -210,15 +187,14 @@ func retryableError(err error) bool {
 // involved in a negative triangle. The algorithm is ComputePairs (Figure
 // 1) with the Step 3 searches implemented per opts.Mode.
 func FindEdgesWithPromise(inst Instance, opts Options) (*Report, error) {
-	if inst.G == nil {
-		return nil, errors.New("triangles: nil graph")
+	if err := inst.check(); err != nil {
+		return nil, err
 	}
 	n := inst.G.N()
 	sc := opts.Scratch
 	if sc == nil {
 		sc = NewScratch()
 	}
-	inst.buildSMask(sc)
 	pt, err := sc.partitions(n)
 	if err != nil {
 		return nil, err
@@ -272,7 +248,7 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 		return nil, err
 	}
 
-	rep := &Report{Edges: make(map[graph.Pair]bool)}
+	rep := &Report{Edges: graph.NewPairSet(pt.N())}
 	// Instances that share a row share its pair, so each found row enters
 	// the output once, after the class searches.
 	rowFound := par.Grow(sc.rowFound, len(st.rows))
@@ -326,14 +302,14 @@ func computePairsAttempt(net *congest.Network, pt *Partitions, inst *Instance, p
 	}
 	for ri, ok := range rowFound {
 		if ok {
-			rep.Edges[st.rows[ri].pair] = true
+			rep.Edges.Add(st.rows[ri].pair)
 		}
 	}
 
 	// Deliver each found pair to its two endpoint nodes (the problem's
 	// output convention: node u outputs the pairs {u,v} it is part of).
-	loads := sc.loadList(2 * len(rep.Edges))
-	for pr := range rep.Edges {
+	loads := sc.loadList(2 * rep.Edges.Len())
+	for pr := range rep.Edges.All() {
 		for _, owner := range []int{pr.U, pr.V} {
 			// Reporting node: the search node that found it; charge one
 			// word from a representative search node to the endpoint.

@@ -3,6 +3,7 @@ package triangles
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -48,18 +49,46 @@ func wantEdges(inst Instance) map[graph.Pair]bool {
 	return out
 }
 
-func checkExact(t *testing.T, got, want map[graph.Pair]bool, label string) {
+// checkExact compares a reported pair set with the reference pairs, and
+// its count with the pairs it yields.
+func checkExact(t *testing.T, got *graph.PairSet, want map[graph.Pair]bool, label string) {
 	t.Helper()
 	for p := range want {
-		if !got[p] {
+		if !got.Has(p) {
 			t.Errorf("%s: missing pair %v", label, p)
 		}
 	}
-	for p := range got {
+	yielded := 0
+	for p := range got.All() {
+		yielded++
 		if !want[p] {
 			t.Errorf("%s: spurious pair %v", label, p)
 		}
 	}
+	if yielded != got.Len() {
+		t.Errorf("%s: set counts %d pairs, yields %d", label, got.Len(), yielded)
+	}
+}
+
+// pairMap copies a pair set into a map, the reference form checkExact
+// takes.
+func pairMap(s *graph.PairSet) map[graph.Pair]bool {
+	m := make(map[graph.Pair]bool, s.Len())
+	for p := range s.All() {
+		m[p] = true
+	}
+	return m
+}
+
+// pairSetOf builds the dense set of the given pairs over n vertices.
+func pairSetOf(n int, pairs map[graph.Pair]bool) *graph.PairSet {
+	s := graph.NewPairSet(n)
+	for p, ok := range pairs {
+		if ok {
+			s.Add(p)
+		}
+	}
+	return s
 }
 
 func randomInstance(t *testing.T, n int, seed uint64, edgeProb float64) Instance {
@@ -116,8 +145,8 @@ func TestFindEdgesWithPromiseNoTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Edges) != 0 {
-		t.Errorf("expected empty output, got %d pairs", len(rep.Edges))
+	if rep.Edges.Len() != 0 {
+		t.Errorf("expected empty output, got %d pairs", rep.Edges.Len())
 	}
 }
 
@@ -137,13 +166,13 @@ func TestFindEdgesWithPromiseRespectsS(t *testing.T) {
 		i++
 	}
 	s[graph.MakePair(0, 1)] = true // likely not in a triangle; harmless either way
-	inst.S = s
+	inst.S = pairSetOf(inst.G.N(), s)
 	rep, err := FindEdgesWithPromise(inst, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExact(t, rep.Edges, wantEdges(inst), "restricted-S")
-	for p := range rep.Edges {
+	for p := range rep.Edges.All() {
 		if !s[p] {
 			t.Errorf("output pair %v outside S", p)
 		}
@@ -180,7 +209,7 @@ func TestFindEdgesWithPromiseLegGraph(t *testing.T) {
 	// triangles in G, it must not be reported. But {0,2} as a pair uses
 	// legs (0,1)... check a specific absence: pair {0,1} requires legs
 	// {0,c},{1,c} both in Legs; c=2 and c=3 both lost their {0,c} leg.
-	if rep.Edges[graph.MakePair(0, 1)] {
+	if rep.Edges.Has(graph.MakePair(0, 1)) {
 		t.Error("pair {0,1} reported despite cut legs")
 	}
 }
@@ -237,7 +266,7 @@ func TestFindEdgesWithPromiseDataDirectMatchesFull(t *testing.T) {
 // they carry.
 func sameReport(t *testing.T, label string, full, direct *Report) {
 	t.Helper()
-	checkExact(t, direct.Edges, full.Edges, label)
+	checkExact(t, direct.Edges, pairMap(full.Edges), label)
 	if full.Rounds != direct.Rounds {
 		t.Errorf("%s: rounds differ: full %d, direct %d", label, full.Rounds, direct.Rounds)
 	}
@@ -259,7 +288,7 @@ func sameReport(t *testing.T, label string, full, direct *Report) {
 // to each promise call's report.
 func sameFindEdgesReport(t *testing.T, full, direct *FindEdgesReport) {
 	t.Helper()
-	checkExact(t, direct.Edges, full.Edges, "findedges")
+	checkExact(t, direct.Edges, pairMap(full.Edges), "findedges")
 	if full.Rounds != direct.Rounds || full.Metrics != direct.Metrics {
 		t.Errorf("findedges: rounds/metrics differ: full %d %+v, direct %d %+v",
 			full.Rounds, full.Metrics, direct.Rounds, direct.Metrics)
@@ -286,7 +315,7 @@ func TestFindEdgesWithPromiseDeterministicForSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rounds != b.Rounds || len(a.Edges) != len(b.Edges) {
+	if a.Rounds != b.Rounds || !maps.Equal(pairMap(a.Edges), pairMap(b.Edges)) {
 		t.Error("same seed must reproduce the same run")
 	}
 }

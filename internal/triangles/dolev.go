@@ -2,7 +2,6 @@ package triangles
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"qclique/internal/congest"
@@ -25,8 +24,8 @@ import (
 
 // DolevReport is the outcome of DolevFindEdges.
 type DolevReport struct {
-	// Edges maps every pair of S involved in a negative triangle.
-	Edges map[graph.Pair]bool
+	// Edges holds every pair of S involved in a negative triangle.
+	Edges *graph.PairSet
 	// Rounds is the total CONGEST-CLIQUE rounds charged.
 	Rounds int64
 	// Metrics is the aggregate accounting.
@@ -46,8 +45,8 @@ func DolevFindEdges(inst Instance, net *congest.Network) (*DolevReport, error) {
 // stops between blocks instead of enumerating all p³ triples. Checkpoints
 // charge nothing and do not perturb the rounds of completed runs.
 func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network) (*DolevReport, error) {
-	if inst.G == nil {
-		return nil, fmt.Errorf("triangles: nil graph")
+	if err := inst.check(); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,7 +110,7 @@ func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network)
 	// when all three edges exist with total weight < 0. When Legs differs
 	// from G (Proposition 1 instances), a pair {a,b} of S is reported if
 	// the two legs exist in Legs and the closing edge exists in G.
-	edges := make(map[graph.Pair]bool)
+	edges := graph.NewPairSet(n)
 	report := func(a, b, c int) {
 		// Pair {a,b} with apex c.
 		if !inst.inS(a, b) {
@@ -133,7 +132,7 @@ func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network)
 		// fab into the sum saturates it at −Inf once the threshold reaches
 		// Inf, and every leg sum would then read as negative.
 		if graph.SaturatingAdd(la, lb) < -fab {
-			edges[graph.MakePair(a, b)] = true
+			edges.Add(graph.MakePair(a, b))
 		}
 	}
 	for i := 0; i < p; i++ {
@@ -165,7 +164,7 @@ func DolevFindEdgesCtx(ctx context.Context, inst Instance, net *congest.Network)
 
 	// Output delivery to pair endpoints, as in ComputePairs.
 	var outLoads []congest.Load
-	for pr := range edges {
+	for pr := range edges.All() {
 		src := tripleNode(blockOf[pr.U], blockOf[pr.V], blockOf[pr.U])
 		for _, owner := range []int{pr.U, pr.V} {
 			if src == congest.NodeID(owner) {

@@ -39,7 +39,7 @@ func TestDolevRespectsSAndLegs(t *testing.T) {
 		}
 		i++
 	}
-	inst.S = s
+	inst.S = pairSetOf(inst.G.N(), s)
 	rng := xrand.New(4)
 	inst.Legs = graph.NewUndirected(inst.G.N())
 	if err := inst.G.SubgraphInto(inst.Legs, func(u, v int) bool { return rng.Bool(0.7) }); err != nil {
@@ -104,7 +104,7 @@ func TestDolevTinyGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Edges) != 0 {
+		if rep.Edges.Len() != 0 {
 			t.Errorf("n=%d: expected no edges", n)
 		}
 	}
@@ -119,7 +119,7 @@ func TestDolevTinyGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Edges) != 3 {
-		t.Errorf("triangle must report all 3 edges, got %d", len(rep.Edges))
+	if rep.Edges.Len() != 3 {
+		t.Errorf("triangle must report all 3 edges, got %d", rep.Edges.Len())
 	}
 }

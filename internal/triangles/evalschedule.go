@@ -23,9 +23,12 @@ import (
 // the paper's "error message" branch). The measured schedule cost is then
 // charged once per oracle call. Truth tables are computed from the Step 1
 // placement data that the queried triple nodes hold, one row per unique
-// (group, pair) question. Step 2 indexes the instances by row once per
-// attempt, and every class search reads that index, so the multi-search
-// evolves each row once per round for all the instances that share it.
+// (unordered group, pair) question: the groups (u,v) and (v,u) search the
+// same class list with the same pair, so their instances share a row.
+// Step 2 indexes the instances by row once per attempt, and every class
+// search reads that index, so the multi-search evolves each row once per
+// round for all the instances that share it. Every instance still draws
+// its own query and charges its own loads.
 
 // SlotOverflowError reports a C̃m truncation abort: some query list
 // exceeded the Figure 4/5 slot cap.
@@ -42,19 +45,20 @@ func (e *SlotOverflowError) Error() string {
 		e.Label.U, e.Label.V, e.Label.X, e.WBlock, e.Alpha, e.Count, e.Cap)
 }
 
-// pairRow is one unique truth-table row: a kept pair in one (u,v) group,
-// with its weight f(pair) in G.
+// pairRow is one unique truth-table row: a kept pair of the unordered
+// group {u,v}, with its weight f(pair) in G. group is (u,v) with u ≤ v, the
+// orientation the row is computed in.
 type pairRow struct {
 	group  int
 	pair   graph.Pair
 	weight int64
 }
 
-// searchState is the Step 2 outcome: the coverings, the unique (group,
-// pair) rows, and the index of the multi-searches' instances by row. A
-// search instance is one kept pair of one label's covering; instances are
-// numbered in label order, and every instance of the same (group, pair)
-// answers that pair's row.
+// searchState is the Step 2 outcome: the coverings, the unique (unordered
+// group, pair) rows, and the index of the multi-searches' instances by
+// row. A search instance is one kept pair of one label's covering;
+// instances are numbered in label order, and every instance of a pair, in
+// either orientation of its group, answers that pair's row.
 type searchState struct {
 	pt        *Partitions
 	coverings []Covering // indexed by SearchIndex
@@ -128,14 +132,6 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 	}
 	ownerTouched := sc.ownerTouched[:0]
 	covSplit := rng.SplitterFor("covering")
-	// Hoist the S-membership test out of the per-pair loop: when the mask
-	// snapshot exists it answers inS directly (pairs are normalized U < V,
-	// matching the mask's orientation); S == nil means every pair is in S.
-	var sMask []bool
-	gn := inst.G.N()
-	if inst.S != nil && inst.sMask != nil {
-		sMask = inst.sMask
-	}
 	var cov Covering
 	for li := 0; li < numLabels; li++ {
 		label := pt.SearchFromIndex(li)
@@ -178,11 +174,7 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 				if w == graph.NoEdge {
 					continue
 				}
-				if sMask != nil {
-					if !sMask[pr.U*gn+pr.V] {
-						continue
-					}
-				} else if !inst.inS(pr.U, pr.V) {
+				if inst.S != nil && !inst.S.Has(pr) {
 					continue
 				}
 				pairsArena = append(pairsArena, pr)
@@ -236,85 +228,126 @@ func runCoverings(net *congest.Network, pt *Partitions, inst *Instance, params P
 }
 
 // listInstances flattens the coverings into search instances, in label
-// order, dedups them into one truth-table row per (group, pair), and
-// indexes the instances by row. A pair {U,V} (U < V) can only appear in
-// the groups (CoarseOf(U), CoarseOf(V)) and its swap, so a group's rows
-// are answered by the group's instances alone, and since labels are
-// numbered group by group, each group's rows and instances fill a range of
-// the index of their own. Where the sampling probability clips, a group's
-// labels share one covering slice, so its rows are that covering's pairs
-// and each row is answered by one instance per label: the group's range
-// is written directly. Otherwise the coverings of a group's labels
-// overlap: rows are memoized through the scratch's flat index table
-// (Scratch.zeroedIndex), where one orientation bit, set for the labels
-// with u > v, disambiguates the group, so the table needs just 2n² slots,
-// and the group's instances are grouped by row with a counting sort.
+// order, dedups them into one truth-table row per (unordered group, pair),
+// and indexes the instances by row. A pair {U,V} (U < V) can only appear in
+// the group (CoarseOf(U), CoarseOf(V)) and its swap, and both orientations
+// ask the same question of it: IdentifyClass gives (u,v,w) and (v,u,w) one
+// class, so the two groups' class lists are equal, and the truth test is
+// symmetric in the pair's endpoints. So a row is keyed by its pair; its
+// group is the orientation u ≤ v it is computed in, and it lists the
+// instances of (u,v) first, then those of (v,u). Each unordered group's
+// rows and instances fill a range of the index of their own.
+//
+// Where the sampling probability clips, a group's labels share one
+// covering slice, and a group and its swap hold the same pairs (P(u,v)
+// filtered by S and G) in transposed order. Row p is then the (u,v)
+// covering's pair p, answered by instance first + x·len(pairs) + p of every
+// label x of each orientation: the (u,v) half is written directly, and the
+// (v,u) half through the pair→row table. Otherwise the coverings of the
+// two groups' labels overlap arbitrarily: rows are memoized through the
+// same table, and the instances are grouped by row with a counting sort.
+// The table is never cleared; an entry counts only when it names a row of
+// the current unordered group that holds its pair.
 func listInstances(coverings []Covering, pt *Partitions, sc *Scratch) ([]pairRow, qsearch.RowIndex, error) {
-	n := pt.N()
-	numFine := pt.NumFine()
-	total := 0
-	for _, cov := range coverings {
-		total += len(cov.Pairs)
+	n, q, numFine := pt.N(), pt.NumCoarse(), pt.NumFine()
+	// Labels, and so instances, are numbered group by group: group g's
+	// instances are groupFirst[g] … groupFirst[g+1]−1.
+	groupFirst := par.Grow(sc.groupFirst, q*q+1)
+	sc.groupFirst = groupFirst
+	total := int32(0)
+	for g := range q * q {
+		groupFirst[g] = total
+		for _, cov := range coverings[g*numFine : (g+1)*numFine] {
+			total += int32(len(cov.Pairs))
+		}
 	}
+	groupFirst[q*q] = total
 	rows := sc.pairRows[:0]
 	starts := append(sc.rowStarts[:0], 0)
-	insts := par.Grow(sc.rowInsts, total)
-	var rowOf []int32 // (orient*n + U)*n + V → row index + 1; 0 = unset
-	first := 0        // the group's first instance
-	for lo := 0; lo < len(coverings); lo += numFine {
-		labels := coverings[lo:min(lo+numFine, len(coverings))]
-		g := lo / numFine
-		if pairs := labels[0].Pairs; sharedCovering(labels) {
-			// Row p is answered by instance first + x·len(pairs) + p of
-			// every label x.
-			for p, pr := range pairs {
-				rows = append(rows, pairRow{group: g, pair: pr, weight: labels[0].Weights[p]})
-				for x := range labels {
-					insts[first+p*len(labels)+x] = int32(first + x*len(pairs) + p)
+	insts := par.Grow(sc.rowInsts, int(total))
+	rowOf := par.Grow(sc.rowOf, n*n) // U·n+V → row
+	sc.rowOf = rowOf
+	slot := int32(0) // the unordered group's first slot of insts
+	for u := range q {
+		for v := u; v < q; v++ {
+			g, sw := u*q+v, v*q+u
+			labels := coverings[g*numFine : (g+1)*numFine]
+			var swapped []Covering
+			if sw != g {
+				swapped = coverings[sw*numFine : (sw+1)*numFine]
+			}
+			firstRow := int32(len(rows))
+			rowFor := func(pr graph.Pair) (int32, bool) {
+				r := rowOf[pr.U*n+pr.V]
+				return r, r >= firstRow && int(r) < len(rows) && rows[r].pair == pr
+			}
+			pairs := labels[0].Pairs
+			if sharedCovering(labels) && (swapped == nil || sharedCovering(swapped) && len(swapped[0].Pairs) == len(pairs)) {
+				k := int32(len(labels) + len(swapped)) // instances per row
+				np := int32(len(pairs))
+				first := groupFirst[g]
+				for p, pr := range pairs {
+					rowOf[pr.U*n+pr.V] = int32(len(rows))
+					rows = append(rows, pairRow{group: g, pair: pr, weight: labels[0].Weights[p]})
+					at := slot + int32(p)*k
+					for x := range int32(len(labels)) {
+						insts[at+x] = first + x*np + int32(p)
+					}
+					starts = append(starts, at+k)
 				}
-				starts = append(starts, int32(first+(p+1)*len(labels)))
-			}
-			first += len(labels) * len(pairs)
-			continue
-		}
-		// starts[r+1] counts row r's instances as they are listed, then
-		// holds row r's next free slot, and ends as row r's end, which is
-		// row r+1's start.
-		if rowOf == nil {
-			rowOf = sc.zeroedIndex(2 * n * n)
-		}
-		of := sc.instRow[:0] // the row of each of the group's instances
-		firstRow := len(rows)
-		for _, cov := range labels {
-			orient := 0
-			if cov.Label.U > cov.Label.V {
-				orient = 1
-			}
-			for pi, pr := range cov.Pairs {
-				key := (orient*n+pr.U)*n + pr.V
-				r := rowOf[key]
-				if r == 0 {
-					rows = append(rows, pairRow{group: g, pair: pr, weight: cov.Weights[pi]})
-					starts = append(starts, 0)
-					r = int32(len(rows))
-					rowOf[key] = r
+				if swapped != nil {
+					first = groupFirst[sw]
+					for p, pr := range swapped[0].Pairs {
+						r, ok := rowFor(pr)
+						if !ok {
+							return nil, qsearch.RowIndex{}, fmt.Errorf("triangles: group (%d,%d) covers %v, group (%d,%d) does not", v, u, pr, u, v)
+						}
+						at := starts[r] + int32(len(labels))
+						for x := range int32(len(swapped)) {
+							insts[at+x] = first + x*np + int32(p)
+						}
+					}
 				}
-				starts[r]++
-				of = append(of, r-1)
+				slot += k * np
+				continue
 			}
+			// starts[r+1] counts row r's instances as they are listed, then
+			// holds row r's next free slot, and ends as row r's end, which
+			// is row r+1's start.
+			of := sc.instRow[:0] // the row of each of the two groups' instances
+			for _, part := range [2][]Covering{labels, swapped} {
+				for _, cov := range part {
+					for pi, pr := range cov.Pairs {
+						r, ok := rowFor(pr)
+						if !ok {
+							r = int32(len(rows))
+							rowOf[pr.U*n+pr.V] = r
+							rows = append(rows, pairRow{group: g, pair: pr, weight: cov.Weights[pi]})
+							starts = append(starts, 0)
+						}
+						starts[r+1]++
+						of = append(of, r)
+					}
+				}
+			}
+			sc.instRow = of
+			next := slot
+			for r := int(firstRow) + 1; r <= len(rows); r++ {
+				c := starts[r]
+				starts[r] = next
+				next += c
+			}
+			m := groupFirst[g+1] - groupFirst[g] // (u,v)'s instances come first
+			for i, r := range of {
+				id := groupFirst[g] + int32(i)
+				if int32(i) >= m {
+					id = groupFirst[sw] + int32(i) - m
+				}
+				insts[starts[r+1]] = id
+				starts[r+1]++
+			}
+			slot = next
 		}
-		sc.instRow = of
-		next := int32(first)
-		for r := firstRow + 1; r <= len(rows); r++ {
-			c := starts[r]
-			starts[r] = next
-			next += c
-		}
-		for i, r := range of {
-			insts[starts[r+1]] = int32(first + i)
-			starts[r+1]++
-		}
-		first += len(of)
 	}
 	sc.pairRows, sc.rowStarts, sc.rowInsts = rows, starts, insts
 	index, err := qsearch.NewRowIndex(starts, insts)
@@ -359,14 +392,16 @@ func newEvalBuilder(pt *Partitions, pl *placement, st *searchState, cls *classif
 	lists := sc.classLists[:q*q]
 	arena := sc.classArena[:0]
 	size := 0
+	// IdentifyClass gives (u,v,w) and (v,u,w) one class, so T_α[v,u] is
+	// T_α[u,v], and the two groups share one list: the rows Step 2 shares
+	// between them are computed against it.
 	for u := 0; u < q; u++ {
-		for v := 0; v < q; v++ {
+		for v := u; v < q; v++ {
 			start := len(arena)
 			arena = cls.appendClassesFor(arena, u, v, alpha)
 			lists[u*q+v] = arena[start:len(arena):len(arena)]
-			if len(lists[u*q+v]) > size {
-				size = len(lists[u*q+v])
-			}
+			lists[v*q+u] = lists[u*q+v]
+			size = max(size, len(lists[u*q+v]))
 		}
 	}
 	sc.classArena = arena
@@ -558,9 +593,9 @@ func (b *evalBuilder) evalFunc() qsearch.EvalFunc {
 		}
 
 		// Assemble the truth tables from the queried triple nodes' data,
-		// one per unique (group, pair) row of Step 2, which also indexed
-		// the instances by row. Row computation (the triple nodes' local
-		// min-plus work) is independent across rows, so the rows are
+		// one per unique (unordered group, pair) row of Step 2, which also
+		// indexed the instances by row. Row computation (the triple nodes'
+		// local min-plus work) is independent across rows, so the rows are
 		// computed by the worker pool and merged by index — identical
 		// output for any worker count.
 		// The previous evaluation's rows are dead once this one runs (the

@@ -2,6 +2,7 @@ package triangles
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -20,6 +21,14 @@ func instanceRows(index qsearch.RowIndex) []int32 {
 		}
 	}
 	return of
+}
+
+// rowGroup returns the group a row of group g's instances is computed in:
+// (u,v) with u ≤ v, the orientation Step 2 keys the unordered group by.
+func rowGroup(pt *Partitions, g int) int {
+	q := pt.NumCoarse()
+	u, v := g/q, g%q
+	return min(u, v)*q + max(u, v)
 }
 
 // buildEval assembles an evalBuilder for class alpha on a random workload.
@@ -63,7 +72,8 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per unique (group, pair) question, with Step 2's index.
+	// One row per unique (unordered group, pair) question, with Step 2's
+	// index.
 	if len(tabs.Rows) != len(st.rows) {
 		t.Fatalf("rows = %d, unique rows = %d", len(tabs.Rows), len(st.rows))
 	}
@@ -95,9 +105,11 @@ func TestEvalFuncTruthTablesMatchBruteForce(t *testing.T) {
 		i := rng.IntN(len(of))
 		ref := refs[i]
 		g := b.groupOf(ref.label)
-		if row := st.rows[of[i]]; row != (pairRow{group: g, pair: ref.pair, weight: ref.weight}) {
-			t.Fatalf("instance %d of label %d has row %+v, want pair %v weight %d", i, ref.label, row, ref.pair, ref.weight)
+		if row := st.rows[of[i]]; row != (pairRow{group: rowGroup(b.pt, g), pair: ref.pair, weight: ref.weight}) {
+			t.Fatalf("instance %d of label %d has row %+v, want group %d pair %v weight %d", i, ref.label, row, rowGroup(b.pt, g), ref.pair, ref.weight)
 		}
+		// The instance's own group's class list: a row shared with the
+		// swapped group must answer both.
 		list := b.classLists[g]
 		if len(list) == 0 {
 			continue
@@ -219,7 +231,7 @@ func TestRunCoveringsKeepsOnlySEdges(t *testing.T) {
 	if err := g.SetEdge(2, 3, 7); err != nil {
 		t.Fatal(err)
 	}
-	inst := &Instance{G: g, S: map[graph.Pair]bool{graph.MakePair(0, 1): true}}
+	inst := &Instance{G: g, S: pairSetOf(16, map[graph.Pair]bool{graph.MakePair(0, 1): true})}
 	st, err := runCoverings(net, pt, inst, PaperParams(), NewScratch(), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -238,25 +250,85 @@ func TestRunCoveringsKeepsOnlySEdges(t *testing.T) {
 	}
 }
 
+// TestFigure5DuplicationPathCharges runs a class-α evaluation with a
+// Figure 5 duplication factor of 4. α is the workload's largest non-empty
+// class ≥ 1 under the paper's constants, and ClassSize, which sets only the
+// factor 2^α/(ClassSize·ln n), is chosen so that the factor is 4 there (a
+// class found under forced thresholds sits near α = 15, where the factor
+// is about 10⁸). The evaluation must charge the Step 0 broadcast as a
+// phase of its own, one more than at factor 1, whose loads — every class-α
+// triple's Step 1 tables to its three clone labels — cost rounds, and must
+// still return one row per Step 2 row over Step 2's index.
 func TestFigure5DuplicationPathCharges(t *testing.T) {
-	// Force dup > 1 via a tiny ClassSize and a nonzero class; verify the
-	// duplication broadcast charges rounds and the schedule still works.
+	const n, seed, dup = 32, 6, 4
 	params := PaperParams()
-	params.ClassSize = 0.0001
-	params.ClassThreshold = 0.0001 // push triples into high classes
-	net, b, st := buildEval(t, 32, 6, params, 3)
-	if b.spaceSize == 0 || st.index.Instances() == 0 {
-		t.Skip("class 3 empty under forced thresholds")
+	alpha := 0
+	for a := 1; a <= 20; a++ {
+		if _, b, _ := buildEval(t, n, seed, params, a); b.spaceSize > 0 {
+			alpha = a
+		}
 	}
-	if params.duplication(32, 3) <= 1 {
-		t.Skip("duplication did not activate")
+	if alpha == 0 {
+		t.Fatal("no class above 0 is populated")
 	}
-	before := net.Rounds()
-	if _, err := b.evalFunc()(net); err != nil {
+	params.ClassSize = math.Exp2(float64(alpha)) / ((dup + 0.5) * logN(n))
+	if got := params.duplication(n, alpha); got != dup {
+		t.Fatalf("duplication(%d, %d) = %d, want %d", n, alpha, got, dup)
+	}
+	net, b, st := buildEval(t, n, seed, params, alpha)
+	if st.index.Instances() == 0 {
+		t.Fatal("no search instance")
+	}
+
+	q := b.pt.NumCoarse()
+	var loads []congest.Load
+	for g, list := range b.classLists {
+		u, v := g/q, g%q
+		for _, w := range list {
+			tl := TripleLabel{U: u, V: v, W: w}
+			src := b.pt.TripleNode(tl)
+			words := int64((len(b.pt.Coarse[u]) + len(b.pt.Coarse[v])) * len(b.pt.Fine[w]))
+			for y := 1; y < dup; y++ {
+				if dst := b.cloneNode(tl, y, dup); dst != src {
+					loads = append(loads, congest.Load{Src: src, Dst: dst, Words: words})
+				}
+			}
+		}
+	}
+	ref := congestMust(t, n)
+	if err := ref.ChargeBalanced("step0", loads); err != nil {
 		t.Fatal(err)
 	}
-	if net.Rounds() <= before {
-		t.Error("Figure 5 duplication must charge rounds")
+	if ref.Rounds() <= 0 {
+		t.Fatalf("the Step 0 broadcast of α=%d costs %d rounds", alpha, ref.Rounds())
+	}
+
+	evaluate := func(b *evalBuilder, net *congest.Network) (congest.Metrics, qsearch.Tables) {
+		t.Helper()
+		before := net.Metrics()
+		tabs, err := b.evalFunc()(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.DeltaSince(before), tabs
+	}
+	got, tabs := evaluate(b, net)
+	single := *b
+	single.params.ClassSize = PaperParams().ClassSize
+	plain, _ := evaluate(&single, congestMust(t, n))
+	if got.Phases != plain.Phases+1 {
+		t.Errorf("α=%d: evaluation charges %d phases at duplication %d, %d at 1; want Step 0 as one more", alpha, got.Phases, dup, plain.Phases)
+	}
+	if got.Rounds < ref.Rounds() {
+		t.Errorf("α=%d: evaluation charges %d rounds, below its Step 0 broadcast's %d", alpha, got.Rounds, ref.Rounds())
+	}
+	if len(tabs.Rows) != len(st.rows) || tabs.Index.Instances() != st.index.Instances() {
+		t.Fatalf("tables hold %d rows over %d instances, Step 2 has %d over %d", len(tabs.Rows), tabs.Index.Instances(), len(st.rows), st.index.Instances())
+	}
+	for r, row := range tabs.Rows {
+		if len(row) != b.spaceSize {
+			t.Fatalf("row %d has %d entries, search space %d", r, len(row), b.spaceSize)
+		}
 	}
 }
 
@@ -286,7 +358,7 @@ func referenceStep2(net *congest.Network, pt *Partitions, inst *Instance, params
 				}
 				count[pr.U]++
 			}
-			if w, ok := inst.G.Weight(pr.U, pr.V); ok && (inst.S == nil || inst.S[pr]) {
+			if w, ok := inst.G.Weight(pr.U, pr.V); ok && inst.inS(pr.U, pr.V) {
 				pairs[li] = append(pairs[li], pr)
 				weights[li] = append(weights[li], w)
 			}
@@ -304,8 +376,9 @@ func referenceStep2(net *congest.Network, pt *Partitions, inst *Instance, params
 // TestRunCoveringsMatchesPerLabelReference pins runCoverings to the
 // per-label reference, both where the sampling probability clips at 1 (so
 // a group's labels share one covering) and where it does not: the same
-// coverings, instances whose rows hold their (group, pair, weight), one row
-// per (group, pair), the same charge, and the same abort.
+// coverings, instances whose rows hold their pair and weight and the
+// orientation u ≤ v of their group, one row per pair, so one per
+// (unordered group, pair), the same charge, and the same abort.
 func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 	const n = 48
 	clipped := PaperParams()
@@ -360,8 +433,7 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 					}
 				}
 			}
-			inst := &Instance{G: g, S: s}
-			inst.buildSMask(NewScratch())
+			inst := &Instance{G: g, S: pairSetOf(n, s)}
 
 			r := run(tc.params, inst, seed)
 			if r.err != nil || r.refErr != nil {
@@ -371,17 +443,12 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 				t.Errorf("%s seed %d: charged %+v, reference %+v", tc.name, seed, r.got, r.want)
 			}
 			st, pairs, weights := r.st, r.refPairs, r.refWeights
-			type key struct {
-				group int
-				pair  graph.Pair
-			}
-			seen := map[key]bool{}
+			seen := map[graph.Pair]bool{}
 			for _, row := range st.rows {
-				k := key{row.group, row.pair}
-				if seen[k] {
-					t.Fatalf("%s seed %d: two rows for group %d pair %v", tc.name, seed, row.group, row.pair)
+				if seen[row.pair] {
+					t.Fatalf("%s seed %d: two rows for pair %v", tc.name, seed, row.pair)
 				}
-				seen[k] = true
+				seen[row.pair] = true
 			}
 			of := instanceRows(st.index)
 			used := make([]bool, len(st.rows))
@@ -395,7 +462,7 @@ func TestRunCoveringsMatchesPerLabelReference(t *testing.T) {
 						t.Fatalf("%s seed %d: %d instances, reference has more", tc.name, seed, len(of))
 					}
 					ri := of[i]
-					group := li / pt.NumFine()
+					group := rowGroup(pt, li/pt.NumFine())
 					if row := st.rows[ri]; row != (pairRow{group: group, pair: pr, weight: weights[li][pi]}) {
 						t.Fatalf("%s seed %d: instance %d of label %d has row %+v, want pair %v weight %d", tc.name, seed, i, li, row, pr, weights[li][pi])
 					}

@@ -137,7 +137,12 @@ func runIdentifyClass(net *congest.Network, pt *Partitions, inst *Instance, pl *
 		sc.classOf = make([]int, pt.NumTriples())
 	}
 	cls := &classification{pt: pt, classOf: sc.classOf[:pt.NumTriples()]}
-	// Bucket R by (u,v) group to avoid rescanning all of R per triple.
+	// Bucket R by unordered (u,v) group, u ≤ v, to avoid rescanning all of
+	// R per triple. The (v,u) bucket would hold the same pairs with their
+	// endpoints swapped, and legSumBelow is symmetric in the two endpoints
+	// (SaturatingAdd is commutative, ±Inf included), so (u,v,w) and
+	// (v,u,w) count the same d: each unordered group is counted once and
+	// both orientations take its class.
 	q := pt.NumCoarse()
 	if cap(sc.idBuckets) < q*q {
 		sc.idBuckets = make([][]rPair, q*q)
@@ -149,14 +154,15 @@ func runIdentifyClass(net *congest.Network, pt *Partitions, inst *Instance, pl *
 	for _, rp := range r {
 		bu := pt.CoarseOf(rp.a)
 		bv := pt.CoarseOf(rp.b)
-		buckets[bu*q+bv] = append(buckets[bu*q+bv], rp)
-		if bu != bv {
-			buckets[bv*q+bu] = append(buckets[bv*q+bu], rPair{a: rp.b, b: rp.a, w: rp.w})
+		if bu > bv {
+			bu, bv = bv, bu
+			rp.a, rp.b = rp.b, rp.a
 		}
+		buckets[bu*q+bv] = append(buckets[bu*q+bv], rp)
 	}
 	s := pt.NumFine()
 	for u := 0; u < q; u++ {
-		for v := 0; v < q; v++ {
+		for v := u; v < q; v++ {
 			group := buckets[u*q+v]
 			for w := 0; w < s; w++ {
 				d := 0
@@ -165,11 +171,10 @@ func runIdentifyClass(net *congest.Network, pt *Partitions, inst *Instance, pl *
 						d++
 					}
 				}
-				ti := pt.TripleIndex(TripleLabel{U: u, V: v, W: w})
-				cls.classOf[ti] = classForCount(d, n, params)
-				if cls.classOf[ti] > cls.maxClass {
-					cls.maxClass = cls.classOf[ti]
-				}
+				c := classForCount(d, n, params)
+				cls.classOf[pt.TripleIndex(TripleLabel{U: u, V: v, W: w})] = c
+				cls.classOf[pt.TripleIndex(TripleLabel{U: v, V: u, W: w})] = c
+				cls.maxClass = max(cls.maxClass, c)
 			}
 		}
 	}

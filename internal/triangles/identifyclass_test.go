@@ -131,9 +131,90 @@ func TestIdentifyClassAbort(t *testing.T) {
 	}
 }
 
+// TestIdentifyClassMatchesPerOrientationCounts holds IdentifyClass, which
+// counts each unordered group once, to Figure 2 as printed: every triple
+// (u,v,w) counts the sampled pairs of its own orientation's bucket, a pair
+// {a,b} with a in coarse block u and b in v, against its own leg sum
+// f(a,c)+f(c,b). Low class thresholds spread the triples over several
+// classes, and one graph puts a third of its edges at ±(Inf−1), so the
+// counts meet saturated sums.
+func TestIdentifyClassMatchesPerOrientationCounts(t *testing.T) {
+	params := PaperParams()
+	params.ClassThreshold = 0.2
+	for _, tc := range []struct {
+		n          int
+		saturating bool
+	}{{32, false}, {81, false}, {48, true}} {
+		pt, err := NewPartitions(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(uint64(tc.n))
+		g, err := graph.RandomUndirected(tc.n, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -10, MaxWeight: 12}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.saturating {
+			for a := 0; a < tc.n; a++ {
+				for c := a + 1; c < tc.n; c++ {
+					if g.HasEdge(a, c) && rng.Bool(1.0/3) {
+						w := graph.Inf - 1
+						if rng.Bool(0.5) {
+							w = -w
+						}
+						if err := g.SetEdge(a, c, w); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		inst := &Instance{G: g}
+		pl, err := runPlacement(congestMust(t, tc.n), pt, g, DataDirect, NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScratch()
+		cls, err := runIdentifyClass(congestMust(t, tc.n), pt, inst, pl, params, sc, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sc.idPairs // R, as broadcast in Step 1
+		q, s := pt.NumCoarse(), pt.NumFine()
+		seen := map[int]bool{}
+		for u := 0; u < q; u++ {
+			for v := 0; v < q; v++ {
+				for w := 0; w < s; w++ {
+					d := 0
+					for _, rp := range r {
+						a, b := rp.a, rp.b
+						if pt.CoarseOf(a) != u {
+							a, b = b, a
+						}
+						if pt.CoarseOf(a) != u || pt.CoarseOf(b) != v {
+							continue
+						}
+						if pl.legSumBelow(u, v, w, a, b, -rp.w) {
+							d++
+						}
+					}
+					want := classForCount(d, tc.n, params)
+					if got := cls.classOf[pt.TripleIndex(TripleLabel{U: u, V: v, W: w})]; got != want {
+						t.Fatalf("n=%d: triple (%d,%d,%d) has class %d, its own orientation counts %d (class %d)", tc.n, u, v, w, got, d, want)
+					}
+					seen[want] = true
+				}
+			}
+		}
+		if len(seen) < 2 {
+			t.Fatalf("n=%d: every triple in one class %v; the check compares nothing", tc.n, seen)
+		}
+	}
+}
+
 func TestIdentifyClassEmptyS(t *testing.T) {
 	net, pt, inst, pl := identifySetup(t, 16, 6, 0.5)
-	inst.S = map[graph.Pair]bool{} // empty S: nothing sampled, all class 0
+	inst.S = graph.NewPairSet(16) // empty S: nothing sampled, all class 0
 	cls, err := runIdentifyClass(net, pt, inst, pl, PaperParams(), NewScratch(), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)

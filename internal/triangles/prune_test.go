@@ -17,7 +17,10 @@ import (
 // saturates), so a prune that fires one step too early, or a leg minimum
 // that misses a vertex, flips an answer. Truth rows take the −f(a,b) bound
 // and the m and m+1 bounds of one random block, over a random subset of the
-// blocks in random order, so the padding tail is checked too.
+// blocks in random order, so the padding tail is checked too. The class
+// lists are symmetric, as IdentifyClass makes them, and each row is
+// computed in its group's orientation u ≤ v and held to the plain scans of
+// both orientations, since Step 3 shares it between them.
 func checkPruneExact(t testing.TB, pt *Partitions, g, legs *graph.Undirected, rng *xrand.Source) {
 	t.Helper()
 	n, q, s := pt.N(), pt.NumCoarse(), pt.NumFine()
@@ -50,12 +53,18 @@ func checkPruneExact(t testing.TB, pt *Partitions, g, legs *graph.Undirected, rn
 		if err != nil {
 			t.Fatal(err)
 		}
+		// IdentifyClass gives (u,v,w) and (v,u,w) one class, so the two
+		// orientations of a group share one class list.
 		lists := make([][]int, q*q)
-		for gi := range lists {
-			for _, w := range rng.Perm(s) {
-				if rng.Bool(0.8) {
-					lists[gi] = append(lists[gi], w)
+		for u := 0; u < q; u++ {
+			for v := u; v < q; v++ {
+				var list []int
+				for _, w := range rng.Perm(s) {
+					if rng.Bool(0.8) {
+						list = append(list, w)
+					}
 				}
+				lists[u*q+v], lists[v*q+u] = list, list
 			}
 		}
 		b := &evalBuilder{pt: pt, pl: pl, spaceSize: s, classLists: lists}
@@ -79,18 +88,26 @@ func checkPruneExact(t testing.TB, pt *Partitions, g, legs *graph.Undirected, rn
 								}
 							}
 						}
+						// Step 3 computes a pair's row once, in the
+						// orientation u ≤ v of its group, for the
+						// instances of both orientations: the row must
+						// answer the plain scans through a to c and
+						// through c to a.
 						pr := graph.MakePair(a, c)
+						rowGroup := min(u, v)*q + max(u, v)
 						bs = bounds(bs, a, c, rng.IntN(s))
 						for _, bound := range bs {
 							for i := range row {
 								row[i] = true // stale marks must not survive
 							}
-							b.truthRowInto(row, group, pr, -bound)
+							b.truthRowInto(row, rowGroup, pr, -bound)
 							for i, got := range row {
-								want := i < len(lists[group]) && plain[(a*n+c)*s+lists[group][i]] < bound
-								if got != want {
-									t.Fatalf("n=%d %s: truth row of (%d,%d) in group (%d,%d), bound %d: entry %d = %v, plain scan %v",
-										n, name, a, c, u, v, bound, i, got, want)
+								for _, e := range [2][2]int{{a, c}, {c, a}} {
+									want := i < len(lists[group]) && plain[(e[0]*n+e[1])*s+lists[group][i]] < bound
+									if got != want {
+										t.Fatalf("n=%d %s: truth row of (%d,%d) computed in group (%d,%d) for group (%d,%d), bound %d: entry %d = %v, plain scan %d→%d %v",
+											n, name, a, c, rowGroup/q, rowGroup%q, u, v, bound, i, got, e[0], e[1], want)
+									}
 								}
 							}
 						}
@@ -178,7 +195,9 @@ func TestLegMinimumPruneExact(t *testing.T) {
 // FuzzTruthRowPrune holds the pruned leg scans to plain scans on fuzzed
 // small graphs: each vertex pair takes the next byte of data (cycling) as
 // its weight, written unvalidated through SetBipartiteBlock, so legs and
-// pair weights mix NoEdge, NegInf, ±(Inf−1) and small values freely.
+// pair weights mix NoEdge, NegInf, ±(Inf−1) and small values freely. Each
+// truth row, computed once for both orientations of its group, is held to
+// the plain scans of both.
 func FuzzTruthRowPrune(f *testing.F) {
 	f.Add(uint8(16), uint64(1), []byte{9, 200, 3, 4, 5, 6, 7, 100, 250, 12})
 	f.Add(uint8(3), uint64(2), []byte{2, 2, 2})

@@ -26,8 +26,9 @@ import (
 
 // FindEdgesReport is the outcome of FindEdges.
 type FindEdgesReport struct {
-	// Edges is the output: all pairs of S with Γ(u,v) > 0.
-	Edges map[graph.Pair]bool
+	// Edges is the output: all pairs of S with Γ(u,v) > 0. The report owns
+	// it.
+	Edges *graph.PairSet
 	// Rounds is the total rounds across all promise instances.
 	Rounds int64
 	// Metrics is the aggregate network accounting.
@@ -38,7 +39,7 @@ type FindEdgesReport struct {
 	// Levels records the sampling level of each call (-1 = final
 	// unsampled call).
 	Levels []int
-	// SubReports are the per-call reports.
+	// SubReports are the per-call reports; each owns its Edges.
 	SubReports []*Report
 }
 
@@ -46,8 +47,8 @@ type FindEdgesReport struct {
 // S involved in a negative triangle. opts.Net is created fresh if nil so
 // the cost of all promise instances accumulates in one place.
 func FindEdges(inst Instance, opts Options) (*FindEdgesReport, error) {
-	if inst.G == nil {
-		return nil, errors.New("triangles: nil graph")
+	if err := inst.check(); err != nil {
+		return nil, err
 	}
 	if inst.Legs != nil {
 		return nil, errors.New("triangles: FindEdges manages leg sampling itself; Instance.Legs must be nil")
@@ -70,35 +71,25 @@ func FindEdges(inst Instance, opts Options) (*FindEdgesReport, error) {
 	opts.Scratch = sc // the promise calls below share the same workspace
 
 	// Working copy of S: nil means all pairs; materialize it so pairs can
-	// be removed as they are resolved. The map is scratch-retained: cleared
-	// here, it keeps its bucket storage across the solve's FindEdges calls.
-	if sc.sWork == nil {
-		sc.sWork = make(map[graph.Pair]bool)
-	}
-	s := sc.sWork
-	clear(s)
+	// be removed as they are resolved. The caller's S is only read, and
+	// the copy keeps its storage on the scratch across the solve's
+	// FindEdges calls.
+	s := &sc.sWork
 	if inst.S == nil {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				s[graph.MakePair(u, v)] = true
-			}
-		}
+		s.Reset(n)
+		s.Fill()
 	} else {
-		for p, ok := range inst.S {
-			if ok {
-				s[p] = true
-			}
-		}
+		s.CopyFrom(inst.S)
 	}
 
-	out := &FindEdgesReport{Edges: make(map[graph.Pair]bool)}
+	out := &FindEdgesReport{Edges: graph.NewPairSet(n)}
 	callPromise := func(legs *graph.Undirected, level int) error {
 		// Cancellation checkpoint of the triangle-enumeration loop: each
 		// promise instance is the unit of work a deadline can skip.
 		if err := opts.ctxErr(); err != nil {
 			return err
 		}
-		if len(s) == 0 {
+		if s.Len() == 0 {
 			// Every pair already resolved at a coarser sampling level; the
 			// remaining calls of Algorithm B are no-ops.
 			return nil
@@ -114,10 +105,8 @@ func FindEdges(inst Instance, opts Options) (*FindEdgesReport, error) {
 		out.PromiseCalls++
 		out.Levels = append(out.Levels, level)
 		out.SubReports = append(out.SubReports, rep)
-		for p := range rep.Edges {
-			out.Edges[p] = true
-			delete(s, p)
-		}
+		out.Edges.Union(rep.Edges)
+		s.Subtract(rep.Edges)
 		return nil
 	}
 

@@ -1,6 +1,7 @@
 package triangles
 
 import (
+	"fmt"
 	"testing"
 
 	"qclique/internal/graph"
@@ -38,7 +39,8 @@ func TestFindEdgesSamplingLevelsActivate(t *testing.T) {
 	}
 	p := BenchParams()
 	inst := Instance{G: g}
-	rep, err := FindEdges(inst, Options{Seed: 5, Params: &p})
+	sc := NewScratch()
+	rep, err := FindEdges(inst, Options{Seed: 5, Params: &p, Scratch: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +48,28 @@ func TestFindEdgesSamplingLevelsActivate(t *testing.T) {
 		t.Errorf("expected sampling levels to activate, calls=%d levels=%v", rep.PromiseCalls, rep.Levels)
 	}
 	checkExact(t, rep.Edges, wantEdges(inst), "findedges-levels")
+	// A pair leaves the working S once found, so the calls' outputs are
+	// disjoint and make up the report's edges; each call owns its set, so
+	// a later FindEdges on the same scratch leaves them as they were.
+	subs := make([]map[graph.Pair]bool, len(rep.SubReports))
+	union := map[graph.Pair]bool{}
+	for i, sub := range rep.SubReports {
+		subs[i] = pairMap(sub.Edges)
+		for p := range subs[i] {
+			if union[p] {
+				t.Errorf("pair %v reported by two promise calls", p)
+			}
+			union[p] = true
+		}
+	}
+	checkExact(t, rep.Edges, union, "union of the promise calls")
+	other := randomInstance(t, 256, 6, 0.3)
+	if _, err := FindEdges(other, Options{Seed: 6, Params: &p, Scratch: sc}); err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range rep.SubReports {
+		checkExact(t, sub.Edges, subs[i], fmt.Sprintf("promise call %d after a later FindEdges", i))
+	}
 }
 
 func TestFindEdgesHighGammaHubs(t *testing.T) {
@@ -99,16 +123,15 @@ func TestFindEdgesRestrictedS(t *testing.T) {
 		}
 		i++
 	}
-	inst.S = s
+	inst.S = pairSetOf(inst.G.N(), s)
 	rep, err := FindEdges(inst, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExact(t, rep.Edges, wantEdges(inst), "findedges-S")
-	// The input S map must not be mutated.
-	if len(inst.S) != len(s) {
-		t.Error("input S mutated")
-	}
+	// FindEdges works on a copy: the caller's S keeps every pair, found or
+	// not.
+	checkExact(t, inst.S, s, "input S after FindEdges")
 }
 
 func TestFindEdgesAgreesWithDolev(t *testing.T) {
@@ -121,5 +144,23 @@ func TestFindEdgesAgreesWithDolev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExact(t, a.Edges, b.Edges, "findedges-vs-dolev")
+	checkExact(t, a.Edges, pairMap(b.Edges), "findedges-vs-dolev")
+}
+
+// TestInstancesRejectForeignS: an S sized for another vertex count is an
+// error in every entry point that reads it, not a silent miss.
+func TestInstancesRejectForeignS(t *testing.T) {
+	inst := randomInstance(t, 16, 2, 0.4)
+	for _, n := range []int{15, 17} {
+		inst.S = graph.NewPairSet(n)
+		if _, err := FindEdges(inst, Options{}); err == nil {
+			t.Errorf("FindEdges accepted an S over %d vertices for 16", n)
+		}
+		if _, err := FindEdgesWithPromise(inst, Options{}); err == nil {
+			t.Errorf("FindEdgesWithPromise accepted an S over %d vertices for 16", n)
+		}
+		if _, err := DolevFindEdges(inst, nil); err == nil {
+			t.Errorf("DolevFindEdges accepted an S over %d vertices for 16", n)
+		}
+	}
 }

@@ -30,11 +30,8 @@ type Scratch struct {
 	parts *Partitions
 
 	// FindEdges (reduction.go): working pair set and sampled-legs subgraph.
-	sWork map[graph.Pair]bool
+	sWork graph.PairSet
 	legs  *graph.Undirected
-
-	// Instance.sMask snapshot.
-	sMask []bool
 
 	// Step 1 placement: per-triple weight tables (DataFull), the outgoing
 	// message headers and the charge-only phase, whose load list depends
@@ -57,8 +54,9 @@ type Scratch struct {
 	annCharge fixedCharge
 
 	// Step 2 coverings: kept pairs/weights arenas, covering headers, the
-	// unique (group, pair) rows, each instance's row and the row→instances
-	// index built from it, and the sampler scratch.
+	// unique (unordered group, pair) rows, each group's first instance,
+	// the pair→row table, each instance's row and the row→instances index
+	// built from it, and the sampler scratch.
 	covs         []Covering
 	pairsArena   []graph.Pair
 	weightsArena []int64
@@ -67,6 +65,8 @@ type Scratch struct {
 	perVertex    []int32
 	ownerCount   []int32
 	ownerTouched []int32
+	groupFirst   []int32
+	rowOf        []int32
 	instRow      []int32
 	rowStarts    []int32
 	rowInsts     []int32
@@ -84,7 +84,7 @@ type Scratch struct {
 	rowFound   []bool
 
 	// The load list of the uncached charge-only phases (loadList) and the
-	// zeroed int32 index of Step 2 and the evaluation (zeroedIndex).
+	// evaluation's zeroed int32 index (zeroedIndex).
 	loads []congest.Load
 	index []int32
 
@@ -165,9 +165,8 @@ func (sc *Scratch) loadList(capHint int) []congest.Load {
 	return sc.loads[:0]
 }
 
-// zeroedIndex returns the scratch int32 index as n zeroed entries: Step 2's
-// (group, pair) row index, then each evaluation's per-(label, w-block) list
-// counts. The two are never live at once.
+// zeroedIndex returns the scratch int32 index as n zeroed entries: each
+// evaluation's per-(label, w-block) list counts.
 func (sc *Scratch) zeroedIndex(n int) []int32 {
 	sc.index = par.Grow(sc.index, n)
 	clear(sc.index)

@@ -557,7 +557,7 @@ type Edge struct {
 // TriangleReport reports a FindNegativeTriangleEdges run.
 type TriangleReport struct {
 	// Edges lists every edge involved in at least one negative triangle,
-	// each with U < V, in unspecified order.
+	// each with U < V, sorted by (U, V).
 	Edges []Edge
 	// Rounds is the simulated CONGEST-CLIQUE round count.
 	Rounds int64
@@ -607,7 +607,7 @@ func FindNegativeTriangleEdges(g *Graph, opts ...Option) (*TriangleReport, error
 		return nil, err
 	}
 	out := &TriangleReport{Rounds: net.Rounds()}
-	for p := range edges {
+	for p := range edges.All() {
 		out.Edges = append(out.Edges, Edge{U: p.U, V: p.V})
 	}
 	return out, nil

@@ -3,7 +3,7 @@ package qclique
 import (
 	"errors"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,20 +160,8 @@ func TestFindNegativeTriangleEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		got := append([]Edge(nil), rep.Edges...)
-		sort.Slice(got, func(i, j int) bool {
-			if got[i].U != got[j].U {
-				return got[i].U < got[j].U
-			}
-			return got[i].V < got[j].V
-		})
-		if len(got) != len(want) {
-			t.Fatalf("%v: edges = %v, want %v", s, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: edges = %v, want %v", s, got, want)
-			}
+		if !slices.Equal(rep.Edges, want) {
+			t.Fatalf("%v: edges = %v, want %v", s, rep.Edges, want)
 		}
 		if rep.Rounds <= 0 {
 			t.Errorf("%v: rounds = %d", s, rep.Rounds)
@@ -181,6 +169,52 @@ func TestFindNegativeTriangleEdges(t *testing.T) {
 	}
 	if _, err := FindNegativeTriangleEdges(nil); err == nil {
 		t.Error("nil graph must fail")
+	}
+}
+
+// TestFindNegativeTriangleEdgesSortedAndReproducible: the edges come out
+// sorted by (U, V), and a second run with the same seed returns the same
+// slice, for the ComputePairs pipeline and for Dolev's listing alike.
+func TestFindNegativeTriangleEdgesSortedAndReproducible(t *testing.T) {
+	inner, err := graph.RandomUndirected(40, graph.UndirectedOpts{EdgeProb: 0.4, MinWeight: -6, MaxWeight: 20}, xrand.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph(inner.N())
+	for u := 0; u < inner.N(); u++ {
+		for v := u + 1; v < inner.N(); v++ {
+			if w, ok := inner.Weight(u, v); ok {
+				if err := g.SetEdge(u, v, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	want := len(graph.EdgesInNegativeTriangles(inner))
+	for _, s := range []Strategy{Quantum, DolevListing} {
+		a, err := FindNegativeTriangleEdges(g, WithStrategy(s), WithSeed(3))
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		b, err := FindNegativeTriangleEdges(g, WithStrategy(s), WithSeed(3))
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if len(a.Edges) != want || want < 10 {
+			t.Fatalf("%v: %d edges, the reference finds %d (need at least 10)", s, len(a.Edges), want)
+		}
+		less := func(x, y Edge) int {
+			if x.U != y.U {
+				return x.U - y.U
+			}
+			return x.V - y.V
+		}
+		if !slices.IsSortedFunc(a.Edges, less) {
+			t.Errorf("%v: edges not sorted by (U, V): %v", s, a.Edges)
+		}
+		if !slices.Equal(a.Edges, b.Edges) {
+			t.Errorf("%v: two runs with seed 3 return %v and %v", s, a.Edges, b.Edges)
+		}
 	}
 }
 
